@@ -124,7 +124,6 @@ def run_bench(
     a_mode="kappa",
     seed=0,
     samples=2000,
-    workers=1,
     ipm_epsilon=1e-9,
     on_row=None,
 ):
@@ -136,14 +135,14 @@ def run_bench(
         for gamma in gammas:
             cell_seed = seed + idx
             idx += 1
-            row = _bench_cell(n, gamma, a_mode, cell_seed, samples, workers, ipm_epsilon)
+            row = _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon)
             rows.append(row)
             if on_row is not None:
                 on_row(row)
     return rows
 
 
-def _bench_cell(n, gamma, a_mode, cell_seed, samples, workers, ipm_epsilon):
+def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
     spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode)
     game, partition = build_hard_instance(spec)
     rep = matrix_representation(game)
@@ -172,8 +171,8 @@ def _bench_cell(n, gamma, a_mode, cell_seed, samples, workers, ipm_epsilon):
         seed=cell_seed,
     )
     try:
-        row.kappa_est, _ = estimate_kappa(lcp.m, samples, cell_seed, witnesses, workers)
-        row.theta_est, _ = estimate_theta(lcp.m, samples, cell_seed, witnesses, workers)
+        row.kappa_est, _ = estimate_kappa(lcp.m, samples, cell_seed, witnesses)
+        row.theta_est, _ = estimate_theta(lcp.m, samples, cell_seed, witnesses)
         row.delta, _ = smallest_eigenvalue_sym(lcp.m)
         row.cond = -row.delta / row.theta_est
     except (ArithmeticError, ValueError):

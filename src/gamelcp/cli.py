@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: gen, solve, reduce, certify, bench, plot.  Global flags
-(--seed, --tol, --threads, --output) come before the subcommand.
+(--seed, --tol, --output) come before the subcommand.
 
 Exit codes: 0 on success, 1 when a solver fails or a solution does not
 verify, 2 on usage or I/O errors.
@@ -53,9 +53,6 @@ def _build_parser():
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="sampling worker count"
-    )
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -215,9 +212,7 @@ def _cmd_reduce(args):
 def _cmd_certify(args):
     game = load_game(args.game)
     partition = _load_partition_or_default(game, args.partition)
-    options = CertifyOptions(
-        seed=args.seed, samples=args.samples, workers=args.threads
-    )
+    options = CertifyOptions(seed=args.seed, samples=args.samples)
     report = certify(game, partition, options)
     if args.output is None:
         _write_or_print(json.dumps(report.to_json_dict(), indent=2), None)
@@ -262,7 +257,6 @@ def _cmd_bench(args):
         a_mode=args.a_mode,
         seed=args.seed,
         samples=args.samples,
-        workers=args.threads,
         ipm_epsilon=args.tol,
         on_row=flush,
     )

@@ -8,7 +8,8 @@ matrix M:
   + (1 + 4 kappa) sum_{I+} x_i(Mx)_i >= 0.  ``kappa_at`` gives the exact
   least kappa certified by a single direction x, so the maximum over any
   set of directions is a lower estimate of kappa(M).
-* delta: the smallest eigenvalue of (M + M^T)/2, computed by cyclic Jacobi.
+* delta: the smallest eigenvalue of (M + M^T)/2, computed by LAPACK's
+  symmetric eigensolver.
 * theta: min over unit x of max_i x_i (Mx)_i; ``theta_at`` evaluates one
   direction, so the minimum over sampled directions is an upper estimate.
 
@@ -17,19 +18,21 @@ general bounds are kappa <= n/(1-gamma)^2, delta > -(1+gamma) sqrt(n) /
 (1-gamma) and theta >= (1-gamma)^2 / ((1+gamma)^2 n); estimates reported
 here always stay on the certified side of those fences.
 
-P-matrix certification is exhaustive (all principal minors via LU, n <= 20)
+P-matrix certification is exhaustive (all principal minors by batched
+determinants, n <= 20)
 or sampled (a positive product index must exist for every probed x; the
 probe index uses the tau-chain transform when game context is available).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import jacobi_eigenvalues, principal_minors_positive, solve
+from ._kernels import solve
 from .game import matrix_representation, restrict
 from .lcp import default_partition, to_lcp
 
@@ -54,6 +57,7 @@ __all__ = [
 ]
 
 MINORS_LIMIT = 20
+MINORS_CHUNK_ENTRIES = 1 << 21  # matrix entries per batched determinant call
 HILL_CLIMB_ROUNDS = 100
 
 
@@ -113,21 +117,20 @@ def theta_at(m_mat, x):
     return float(np.max(x * (np.asarray(m_mat) @ x))) / nrm2
 
 
-def smallest_eigenvalue_sym(m_mat, rel_tol=1e-12, max_sweeps=100):
-    """Smallest eigenpair of (M + M^T)/2 by cyclic Jacobi sweeps.
+def smallest_eigenvalue_sym(m_mat):
+    """Smallest eigenpair of (M + M^T)/2 by ``numpy.linalg.eigh``.
 
-    Sweeps run until the off-diagonal Frobenius mass drops below
-    rel_tol * ||A||_F; the returned pair must satisfy
-    ||A v - lam v|| <= 1e-9 ||A||_F or an ArithmeticError is raised.
+    The returned pair must satisfy ||A v - lam v|| <= 1e-9 ||A||_F or an
+    ArithmeticError is raised.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     a = 0.5 * (m_mat + m_mat.T)
-    vals, vecs, converged = jacobi_eigenvalues(a, rel_tol, max_sweeps)
-    if not converged:
-        raise ArithmeticError(f"Jacobi sweeps did not converge in {max_sweeps} sweeps")
-    i = int(np.argmin(vals))
-    lam = float(vals[i])
-    vec = vecs[:, i].copy()
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"symmetric eigensolve failed: {exc}") from exc
+    lam = float(vals[0])
+    vec = vecs[:, 0].copy()
     fro = float(np.sqrt((a * a).sum()))
     resid = float(np.linalg.norm(a @ vec - lam * vec))
     if resid > 1e-9 * fro:
@@ -147,8 +150,12 @@ class MinorsCheck:
 def pmatrix_check_minors(m_mat, limit=MINORS_LIMIT, tol_factor=1e-12):
     """All 2^n - 1 principal minors positive?  Refuses n above ``limit``.
 
-    A minor counts as positive when its LU determinant exceeds
-    tol_factor times the product of the submatrix row norms.
+    A minor counts as positive when its determinant exceeds tol_factor
+    times the product of the submatrix row max-norms.  Subsets are scanned
+    by size, smallest first and lexicographically within a size, with the
+    determinants of a size taken in batches of bounded memory; the scan
+    stops at the first subset that fails, which becomes ``failing_subset``.
+    ``min_scaled_minor`` is the least determinant / scale ratio scanned.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     n = m_mat.shape[0]
@@ -156,11 +163,26 @@ def pmatrix_check_minors(m_mat, limit=MINORS_LIMIT, tol_factor=1e-12):
         raise ValueError(
             f"minor certification scans 2^{n} - 1 subsets; refusing n > {limit}"
         )
-    ok, bad_mask, min_scaled = principal_minors_positive(m_mat, tol_factor)
-    failing = None
-    if not ok:
-        failing = tuple(i for i in range(n) if (bad_mask >> i) & 1)
-    return MinorsCheck(ok=bool(ok), failing_subset=failing, min_scaled_minor=min_scaled)
+    min_scaled = np.inf
+    for k in range(1, n + 1):
+        subsets = itertools.combinations(range(n), k)
+        chunk = max(1, MINORS_CHUNK_ENTRIES // (k * k))
+        while True:
+            idx = np.array(list(itertools.islice(subsets, chunk)), dtype=np.intp)
+            if idx.size == 0:
+                break
+            blocks = m_mat[idx[:, :, None], idx[:, None, :]]
+            rmax = np.abs(blocks).max(axis=2)
+            rmax[rmax == 0.0] = 1.0
+            scale = np.prod(rmax, axis=1)
+            dets = np.linalg.det(blocks)
+            bad = np.flatnonzero(dets <= tol_factor * scale)
+            stop = bad[0] + 1 if bad.size else len(dets)
+            min_scaled = min(min_scaled, float(np.min(dets[:stop] / scale[:stop])))
+            if bad.size:
+                failing = tuple(int(i) for i in idx[bad[0]])
+                return MinorsCheck(False, failing, min_scaled)
+    return MinorsCheck(True, None, min_scaled)
 
 
 def pmatrix_witness_check(m_mat, x, tau_context=None):
@@ -204,30 +226,12 @@ def _theta_batch(x_rows, y_rows):
     return (x_rows * y_rows).max(axis=1) / norms
 
 
-def _split_counts(total, workers):
-    base, rem = divmod(int(total), int(workers))
-    return [base + (1 if i < rem else 0) for i in range(workers)]
-
-
-def _best_sample(m_mat, n_samples, seed, workers, batch_fn, better):
-    """Scan seeded gaussian directions chunk by chunk; chunks are merged by
-    ``better`` so the result does not depend on evaluation order."""
-    n = m_mat.shape[0]
-    best_val = None
-    best_x = None
-    for widx, count in enumerate(_split_counts(n_samples, workers)):
-        if count == 0:
-            continue
-        rng = np.random.default_rng(seed + widx)
-        x_rows = rng.standard_normal((count, n))
-        vals = batch_fn(x_rows, x_rows @ m_mat.T)
-        k = int(np.argmin(vals)) if better == "min" else int(np.argmax(vals))
-        if best_val is None or (
-            vals[k] < best_val if better == "min" else vals[k] > best_val
-        ):
-            best_val = float(vals[k])
-            best_x = x_rows[k].copy()
-    return best_val, best_x
+def _best_sample(m_mat, n_samples, seed, batch_fn, better):
+    """Best of ``n_samples`` gaussian directions drawn from ``seed``."""
+    x_rows = np.random.default_rng(seed).standard_normal((n_samples, m_mat.shape[0]))
+    vals = batch_fn(x_rows, x_rows @ m_mat.T)
+    k = int(np.argmin(vals)) if better == "min" else int(np.argmax(vals))
+    return float(vals[k]), x_rows[k].copy()
 
 
 def _climb(m_mat, x0, objective, better, rounds=HILL_CLIMB_ROUNDS):
@@ -280,12 +284,13 @@ def _theta_objective(x, y):
     return float(np.max(x * y)) / nrm2
 
 
-def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=(), workers=1):
+def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=()):
     """Lower estimate of kappa(M): max of kappa_at over witnesses, seeded
     gaussian samples, and coordinate hill climbing from the best sample.
 
-    Returns (value, direction).  An infinite value means a direction proved
-    M is not P* (impossible for game-derived matrices).
+    Returns (value, direction); the value is ``kappa_at`` recomputed from
+    the returned direction.  An infinite value means a direction proved M
+    is not P* (impossible for game-derived matrices).
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     best_val = 0.0
@@ -300,22 +305,26 @@ def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=(), workers=1):
         if val > best_val:
             best_val, best_x = val, wit.copy()
     if n_samples > 0:
-        val, x = _best_sample(m_mat, n_samples, seed, workers, _kappa_batch, "max")
-        if val is not None and val > best_val:
+        val, x = _best_sample(m_mat, n_samples, seed, _kappa_batch, "max")
+        if val > best_val:
             best_val, best_x = val, x
     if math.isinf(best_val):
         return best_val, best_x
     val, x = _climb(m_mat, best_x, _kappa_objective, "max")
     if val > best_val:
-        best_val, best_x = val, x
-    return float(best_val), best_x
+        best_x = x
+    try:
+        return kappa_at(m_mat, best_x), best_x
+    except KappaUndefined:
+        return np.inf, best_x
 
 
-def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=(), workers=1):
+def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=()):
     """Upper estimate of theta(M): min of theta_at over witnesses, the
     uniform direction, seeded samples, and hill climbing from the best.
 
-    Returns (value, direction); the direction is unit 2-norm.
+    Returns (value, direction); the direction is unit 2-norm and the value
+    is ``theta_at`` recomputed from it.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     n = m_mat.shape[0]
@@ -328,15 +337,14 @@ def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=(), workers=1):
         if val < best_val:
             best_val, best_x = val, wit.copy()
     if n_samples > 0:
-        val, x = _best_sample(m_mat, n_samples, seed, workers, _theta_batch, "min")
-        if val is not None and val < best_val:
+        val, x = _best_sample(m_mat, n_samples, seed, _theta_batch, "min")
+        if val < best_val:
             best_val, best_x = val, x
     val, x = _climb(m_mat, best_x, _theta_objective, "min")
     if val < best_val:
-        best_val, best_x = val, x
-    best_x = np.asarray(best_x, dtype=np.float64)
+        best_x = x
     best_x = best_x / np.linalg.norm(best_x)
-    return float(best_val), best_x
+    return theta_at(m_mat, best_x), best_x
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +355,6 @@ def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=(), workers=1):
 class CertifyOptions:
     seed: int
     samples: int = 10_000
-    workers: int = 1
     minors_limit: int = MINORS_LIMIT
     witness_samples: int = 1_000
 
@@ -423,12 +430,8 @@ def certify(game, partition=None, options=None):
 
     p_tau, c_tau = restrict(rep, partition.tau)
     witnesses = [c_tau, rep.ownership_signs * c_tau]
-    kappa_est, _ = estimate_kappa(
-        m_mat, options.samples, options.seed, witnesses, options.workers
-    )
-    theta_est, _ = estimate_theta(
-        m_mat, options.samples, options.seed, witnesses, options.workers
-    )
+    kappa_est, _ = estimate_kappa(m_mat, options.samples, options.seed, witnesses)
+    theta_est, _ = estimate_theta(m_mat, options.samples, options.seed, witnesses)
     delta, _ = smallest_eigenvalue_sym(m_mat)
 
     if n <= options.minors_limit:

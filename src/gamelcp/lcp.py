@@ -10,7 +10,7 @@ sign matrix, the LCP data is
 and a solution (w, z >= 0, w = q + Mz, w.z = 0) recovers the optimal
 values v = B_t^{-1} (c_tau + S z) together with the optimal profile
 (sigma's action where w_i <= z_i, tau's otherwise).  M is built by solving
-B_t^T X^T = B_s^T column by column; no inverse is formed.
+B_t^T X^T = B_s^T for all columns in one call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import SingularMatrixError, lu_factor, lu_solve
+from ._kernels import SingularMatrixError, solve
 from .game import (
     GameValidationError,
     MatrixRep,
@@ -104,13 +104,6 @@ def _check_partition(game, partition):
     return sigma, tau
 
 
-def _factor(a, what):
-    lu, piv, ok = lu_factor(a)
-    if not ok:
-        raise SingularMatrixError(f"{what} is numerically singular")
-    return lu, piv
-
-
 def _check_residual(lhs, x, rhs, what):
     res = np.max(np.abs(lhs @ x - rhs))
     bound = SOLVE_RTOL * (1.0 + np.max(np.abs(rhs)))
@@ -132,13 +125,11 @@ def to_lcp(game, partition=None):
     b_sig = eye - rep.gamma * p_sig
     b_tau = eye - rep.gamma * p_tau
 
-    lu_t, piv_t = _factor(b_tau.T, "I - gamma P_tau (transposed)")
-    x_t = lu_solve(lu_t, piv_t, b_sig.T.copy())
+    x_t = solve(b_tau.T, b_sig.T)
     _check_residual(b_tau.T, x_t, b_sig.T, "reduction system")
     x = x_t.T
 
-    lu_b, piv_b = _factor(b_tau, "I - gamma P_tau")
-    h = lu_solve(lu_b, piv_b, c_tau)
+    h = solve(b_tau, c_tau)
     _check_residual(b_tau, h, c_tau, "tau value system")
 
     s = rep.ownership_signs
@@ -201,10 +192,9 @@ def recover(game, partition, w, z, tol=1e-6):
     sigma, tau = _check_partition(game, partition)
     p_tau, c_tau = restrict(rep, tau)
     b_tau = np.eye(rep.n) - rep.gamma * p_tau
-    lu_b, piv_b = _factor(b_tau, "I - gamma P_tau")
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    v_formula = lu_solve(lu_b, piv_b, c_tau + rep.ownership_signs * z)
+    v_formula = solve(b_tau, c_tau + rep.ownership_signs * z)
 
     choice = np.where(w <= z, sigma, tau).astype(np.int64)
     ok, violations = is_optimal(rep, choice, tol)

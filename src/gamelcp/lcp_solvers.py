@@ -13,12 +13,15 @@ by damped Newton steps on the centering system
 until the gap w.z drops below max(epsilon, 0.01 t) -- proportional to the
 shift while t is large, so active-set kinks of the shifted path stay
 rounded at the scale of t instead of epsilon; the shift then steps down
-along the
-tangent of the solution path (dz = s u with (diag(z) M + diag(w)) u = z and
-dw = s (M u - 1), s capped by strict positivity and by a bounded change of
-the gap), which keeps
-w = q + t*1 + M z exact while t shrinks toward its 0.1x stage target.  The
-run ends once t <= epsilon * 1e-3 and the gap is below epsilon, so the
+along the tangent of the solution path (dz = s u with
+(diag(z) M + diag(w)) u = z and dw = s (M u - 1), s capped by strict
+positivity and by a bounded change of the gap) toward its 0.1x stage
+target.  Tangent and corrector steps advance w by their own dw instead of
+recomputing q + t*1 + M z, whose rounding (about 1e-13 relative to |q|)
+would swamp the smallest slacks near the end of the path; the centering
+steps snap w back to exact feasibility of the shifted LCP whenever that
+keeps the potential decrease, and so does the end of the run.  The run
+ends once t <= epsilon * 1e-3 and the gap is below epsilon, so the
 returned pair solves the original LCP up to a q-perturbation of at most
 epsilon * 1e-3 per component.
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import SingularMatrixError, lu_factor, lu_solve, solve
+from ._kernels import SingularMatrixError, solve
 from .solvers import SolverFailure
 
 __all__ = [
@@ -58,7 +61,6 @@ class IpmOptions:
     backtrack: float = 0.5
     step_fraction: float = 0.99
     homotopy_shrink: float = 0.1
-    seed: int = 0  # reserved; the method is deterministic
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -171,10 +173,10 @@ def solve_potential_reduction(lcp, options=None):
                 _fail(trace, f"gap {gap:.3e} after max_iters={opts.max_iters}")
             iteration += 1
             rhs = (gap / rho) - w * z
-            lu, piv, ok = lu_factor(z[:, None] * m_mat + np.diag(w))
-            if not ok:
+            try:
+                dz = solve(z[:, None] * m_mat + np.diag(w), rhs)
+            except SingularMatrixError:
                 _fail(trace, "singular Newton system")
-            dz = lu_solve(lu, piv, rhs)
             dw = m_mat @ dz
             alpha = opts.step_fraction * min(_max_positive_step(w, dw, z, dz), 1e16)
             f0 = _potential(w, z, rho)
@@ -210,10 +212,10 @@ def solve_potential_reduction(lcp, options=None):
         if iteration >= opts.max_iters:
             _fail(trace, f"shift {t:.3e} still above target after max_iters")
         iteration += 1
-        lu, piv, ok = lu_factor(z[:, None] * m_mat + np.diag(w))
-        if not ok:
+        try:
+            u = solve(z[:, None] * m_mat + np.diag(w), z)
+        except SingularMatrixError:
             _fail(trace, "singular predictor system")
-        u = lu_solve(lu, piv, z.copy())
         du_w = m_mat @ u - 1.0
         s_want = (1.0 - opts.homotopy_shrink) * t
         s = min(s_want, opts.step_fraction * _max_positive_step(w, du_w, z, u))
@@ -221,18 +223,17 @@ def solve_potential_reduction(lcp, options=None):
         s_floor = 1e-6 * t
         # besides positivity, keep the gap inside a band: the tangent changes
         # the gap by ~ s^2 u.(Mu - 1), and a near-boundary step would crush it
-        # far below the stage scale, pinching every later tangent step
+        # far below the stage scale, pinching every later tangent step.
+        # w follows the tangent as well (see the module docstring)
         gap_now = float(w @ z)
-        z_try = z + s * u
-        w_try = q + (t - s) + m_mat @ z_try
         while s > s_floor:
+            z_try = z + s * u
+            w_try = w + s * du_w
             if w_try.min() > 0.0 and z_try.min() > 0.0:
                 gap_try = float(w_try @ z_try)
                 if GAP_BAND[0] * gap_now <= gap_try <= GAP_BAND[1] * gap_now:
                     break
             s *= 0.5
-            z_try = z + s * u
-            w_try = q + (t - s) + m_mat @ z_try
         if s <= s_floor:
             _fail(trace, f"homotopy stalled at shift {t:.3e}")
         t = t - s
@@ -247,13 +248,15 @@ def solve_potential_reduction(lcp, options=None):
         gap = float(w @ z)
         scale = STAGE_GAP_FRACTION * t
         if t > t_final and gap < 0.25 * scale:
-            lu, piv, ok = lu_factor(z[:, None] * m_mat + np.diag(w))
-            if ok:
-                d = lu_solve(lu, piv, (scale / n) - w * z)
+            try:
+                d = solve(z[:, None] * m_mat + np.diag(w), (scale / n) - w * z)
+            except SingularMatrixError:
+                pass
+            else:
                 dw_d = m_mat @ d
                 sc = min(1.0, opts.step_fraction * _max_positive_step(w, dw_d, z, d))
                 z_inf = z + sc * d
-                w_inf = q + t + m_mat @ z_inf
+                w_inf = w + sc * dw_d
                 if w_inf.min() > 0.0 and z_inf.min() > 0.0:
                     z, w = z_inf, w_inf
         trace.append(iteration, w @ z, _potential(w, z, rho), s, t)

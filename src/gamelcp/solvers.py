@@ -1,7 +1,7 @@
 """Classic game solvers: value iteration, strategy iteration, brute force.
 
 All three return a :class:`SolveResult` whose ``values`` field is the exact
-value vector of the returned profile (solved by LU), so results from
+value vector of the returned profile (a LAPACK solve), so results from
 different methods are directly comparable.
 """
 

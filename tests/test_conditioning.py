@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gamelcp.bench import random_game
 from gamelcp.conditioning import (
     CSV_COLUMNS,
     CertifyOptions,
@@ -157,6 +158,26 @@ def test_estimate_kappa_identity_is_zero():
     val, x = estimate_kappa(np.eye(5), n_samples=500, seed=2)
     assert val == 0.0
     assert x.shape == (5,)
+
+
+def _random_game_lcps(count, n=24, gamma=0.99, seed0=500):
+    for k in range(count):
+        game = random_game(n, gamma, seed0 + k)
+        yield to_lcp(game, default_partition(game)).m
+
+
+def test_estimate_kappa_is_exact_at_its_direction():
+    # the reported lower estimate is kappa_at of the reported direction,
+    # bit for bit, never the incrementally updated climb value
+    for m_mat in _random_game_lcps(10):
+        val, x = estimate_kappa(m_mat, n_samples=1000, seed=3)
+        assert val == kappa_at(m_mat, x)
+
+
+def test_estimate_theta_is_exact_at_its_direction():
+    for m_mat in _random_game_lcps(10):
+        val, x = estimate_theta(m_mat, n_samples=1000, seed=3)
+        assert val == theta_at(m_mat, x)
 
 
 def test_minors_check_g3(g3):

@@ -1,14 +1,15 @@
-"""Kernel checks against numpy.linalg oracles, plus backend equivalence."""
+"""The dense solve and the principal-minor scan against numpy.linalg oracles."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from gamelcp import _kernels as kn
+from gamelcp.bench import random_game
+import gamelcp.conditioning as cond
+from gamelcp.conditioning import pmatrix_check_minors
+from gamelcp.game import value_vector
 
 
 def _well_conditioned(rng, n):
@@ -17,27 +18,27 @@ def _well_conditioned(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# LU
+# solve
 
 
-def test_lu_solve_matches_numpy_1d():
+def test_solve_matches_numpy_1d():
     rng = np.random.default_rng(0)
     for n in (1, 2, 5, 9, 17):
         a = _well_conditioned(rng, n)
         b = rng.standard_normal(n)
         x = kn.solve(a, b)
         expect = np.linalg.solve(a, b)
+        assert x.shape == (n,)
         assert np.allclose(x, expect, rtol=1e-11, atol=1e-11)
 
 
-def test_lu_solve_matches_numpy_2d():
+def test_solve_matches_numpy_2d():
     rng = np.random.default_rng(1)
     for n, k in ((3, 1), (5, 4), (8, 8)):
         a = _well_conditioned(rng, n)
         b = rng.standard_normal((n, k))
-        lu, piv, ok = kn.lu_factor(a)
-        assert ok
-        x = kn.lu_solve(lu, piv, b)
+        x = kn.solve(a, b)
+        assert x.shape == (n, k)
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-11, atol=1e-11)
 
 
@@ -54,6 +55,14 @@ def test_lu_singular_raises():
         kn.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
+def test_near_singular_raises_despite_zero_residual():
+    # LAPACK solves this with a zero residual and x ~ 9e14; the condition
+    # gate must refuse it all the same
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(kn.SingularMatrixError):
+        kn.solve(a, np.ones(2))
+
+
 def test_lu_roundtrip_residual():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -64,37 +73,21 @@ def test_lu_roundtrip_residual():
         assert np.linalg.norm(a @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
 
-# ---------------------------------------------------------------------------
-# Jacobi
+def test_row_scaling_keeps_badly_scaled_rows_solvable():
+    # rows of wildly different magnitude: the gate measures the condition
+    # after row equilibration, so this diagonal system is fine
+    a = np.diag([1e-12, 1.0, 1e12])
+    x = kn.solve(a, np.array([1e-12, 2.0, 3e12]))
+    assert np.allclose(x, [1.0, 2.0, 3.0], rtol=1e-15)
 
 
-def test_jacobi_identity():
-    vals, vecs, converged = kn.jacobi_eigenvalues(np.eye(5), 1e-12, 100)
-    assert converged
-    assert np.allclose(vals, 1.0, atol=1e-15)
-
-
-def test_jacobi_diagonal_is_immediate():
-    a = np.diag([3.0, 1.0, 2.0])
-    vals, vecs, converged = kn.jacobi_eigenvalues(a, 1e-12, 100)
-    assert converged
-    assert sorted(vals.tolist()) == [1.0, 2.0, 3.0]
-
-
-def test_jacobi_matches_eigh():
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 8, 16, 33):
-        m = rng.standard_normal((n, n))
-        a = 0.5 * (m + m.T)
-        vals, vecs, converged = kn.jacobi_eigenvalues(a, 1e-12, 100)
-        assert converged
-        expect = np.linalg.eigvalsh(a)
-        scale = max(1.0, float(np.abs(expect).max()))
-        assert np.allclose(np.sort(vals), expect, atol=1e-9 * scale)
-        # accumulated rotations diagonalize: residual and orthogonality
-        resid = a @ vecs - vecs * vals[None, :]
-        assert np.abs(resid).max() <= 1e-9 * scale
-        assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_value_vector_gamma_edge(seed):
+    profile = np.zeros(16, dtype=np.int64)
+    v = value_vector(random_game(16, 1.0 - 1e-8, seed), profile)
+    assert np.all(np.isfinite(v))
+    with pytest.raises(kn.SingularMatrixError):
+        value_vector(random_game(16, 1.0 - 1e-15, seed), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +107,11 @@ def _minors_oracle(a, tol_factor=1e-12):
 
 
 def test_minors_identity_and_known_failure():
-    ok, bad, mn = kn.principal_minors_positive(np.eye(4), 1e-12)
-    assert ok and mn > 0
-    ok, bad, _ = kn.principal_minors_positive(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1e-12)
-    assert not ok
-    assert bad == 0b01  # the 1x1 minor at index 0 is zero
+    mc = pmatrix_check_minors(np.eye(4))
+    assert mc.ok and mc.failing_subset is None and mc.min_scaled_minor > 0
+    mc = pmatrix_check_minors(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert not mc.ok
+    assert mc.failing_subset == (0,)  # the 1x1 minor at index 0 is zero
 
 
 def test_minors_match_bruteforce_oracle():
@@ -130,65 +123,27 @@ def test_minors_match_bruteforce_oracle():
             m = rng.standard_normal((n, n))
             cases.append(m @ m.T + n * np.eye(n))  # positive definite: P-matrix
     for a in cases:
-        ok, bad_mask, _ = kn.principal_minors_positive(a, 1e-12)
+        mc = pmatrix_check_minors(a)
         expect_ok, _ = _minors_oracle(a)
-        assert ok == expect_ok
-        if not ok:
-            idx = np.array([i for i in range(a.shape[0]) if (bad_mask >> i) & 1])
+        assert mc.ok == expect_ok
+        if not mc.ok:
+            idx = np.array(mc.failing_subset)
             det = np.linalg.det(a[np.ix_(idx, idx)])
             scale_rows = np.maximum(np.abs(a).sum(axis=1), 1.0)
             assert det <= 1e-10 * float(np.prod(scale_rows[idx]))
 
 
-# ---------------------------------------------------------------------------
-# backend selection and equivalence
-
-
-def test_force_numpy_flag_selects_numpy_backend():
-    env = dict(os.environ, GAMELCP_FORCE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import gamelcp._kernels as k; print(k.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(kn.IMPLS["numba"] is None, reason="numba not installed")
-def test_backends_agree():
-    np_impl = kn.IMPLS["numpy"]
-    nb_impl = kn.IMPLS["numba"]
-    rng = np.random.default_rng(5)
-    for n in (1, 3, 7, 12):
-        a = _well_conditioned(rng, n)
-        b = rng.standard_normal(n)
-        b2 = rng.standard_normal((n, 3))
-
-        lu1, piv1, ok1 = np_impl["lu_factor"](a)
-        lu2, piv2, ok2 = nb_impl["lu_factor"](a)
-        assert ok1 == ok2
-        assert np.array_equal(piv1, piv2)
-        assert np.allclose(lu1, lu2, atol=1e-13)
-        x1 = np_impl["lu_solve"](lu1, piv1, b)
-        x2 = nb_impl["lu_solve"](lu2, piv2, b)
-        assert np.allclose(x1, x2, atol=1e-12)
-        y1 = np_impl["lu_solve"](lu1, piv1, b2)
-        y2 = nb_impl["lu_solve"](lu2, piv2, b2)
-        assert np.allclose(y1, y2, atol=1e-12)
-
-        s = 0.5 * (a + a.T)
-        v1, w1, c1 = np_impl["jacobi"](s, 1e-12, 100)
-        v2, w2, c2 = nb_impl["jacobi"](s, 1e-12, 100)
-        assert c1 == c2
-        assert np.allclose(np.sort(v1), np.sort(v2), atol=1e-12)
-
-        if n <= 7:
-            ok1, bad1, m1 = np_impl["minors"](a, 1e-12)
-            ok2, bad2, m2 = nb_impl["minors"](a, 1e-12)
-            assert ok1 == ok2
-            if ok1:
-                assert abs(m1 - m2) <= 1e-10 * max(1.0, abs(m1))
-            else:
-                assert bad1 == bad2
+def test_minors_scan_spans_chunks(monkeypatch):
+    # the same verdict, failing subset and minimum whether the determinants
+    # of one size come in one batch or in many
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((7, 7))
+    p_mat = m @ m.T + 7 * np.eye(7)
+    bad = p_mat.copy()
+    bad[5, 6] = bad[6, 5] = 100.0  # first failure: the 2x2 minor on (5, 6)
+    whole = [pmatrix_check_minors(a) for a in (p_mat, bad)]
+    monkeypatch.setattr(cond, "MINORS_CHUNK_ENTRIES", 1)
+    chunked = [pmatrix_check_minors(a) for a in (p_mat, bad)]
+    assert whole == chunked
+    assert whole[0].ok and not whole[1].ok
+    assert whole[1].failing_subset == (5, 6)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gamelcp.bench import random_game
+from gamelcp.hard_instances import HardInstanceSpec, build_hard_instance
 from gamelcp.lcp import Lcp, Partition, default_partition, recover, to_lcp, verify_solution
 from gamelcp.lcp_solvers import IpmOptions, solve_pivoting, solve_potential_reduction
 from gamelcp.solvers import SolverFailure
@@ -174,3 +175,21 @@ def test_solvers_agree_on_game_lcps():
         res_p = recover(game, part, w_p, z_p)
         res_i = recover(game, part, w_i, z_i)
         assert np.abs(res_p.values - res_i.values).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["random-64-1903", "hard-48-kappa", "hard-48-eigenvalue", "hard-48-theta"],
+)
+def test_ipm_tangent_keeps_tiny_slacks_at_gamma_099(case):
+    # near shift 1e-7 the smallest w_i (~1e-14) lies below the rounding of
+    # q + t + M z; rebuilding w from that sum stalled the homotopy on these
+    # games, advancing it along the tangent does not
+    if case.startswith("random"):
+        game = random_game(64, 0.99, 1903)
+        part = default_partition(game)
+    else:
+        game, part = build_hard_instance(HardInstanceSpec(48, 0.99, case.split("-")[2]))
+    w, z, trace = solve_potential_reduction(to_lcp(game, part), IpmOptions(epsilon=1e-9))
+    assert trace.termination == "converged"
+    recover(game, part, w, z)
