@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import solve
+from ._kernels import SingularMatrixError, solve
 from .game import matrix_representation, restrict
 from .lcp import default_partition, to_lcp
 
@@ -147,12 +147,23 @@ class MinorsCheck:
     min_scaled_minor: float
 
 
+def _solvable(a):
+    try:
+        solve(a, np.zeros(a.shape[0]))
+    except SingularMatrixError:
+        return False
+    return True
+
+
 def pmatrix_check_minors(m_mat, limit=MINORS_LIMIT, tol_factor=1e-12):
     """All 2^n - 1 principal minors positive?  Refuses n above ``limit``.
 
     A minor counts as positive when its determinant exceeds tol_factor
-    times the product of the submatrix row max-norms.  Subsets are scanned
-    by size, smallest first and lexicographically within a size, with the
+    times the product of the submatrix row max-norms, or when it is
+    positive and :func:`solve` accepts the submatrix: under solve's
+    condition gate (1 / PIVOT_RTOL) the LU that gives the determinant is
+    accurate enough to trust its sign.  Subsets are scanned by size,
+    smallest first and lexicographically within a size, with the
     determinants of a size taken in batches of bounded memory; the scan
     stops at the first subset that fails, which becomes ``failing_subset``.
     ``min_scaled_minor`` is the least determinant / scale ratio scanned.
@@ -176,11 +187,14 @@ def pmatrix_check_minors(m_mat, limit=MINORS_LIMIT, tol_factor=1e-12):
             rmax[rmax == 0.0] = 1.0
             scale = np.prod(rmax, axis=1)
             dets = np.linalg.det(blocks)
-            bad = np.flatnonzero(dets <= tol_factor * scale)
-            stop = bad[0] + 1 if bad.size else len(dets)
+            low = np.flatnonzero(dets <= tol_factor * scale)
+            bad = next(
+                (i for i in low if dets[i] <= 0.0 or not _solvable(blocks[i])), None
+            )
+            stop = len(dets) if bad is None else bad + 1
             min_scaled = min(min_scaled, float(np.min(dets[:stop] / scale[:stop])))
-            if bad.size:
-                failing = tuple(int(i) for i in idx[bad[0]])
+            if bad is not None:
+                failing = tuple(int(i) for i in idx[bad])
                 return MinorsCheck(False, failing, min_scaled)
     return MinorsCheck(True, None, min_scaled)
 
@@ -191,18 +205,25 @@ def pmatrix_witness_check(m_mat, x, tau_context=None):
     When ``tau_context = (gamma, p_tau, ownership_signs)`` is given, the
     index maximizing |(I - gamma P_tau)^{-1} S x| is tried first; for
     game-derived M that index is guaranteed to work.
+
+    A (k, n) array ``x`` is checked row by row with one solve for all rows,
+    giving an int array with -1 where the 1-D call returns None.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    prods = x * (m_mat @ x)
+    rows = np.atleast_2d(x)
+    prods = rows * (rows @ m_mat.T)
+    row_ids = np.arange(rows.shape[0])
+    picks = np.argmax(prods, axis=1)
     if tau_context is not None:
         gamma, p_tau, signs = tau_context
-        u = solve(np.eye(len(x)) - gamma * np.asarray(p_tau), signs * x)
-        j = int(np.argmax(np.abs(u)))
-        if prods[j] > 0.0:
-            return j
-    j = int(np.argmax(prods))
-    return j if prods[j] > 0.0 else None
+        u = solve(np.eye(rows.shape[1]) - gamma * np.asarray(p_tau), (signs * rows).T)
+        tau_picks = np.argmax(np.abs(u), axis=0)
+        picks = np.where(prods[row_ids, tau_picks] > 0.0, tau_picks, picks)
+    picks = np.where(prods[row_ids, picks] > 0.0, picks, -1)
+    if x.ndim == 1:
+        return int(picks[0]) if picks[0] >= 0 else None
+    return picks
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +244,9 @@ def _kappa_batch(x_rows, y_rows):
 
 def _theta_batch(x_rows, y_rows):
     norms = (x_rows * x_rows).sum(axis=1)
-    return (x_rows * y_rows).max(axis=1) / norms
+    vals = np.full(x_rows.shape[0], np.inf)  # a zero direction certifies nothing
+    np.divide((x_rows * y_rows).max(axis=1), norms, out=vals, where=norms > 0.0)
+    return vals
 
 
 def _best_sample(m_mat, n_samples, seed, batch_fn, better):
@@ -234,54 +257,43 @@ def _best_sample(m_mat, n_samples, seed, batch_fn, better):
     return float(vals[k]), x_rows[k].copy()
 
 
-def _climb(m_mat, x0, objective, better, rounds=HILL_CLIMB_ROUNDS):
+def _climb(m_mat, x0, batch_fn, better, rounds=HILL_CLIMB_ROUNDS):
     """Coordinate hill climbing with incremental M x updates.
 
-    One round tries +/- scale on every coordinate; rounds without any
-    improvement halve the scale.
+    A round tries +scale, then -scale, on each coordinate in order, taking
+    the first improving move; rounds without any improvement halve the
+    scale.  One ``batch_fn`` call scores every move left in the round from
+    the current x, and the climb jumps to the first that improves.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
-    best = objective(x, y)
-    n = x.shape[0]
+    m_cols = np.ascontiguousarray(m_mat.T)
+    best = batch_fn(x[None, :], y[None, :])[0]
+    # move p is +step (p even) or -step (p odd) on coordinate p // 2
+    move_coords = np.repeat(np.arange(x.shape[0]), 2)
+    move_signs = np.tile((1.0, -1.0), x.shape[0])
     scale = 1.0
     sign = 1.0 if better == "max" else -1.0
     for _ in range(rounds):
-        improved = False
-        for j in range(n):
-            step = scale * max(1.0, abs(x[j]))
-            for d in (step, -step):
-                x_j = x[j]
-                x[j] = x_j + d
-                y_try = y + d * m_mat[:, j]
-                val = objective(x, y_try)
-                if sign * val > sign * best:
-                    best = val
-                    y = y_try
-                    improved = True
-                else:
-                    x[j] = x_j
-        if not improved:
+        pos = 0  # the next move to try
+        while pos < len(move_coords):
+            coords = move_coords[pos:]
+            moves = scale * np.maximum(1.0, np.abs(x[coords])) * move_signs[pos:]
+            if pos % 2:  # -step right after a taken +step: the step measured before it
+                moves[0] = -last_step
+            x_rows = np.repeat(x[None, :], moves.shape[0], axis=0)
+            x_rows[np.arange(moves.shape[0]), coords] += moves
+            y_rows = y + moves[:, None] * m_cols[coords]
+            vals = batch_fn(x_rows, y_rows)
+            hits = sign * vals > sign * best
+            h = int(np.argmax(hits))  # the first improving move, if any
+            if not hits[h]:
+                break
+            x, y, best, last_step = x_rows[h], y_rows[h], vals[h], moves[h]
+            pos += h + 1
+        if pos == 0:  # no move taken this round
             scale *= 0.5
     return best, x
-
-
-def _kappa_objective(x, y):
-    prods = x * y
-    pos = float(prods[prods > 0.0].sum())
-    neg = float(prods[prods < 0.0].sum())
-    if pos + neg >= 0.0:
-        return 0.0
-    if pos == 0.0:
-        return np.inf
-    return (-neg / pos - 1.0) / 4.0
-
-
-def _theta_objective(x, y):
-    nrm2 = float(x @ x)
-    if nrm2 == 0.0:
-        return np.inf
-    return float(np.max(x * y)) / nrm2
 
 
 def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=()):
@@ -310,7 +322,7 @@ def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=()):
             best_val, best_x = val, x
     if math.isinf(best_val):
         return best_val, best_x
-    val, x = _climb(m_mat, best_x, _kappa_objective, "max")
+    val, x = _climb(m_mat, best_x, _kappa_batch, "max")
     if val > best_val:
         best_x = x
     try:
@@ -340,7 +352,7 @@ def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=()):
         val, x = _best_sample(m_mat, n_samples, seed, _theta_batch, "min")
         if val < best_val:
             best_val, best_x = val, x
-    val, x = _climb(m_mat, best_x, _theta_objective, "min")
+    val, x = _climb(m_mat, best_x, _theta_batch, "min")
     if val < best_val:
         best_x = x
     best_x = best_x / np.linalg.norm(best_x)
@@ -417,7 +429,11 @@ class ConditioningReport:
 
 
 def certify(game, partition=None, options=None):
-    """Build the game's LCP and report kappa/delta/theta with their fences."""
+    """Build the game's LCP and report kappa/delta/theta with their fences.
+
+    Above ``options.minors_limit`` states the P-matrix verdict is one batched
+    :func:`pmatrix_witness_check` of ``options.witness_samples`` directions.
+    """
     if options is None:
         raise ValueError("certify needs CertifyOptions (the seed is mandatory)")
     rep = matrix_representation(game)
@@ -448,14 +464,12 @@ def certify(game, partition=None, options=None):
     else:
         tau_context = (gamma, p_tau, rep.ownership_signs)
         rng = np.random.default_rng(options.seed)
+        directions = rng.standard_normal((options.witness_samples, n))
         verdict = "witness-sampled"
         detail = f"{options.witness_samples} sampled directions all had a positive product index"
-        for _ in range(options.witness_samples):
-            x = rng.standard_normal(n)
-            if pmatrix_witness_check(m_mat, x, tau_context) is None:
-                verdict = "failed"
-                detail = "a sampled direction had no positive product index"
-                break
+        if np.any(pmatrix_witness_check(m_mat, directions, tau_context) < 0):
+            verdict = "failed"
+            detail = "a sampled direction had no positive product index"
 
     cond = -delta / theta_est
     return ConditioningReport(

@@ -2,10 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from gamelcp import conditioning as cond
 from gamelcp.bench import random_game
 from gamelcp.conditioning import (
     CSV_COLUMNS,
@@ -180,6 +182,96 @@ def test_estimate_theta_is_exact_at_its_direction():
         assert val == theta_at(m_mat, x)
 
 
+# The coordinate climb as one scalar objective call per move: the reference
+# the batched ``_climb`` must follow move for move.
+
+
+def _kappa_objective(x, y):
+    prods = x * y
+    pos = float(prods[prods > 0.0].sum())
+    neg = float(prods[prods < 0.0].sum())
+    if pos + neg >= 0.0:
+        return 0.0
+    if pos == 0.0:
+        return np.inf
+    return (-neg / pos - 1.0) / 4.0
+
+
+def _theta_objective(x, y):
+    nrm2 = float(x @ x)
+    if nrm2 == 0.0:
+        return np.inf
+    return float(np.max(x * y)) / nrm2
+
+
+def _scalar_climb(m_mat, x0, batch_fn, better, rounds=cond.HILL_CLIMB_ROUNDS):
+    objective = _kappa_objective if batch_fn is cond._kappa_batch else _theta_objective
+    x = np.asarray(x0, dtype=np.float64).copy()
+    y = m_mat @ x
+    best = objective(x, y)
+    n = x.shape[0]
+    scale = 1.0
+    sign = 1.0 if better == "max" else -1.0
+    for _ in range(rounds):
+        improved = False
+        for j in range(n):
+            step = scale * max(1.0, abs(x[j]))
+            for d in (step, -step):
+                x_j = x[j]
+                x[j] = x_j + d
+                y_try = y + d * m_mat[:, j]
+                val = objective(x, y_try)
+                if sign * val > sign * best:
+                    best = val
+                    y = y_try
+                    improved = True
+                else:
+                    x[j] = x_j
+        if not improved:
+            scale *= 0.5
+    return best, x
+
+
+def _estimates(m_mat, witnesses, samples, seed):
+    kappa, _ = estimate_kappa(m_mat, samples, seed, witnesses)
+    theta, _ = estimate_theta(m_mat, samples, seed, witnesses)
+    return kappa, theta
+
+
+def _oracle_cases():
+    for n in (8, 16):
+        for gamma in (0.5, 0.99):
+            for a_mode in ("kappa", "eigenvalue", "theta"):
+                spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode)
+                game, part = hard_instance(n, gamma, a_mode=a_mode)
+                rep = matrix_representation(game)
+                _, c_tau = restrict(rep, part.tau)
+                witnesses = [closed_forms(spec).c_tau, rep.ownership_signs * c_tau]
+                yield to_lcp(game, part).m, witnesses
+    for n in (8, 12, 24):
+        for gamma in (0.5, 0.99):
+            game = random_game(n, gamma, 300 + n)
+            yield to_lcp(game, default_partition(game)).m, ()
+
+
+def test_batched_climb_matches_scalar_oracle(monkeypatch):
+    cases = list(_oracle_cases())
+    batched = [_estimates(m_mat, wit, 500, 5) for m_mat, wit in cases]
+    monkeypatch.setattr(cond, "_climb", _scalar_climb)
+    scalar = [_estimates(m_mat, wit, 500, 5) for m_mat, wit in cases]
+    for got, want in zip(batched, scalar):
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+def test_estimate_theta_zero_move_is_not_a_direction():
+    # at n = 1 the climb's -1 move reaches x = 0, which must score +inf quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, x = estimate_theta(np.array([[2.0]]))
+    assert val == 2.0
+    assert x.tolist() == [1.0]
+
+
 def test_minors_check_g3(g3):
     game, part = g3
     mc = pmatrix_check_minors(to_lcp(game, part).m)
@@ -221,6 +313,32 @@ def test_witness_check_game_context(three_state):
         j = pmatrix_witness_check(lcp.m, x, tau_context=ctx)
         assert j is not None
         assert x[j] * (lcp.m @ x)[j] > 0.0
+
+
+def _witness_rows_agree(m_mat, x_rows, ctx):
+    batched = pmatrix_witness_check(m_mat, x_rows, tau_context=ctx)
+    singles = [pmatrix_witness_check(m_mat, x, tau_context=ctx) for x in x_rows]
+    assert batched.dtype.kind == "i" and batched.shape == (len(x_rows),)
+    assert batched.tolist() == [-1 if j is None else j for j in singles]
+    return batched
+
+
+def test_witness_check_batched_matches_rows(three_state):
+    part = default_partition(three_state)
+    lcp = to_lcp(three_state, part)
+    rep = matrix_representation(three_state)
+    p_tau, _ = restrict(rep, part.tau)
+    rng = np.random.default_rng(9)
+    x_rows = rng.standard_normal((300, 3))
+    for ctx in (None, (three_state.gamma, p_tau, rep.ownership_signs)):
+        assert np.all(_witness_rows_agree(lcp.m, x_rows, ctx) >= 0)
+    # on this non-P matrix every direction near (1, 1) reverses all signs
+    not_p = np.array([[1.0, -3.0], [-3.0, 1.0]])
+    not_p_ctx = (0.5, np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
+    x_rows = rng.standard_normal((300, 2))
+    for ctx in (None, not_p_ctx):
+        found = _witness_rows_agree(not_p, x_rows, ctx)
+        assert np.any(found == -1) and np.any(found >= 0)
 
 
 def test_minors_agree_with_theta_search():
@@ -274,6 +392,23 @@ def test_certify_single_state_game():
     assert report.delta == pytest.approx(1.0, abs=1e-12)
     assert report.theta_est == pytest.approx(1.0, abs=1e-12)
     assert report.cond == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [400, 808, 1911])
+def test_certify_accepts_well_conditioned_small_minors(seed):
+    # each game has positive minors below 1e-12 times their row-max product,
+    # all with cond_2 below 2000, and no minor with det <= 0
+    game = random_game(12, 0.99, seed)
+    mc = pmatrix_check_minors(to_lcp(game, default_partition(game)).m)
+    assert mc.ok and 0.0 < mc.min_scaled_minor < 1e-12
+    report = certify(game, options=CertifyOptions(seed=0, samples=200))
+    assert report.pmatrix == "minors-positive"
+
+
+def test_minors_check_refuses_near_singular_positive_minor():
+    mc = pmatrix_check_minors(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+    assert 0.0 < mc.min_scaled_minor < 1e-12
+    assert not mc.ok and mc.failing_subset == (0, 1)
 
 
 def test_certify_requires_options(g3):
