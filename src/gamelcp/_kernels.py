@@ -1,7 +1,7 @@
 """The package's one dense linear solve, through LAPACK via ``numpy.linalg``.
 
 Value vectors, the LCP reduction, solution recovery, every interior-point
-Newton system, Lemke's terminal basis and the P-matrix witness check all
+Newton system, Lemke's terminal basis and the minor scan's low minors all
 solve through :func:`solve`, so they share one singularity gate.
 """
 

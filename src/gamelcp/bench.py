@@ -26,7 +26,7 @@ from .conditioning import (
     smallest_eigenvalue_sym,
     theta_lower_bound,
 )
-from .game import Action, Game, State, matrix_representation, restrict
+from .game import Action, Game, State
 from .hard_instances import (
     HardInstanceSpec,
     build_hard_instance,
@@ -35,7 +35,7 @@ from .hard_instances import (
     predicted_kappa_lb,
     predicted_theta_ub,
 )
-from .lcp import to_lcp
+from .lcp import reduction, to_lcp
 from .lcp_solvers import IpmOptions, solve_potential_reduction
 from .solvers import SolverFailure
 
@@ -145,11 +145,9 @@ def run_bench(
 def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
     spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode)
     game, partition = build_hard_instance(spec)
-    rep = matrix_representation(game)
     lcp = to_lcp(game, partition)
-    forms = closed_forms(spec)
-    _, c_tau = restrict(rep, partition.tau)
-    witnesses = [forms.c_tau, rep.ownership_signs * c_tau]
+    red = reduction(game, partition)
+    witnesses = [closed_forms(spec).c_tau, red.rep.ownership_signs * red.c_tau]
 
     nan = float("nan")
     row = BenchRow(

@@ -3,8 +3,9 @@
 Subcommands: gen, solve, reduce, certify, bench, plot.  Global flags
 (--seed, --tol, --output) come before the subcommand.
 
-Exit codes: 0 on success, 1 when a solver fails or a solution does not
-verify, 2 on usage or I/O errors.
+Exit codes: 0 on success, 1 when a solver fails, a solution does not
+verify or certify cannot decide that M is a P-matrix, 2 on usage or I/O
+errors.
 """
 
 from __future__ import annotations
@@ -156,15 +157,12 @@ def _cmd_solve(args):
         partition = _load_partition_or_default(game, args.partition)
         lcp = to_lcp(game, partition)
         if args.method == "ipm":
-            w, z, trace = solve_potential_reduction(
-                lcp, IpmOptions(epsilon=args.tol)
-            )
-            result = recover(game, partition, w, z)
-            result.iterations = len(trace)
+            w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=args.tol))
+            iterations = len(trace)
         else:
-            w, z, pivots = solve_pivoting(lcp)
-            result = recover(game, partition, w, z)
-            result.iterations = pivots
+            w, z, iterations = solve_pivoting(lcp)
+        result = recover(game, partition, lcp, w, z)
+        result.iterations = iterations
     result.method = args.method
 
     ok, violations = is_optimal(game, result.profile, tol=max(args.tol, 1e-9))
@@ -225,7 +223,7 @@ def _cmd_certify(args):
         )
     if args.csv is not None:
         write_report_csv(report, args.csv)
-    if report.pmatrix == "failed":
+    if report.pmatrix != "structural":
         return EXIT_SOLVER
     return EXIT_OK
 

@@ -18,29 +18,30 @@ general bounds are kappa <= n/(1-gamma)^2, delta > -(1+gamma) sqrt(n) /
 (1-gamma) and theta >= (1-gamma)^2 / ((1+gamma)^2 n); estimates reported
 here always stay on the certified side of those fences.
 
-P-matrix certification is exhaustive (all principal minors by batched
-determinants, n <= 20)
-or sampled (a positive product index must exist for every probed x; the
-probe index uses the tau-chain transform when game context is available).
+``certify`` proves the computed M a P-matrix from the reduction's row
+diagonally dominant B_s = I - gamma P_sigma and B_t = I - gamma P_tau
+(:func:`structural_certificate`); the principal-minor scan (n <= 20) and
+the one-direction witness check remain as independent checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._kernels import SingularMatrixError, solve
-from .game import matrix_representation, restrict
-from .lcp import default_partition, to_lcp
+from .lcp import reduction, to_lcp
 
 __all__ = [
     "CertifyOptions",
     "ConditioningReport",
     "KappaUndefined",
     "MinorsCheck",
+    "StructuralCertificate",
     "certify",
     "delta_lower_bound",
     "estimate_kappa",
@@ -50,6 +51,7 @@ __all__ = [
     "pmatrix_check_minors",
     "pmatrix_witness_check",
     "smallest_eigenvalue_sym",
+    "structural_certificate",
     "theta_at",
     "theta_lower_bound",
     "write_report_csv",
@@ -57,6 +59,7 @@ __all__ = [
 ]
 
 MINORS_LIMIT = 20
+MINORS_TOL = 1e-12  # a minor above this times its row-max product is positive
 MINORS_CHUNK_ENTRIES = 1 << 21  # matrix entries per batched determinant call
 HILL_CLIMB_ROUNDS = 100
 
@@ -155,10 +158,10 @@ def _solvable(a):
     return True
 
 
-def pmatrix_check_minors(m_mat, limit=MINORS_LIMIT, tol_factor=1e-12):
-    """All 2^n - 1 principal minors positive?  Refuses n above ``limit``.
+def pmatrix_check_minors(m_mat):
+    """All 2^n - 1 principal minors positive?  Refuses n above MINORS_LIMIT.
 
-    A minor counts as positive when its determinant exceeds tol_factor
+    A minor counts as positive when its determinant exceeds MINORS_TOL
     times the product of the submatrix row max-norms, or when it is
     positive and :func:`solve` accepts the submatrix: under solve's
     condition gate (1 / PIVOT_RTOL) the LU that gives the determinant is
@@ -170,9 +173,9 @@ def pmatrix_check_minors(m_mat, limit=MINORS_LIMIT, tol_factor=1e-12):
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     n = m_mat.shape[0]
-    if n > limit:
+    if n > MINORS_LIMIT:
         raise ValueError(
-            f"minor certification scans 2^{n} - 1 subsets; refusing n > {limit}"
+            f"minor certification scans 2^{n} - 1 subsets; refusing n > {MINORS_LIMIT}"
         )
     min_scaled = np.inf
     for k in range(1, n + 1):
@@ -187,7 +190,7 @@ def pmatrix_check_minors(m_mat, limit=MINORS_LIMIT, tol_factor=1e-12):
             rmax[rmax == 0.0] = 1.0
             scale = np.prod(rmax, axis=1)
             dets = np.linalg.det(blocks)
-            low = np.flatnonzero(dets <= tol_factor * scale)
+            low = np.flatnonzero(dets <= MINORS_TOL * scale)
             bad = next(
                 (i for i in low if dets[i] <= 0.0 or not _solvable(blocks[i])), None
             )
@@ -199,31 +202,70 @@ def pmatrix_check_minors(m_mat, limit=MINORS_LIMIT, tol_factor=1e-12):
     return MinorsCheck(True, None, min_scaled)
 
 
-def pmatrix_witness_check(m_mat, x, tau_context=None):
-    """Index i with x_i (Mx)_i > 0, or None (then M is not a P-matrix).
+def pmatrix_witness_check(m_mat, x):
+    """Index i with x_i (Mx)_i > 0, or None (then M is not a P-matrix)."""
+    x = np.asarray(x, dtype=np.float64)
+    prods = x * (np.asarray(m_mat, dtype=np.float64) @ x)
+    i = int(np.argmax(prods))
+    return i if prods[i] > 0.0 else None
 
-    When ``tau_context = (gamma, p_tau, ownership_signs)`` is given, the
-    index maximizing |(I - gamma P_tau)^{-1} S x| is tried first; for
-    game-derived M that index is guaranteed to work.
 
-    A (k, n) array ``x`` is checked row by row with one solve for all rows,
-    giving an int array with -1 where the 1-D call returns None.
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
+    ku = k * np.finfo(np.float64).eps / 2.0
+    return ku / (1.0 - ku)
+
+
+def _row_margin(b):
+    """min_i (b_ii - sum_{j != i} |b_ij|), each row less its rounding error."""
+    n = b.shape[0]
+    diag = np.diag(b)
+    abs_rows = np.abs(b).sum(axis=1)
+    # the row sum, the two subtractions and the error term: n + 3 roundings
+    return float((diag - (abs_rows - np.abs(diag)) - _gamma(n + 4) * abs_rows).min())
+
+
+@dataclass
+class StructuralCertificate:
+    ok: bool
+    mu_s: float
+    mu_t: float
+    theta_cert: float
+    err: float
+    ratio: float  # err / theta_cert; inf unless theta_cert > 0
+
+    def detail(self):
+        verdict = "M is a P-matrix" if self.ok else "not certified"
+        return (
+            f"{verdict}: mu_s {self.mu_s:.3e}, mu_t {self.mu_t:.3e}, "
+            f"theta_cert {self.theta_cert:.3e}, e {self.err:.3e}, "
+            f"e/theta_cert {self.ratio:.3e}"
+        )
+
+
+def structural_certificate(m_mat, b_sig, b_tau, signs):
+    """Is the computed M (from B_s, B_t and signs S) provably a P-matrix?
+
+    Exactly M = S B_s B_t^-1 S.  For x = S B_t u and i = argmax |u_i|, the
+    row margins give x_i (Mx)_i = (B_t u)_i (B_s u)_i >= mu_s mu_t |u|_inf^2
+    >= theta_cert |x|_2^2.  The computed M is M + E, E = -S R B_t^-1 S with
+    R = B_s - X B_t, X = S M S, so |E|_inf <= e: the computed residual plus
+    its rounding bound, over mu_t.  As |x_i (Ex)_i| <= |E|_inf |x|_2^2,
+    e < theta_cert proves it; ``ok`` leaves room for the rounding of e and
+    theta_cert themselves (2n + 8 roundings each).
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    rows = np.atleast_2d(x)
-    prods = rows * (rows @ m_mat.T)
-    row_ids = np.arange(rows.shape[0])
-    picks = np.argmax(prods, axis=1)
-    if tau_context is not None:
-        gamma, p_tau, signs = tau_context
-        u = solve(np.eye(rows.shape[1]) - gamma * np.asarray(p_tau), (signs * rows).T)
-        tau_picks = np.argmax(np.abs(u), axis=0)
-        picks = np.where(prods[row_ids, tau_picks] > 0.0, tau_picks, picks)
-    picks = np.where(prods[row_ids, picks] > 0.0, picks, -1)
-    if x.ndim == 1:
-        return int(picks[0]) if picks[0] >= 0 else None
-    return picks
+    n = m_mat.shape[0]
+    mu_s, mu_t = _row_margin(b_sig), _row_margin(b_tau)
+    theta = mu_s * mu_t / (n * float(np.abs(b_tau).sum(axis=1).max()) ** 2)
+    x = signs[:, None] * m_mat * signs[None, :]
+    resid = float(np.abs(b_sig - x @ b_tau).sum(axis=1).max())
+    rounding = _gamma(n + 1) * (np.abs(x) @ np.abs(b_tau) + np.abs(b_sig))
+    err = (resid + float(rounding.sum(axis=1).max())) / mu_t if mu_t > 0.0 else np.inf
+    g = _gamma(2 * n + 8)
+    ok = bool(mu_s > 0.0 and mu_t > 0.0 and err * (1.0 + g) < theta * (1.0 - g))
+    ratio = err / theta if theta > 0.0 else np.inf
+    return StructuralCertificate(ok, mu_s, mu_t, theta, err, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +409,6 @@ def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=()):
 class CertifyOptions:
     seed: int
     samples: int = 10_000
-    minors_limit: int = MINORS_LIMIT
-    witness_samples: int = 1_000
 
 
 CSV_COLUMNS = (
@@ -405,23 +445,7 @@ class ConditioningReport:
     seed: int
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "gamma": self.gamma,
-            "kappa_est": self.kappa_est,
-            "kappa_ub": self.kappa_ub,
-            "delta": self.delta,
-            "delta_lb": self.delta_lb,
-            "theta_est": self.theta_est,
-            "theta_lb": self.theta_lb,
-            "cond": self.cond,
-            "pmatrix": self.pmatrix,
-            "pmatrix_detail": self.pmatrix_detail,
-            "runtime_unified": self.runtime_unified,
-            "runtime_potential": self.runtime_potential,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def csv_row(self):
         vals = [getattr(self, c) for c in CSV_COLUMNS]
@@ -431,46 +455,19 @@ class ConditioningReport:
 def certify(game, partition=None, options=None):
     """Build the game's LCP and report kappa/delta/theta with their fences.
 
-    Above ``options.minors_limit`` states the P-matrix verdict is one batched
-    :func:`pmatrix_witness_check` of ``options.witness_samples`` directions.
+    The P-matrix verdict is ``structural`` when :func:`structural_certificate`
+    holds for the computed M, else ``undecided``.
     """
     if options is None:
         raise ValueError("certify needs CertifyOptions (the seed is mandatory)")
-    rep = matrix_representation(game)
-    if partition is None:
-        partition = default_partition(game)
-    lcp = to_lcp(game, partition)
-    m_mat = lcp.m
-    n = lcp.n
-    gamma = game.gamma
-
-    p_tau, c_tau = restrict(rep, partition.tau)
-    witnesses = [c_tau, rep.ownership_signs * c_tau]
+    m_mat = to_lcp(game, partition).m
+    red = reduction(game, partition)
+    n, gamma, signs = red.rep.n, game.gamma, red.rep.ownership_signs
+    witnesses = [red.c_tau, signs * red.c_tau]
     kappa_est, _ = estimate_kappa(m_mat, options.samples, options.seed, witnesses)
     theta_est, _ = estimate_theta(m_mat, options.samples, options.seed, witnesses)
     delta, _ = smallest_eigenvalue_sym(m_mat)
-
-    if n <= options.minors_limit:
-        mc = pmatrix_check_minors(m_mat, options.minors_limit)
-        if mc.ok:
-            verdict = "minors-positive"
-            detail = (
-                f"all {2 ** n - 1} principal minors positive "
-                f"(min scaled minor {mc.min_scaled_minor:.3e})"
-            )
-        else:
-            verdict = "failed"
-            detail = f"principal minor of subset {mc.failing_subset} not positive"
-    else:
-        tau_context = (gamma, p_tau, rep.ownership_signs)
-        rng = np.random.default_rng(options.seed)
-        directions = rng.standard_normal((options.witness_samples, n))
-        verdict = "witness-sampled"
-        detail = f"{options.witness_samples} sampled directions all had a positive product index"
-        if np.any(pmatrix_witness_check(m_mat, directions, tau_context) < 0):
-            verdict = "failed"
-            detail = "a sampled direction had no positive product index"
-
+    cert = structural_certificate(m_mat, red.b_sig, red.b_tau, signs)
     cond = -delta / theta_est
     return ConditioningReport(
         n=n,
@@ -482,8 +479,8 @@ def certify(game, partition=None, options=None):
         theta_est=theta_est,
         theta_lb=theta_lower_bound(n, gamma),
         cond=cond,
-        pmatrix=verdict,
-        pmatrix_detail=detail,
+        pmatrix="structural" if cert.ok else "undecided",
+        pmatrix_detail=cert.detail(),
         runtime_unified=(
             f"O((1+kappa) n^3.5 L) with 1+kappa >= {1.0 + kappa_est:.6g}, L symbolic"
         ),
@@ -496,8 +493,6 @@ def certify(game, partition=None, options=None):
 
 
 def write_report_json(report, path):
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)
         fh.write("\n")

@@ -39,10 +39,12 @@ __all__ = [
     "LcpCheck",
     "Partition",
     "RecoveryError",
+    "Reduction",
     "default_partition",
     "load_partition",
     "read_lcp",
     "recover",
+    "reduction",
     "save_partition",
     "to_lcp",
     "verify_solution",
@@ -76,27 +78,24 @@ class RecoveryError(RuntimeError):
 
 def default_partition(game):
     """sigma = slot 0 and tau = slot 1 everywhere; needs 2 actions per state."""
-    for i, s in enumerate(game.states):
-        if len(s.actions) != 2:
-            raise GameValidationError(
-                f"state {i} has {len(s.actions)} actions; the reduction needs "
-                "exactly 2 per state"
-            )
     n = game.n_states
-    return Partition(
+    partition = Partition(
         sigma=np.zeros(n, dtype=np.int64), tau=np.ones(n, dtype=np.int64)
     )
+    _check_partition(game, partition)
+    return partition
 
 
 def _check_partition(game, partition):
-    sigma = as_profile(game, partition.sigma)
-    tau = as_profile(game, partition.tau)
     for i, s in enumerate(game.states):
         if len(s.actions) != 2:
             raise GameValidationError(
                 f"state {i} has {len(s.actions)} actions; the reduction needs "
                 "exactly 2 per state"
             )
+    sigma = as_profile(game, partition.sigma)
+    tau = as_profile(game, partition.tau)
+    for i in range(game.n_states):
         if {int(sigma[i]), int(tau[i])} != {0, 1}:
             raise GameValidationError(
                 f"partition does not cover both actions of state {i}"
@@ -113,8 +112,21 @@ def _check_residual(lhs, x, rhs, what):
         )
 
 
-def to_lcp(game, partition=None):
-    """Build the LCP (M, q) for the game under the given action partition."""
+@dataclass
+class Reduction:
+    """The game's data under a partition: B_s, B_t and the two cost vectors."""
+
+    rep: MatrixRep
+    sigma: np.ndarray
+    tau: np.ndarray
+    b_sig: np.ndarray
+    b_tau: np.ndarray
+    c_sig: np.ndarray
+    c_tau: np.ndarray
+
+
+def reduction(game, partition=None):
+    """B_s = I - gamma P_sigma and B_t = I - gamma P_tau from the stored P."""
     rep = matrix_representation(game)
     if partition is None:
         partition = default_partition(game)
@@ -124,17 +136,22 @@ def to_lcp(game, partition=None):
     eye = np.eye(rep.n)
     b_sig = eye - rep.gamma * p_sig
     b_tau = eye - rep.gamma * p_tau
+    return Reduction(rep, sigma, tau, b_sig, b_tau, c_sig, c_tau)
 
-    x_t = solve(b_tau.T, b_sig.T)
-    _check_residual(b_tau.T, x_t, b_sig.T, "reduction system")
+
+def to_lcp(game, partition=None):
+    """Build the LCP (M, q) for the game under the given action partition."""
+    red = reduction(game, partition)
+    x_t = solve(red.b_tau.T, red.b_sig.T)
+    _check_residual(red.b_tau.T, x_t, red.b_sig.T, "reduction system")
     x = x_t.T
 
-    h = solve(b_tau, c_tau)
-    _check_residual(b_tau, h, c_tau, "tau value system")
+    h = solve(red.b_tau, red.c_tau)
+    _check_residual(red.b_tau, h, red.c_tau, "tau value system")
 
-    s = rep.ownership_signs
+    s = red.rep.ownership_signs
     m = s[:, None] * x * s[None, :]
-    q = s * (b_sig @ h) - s * c_sig
+    q = s * (red.b_sig @ h) - s * red.c_sig
     return Lcp(m=m, q=q)
 
 
@@ -166,21 +183,18 @@ def verify_solution(lcp, w, z, tol=1e-9):
     )
 
 
-def recover(game, partition, w, z, tol=1e-6):
-    """Map an LCP solution back to optimal values and a verified profile.
+def recover(game, partition, lcp, w, z, tol=1e-6):
+    """Map a solution of the game's ``lcp`` to values and a verified profile.
 
     Accepts approximate solutions: (w, z) must pass ``verify_solution`` at
     ``tol``, the profile is extracted by the per-state comparison
-    ``w_i <= z_i`` (sigma on ties), and the result must pass the optimality
-    check at ``tol``, else :class:`RecoveryError` reports the worst
-    violation.  The value formula gets a complementarity allowance on top
-    of ``tol``: a pair with w_i = z_i = 0 in the exact solution sits at
+    ``w_i <= z_i`` (sigma on ties), and the result must pass the game's
+    optimality check at ``tol``, else :class:`RecoveryError` reports the
+    worst violation.  The value formula gets a complementarity allowance on
+    top of ``tol``: a pair with w_i = z_i = 0 in the exact solution sits at
     w_i ~ z_i ~ sqrt(gap) on the central path, and that z error enters the
     values through B_tau^{-1} with gain at most 1/(1 - gamma).
     """
-    if partition is None:
-        partition = default_partition(game)
-    lcp = to_lcp(game, partition)
     check = verify_solution(lcp, w, z, tol)
     if not check.ok:
         raise RecoveryError(
@@ -188,15 +202,13 @@ def recover(game, partition, w, z, tol=1e-6):
             f"complementarity {check.complementarity:.3e}, "
             f"min_w {check.min_w:.3e}, min_z {check.min_z:.3e}"
         )
-    rep = matrix_representation(game)
-    sigma, tau = _check_partition(game, partition)
-    p_tau, c_tau = restrict(rep, tau)
-    b_tau = np.eye(rep.n) - rep.gamma * p_tau
+    red = reduction(game, partition)
+    rep = red.rep
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    v_formula = solve(b_tau, c_tau + rep.ownership_signs * z)
+    v_formula = solve(red.b_tau, red.c_tau + rep.ownership_signs * z)
 
-    choice = np.where(w <= z, sigma, tau).astype(np.int64)
+    choice = np.where(w <= z, red.sigma, red.tau).astype(np.int64)
     ok, violations = is_optimal(rep, choice, tol)
     if not ok:
         rc = reduced_costs(rep, choice)

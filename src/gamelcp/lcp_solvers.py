@@ -4,7 +4,7 @@ The interior point method tracks the scalar-shifted family q(t) = q + t*1.
 The start t0 = max(0, 1 - min_i (q + M 1)_i) makes (z, w) = (1, q(t0) + M 1)
 strictly interior.  Each stage reduces the Kojima-style potential
 
-    f(w, z) = rho * ln(w.z) - sum_i ln(w_i z_i),        rho > n,
+    f(w, z) = rho * ln(w.z) - sum_i ln(w_i z_i),        rho = n + sqrt(n),
 
 by damped Newton steps on the centering system
 
@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 STEP_FLOOR = 1e-14
+BACKTRACK = 0.5  # line-search step shrink
+STEP_FRACTION = 0.99  # share of the largest step that keeps (w, z) positive
+HOMOTOPY_SHRINK = 0.1  # stage target shift relative to the current shift
+MAX_PIVOTS = 100_000
+RATIO_TOL = 1e-9  # relative tie width of Lemke's ratio test
 MAX_STAGES = 500
 STAGE_GAP_FRACTION = 0.01  # intermediate-stage gap target relative to the shift
 GAP_BAND = (0.25, 4.0)  # allowed gap change across one predictor step
@@ -56,21 +61,13 @@ GAP_BAND = (0.25, 4.0)  # allowed gap change across one predictor step
 @dataclass
 class IpmOptions:
     epsilon: float = 1e-9
-    rho: float | None = None  # None picks n + sqrt(n)
     max_iters: int = 10_000
-    backtrack: float = 0.5
-    step_fraction: float = 0.99
-    homotopy_shrink: float = 0.1
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        for name in ("backtrack", "step_fraction", "homotopy_shrink"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie strictly in (0, 1), got {v}")
 
 
 @dataclass
@@ -147,9 +144,7 @@ def solve_potential_reduction(lcp, options=None):
     m_mat = np.asarray(lcp.m, dtype=np.float64)
     q = np.asarray(lcp.q, dtype=np.float64)
     n = q.shape[0]
-    rho = float(opts.rho) if opts.rho is not None else n + math.sqrt(n)
-    if rho <= n:
-        raise ValueError(f"rho must exceed n = {n}, got {rho}")
+    rho = n + math.sqrt(n)
 
     trace = IpmTrace()
     z = np.ones(n)
@@ -178,7 +173,7 @@ def solve_potential_reduction(lcp, options=None):
             except SingularMatrixError:
                 _fail(trace, "singular Newton system")
             dw = m_mat @ dz
-            alpha = opts.step_fraction * min(_max_positive_step(w, dw, z, dz), 1e16)
+            alpha = STEP_FRACTION * min(_max_positive_step(w, dw, z, dz), 1e16)
             f0 = _potential(w, z, rho)
             accepted = False
             while alpha >= STEP_FLOOR:
@@ -189,7 +184,7 @@ def solve_potential_reduction(lcp, options=None):
                     if f1 < f0:
                         accepted = True
                         break
-                alpha *= opts.backtrack
+                alpha *= BACKTRACK
             if not accepted:
                 _fail(trace, f"line search stalled at step < {STEP_FLOOR}")
             z = z1
@@ -217,8 +212,8 @@ def solve_potential_reduction(lcp, options=None):
         except SingularMatrixError:
             _fail(trace, "singular predictor system")
         du_w = m_mat @ u - 1.0
-        s_want = (1.0 - opts.homotopy_shrink) * t
-        s = min(s_want, opts.step_fraction * _max_positive_step(w, du_w, z, u))
+        s_want = (1.0 - HOMOTOPY_SHRINK) * t
+        s = min(s_want, STEP_FRACTION * _max_positive_step(w, du_w, z, u))
         # the stall floor scales with t: near t_final legitimate steps are ~t
         s_floor = 1e-6 * t
         # besides positivity, keep the gap inside a band: the tangent changes
@@ -254,7 +249,7 @@ def solve_potential_reduction(lcp, options=None):
                 pass
             else:
                 dw_d = m_mat @ d
-                sc = min(1.0, opts.step_fraction * _max_positive_step(w, dw_d, z, d))
+                sc = min(1.0, STEP_FRACTION * _max_positive_step(w, dw_d, z, d))
                 z_inf = z + sc * d
                 w_inf = w + sc * dw_d
                 if w_inf.min() > 0.0 and z_inf.min() > 0.0:
@@ -276,24 +271,24 @@ def solve_potential_reduction(lcp, options=None):
 # complementary pivoting
 
 
-def _lex_ratio_row(tableau, col, n, ratio_tol):
+def _lex_ratio_row(tableau, col, n):
     """Leaving row by minimum ratio, lexicographic tie-break on B^-1 columns."""
     eligible = np.flatnonzero(col > 1e-11)
     if eligible.size == 0:
         return -1
     ratios = tableau[eligible, -1] / col[eligible]
     best = float(ratios.min())
-    keep = eligible[ratios <= best + ratio_tol * (1.0 + abs(best))]
+    keep = eligible[ratios <= best + RATIO_TOL * (1.0 + abs(best))]
     for j in range(n):
         if keep.size == 1:
             break
         tie = tableau[keep, j] / col[keep]
         best = float(tie.min())
-        keep = keep[tie <= best + ratio_tol * (1.0 + abs(best))]
+        keep = keep[tie <= best + RATIO_TOL * (1.0 + abs(best))]
     return int(keep[0])
 
 
-def solve_pivoting(lcp, max_pivots=100_000, ratio_tol=1e-9):
+def solve_pivoting(lcp):
     """Complementary pivoting (all-ones covering column, lexicographic ties).
 
     Returns (w, z, pivots).  The final (w, z) is re-solved from the
@@ -318,8 +313,8 @@ def solve_pivoting(lcp, max_pivots=100_000, ratio_tol=1e-9):
     pivots = 0
     while True:
         pivots += 1
-        if pivots > max_pivots:
-            raise SolverFailure(f"pivot limit {max_pivots} exceeded")
+        if pivots > MAX_PIVOTS:
+            raise SolverFailure(f"pivot limit {MAX_PIVOTS} exceeded")
         pivot_value = tableau[row, entering]
         tableau[row] = tableau[row] / pivot_value
         for i in range(n):
@@ -330,7 +325,7 @@ def solve_pivoting(lcp, max_pivots=100_000, ratio_tol=1e-9):
         if leaving == z0:
             break
         entering = leaving + n if leaving < n else leaving - n
-        row = _lex_ratio_row(tableau, tableau[:, entering].copy(), n, ratio_tol)
+        row = _lex_ratio_row(tableau, tableau[:, entering].copy(), n)
         if row < 0:
             raise SolverFailure(
                 "ray termination in complementary pivoting (matrix is not "

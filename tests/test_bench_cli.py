@@ -326,7 +326,7 @@ def test_cli_certify_hard_instance(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["n"] == 10
     assert report["kappa_est"] >= 0.75 - 1e-9
-    assert report["pmatrix"] == "minors-positive"
+    assert report["pmatrix"] == "structural"
     header, row = csv_path.read_text().splitlines()
     assert header == ",".join(CSV_COLUMNS)
     assert row.split(",")[0] == "10"
@@ -353,7 +353,7 @@ def test_cli_certify_single_state(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["kappa_est"] == 0.0
-    assert report["pmatrix"] == "minors-positive"
+    assert report["pmatrix"] == "structural"
 
 
 def test_cli_bench_and_plot_round_trip(tmp_path, capsys):

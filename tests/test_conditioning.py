@@ -22,14 +22,17 @@ from gamelcp.conditioning import (
     pmatrix_check_minors,
     pmatrix_witness_check,
     smallest_eigenvalue_sym,
+    structural_certificate,
     theta_at,
     theta_lower_bound,
     write_report_csv,
     write_report_json,
 )
-from gamelcp.game import matrix_representation, restrict
+from gamelcp._kernels import SingularMatrixError
+from gamelcp.cli import main
+from gamelcp.game import Action, Game, State, matrix_representation, restrict, save_game
 from gamelcp.hard_instances import HardInstanceSpec, closed_forms
-from gamelcp.lcp import default_partition, to_lcp
+from gamelcp.lcp import default_partition, reduction, to_lcp
 
 from conftest import hard_instance, make_game
 
@@ -301,44 +304,30 @@ def test_witness_check_diagonal():
     assert pmatrix_witness_check(-np.eye(3), np.array([1.0, 1.0, 1.0])) is None
 
 
+def _certificate(game, partition=None, m_mat=None):
+    red = reduction(game, partition)
+    if m_mat is None:
+        m_mat = to_lcp(game, partition).m
+    return structural_certificate(m_mat, red.b_sig, red.b_tau, red.rep.ownership_signs)
+
+
 def test_witness_check_game_context(three_state):
-    part = default_partition(three_state)
-    lcp = to_lcp(three_state, part)
-    rep = matrix_representation(three_state)
-    p_tau, _ = restrict(rep, part.tau)
-    ctx = (three_state.gamma, p_tau, rep.ownership_signs)
+    # the certificate's proof: at i = argmax |B_t^-1 S x|, x_i (Mx)_i is at
+    # least theta_cert ||x||^2, less the error bound of the computed M and
+    # the rounding of the product itself
+    red = reduction(three_state)
+    m_mat = to_lcp(three_state).m
+    cert = _certificate(three_state)
+    assert cert.ok
+    unit = np.finfo(np.float64).eps / 2.0
     rng = np.random.default_rng(5)
     for _ in range(200):
         x = rng.standard_normal(3)
-        j = pmatrix_witness_check(lcp.m, x, tau_context=ctx)
-        assert j is not None
-        assert x[j] * (lcp.m @ x)[j] > 0.0
-
-
-def _witness_rows_agree(m_mat, x_rows, ctx):
-    batched = pmatrix_witness_check(m_mat, x_rows, tau_context=ctx)
-    singles = [pmatrix_witness_check(m_mat, x, tau_context=ctx) for x in x_rows]
-    assert batched.dtype.kind == "i" and batched.shape == (len(x_rows),)
-    assert batched.tolist() == [-1 if j is None else j for j in singles]
-    return batched
-
-
-def test_witness_check_batched_matches_rows(three_state):
-    part = default_partition(three_state)
-    lcp = to_lcp(three_state, part)
-    rep = matrix_representation(three_state)
-    p_tau, _ = restrict(rep, part.tau)
-    rng = np.random.default_rng(9)
-    x_rows = rng.standard_normal((300, 3))
-    for ctx in (None, (three_state.gamma, p_tau, rep.ownership_signs)):
-        assert np.all(_witness_rows_agree(lcp.m, x_rows, ctx) >= 0)
-    # on this non-P matrix every direction near (1, 1) reverses all signs
-    not_p = np.array([[1.0, -3.0], [-3.0, 1.0]])
-    not_p_ctx = (0.5, np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
-    x_rows = rng.standard_normal((300, 2))
-    for ctx in (None, not_p_ctx):
-        found = _witness_rows_agree(not_p, x_rows, ctx)
-        assert np.any(found == -1) and np.any(found >= 0)
+        i = int(np.argmax(np.abs(np.linalg.solve(red.b_tau, red.rep.ownership_signs * x))))
+        rounding = 4 * unit * abs(x[i]) * float(np.abs(m_mat[i]) @ np.abs(x))
+        bound = (cert.theta_cert - cert.err) * float(x @ x) - rounding
+        assert x[i] * (m_mat @ x)[i] >= bound > 0.0
+        assert pmatrix_witness_check(m_mat, x) is not None
 
 
 def test_minors_agree_with_theta_search():
@@ -369,7 +358,7 @@ def test_certify_hard_kappa_mode():
     assert report.kappa_ub == 40.0
     assert report.delta == pytest.approx(-1.0, abs=1e-9)
     assert report.delta_lb == pytest.approx(-3.0 * math.sqrt(10))
-    assert report.pmatrix == "minors-positive"
+    assert report.pmatrix == "structural"
     assert report.cond == pytest.approx(-report.delta / report.theta_est)
     assert "1.75" in report.runtime_unified
     assert "n^4" in report.runtime_potential
@@ -380,7 +369,7 @@ def test_certify_hard_theta_mode():
     report = certify(game, part, CertifyOptions(seed=0, samples=2000))
     assert report.theta_lb == pytest.approx(1.0 / 90.0)
     assert report.theta_lb - 1e-9 <= report.theta_est <= 1.0 / 34.0 + 1e-12
-    assert report.pmatrix == "minors-positive"
+    assert report.pmatrix == "structural"
 
 
 def test_certify_single_state_game():
@@ -402,7 +391,7 @@ def test_certify_accepts_well_conditioned_small_minors(seed):
     mc = pmatrix_check_minors(to_lcp(game, default_partition(game)).m)
     assert mc.ok and 0.0 < mc.min_scaled_minor < 1e-12
     report = certify(game, options=CertifyOptions(seed=0, samples=200))
-    assert report.pmatrix == "minors-positive"
+    assert report.pmatrix == "structural"
 
 
 def test_minors_check_refuses_near_singular_positive_minor():
@@ -417,13 +406,90 @@ def test_certify_requires_options(g3):
         certify(game)
 
 
-def test_certify_witness_sampled_path(g3):
-    game, part = g3
-    report = certify(
-        game, part, CertifyOptions(seed=1, samples=200, minors_limit=2, witness_samples=50)
-    )
-    assert report.pmatrix == "witness-sampled"
-    assert "50 sampled directions" in report.pmatrix_detail
+def _cert_cases():
+    for n in (1, 8, 12, 24, 64):
+        for gamma in (0.5, 0.9, 0.99):
+            yield f"random-{n}-{gamma}", random_game(n, gamma, 7 * n), None
+    for n in (8, 64):
+        for a_mode in ("kappa", "eigenvalue", "theta"):
+            game, part = hard_instance(n, 0.9, a_mode=a_mode)
+            yield f"hard-{n}-{a_mode}", game, part
+
+
+@pytest.mark.parametrize("case", list(_cert_cases()), ids=lambda c: c[0])
+def test_structural_certificate_holds_on_game_lcps(case):
+    _, game, part = case
+    cert = _certificate(game, part)
+    assert cert.ok and cert.mu_s > 0.0 and cert.mu_t > 0.0
+    assert 0.0 <= cert.ratio < 1e-3
+    if game.n_states <= 12:
+        assert pmatrix_check_minors(to_lcp(game, part).m).ok
+
+
+def test_structural_certificate_refuses_excess_row_mass():
+    # Game(...) skips validate_game: every row carries mass 1.1, so
+    # gamma P has row sums 1.045 and B loses its diagonal dominance
+    rng = np.random.default_rng(21)
+    states = []
+    for i in range(6):
+        actions = []
+        for _ in range(2):
+            targets = rng.choice(6, size=3, replace=False)
+            weights = rng.uniform(0.1, 1.0, 3)
+            weights *= 1.1 / weights.sum()
+            dist = tuple((int(t), float(w)) for t, w in zip(targets, weights))
+            actions.append(Action(cost=float(rng.uniform(-1.0, 1.0)), dist=dist))
+        states.append(State(owner=1 + i % 2, actions=tuple(actions)))
+    game = Game(gamma=0.95, states=tuple(states))
+    to_lcp(game)  # the reduction itself accepts the game
+    cert = _certificate(game)
+    assert not cert.ok and min(cert.mu_s, cert.mu_t) < 0.0
+    report = certify(game, options=CertifyOptions(seed=0, samples=100))
+    assert report.pmatrix == "undecided"
+    assert "not certified" in report.pmatrix_detail
+    # a self-loop of mass 1.5 turns b_ii negative: M = (1 - 1.425) / 0.05 < 0
+    # is not a P-matrix although |b_ii| exceeds the (empty) off-diagonal sum
+    loop = make_game(0.95, [(1, [(0.0, [(0, 1.5)]), (0.0, [(0, 1.0)])])])
+    assert not pmatrix_check_minors(to_lcp(loop).m).ok
+    assert not _certificate(loop).ok
+
+
+def test_structural_certificate_refuses_tampered_m():
+    game = random_game(12, 0.9, 5)
+    assert _certificate(game).ok
+    m_mat = to_lcp(game).m.copy()
+    m_mat[0, 1] += 1e-3
+    cert = _certificate(game, m_mat=m_mat)
+    assert not cert.ok and cert.ratio > 10.0
+
+
+def test_structural_certificate_refuses_gamma_at_one():
+    game = random_game(12, 1.0 - 1e-15, 3)
+    with pytest.raises(SingularMatrixError, match="condition number"):
+        to_lcp(game)
+    red = reduction(game)
+    signs = red.rep.ownership_signs
+    m_mat = signs[:, None] * np.linalg.solve(red.b_tau.T, red.b_sig.T).T * signs[None, :]
+    cert = structural_certificate(m_mat, red.b_sig, red.b_tau, signs)
+    assert not cert.ok and cert.mu_t <= 0.0
+
+
+def test_cli_certify_undecided_exits_1_with_report(tmp_path, capsys):
+    # a valid game whose LCP builds but whose margins (1e-5) leave the
+    # rounding of M unbounded relative to theta_cert: ratio about 420
+    game = random_game(8, 0.99999, 0)
+    assert not _certificate(game).ok
+    game_path = tmp_path / "near_one.json"
+    save_game(game, game_path)
+    out = tmp_path / "report.json"
+    csv_path = tmp_path / "report.csv"
+    argv = ["--output", str(out), "certify", "--game", str(game_path), "--samples", "100"]
+    assert main([*argv, "--csv", str(csv_path)]) == 1
+    assert "pmatrix=undecided" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["pmatrix"] == "undecided"
+    assert "not certified" in report["pmatrix_detail"]
+    assert ",undecided," in csv_path.read_text()
 
 
 def test_report_files(tmp_path, g3):

@@ -125,7 +125,7 @@ def test_swapped_partition_nonnegative_q(g3):
     # q >= 0 means w = q, z = 0 solves the LCP outright
     check = verify_solution(lcp, lcp.q, np.zeros(3))
     assert check.ok
-    res = recover(game, swapped, lcp.q, np.zeros(3))
+    res = recover(game, swapped, lcp, lcp.q, np.zeros(3))
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-9)
 
 
@@ -133,7 +133,7 @@ def test_recover_g3_exact(g3):
     game, part = g3
     w = np.zeros(3)
     z = np.array([0.0, 0.0, 2.0])
-    res = recover(game, part, w, z)
+    res = recover(game, part, to_lcp(game, part), w, z)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
     assert res.profile[2] == 0
     rep = matrix_representation(game)
@@ -147,14 +147,14 @@ def test_recover_tolerates_tiny_noise(g3):
     rng = np.random.default_rng(37)
     w = rng.uniform(0.0, 1e-10, 3)
     z = np.array([0.0, 0.0, 2.0]) + rng.uniform(0.0, 1e-10, 3)
-    res = recover(game, part, w, z)
+    res = recover(game, part, to_lcp(game, part), w, z)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-8)
 
 
 def test_recover_rejects_garbage(g3):
     game, part = g3
     with pytest.raises(RecoveryError, match="residuals too large"):
-        recover(game, part, np.zeros(3), np.zeros(3))
+        recover(game, part, to_lcp(game, part), np.zeros(3), np.zeros(3))
 
 
 def test_verify_solution_reports(g3):

@@ -15,10 +15,6 @@ from gamelcp.solvers import SolverFailure
 def test_ipm_options_validation():
     with pytest.raises(ValueError, match="epsilon"):
         IpmOptions(epsilon=0.0)
-    with pytest.raises(ValueError, match="backtrack"):
-        IpmOptions(backtrack=1.0)
-    with pytest.raises(ValueError, match="homotopy_shrink"):
-        IpmOptions(homotopy_shrink=-0.1)
     with pytest.raises(ValueError, match="max_iters"):
         IpmOptions(max_iters=0)
 
@@ -41,7 +37,7 @@ def test_ipm_solves_g3(g3):
     # the shift has been driven (almost) all the way home
     feas = np.abs(w - lcp.q - lcp.m @ z).max()
     assert feas <= opts.epsilon * 1e-3 * 1.01
-    res = recover(game, part, w, z, tol=1e-6)
+    res = recover(game, part, lcp, w, z, tol=1e-6)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-6)
     assert np.allclose(z, [0.0, 0.0, 2.0], atol=1e-5)
 
@@ -172,8 +168,8 @@ def test_solvers_agree_on_game_lcps():
         assert np.abs(z_p - z_i).max() <= 1e-6
         assert np.abs(w_p - w_i).max() <= 1e-6
         assert verify_solution(lcp, w_p, z_p).ok
-        res_p = recover(game, part, w_p, z_p)
-        res_i = recover(game, part, w_i, z_i)
+        res_p = recover(game, part, lcp, w_p, z_p)
+        res_i = recover(game, part, lcp, w_i, z_i)
         assert np.abs(res_p.values - res_i.values).max() <= 1e-9
 
 
@@ -190,6 +186,7 @@ def test_ipm_tangent_keeps_tiny_slacks_at_gamma_099(case):
         part = default_partition(game)
     else:
         game, part = build_hard_instance(HardInstanceSpec(48, 0.99, case.split("-")[2]))
-    w, z, trace = solve_potential_reduction(to_lcp(game, part), IpmOptions(epsilon=1e-9))
+    lcp = to_lcp(game, part)
+    w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
     assert trace.termination == "converged"
-    recover(game, part, w, z)
+    recover(game, part, lcp, w, z)
