@@ -1,8 +1,8 @@
 """The package's one dense linear solve, through LAPACK via ``numpy.linalg``.
 
-Value vectors, the LCP reduction, solution recovery, every interior-point
-Newton system, Lemke's terminal basis and the minor scan's low minors all
-solve through :func:`solve`, so they share one singularity gate.
+Value vectors, the LCP reduction, solution recovery, Lemke's terminal basis
+and the minor scan's low minors all solve through :func:`solve`, so they
+share one singularity gate (the interior-point Newton systems are ungated).
 """
 
 from __future__ import annotations

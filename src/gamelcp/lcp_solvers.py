@@ -25,6 +25,12 @@ ends once t <= epsilon * 1e-3 and the gap is below epsilon, so the
 returned pair solves the original LCP up to a q-perturbation of at most
 epsilon * 1e-3 per component.
 
+Newton directions come from one plain LAPACK solve with no condition gate:
+every step moves w by a product (M dz, M u - 1, M d), never by a solve, so
+a poor direction costs progress (the line search or gap band refuses it),
+not feasibility.  The returned pair is checked once, at exit, by
+``verify_solution``.
+
 The pivoting solver is plain complementary pivoting with the all-ones
 covering column and lexicographic anti-cycling; it returns an exact
 complementary basic solution, re-solved from the final basis for accuracy.
@@ -38,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import SingularMatrixError, solve
+from .lcp import verify_solution
 from .solvers import SolverFailure
 
 __all__ = [
@@ -123,14 +130,23 @@ def _potential(w, z, rho):
 
 
 def _max_positive_step(w, dw, z, dz):
-    cap = np.inf
-    neg = dw < 0.0
-    if np.any(neg):
-        cap = min(cap, float(np.min(w[neg] / -dw[neg])))
-    neg = dz < 0.0
-    if np.any(neg):
-        cap = min(cap, float(np.min(z[neg] / -dz[neg])))
-    return cap
+    x = np.concatenate((w, z))
+    d = np.concatenate((dw, dz))
+    neg = d < 0.0
+    return float(np.min(x[neg] / -d[neg])) if neg.any() else np.inf
+
+
+def _newton(z, m_mat, w, rhs):
+    """Solve (diag(z) M + diag(w)) d = rhs; ungated (see the module docstring)."""
+    a = z[:, None] * m_mat
+    a.flat[:: a.shape[0] + 1] += w
+    try:
+        d = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    if not np.isfinite(d).all():
+        raise SingularMatrixError("non-finite Newton direction")
+    return d
 
 
 def _fail(trace, reason, **context):
@@ -151,6 +167,7 @@ def solve_potential_reduction(lcp, options=None):
     t = max(0.0, 1.0 - float(np.min(q + m_mat @ z)))
     t_final = opts.epsilon * 1e-3
     w = q + t + m_mat @ z
+    f = _potential(w, z, rho)
     iteration = 0
 
     for _stage in range(MAX_STAGES):
@@ -169,19 +186,18 @@ def solve_potential_reduction(lcp, options=None):
             iteration += 1
             rhs = (gap / rho) - w * z
             try:
-                dz = solve(z[:, None] * m_mat + np.diag(w), rhs)
+                dz = _newton(z, m_mat, w, rhs)
             except SingularMatrixError:
                 _fail(trace, "singular Newton system")
             dw = m_mat @ dz
             alpha = STEP_FRACTION * min(_max_positive_step(w, dw, z, dz), 1e16)
-            f0 = _potential(w, z, rho)
             accepted = False
             while alpha >= STEP_FLOOR:
                 w1 = w + alpha * dw
                 z1 = z + alpha * dz
                 if w1.min() > 0.0 and z1.min() > 0.0:
                     f1 = _potential(w1, z1, rho)
-                    if f1 < f0:
+                    if f1 < f:
                         accepted = True
                         break
                 alpha *= BACKTRACK
@@ -194,11 +210,12 @@ def solve_potential_reduction(lcp, options=None):
             # line-search decrease.  Either way the accepted interior point
             # stands in until the next successful snap re-anchors w.
             w_snap = q + t + m_mat @ z
-            if w_snap.min() > 0.0 and _potential(w_snap, z, rho) < f0:
-                w = w_snap
+            f_snap = _potential(w_snap, z, rho) if w_snap.min() > 0.0 else math.inf
+            if f_snap < f:
+                w, f = w_snap, f_snap
             else:
-                w = w1
-            trace.append(iteration, w @ z, _potential(w, z, rho), alpha, t)
+                w, f = w1, f1
+            trace.append(iteration, w @ z, f, alpha, t)
 
         if t <= t_final:
             break
@@ -208,7 +225,7 @@ def solve_potential_reduction(lcp, options=None):
             _fail(trace, f"shift {t:.3e} still above target after max_iters")
         iteration += 1
         try:
-            u = solve(z[:, None] * m_mat + np.diag(w), z)
+            u = _newton(z, m_mat, w, z)
         except SingularMatrixError:
             _fail(trace, "singular predictor system")
         du_w = m_mat @ u - 1.0
@@ -244,7 +261,7 @@ def solve_potential_reduction(lcp, options=None):
         scale = STAGE_GAP_FRACTION * t
         if t > t_final and gap < 0.25 * scale:
             try:
-                d = solve(z[:, None] * m_mat + np.diag(w), (scale / n) - w * z)
+                d = _newton(z, m_mat, w, (scale / n) - w * z)
             except SingularMatrixError:
                 pass
             else:
@@ -254,16 +271,20 @@ def solve_potential_reduction(lcp, options=None):
                 w_inf = w + sc * dw_d
                 if w_inf.min() > 0.0 and z_inf.min() > 0.0:
                     z, w = z_inf, w_inf
-        trace.append(iteration, w @ z, _potential(w, z, rho), s, t)
+        f = _potential(w, z, rho)
+        trace.append(iteration, w @ z, f, s, t)
     else:
         _fail(trace, f"homotopy used more than {MAX_STAGES} stages")
 
-    trace.termination = "converged"
     # the last accepted point may have skipped its snap; leave with w
     # exactly feasible whenever that keeps the interior and the gap target
     w_snap = q + t + m_mat @ z
     if w_snap.min() > 0.0 and float(w_snap @ z) < opts.epsilon:
         w = w_snap
+    check = verify_solution(lcp, w, z, opts.epsilon)
+    if not check.ok:
+        _fail(trace, f"exit check failed: {check}", check=check)
+    trace.termination = "converged"
     return w, z, trace
 
 

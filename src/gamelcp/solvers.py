@@ -59,10 +59,9 @@ def bellman_backup(game, v):
     """One step of the optimality operator: per-state best one-step value."""
     rep = _rep_of(game)
     y = rep.costs + rep.gamma * (rep.p @ np.asarray(v, dtype=np.float64))
-    starts = rep.offsets[:-1]
-    mins = np.minimum.reduceat(y, starts)
-    maxs = np.maximum.reduceat(y, starts)
-    return np.where(rep.owners == PLAYER_MIN, mins, maxs)
+    # +1 on player-1 states, -1 on player-2 states: max(y) = -min(-y) exactly
+    sign = -rep.ownership_signs
+    return sign * np.minimum.reduceat(sign[rep.state_of_action] * y, rep.offsets[:-1])
 
 
 def greedy_profile(game, v):

@@ -7,8 +7,22 @@ import pytest
 
 from gamelcp.bench import random_game
 from gamelcp.hard_instances import HardInstanceSpec, build_hard_instance
-from gamelcp.lcp import Lcp, Partition, default_partition, recover, to_lcp, verify_solution
-from gamelcp.lcp_solvers import IpmOptions, solve_pivoting, solve_potential_reduction
+from gamelcp.lcp import (
+    Lcp,
+    LcpCheck,
+    Partition,
+    default_partition,
+    recover,
+    to_lcp,
+    verify_solution,
+)
+from gamelcp.lcp_solvers import (
+    IpmOptions,
+    IpmTrace,
+    _max_positive_step,
+    solve_pivoting,
+    solve_potential_reduction,
+)
 from gamelcp.solvers import SolverFailure
 
 
@@ -114,6 +128,73 @@ def test_ipm_budget_failure_carries_trace(g3):
     trace = exc_info.value.context["trace"]
     assert len(trace) <= 1
     assert "max_iters" in trace.termination
+
+
+def test_ipm_singular_newton_system_fails_loudly():
+    # z = 1, t = 0, w = (1, 3): diag(z) M + diag(w) = diag(0, 4) exactly
+    lcp = Lcp(m=np.diag([-1.0, 1.0]), q=np.array([2.0, 2.0]))
+    with pytest.raises(SolverFailure, match="singular Newton system"):
+        solve_potential_reduction(lcp)
+
+
+def test_ipm_near_singular_newton_system_fails_with_context():
+    # the Newton matrix is diag(2.2e-16, 4): no gate refuses it any more, so
+    # the huge direction must surface as a stall that still carries the trace
+    lcp = Lcp(m=np.diag([-1.0, 1.0]), q=np.array([2.0 + 1e-15, 2.0]))
+    with pytest.raises(SolverFailure) as exc_info:
+        solve_potential_reduction(lcp)
+    trace = exc_info.value.context["trace"]
+    assert isinstance(trace, IpmTrace)
+    assert trace.termination
+    assert trace.termination in str(exc_info.value)
+
+
+def test_ipm_exit_check_is_wired(g3, monkeypatch):
+    game = random_game(64, 0.99, 1903)
+    lcp = to_lcp(game, default_partition(game))
+    opts = IpmOptions(epsilon=1e-9)
+    w, z, _ = solve_potential_reduction(lcp, opts)
+    assert verify_solution(lcp, w, z, opts.epsilon).ok
+
+    bad = LcpCheck(feasibility=1.0, complementarity=0.0, min_w=0.0, min_z=0.0, ok=False)
+    monkeypatch.setattr("gamelcp.lcp_solvers.verify_solution", lambda *args: bad)
+    g3_lcp = to_lcp(*g3)
+    with pytest.raises(SolverFailure, match="exit check failed") as exc_info:
+        solve_potential_reduction(g3_lcp)
+    trace = exc_info.value.context["trace"]
+    assert len(trace) >= 1
+    assert trace.termination.startswith("exit check failed")
+    assert exc_info.value.context["check"] is bad
+
+
+def _two_mask_step(w, dw, z, dz):
+    # the step cap as first written: one masked pass per vector
+    cap = np.inf
+    neg = dw < 0.0
+    if np.any(neg):
+        cap = min(cap, float(np.min(w[neg] / -dw[neg])))
+    neg = dz < 0.0
+    if np.any(neg):
+        cap = min(cap, float(np.min(z[neg] / -dz[neg])))
+    return cap
+
+
+def test_max_positive_step_matches_two_mask_oracle():
+    rng = np.random.default_rng(29)
+    saw_inf = 0
+    for k in range(400):
+        n = int(rng.integers(1, 65))
+        w, z = rng.uniform(1e-8, 10.0, size=(2, n))
+        dw, dz = rng.normal(size=(2, n))
+        if k % 4 == 0:  # no negative entries anywhere
+            dw, dz = np.abs(dw), np.abs(dz)
+        elif k % 4 == 1:  # negative entries in one vector only
+            dw = np.abs(dw)
+        got = _max_positive_step(w, dw, z, dz)
+        want = _two_mask_step(w, dw, z, dz)
+        assert got == want
+        saw_inf += got == np.inf
+    assert saw_inf >= 100
 
 
 def test_pivoting_shortcut_on_nonnegative_q(g3):

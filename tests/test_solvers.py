@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gamelcp.game import matrix_representation, reduced_costs, value_vector
+from gamelcp.game import PLAYER_MIN, matrix_representation, reduced_costs, value_vector
 from gamelcp.solvers import (
     SolverFailure,
     bellman_backup,
@@ -21,6 +21,37 @@ def test_g3_first_bellman_iterate(g3):
     rep = matrix_representation(game)
     v1 = bellman_backup(rep, np.zeros(3))
     assert np.array_equal(v1, [1.0, -1.0, 1.0])
+
+
+def _two_reduceat_backup(rep, v):
+    # the backup as first written: both reductions, then pick per owner
+    y = rep.costs + rep.gamma * (rep.p @ v)
+    starts = rep.offsets[:-1]
+    mins = np.minimum.reduceat(y, starts)
+    maxs = np.maximum.reduceat(y, starts)
+    return np.where(rep.owners == PLAYER_MIN, mins, maxs)
+
+
+def test_bellman_backup_matches_two_reduceat_oracle():
+    # max(y) = -min(-y) is exact, so the signed reduction is bit-identical;
+    # the hand-built game has 1- and 3-action states for uneven segments
+    uneven = make_game(
+        0.9,
+        [
+            (1, [(1.5, [(1, 1.0)])]),
+            (2, [(-2.0, [(0, 0.5), (2, 0.5)]), (3.0, [(1, 1.0)]), (0.25, [(2, 1.0)])]),
+            (1, [(4.0, [(0, 1.0)]), (-1.0, [(1, 0.3), (2, 0.7)]), (0.0, [(2, 1.0)])]),
+            (2, [(-7.0, [(3, 1.0)])]),
+        ],
+    )
+    games = [uneven] + [random_game(n, 0.95, seed=700 + n) for n in (1, 5, 16, 64)]
+    rng = np.random.default_rng(17)
+    for game in games:
+        rep = matrix_representation(game)
+        for _ in range(20):
+            v = rng.normal(scale=10.0, size=rep.n)
+            assert np.array_equal(bellman_backup(rep, v), _two_reduceat_backup(rep, v))
+    assert {1, 2} <= set(matrix_representation(uneven).owners.tolist())
 
 
 def test_bellman_fixed_point(g3):
