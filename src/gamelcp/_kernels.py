@@ -20,6 +20,12 @@ class SingularMatrixError(ArithmeticError):
     """A linear solve met a matrix too close to singular to trust."""
 
 
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
+    ku = k * np.finfo(np.float64).eps / 2.0
+    return ku / (1.0 - ku)
+
+
 def solve(a, b):
     """Solve ``a @ x = b``; ``b`` may be a vector or stacked columns.
 

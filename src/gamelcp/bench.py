@@ -1,8 +1,9 @@
 """Benchmark sweeps over the hard family, CSV persistence, and SVG plots.
 
-A sweep cell is one (n, gamma) pair: build the hard instance, reduce it,
-estimate kappa/delta/theta next to their closed-form predictions, and time
-the interior-point solve.  Rows are written as plain CSV with repr-exact
+A sweep cell is one (n, gamma) pair: build the hard instance, reduce it
+once, measure kappa/delta/theta through ``conditioning.certify`` next to
+their closed-form predictions, and time the interior-point solve of the
+same LCP.  Rows are written as plain CSV with repr-exact
 floats, so reruns with the same seed are byte-identical except for the
 wall_ms column.
 
@@ -12,6 +13,7 @@ series with the least-squares slope annotated in the legend.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -19,23 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import (
+    CertifyOptions,
+    certify,
     delta_lower_bound,
-    estimate_kappa,
-    estimate_theta,
     kappa_upper_bound,
-    smallest_eigenvalue_sym,
     theta_lower_bound,
 )
 from .game import Action, Game, State
 from .hard_instances import (
     HardInstanceSpec,
     build_hard_instance,
-    closed_forms,
     predicted_eig_ub,
     predicted_kappa_lb,
     predicted_theta_ub,
 )
-from .lcp import reduction, to_lcp
+from .lcp import to_lcp
 from .lcp_solvers import IpmOptions, solve_potential_reduction
 from .solvers import SolverFailure
 
@@ -130,24 +130,15 @@ def run_bench(
     """One row per (n, gamma) cell.  A cell whose solve or estimation fails
     is kept with NaN measurements so partial sweeps still flush."""
     rows = []
-    idx = 0
-    for n in ns:
-        for gamma in gammas:
-            cell_seed = seed + idx
-            idx += 1
-            row = _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon)
-            rows.append(row)
-            if on_row is not None:
-                on_row(row)
+    for idx, (n, gamma) in enumerate(itertools.product(ns, gammas)):
+        rows.append(_bench_cell(n, gamma, a_mode, seed + idx, samples, ipm_epsilon))
+        if on_row is not None:
+            on_row(rows[-1])
     return rows
 
 
 def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
-    spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode)
-    game, partition = build_hard_instance(spec)
-    lcp = to_lcp(game, partition)
-    red = reduction(game, partition)
-    witnesses = [closed_forms(spec).c_tau, red.rep.ownership_signs * red.c_tau]
+    lcp = to_lcp(*build_hard_instance(HardInstanceSpec(n, gamma, a_mode)))
 
     nan = float("nan")
     row = BenchRow(
@@ -169,12 +160,11 @@ def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
         seed=cell_seed,
     )
     try:
-        row.kappa_est, _ = estimate_kappa(lcp.m, samples, cell_seed, witnesses)
-        row.theta_est, _ = estimate_theta(lcp.m, samples, cell_seed, witnesses)
-        row.delta, _ = smallest_eigenvalue_sym(lcp.m)
-        row.cond = -row.delta / row.theta_est
+        report = certify(lcp, CertifyOptions(seed=cell_seed, samples=samples))
     except (ArithmeticError, ValueError):
         return row
+    row.kappa_est, row.theta_est = report.kappa_est, report.theta_est
+    row.delta, row.cond = report.delta, report.cond
     try:
         start = time.perf_counter()
         _, _, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=ipm_epsilon))

@@ -161,7 +161,7 @@ def _cmd_solve(args):
             iterations = len(trace)
         else:
             w, z, iterations = solve_pivoting(lcp)
-        result = recover(game, partition, lcp, w, z)
+        result = recover(lcp, w, z)
         result.iterations = iterations
     result.method = args.method
 
@@ -210,8 +210,8 @@ def _cmd_reduce(args):
 def _cmd_certify(args):
     game = load_game(args.game)
     partition = _load_partition_or_default(game, args.partition)
-    options = CertifyOptions(seed=args.seed, samples=args.samples)
-    report = certify(game, partition, options)
+    lcp = to_lcp(game, partition)
+    report = certify(lcp, CertifyOptions(seed=args.seed, samples=args.samples))
     if args.output is None:
         _write_or_print(json.dumps(report.to_json_dict(), indent=2), None)
     else:

@@ -18,10 +18,10 @@ general bounds are kappa <= n/(1-gamma)^2, delta > -(1+gamma) sqrt(n) /
 (1-gamma) and theta >= (1-gamma)^2 / ((1+gamma)^2 n); estimates reported
 here always stay on the certified side of those fences.
 
-``certify`` proves the computed M a P-matrix from the reduction's row
-diagonally dominant B_s = I - gamma P_sigma and B_t = I - gamma P_tau
-(:func:`structural_certificate`); the principal-minor scan (n <= 20) and
-the one-direction witness check remain as independent checks.
+``certify`` proves the M of an LCP from ``lcp.to_lcp`` a P-matrix from the
+row diagonally dominant B_s = I - gamma P_sigma, B_t = I - gamma P_tau it
+keeps (:func:`structural_certificate`); the principal-minor scan (n <= 20)
+and the one-direction witness check remain as independent checks.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._kernels import SingularMatrixError, solve
-from .lcp import reduction, to_lcp
+from ._kernels import SingularMatrixError, _gamma, solve
 
 __all__ = [
     "CertifyOptions",
@@ -210,12 +209,6 @@ def pmatrix_witness_check(m_mat, x):
     return i if prods[i] > 0.0 else None
 
 
-def _gamma(k):
-    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
-    ku = k * np.finfo(np.float64).eps / 2.0
-    return ku / (1.0 - ku)
-
-
 def _row_margin(b):
     """min_i (b_ii - sum_{j != i} |b_ij|), each row less its rounding error."""
     n = b.shape[0]
@@ -299,13 +292,14 @@ def _best_sample(m_mat, n_samples, seed, batch_fn, better):
     return float(vals[k]), x_rows[k].copy()
 
 
-def _climb(m_mat, x0, batch_fn, better, rounds=HILL_CLIMB_ROUNDS):
+def _climb(m_mat, x0, batch_fn, better):
     """Coordinate hill climbing with incremental M x updates.
 
-    A round tries +scale, then -scale, on each coordinate in order, taking
-    the first improving move; rounds without any improvement halve the
-    scale.  One ``batch_fn`` call scores every move left in the round from
-    the current x, and the climb jumps to the first that improves.
+    Each of ``HILL_CLIMB_ROUNDS`` rounds tries +scale, then -scale, on each
+    coordinate in order, taking the first improving move; rounds without
+    any improvement halve the scale.  One ``batch_fn`` call scores every
+    move left in the round from the current x, and the climb jumps to the
+    first that improves.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
@@ -316,7 +310,7 @@ def _climb(m_mat, x0, batch_fn, better, rounds=HILL_CLIMB_ROUNDS):
     move_signs = np.tile((1.0, -1.0), x.shape[0])
     scale = 1.0
     sign = 1.0 if better == "max" else -1.0
-    for _ in range(rounds):
+    for _ in range(HILL_CLIMB_ROUNDS):
         pos = 0  # the next move to try
         while pos < len(move_coords):
             coords = move_coords[pos:]
@@ -452,17 +446,15 @@ class ConditioningReport:
         return ",".join(v if isinstance(v, str) else repr(v) for v in vals)
 
 
-def certify(game, partition=None, options=None):
-    """Build the game's LCP and report kappa/delta/theta with their fences.
+def certify(lcp, options):
+    """Report kappa/delta/theta of the LCP ``lcp.to_lcp`` built, with fences.
 
     The P-matrix verdict is ``structural`` when :func:`structural_certificate`
-    holds for the computed M, else ``undecided``.
+    holds for the computed M and the LCP's B_s, B_t, else ``undecided``.
     """
-    if options is None:
-        raise ValueError("certify needs CertifyOptions (the seed is mandatory)")
-    m_mat = to_lcp(game, partition).m
-    red = reduction(game, partition)
-    n, gamma, signs = red.rep.n, game.gamma, red.rep.ownership_signs
+    red = lcp.game_reduction("certify")
+    m_mat = lcp.m
+    n, gamma, signs = red.rep.n, red.rep.gamma, red.rep.ownership_signs
     witnesses = [red.c_tau, signs * red.c_tau]
     kappa_est, _ = estimate_kappa(m_mat, options.samples, options.seed, witnesses)
     theta_est, _ = estimate_theta(m_mat, options.samples, options.seed, witnesses)

@@ -205,10 +205,6 @@ class MatrixRep:
     def n(self):
         return self.p.shape[1]
 
-    @property
-    def m(self):
-        return self.p.shape[0]
-
     def ownership_matrix(self):
         return np.diag(self.ownership_signs.astype(np.float64))
 

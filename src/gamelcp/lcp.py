@@ -11,6 +11,8 @@ and a solution (w, z >= 0, w = q + Mz, w.z = 0) recovers the optimal
 values v = B_t^{-1} (c_tau + S z) together with the optimal profile
 (sigma's action where w_i <= z_i, tau's otherwise).  M is built by solving
 B_t^T X^T = B_s^T for all columns in one call.
+The :class:`Lcp` from :func:`to_lcp` keeps its :class:`Reduction`, which
+``recover`` and ``conditioning.certify`` read instead of the game.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import SingularMatrixError, solve
+from ._kernels import SingularMatrixError, _gamma, solve
 from .game import (
     GameValidationError,
     MatrixRep,
@@ -51,17 +53,23 @@ __all__ = [
     "write_lcp",
 ]
 
-SOLVE_RTOL = 1e-10
-
 
 @dataclass
 class Lcp:
+    """(M, q), and the game data it was built from (None if not to_lcp's)."""
+
     m: np.ndarray
     q: np.ndarray
+    reduction: Reduction | None = None
 
     @property
     def n(self):
         return self.q.shape[0]
+
+    def game_reduction(self, caller):
+        if self.reduction is None:
+            raise ValueError(f"{caller} needs an LCP that to_lcp built from a game")
+        return self.reduction
 
 
 @dataclass
@@ -104,11 +112,18 @@ def _check_partition(game, partition):
 
 
 def _check_residual(lhs, x, rhs, what):
-    res = np.max(np.abs(lhs @ x - rhs))
-    bound = SOLVE_RTOL * (1.0 + np.max(np.abs(rhs)))
-    if res > bound:
+    """Refuse x unless |lhs x - rhs|_ij <= gamma_3n (|lhs_i|_1 |x_j|_inf +
+    |rhs_ij|) for row i, column j: a backward-stable solve's rounding (LU
+    fill-in puts rounding where a sparse row is 0, so not |lhs_i| |x_j|)."""
+    res = np.abs(lhs @ x - rhs)
+    bound = _gamma(3 * len(x)) * (
+        np.multiply.outer(np.abs(lhs).sum(axis=1), np.abs(x).max(axis=0))
+        + np.abs(rhs)
+    )
+    k = np.unravel_index(np.argmax(res - bound), res.shape)
+    if res[k] > bound[k]:
         raise SingularMatrixError(
-            f"{what}: solve residual {res:.3e} exceeds {bound:.3e}"
+            f"{what}: residual {res[k]:.3e} exceeds its rounding bound {bound[k]:.3e}"
         )
 
 
@@ -152,7 +167,7 @@ def to_lcp(game, partition=None):
     s = red.rep.ownership_signs
     m = s[:, None] * x * s[None, :]
     q = s * (red.b_sig @ h) - s * red.c_sig
-    return Lcp(m=m, q=q)
+    return Lcp(m=m, q=q, reduction=red)
 
 
 @dataclass
@@ -183,8 +198,9 @@ def verify_solution(lcp, w, z, tol=1e-9):
     )
 
 
-def recover(game, partition, lcp, w, z, tol=1e-6):
-    """Map a solution of the game's ``lcp`` to values and a verified profile.
+def recover(lcp, w, z, tol=1e-6):
+    """Map a solution of ``lcp`` (from :func:`to_lcp`) to its game's values
+    and a verified profile (ValueError for an LCP without a reduction).
 
     Accepts approximate solutions: (w, z) must pass ``verify_solution`` at
     ``tol``, the profile is extracted by the per-state comparison
@@ -195,6 +211,7 @@ def recover(game, partition, lcp, w, z, tol=1e-6):
     w_i ~ z_i ~ sqrt(gap) on the central path, and that z error enters the
     values through B_tau^{-1} with gain at most 1/(1 - gamma).
     """
+    red = lcp.game_reduction("recover")
     check = verify_solution(lcp, w, z, tol)
     if not check.ok:
         raise RecoveryError(
@@ -202,7 +219,6 @@ def recover(game, partition, lcp, w, z, tol=1e-6):
             f"complementarity {check.complementarity:.3e}, "
             f"min_w {check.min_w:.3e}, min_z {check.min_z:.3e}"
         )
-    red = reduction(game, partition)
     rep = red.rep
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -221,7 +237,7 @@ def recover(game, partition, lcp, w, z, tol=1e-6):
     v_exact = value_vector(rep, choice)
     drift = float(np.max(np.abs(v_exact - v_formula)))
     allowance = tol * (1.0 + float(np.max(np.abs(v_exact))))
-    allowance += math.sqrt(max(check.complementarity, 0.0)) / (1.0 - game.gamma)
+    allowance += math.sqrt(max(check.complementarity, 0.0)) / (1.0 - rep.gamma)
     if drift > allowance:
         raise RecoveryError(
             f"recovered values disagree with the profile's values by {drift:.3e}"

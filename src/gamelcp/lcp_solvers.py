@@ -338,9 +338,9 @@ def solve_pivoting(lcp):
             raise SolverFailure(f"pivot limit {MAX_PIVOTS} exceeded")
         pivot_value = tableau[row, entering]
         tableau[row] = tableau[row] / pivot_value
-        for i in range(n):
-            if i != row and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[row]
+        col = tableau[:, entering].copy()
+        col[row] = 0.0
+        tableau -= np.outer(col, tableau[row])
         leaving = int(basis[row])
         basis[row] = entering
         if leaving == z0:

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 10**6
+VI_MAX_ITERS = 10**6
+SI_MAX_ROUNDS = 10**6
 
 
 class SolverFailure(RuntimeError):
@@ -76,7 +78,7 @@ def greedy_profile(game, v):
     return choice
 
 
-def value_iteration(game, eps=1e-8, max_iters=10**6):
+def value_iteration(game, eps=1e-8):
     """Iterate the optimality operator from v = 0 until the step is small.
 
     Stops when ||v_next - v||_inf <= eps * (1 - gamma) / (2 gamma), which
@@ -89,7 +91,7 @@ def value_iteration(game, eps=1e-8, max_iters=10**6):
     rep = _rep_of(game)
     threshold = eps * (1.0 - rep.gamma) / (2.0 * rep.gamma)
     v = np.zeros(rep.n)
-    for it in range(1, max_iters + 1):
+    for it in range(1, VI_MAX_ITERS + 1):
         v_next = bellman_backup(rep, v)
         delta = float(np.max(np.abs(v_next - v)))
         v = v_next
@@ -102,13 +104,13 @@ def value_iteration(game, eps=1e-8, max_iters=10**6):
                 method="value_iteration",
             )
     raise SolverFailure(
-        f"value iteration did not reach step {threshold:.3e} within {max_iters} "
+        f"value iteration did not reach step {threshold:.3e} within {VI_MAX_ITERS} "
         "iterations",
         last_step=delta,
     )
 
 
-def strategy_iteration(game, initial_profile=None, tol=1e-9, max_rounds=10**6):
+def strategy_iteration(game, initial_profile=None, tol=1e-9):
     """All-switch strategy iteration with cycle detection.
 
     Every round switches each state that owns a strictly improving action
@@ -125,7 +127,7 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9, max_rounds=10**6):
     else:
         choice = as_profile(game, initial_profile).copy()
     seen = {tuple(choice.tolist())}
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, SI_MAX_ROUNDS + 1):
         v = value_vector(rep, choice)
         rc = reduced_costs(rep, choice, v)
         switched = False
@@ -153,7 +155,7 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9, max_rounds=10**6):
             raise SolverFailure("strategy iteration revisited a profile (cycle)")
         seen.add(key)
         choice = new_choice
-    raise SolverFailure(f"strategy iteration exceeded {max_rounds} rounds")
+    raise SolverFailure(f"strategy iteration exceeded {SI_MAX_ROUNDS} rounds")
 
 
 def brute_force_solve(game, tol=1e-9):
@@ -163,9 +165,7 @@ def brute_force_solve(game, tol=1e-9):
     small instances.
     """
     rep = _rep_of(game)
-    counts = [len(s.actions) for s in game.states] if not isinstance(
-        game, MatrixRep
-    ) else list(np.diff(rep.offsets))
+    counts = np.diff(rep.offsets)
     total = math.prod(int(c) for c in counts)
     if total > BRUTE_FORCE_CAP:
         raise SolverFailure(

@@ -272,9 +272,9 @@ def test_08_oracle_equivalence():
             strategy_iteration(game),
         ]
         w, z, _ = solve_pivoting(lcp)
-        results.append(recover(game, partition, lcp, w, z, tol=1e-6))
+        results.append(recover(lcp, w, z, tol=1e-6))
         w, z, _ = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
-        results.append(recover(game, partition, lcp, w, z, tol=1e-6))
+        results.append(recover(lcp, w, z, tol=1e-6))
 
         reference = results[0].values
         for res in results:

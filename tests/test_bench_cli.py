@@ -257,6 +257,52 @@ def test_cli_solve_methods_agree(tmp_path, capsys, method):
     assert payload["profile"][2] == 0
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of matrix_representation and to_lcp, wherever gamelcp binds them."""
+    counts = {"matrix_representation": 0, "to_lcp": 0}
+    for name in counts:
+        real = getattr(gamelcp, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "gamelcp" or mod_name.startswith("gamelcp."):
+                for attr, val in list(vars(mod).items()):
+                    if val is real:
+                        monkeypatch.setattr(mod, attr, counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "command, matrix_builds",
+    [
+        (["certify", "--samples", "200"], 1),
+        (["solve", "--method", "ipm"], 2),
+        (["solve", "--method", "pivot"], 2),
+    ],
+)
+def test_cli_builds_the_game_matrices_once_per_op(
+    tmp_path, builds, command, matrix_builds
+):
+    # ipm and pivot build them once for the LCP and once for the CLI's own
+    # optimality check of the recovered profile
+    path = tmp_path / "game.json"
+    save_game(random_game(12, 0.9, 5), path)
+    out = tmp_path / "out.json"
+    argv = ["--output", str(out), command[0], "--game", str(path), *command[1:]]
+    assert main(argv) == 0
+    assert builds == {"matrix_representation": matrix_builds, "to_lcp": 1}
+
+
+def test_bench_builds_the_game_matrices_once_per_cell(builds):
+    rows = run_bench([6, 10], [0.5, 0.9], samples=50)
+    assert all(math.isfinite(r.solver_iters) for r in rows)
+    assert builds == {"matrix_representation": 4, "to_lcp": 4}
+
+
 def test_cli_solve_missing_file(tmp_path):
     assert main(["solve", "--game", str(tmp_path / "absent.json")]) == 2
 

@@ -352,7 +352,7 @@ def test_minors_agree_with_theta_search():
 
 def test_certify_hard_kappa_mode():
     game, part = hard_instance(10, 0.5, a_mode="kappa")
-    report = certify(game, part, CertifyOptions(seed=0, samples=2000))
+    report = certify(to_lcp(game, part), CertifyOptions(seed=0, samples=2000))
     assert report.n == 10
     assert report.kappa_est == pytest.approx(0.75, abs=1e-9)
     assert report.kappa_ub == 40.0
@@ -366,7 +366,7 @@ def test_certify_hard_kappa_mode():
 
 def test_certify_hard_theta_mode():
     game, part = hard_instance(10, 0.5, a_mode="theta")
-    report = certify(game, part, CertifyOptions(seed=0, samples=2000))
+    report = certify(to_lcp(game, part), CertifyOptions(seed=0, samples=2000))
     assert report.theta_lb == pytest.approx(1.0 / 90.0)
     assert report.theta_lb - 1e-9 <= report.theta_est <= 1.0 / 34.0 + 1e-12
     assert report.pmatrix == "structural"
@@ -376,7 +376,7 @@ def test_certify_single_state_game():
     game = make_game(
         0.5, [(1, [(2.0, [(0, 1.0)]), (2.0, [(0, 1.0)])])]
     )
-    report = certify(game, options=CertifyOptions(seed=3, samples=200))
+    report = certify(to_lcp(game), CertifyOptions(seed=3, samples=200))
     assert report.kappa_est == 0.0
     assert report.delta == pytest.approx(1.0, abs=1e-12)
     assert report.theta_est == pytest.approx(1.0, abs=1e-12)
@@ -390,7 +390,7 @@ def test_certify_accepts_well_conditioned_small_minors(seed):
     game = random_game(12, 0.99, seed)
     mc = pmatrix_check_minors(to_lcp(game, default_partition(game)).m)
     assert mc.ok and 0.0 < mc.min_scaled_minor < 1e-12
-    report = certify(game, options=CertifyOptions(seed=0, samples=200))
+    report = certify(to_lcp(game), CertifyOptions(seed=0, samples=200))
     assert report.pmatrix == "structural"
 
 
@@ -402,8 +402,8 @@ def test_minors_check_refuses_near_singular_positive_minor():
 
 def test_certify_requires_options(g3):
     game, _ = g3
-    with pytest.raises(ValueError, match="seed"):
-        certify(game)
+    with pytest.raises(TypeError, match="options"):
+        certify(to_lcp(game))
 
 
 def _cert_cases():
@@ -444,7 +444,7 @@ def test_structural_certificate_refuses_excess_row_mass():
     to_lcp(game)  # the reduction itself accepts the game
     cert = _certificate(game)
     assert not cert.ok and min(cert.mu_s, cert.mu_t) < 0.0
-    report = certify(game, options=CertifyOptions(seed=0, samples=100))
+    report = certify(to_lcp(game), CertifyOptions(seed=0, samples=100))
     assert report.pmatrix == "undecided"
     assert "not certified" in report.pmatrix_detail
     # a self-loop of mass 1.5 turns b_ii negative: M = (1 - 1.425) / 0.05 < 0
@@ -494,7 +494,7 @@ def test_cli_certify_undecided_exits_1_with_report(tmp_path, capsys):
 
 def test_report_files(tmp_path, g3):
     game, part = g3
-    report = certify(game, part, CertifyOptions(seed=7, samples=300))
+    report = certify(to_lcp(game, part), CertifyOptions(seed=7, samples=300))
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
     write_report_json(report, jpath)

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+import gamelcp.lcp as lcp_module
+from gamelcp._kernels import SingularMatrixError
+from gamelcp.bench import random_game
+from gamelcp.conditioning import CertifyOptions, certify
 from gamelcp.game import GameValidationError, is_optimal, matrix_representation, restrict
 from gamelcp.lcp import (
     Lcp,
@@ -125,7 +129,7 @@ def test_swapped_partition_nonnegative_q(g3):
     # q >= 0 means w = q, z = 0 solves the LCP outright
     check = verify_solution(lcp, lcp.q, np.zeros(3))
     assert check.ok
-    res = recover(game, swapped, lcp, lcp.q, np.zeros(3))
+    res = recover(lcp, lcp.q, np.zeros(3))
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-9)
 
 
@@ -133,7 +137,7 @@ def test_recover_g3_exact(g3):
     game, part = g3
     w = np.zeros(3)
     z = np.array([0.0, 0.0, 2.0])
-    res = recover(game, part, to_lcp(game, part), w, z)
+    res = recover(to_lcp(game, part), w, z)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
     assert res.profile[2] == 0
     rep = matrix_representation(game)
@@ -147,14 +151,14 @@ def test_recover_tolerates_tiny_noise(g3):
     rng = np.random.default_rng(37)
     w = rng.uniform(0.0, 1e-10, 3)
     z = np.array([0.0, 0.0, 2.0]) + rng.uniform(0.0, 1e-10, 3)
-    res = recover(game, part, to_lcp(game, part), w, z)
+    res = recover(to_lcp(game, part), w, z)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-8)
 
 
 def test_recover_rejects_garbage(g3):
     game, part = g3
     with pytest.raises(RecoveryError, match="residuals too large"):
-        recover(game, part, to_lcp(game, part), np.zeros(3), np.zeros(3))
+        recover(to_lcp(game, part), np.zeros(3), np.zeros(3))
 
 
 def test_verify_solution_reports(g3):
@@ -197,3 +201,46 @@ def test_partition_file_round_trip(tmp_path, g3):
     assert np.array_equal(back.sigma, part.sigma)
     assert np.array_equal(back.tau, part.tau)
     assert back.sigma.dtype == np.int64
+
+
+def test_reduction_accepts_well_posed_game_near_gamma_one():
+    # B_t's condition number is about 1e6 and the solve is backward stable;
+    # a residual bound of 1e-10 (1 + max|rhs|) refused its tau value system
+    game = random_game(4, 0.999999, 0)
+    lcp = to_lcp(game)
+    red = lcp.reduction
+    s = red.rep.ownership_signs
+    x = np.random.default_rng(3).standard_normal(4)
+    lhs = lcp.m @ (s * (red.b_tau @ x))
+    assert np.abs(lhs - s * (red.b_sig @ x)).max() <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "system, ndim", [("reduction system", 2), ("tau value system", 1)]
+)
+def test_reduction_refuses_perturbed_solve(monkeypatch, system, ndim):
+    real = lcp_module.solve
+
+    def off_by_1e8(a, b):
+        x = real(a, b)
+        return x * (1.0 + 1e-8) if np.ndim(b) == ndim else x
+
+    monkeypatch.setattr(lcp_module, "solve", off_by_1e8)
+    with pytest.raises(SingularMatrixError, match=f"{system}: .* rounding bound"):
+        to_lcp(random_game(8, 0.9, 3))
+
+
+def test_certify_and_recover_need_the_lcp_from_to_lcp(tmp_path, g3):
+    game, part = g3
+    lcp = to_lcp(game, part)
+    assert lcp.reduction is not None
+    path = tmp_path / "g3.lcp.json"
+    write_lcp(lcp, path)
+    bare = read_lcp(path)
+    assert bare.reduction is None
+    with pytest.raises(ValueError, match="to_lcp"):
+        recover(bare, np.zeros(3), np.array([0.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="to_lcp"):
+        certify(bare, CertifyOptions(seed=0, samples=10))
+    with pytest.raises(ValueError, match="to_lcp"):
+        recover(Lcp(m=lcp.m, q=lcp.q), np.zeros(3), np.array([0.0, 0.0, 2.0]))

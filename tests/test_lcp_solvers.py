@@ -16,9 +16,12 @@ from gamelcp.lcp import (
     to_lcp,
     verify_solution,
 )
+from gamelcp._kernels import solve
 from gamelcp.lcp_solvers import (
+    MAX_PIVOTS,
     IpmOptions,
     IpmTrace,
+    _lex_ratio_row,
     _max_positive_step,
     solve_pivoting,
     solve_potential_reduction,
@@ -51,7 +54,7 @@ def test_ipm_solves_g3(g3):
     # the shift has been driven (almost) all the way home
     feas = np.abs(w - lcp.q - lcp.m @ z).max()
     assert feas <= opts.epsilon * 1e-3 * 1.01
-    res = recover(game, part, lcp, w, z, tol=1e-6)
+    res = recover(lcp, w, z, tol=1e-6)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-6)
     assert np.allclose(z, [0.0, 0.0, 2.0], atol=1e-5)
 
@@ -237,6 +240,64 @@ def test_pivoting_exact_complementarity_random():
         assert check.complementarity == 0.0  # basic-z rows are zeroed exactly
 
 
+def _pivoting_row_loop(lcp):
+    """Oracle: Lemke's method with the elimination as a loop over rows."""
+    m_mat, q = lcp.m, lcp.q
+    n = q.shape[0]
+    if float(q.min()) >= 0.0:
+        return q.copy(), np.zeros(n), 0
+    z0 = 2 * n
+    tableau = np.hstack([np.eye(n), -m_mat, -np.ones((n, 1)), q.reshape(n, 1)])
+    basis = np.arange(n)
+    entering = z0
+    row = int(np.argmin(q))
+    pivots = 0
+    while True:
+        pivots += 1
+        assert pivots <= MAX_PIVOTS
+        tableau[row] = tableau[row] / tableau[row, entering]
+        for i in range(n):
+            if i != row and tableau[i, entering] != 0.0:
+                tableau[i] -= tableau[i, entering] * tableau[row]
+        leaving = int(basis[row])
+        basis[row] = entering
+        if leaving == z0:
+            break
+        entering = leaving + n if leaving < n else leaving - n
+        row = _lex_ratio_row(tableau, tableau[:, entering].copy(), n)
+        assert row >= 0
+    z_basic = np.array(sorted(int(b) - n for b in basis if n <= int(b) < z0))
+    z = np.zeros(n)
+    if z_basic.size:
+        z[z_basic] = solve(m_mat[np.ix_(z_basic, z_basic)], -q[z_basic])
+    w = q + m_mat @ z
+    w[z_basic] = 0.0
+    return w, z, pivots
+
+
+def _pivot_oracle_cases():
+    for n in (2, 5, 12, 24, 48):
+        for gamma in (0.5, 0.9, 0.999):
+            for seed in (1, 2):
+                game = random_game(n, gamma, 100 * n + seed)
+                yield to_lcp(game, default_partition(game))
+    for n in (8, 24):
+        for gamma in (0.5, 0.99):
+            for mode in ("kappa", "eigenvalue", "theta"):
+                yield to_lcp(*build_hard_instance(HardInstanceSpec(n, gamma, mode)))
+
+
+def test_pivoting_rank1_elimination_matches_row_loop():
+    pivoted = 0
+    for lcp in _pivot_oracle_cases():
+        w, z, pivots = solve_pivoting(lcp)
+        w_o, z_o, pivots_o = _pivoting_row_loop(lcp)
+        assert pivots == pivots_o
+        assert np.array_equal(w, w_o) and np.array_equal(z, z_o)
+        pivoted += pivots > 0
+    assert pivoted >= 30
+
+
 def test_solvers_agree_on_game_lcps():
     rng = np.random.default_rng(43)
     for k in range(12):
@@ -249,8 +310,8 @@ def test_solvers_agree_on_game_lcps():
         assert np.abs(z_p - z_i).max() <= 1e-6
         assert np.abs(w_p - w_i).max() <= 1e-6
         assert verify_solution(lcp, w_p, z_p).ok
-        res_p = recover(game, part, lcp, w_p, z_p)
-        res_i = recover(game, part, lcp, w_i, z_i)
+        res_p = recover(lcp, w_p, z_p)
+        res_i = recover(lcp, w_i, z_i)
         assert np.abs(res_p.values - res_i.values).max() <= 1e-9
 
 
@@ -270,4 +331,4 @@ def test_ipm_tangent_keeps_tiny_slacks_at_gamma_099(case):
     lcp = to_lcp(game, part)
     w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
     assert trace.termination == "converged"
-    recover(game, part, lcp, w, z)
+    recover(lcp, w, z)
