@@ -22,7 +22,13 @@ from .bench import (
     write_bench_csv,
 )
 from .conditioning import CertifyOptions, certify, write_report_csv, write_report_json
-from .game import GameValidationError, is_optimal, load_game, save_game
+from .game import (
+    GameValidationError,
+    is_optimal,
+    load_game,
+    matrix_representation,
+    save_game,
+)
 from .hard_instances import A_MODES, HardInstanceSpec, build_hard_instance
 from .lcp import (
     RecoveryError,
@@ -147,15 +153,18 @@ def _load_partition_or_default(game, path):
 
 def _cmd_solve(args):
     game = load_game(args.game)
-    if args.method == "vi":
-        result = value_iteration(game, eps=args.tol)
-    elif args.method == "si":
-        result = strategy_iteration(game, tol=args.tol)
-    elif args.method == "brute":
-        result = brute_force_solve(game, tol=args.tol)
+    if args.method in ("vi", "si", "brute"):
+        rep = matrix_representation(game)
+        if args.method == "vi":
+            result = value_iteration(rep, eps=args.tol)
+        elif args.method == "si":
+            result = strategy_iteration(rep, tol=args.tol)
+        else:
+            result = brute_force_solve(rep, tol=args.tol)
     else:
         partition = _load_partition_or_default(game, args.partition)
         lcp = to_lcp(game, partition)
+        rep = lcp.reduction.rep
         if args.method == "ipm":
             w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=args.tol))
             iterations = len(trace)
@@ -165,7 +174,7 @@ def _cmd_solve(args):
         result.iterations = iterations
     result.method = args.method
 
-    ok, violations = is_optimal(game, result.profile, tol=max(args.tol, 1e-9))
+    ok, violations = is_optimal(rep, result.profile, tol=max(args.tol, 1e-9))
     lines = [
         f"method={result.method} iterations={result.iterations} optimal={ok}"
     ]

@@ -61,6 +61,7 @@ MINORS_LIMIT = 20
 MINORS_TOL = 1e-12  # a minor above this times its row-max product is positive
 MINORS_CHUNK_ENTRIES = 1 << 21  # matrix entries per batched determinant call
 HILL_CLIMB_ROUNDS = 100
+CLIMB_WINDOW_ENTRIES = 1 << 15  # direction entries per climb call over hit-less rounds
 
 
 class KappaUndefined(ArithmeticError):
@@ -267,8 +268,10 @@ def structural_certificate(m_mat, b_sig, b_tau, signs):
 
 def _kappa_batch(x_rows, y_rows):
     prods = x_rows * y_rows
-    pos = np.where(prods > 0.0, prods, 0.0).sum(axis=1)
-    neg = np.where(prods < 0.0, prods, 0.0).sum(axis=1)
+    # the same summands in the same order as masking by sign; only the sign
+    # of an all-zero sum can differ, and no comparison below sees it
+    pos = np.maximum(prods, 0.0).sum(axis=1)
+    neg = np.minimum(prods, 0.0, out=prods).sum(axis=1)
     vals = np.zeros(x_rows.shape[0])
     active = pos + neg < 0.0
     safe = active & (pos > 0.0)
@@ -284,10 +287,19 @@ def _theta_batch(x_rows, y_rows):
     return vals
 
 
-def _best_sample(m_mat, n_samples, seed, batch_fn, better):
-    """Best of ``n_samples`` gaussian directions drawn from ``seed``."""
+def _gaussian_block(m_mat, n_samples, seed):
+    """``n_samples`` gaussian directions drawn from ``seed`` and M times each
+    (None when ``n_samples`` is not positive)."""
+    if n_samples <= 0:
+        return None
     x_rows = np.random.default_rng(seed).standard_normal((n_samples, m_mat.shape[0]))
-    vals = batch_fn(x_rows, x_rows @ m_mat.T)
+    return x_rows, x_rows @ m_mat.T
+
+
+def _best_sample(block, batch_fn, better):
+    """(value, direction) of the best row of a :func:`_gaussian_block`."""
+    x_rows, y_rows = block
+    vals = batch_fn(x_rows, y_rows)
     k = int(np.argmin(vals)) if better == "min" else int(np.argmax(vals))
     return float(vals[k]), x_rows[k].copy()
 
@@ -300,47 +312,70 @@ def _climb(m_mat, x0, batch_fn, better):
     any improvement halve the scale.  One ``batch_fn`` call scores every
     move left in the round from the current x, and the climb jumps to the
     first that improves.
+
+    A round without a move leaves x and y as they were, so a round's first
+    call also scores the next rounds, at scales halved once per round: a
+    window of rounds from the same x, whose first hit in (round, move)
+    order is the move the round-by-round climb takes.  The window is one
+    round, doubles after each call without a hit and falls back to one
+    after a hit; it never passes the rounds left or CLIMB_WINDOW_ENTRIES
+    direction entries per call (4 rounds at n = 64).
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
-    m_cols = np.ascontiguousarray(m_mat.T)
     best = batch_fn(x[None, :], y[None, :])[0]
+    n = x.shape[0]
     # move p is +step (p even) or -step (p odd) on coordinate p // 2
-    move_coords = np.repeat(np.arange(x.shape[0]), 2)
-    move_signs = np.tile((1.0, -1.0), x.shape[0])
+    move_coords = np.repeat(np.arange(n), 2)
+    move_signs = np.tile((1.0, -1.0), n)
+    move_cols = m_mat.T[move_coords]  # row p: the column of M that move p scales
+    n_moves = len(move_coords)
+    max_window = max(1, CLIMB_WINDOW_ENTRIES // (n_moves * n))
+    halvings = 0.5 ** np.arange(max_window)
     scale = 1.0
     sign = 1.0 if better == "max" else -1.0
-    for _ in range(HILL_CLIMB_ROUNDS):
-        pos = 0  # the next move to try
-        while pos < len(move_coords):
-            coords = move_coords[pos:]
-            moves = scale * np.maximum(1.0, np.abs(x[coords])) * move_signs[pos:]
-            if pos % 2:  # -step right after a taken +step: the step measured before it
-                moves[0] = -last_step
-            x_rows = np.repeat(x[None, :], moves.shape[0], axis=0)
-            x_rows[np.arange(moves.shape[0]), coords] += moves
-            y_rows = y + moves[:, None] * m_cols[coords]
-            vals = batch_fn(x_rows, y_rows)
-            hits = sign * vals > sign * best
-            h = int(np.argmax(hits))  # the first improving move, if any
-            if not hits[h]:
-                break
-            x, y, best, last_step = x_rows[h], y_rows[h], vals[h], moves[h]
-            pos += h + 1
-        if pos == 0:  # no move taken this round
-            scale *= 0.5
+    window = 1
+    rounds_left = HILL_CLIMB_ROUNDS
+    pos = 0  # the next move to try; 0 starts a window of rounds
+    while rounds_left:
+        rounds = min(window, rounds_left, max_window) if pos == 0 else 1
+        scales = scale * halvings[:rounds]
+        coords = move_coords[pos:]
+        # moves[r, k]: move pos + k of the r-th round from now
+        moves = scales[:, None] * np.maximum(1.0, np.abs(x[coords])) * move_signs[pos:]
+        if pos % 2:  # -step right after a taken +step: the step measured before it
+            moves[0, 0] = -last_step
+        x_rows = np.repeat(x[None, :], moves.size, axis=0)
+        x_rows.reshape(rounds, -1, n)[:, np.arange(len(coords)), coords] += moves
+        y_rows = (y + moves[:, :, None] * move_cols[pos:]).reshape(moves.size, n)
+        moves = moves.ravel()
+        vals = batch_fn(x_rows, y_rows)
+        hits = sign * vals > sign * best
+        h = int(np.argmax(hits))  # the first improving move, if any
+        if not hits[h]:
+            if pos == 0:  # rounds without a move
+                rounds_left -= rounds
+                scale = scales[-1] * 0.5
+                window *= 2
+            else:  # the round ends with the moves it took
+                rounds_left -= 1
+                pos = 0
+            continue
+        r, p = divmod(h, n_moves - pos)
+        if pos == 0:  # r rounds without a move before this one
+            rounds_left -= r
+            scale = scales[r]
+            window = 1
+        x, y, best, last_step = x_rows[h], y_rows[h], vals[h], moves[h]
+        pos += p + 1
+        if pos == n_moves:  # the round took its last move
+            rounds_left -= 1
+            pos = 0
     return best, x
 
 
-def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=()):
-    """Lower estimate of kappa(M): max of kappa_at over witnesses, seeded
-    gaussian samples, and coordinate hill climbing from the best sample.
-
-    Returns (value, direction); the value is ``kappa_at`` recomputed from
-    the returned direction.  An infinite value means a direction proved M
-    is not P* (impossible for game-derived matrices).
-    """
-    m_mat = np.asarray(m_mat, dtype=np.float64)
+def _estimate_kappa(m_mat, witnesses, block):
+    """:func:`estimate_kappa` with its samples drawn as ``block``."""
     best_val = 0.0
     best_x = np.zeros(m_mat.shape[0])
     best_x[0] = 1.0
@@ -352,8 +387,8 @@ def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=()):
             return np.inf, wit
         if val > best_val:
             best_val, best_x = val, wit.copy()
-    if n_samples > 0:
-        val, x = _best_sample(m_mat, n_samples, seed, _kappa_batch, "max")
+    if block is not None:
+        val, x = _best_sample(block, _kappa_batch, "max")
         if val > best_val:
             best_val, best_x = val, x
     if math.isinf(best_val):
@@ -367,14 +402,20 @@ def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=()):
         return np.inf, best_x
 
 
-def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=()):
-    """Upper estimate of theta(M): min of theta_at over witnesses, the
-    uniform direction, seeded samples, and hill climbing from the best.
+def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=()):
+    """Lower estimate of kappa(M): max of kappa_at over witnesses, seeded
+    gaussian samples, and coordinate hill climbing from the best sample.
 
-    Returns (value, direction); the direction is unit 2-norm and the value
-    is ``theta_at`` recomputed from it.
+    Returns (value, direction); the value is ``kappa_at`` recomputed from
+    the returned direction.  An infinite value means a direction proved M
+    is not P* (impossible for game-derived matrices).
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
+    return _estimate_kappa(m_mat, witnesses, _gaussian_block(m_mat, n_samples, seed))
+
+
+def _estimate_theta(m_mat, witnesses, block):
+    """:func:`estimate_theta` with its samples drawn as ``block``."""
     n = m_mat.shape[0]
     uniform = np.full(n, 1.0 / math.sqrt(n))
     best_val = theta_at(m_mat, uniform)
@@ -384,8 +425,8 @@ def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=()):
         val = theta_at(m_mat, wit)
         if val < best_val:
             best_val, best_x = val, wit.copy()
-    if n_samples > 0:
-        val, x = _best_sample(m_mat, n_samples, seed, _theta_batch, "min")
+    if block is not None:
+        val, x = _best_sample(block, _theta_batch, "min")
         if val < best_val:
             best_val, best_x = val, x
     val, x = _climb(m_mat, best_x, _theta_batch, "min")
@@ -393,6 +434,17 @@ def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=()):
         best_x = x
     best_x = best_x / np.linalg.norm(best_x)
     return theta_at(m_mat, best_x), best_x
+
+
+def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=()):
+    """Upper estimate of theta(M): min of theta_at over witnesses, the
+    uniform direction, seeded samples, and hill climbing from the best.
+
+    Returns (value, direction); the direction is unit 2-norm and the value
+    is ``theta_at`` recomputed from it.
+    """
+    m_mat = np.asarray(m_mat, dtype=np.float64)
+    return _estimate_theta(m_mat, witnesses, _gaussian_block(m_mat, n_samples, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +505,14 @@ def certify(lcp, options):
     holds for the computed M and the LCP's B_s, B_t, else ``undecided``.
     """
     red = lcp.game_reduction("certify")
-    m_mat = lcp.m
+    m_mat = np.asarray(lcp.m, dtype=np.float64)
     n, gamma, signs = red.rep.n, red.rep.gamma, red.rep.ownership_signs
     witnesses = [red.c_tau, signs * red.c_tau]
-    kappa_est, _ = estimate_kappa(m_mat, options.samples, options.seed, witnesses)
-    theta_est, _ = estimate_theta(m_mat, options.samples, options.seed, witnesses)
+    # both estimators score one draw: estimate_kappa and estimate_theta
+    # called alone with this seed and these witnesses return the same values
+    block = _gaussian_block(m_mat, options.samples, options.seed)
+    kappa_est, _ = _estimate_kappa(m_mat, witnesses, block)
+    theta_est, _ = _estimate_theta(m_mat, witnesses, block)
     delta, _ = smallest_eigenvalue_sym(m_mat)
     cert = structural_certificate(m_mat, red.b_sig, red.b_tau, signs)
     cond = -delta / theta_est

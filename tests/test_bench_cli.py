@@ -280,21 +280,24 @@ def builds(monkeypatch):
     "command, matrix_builds",
     [
         (["certify", "--samples", "200"], 1),
-        (["solve", "--method", "ipm"], 2),
-        (["solve", "--method", "pivot"], 2),
+        (["solve", "--method", "ipm"], 1),
+        (["solve", "--method", "pivot"], 1),
+        (["solve", "--method", "vi"], 1),
+        (["solve", "--method", "si"], 1),
     ],
 )
 def test_cli_builds_the_game_matrices_once_per_op(
     tmp_path, builds, command, matrix_builds
 ):
-    # ipm and pivot build them once for the LCP and once for the CLI's own
-    # optimality check of the recovered profile
+    # the solver and the CLI's own optimality check of its profile share
+    # one build: the one to_lcp keeps for ipm and pivot, the CLI's for vi, si
     path = tmp_path / "game.json"
     save_game(random_game(12, 0.9, 5), path)
     out = tmp_path / "out.json"
     argv = ["--output", str(out), command[0], "--game", str(path), *command[1:]]
     assert main(argv) == 0
-    assert builds == {"matrix_representation": matrix_builds, "to_lcp": 1}
+    lcp_builds = 0 if command[-1] in ("vi", "si") else 1
+    assert builds == {"matrix_representation": matrix_builds, "to_lcp": lcp_builds}
 
 
 def test_bench_builds_the_game_matrices_once_per_cell(builds):

@@ -275,6 +275,183 @@ def test_estimate_theta_zero_move_is_not_a_direction():
     assert x.tolist() == [1.0]
 
 
+# The round-by-round climb, one call per round or per remaining scan: the
+# exact reference for ``_climb``, which scores runs of hit-less rounds in one
+# call and must return the same x and value bit for bit.
+
+
+def _round_by_round_climb(m_mat, x0, batch_fn, better):
+    x = np.asarray(x0, dtype=np.float64).copy()
+    y = m_mat @ x
+    m_cols = np.ascontiguousarray(m_mat.T)
+    best = batch_fn(x[None, :], y[None, :])[0]
+    # move p is +step (p even) or -step (p odd) on coordinate p // 2
+    move_coords = np.repeat(np.arange(x.shape[0]), 2)
+    move_signs = np.tile((1.0, -1.0), x.shape[0])
+    scale = 1.0
+    sign = 1.0 if better == "max" else -1.0
+    for _ in range(cond.HILL_CLIMB_ROUNDS):
+        pos = 0  # the next move to try
+        while pos < len(move_coords):
+            coords = move_coords[pos:]
+            moves = scale * np.maximum(1.0, np.abs(x[coords])) * move_signs[pos:]
+            if pos % 2:  # -step right after a taken +step: the step measured before it
+                moves[0] = -last_step
+            x_rows = np.repeat(x[None, :], moves.shape[0], axis=0)
+            x_rows[np.arange(moves.shape[0]), coords] += moves
+            y_rows = y + moves[:, None] * m_cols[coords]
+            vals = batch_fn(x_rows, y_rows)
+            hits = sign * vals > sign * best
+            h = int(np.argmax(hits))  # the first improving move, if any
+            if not hits[h]:
+                break
+            x, y, best, last_step = x_rows[h], y_rows[h], vals[h], moves[h]
+            pos += h + 1
+        if pos == 0:  # no move taken this round
+            scale *= 0.5
+    return best, x
+
+
+def _certify_witnesses(lcp):
+    red = lcp.reduction
+    return [red.c_tau, red.rep.ownership_signs * red.c_tau]
+
+
+def _climb_starts(monkeypatch, m_mat, witnesses, samples=500, seed=5):
+    """(x0, batch_fn, better) of every climb the two estimators run."""
+    starts = []
+    real = cond._climb
+
+    def spy(m, x0, batch_fn, better):
+        starts.append((np.array(x0, dtype=np.float64), batch_fn, better))
+        return real(m, x0, batch_fn, better)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cond, "_climb", spy)
+        estimate_kappa(m_mat, samples, seed, witnesses)
+        estimate_theta(m_mat, samples, seed, witnesses)
+    return starts
+
+
+def _counted(batch_fn, rows):
+    def counting(x_rows, y_rows):
+        rows.append(x_rows.shape[0])
+        return batch_fn(x_rows, y_rows)
+
+    return counting
+
+
+def _climb_identity_cases():
+    for n in (8, 64):
+        for a_mode in ("kappa", "eigenvalue", "theta"):
+            game, part = hard_instance(n, 0.9, a_mode=a_mode)
+            lcp = to_lcp(game, part)
+            yield f"hard-{n}-{a_mode}", lcp.m, _certify_witnesses(lcp)
+    for n in (1, 8, 24):
+        for gamma in (0.5, 0.99):
+            game = random_game(n, gamma, 40 + n)
+            yield f"random-{n}-{gamma}", to_lcp(game, default_partition(game)).m, ()
+
+
+@pytest.mark.parametrize("case", list(_climb_identity_cases()), ids=lambda c: c[0])
+def test_windowed_climb_is_bit_identical_to_round_by_round(monkeypatch, case):
+    _, m_mat, witnesses = case
+    n = m_mat.shape[0]
+    max_window = max(1, cond.CLIMB_WINDOW_ENTRIES // (2 * n * n))
+    rows = []
+    for x0, batch_fn, better in _climb_starts(monkeypatch, m_mat, witnesses):
+        got_val, got_x = cond._climb(m_mat, x0, _counted(batch_fn, rows), better)
+        want_val, want_x = _round_by_round_climb(m_mat, x0, batch_fn, better)
+        assert np.array_equal(got_x, want_x)
+        assert got_val == want_val
+    assert max(rows) <= max_window * 2 * n
+    if n == 64:  # the entry cap bites: windows stop at 4 rounds of 128 moves
+        assert max_window == 4 and max(rows) == 4 * 128
+
+
+def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
+    # kappa_est is 0 here: the climb starts from e_0 on the kappa = 0
+    # plateau and no round moves x, so windows of 1, 2, 4, 8, 16 and then
+    # the entry cap's 28 rounds (n = 24) score all 100 rounds in 8 calls
+    game = random_game(24, 0.9, 1900)
+    lcp = to_lcp(game, default_partition(game))
+    witnesses = _certify_witnesses(lcp)
+    assert estimate_kappa(lcp.m, 10_000, 0, witnesses)[0] == 0.0
+    starts = _climb_starts(monkeypatch, lcp.m, witnesses, samples=10_000, seed=0)
+    x0, batch_fn, better = starts[0]
+    assert batch_fn is cond._kappa_batch and x0.tolist() == [1.0] + [0.0] * 23
+    rows = []
+    got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better)
+    want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better)
+    assert got_val == want_val == 0.0 and np.array_equal(got_x, want_x)
+    # one call scores the start, then one per window of 48-move rounds
+    assert rows == [1] + [48 * w for w in (1, 2, 4, 8, 16, 28, 28, 13)]
+
+
+def _certify_cases():
+    for n in (1, 8, 24):
+        for gamma in (0.5, 0.99):
+            yield f"random-{n}-{gamma}", random_game(n, gamma, 60 + n), None
+    for n in (8, 32):
+        for a_mode in ("kappa", "theta"):
+            game, part = hard_instance(n, 0.9, a_mode=a_mode)
+            yield f"hard-{n}-{a_mode}", game, part
+
+
+@pytest.mark.parametrize("case", list(_certify_cases()), ids=lambda c: c[0])
+def test_certify_estimates_equal_the_estimators_called_alone(case):
+    # certify draws its gaussian block once for both estimators
+    _, game, part = case
+    lcp = to_lcp(game, part)
+    witnesses = _certify_witnesses(lcp)
+    report = certify(lcp, CertifyOptions(seed=11, samples=3000))
+    kappa, _ = estimate_kappa(lcp.m, 3000, 11, witnesses)
+    theta, _ = estimate_theta(lcp.m, 3000, 11, witnesses)
+    assert report.kappa_est == kappa
+    assert report.theta_est == theta
+
+
+def _kappa_batch_by_where(x_rows, y_rows):
+    prods = x_rows * y_rows
+    pos = np.where(prods > 0.0, prods, 0.0).sum(axis=1)
+    neg = np.where(prods < 0.0, prods, 0.0).sum(axis=1)
+    vals = np.zeros(x_rows.shape[0])
+    active = pos + neg < 0.0
+    safe = active & (pos > 0.0)
+    vals[safe] = (-neg[safe] / pos[safe] - 1.0) / 4.0
+    vals[active & ~safe] = np.inf
+    return vals
+
+
+def test_kappa_batch_sign_split_matches_where():
+    rng = np.random.default_rng(9)
+    x_rows = rng.standard_normal((400, 24))
+    y_rows = rng.standard_normal((400, 24)) * rng.choice((1e-3, 1.0, 1e3), (400, 1))
+    edge_x = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],  # all products zero
+            [1.0, -2.0, 3.0, 0.5],  # all products negative
+            [1.0, 0.0, 2.0, -1.0],  # exact zeros beside both signs
+            [-0.0, 1.0, -1.0, 2.0],  # a -0.0 entry
+        ]
+    )
+    edge_y = np.array(
+        [
+            [1.0, -1.0, 2.0, 0.0],
+            [-1.0, 1.0, -0.5, -2.0],
+            [3.0, 5.0, -4.0, -1.0],
+            [1.0, 2.0, 1.0, -3.0],
+        ]
+    )
+    for xs, ys in ((x_rows, y_rows), (edge_x, edge_y)):
+        want = [
+            _kappa_batch_by_where(xs[i : i + 1], ys[i : i + 1])[0]
+            for i in range(len(xs))
+        ]
+        assert np.array_equal(cond._kappa_batch(xs, ys), want)
+    assert cond._kappa_batch(edge_x, edge_y).tolist() == [0.0, np.inf, 0.25, 0.625]
+
+
 def test_minors_check_g3(g3):
     game, part = g3
     mc = pmatrix_check_minors(to_lcp(game, part).m)
