@@ -17,6 +17,7 @@ has reduced cost <= 0 (up to tolerance).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,7 @@ def validate_game(obj):
                 raise GameValidationError(
                     f"state {i} action {a}: malformed entry: {exc}"
                 ) from exc
-            if not np.isfinite(cost):
+            if not math.isfinite(cost):
                 raise GameValidationError(f"state {i} action {a}: non-finite cost")
             mass = 0.0
             for j, p in dist:
@@ -135,7 +136,7 @@ def validate_game(obj):
                     raise GameValidationError(
                         f"state {i} action {a}: target {j} out of range [0, {n})"
                     )
-                if not np.isfinite(p) or p < 0.0:
+                if not math.isfinite(p) or p < 0.0:
                     raise GameValidationError(
                         f"state {i} action {a}: bad probability {p}"
                     )
@@ -186,16 +187,14 @@ class MatrixRep:
     """Dense matrix view of a game.
 
     p is the (m, n) row-stochastic action transition matrix, costs the
-    (m,) cost vector, source the (m, n) one-hot matrix mapping each action
-    row to its source state, and ownership_signs the (n,) vector with -1
-    on player-1 states and +1 on player-2 states.  offsets[i]:offsets[i+1]
+    (m,) cost vector, and ownership_signs the (n,) vector with -1 on
+    player-1 states and +1 on player-2 states.  offsets[i]:offsets[i+1]
     slices the action rows of state i; state_of_action maps rows back.
     """
 
     gamma: float
     p: np.ndarray
     costs: np.ndarray
-    source: np.ndarray
     ownership_signs: np.ndarray
     offsets: np.ndarray
     state_of_action: np.ndarray
@@ -204,6 +203,13 @@ class MatrixRep:
     @property
     def n(self):
         return self.p.shape[1]
+
+    @property
+    def source(self):
+        """The (m, n) one-hot matrix mapping each action row to its source state."""
+        out = np.zeros(self.p.shape)
+        out[np.arange(self.p.shape[0]), self.state_of_action] = 1.0
+        return out
 
     def ownership_matrix(self):
         return np.diag(self.ownership_signs.astype(np.float64))
@@ -214,7 +220,6 @@ def matrix_representation(game):
     m = game.n_actions
     p = np.zeros((m, n))
     costs = np.empty(m)
-    source = np.zeros((m, n))
     offsets = np.zeros(n + 1, dtype=np.int64)
     state_of_action = np.empty(m, dtype=np.int64)
     owners = np.empty(n, dtype=np.int64)
@@ -224,7 +229,6 @@ def matrix_representation(game):
         offsets[i] = row
         for a in s.actions:
             costs[row] = a.cost
-            source[row, i] = 1.0
             for j, prob in a.dist:
                 p[row, j] += prob
             state_of_action[row] = i
@@ -235,7 +239,6 @@ def matrix_representation(game):
         gamma=game.gamma,
         p=p,
         costs=costs,
-        source=source,
         ownership_signs=signs,
         offsets=offsets,
         state_of_action=state_of_action,

@@ -34,6 +34,7 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 10**6
 VI_MAX_ITERS = 10**6
+VI_BLOCK = 32  # iterates per stop-rule check in value_iteration
 SI_MAX_ROUNDS = 10**6
 
 
@@ -57,57 +58,112 @@ def _rep_of(game):
     return game if isinstance(game, MatrixRep) else matrix_representation(game)
 
 
+class _SignedRows:
+    """A game's action rows with each owner's sign folded in, built once per solve.
+
+    sign_a is +1 on player-1 actions and -1 on player-2 actions, so every
+    state's best action is the lowest of sign_a * y, and max(y) = -min(-y).
+    Negation is exact: sign_a * (c + gamma P v) = sc + sg * (P v) bit for
+    bit, with sc = sign_a * c and sg = sign_a * gamma.
+    """
+
+    def __init__(self, rep):
+        self.rep = rep
+        self.sign = -rep.ownership_signs
+        self.sign_a = self.sign[rep.state_of_action]
+        self.sc = self.sign_a * rep.costs
+        self.sg = self.sign_a * rep.gamma
+        self.starts = rep.offsets[:-1]
+
+    def signed_y(self, v):
+        """sign_a * (c + gamma P v): every action's signed one-step value."""
+        return self.sc + self.sg * (self.rep.p @ v)
+
+    def backup(self, v, out=None):
+        """One step of the optimality operator, written to ``out`` if given."""
+        lows = np.minimum.reduceat(self.signed_y(v), self.starts)
+        return np.multiply(self.sign, lows, out=out)
+
+    def first_best(self, signed):
+        """Lowest slot per state attaining the segment minimum of ``signed``.
+
+        A NaN counts as attaining it, so a segment holding one gives its
+        first NaN, as argmin and argmax do.
+        """
+        lows = np.minimum.reduceat(signed, self.starts)
+        hit = (signed == lows[self.rep.state_of_action]) | np.isnan(signed)
+        pos = np.flatnonzero(hit)
+        return pos[np.searchsorted(pos, self.starts)] - self.starts
+
+
 def bellman_backup(game, v):
     """One step of the optimality operator: per-state best one-step value."""
-    rep = _rep_of(game)
-    y = rep.costs + rep.gamma * (rep.p @ np.asarray(v, dtype=np.float64))
-    # +1 on player-1 states, -1 on player-2 states: max(y) = -min(-y) exactly
-    sign = -rep.ownership_signs
-    return sign * np.minimum.reduceat(sign[rep.state_of_action] * y, rep.offsets[:-1])
+    return _SignedRows(_rep_of(game)).backup(np.asarray(v, dtype=np.float64))
 
 
 def greedy_profile(game, v):
     """Slot of the best action per state against v, lowest slot on ties."""
-    rep = _rep_of(game)
-    y = rep.costs + rep.gamma * (rep.p @ np.asarray(v, dtype=np.float64))
-    n = rep.n
-    choice = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        seg = y[rep.offsets[i] : rep.offsets[i + 1]]
-        choice[i] = np.argmin(seg) if rep.owners[i] == PLAYER_MIN else np.argmax(seg)
-    return choice
+    rows = _SignedRows(_rep_of(game))
+    return rows.first_best(rows.signed_y(np.asarray(v, dtype=np.float64)))
 
 
 def value_iteration(game, eps=1e-8):
     """Iterate the optimality operator from v = 0 until the step is small.
 
-    Stops when ||v_next - v||_inf <= eps * (1 - gamma) / (2 gamma), which
-    puts v within eps of the optimal values by the standard contraction
-    argument.  The returned profile is greedy against the final iterate and
-    the returned values are that profile's exact values.
+    Stops at the first iterate with ||v_k - v_{k-1}||_inf <= eps * (1 -
+    gamma) / (2 gamma), which puts v within eps of the optimal values by the
+    standard contraction argument.  The returned profile is greedy against
+    that iterate and the returned values are that profile's exact values.
+
+    The stop rule is checked per block: VI_BLOCK iterates are written into
+    one array, then all their steps are measured in one call and the first
+    that meets the rule ends the run.  The iterates, the iteration count
+    and the result are those of checking after every step.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     rep = _rep_of(game)
+    rows = _SignedRows(rep)
     threshold = eps * (1.0 - rep.gamma) / (2.0 * rep.gamma)
-    v = np.zeros(rep.n)
-    for it in range(1, VI_MAX_ITERS + 1):
-        v_next = bellman_backup(rep, v)
-        delta = float(np.max(np.abs(v_next - v)))
-        v = v_next
-        if delta <= threshold:
-            choice = greedy_profile(rep, v)
+    block = np.zeros((VI_BLOCK + 1, rep.n))  # block[0] is the last iterate so far
+    done = 0
+    while done < VI_MAX_ITERS:
+        k = min(VI_BLOCK, VI_MAX_ITERS - done)
+        for j in range(1, k + 1):
+            rows.backup(block[j - 1], out=block[j])
+        steps = np.abs(block[1 : k + 1] - block[:k]).max(axis=1)
+        met = np.flatnonzero(steps <= threshold)
+        if met.size:
+            v = block[met[0] + 1]
+            choice = rows.first_best(rows.signed_y(v))
             return SolveResult(
                 values=value_vector(rep, choice),
                 profile=choice,
-                iterations=it,
+                iterations=done + int(met[0]) + 1,
                 method="value_iteration",
             )
+        done += k
+        block[0] = block[k]
     raise SolverFailure(
         f"value iteration did not reach step {threshold:.3e} within {VI_MAX_ITERS} "
         "iterations",
-        last_step=delta,
+        last_step=float(steps[k - 1]),
     )
+
+
+def _switch(rows, choice, rc, tol):
+    """Strategy iteration's switch rule; None when no state improves.
+
+    A state improves when its best reduced cost is < -tol (player 1) or
+    > tol (player 2), i.e. when its signed best is < -tol; it then moves to
+    that best slot, the lowest on ties.
+    """
+    signed = rows.sign_a * rc
+    best = rows.first_best(signed)
+    improving = signed[rows.starts + best] < -tol
+    if not improving.any():
+        return None
+    return np.where(improving, best, choice)
 
 
 def strategy_iteration(game, initial_profile=None, tol=1e-9):
@@ -120,6 +176,7 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     arithmetic; guards against tolerance misuse).
     """
     rep = _rep_of(game)
+    rows = _SignedRows(rep)
     if initial_profile is None:
         choice = np.zeros(rep.n, dtype=np.int64)
     elif isinstance(game, MatrixRep):
@@ -129,21 +186,8 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     seen = {tuple(choice.tolist())}
     for rounds in range(1, SI_MAX_ROUNDS + 1):
         v = value_vector(rep, choice)
-        rc = reduced_costs(rep, choice, v)
-        switched = False
-        new_choice = choice.copy()
-        for i in range(rep.n):
-            seg = rc[rep.offsets[i] : rep.offsets[i + 1]]
-            if rep.owners[i] == PLAYER_MIN:
-                best = int(np.argmin(seg))
-                improving = seg[best] < -tol
-            else:
-                best = int(np.argmax(seg))
-                improving = seg[best] > tol
-            if improving:
-                new_choice[i] = best
-                switched = True
-        if not switched:
+        new_choice = _switch(rows, choice, reduced_costs(rep, choice, v), tol)
+        if new_choice is None:
             return SolveResult(
                 values=v,
                 profile=choice,

@@ -110,6 +110,20 @@ def test_validation_rejections():
     with pytest.raises(GameValidationError, match="owner"):
         validate_game(bad)
 
+    for cost in (float("inf"), float("-inf"), float("nan")):
+        bad = json.loads(json.dumps(ok))
+        bad["states"][0]["actions"][0]["cost"] = cost
+        with pytest.raises(GameValidationError, match="^state 0 action 0: non-finite cost$"):
+            validate_game(bad)
+
+    for prob, shown in ((float("inf"), "inf"), (float("nan"), "nan"), (-0.5, "-0.5")):
+        bad = json.loads(json.dumps(ok))
+        bad["states"][0]["actions"][0]["dist"] = [[0, prob], [0, 1.0]]
+        with pytest.raises(
+            GameValidationError, match=f"^state 0 action 0: bad probability {shown}$"
+        ):
+            validate_game(bad)
+
 
 def test_single_state_minimizer_rep():
     game = make_game(0.5, [(1, [(2.0, [(0, 1.0)])])])

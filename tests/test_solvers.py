@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from gamelcp import solvers
 from gamelcp.game import PLAYER_MIN, matrix_representation, reduced_costs, value_vector
 from gamelcp.solvers import (
+    SolveResult,
     SolverFailure,
     bellman_backup,
     brute_force_solve,
+    greedy_profile,
     strategy_iteration,
     value_iteration,
 )
@@ -32,11 +35,10 @@ def _two_reduceat_backup(rep, v):
     return np.where(rep.owners == PLAYER_MIN, mins, maxs)
 
 
-def test_bellman_backup_matches_two_reduceat_oracle():
-    # max(y) = -min(-y) is exact, so the signed reduction is bit-identical;
-    # the hand-built game has 1- and 3-action states for uneven segments
-    uneven = make_game(
-        0.9,
+def _uneven_game(gamma=0.9):
+    # 1- and 3-action states of both owners, for uneven segments
+    return make_game(
+        gamma,
         [
             (1, [(1.5, [(1, 1.0)])]),
             (2, [(-2.0, [(0, 0.5), (2, 0.5)]), (3.0, [(1, 1.0)]), (0.25, [(2, 1.0)])]),
@@ -44,6 +46,12 @@ def test_bellman_backup_matches_two_reduceat_oracle():
             (2, [(-7.0, [(3, 1.0)])]),
         ],
     )
+
+
+def test_bellman_backup_matches_two_reduceat_oracle():
+    # max(y) = -min(-y) is exact, so the signed reduction is bit-identical;
+    # the hand-built game has 1- and 3-action states for uneven segments
+    uneven = _uneven_game()
     games = [uneven] + [random_game(n, 0.95, seed=700 + n) for n in (1, 5, 16, 64)]
     rng = np.random.default_rng(17)
     for game in games:
@@ -170,3 +178,181 @@ def test_cross_method_agreement_random():
         res_s = strategy_iteration(game)
         assert np.abs(res_b.values - res_v.values).max() <= 1e-6
         assert np.abs(res_b.values - res_s.values).max() <= 1e-6
+
+
+# The stepwise, per-state solvers as first written, kept verbatim (with the
+# two-reduceat backup for bellman_backup) as bit-exact oracles for the
+# signed, block-checked and loop-free versions.
+
+
+def _oracle_greedy_profile(rep, v):
+    y = rep.costs + rep.gamma * (rep.p @ np.asarray(v, dtype=np.float64))
+    n = rep.n
+    choice = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        seg = y[rep.offsets[i] : rep.offsets[i + 1]]
+        choice[i] = np.argmin(seg) if rep.owners[i] == PLAYER_MIN else np.argmax(seg)
+    return choice
+
+
+def _oracle_value_iteration(rep, eps=1e-8):
+    threshold = eps * (1.0 - rep.gamma) / (2.0 * rep.gamma)
+    v = np.zeros(rep.n)
+    for it in range(1, solvers.VI_MAX_ITERS + 1):
+        v_next = _two_reduceat_backup(rep, v)
+        delta = float(np.max(np.abs(v_next - v)))
+        v = v_next
+        if delta <= threshold:
+            choice = _oracle_greedy_profile(rep, v)
+            return SolveResult(
+                values=value_vector(rep, choice),
+                profile=choice,
+                iterations=it,
+                method="value_iteration",
+            )
+    raise SolverFailure(
+        f"value iteration did not reach step {threshold:.3e} within "
+        f"{solvers.VI_MAX_ITERS} iterations",
+        last_step=delta,
+    )
+
+
+def _oracle_switch(rep, choice, rc, tol):
+    switched = False
+    new_choice = choice.copy()
+    for i in range(rep.n):
+        seg = rc[rep.offsets[i] : rep.offsets[i + 1]]
+        if rep.owners[i] == PLAYER_MIN:
+            best = int(np.argmin(seg))
+            improving = seg[best] < -tol
+        else:
+            best = int(np.argmax(seg))
+            improving = seg[best] > tol
+        if improving:
+            new_choice[i] = best
+            switched = True
+    return new_choice if switched else None
+
+
+def _oracle_strategy_iteration(rep, tol=1e-9):
+    choice = np.zeros(rep.n, dtype=np.int64)
+    rounds = 0
+    while True:
+        v = value_vector(rep, choice)
+        new_choice = _oracle_switch(rep, choice, reduced_costs(rep, choice, v), tol)
+        if new_choice is None:
+            return SolveResult(v, choice, rounds, "strategy_iteration")
+        choice = new_choice
+        rounds += 1
+
+
+def _oracle_games():
+    games = [_uneven_game(g) for g in (0.5, 0.9, 0.99, 0.999)]
+    for n in (1, 5, 16, 64):
+        for gamma in (0.5, 0.9, 0.99, 0.999):
+            games.append(random_game(n, gamma, seed=900 + n))
+    return games
+
+
+def _same_result(got, want):
+    assert got.iterations == want.iterations
+    assert got.profile.dtype == want.profile.dtype
+    assert np.array_equal(got.profile, want.profile)
+    assert np.array_equal(got.values, want.values)
+
+
+def test_value_iteration_matches_stepwise_oracle():
+    ends = set()
+    for game in _oracle_games():
+        rep = matrix_representation(game)
+        want = _oracle_value_iteration(rep)
+        _same_result(value_iteration(rep), want)
+        ends.add(want.iterations % solvers.VI_BLOCK)
+    assert len(ends) > 4  # runs stop at many places within a block
+
+
+@pytest.mark.parametrize("cap", [1, 7, solvers.VI_BLOCK, 2 * solvers.VI_BLOCK + 5])
+def test_value_iteration_cap_matches_oracle(cap, monkeypatch):
+    rep = matrix_representation(random_game(16, 0.999, seed=916))
+    monkeypatch.setattr(solvers, "VI_MAX_ITERS", cap)
+    with pytest.raises(SolverFailure) as want:
+        _oracle_value_iteration(rep)
+    with pytest.raises(SolverFailure) as got:
+        value_iteration(rep)
+    assert str(got.value) == str(want.value)
+    assert got.value.context["last_step"] == want.value.context["last_step"]
+
+
+def test_value_iteration_stops_exactly_at_the_cap(monkeypatch):
+    # a run that meets the stop rule on its last allowed iterate succeeds,
+    # one iterate fewer fails; the count is not a multiple of the block
+    rep = matrix_representation(random_game(5, 0.9, seed=906))
+    needed = _oracle_value_iteration(rep).iterations
+    assert needed % solvers.VI_BLOCK != 0
+    monkeypatch.setattr(solvers, "VI_MAX_ITERS", needed)
+    _same_result(value_iteration(rep), _oracle_value_iteration(rep))
+    monkeypatch.setattr(solvers, "VI_MAX_ITERS", needed - 1)
+    with pytest.raises(SolverFailure, match=f"within {needed - 1} iterations"):
+        value_iteration(rep)
+
+
+def _tie_game():
+    # duplicated actions give exact ties in 1-, 2- and 3-action states
+    twin = (1.0, [(0, 0.5), (1, 0.5)])
+    return make_game(
+        0.9,
+        [
+            (1, [twin, twin, (2.0, [(2, 1.0)])]),
+            (2, [twin, (1.0, [(1, 0.5), (0, 0.5)]), twin]),
+            (1, [(0.0, [(2, 1.0)])]),
+            (2, [(3.0, [(3, 1.0)]), (3.0, [(3, 1.0)])]),
+        ],
+    )
+
+
+def test_greedy_profile_matches_per_state_oracle():
+    rng = np.random.default_rng(31)
+    for game in [_tie_game(), _uneven_game()] + _oracle_games()[4::3]:
+        rep = matrix_representation(game)
+        # integer values and costs tie often; v = 0 ties every twin
+        vs = [np.zeros(rep.n)] + [rng.integers(-2, 3, rep.n).astype(float) for _ in range(20)]
+        vs += [rng.normal(size=rep.n) for _ in range(5)]
+        for v in vs:
+            got = greedy_profile(rep, v)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _oracle_greedy_profile(rep, v))
+    rep = matrix_representation(_tie_game())
+    assert greedy_profile(rep, np.zeros(4)).tolist() == [0, 0, 0, 0]
+
+
+def test_switch_rule_matches_per_state_oracle():
+    rng = np.random.default_rng(37)
+    tol = 0.25
+    for game in (_tie_game(), _uneven_game(), random_game(16, 0.9, seed=3)):
+        rep = matrix_representation(game)
+        rows = solvers._SignedRows(rep)
+        m = rep.p.shape[0]
+        choice = np.zeros(rep.n, dtype=np.int64)
+        for _ in range(200):
+            # exact ties, reduced costs exactly at -tol, 0 and +tol, and NaNs,
+            # where argmin and argmax take the first NaN, which never improves
+            rc = rng.choice([-2 * tol, -tol, 0.0, tol, 2 * tol, np.nan], size=m)
+            want = _oracle_switch(rep, choice, rc, tol)
+            got = solvers._switch(rows, choice, rc, tol)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+    rep = matrix_representation(_tie_game())
+    rows = solvers._SignedRows(rep)
+    choice = np.array([2, 1, 0, 1])
+    assert solvers._switch(rows, choice, np.full(9, tol), tol) is None
+    assert solvers._switch(rows, choice, np.full(9, -tol), tol) is None
+    # a state improves past tol to its lowest tied slot, others keep theirs
+    rc = np.array([-1.0, -1.0, 0.0, 1.0, 0.0, 1.0, 0.0, tol, tol])
+    assert solvers._switch(rows, choice, rc, tol).tolist() == [0, 0, 0, 1]
+
+
+def test_strategy_iteration_matches_per_state_oracle():
+    for game in [_tie_game()] + _oracle_games():
+        rep = matrix_representation(game)
+        _same_result(strategy_iteration(rep), _oracle_strategy_iteration(rep))
