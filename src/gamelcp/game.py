@@ -217,23 +217,22 @@ class MatrixRep:
 
 def matrix_representation(game):
     n = game.n_states
-    m = game.n_actions
-    p = np.zeros((m, n))
-    costs = np.empty(m)
+    actions = [a for s in game.states for a in s.actions]
+    m = len(actions)
+    counts = [len(s.actions) for s in game.states]
     offsets = np.zeros(n + 1, dtype=np.int64)
-    state_of_action = np.empty(m, dtype=np.int64)
-    owners = np.empty(n, dtype=np.int64)
-    row = 0
-    for i, s in enumerate(game.states):
-        owners[i] = s.owner
-        offsets[i] = row
-        for a in s.actions:
-            costs[row] = a.cost
-            for j, prob in a.dist:
-                p[row, j] += prob
-            state_of_action[row] = i
-            row += 1
-    offsets[n] = row
+    np.cumsum(counts, out=offsets[1:])
+    state_of_action = np.repeat(np.arange(n, dtype=np.int64), counts)
+    owners = np.array([s.owner for s in game.states], dtype=np.int64)
+    costs = np.array([a.cost for a in actions], dtype=np.float64)
+    # one scatter of every distribution entry, in action order: np.add.at
+    # accumulates repeated targets in that order, as a per-entry loop would,
+    # and refuses a target out of range the same way
+    rows = np.repeat(np.arange(m, dtype=np.int64), [len(a.dist) for a in actions])
+    cols = np.array([j for a in actions for j, _ in a.dist], dtype=np.int64)
+    probs = np.array([prob for a in actions for _, prob in a.dist], dtype=np.float64)
+    p = np.zeros((m, n))
+    np.add.at(p, (rows, cols), probs)
     signs = np.where(owners == PLAYER_MIN, -1.0, 1.0)
     return MatrixRep(
         gamma=game.gamma,

@@ -1,34 +1,46 @@
-"""LCP solvers: potential-reduction interior point and complementary pivoting.
+"""LCP solvers: path-following interior point and complementary pivoting.
 
-The interior point method tracks the scalar-shifted family q(t) = q + t*1.
-The start t0 = max(0, 1 - min_i (q + M 1)_i) makes (z, w) = (1, q(t0) + M 1)
-strictly interior.  Each stage reduces the Kojima-style potential
+The interior point method tracks the scalar-shifted family q(t) = q + t*1:
+its iterates keep w - M z - q = t 1 with (w, z) > 0.  The start
+t0 = max(0, 1 - min_i (q + M 1)_i) makes (z, w) = (1, q(t0) + M 1) strictly
+interior.  It follows the path with the neighborhood predictor-corrector
+scheme of Kojima, Megiddo, Noma & Yoshise (LNCS 538, 1991); each stage has
+two parts.
 
-    f(w, z) = rho * ln(w.z) - sum_i ln(w_i z_i),        rho = n + sqrt(n),
+* Corrector: pure centering at a fixed shift,
 
-by damped Newton steps on the centering system
+      dw = M dz,   z o dw + w o dz = (w.z / n) 1 - w o z,
 
-    dw = M dz,   z o dw + w o dz = (w.z / rho) 1 - w o z,
+  repeated until every w_i z_i >= CENTER_SHARE * mean(w o z).  Its line
+  search halves the step (BACKTRACK) until the potential
 
-until the gap w.z drops below max(epsilon, 0.01 t) -- proportional to the
-shift while t is large, so active-set kinks of the shifted path stay
-rounded at the scale of t instead of epsilon; the shift then steps down
-along the tangent of the solution path (dz = s u with
-(diag(z) M + diag(w)) u = z and dw = s (M u - 1), s capped by strict
-positivity and by a bounded change of the gap) toward its 0.1x stage
-target.  Tangent and corrector steps advance w by their own dw instead of
-recomputing q + t*1 + M z, whose rounding (about 1e-13 relative to |q|)
-would swamp the smallest slacks near the end of the path; the centering
-steps snap w back to exact feasibility of the shifted LCP whenever that
-keeps the potential decrease, and so does the end of the run.  The run
-ends once t <= epsilon * 1e-3 and the gap is below epsilon, so the
-returned pair solves the original LCP up to a q-perturbation of at most
-epsilon * 1e-3 per component.
+      f(w, z) = rho * ln(w.z) - sum_i ln(w_i z_i),        rho = n + sqrt(n),
+
+  strictly decreases.
+* Predictor: the affine step that lowers the shift and the gap together,
+
+      dw - M dz = -t 1,   z o dw + w o dz = floor 1 - w o z,
+
+  with floor = FLOOR_SHARE * epsilon / n, so a full step would reach shift 0
+  with every product at the floor.  The step shrinks by PREDICT_SHRINK until
+  every product is at least PREDICT_SHARE times their mean; the shift then
+  becomes (1 - step) t.  The floor keeps the gap from collapsing far below
+  epsilon while the shift is still above its target, where the corrector's
+  line search would stall.
+
+Both steps start at the full Newton step, or at STEP_FRACTION of the largest
+step that keeps (w, z) positive when that is shorter.  Both advance w by
+their own dw instead of recomputing q + t*1 + M z, whose rounding (about
+1e-13 relative to |q|) would swamp the smallest slacks near the end of the
+path.  The run ends once t <= epsilon * 1e-3 and the gap is below epsilon;
+w then snaps to q + t*1 + M z when that keeps it positive and the gap below
+epsilon, so the returned pair solves the original LCP up to a
+q-perturbation of at most epsilon * 1e-3 per component.
 
 Newton directions come from one plain LAPACK solve with no condition gate:
-every step moves w by a product (M dz, M u - 1, M d), never by a solve, so
-a poor direction costs progress (the line search or gap band refuses it),
-not feasibility.  The returned pair is checked once, at exit, by
+every step moves w by a product (M dz, M dz - t 1), never by a solve, so a
+poor direction costs progress (the line search or the neighborhood refuses
+it), not feasibility.  The returned pair is checked once, at exit, by
 ``verify_solution``.
 
 The pivoting solver is plain complementary pivoting with the all-ones
@@ -57,12 +69,13 @@ __all__ = [
 STEP_FLOOR = 1e-14
 BACKTRACK = 0.5  # line-search step shrink
 STEP_FRACTION = 0.99  # share of the largest step that keeps (w, z) positive
-HOMOTOPY_SHRINK = 0.1  # stage target shift relative to the current shift
+CENTER_SHARE = 0.5  # corrector neighborhood: min(w o z) >= share * mean
+PREDICT_SHARE = 0.1  # predictor neighborhood: min(w o z) >= share * mean
+PREDICT_SHRINK = 0.9  # predictor step shrink
+FLOOR_SHARE = 0.1  # predictor's product target, as a share of epsilon / n
 MAX_PIVOTS = 100_000
 RATIO_TOL = 1e-9  # relative tie width of Lemke's ratio test
 MAX_STAGES = 500
-STAGE_GAP_FRACTION = 0.01  # intermediate-stage gap target relative to the shift
-GAP_BAND = (0.25, 4.0)  # allowed gap change across one predictor step
 
 
 @dataclass
@@ -79,37 +92,35 @@ class IpmOptions:
 
 @dataclass
 class IpmTrace:
-    """Per accepted step: iteration index, gap, potential, step size, shift."""
+    """Per accepted step: iteration index, gap, potential, step size, shift
+    and phase ("center" or "predictor")."""
 
     iters: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
     potentials: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     shifts: list = field(default_factory=list)
+    phases: list = field(default_factory=list)
     termination: str = ""
 
-    def append(self, iteration, gap, potential, step, shift):
+    def append(self, iteration, gap, potential, step, shift, phase):
         self.iters.append(int(iteration))
         self.gaps.append(float(gap))
         self.potentials.append(float(potential))
         self.steps.append(float(step))
         self.shifts.append(float(shift))
+        self.phases.append(phase)
 
     def __len__(self):
         return len(self.iters)
 
     def stages(self):
-        """Trace row index ranges with a constant shift, in order."""
-        out = []
-        start = 0
-        for i in range(1, len(self.shifts) + 1):
-            if i == len(self.shifts) or self.shifts[i] != self.shifts[start]:
-                out.append((start, i))
-                start = i
-        return out
+        """Trace row index ranges, in order; each predictor row opens one."""
+        starts = [i for i, p in enumerate(self.phases) if i == 0 or p == "predictor"]
+        return list(zip(starts, starts[1:] + [len(self.phases)]))
 
     def monotone_within_stages(self):
-        """True when potentials strictly decrease inside every shift stage."""
+        """True when potentials strictly decrease inside every stage."""
         for lo, hi in self.stages():
             for i in range(lo + 1, hi):
                 if not self.potentials[i] < self.potentials[i - 1]:
@@ -118,11 +129,14 @@ class IpmTrace:
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iter,gap,potential,step,shift\n")
+            fh.write("iter,gap,potential,step,shift,phase\n")
             for row in zip(
-                self.iters, self.gaps, self.potentials, self.steps, self.shifts
+                self.iters, self.gaps, self.potentials, self.steps, self.shifts,
+                self.phases,
             ):
-                fh.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r}\n")
+                fh.write(
+                    f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r},{row[5]}\n"
+                )
 
 
 def _potential(w, z, rho):
@@ -149,6 +163,18 @@ def _newton(z, m_mat, w, rhs):
     return d
 
 
+def _centering(z, m_mat, w):
+    """Corrector: z o dw + w o dz = mean(w o z) 1 - w o z with dw = M dz."""
+    dz = _newton(z, m_mat, w, float(w @ z) / z.shape[0] - w * z)
+    return m_mat @ dz, dz
+
+
+def _affine(z, m_mat, w, t, floor):
+    """Predictor: z o dw + w o dz = floor 1 - w o z with dw - M dz = -t 1."""
+    dz = _newton(z, m_mat, w, floor + t * z - w * z)
+    return m_mat @ dz - t, dz
+
+
 def _fail(trace, reason, **context):
     trace.termination = reason
     raise SolverFailure(f"interior point method failed: {reason}", trace=trace, **context)
@@ -166,118 +192,73 @@ def solve_potential_reduction(lcp, options=None):
     z = np.ones(n)
     t = max(0.0, 1.0 - float(np.min(q + m_mat @ z)))
     t_final = opts.epsilon * 1e-3
+    floor = FLOOR_SHARE * opts.epsilon / n
     w = q + t + m_mat @ z
     f = _potential(w, z, rho)
     iteration = 0
 
     for _stage in range(MAX_STAGES):
-        # center at the current shift; t <= t_final forces the full target.
-        # Intermediate stages also demand proximity (no product far below
-        # the mean), else the tangent step gets pinched at path corners.
-        target = max(opts.epsilon, STAGE_GAP_FRACTION * t)
+        # corrector: pure centering at the current shift, back into the
+        # narrow neighborhood min(w o z) >= CENTER_SHARE * mean(w o z)
         while True:
             gap = float(w @ z)
-            if gap < target and (
-                t <= t_final or float(np.min(w * z)) * rho >= 0.01 * gap
-            ):
+            done = t <= t_final and gap < opts.epsilon
+            if done or float(np.min(w * z)) * n >= CENTER_SHARE * gap:
                 break
             if iteration >= opts.max_iters:
                 _fail(trace, f"gap {gap:.3e} after max_iters={opts.max_iters}")
             iteration += 1
-            rhs = (gap / rho) - w * z
             try:
-                dz = _newton(z, m_mat, w, rhs)
+                dw, dz = _centering(z, m_mat, w)
             except SingularMatrixError:
                 _fail(trace, "singular Newton system")
-            dw = m_mat @ dz
-            alpha = STEP_FRACTION * min(_max_positive_step(w, dw, z, dz), 1e16)
-            accepted = False
+            alpha = min(1.0, STEP_FRACTION * _max_positive_step(w, dw, z, dz))
             while alpha >= STEP_FLOOR:
                 w1 = w + alpha * dw
                 z1 = z + alpha * dz
                 if w1.min() > 0.0 and z1.min() > 0.0:
                     f1 = _potential(w1, z1, rho)
                     if f1 < f:
-                        accepted = True
                         break
                 alpha *= BACKTRACK
-            if not accepted:
-                _fail(trace, f"line search stalled at step < {STEP_FLOOR}")
-            z = z1
-            # snap to exact feasibility of the shifted LCP; the reordered
-            # arithmetic can flip near-zero components or, close to
-            # convergence, wiggle tiny products enough to undo the
-            # line-search decrease.  Either way the accepted interior point
-            # stands in until the next successful snap re-anchors w.
-            w_snap = q + t + m_mat @ z
-            f_snap = _potential(w_snap, z, rho) if w_snap.min() > 0.0 else math.inf
-            if f_snap < f:
-                w, f = w_snap, f_snap
             else:
-                w, f = w1, f1
-            trace.append(iteration, w @ z, f, alpha, t)
-
-        if t <= t_final:
+                _fail(trace, f"line search stalled at step < {STEP_FLOOR}")
+            w, z, f = w1, z1, f1
+            trace.append(iteration, w @ z, f, alpha, t, "center")
+        if done:
             break
 
-        # predictor: walk the shift down along the solution-path tangent
+        # predictor: the affine step that lowers the shift and the gap
+        # together, to the edge of the wide neighborhood (PREDICT_SHARE)
         if iteration >= opts.max_iters:
             _fail(trace, f"shift {t:.3e} still above target after max_iters")
         iteration += 1
         try:
-            u = _newton(z, m_mat, w, z)
+            dw, dz = _affine(z, m_mat, w, t, floor)
         except SingularMatrixError:
-            _fail(trace, "singular predictor system")
-        du_w = m_mat @ u - 1.0
-        s_want = (1.0 - HOMOTOPY_SHRINK) * t
-        s = min(s_want, STEP_FRACTION * _max_positive_step(w, du_w, z, u))
-        # the stall floor scales with t: near t_final legitimate steps are ~t
-        s_floor = 1e-6 * t
-        # besides positivity, keep the gap inside a band: the tangent changes
-        # the gap by ~ s^2 u.(Mu - 1), and a near-boundary step would crush it
-        # far below the stage scale, pinching every later tangent step.
-        # w follows the tangent as well (see the module docstring)
-        gap_now = float(w @ z)
-        while s > s_floor:
-            z_try = z + s * u
-            w_try = w + s * du_w
-            if w_try.min() > 0.0 and z_try.min() > 0.0:
-                gap_try = float(w_try @ z_try)
-                if GAP_BAND[0] * gap_now <= gap_try <= GAP_BAND[1] * gap_now:
-                    break
-            s *= 0.5
-        if s <= s_floor:
+            _fail(trace, "singular Newton system")
+        alpha = min(1.0, STEP_FRACTION * _max_positive_step(w, dw, z, dz))
+        while alpha >= STEP_FLOOR:
+            w1 = w + alpha * dw
+            z1 = z + alpha * dz
+            prod = w1 * z1
+            if w1.min() > 0.0 and z1.min() > 0.0 and (
+                float(prod.min()) * n >= PREDICT_SHARE * float(prod.sum())
+            ):
+                break
+            alpha *= PREDICT_SHRINK
+        else:
             _fail(trace, f"homotopy stalled at shift {t:.3e}")
-        t = t - s
-        z = z_try
-        w = w_try
-
-        # corrector: pinched tangent steps leak the gap downward much faster
-        # than they move the shift, and centering can only lower it further;
-        # when the gap falls far below the stage scale, one targeted Newton
-        # step re-inflates the products so path corners stay round.  Runs at
-        # the stage boundary, outside the potential-monotone line search.
-        gap = float(w @ z)
-        scale = STAGE_GAP_FRACTION * t
-        if t > t_final and gap < 0.25 * scale:
-            try:
-                d = _newton(z, m_mat, w, (scale / n) - w * z)
-            except SingularMatrixError:
-                pass
-            else:
-                dw_d = m_mat @ d
-                sc = min(1.0, STEP_FRACTION * _max_positive_step(w, dw_d, z, d))
-                z_inf = z + sc * d
-                w_inf = w + sc * dw_d
-                if w_inf.min() > 0.0 and z_inf.min() > 0.0:
-                    z, w = z_inf, w_inf
+        # w follows its own direction (see the module docstring)
+        w, z = w1, z1
+        t = (1.0 - alpha) * t
         f = _potential(w, z, rho)
-        trace.append(iteration, w @ z, f, s, t)
+        trace.append(iteration, w @ z, f, alpha, t, "predictor")
     else:
         _fail(trace, f"homotopy used more than {MAX_STAGES} stages")
 
-    # the last accepted point may have skipped its snap; leave with w
-    # exactly feasible whenever that keeps the interior and the gap target
+    # leave with w exactly feasible whenever that keeps the interior and the
+    # gap target
     w_snap = q + t + m_mat @ z
     if w_snap.min() > 0.0 and float(w_snap @ z) < opts.epsilon:
         w = w_snap

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from gamelcp.bench import random_game
 from gamelcp.game import (
+    PLAYER_MIN,
     GameValidationError,
+    MatrixRep,
     game_from_dict,
     game_to_dict,
     is_optimal,
@@ -252,3 +255,83 @@ def test_json_roundtrip(tmp_path, three_state):
     save_game(three_state, str(path))
     loaded = load_game(str(path))
     assert game_to_dict(loaded) == d
+
+
+def _matrix_representation_loop(game):
+    """Oracle: the per-entry loop that matrix_representation replaced."""
+    n = game.n_states
+    m = game.n_actions
+    p = np.zeros((m, n))
+    costs = np.empty(m)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    state_of_action = np.empty(m, dtype=np.int64)
+    owners = np.empty(n, dtype=np.int64)
+    row = 0
+    for i, s in enumerate(game.states):
+        owners[i] = s.owner
+        offsets[i] = row
+        for a in s.actions:
+            costs[row] = a.cost
+            for j, prob in a.dist:
+                p[row, j] += prob
+            state_of_action[row] = i
+            row += 1
+    offsets[n] = row
+    signs = np.where(owners == PLAYER_MIN, -1.0, 1.0)
+    return MatrixRep(
+        gamma=game.gamma,
+        p=p,
+        costs=costs,
+        ownership_signs=signs,
+        offsets=offsets,
+        state_of_action=state_of_action,
+        owners=owners,
+    )
+
+
+def _repeated_target_game():
+    # repeated targets whose sums depend on the order of accumulation:
+    # (0.1 + 0.2) + 0.7 != 0.1 + (0.2 + 0.7) in floating point
+    return make_game(
+        0.9,
+        [
+            (1, [(1.0, [(0, 0.1), (1, 0.2), (0, 0.7)]), (-2.5, [(2, 1.0)])]),
+            (2, [(0.5, [(2, 0.1), (2, 0.2), (2, 0.7)])]),
+            (
+                1,
+                [
+                    (3.0, [(1, 0.3), (0, 0.3), (1, 0.1), (1, 0.3)]),
+                    (0.0, [(0, 0.5), (0, 0.5)]),
+                    (-1.0, [(1, 1.0)]),
+                ],
+            ),
+        ],
+    )
+
+
+def test_matrix_representation_matches_entry_loop():
+    games = [three_state_game(), _repeated_target_game()]
+    games += [random_game(n, 0.9, 40 + n) for n in (1, 2, 7, 33, 64)]
+    games += [hard_instance(12, 0.99, mode)[0] for mode in ("kappa", "theta")]
+    assert (0.1 + 0.2) + 0.7 != 0.1 + (0.2 + 0.7)
+    for game in games:
+        got = matrix_representation(game)
+        want = _matrix_representation_loop(game)
+        for name in (
+            "p", "costs", "ownership_signs", "offsets", "state_of_action", "owners"
+        ):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+        assert got.gamma == want.gamma
+    rep = matrix_representation(_repeated_target_game())
+    assert rep.p[0, 0] == (0.0 + 0.1) + 0.7
+    assert rep.p[2, 2] == ((0.0 + 0.1) + 0.2) + 0.7
+
+
+def test_matrix_representation_refuses_targets_out_of_range():
+    game = make_game(0.5, [(1, [(1.0, [(0, 0.5), (1, 0.5)])])])
+    with pytest.raises(IndexError):
+        _matrix_representation_loop(game)
+    with pytest.raises(IndexError):
+        matrix_representation(game)

@@ -18,9 +18,13 @@ from gamelcp.lcp import (
 )
 from gamelcp._kernels import solve
 from gamelcp.lcp_solvers import (
+    FLOOR_SHARE,
     MAX_PIVOTS,
+    MAX_STAGES,
     IpmOptions,
     IpmTrace,
+    _affine,
+    _centering,
     _lex_ratio_row,
     _max_positive_step,
     solve_pivoting,
@@ -65,8 +69,12 @@ def test_ipm_trace_shape_and_monotonicity(g3):
     _, _, trace = solve_potential_reduction(lcp)
     k = len(trace)
     assert k >= 1
-    for rows in (trace.iters, trace.gaps, trace.potentials, trace.steps, trace.shifts):
+    for rows in (
+        trace.iters, trace.gaps, trace.potentials, trace.steps, trace.shifts,
+        trace.phases,
+    ):
         assert len(rows) == k
+    assert set(trace.phases) <= {"center", "predictor"}
     lo_hi = trace.stages()
     assert lo_hi[0][0] == 0
     assert lo_hi[-1][1] == k
@@ -82,11 +90,12 @@ def test_ipm_trace_csv(tmp_path, g3):
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,gap,potential,step,shift"
+    assert lines[0] == "iter,gap,potential,step,shift,phase"
     assert len(lines) == len(trace) + 1
     first = lines[1].split(",")
     assert int(first[0]) == trace.iters[0]
     assert float(first[1]) == trace.gaps[0]
+    assert [line.split(",")[5] for line in lines[1:]] == trace.phases
 
 
 def test_centering_direction_against_full_system(g3):
@@ -121,6 +130,115 @@ def test_centering_direction_against_full_system(g3):
     w1, z1 = w + alpha * dw, z + alpha * dz
     assert w1.min() > 0 and z1.min() > 0
     assert pot(w1, z1) < pot(w, z)
+
+
+def _full_newton(lcp, w, z, residual, target):
+    # the unreduced 2n x 2n system: dw - M dz = residual, z o dw + w o dz = target
+    n = lcp.n
+    big = np.zeros((2 * n, 2 * n))
+    big[:n, :n] = np.eye(n)
+    big[:n, n:] = -lcp.m
+    big[n:, :n] = np.diag(z)
+    big[n:, n:] = np.diag(w)
+    sol = np.linalg.solve(big, np.concatenate([residual, target]))
+    return sol[:n], sol[n:]
+
+
+def _direction_cases(g3):
+    game, part = g3
+    rng = np.random.default_rng(53)
+    for lcp in (to_lcp(game, part), to_lcp(*build_hard_instance(HardInstanceSpec(8, 0.9)))):
+        n = lcp.n
+        z = np.ones(n)
+        t0 = max(0.0, 1.0 - float(np.min(lcp.q + lcp.m @ z)))
+        yield lcp, lcp.q + t0 + lcp.m @ z, z, t0  # the IPM's start
+    for n in (5, 17):
+        game = random_game(n, 0.9, 70 + n)
+        lcp = to_lcp(game, default_partition(game))
+        w, z = rng.uniform(1e-3, 10.0, size=(2, n))
+        yield lcp, w, z, float(rng.uniform(1e-6, 1.0))  # an arbitrary interior pair
+
+
+def test_corrector_and_predictor_directions_against_full_system(g3):
+    eps = IpmOptions().epsilon
+    for lcp, w, z, t in _direction_cases(g3):
+        n = lcp.n
+        scale = 1.0 + np.abs(lcp.m).max()
+        mu = float(w @ z) / n
+
+        dw, dz = _centering(z, lcp.m, w)
+        dw_full, dz_full = _full_newton(lcp, w, z, np.zeros(n), mu - w * z)
+        assert np.abs(dz - dz_full).max() <= 1e-10 * scale
+        assert np.abs(dw - dw_full).max() <= 1e-10 * scale
+        assert np.array_equal(dw, lcp.m @ dz)
+
+        floor = FLOOR_SHARE * eps / n
+        dw, dz = _affine(z, lcp.m, w, t, floor)
+        dw_full, dz_full = _full_newton(lcp, w, z, np.full(n, -t), floor - w * z)
+        assert np.abs(dz - dz_full).max() <= 1e-10 * scale
+        assert np.abs(dw - dw_full).max() <= 1e-10 * scale
+        # the residual row: a step of alpha takes the shift from t to (1 - alpha) t
+        assert np.abs(dw - lcp.m @ dz + t).max() <= 1e-12 * scale * (1.0 + t)
+        lin = z * dw + w * dz
+        assert np.abs(lin - (floor - w * z)).max() <= 1e-10 * scale * (1.0 + (w * z).max())
+
+
+def test_ipm_stages_split_at_predictor_rows():
+    trace = IpmTrace()
+    assert trace.stages() == []
+    for phase in ("center", "center", "predictor", "center", "predictor", "predictor"):
+        trace.append(0, 1.0, 1.0, 1.0, 0.0, phase)
+    assert trace.stages() == [(0, 2), (2, 4), (4, 5), (5, 6)]
+
+
+@pytest.mark.parametrize("mode", ["kappa", "eigenvalue", "theta"])
+def test_ipm_monotone_within_stages_once_the_shift_reaches_zero(mode):
+    # at gamma = 0.1 a full predictor step takes the shift to exactly 0, so
+    # later predictor and centering rows share one shift; the predictor rows
+    # raise the potential, and only the phase tells the stages apart
+    for n in (8, 16, 32, 64):
+        lcp = to_lcp(*build_hard_instance(HardInstanceSpec(n, 0.1, mode)))
+        _, _, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
+        zero = [i for i, t in enumerate(trace.shifts) if t == 0.0]
+        assert zero and trace.phases[zero[0]] == "predictor"
+        after = [trace.phases[i] for i in zero[1:]]
+        assert "predictor" in after and "center" in after
+        assert trace.monotone_within_stages()
+        raised = [
+            i for i in range(1, len(trace))
+            if trace.phases[i] == "predictor"
+            and trace.potentials[i] >= trace.potentials[i - 1]
+        ]
+        assert raised
+
+
+def _ipm_rows(lcp):
+    w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
+    assert trace.termination == "converged"
+    assert trace.phases.count("predictor") <= MAX_STAGES
+    recover(lcp, w, z)
+    return len(trace)
+
+
+def test_ipm_converges_at_n256():
+    for gamma in (0.9, 0.99, 0.999):
+        for seed in range(1, 9):
+            game = random_game(256, gamma, seed)
+            _ipm_rows(to_lcp(game, default_partition(game)))
+    for gamma in (0.99, 0.999):
+        for mode in ("kappa", "eigenvalue", "theta"):
+            _ipm_rows(to_lcp(*build_hard_instance(HardInstanceSpec(256, gamma, mode))))
+
+
+def test_ipm_work_grows_slower_than_n():
+    def median_rows(n):
+        rows = []
+        for seed in range(1, 7):
+            game = random_game(n, 0.9, seed)
+            rows.append(_ipm_rows(to_lcp(game, default_partition(game))))
+        return float(np.median(rows))
+
+    assert median_rows(256) <= 3.0 * median_rows(16)
 
 
 def test_ipm_budget_failure_carries_trace(g3):
@@ -322,7 +440,7 @@ def test_solvers_agree_on_game_lcps():
 def test_ipm_tangent_keeps_tiny_slacks_at_gamma_099(case):
     # near shift 1e-7 the smallest w_i (~1e-14) lies below the rounding of
     # q + t + M z; rebuilding w from that sum stalled the homotopy on these
-    # games, advancing it along the tangent does not
+    # games, advancing w by each step's own direction does not
     if case.startswith("random"):
         game = random_game(64, 0.99, 1903)
         part = default_partition(game)
