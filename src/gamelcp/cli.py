@@ -124,6 +124,12 @@ def _write_or_print(text, path):
 
 
 def _cmd_gen(args):
+    if args.family == "random":
+        for flag, value in (("--a", args.a), ("--partition", args.partition)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to --family gn only")
+    elif args.a is not None and args.a_mode != "custom":
+        raise ValueError("--a needs --a-mode custom")
     if args.family == "gn":
         spec = HardInstanceSpec(
             n=args.n, gamma=args.gamma, a_mode=args.a_mode, a=args.a
@@ -154,6 +160,8 @@ def _load_partition_or_default(game, path):
 def _cmd_solve(args):
     game = load_game(args.game)
     if args.method in ("vi", "si", "brute"):
+        if args.partition is not None:
+            raise ValueError("--partition applies to --method ipm and pivot only")
         rep = matrix_representation(game)
         if args.method == "vi":
             result = value_iteration(rep, eps=args.tol)
@@ -174,7 +182,9 @@ def _cmd_solve(args):
         result.iterations = iterations
     result.method = args.method
 
-    ok, violations = is_optimal(rep, result.profile, tol=max(args.tol, 1e-9))
+    ok, violations = is_optimal(
+        rep, result.profile, tol=max(args.tol, 1e-9), values=result.values
+    )
     lines = [
         f"method={result.method} iterations={result.iterations} optimal={ok}"
     ]

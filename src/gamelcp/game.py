@@ -12,6 +12,13 @@ An action's reduced cost against a value vector v is
 ``cost + gamma * P_action . v - v[source]``.  A profile is optimal exactly
 when every player-1 action has reduced cost >= 0 and every player-2 action
 has reduced cost <= 0 (up to tolerance).
+
+A :class:`Game` is the validated input form.  ``matrix_representation``
+turns it into a :class:`MatrixRep`, the dense form that ``restrict``,
+``value_vector``, ``reduced_costs`` and ``is_optimal`` take; each checks
+its profile against the MatrixRep's per-state action counts
+(:func:`as_profile`) and raises :class:`GameValidationError` on a slot out
+of range or a profile of the wrong length.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = [
     "PLAYER_MIN",
     "State",
     "as_profile",
-    "game_from_dict",
     "game_to_dict",
     "is_optimal",
     "load_game",
@@ -167,10 +173,6 @@ def game_to_dict(game):
     }
 
 
-def game_from_dict(raw):
-    return validate_game(raw)
-
-
 def load_game(path):
     with open(path, "r", encoding="utf-8") as fh:
         return validate_game(json.load(fh))
@@ -245,67 +247,57 @@ def matrix_representation(game):
     )
 
 
-def as_profile(game, choice):
-    """Normalize a per-state action slot sequence, checking bounds."""
+def as_profile(rep, choice):
+    """``choice`` as an (n,) int64 array of action slots, checked against
+    the per-state action counts of ``rep``."""
     arr = np.asarray(choice, dtype=np.int64)
-    if arr.shape != (game.n_states,):
+    counts = np.diff(rep.offsets)
+    if arr.shape != counts.shape:
         raise GameValidationError(
-            f"profile length {arr.shape} does not match {game.n_states} states"
+            f"profile length {arr.shape} does not match {rep.n} states"
         )
-    for i, s in enumerate(game.states):
-        if not 0 <= arr[i] < len(s.actions):
-            raise GameValidationError(
-                f"profile slot {arr[i]} out of range at state {i} "
-                f"({len(s.actions)} actions)"
-            )
+    bad = np.flatnonzero((arr < 0) | (arr >= counts))
+    if bad.size:
+        i = bad[0]
+        raise GameValidationError(
+            f"profile slot {arr[i]} out of range at state {i} ({counts[i]} actions)"
+        )
     return arr
 
 
-def _profile_rows(rep, choice):
-    return rep.offsets[:-1] + np.asarray(choice, dtype=np.int64)
-
-
-def _restrict_rep(rep, choice):
-    rows = _profile_rows(rep, choice)
+def restrict(rep, profile):
+    """Rows of (P, c) chosen by the profile: the (n, n) P_profile and (n,) c."""
+    rows = rep.offsets[:-1] + as_profile(rep, profile)
     return rep.p[rows], rep.costs[rows]
 
 
-def restrict(game, profile):
-    """Rows of (P, c) chosen by the profile: the (n, n) P_profile and (n,) c."""
-    rep = game if isinstance(game, MatrixRep) else matrix_representation(game)
-    choice = profile if isinstance(game, MatrixRep) else as_profile(game, profile)
-    return _restrict_rep(rep, choice)
-
-
-def value_vector(game, profile):
+def value_vector(rep, profile):
     """Solve (I - gamma P_profile) v = c_profile for the profile's values."""
-    rep = game if isinstance(game, MatrixRep) else matrix_representation(game)
-    choice = profile if isinstance(game, MatrixRep) else as_profile(game, profile)
-    p_sel, c_sel = _restrict_rep(rep, choice)
+    p_sel, c_sel = restrict(rep, profile)
     a = np.eye(rep.n) - rep.gamma * p_sel
     return _kernels.solve(a, c_sel)
 
 
-def reduced_costs(game, profile, values=None):
-    """Reduced cost of every action against the profile's value vector."""
-    rep = game if isinstance(game, MatrixRep) else matrix_representation(game)
-    choice = profile if isinstance(game, MatrixRep) else as_profile(game, profile)
+def reduced_costs(rep, profile, values=None):
+    """Reduced cost of every action against the profile's value vector;
+    ``values``, when given, must be that vector."""
     if values is None:
-        values = value_vector(rep, choice)
+        values = value_vector(rep, profile)
+    else:
+        as_profile(rep, profile)
     return rep.costs + rep.gamma * (rep.p @ values) - values[rep.state_of_action]
 
 
-def is_optimal(game, profile, tol=1e-9):
+def is_optimal(rep, profile, tol=1e-9, values=None):
     """Check the profile's optimality; returns (verdict, violating rows).
 
     Player-1 actions must have reduced cost >= -tol, player-2 actions
-    <= tol.  Violating rows are global action indices.
+    <= tol.  Violating rows are global action indices.  ``values``, when
+    given, must be the profile's value vector; it saves a solve.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    rep = game if isinstance(game, MatrixRep) else matrix_representation(game)
-    choice = profile if isinstance(game, MatrixRep) else as_profile(game, profile)
-    rc = reduced_costs(rep, choice)
+    rc = reduced_costs(rep, profile, values)
     owner_of_action = rep.owners[rep.state_of_action]
     bad_min = (owner_of_action == PLAYER_MIN) & (rc < -tol)
     bad_max = (owner_of_action == PLAYER_MAX) & (rc > tol)

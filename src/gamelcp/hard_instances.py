@@ -60,6 +60,8 @@ class HardInstanceSpec:
             raise ValueError(f"a_mode must be one of {A_MODES}, got {self.a_mode!r}")
         if self.a_mode == "custom" and self.a is None:
             raise ValueError("a_mode 'custom' needs an explicit a")
+        if self.a_mode != "custom" and self.a is not None:
+            raise ValueError(f"a is for a_mode 'custom' only, not {self.a_mode!r}")
 
     def resolve_a(self):
         if self.a_mode == "kappa":

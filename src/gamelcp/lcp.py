@@ -86,28 +86,30 @@ class RecoveryError(RuntimeError):
 
 def default_partition(game):
     """sigma = slot 0 and tau = slot 1 everywhere; needs 2 actions per state."""
+    _check_two_actions([len(s.actions) for s in game.states])
     n = game.n_states
-    partition = Partition(
-        sigma=np.zeros(n, dtype=np.int64), tau=np.ones(n, dtype=np.int64)
-    )
-    _check_partition(game, partition)
-    return partition
+    return Partition(sigma=np.zeros(n, dtype=np.int64), tau=np.ones(n, dtype=np.int64))
 
 
-def _check_partition(game, partition):
-    for i, s in enumerate(game.states):
-        if len(s.actions) != 2:
-            raise GameValidationError(
-                f"state {i} has {len(s.actions)} actions; the reduction needs "
-                "exactly 2 per state"
-            )
-    sigma = as_profile(game, partition.sigma)
-    tau = as_profile(game, partition.tau)
-    for i in range(game.n_states):
-        if {int(sigma[i]), int(tau[i])} != {0, 1}:
-            raise GameValidationError(
-                f"partition does not cover both actions of state {i}"
-            )
+def _check_two_actions(counts):
+    wrong = np.flatnonzero(np.asarray(counts) != 2)
+    if wrong.size:
+        i = wrong[0]
+        raise GameValidationError(
+            f"state {i} has {counts[i]} actions; the reduction needs exactly 2 per state"
+        )
+
+
+def _check_partition(rep, partition):
+    _check_two_actions(np.diff(rep.offsets))
+    sigma = as_profile(rep, partition.sigma)
+    tau = as_profile(rep, partition.tau)
+    # with two slots per state, sigma and tau cover both exactly when they differ
+    same = np.flatnonzero(sigma == tau)
+    if same.size:
+        raise GameValidationError(
+            f"partition does not cover both actions of state {same[0]}"
+        )
     return sigma, tau
 
 
@@ -145,7 +147,7 @@ def reduction(game, partition=None):
     rep = matrix_representation(game)
     if partition is None:
         partition = default_partition(game)
-    sigma, tau = _check_partition(game, partition)
+    sigma, tau = _check_partition(rep, partition)
     p_sig, c_sig = restrict(rep, sigma)
     p_tau, c_tau = restrict(rep, tau)
     eye = np.eye(rep.n)
@@ -225,16 +227,16 @@ def recover(lcp, w, z, tol=1e-6):
     v_formula = solve(red.b_tau, red.c_tau + rep.ownership_signs * z)
 
     choice = np.where(w <= z, red.sigma, red.tau).astype(np.int64)
-    ok, violations = is_optimal(rep, choice, tol)
+    v_exact = value_vector(rep, choice)
+    ok, violations = is_optimal(rep, choice, tol, values=v_exact)
     if not ok:
-        rc = reduced_costs(rep, choice)
+        rc = reduced_costs(rep, choice, v_exact)
         worst = float(np.max(np.abs(rc[violations])))
         raise RecoveryError(
             f"recovered profile fails the optimality check at tol {tol}: "
             f"max reduced-cost violation {worst:.3e} on actions "
             f"{violations.tolist()}"
         )
-    v_exact = value_vector(rep, choice)
     drift = float(np.max(np.abs(v_exact - v_formula)))
     allowance = tol * (1.0 + float(np.max(np.abs(v_exact))))
     allowance += math.sqrt(max(check.complementarity, 0.0)) / (1.0 - rep.gamma)

@@ -75,19 +75,16 @@ PREDICT_SHRINK = 0.9  # predictor step shrink
 FLOOR_SHARE = 0.1  # predictor's product target, as a share of epsilon / n
 MAX_PIVOTS = 100_000
 RATIO_TOL = 1e-9  # relative tie width of Lemke's ratio test
-MAX_STAGES = 500
+MAX_ITERS = 10_000  # trace rows; every stage has a predictor row, so this caps stages
 
 
 @dataclass
 class IpmOptions:
     epsilon: float = 1e-9
-    max_iters: int = 10_000
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -197,7 +194,7 @@ def solve_potential_reduction(lcp, options=None):
     f = _potential(w, z, rho)
     iteration = 0
 
-    for _stage in range(MAX_STAGES):
+    while True:
         # corrector: pure centering at the current shift, back into the
         # narrow neighborhood min(w o z) >= CENTER_SHARE * mean(w o z)
         while True:
@@ -205,8 +202,8 @@ def solve_potential_reduction(lcp, options=None):
             done = t <= t_final and gap < opts.epsilon
             if done or float(np.min(w * z)) * n >= CENTER_SHARE * gap:
                 break
-            if iteration >= opts.max_iters:
-                _fail(trace, f"gap {gap:.3e} after max_iters={opts.max_iters}")
+            if iteration >= MAX_ITERS:
+                _fail(trace, f"gap {gap:.3e} after MAX_ITERS={MAX_ITERS}")
             iteration += 1
             try:
                 dw, dz = _centering(z, m_mat, w)
@@ -230,8 +227,8 @@ def solve_potential_reduction(lcp, options=None):
 
         # predictor: the affine step that lowers the shift and the gap
         # together, to the edge of the wide neighborhood (PREDICT_SHARE)
-        if iteration >= opts.max_iters:
-            _fail(trace, f"shift {t:.3e} still above target after max_iters")
+        if iteration >= MAX_ITERS:
+            _fail(trace, f"shift {t:.3e} still above target after MAX_ITERS={MAX_ITERS}")
         iteration += 1
         try:
             dw, dz = _affine(z, m_mat, w, t, floor)
@@ -254,8 +251,6 @@ def solve_potential_reduction(lcp, options=None):
         t = (1.0 - alpha) * t
         f = _potential(w, z, rho)
         trace.append(iteration, w @ z, f, alpha, t, "predictor")
-    else:
-        _fail(trace, f"homotopy used more than {MAX_STAGES} stages")
 
     # leave with w exactly feasible whenever that keeps the interior and the
     # gap target

@@ -1,8 +1,10 @@
 """Classic game solvers: value iteration, strategy iteration, brute force.
 
-All three return a :class:`SolveResult` whose ``values`` field is the exact
-value vector of the returned profile (a LAPACK solve), so results from
-different methods are directly comparable.
+Every function here takes the game as a :class:`~gamelcp.game.MatrixRep`
+(``matrix_representation(game)``); a given profile is checked against its
+per-state action counts.  All three solvers return a :class:`SolveResult`
+whose ``values`` field is the exact value vector of the returned profile (a
+LAPACK solve), so results from different methods are directly comparable.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (
-    PLAYER_MIN,
-    MatrixRep,
-    as_profile,
-    matrix_representation,
-    reduced_costs,
-    value_vector,
-)
+from .game import as_profile, is_optimal, reduced_costs, value_vector
 
 __all__ = [
     "SolveResult",
@@ -52,10 +47,6 @@ class SolveResult:
     profile: np.ndarray
     iterations: int
     method: str
-
-
-def _rep_of(game):
-    return game if isinstance(game, MatrixRep) else matrix_representation(game)
 
 
 class _SignedRows:
@@ -96,18 +87,18 @@ class _SignedRows:
         return pos[np.searchsorted(pos, self.starts)] - self.starts
 
 
-def bellman_backup(game, v):
+def bellman_backup(rep, v):
     """One step of the optimality operator: per-state best one-step value."""
-    return _SignedRows(_rep_of(game)).backup(np.asarray(v, dtype=np.float64))
+    return _SignedRows(rep).backup(np.asarray(v, dtype=np.float64))
 
 
-def greedy_profile(game, v):
+def greedy_profile(rep, v):
     """Slot of the best action per state against v, lowest slot on ties."""
-    rows = _SignedRows(_rep_of(game))
+    rows = _SignedRows(rep)
     return rows.first_best(rows.signed_y(np.asarray(v, dtype=np.float64)))
 
 
-def value_iteration(game, eps=1e-8):
+def value_iteration(rep, eps=1e-8):
     """Iterate the optimality operator from v = 0 until the step is small.
 
     Stops at the first iterate with ||v_k - v_{k-1}||_inf <= eps * (1 -
@@ -122,7 +113,6 @@ def value_iteration(game, eps=1e-8):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rep = _rep_of(game)
     rows = _SignedRows(rep)
     threshold = eps * (1.0 - rep.gamma) / (2.0 * rep.gamma)
     block = np.zeros((VI_BLOCK + 1, rep.n))  # block[0] is the last iterate so far
@@ -166,7 +156,7 @@ def _switch(rows, choice, rc, tol):
     return np.where(improving, best, choice)
 
 
-def strategy_iteration(game, initial_profile=None, tol=1e-9):
+def strategy_iteration(rep, initial_profile=None, tol=1e-9):
     """All-switch strategy iteration with cycle detection.
 
     Every round switches each state that owns a strictly improving action
@@ -175,14 +165,10 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     given one.  Revisiting a profile raises (cannot happen for exact
     arithmetic; guards against tolerance misuse).
     """
-    rep = _rep_of(game)
     rows = _SignedRows(rep)
     if initial_profile is None:
-        choice = np.zeros(rep.n, dtype=np.int64)
-    elif isinstance(game, MatrixRep):
-        choice = np.asarray(initial_profile, dtype=np.int64).copy()
-    else:
-        choice = as_profile(game, initial_profile).copy()
+        initial_profile = np.zeros(rep.n, dtype=np.int64)
+    choice = as_profile(rep, initial_profile).copy()
     seen = {tuple(choice.tolist())}
     for rounds in range(1, SI_MAX_ROUNDS + 1):
         v = value_vector(rep, choice)
@@ -202,31 +188,24 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     raise SolverFailure(f"strategy iteration exceeded {SI_MAX_ROUNDS} rounds")
 
 
-def brute_force_solve(game, tol=1e-9):
+def brute_force_solve(rep, tol=1e-9):
     """First profile, in lexicographic slot order, passing the optimality check.
 
     Refuses games with more than 10^6 profiles.  Intended as an oracle for
     small instances.
     """
-    rep = _rep_of(game)
     counts = np.diff(rep.offsets)
     total = math.prod(int(c) for c in counts)
     if total > BRUTE_FORCE_CAP:
         raise SolverFailure(
             f"{total} profiles exceed the enumeration cap {BRUTE_FORCE_CAP}"
         )
-    owner_of_action = rep.owners[rep.state_of_action]
-    is_min_action = owner_of_action == PLAYER_MIN
     examined = 0
     for tup in itertools.product(*(range(int(c)) for c in counts)):
         examined += 1
         choice = np.asarray(tup, dtype=np.int64)
         v = value_vector(rep, choice)
-        rc = reduced_costs(rep, choice, v)
-        ok = not (
-            np.any(is_min_action & (rc < -tol)) or np.any(~is_min_action & (rc > tol))
-        )
-        if ok:
+        if is_optimal(rep, choice, tol, values=v)[0]:
             return SolveResult(
                 values=v, profile=choice, iterations=examined, method="brute_force"
             )

@@ -111,7 +111,7 @@ def test_02_hard_family_closed_forms():
             for a in (1.0, gamma / (1.0 - gamma)):
                 spec, game, partition, lcp = _hard(n, gamma, "custom", a)
                 forms = closed_forms(spec)
-                v = value_vector(game, partition.tau)
+                v = value_vector(matrix_representation(game), partition.tau)
                 r = lcp.m @ forms.c_tau
                 r_prime = forms.c_tau * r
                 for got, want in (
@@ -265,11 +265,12 @@ def test_08_oracle_equivalence():
         game = random_game(n, gamma, seed=2000 + k)
         partition = default_partition(game)
         lcp = to_lcp(game, partition)
+        rep = matrix_representation(game)
 
         results = [
-            brute_force_solve(game),
-            value_iteration(game, eps=1e-8),
-            strategy_iteration(game),
+            brute_force_solve(rep),
+            value_iteration(rep, eps=1e-8),
+            strategy_iteration(rep),
         ]
         w, z, _ = solve_pivoting(lcp)
         results.append(recover(lcp, w, z, tol=1e-6))
@@ -279,7 +280,7 @@ def test_08_oracle_equivalence():
         reference = results[0].values
         for res in results:
             worst_gap = max(worst_gap, float(np.abs(res.values - reference).max()))
-            optimal, _ = is_optimal(game, res.profile, tol=1e-6)
+            optimal, _ = is_optimal(rep, res.profile, tol=1e-6)
             if not optimal:
                 bad_profiles += 1
     ok = worst_gap <= 1e-6 and bad_profiles == 0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gamelcp
-from conftest import hard_instance
+from conftest import hard_instance, make_game
 from gamelcp.bench import (
     BENCH_COLUMNS,
     fit_loglog_slope,
@@ -25,7 +25,14 @@ from gamelcp.bench import (
 )
 from gamelcp.cli import main
 from gamelcp.conditioning import CSV_COLUMNS
-from gamelcp.game import load_game, save_game, validate_game
+from gamelcp.game import (
+    is_optimal,
+    load_game,
+    matrix_representation,
+    save_game,
+    validate_game,
+    value_vector,
+)
 from gamelcp.lcp import read_lcp, load_partition, to_lcp
 
 WALL = BENCH_COLUMNS.index("wall_ms")
@@ -242,6 +249,40 @@ def test_cli_gen_rejects_tiny_hard_instance(tmp_path):
     assert rc == 2
 
 
+GEN = ["gen", "--n", "4", "--gamma", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (GEN + ["--family", "gn", "--a", "2"], "--a"),
+        (GEN + ["--family", "gn", "--a-mode", "theta", "--a", "2"], "--a"),
+        (GEN + ["--family", "random", "--a", "2"], "--a"),
+        (GEN + ["--family", "random", "--a-mode", "custom", "--a", "2"], "--a"),
+        (GEN + ["--family", "random", "--partition", "{tmp}/p.json"], "--partition"),
+        *(
+            (["solve", "--game", "{tmp}/g3.json", "--method", method,
+              "--partition", "{tmp}/absent.json"], "--partition")
+            for method in ("vi", "si", "brute")
+        ),
+    ],
+)
+def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv, flag):
+    write_g3(tmp_path)
+    out = tmp_path / "out.json"
+    argv = ["--output", str(out)] + [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_gen_custom_cost(tmp_path):
+    out = tmp_path / "g.json"
+    argv = ["--output", str(out)] + GEN + ["--family", "gn", "--a-mode", "custom"]
+    assert main(argv + ["--a", "2.5"]) == 0
+    assert load_game(out).states[2].actions[0].cost == 2.5
+
+
 @pytest.mark.parametrize("method", ["vi", "si", "brute", "ipm", "pivot"])
 def test_cli_solve_methods_agree(tmp_path, capsys, method):
     path = write_g3(tmp_path)
@@ -259,8 +300,9 @@ def test_cli_solve_methods_agree(tmp_path, capsys, method):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls of matrix_representation and to_lcp, wherever gamelcp binds them."""
-    counts = {"matrix_representation": 0, "to_lcp": 0}
+    """Calls of matrix_representation, to_lcp and value_vector, wherever
+    gamelcp binds them."""
+    counts = {"matrix_representation": 0, "to_lcp": 0, "value_vector": 0}
     for name in counts:
         real = getattr(gamelcp, name)
 
@@ -276,6 +318,18 @@ def builds(monkeypatch):
     return counts
 
 
+# value_vector calls of one op: (fixed, per iteration).  SI solves once per
+# round and once at the optimum, brute force once per profile examined.
+VALUE_SOLVES = {
+    "certify": (0, 0),
+    "ipm": (1, 0),
+    "pivot": (1, 0),
+    "vi": (1, 0),
+    "si": (1, 1),
+    "brute": (0, 1),
+}
+
+
 @pytest.mark.parametrize(
     "command, matrix_builds",
     [
@@ -284,26 +338,72 @@ def builds(monkeypatch):
         (["solve", "--method", "pivot"], 1),
         (["solve", "--method", "vi"], 1),
         (["solve", "--method", "si"], 1),
+        (["solve", "--method", "brute"], 1),
     ],
 )
 def test_cli_builds_the_game_matrices_once_per_op(
     tmp_path, builds, command, matrix_builds
 ):
     # the solver and the CLI's own optimality check of its profile share
-    # one build: the one to_lcp keeps for ipm and pivot, the CLI's for vi, si
+    # one build (the one to_lcp keeps for ipm and pivot, the CLI's for the
+    # rest) and the result's value solve
     path = tmp_path / "game.json"
     save_game(random_game(12, 0.9, 5), path)
     out = tmp_path / "out.json"
     argv = ["--output", str(out), command[0], "--game", str(path), *command[1:]]
     assert main(argv) == 0
-    lcp_builds = 0 if command[-1] in ("vi", "si") else 1
-    assert builds == {"matrix_representation": matrix_builds, "to_lcp": lcp_builds}
+    method = command[-1] if command[0] == "solve" else "certify"
+    fixed, per_iteration = VALUE_SOLVES[method]
+    iterations = json.loads(out.read_text()).get("iterations", 0)
+    assert builds == {
+        "matrix_representation": matrix_builds,
+        "to_lcp": 0 if method in ("vi", "si", "brute") else 1,
+        "value_vector": fixed + per_iteration * iterations,
+    }
+
+
+def test_is_optimal_on_given_values_is_the_same_rule():
+    # the CLI and recover hand is_optimal the values they hold; that must
+    # give the verdict and violations of is_optimal's own solve
+    tol = 1e-9
+    rng = np.random.default_rng(12)
+    cases = []
+    for seed in range(20):
+        game = random_game(int(rng.integers(1, 13)), float(rng.uniform(0.1, 0.99)), seed)
+        rep = matrix_representation(game)
+        cases += [(rep, rng.integers(0, 2, size=rep.n)) for _ in range(5)]
+    # two self-looping states whose slot-0 values are exactly 0, so slot 1's
+    # reduced cost is exactly its cost: player 1's at or below -tol, player
+    # 2's at or above tol
+    below, above = np.nextafter(-tol, -1.0), np.nextafter(tol, 1.0)
+    for rc_min in (below, -tol, tol):
+        for rc_max in (-tol, tol, above):
+            game = make_game(
+                0.9,
+                [
+                    (1, [(0.0, [(0, 1.0)]), (float(rc_min), [(0, 1.0)])]),
+                    (2, [(0.0, [(1, 1.0)]), (float(rc_max), [(1, 1.0)])]),
+                ],
+            )
+            rep = matrix_representation(game)
+            ok, _ = is_optimal(rep, [0, 0], tol)
+            assert ok == (rc_min != below and rc_max != above)
+            cases.append((rep, [0, 0]))
+    verdicts = set()
+    for rep, profile in cases:
+        ok, violations = is_optimal(rep, profile, tol)
+        got_ok, got_violations = is_optimal(
+            rep, profile, tol, values=value_vector(rep, profile)
+        )
+        assert got_ok == ok and np.array_equal(got_violations, violations)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_bench_builds_the_game_matrices_once_per_cell(builds):
     rows = run_bench([6, 10], [0.5, 0.9], samples=50)
     assert all(math.isfinite(r.solver_iters) for r in rows)
-    assert builds == {"matrix_representation": 4, "to_lcp": 4}
+    assert builds == {"matrix_representation": 4, "to_lcp": 4, "value_vector": 0}
 
 
 def test_cli_solve_missing_file(tmp_path):

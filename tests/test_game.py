@@ -1,5 +1,6 @@
 """Model encoding, validation, and the per-profile linear algebra."""
 
+import functools
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from gamelcp.game import (
     PLAYER_MIN,
     GameValidationError,
     MatrixRep,
-    game_from_dict,
     game_to_dict,
     is_optimal,
     load_game,
@@ -52,13 +52,13 @@ def test_three_state_matrix_representation_exact(three_state):
 
 
 def test_three_state_restrict(three_state):
-    p_sigma, c_sigma = restrict(three_state, [0, 1, 0])
+    p_sigma, c_sigma = restrict(matrix_representation(three_state), [0, 1, 0])
     assert np.array_equal(p_sigma, [[0, 0.5, 0.5], [0.5, 0.25, 0.25], [0, 1, 0]])
     assert np.array_equal(c_sigma, [7.0, 2.0, 5.0])
 
 
 def test_three_state_markov_steps(three_state):
-    p_sigma, _ = restrict(three_state, [0, 1, 0])
+    p_sigma, _ = restrict(matrix_representation(three_state), [0, 1, 0])
     expect = {
         0: np.array([1.0, 0.0, 0.0]),
         1: np.array([0.0, 0.5, 0.5]),
@@ -71,7 +71,7 @@ def test_three_state_markov_steps(three_state):
 
 
 def test_markov_chapman_kolmogorov(three_state):
-    p_sigma, _ = restrict(three_state, [0, 1, 0])
+    p_sigma, _ = restrict(matrix_representation(three_state), [0, 1, 0])
     for s, t in ((1, 2), (2, 3), (0, 4)):
         via = markov_step_distribution(p_sigma, 0, s)
         stepped = via.copy()
@@ -138,16 +138,18 @@ def test_single_state_minimizer_rep():
 
 def test_g3_restrictions(g3):
     game, part = g3
-    p_sigma, _ = restrict(game, part.sigma)
-    p_tau, _ = restrict(game, part.tau)
+    rep = matrix_representation(game)
+    p_sigma, _ = restrict(rep, part.sigma)
+    p_tau, _ = restrict(rep, part.tau)
     assert np.array_equal(p_sigma, [[1, 0, 0], [0, 1, 0], [1, 0, 0]])
     assert np.array_equal(p_tau, [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
 
 
 def test_g3_value_vectors(g3):
     game, part = g3
-    assert np.allclose(value_vector(game, part.tau), [2.0, -2.0, 0.0], atol=1e-12)
-    assert np.allclose(value_vector(game, part.sigma), [2.0, -2.0, 2.0], atol=1e-12)
+    rep = matrix_representation(game)
+    assert np.allclose(value_vector(rep, part.tau), [2.0, -2.0, 0.0], atol=1e-12)
+    assert np.allclose(value_vector(rep, part.sigma), [2.0, -2.0, 2.0], atol=1e-12)
 
 
 def test_zero_costs_zero_values(three_state):
@@ -159,41 +161,44 @@ def test_zero_costs_zero_values(three_state):
             (2, [(0.0, [(1, 1.0)]), (0.0, [(1, 1 / 3), (2, 2 / 3)])]),
         ],
     )
+    rep = matrix_representation(zero)
     for profile in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
-        assert np.abs(value_vector(zero, profile)).max() <= 1e-15
+        assert np.abs(value_vector(rep, profile)).max() <= 1e-15
 
 
 def test_g3_reduced_costs(g3):
     game, part = g3
-    rc_tau = reduced_costs(game, part.tau)
+    rep = matrix_representation(game)
+    rc_tau = reduced_costs(rep, part.tau)
     # under tau, the unused jump of the tail state has advantage a + gamma*v(0) - v(2) = 2
     assert abs(rc_tau[4] - 2.0) <= 1e-12
-    rc_sigma = reduced_costs(game, part.sigma)
+    rc_sigma = reduced_costs(rep, part.sigma)
     assert abs(rc_sigma[5] - (-2.0)) <= 1e-12
 
 
 def test_chosen_actions_have_zero_reduced_cost(three_state):
     rng = np.random.default_rng(7)
+    rep = matrix_representation(three_state)
     for _ in range(10):
         profile = rng.integers(0, 2, size=3)
-        rc = reduced_costs(three_state, profile)
-        rep = matrix_representation(three_state)
+        rc = reduced_costs(rep, profile)
         chosen = rep.offsets[:-1] + profile
         assert np.abs(rc[chosen]).max() <= 1e-9
 
 
 def test_g3_optimality_verdicts(g3):
     game, part = g3
-    ok, violations = is_optimal(game, part.sigma)
+    rep = matrix_representation(game)
+    ok, violations = is_optimal(rep, part.sigma)
     assert ok and violations.size == 0
-    ok, violations = is_optimal(game, part.tau)
+    ok, violations = is_optimal(rep, part.tau)
     assert not ok
     assert violations.tolist() == [4]  # the tail state's jump to the +1 anchor
 
 
 def test_single_action_game_always_optimal():
     game = make_game(0.9, [(1, [(1.0, [(1, 1.0)])]), (2, [(-1.0, [(0, 1.0)])])])
-    ok, violations = is_optimal(game, [0, 0])
+    ok, violations = is_optimal(matrix_representation(game), [0, 0])
     assert ok and violations.size == 0
 
 
@@ -209,7 +214,7 @@ def test_row_sum_identity():
             ],
         )
         for profile in ([0, 0, 0], [1, 1, 1], [1, 0, 1]):
-            v = value_vector(ones_cost, profile)
+            v = value_vector(matrix_representation(ones_cost), profile)
             assert np.abs(v - 1.0 / (1.0 - gamma)).max() <= 1e-9
         for _ in range(5):
             profile = rng.integers(0, 2, size=3)
@@ -220,8 +225,8 @@ def test_row_sum_identity():
                     for st in game.states
                 ],
             )
-            v0 = value_vector(game, profile)
-            v1 = value_vector(shifted, profile)
+            v0 = value_vector(matrix_representation(game), profile)
+            v1 = value_vector(matrix_representation(shifted), profile)
             # adding 1 to every cost adds the geometric series 1/(1-gamma)
             assert np.abs(v1 - v0 - 1.0 / (1.0 - gamma)).max() <= 1e-9
 
@@ -235,21 +240,64 @@ def test_cost_scaling_homogeneity(three_state):
             for st in three_state.states
         ],
     )
+    rep = matrix_representation(three_state)
+    rep_s = matrix_representation(scaled)
     rng = np.random.default_rng(13)
     for _ in range(8):
         profile = rng.integers(0, 2, size=3)
-        v = value_vector(three_state, profile)
-        v_s = value_vector(scaled, profile)
+        v = value_vector(rep, profile)
+        v_s = value_vector(rep_s, profile)
         assert np.abs(v_s - lam * v).max() <= 1e-9 * max(1.0, np.abs(v).max())
-        rc = reduced_costs(three_state, profile)
-        rc_s = reduced_costs(scaled, profile)
+        rc = reduced_costs(rep, profile)
+        rc_s = reduced_costs(rep_s, profile)
         assert np.abs(rc_s - lam * rc).max() <= 1e-9 * max(1.0, np.abs(rc).max())
-        assert is_optimal(three_state, profile)[0] == is_optimal(scaled, profile)[0]
+        assert is_optimal(rep, profile)[0] == is_optimal(rep_s, profile)[0]
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        restrict,
+        value_vector,
+        reduced_costs,
+        functools.partial(reduced_costs, values=np.zeros(5)),
+        is_optimal,
+        functools.partial(is_optimal, values=np.zeros(5)),
+    ],
+    ids=[
+        "restrict",
+        "value_vector",
+        "reduced_costs",
+        "reduced_costs-values",
+        "is_optimal",
+        "is_optimal-values",
+    ],
+)
+def test_profile_checked_against_the_matrix_rep(check):
+    # the messages are those the Game-taking functions gave
+    rep = matrix_representation(random_game(5, 0.9, 1))
+    for profile, message in (
+        ([2, 0, 0, 0, 0], r"^profile slot 2 out of range at state 0 \(2 actions\)$"),
+        ([0, 0, -1, 0, 0], r"^profile slot -1 out of range at state 2 \(2 actions\)$"),
+        ([0, 0, 0, 0], r"^profile length \(4,\) does not match 5 states$"),
+        ([[0] * 5], r"^profile length \(1, 5\) does not match 5 states$"),
+    ):
+        with pytest.raises(GameValidationError, match=message):
+            check(rep, profile)
+
+
+def test_profile_check_reads_each_states_action_count():
+    rep = matrix_representation(_repeated_target_game())  # 2, 1 and 3 actions
+    assert value_vector(rep, [1, 0, 2]).shape == (3,)
+    with pytest.raises(GameValidationError, match=r"slot 1 .* state 1 \(1 actions\)$"):
+        value_vector(rep, [0, 1, 0])
+    with pytest.raises(GameValidationError, match=r"slot 3 .* state 2 \(3 actions\)$"):
+        value_vector(rep, [0, 0, 3])
 
 
 def test_json_roundtrip(tmp_path, three_state):
     d = game_to_dict(three_state)
-    again = game_from_dict(d)
+    again = validate_game(d)
     assert game_to_dict(again) == d
     path = tmp_path / "game.json"
     save_game(three_state, str(path))

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import hard_instance
 from gamelcp.conditioning import kappa_at, smallest_eigenvalue_sym, theta_at
-from gamelcp.game import is_optimal, restrict, value_vector
+from gamelcp.game import is_optimal, matrix_representation, restrict, value_vector
 from gamelcp.hard_instances import (
     A_MODES,
     HardInstanceSpec,
@@ -76,10 +76,11 @@ def test_closed_forms_match_game(n, gamma, mode):
     game, partition = build_hard_instance(spec)
     forms = closed_forms(spec)
 
-    _, c_tau = restrict(game, partition.tau)
+    rep = matrix_representation(game)
+    _, c_tau = restrict(rep, partition.tau)
     assert np.array_equal(c_tau, forms.c_tau)
 
-    v_tau = value_vector(game, partition.tau)
+    v_tau = value_vector(rep, partition.tau)
     scale = 1.0 + np.abs(forms.v_tau).max()
     assert np.abs(v_tau - forms.v_tau).max() <= 1e-9 * scale
 
@@ -219,6 +220,9 @@ def test_spec_validation():
         HardInstanceSpec(5, 0.5, a_mode="sharp")
     with pytest.raises(ValueError, match="needs an explicit a"):
         HardInstanceSpec(5, 0.5, a_mode="custom")
+    for mode in ("kappa", "eigenvalue", "theta"):
+        with pytest.raises(ValueError, match=f"a_mode 'custom' only, not '{mode}'"):
+            HardInstanceSpec(5, 0.5, a_mode=mode, a=1.0)
 
 
 # -- the family's optimum -----------------------------------------------------
@@ -227,7 +231,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("n", [3, 4])
 def test_brute_force_optimum_prefers_the_high_anchor(n):
     game, _ = hard_instance(n, 0.5, a_mode="kappa")
-    result = brute_force_solve(game)
+    result = brute_force_solve(matrix_representation(game))
     expected = np.full(n, 2.0)  # a + beta with a = beta = 1
     expected[1] = -2.0
     assert np.abs(result.values - expected).max() <= 1e-9
@@ -237,11 +241,12 @@ def test_brute_force_optimum_prefers_the_high_anchor(n):
 @pytest.mark.parametrize("n,gamma", GRID)
 def test_all_slot_zero_profile_is_optimal(n, gamma):
     game, partition = hard_instance(n, gamma, a_mode="kappa")
-    ok, violations = is_optimal(game, partition.sigma)
+    rep = matrix_representation(game)
+    ok, violations = is_optimal(rep, partition.sigma)
     assert ok and violations.size == 0
     beta = beta_of(gamma)
     a = beta
-    v = value_vector(game, partition.sigma)
+    v = value_vector(rep, partition.sigma)
     expected = np.full(n, a + beta)
     expected[0] = 1.0 + beta
     expected[1] = -(1.0 + beta)

@@ -44,15 +44,24 @@ def test_default_partition_rejects_three_actions():
     )
     with pytest.raises(GameValidationError, match="state 0 has 3 actions"):
         default_partition(game)
-    with pytest.raises(GameValidationError, match="state 0"):
+    message = r"^state 0 has 3 actions; the reduction needs exactly 2 per state$"
+    with pytest.raises(GameValidationError, match=message):
         to_lcp(game)
+    with pytest.raises(GameValidationError, match=message):
+        to_lcp(game, Partition(sigma=[0, 0], tau=[1, 1]))
 
 
 def test_partition_must_cover_both_actions(g3):
     game, _ = g3
-    bad = Partition(sigma=np.zeros(3, dtype=np.int64), tau=np.zeros(3, dtype=np.int64))
-    with pytest.raises(GameValidationError, match="cover both actions"):
-        to_lcp(game, bad)
+    for sigma, tau, message in (
+        ([0, 0, 0], [0, 0, 0], r"^partition does not cover both actions of state 0$"),
+        ([0, 1, 0], [1, 1, 1], r"^partition does not cover both actions of state 1$"),
+        ([0, 0, 0], [1, 2, 1], r"^profile slot 2 out of range at state 1 \(2 actions\)$"),
+        ([-1, 0, 0], [1, 1, 1], r"^profile slot -1 out of range at state 0 \(2 actions\)$"),
+        ([0, 0], [1, 1], r"^profile length \(2,\) does not match 3 states$"),
+    ):
+        with pytest.raises(GameValidationError, match=message):
+            to_lcp(game, Partition(sigma=np.array(sigma), tau=np.array(tau)))
 
 
 def test_g3_reduction_exact(g3):

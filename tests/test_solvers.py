@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from gamelcp import solvers
-from gamelcp.game import PLAYER_MIN, matrix_representation, reduced_costs, value_vector
+from gamelcp.game import (
+    PLAYER_MIN,
+    GameValidationError,
+    matrix_representation,
+    reduced_costs,
+    value_vector,
+)
 from gamelcp.solvers import (
     SolveResult,
     SolverFailure,
@@ -71,7 +77,7 @@ def test_bellman_fixed_point(g3):
 
 def test_value_iteration_g3(g3):
     game, _ = g3
-    res = value_iteration(game, eps=1e-8)
+    res = value_iteration(matrix_representation(game), eps=1e-8)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-8)
     assert res.method == "value_iteration"
     assert res.iterations >= 1
@@ -81,15 +87,16 @@ def test_value_iteration_accuracy_guarantee():
     rng = np.random.default_rng(21)
     for k in range(10):
         game = random_game(5, float(rng.uniform(0.2, 0.9)), seed=100 + k)
-        oracle = brute_force_solve(game)
-        res = value_iteration(game, eps=1e-6)
+        rep = matrix_representation(game)
+        oracle = brute_force_solve(rep)
+        res = value_iteration(rep, eps=1e-6)
         assert np.abs(res.values - oracle.values).max() <= 1e-6
 
 
 def test_value_iteration_contraction():
     game, _ = hard_instance(4, 0.8, a=2.0)
-    oracle = brute_force_solve(game)
     rep = matrix_representation(game)
+    oracle = brute_force_solve(rep)
     v = np.zeros(4)
     err = np.abs(v - oracle.values).max()
     for _ in range(60):
@@ -101,7 +108,7 @@ def test_value_iteration_contraction():
 
 def test_strategy_iteration_from_tau(g3):
     game, part = g3
-    res = strategy_iteration(game, initial_profile=part.tau)
+    res = strategy_iteration(matrix_representation(game), initial_profile=part.tau)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
     assert res.profile[2] == 0  # tail state switched to the sigma slot
     assert res.iterations == 1
@@ -109,9 +116,20 @@ def test_strategy_iteration_from_tau(g3):
 
 def test_strategy_iteration_zero_switches_at_optimum(g3):
     game, part = g3
-    res = strategy_iteration(game, initial_profile=part.sigma)
+    res = strategy_iteration(matrix_representation(game), initial_profile=part.sigma)
     assert res.iterations == 0
     assert np.array_equal(res.profile, part.sigma)
+
+
+def test_strategy_iteration_checks_its_initial_profile():
+    rep = matrix_representation(random_game(5, 0.9, 1))
+    for profile, message in (
+        ([2, 0, 0, 0, 0], r"^profile slot 2 out of range at state 0 \(2 actions\)$"),
+        ([0, 0, -1, 0, 0], r"^profile slot -1 out of range at state 2 \(2 actions\)$"),
+        ([0, 0, 0, 0], r"^profile length \(4,\) does not match 5 states$"),
+    ):
+        with pytest.raises(GameValidationError, match=message):
+            strategy_iteration(rep, initial_profile=profile)
 
 
 def test_strategy_iteration_improves_single_player_games():
@@ -144,27 +162,27 @@ def test_strategy_iteration_improves_single_player_games():
 
 def test_brute_force_g3(g3):
     game, _ = g3
-    res = brute_force_solve(game)
+    res = brute_force_solve(matrix_representation(game))
     assert np.array_equal(res.profile, [0, 0, 0])
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
 
 
 def test_brute_force_single_action_game():
     game = make_game(0.9, [(1, [(1.0, [(1, 1.0)])]), (2, [(-1.0, [(0, 1.0)])])])
-    res = brute_force_solve(game)
+    res = brute_force_solve(matrix_representation(game))
     assert np.array_equal(res.profile, [0, 0])
 
 
 def test_brute_force_cap():
     game, _ = hard_instance(21, 0.5, a=1.0)  # 2^21 profiles exceeds the cap
     with pytest.raises(SolverFailure, match="cap"):
-        brute_force_solve(game)
+        brute_force_solve(matrix_representation(game))
 
 
 def test_three_state_brute_matches_value_iteration():
-    game = three_state_game(0.5)
-    res_b = brute_force_solve(game)
-    res_v = value_iteration(game, eps=1e-8)
+    rep = matrix_representation(three_state_game(0.5))
+    res_b = brute_force_solve(rep)
+    res_v = value_iteration(rep, eps=1e-8)
     assert np.abs(res_b.values - res_v.values).max() <= 1e-6
 
 
@@ -173,9 +191,10 @@ def test_cross_method_agreement_random():
     for k in range(20):
         gamma = float(rng.uniform(0.2, 0.9))
         game = random_game(int(rng.integers(2, 7)), gamma, seed=500 + k)
-        res_b = brute_force_solve(game)
-        res_v = value_iteration(game, eps=1e-8)
-        res_s = strategy_iteration(game)
+        rep = matrix_representation(game)
+        res_b = brute_force_solve(rep)
+        res_v = value_iteration(rep, eps=1e-8)
+        res_s = strategy_iteration(rep)
         assert np.abs(res_b.values - res_v.values).max() <= 1e-6
         assert np.abs(res_b.values - res_s.values).max() <= 1e-6
 
