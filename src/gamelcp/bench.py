@@ -27,7 +27,7 @@ from .conditioning import (
     kappa_upper_bound,
     theta_lower_bound,
 )
-from .game import Action, Game, State
+from .game import build_game
 from .hard_instances import (
     HardInstanceSpec,
     build_hard_instance,
@@ -86,12 +86,9 @@ def random_game(n, gamma, seed, max_support=4):
             weights = rng.uniform(0.1, 1.0, size=support)
             weights /= weights.sum()
             cost = float(rng.uniform(-10.0, 10.0))
-            dist = tuple(
-                (int(t), float(w)) for t, w in zip(targets, weights, strict=True)
-            )
-            actions.append(Action(cost=cost, dist=dist))
-        states.append(State(owner=owner, actions=tuple(actions)))
-    return Game(gamma=gamma, states=tuple(states))
+            actions.append((cost, list(zip(targets.tolist(), weights.tolist()))))
+        states.append((owner, actions))
+    return build_game(gamma, states)
 
 
 @dataclass

@@ -22,13 +22,7 @@ from .bench import (
     write_bench_csv,
 )
 from .conditioning import CertifyOptions, certify, write_report_csv, write_report_json
-from .game import (
-    GameValidationError,
-    is_optimal,
-    load_game,
-    matrix_representation,
-    save_game,
-)
+from .game import GameValidationError, game_to_dict, is_optimal, load_game, save_game
 from .hard_instances import A_MODES, HardInstanceSpec, build_hard_instance
 from .lcp import (
     RecoveryError,
@@ -67,7 +61,7 @@ def _build_parser():
     p_gen.add_argument("--family", choices=("gn", "random"), required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--gamma", type=float, required=True)
-    p_gen.add_argument("--a-mode", choices=A_MODES, default="kappa")
+    p_gen.add_argument("--a-mode", choices=A_MODES, default=None)
     p_gen.add_argument("--a", type=float, default=None)
     p_gen.add_argument(
         "--partition", default=None, help="partition sidecar path (gn family)"
@@ -125,14 +119,18 @@ def _write_or_print(text, path):
 
 def _cmd_gen(args):
     if args.family == "random":
-        for flag, value in (("--a", args.a), ("--partition", args.partition)):
+        for flag, value in (
+            ("--a-mode", args.a_mode),
+            ("--a", args.a),
+            ("--partition", args.partition),
+        ):
             if value is not None:
                 raise ValueError(f"{flag} applies to --family gn only")
     elif args.a is not None and args.a_mode != "custom":
         raise ValueError("--a needs --a-mode custom")
     if args.family == "gn":
         spec = HardInstanceSpec(
-            n=args.n, gamma=args.gamma, a_mode=args.a_mode, a=args.a
+            n=args.n, gamma=args.gamma, a_mode=args.a_mode or "kappa", a=args.a
         )
         game, partition = build_hard_instance(spec)
         sidecar = args.partition
@@ -143,8 +141,6 @@ def _cmd_gen(args):
     else:
         game = random_game(args.n, args.gamma, args.seed)
     if args.output is None:
-        from .game import game_to_dict
-
         _write_or_print(json.dumps(game_to_dict(game), indent=2), None)
     else:
         save_game(game, args.output)
@@ -162,28 +158,27 @@ def _cmd_solve(args):
     if args.method in ("vi", "si", "brute"):
         if args.partition is not None:
             raise ValueError("--partition applies to --method ipm and pivot only")
-        rep = matrix_representation(game)
         if args.method == "vi":
-            result = value_iteration(rep, eps=args.tol)
+            result = value_iteration(game, eps=args.tol)
         elif args.method == "si":
-            result = strategy_iteration(rep, tol=args.tol)
+            result = strategy_iteration(game, tol=args.tol)
         else:
-            result = brute_force_solve(rep, tol=args.tol)
+            result = brute_force_solve(game, tol=args.tol)
     else:
         partition = _load_partition_or_default(game, args.partition)
         lcp = to_lcp(game, partition)
-        rep = lcp.reduction.rep
         if args.method == "ipm":
             w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=args.tol))
             iterations = len(trace)
         else:
             w, z, iterations = solve_pivoting(lcp)
-        result = recover(lcp, w, z)
+        # recover's checks are no tighter than the tolerance the IPM stopped at
+        result = recover(lcp, w, z, tol=max(args.tol, 1e-6))
         result.iterations = iterations
     result.method = args.method
 
     ok, violations = is_optimal(
-        rep, result.profile, tol=max(args.tol, 1e-9), values=result.values
+        game, result.profile, tol=max(args.tol, 1e-9), values=result.values
     )
     lines = [
         f"method={result.method} iterations={result.iterations} optimal={ok}"

@@ -45,6 +45,7 @@ __all__ = [
     "delta_lower_bound",
     "estimate_kappa",
     "estimate_theta",
+    "gaussian_block",
     "kappa_at",
     "kappa_upper_bound",
     "pmatrix_check_minors",
@@ -287,17 +288,18 @@ def _theta_batch(x_rows, y_rows):
     return vals
 
 
-def _gaussian_block(m_mat, n_samples, seed):
-    """``n_samples`` gaussian directions drawn from ``seed`` and M times each
-    (None when ``n_samples`` is not positive)."""
-    if n_samples <= 0:
+def gaussian_block(m_mat, samples, seed):
+    """``samples`` gaussian directions drawn from ``seed`` and M times each,
+    as (x_rows, y_rows); None when ``samples`` is not positive."""
+    if samples <= 0:
         return None
-    x_rows = np.random.default_rng(seed).standard_normal((n_samples, m_mat.shape[0]))
+    m_mat = np.asarray(m_mat, dtype=np.float64)
+    x_rows = np.random.default_rng(seed).standard_normal((samples, m_mat.shape[0]))
     return x_rows, x_rows @ m_mat.T
 
 
 def _best_sample(block, batch_fn, better):
-    """(value, direction) of the best row of a :func:`_gaussian_block`."""
+    """(value, direction) of the best row of a :func:`gaussian_block`."""
     x_rows, y_rows = block
     vals = batch_fn(x_rows, y_rows)
     k = int(np.argmin(vals)) if better == "min" else int(np.argmax(vals))
@@ -374,8 +376,16 @@ def _climb(m_mat, x0, batch_fn, better):
     return best, x
 
 
-def _estimate_kappa(m_mat, witnesses, block):
-    """:func:`estimate_kappa` with its samples drawn as ``block``."""
+def estimate_kappa(m_mat, block, witnesses=()):
+    """Lower estimate of kappa(M): max of kappa_at over witnesses, the
+    sampled directions of ``block`` (a :func:`gaussian_block` of M, or
+    None), and coordinate hill climbing from the best of them.
+
+    Returns (value, direction); the value is ``kappa_at`` recomputed from
+    the returned direction.  An infinite value means a direction proved M
+    is not P* (impossible for game-derived matrices).
+    """
+    m_mat = np.asarray(m_mat, dtype=np.float64)
     best_val = 0.0
     best_x = np.zeros(m_mat.shape[0])
     best_x[0] = 1.0
@@ -402,20 +412,15 @@ def _estimate_kappa(m_mat, witnesses, block):
         return np.inf, best_x
 
 
-def estimate_kappa(m_mat, n_samples=10_000, seed=0, witnesses=()):
-    """Lower estimate of kappa(M): max of kappa_at over witnesses, seeded
-    gaussian samples, and coordinate hill climbing from the best sample.
+def estimate_theta(m_mat, block, witnesses=()):
+    """Upper estimate of theta(M): min of theta_at over witnesses, the
+    uniform direction, the sampled directions of ``block`` (a
+    :func:`gaussian_block` of M, or None), and hill climbing from the best.
 
-    Returns (value, direction); the value is ``kappa_at`` recomputed from
-    the returned direction.  An infinite value means a direction proved M
-    is not P* (impossible for game-derived matrices).
+    Returns (value, direction); the direction is unit 2-norm and the value
+    is ``theta_at`` recomputed from it.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
-    return _estimate_kappa(m_mat, witnesses, _gaussian_block(m_mat, n_samples, seed))
-
-
-def _estimate_theta(m_mat, witnesses, block):
-    """:func:`estimate_theta` with its samples drawn as ``block``."""
     n = m_mat.shape[0]
     uniform = np.full(n, 1.0 / math.sqrt(n))
     best_val = theta_at(m_mat, uniform)
@@ -434,17 +439,6 @@ def _estimate_theta(m_mat, witnesses, block):
         best_x = x
     best_x = best_x / np.linalg.norm(best_x)
     return theta_at(m_mat, best_x), best_x
-
-
-def estimate_theta(m_mat, n_samples=10_000, seed=0, witnesses=()):
-    """Upper estimate of theta(M): min of theta_at over witnesses, the
-    uniform direction, seeded samples, and hill climbing from the best.
-
-    Returns (value, direction); the direction is unit 2-norm and the value
-    is ``theta_at`` recomputed from it.
-    """
-    m_mat = np.asarray(m_mat, dtype=np.float64)
-    return _estimate_theta(m_mat, witnesses, _gaussian_block(m_mat, n_samples, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +500,11 @@ def certify(lcp, options):
     """
     red = lcp.game_reduction("certify")
     m_mat = np.asarray(lcp.m, dtype=np.float64)
-    n, gamma, signs = red.rep.n, red.rep.gamma, red.rep.ownership_signs
+    n, gamma, signs = red.game.n, red.game.gamma, red.game.ownership_signs
     witnesses = [red.c_tau, signs * red.c_tau]
-    # both estimators score one draw: estimate_kappa and estimate_theta
-    # called alone with this seed and these witnesses return the same values
-    block = _gaussian_block(m_mat, options.samples, options.seed)
-    kappa_est, _ = _estimate_kappa(m_mat, witnesses, block)
-    theta_est, _ = _estimate_theta(m_mat, witnesses, block)
+    block = gaussian_block(m_mat, options.samples, options.seed)  # one draw for both
+    kappa_est, _ = estimate_kappa(m_mat, block, witnesses)
+    theta_est, _ = estimate_theta(m_mat, block, witnesses)
     delta, _ = smallest_eigenvalue_sym(m_mat)
     cert = structural_certificate(m_mat, red.b_sig, red.b_tau, signs)
     cond = -delta / theta_est

@@ -13,12 +13,20 @@ An action's reduced cost against a value vector v is
 when every player-1 action has reduced cost >= 0 and every player-2 action
 has reduced cost <= 0 (up to tolerance).
 
-A :class:`Game` is the validated input form.  ``matrix_representation``
-turns it into a :class:`MatrixRep`, the dense form that ``restrict``,
-``value_vector``, ``reduced_costs`` and ``is_optimal`` take; each checks
-its profile against the MatrixRep's per-state action counts
-(:func:`as_profile`) and raises :class:`GameValidationError` on a slot out
-of range or a profile of the wrong length.
+The package has one game type, :class:`Game`: the matrices every solver
+and certificate reads (P, the costs, the owner signs and each state's
+action rows), built by :func:`build_game`.  :func:`validate_game` checks a
+parsed JSON game and builds it; ``restrict``, ``value_vector``,
+``reduced_costs`` and ``is_optimal`` check their profile against the
+game's per-state action counts (:func:`as_profile`) and raise
+:class:`GameValidationError` on a slot out of range or a profile of the
+wrong length.
+
+The file form is ``{"gamma": g, "states": [{"owner": 1 or 2, "actions":
+[{"cost": c, "dist": [[target, prob], ...]}, ...]}, ...]}``.
+:func:`save_game` writes each action's successors in state order, one
+entry per positive probability, so repeated targets are merged and zero
+entries dropped; loading either form gives the same arrays.
 """
 
 from __future__ import annotations
@@ -32,19 +40,16 @@ import numpy as np
 from . import _kernels
 
 __all__ = [
-    "Action",
     "Game",
     "GameValidationError",
-    "MatrixRep",
     "PLAYER_MAX",
     "PLAYER_MIN",
-    "State",
     "as_profile",
+    "build_game",
     "game_to_dict",
     "is_optimal",
     "load_game",
     "markov_step_distribution",
-    "matrix_representation",
     "reduced_costs",
     "restrict",
     "save_game",
@@ -62,50 +67,86 @@ class GameValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Action:
-    cost: float
-    dist: tuple  # ((state index, probability), ...)
-
-
-@dataclass(frozen=True)
-class State:
-    owner: int
-    actions: tuple
-
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Game:
+    """A game as its matrices.
+
+    p is the (m, n) row-stochastic action transition matrix, costs the
+    (m,) cost vector, owners the (n,) owner of each state and
+    ownership_signs the (n,) vector with -1 on player-1 states and +1 on
+    player-2 states.  offsets[i]:offsets[i+1] slices the action rows of
+    state i; state_of_action maps rows back.
+    """
+
     gamma: float
-    states: tuple
+    p: np.ndarray
+    costs: np.ndarray
+    owners: np.ndarray
+    ownership_signs: np.ndarray
+    offsets: np.ndarray
+    state_of_action: np.ndarray
 
     @property
-    def n_states(self):
-        return len(self.states)
+    def n(self):
+        return self.p.shape[1]
 
     @property
-    def n_actions(self):
-        return sum(len(s.actions) for s in self.states)
+    def source(self):
+        """The (m, n) one-hot matrix mapping each action row to its source state."""
+        out = np.zeros(self.p.shape)
+        out[np.arange(self.p.shape[0]), self.state_of_action] = 1.0
+        return out
+
+
+def build_game(gamma, states):
+    """The :class:`Game` of ``states``, a list of
+    ``(owner, [(cost, [(target, prob), ...]), ...])``, one entry per state.
+
+    Checks nothing (a target past the last state raises IndexError);
+    outside input goes through :func:`validate_game`.  Repeated targets of
+    an action add up in the order given.
+    """
+    counts = [len(actions) for _, actions in states]
+    n = len(states)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    state_of_action = np.repeat(np.arange(n, dtype=np.int64), counts)
+    owners = np.array([owner for owner, _ in states], dtype=np.int64)
+    actions = [a for _, acts in states for a in acts]
+    m = len(actions)
+    costs = np.array([cost for cost, _ in actions], dtype=np.float64)
+    # one scatter of every distribution entry, in action order: np.add.at
+    # accumulates repeated targets in that order, as a per-entry loop would,
+    # and refuses a target out of range the same way
+    rows = np.repeat(np.arange(m, dtype=np.int64), [len(dist) for _, dist in actions])
+    cols = np.array([j for _, dist in actions for j, _ in dist], dtype=np.int64)
+    probs = np.array([prob for _, dist in actions for _, prob in dist], dtype=np.float64)
+    p = np.zeros((m, n))
+    np.add.at(p, (rows, cols), probs)
+    return Game(
+        gamma=gamma,
+        p=p,
+        costs=costs,
+        owners=owners,
+        ownership_signs=np.where(owners == PLAYER_MIN, -1.0, 1.0),
+        offsets=offsets,
+        state_of_action=state_of_action,
+    )
 
 
 def validate_game(obj):
-    """Validate ``obj`` (a Game or a parsed JSON dict) and return a Game.
+    """Validate ``obj``, a parsed JSON dict, and return its :class:`Game`.
 
     Checks: gamma strictly inside (0, 1); at least one state; at least one
     action per state; owner in {1, 2}; distribution targets in range with
     nonnegative mass summing to 1 within 1e-12.  Distributions are never
     renormalized; off-by-more-than-tolerance mass is an error.
     """
-    if isinstance(obj, Game):
-        raw = game_to_dict(obj)
-    elif isinstance(obj, dict):
-        raw = obj
-    else:
-        raise GameValidationError(f"expected dict or Game, got {type(obj).__name__}")
-
+    if not isinstance(obj, dict):
+        raise GameValidationError(f"expected dict, got {type(obj).__name__}")
     try:
-        gamma = float(raw["gamma"])
-        raw_states = raw["states"]
+        gamma = float(obj["gamma"])
+        raw_states = obj["states"]
     except (KeyError, TypeError, ValueError) as exc:
         raise GameValidationError(f"malformed game object: {exc}") from exc
     if not (0.0 < gamma < 1.0):
@@ -152,23 +193,30 @@ def validate_game(obj):
                     f"state {i} action {a}: distribution sum {mass!r} not within "
                     f"{DIST_MASS_TOL} of 1"
                 )
-            actions.append(Action(cost=cost, dist=tuple(dist)))
-        states.append(State(owner=owner, actions=tuple(actions)))
-    return Game(gamma=gamma, states=tuple(states))
+            actions.append((cost, dist))
+        states.append((owner, actions))
+    return build_game(gamma, states)
 
 
 def game_to_dict(game):
+    """The file form of ``game``: each action's successors in state order,
+    one ``[target, prob]`` per positive entry of its row of P."""
+    rows, cols = np.nonzero(game.p > 0.0)
+    entries = [[j, prob] for j, prob in zip(cols.tolist(), game.p[rows, cols].tolist())]
+    ends = np.searchsorted(rows, np.arange(len(game.costs) + 1)).tolist()
+    costs = game.costs.tolist()
+    offsets = game.offsets.tolist()
     return {
         "gamma": game.gamma,
         "states": [
             {
-                "owner": s.owner,
+                "owner": owner,
                 "actions": [
-                    {"cost": a.cost, "dist": [[j, p] for j, p in a.dist]}
-                    for a in s.actions
+                    {"cost": costs[r], "dist": entries[ends[r] : ends[r + 1]]}
+                    for r in range(offsets[i], offsets[i + 1])
                 ],
             }
-            for s in game.states
+            for i, owner in enumerate(game.owners.tolist())
         ],
     }
 
@@ -184,77 +232,14 @@ def save_game(game, path):
         fh.write("\n")
 
 
-@dataclass
-class MatrixRep:
-    """Dense matrix view of a game.
-
-    p is the (m, n) row-stochastic action transition matrix, costs the
-    (m,) cost vector, and ownership_signs the (n,) vector with -1 on
-    player-1 states and +1 on player-2 states.  offsets[i]:offsets[i+1]
-    slices the action rows of state i; state_of_action maps rows back.
-    """
-
-    gamma: float
-    p: np.ndarray
-    costs: np.ndarray
-    ownership_signs: np.ndarray
-    offsets: np.ndarray
-    state_of_action: np.ndarray
-    owners: np.ndarray
-
-    @property
-    def n(self):
-        return self.p.shape[1]
-
-    @property
-    def source(self):
-        """The (m, n) one-hot matrix mapping each action row to its source state."""
-        out = np.zeros(self.p.shape)
-        out[np.arange(self.p.shape[0]), self.state_of_action] = 1.0
-        return out
-
-    def ownership_matrix(self):
-        return np.diag(self.ownership_signs.astype(np.float64))
-
-
-def matrix_representation(game):
-    n = game.n_states
-    actions = [a for s in game.states for a in s.actions]
-    m = len(actions)
-    counts = [len(s.actions) for s in game.states]
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    state_of_action = np.repeat(np.arange(n, dtype=np.int64), counts)
-    owners = np.array([s.owner for s in game.states], dtype=np.int64)
-    costs = np.array([a.cost for a in actions], dtype=np.float64)
-    # one scatter of every distribution entry, in action order: np.add.at
-    # accumulates repeated targets in that order, as a per-entry loop would,
-    # and refuses a target out of range the same way
-    rows = np.repeat(np.arange(m, dtype=np.int64), [len(a.dist) for a in actions])
-    cols = np.array([j for a in actions for j, _ in a.dist], dtype=np.int64)
-    probs = np.array([prob for a in actions for _, prob in a.dist], dtype=np.float64)
-    p = np.zeros((m, n))
-    np.add.at(p, (rows, cols), probs)
-    signs = np.where(owners == PLAYER_MIN, -1.0, 1.0)
-    return MatrixRep(
-        gamma=game.gamma,
-        p=p,
-        costs=costs,
-        ownership_signs=signs,
-        offsets=offsets,
-        state_of_action=state_of_action,
-        owners=owners,
-    )
-
-
-def as_profile(rep, choice):
+def as_profile(game, choice):
     """``choice`` as an (n,) int64 array of action slots, checked against
-    the per-state action counts of ``rep``."""
+    the per-state action counts of ``game``."""
     arr = np.asarray(choice, dtype=np.int64)
-    counts = np.diff(rep.offsets)
+    counts = np.diff(game.offsets)
     if arr.shape != counts.shape:
         raise GameValidationError(
-            f"profile length {arr.shape} does not match {rep.n} states"
+            f"profile length {arr.shape} does not match {game.n} states"
         )
     bad = np.flatnonzero((arr < 0) | (arr >= counts))
     if bad.size:
@@ -265,30 +250,30 @@ def as_profile(rep, choice):
     return arr
 
 
-def restrict(rep, profile):
+def restrict(game, profile):
     """Rows of (P, c) chosen by the profile: the (n, n) P_profile and (n,) c."""
-    rows = rep.offsets[:-1] + as_profile(rep, profile)
-    return rep.p[rows], rep.costs[rows]
+    rows = game.offsets[:-1] + as_profile(game, profile)
+    return game.p[rows], game.costs[rows]
 
 
-def value_vector(rep, profile):
+def value_vector(game, profile):
     """Solve (I - gamma P_profile) v = c_profile for the profile's values."""
-    p_sel, c_sel = restrict(rep, profile)
-    a = np.eye(rep.n) - rep.gamma * p_sel
+    p_sel, c_sel = restrict(game, profile)
+    a = np.eye(game.n) - game.gamma * p_sel
     return _kernels.solve(a, c_sel)
 
 
-def reduced_costs(rep, profile, values=None):
+def reduced_costs(game, profile, values=None):
     """Reduced cost of every action against the profile's value vector;
     ``values``, when given, must be that vector."""
     if values is None:
-        values = value_vector(rep, profile)
+        values = value_vector(game, profile)
     else:
-        as_profile(rep, profile)
-    return rep.costs + rep.gamma * (rep.p @ values) - values[rep.state_of_action]
+        as_profile(game, profile)
+    return game.costs + game.gamma * (game.p @ values) - values[game.state_of_action]
 
 
-def is_optimal(rep, profile, tol=1e-9, values=None):
+def is_optimal(game, profile, tol=1e-9, values=None):
     """Check the profile's optimality; returns (verdict, violating rows).
 
     Player-1 actions must have reduced cost >= -tol, player-2 actions
@@ -297,8 +282,8 @@ def is_optimal(rep, profile, tol=1e-9, values=None):
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    rc = reduced_costs(rep, profile, values)
-    owner_of_action = rep.owners[rep.state_of_action]
+    rc = reduced_costs(game, profile, values)
+    owner_of_action = game.owners[game.state_of_action]
     bad_min = (owner_of_action == PLAYER_MIN) & (rc < -tol)
     bad_max = (owner_of_action == PLAYER_MAX) & (rc > tol)
     violations = np.flatnonzero(bad_min | bad_max)

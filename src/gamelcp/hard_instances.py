@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import PLAYER_MAX, Action, Game, State
+from .game import PLAYER_MAX, build_game
 from .lcp import Partition
 
 __all__ = [
@@ -76,19 +76,13 @@ class HardInstanceSpec:
 def build_hard_instance(spec):
     """Returns (game, partition) with sigma = all slot 0, tau = all slot 1."""
     a = spec.resolve_a()
-    states = []
-    for i in range(spec.n):
-        if i == 0:
-            act = Action(cost=1.0, dist=((0, 1.0),))
-            states.append(State(owner=PLAYER_MAX, actions=(act, act)))
-        elif i == 1:
-            act = Action(cost=-1.0, dist=((1, 1.0),))
-            states.append(State(owner=PLAYER_MAX, actions=(act, act)))
-        else:
-            to_zero = Action(cost=a, dist=((0, 1.0),))
-            to_one = Action(cost=a, dist=((1, 1.0),))
-            states.append(State(owner=PLAYER_MAX, actions=(to_zero, to_one)))
-    game = Game(gamma=spec.gamma, states=tuple(states))
+    to_zero, to_one = (a, [(0, 1.0)]), (a, [(1, 1.0)])
+    states = [
+        (PLAYER_MAX, [(1.0, [(0, 1.0)])] * 2),
+        (PLAYER_MAX, [(-1.0, [(1, 1.0)])] * 2),
+    ]
+    states += [(PLAYER_MAX, [to_zero, to_one])] * (spec.n - 2)
+    game = build_game(spec.gamma, states)
     partition = Partition(sigma=(0,) * spec.n, tau=(1,) * spec.n)
     return game, partition
 

@@ -11,8 +11,9 @@ and a solution (w, z >= 0, w = q + Mz, w.z = 0) recovers the optimal
 values v = B_t^{-1} (c_tau + S z) together with the optimal profile
 (sigma's action where w_i <= z_i, tau's otherwise).  M is built by solving
 B_t^T X^T = B_s^T for all columns in one call.
-The :class:`Lcp` from :func:`to_lcp` keeps its :class:`Reduction`, which
-``recover`` and ``conditioning.certify`` read instead of the game.
+The :class:`Lcp` from :func:`to_lcp` keeps its :class:`Reduction` (the
+:class:`~gamelcp.game.Game`, the partition, B_s, B_t and the two cost
+vectors), which ``recover`` and ``conditioning.certify`` read.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import numpy as np
 
 from ._kernels import SingularMatrixError, _gamma, solve
 from .game import (
+    Game,
     GameValidationError,
-    MatrixRep,
     as_profile,
     is_optimal,
-    matrix_representation,
     reduced_costs,
     restrict,
     value_vector,
@@ -86,8 +86,8 @@ class RecoveryError(RuntimeError):
 
 def default_partition(game):
     """sigma = slot 0 and tau = slot 1 everywhere; needs 2 actions per state."""
-    _check_two_actions([len(s.actions) for s in game.states])
-    n = game.n_states
+    _check_two_actions(np.diff(game.offsets))
+    n = game.n
     return Partition(sigma=np.zeros(n, dtype=np.int64), tau=np.ones(n, dtype=np.int64))
 
 
@@ -100,10 +100,10 @@ def _check_two_actions(counts):
         )
 
 
-def _check_partition(rep, partition):
-    _check_two_actions(np.diff(rep.offsets))
-    sigma = as_profile(rep, partition.sigma)
-    tau = as_profile(rep, partition.tau)
+def _check_partition(game, partition):
+    _check_two_actions(np.diff(game.offsets))
+    sigma = as_profile(game, partition.sigma)
+    tau = as_profile(game, partition.tau)
     # with two slots per state, sigma and tau cover both exactly when they differ
     same = np.flatnonzero(sigma == tau)
     if same.size:
@@ -133,7 +133,7 @@ def _check_residual(lhs, x, rhs, what):
 class Reduction:
     """The game's data under a partition: B_s, B_t and the two cost vectors."""
 
-    rep: MatrixRep
+    game: Game
     sigma: np.ndarray
     tau: np.ndarray
     b_sig: np.ndarray
@@ -144,16 +144,15 @@ class Reduction:
 
 def reduction(game, partition=None):
     """B_s = I - gamma P_sigma and B_t = I - gamma P_tau from the stored P."""
-    rep = matrix_representation(game)
     if partition is None:
         partition = default_partition(game)
-    sigma, tau = _check_partition(rep, partition)
-    p_sig, c_sig = restrict(rep, sigma)
-    p_tau, c_tau = restrict(rep, tau)
-    eye = np.eye(rep.n)
-    b_sig = eye - rep.gamma * p_sig
-    b_tau = eye - rep.gamma * p_tau
-    return Reduction(rep, sigma, tau, b_sig, b_tau, c_sig, c_tau)
+    sigma, tau = _check_partition(game, partition)
+    p_sig, c_sig = restrict(game, sigma)
+    p_tau, c_tau = restrict(game, tau)
+    eye = np.eye(game.n)
+    b_sig = eye - game.gamma * p_sig
+    b_tau = eye - game.gamma * p_tau
+    return Reduction(game, sigma, tau, b_sig, b_tau, c_sig, c_tau)
 
 
 def to_lcp(game, partition=None):
@@ -166,7 +165,7 @@ def to_lcp(game, partition=None):
     h = solve(red.b_tau, red.c_tau)
     _check_residual(red.b_tau, h, red.c_tau, "tau value system")
 
-    s = red.rep.ownership_signs
+    s = red.game.ownership_signs
     m = s[:, None] * x * s[None, :]
     q = s * (red.b_sig @ h) - s * red.c_sig
     return Lcp(m=m, q=q, reduction=red)
@@ -221,16 +220,16 @@ def recover(lcp, w, z, tol=1e-6):
             f"complementarity {check.complementarity:.3e}, "
             f"min_w {check.min_w:.3e}, min_z {check.min_z:.3e}"
         )
-    rep = red.rep
+    game = red.game
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    v_formula = solve(red.b_tau, red.c_tau + rep.ownership_signs * z)
+    v_formula = solve(red.b_tau, red.c_tau + game.ownership_signs * z)
 
     choice = np.where(w <= z, red.sigma, red.tau).astype(np.int64)
-    v_exact = value_vector(rep, choice)
-    ok, violations = is_optimal(rep, choice, tol, values=v_exact)
+    v_exact = value_vector(game, choice)
+    ok, violations = is_optimal(game, choice, tol, values=v_exact)
     if not ok:
-        rc = reduced_costs(rep, choice, v_exact)
+        rc = reduced_costs(game, choice, v_exact)
         worst = float(np.max(np.abs(rc[violations])))
         raise RecoveryError(
             f"recovered profile fails the optimality check at tol {tol}: "
@@ -239,7 +238,7 @@ def recover(lcp, w, z, tol=1e-6):
         )
     drift = float(np.max(np.abs(v_exact - v_formula)))
     allowance = tol * (1.0 + float(np.max(np.abs(v_exact))))
-    allowance += math.sqrt(max(check.complementarity, 0.0)) / (1.0 - rep.gamma)
+    allowance += math.sqrt(max(check.complementarity, 0.0)) / (1.0 - game.gamma)
     if drift > allowance:
         raise RecoveryError(
             f"recovered values disagree with the profile's values by {drift:.3e}"

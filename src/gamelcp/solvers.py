@@ -1,10 +1,10 @@
 """Classic game solvers: value iteration, strategy iteration, brute force.
 
-Every function here takes the game as a :class:`~gamelcp.game.MatrixRep`
-(``matrix_representation(game)``); a given profile is checked against its
-per-state action counts.  All three solvers return a :class:`SolveResult`
-whose ``values`` field is the exact value vector of the returned profile (a
-LAPACK solve), so results from different methods are directly comparable.
+Every function here takes a :class:`~gamelcp.game.Game`; a given profile
+is checked against its per-state action counts.  All three solvers return
+a :class:`SolveResult` whose ``values`` field is the exact value vector of
+the returned profile (a LAPACK solve), so results from different methods
+are directly comparable.
 """
 
 from __future__ import annotations
@@ -58,17 +58,17 @@ class _SignedRows:
     bit, with sc = sign_a * c and sg = sign_a * gamma.
     """
 
-    def __init__(self, rep):
-        self.rep = rep
-        self.sign = -rep.ownership_signs
-        self.sign_a = self.sign[rep.state_of_action]
-        self.sc = self.sign_a * rep.costs
-        self.sg = self.sign_a * rep.gamma
-        self.starts = rep.offsets[:-1]
+    def __init__(self, game):
+        self.game = game
+        self.sign = -game.ownership_signs
+        self.sign_a = self.sign[game.state_of_action]
+        self.sc = self.sign_a * game.costs
+        self.sg = self.sign_a * game.gamma
+        self.starts = game.offsets[:-1]
 
     def signed_y(self, v):
         """sign_a * (c + gamma P v): every action's signed one-step value."""
-        return self.sc + self.sg * (self.rep.p @ v)
+        return self.sc + self.sg * (self.game.p @ v)
 
     def backup(self, v, out=None):
         """One step of the optimality operator, written to ``out`` if given."""
@@ -82,23 +82,23 @@ class _SignedRows:
         first NaN, as argmin and argmax do.
         """
         lows = np.minimum.reduceat(signed, self.starts)
-        hit = (signed == lows[self.rep.state_of_action]) | np.isnan(signed)
+        hit = (signed == lows[self.game.state_of_action]) | np.isnan(signed)
         pos = np.flatnonzero(hit)
         return pos[np.searchsorted(pos, self.starts)] - self.starts
 
 
-def bellman_backup(rep, v):
+def bellman_backup(game, v):
     """One step of the optimality operator: per-state best one-step value."""
-    return _SignedRows(rep).backup(np.asarray(v, dtype=np.float64))
+    return _SignedRows(game).backup(np.asarray(v, dtype=np.float64))
 
 
-def greedy_profile(rep, v):
+def greedy_profile(game, v):
     """Slot of the best action per state against v, lowest slot on ties."""
-    rows = _SignedRows(rep)
+    rows = _SignedRows(game)
     return rows.first_best(rows.signed_y(np.asarray(v, dtype=np.float64)))
 
 
-def value_iteration(rep, eps=1e-8):
+def value_iteration(game, eps=1e-8):
     """Iterate the optimality operator from v = 0 until the step is small.
 
     Stops at the first iterate with ||v_k - v_{k-1}||_inf <= eps * (1 -
@@ -113,9 +113,9 @@ def value_iteration(rep, eps=1e-8):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rows = _SignedRows(rep)
-    threshold = eps * (1.0 - rep.gamma) / (2.0 * rep.gamma)
-    block = np.zeros((VI_BLOCK + 1, rep.n))  # block[0] is the last iterate so far
+    rows = _SignedRows(game)
+    threshold = eps * (1.0 - game.gamma) / (2.0 * game.gamma)
+    block = np.zeros((VI_BLOCK + 1, game.n))  # block[0] is the last iterate so far
     done = 0
     while done < VI_MAX_ITERS:
         k = min(VI_BLOCK, VI_MAX_ITERS - done)
@@ -127,7 +127,7 @@ def value_iteration(rep, eps=1e-8):
             v = block[met[0] + 1]
             choice = rows.first_best(rows.signed_y(v))
             return SolveResult(
-                values=value_vector(rep, choice),
+                values=value_vector(game, choice),
                 profile=choice,
                 iterations=done + int(met[0]) + 1,
                 method="value_iteration",
@@ -156,7 +156,7 @@ def _switch(rows, choice, rc, tol):
     return np.where(improving, best, choice)
 
 
-def strategy_iteration(rep, initial_profile=None, tol=1e-9):
+def strategy_iteration(game, initial_profile=None, tol=1e-9):
     """All-switch strategy iteration with cycle detection.
 
     Every round switches each state that owns a strictly improving action
@@ -165,14 +165,14 @@ def strategy_iteration(rep, initial_profile=None, tol=1e-9):
     given one.  Revisiting a profile raises (cannot happen for exact
     arithmetic; guards against tolerance misuse).
     """
-    rows = _SignedRows(rep)
+    rows = _SignedRows(game)
     if initial_profile is None:
-        initial_profile = np.zeros(rep.n, dtype=np.int64)
-    choice = as_profile(rep, initial_profile).copy()
+        initial_profile = np.zeros(game.n, dtype=np.int64)
+    choice = as_profile(game, initial_profile).copy()
     seen = {tuple(choice.tolist())}
     for rounds in range(1, SI_MAX_ROUNDS + 1):
-        v = value_vector(rep, choice)
-        new_choice = _switch(rows, choice, reduced_costs(rep, choice, v), tol)
+        v = value_vector(game, choice)
+        new_choice = _switch(rows, choice, reduced_costs(game, choice, v), tol)
         if new_choice is None:
             return SolveResult(
                 values=v,
@@ -188,13 +188,13 @@ def strategy_iteration(rep, initial_profile=None, tol=1e-9):
     raise SolverFailure(f"strategy iteration exceeded {SI_MAX_ROUNDS} rounds")
 
 
-def brute_force_solve(rep, tol=1e-9):
+def brute_force_solve(game, tol=1e-9):
     """First profile, in lexicographic slot order, passing the optimality check.
 
     Refuses games with more than 10^6 profiles.  Intended as an oracle for
     small instances.
     """
-    counts = np.diff(rep.offsets)
+    counts = np.diff(game.offsets)
     total = math.prod(int(c) for c in counts)
     if total > BRUTE_FORCE_CAP:
         raise SolverFailure(
@@ -204,8 +204,8 @@ def brute_force_solve(rep, tol=1e-9):
     for tup in itertools.product(*(range(int(c)) for c in counts)):
         examined += 1
         choice = np.asarray(tup, dtype=np.int64)
-        v = value_vector(rep, choice)
-        if is_optimal(rep, choice, tol, values=v)[0]:
+        v = value_vector(game, choice)
+        if is_optimal(game, choice, tol, values=v)[0]:
             return SolveResult(
                 values=v, profile=choice, iterations=examined, method="brute_force"
             )

@@ -1,33 +1,21 @@
 import pytest
 
-from gamelcp.game import Action, Game, State
+from gamelcp.game import build_game
 from gamelcp.hard_instances import HardInstanceSpec, build_hard_instance
 
 
-def make_game(gamma, spec):
-    """spec: list of (owner, [(cost, [(target, prob), ...]), ...])."""
-    states = []
-    for owner, actions in spec:
-        acts = tuple(
-            Action(cost=float(c), dist=tuple((int(j), float(p)) for j, p in d))
-            for c, d in actions
-        )
-        states.append(State(owner=owner, actions=acts))
-    return Game(gamma=gamma, states=tuple(states))
+THREE_STATE_SPEC = [
+    (2, [(7.0, [(1, 0.5), (2, 0.5)]), (3.0, [(0, 1.0)])]),
+    (1, [(-4.0, [(0, 1.0)]), (2.0, [(0, 0.5), (1, 0.25), (2, 0.25)])]),
+    (2, [(5.0, [(1, 1.0)]), (-10.0, [(1, 1 / 3), (2, 2 / 3)])]),
+]
 
 
 def three_state_game(gamma=0.5):
     """The three-state example: state 1 belongs to the minimizer, actions
     in global order a1..a6 with the probability rows
     (0,1/2,1/2), (1,0,0), (1,0,0), (1/2,1/4,1/4), (0,1,0), (0,1/3,2/3)."""
-    return make_game(
-        gamma,
-        [
-            (2, [(7.0, [(1, 0.5), (2, 0.5)]), (3.0, [(0, 1.0)])]),
-            (1, [(-4.0, [(0, 1.0)]), (2.0, [(0, 0.5), (1, 0.25), (2, 0.25)])]),
-            (2, [(5.0, [(1, 1.0)]), (-10.0, [(1, 1 / 3), (2, 2 / 3)])]),
-        ],
-    )
+    return build_game(gamma, THREE_STATE_SPEC)
 
 
 def hard_instance(n, gamma, a_mode="custom", a=None):

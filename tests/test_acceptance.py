@@ -11,6 +11,7 @@ from gamelcp.bench import fit_loglog_slope, random_game, run_bench
 from gamelcp.conditioning import (
     delta_lower_bound,
     estimate_theta,
+    gaussian_block,
     kappa_at,
     kappa_upper_bound,
     pmatrix_check_minors,
@@ -18,13 +19,7 @@ from gamelcp.conditioning import (
     theta_at,
     theta_lower_bound,
 )
-from gamelcp.game import (
-    is_optimal,
-    markov_step_distribution,
-    matrix_representation,
-    restrict,
-    value_vector,
-)
+from gamelcp.game import is_optimal, markov_step_distribution, restrict, value_vector
 from gamelcp.hard_instances import (
     HardInstanceSpec,
     build_hard_instance,
@@ -61,7 +56,7 @@ def _hard(n, gamma, a_mode, a=None):
 
 
 def test_01_fixture_fidelity():
-    rep = matrix_representation(three_state_game())
+    game = three_state_game()
     p_expected = np.array(
         [
             [0.0, 0.5, 0.5],
@@ -78,13 +73,13 @@ def test_01_fixture_fidelity():
     j_expected[[2, 3], 1] = 1.0
     j_expected[[4, 5], 2] = 1.0
     encoded = (
-        np.array_equal(rep.p, p_expected)
-        and np.array_equal(rep.costs, c_expected)
-        and np.array_equal(rep.source, j_expected)
-        and np.array_equal(rep.ownership_signs, [1.0, -1.0, 1.0])
+        np.array_equal(game.p, p_expected)
+        and np.array_equal(game.costs, c_expected)
+        and np.array_equal(game.source, j_expected)
+        and np.array_equal(game.ownership_signs, [1.0, -1.0, 1.0])
     )
 
-    p_sigma, _ = restrict(rep, np.array([0, 1, 0]))
+    p_sigma, _ = restrict(game, np.array([0, 1, 0]))
     walk = [
         (1.0, 0.0, 0.0),
         (0.0, 0.5, 0.5),
@@ -111,7 +106,7 @@ def test_02_hard_family_closed_forms():
             for a in (1.0, gamma / (1.0 - gamma)):
                 spec, game, partition, lcp = _hard(n, gamma, "custom", a)
                 forms = closed_forms(spec)
-                v = value_vector(matrix_representation(game), partition.tau)
+                v = value_vector(game, partition.tau)
                 r = lcp.m @ forms.c_tau
                 r_prime = forms.c_tau * r
                 for got, want in (
@@ -187,7 +182,7 @@ def test_05_theta_sandwich():
         for gamma in GAMMA_GRID:
             spec, _, _, lcp = _hard(n, gamma, "theta")
             forms = closed_forms(spec)
-            est, _ = estimate_theta(lcp.m, 2000, 0, (forms.c_tau,))
+            est, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 2000, 0), (forms.c_tau,))
             lo = theta_lower_bound(n, gamma)
             hi = predicted_theta_ub(n, gamma)
             if not (lo - 1e-12 <= est <= hi + 1e-9):
@@ -196,7 +191,7 @@ def test_05_theta_sandwich():
     spec, _, _, lcp = _hard(10, 0.5, "theta")
     c_tau = closed_forms(spec).c_tau
     witness = theta_at(lcp.m, c_tau)
-    spot_est, _ = estimate_theta(lcp.m, 2000, 0, (c_tau,))
+    spot_est, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 2000, 0), (c_tau,))
     ok = ok and abs(witness - 1.0 / 34.0) <= 1e-9
     ok = ok and 1.0 / 90.0 - 1e-12 <= spot_est <= 1.0 / 32.0 + 1e-9
     detail = _report(
@@ -265,12 +260,11 @@ def test_08_oracle_equivalence():
         game = random_game(n, gamma, seed=2000 + k)
         partition = default_partition(game)
         lcp = to_lcp(game, partition)
-        rep = matrix_representation(game)
 
         results = [
-            brute_force_solve(rep),
-            value_iteration(rep, eps=1e-8),
-            strategy_iteration(rep),
+            brute_force_solve(game),
+            value_iteration(game, eps=1e-8),
+            strategy_iteration(game),
         ]
         w, z, _ = solve_pivoting(lcp)
         results.append(recover(lcp, w, z, tol=1e-6))
@@ -280,7 +274,7 @@ def test_08_oracle_equivalence():
         reference = results[0].values
         for res in results:
             worst_gap = max(worst_gap, float(np.abs(res.values - reference).max()))
-            optimal, _ = is_optimal(rep, res.profile, tol=1e-6)
+            optimal, _ = is_optimal(game, res.profile, tol=1e-6)
             if not optimal:
                 bad_profiles += 1
     ok = worst_gap <= 1e-6 and bad_profiles == 0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gamelcp
-from conftest import hard_instance, make_game
+from conftest import hard_instance
 from gamelcp.bench import (
     BENCH_COLUMNS,
     fit_loglog_slope,
@@ -26,9 +26,10 @@ from gamelcp.bench import (
 from gamelcp.cli import main
 from gamelcp.conditioning import CSV_COLUMNS
 from gamelcp.game import (
+    build_game,
+    game_to_dict,
     is_optimal,
     load_game,
-    matrix_representation,
     save_game,
     validate_game,
     value_vector,
@@ -43,15 +44,13 @@ WALL = BENCH_COLUMNS.index("wall_ms")
 
 def test_random_game_is_valid_and_seeded():
     game = random_game(9, 0.8, seed=42)
-    validate_game(game)
-    assert game.n_states == 9
-    assert all(len(st.actions) == 2 for st in game.states)
-    for st in game.states:
-        for act in st.actions:
-            assert abs(sum(p for _, p in act.dist) - 1.0) <= 1e-12
+    validate_game(game_to_dict(game))
+    assert game.n == 9
+    assert np.array_equal(game.offsets, np.arange(0, 20, 2))
+    assert np.abs(game.p.sum(axis=1) - 1.0).max() <= 1e-12
     again = random_game(9, 0.8, seed=42)
-    assert again == game
-    assert random_game(9, 0.8, seed=43) != game
+    assert np.array_equal(again.p, game.p) and np.array_equal(again.costs, game.costs)
+    assert not np.array_equal(random_game(9, 0.8, seed=43).p, game.p)
 
 
 def test_random_game_rejects_empty():
@@ -207,7 +206,7 @@ def test_cli_gen_hard_family(tmp_path):
     )
     assert rc == 0
     game = load_game(out)
-    assert game.n_states == 6 and game.gamma == 0.5
+    assert game.n == 6 and game.gamma == 0.5
     sidecar = tmp_path / "g6.json.partition.json"
     partition = load_partition(sidecar)
     assert np.array_equal(partition.sigma, np.zeros(6))
@@ -230,6 +229,10 @@ def test_cli_gen_random_is_seeded(tmp_path):
     assert main(["--seed", "10", "--output", str(c)] + base) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+    want = random_game(5, 0.7, 9)
+    got = load_game(a)
+    for name in ("p", "costs", "owners", "offsets"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_cli_gen_rejects_tiny_hard_instance(tmp_path):
@@ -265,6 +268,8 @@ GEN = ["gen", "--n", "4", "--gamma", "0.5"]
               "--partition", "{tmp}/absent.json"], "--partition")
             for method in ("vi", "si", "brute")
         ),
+        (GEN + ["--family", "random", "--a-mode", "theta"], "--a-mode"),
+        (GEN + ["--family", "random", "--a-mode", "kappa"], "--a-mode"),
     ],
 )
 def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv, flag):
@@ -280,7 +285,7 @@ def test_cli_gen_custom_cost(tmp_path):
     out = tmp_path / "g.json"
     argv = ["--output", str(out)] + GEN + ["--family", "gn", "--a-mode", "custom"]
     assert main(argv + ["--a", "2.5"]) == 0
-    assert load_game(out).states[2].actions[0].cost == 2.5
+    assert load_game(out).costs[4] == 2.5  # state 2's slot 0
 
 
 @pytest.mark.parametrize("method", ["vi", "si", "brute", "ipm", "pivot"])
@@ -298,11 +303,23 @@ def test_cli_solve_methods_agree(tmp_path, capsys, method):
     assert payload["profile"][2] == 0
 
 
+@pytest.mark.parametrize("tol", ["1e-3", "1e-5"])
+def test_cli_solve_ipm_at_a_loose_tol(tmp_path, capsys, tol):
+    # recover checks the IPM's pair at the tolerance it stopped at, not
+    # tighter: at 1e-6 these games fail with "LCP residuals too large"
+    for n, gamma, seed in ((16, 0.9, 1), (16, 0.99, 2), (32, 0.9, 3), (32, 0.99, 4)):
+        path = tmp_path / f"g{n}_{seed}.json"
+        save_game(random_game(n, gamma, seed), path)
+        argv = ["--tol", tol, "solve", "--game", str(path), "--method", "ipm"]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert "optimal=True" in capsys.readouterr().out.splitlines()[0]
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls of matrix_representation, to_lcp and value_vector, wherever
-    gamelcp binds them."""
-    counts = {"matrix_representation": 0, "to_lcp": 0, "value_vector": 0}
+    """Calls of build_game, to_lcp and value_vector, wherever gamelcp
+    binds them."""
+    counts = {"build_game": 0, "to_lcp": 0, "value_vector": 0}
     for name in counts:
         real = getattr(gamelcp, name)
 
@@ -344,11 +361,11 @@ VALUE_SOLVES = {
 def test_cli_builds_the_game_matrices_once_per_op(
     tmp_path, builds, command, matrix_builds
 ):
-    # the solver and the CLI's own optimality check of its profile share
-    # one build (the one to_lcp keeps for ipm and pivot, the CLI's for the
-    # rest) and the result's value solve
+    # load_game builds the one game the solver and the CLI's own
+    # optimality check of its profile share, with the result's value solve
     path = tmp_path / "game.json"
     save_game(random_game(12, 0.9, 5), path)
+    builds.update(build_game=0)  # random_game's build is not the op's
     out = tmp_path / "out.json"
     argv = ["--output", str(out), command[0], "--game", str(path), *command[1:]]
     assert main(argv) == 0
@@ -356,7 +373,7 @@ def test_cli_builds_the_game_matrices_once_per_op(
     fixed, per_iteration = VALUE_SOLVES[method]
     iterations = json.loads(out.read_text()).get("iterations", 0)
     assert builds == {
-        "matrix_representation": matrix_builds,
+        "build_game": matrix_builds,
         "to_lcp": 0 if method in ("vi", "si", "brute") else 1,
         "value_vector": fixed + per_iteration * iterations,
     }
@@ -370,30 +387,28 @@ def test_is_optimal_on_given_values_is_the_same_rule():
     cases = []
     for seed in range(20):
         game = random_game(int(rng.integers(1, 13)), float(rng.uniform(0.1, 0.99)), seed)
-        rep = matrix_representation(game)
-        cases += [(rep, rng.integers(0, 2, size=rep.n)) for _ in range(5)]
+        cases += [(game, rng.integers(0, 2, size=game.n)) for _ in range(5)]
     # two self-looping states whose slot-0 values are exactly 0, so slot 1's
     # reduced cost is exactly its cost: player 1's at or below -tol, player
     # 2's at or above tol
     below, above = np.nextafter(-tol, -1.0), np.nextafter(tol, 1.0)
     for rc_min in (below, -tol, tol):
         for rc_max in (-tol, tol, above):
-            game = make_game(
+            game = build_game(
                 0.9,
                 [
                     (1, [(0.0, [(0, 1.0)]), (float(rc_min), [(0, 1.0)])]),
                     (2, [(0.0, [(1, 1.0)]), (float(rc_max), [(1, 1.0)])]),
                 ],
             )
-            rep = matrix_representation(game)
-            ok, _ = is_optimal(rep, [0, 0], tol)
+            ok, _ = is_optimal(game, [0, 0], tol)
             assert ok == (rc_min != below and rc_max != above)
-            cases.append((rep, [0, 0]))
+            cases.append((game, [0, 0]))
     verdicts = set()
-    for rep, profile in cases:
-        ok, violations = is_optimal(rep, profile, tol)
+    for game, profile in cases:
+        ok, violations = is_optimal(game, profile, tol)
         got_ok, got_violations = is_optimal(
-            rep, profile, tol, values=value_vector(rep, profile)
+            game, profile, tol, values=value_vector(game, profile)
         )
         assert got_ok == ok and np.array_equal(got_violations, violations)
         verdicts.add(ok)
@@ -403,7 +418,7 @@ def test_is_optimal_on_given_values_is_the_same_rule():
 def test_bench_builds_the_game_matrices_once_per_cell(builds):
     rows = run_bench([6, 10], [0.5, 0.9], samples=50)
     assert all(math.isfinite(r.solver_iters) for r in rows)
-    assert builds == {"matrix_representation": 4, "to_lcp": 4, "value_vector": 0}
+    assert builds == {"build_game": 4, "to_lcp": 4, "value_vector": 0}
 
 
 def test_cli_solve_missing_file(tmp_path):

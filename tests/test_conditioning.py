@@ -17,6 +17,7 @@ from gamelcp.conditioning import (
     delta_lower_bound,
     estimate_kappa,
     estimate_theta,
+    gaussian_block,
     kappa_at,
     kappa_upper_bound,
     pmatrix_check_minors,
@@ -30,11 +31,11 @@ from gamelcp.conditioning import (
 )
 from gamelcp._kernels import SingularMatrixError
 from gamelcp.cli import main
-from gamelcp.game import Action, Game, State, matrix_representation, restrict, save_game
+from gamelcp.game import build_game, restrict, save_game
 from gamelcp.hard_instances import HardInstanceSpec, closed_forms
 from gamelcp.lcp import default_partition, reduction, to_lcp
 
-from conftest import hard_instance, make_game
+from conftest import hard_instance
 
 NOT_P = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -137,7 +138,8 @@ def test_theta_at_basics():
 
 
 def test_estimate_theta_identity():
-    val, x = estimate_theta(np.eye(6), n_samples=500, seed=1)
+    eye = np.eye(6)
+    val, x = estimate_theta(eye, gaussian_block(eye, 500, 1))
     assert val == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert np.abs(x @ x - 1.0) <= 1e-9
 
@@ -145,7 +147,8 @@ def test_estimate_theta_identity():
 def test_estimate_theta_hard_sandwich():
     lcp = hard_lcp(10, 0.5, a_mode="theta")
     forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="theta"))
-    val, x = estimate_theta(lcp.m, n_samples=2000, seed=0, witnesses=(forms.c_tau,))
+    block = gaussian_block(lcp.m, 2000, 0)
+    val, x = estimate_theta(lcp.m, block, witnesses=(forms.c_tau,))
     assert theta_lower_bound(10, 0.5) - 1e-9 <= val <= 1.0 / 34.0 + 1e-12
     assert theta_at(lcp.m, x) == pytest.approx(val, abs=1e-12)
 
@@ -153,14 +156,16 @@ def test_estimate_theta_hard_sandwich():
 def test_estimate_kappa_hard_witness_is_optimal():
     lcp = hard_lcp(10, 0.5)
     forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="kappa"))
-    val, x = estimate_kappa(lcp.m, n_samples=2000, seed=0, witnesses=(forms.c_tau,))
+    block = gaussian_block(lcp.m, 2000, 0)
+    val, x = estimate_kappa(lcp.m, block, witnesses=(forms.c_tau,))
     # c_tau attains the true kappa; sampling and climbing cannot beat it
     assert val == pytest.approx(0.75, abs=1e-9)
     assert kappa_at(lcp.m, x) == pytest.approx(val, abs=1e-12)
 
 
 def test_estimate_kappa_identity_is_zero():
-    val, x = estimate_kappa(np.eye(5), n_samples=500, seed=2)
+    eye = np.eye(5)
+    val, x = estimate_kappa(eye, gaussian_block(eye, 500, 2))
     assert val == 0.0
     assert x.shape == (5,)
 
@@ -175,13 +180,13 @@ def test_estimate_kappa_is_exact_at_its_direction():
     # the reported lower estimate is kappa_at of the reported direction,
     # bit for bit, never the incrementally updated climb value
     for m_mat in _random_game_lcps(10):
-        val, x = estimate_kappa(m_mat, n_samples=1000, seed=3)
+        val, x = estimate_kappa(m_mat, gaussian_block(m_mat, 1000, 3))
         assert val == kappa_at(m_mat, x)
 
 
 def test_estimate_theta_is_exact_at_its_direction():
     for m_mat in _random_game_lcps(10):
-        val, x = estimate_theta(m_mat, n_samples=1000, seed=3)
+        val, x = estimate_theta(m_mat, gaussian_block(m_mat, 1000, 3))
         assert val == theta_at(m_mat, x)
 
 
@@ -236,8 +241,8 @@ def _scalar_climb(m_mat, x0, batch_fn, better, rounds=cond.HILL_CLIMB_ROUNDS):
 
 
 def _estimates(m_mat, witnesses, samples, seed):
-    kappa, _ = estimate_kappa(m_mat, samples, seed, witnesses)
-    theta, _ = estimate_theta(m_mat, samples, seed, witnesses)
+    kappa, _ = estimate_kappa(m_mat, gaussian_block(m_mat, samples, seed), witnesses)
+    theta, _ = estimate_theta(m_mat, gaussian_block(m_mat, samples, seed), witnesses)
     return kappa, theta
 
 
@@ -247,9 +252,8 @@ def _oracle_cases():
             for a_mode in ("kappa", "eigenvalue", "theta"):
                 spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode)
                 game, part = hard_instance(n, gamma, a_mode=a_mode)
-                rep = matrix_representation(game)
-                _, c_tau = restrict(rep, part.tau)
-                witnesses = [closed_forms(spec).c_tau, rep.ownership_signs * c_tau]
+                _, c_tau = restrict(game, part.tau)
+                witnesses = [closed_forms(spec).c_tau, game.ownership_signs * c_tau]
                 yield to_lcp(game, part).m, witnesses
     for n in (8, 12, 24):
         for gamma in (0.5, 0.99):
@@ -270,7 +274,8 @@ def test_estimate_theta_zero_move_is_not_a_direction():
     # at n = 1 the climb's -1 move reaches x = 0, which must score +inf quietly
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val, x = estimate_theta(np.array([[2.0]]))
+        m = np.array([[2.0]])
+        val, x = estimate_theta(m, gaussian_block(m, 10_000, 0))
     assert val == 2.0
     assert x.tolist() == [1.0]
 
@@ -314,7 +319,7 @@ def _round_by_round_climb(m_mat, x0, batch_fn, better):
 
 def _certify_witnesses(lcp):
     red = lcp.reduction
-    return [red.c_tau, red.rep.ownership_signs * red.c_tau]
+    return [red.c_tau, red.game.ownership_signs * red.c_tau]
 
 
 def _climb_starts(monkeypatch, m_mat, witnesses, samples=500, seed=5):
@@ -328,8 +333,8 @@ def _climb_starts(monkeypatch, m_mat, witnesses, samples=500, seed=5):
 
     with monkeypatch.context() as mp:
         mp.setattr(cond, "_climb", spy)
-        estimate_kappa(m_mat, samples, seed, witnesses)
-        estimate_theta(m_mat, samples, seed, witnesses)
+        estimate_kappa(m_mat, gaussian_block(m_mat, samples, seed), witnesses)
+        estimate_theta(m_mat, gaussian_block(m_mat, samples, seed), witnesses)
     return starts
 
 
@@ -376,7 +381,7 @@ def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
     game = random_game(24, 0.9, 1900)
     lcp = to_lcp(game, default_partition(game))
     witnesses = _certify_witnesses(lcp)
-    assert estimate_kappa(lcp.m, 10_000, 0, witnesses)[0] == 0.0
+    assert estimate_kappa(lcp.m, gaussian_block(lcp.m, 10_000, 0), witnesses)[0] == 0.0
     starts = _climb_starts(monkeypatch, lcp.m, witnesses, samples=10_000, seed=0)
     x0, batch_fn, better = starts[0]
     assert batch_fn is cond._kappa_batch and x0.tolist() == [1.0] + [0.0] * 23
@@ -405,8 +410,8 @@ def test_certify_estimates_equal_the_estimators_called_alone(case):
     lcp = to_lcp(game, part)
     witnesses = _certify_witnesses(lcp)
     report = certify(lcp, CertifyOptions(seed=11, samples=3000))
-    kappa, _ = estimate_kappa(lcp.m, 3000, 11, witnesses)
-    theta, _ = estimate_theta(lcp.m, 3000, 11, witnesses)
+    kappa, _ = estimate_kappa(lcp.m, gaussian_block(lcp.m, 3000, 11), witnesses)
+    theta, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 3000, 11), witnesses)
     assert report.kappa_est == kappa
     assert report.theta_est == theta
 
@@ -485,7 +490,7 @@ def _certificate(game, partition=None, m_mat=None):
     red = reduction(game, partition)
     if m_mat is None:
         m_mat = to_lcp(game, partition).m
-    return structural_certificate(m_mat, red.b_sig, red.b_tau, red.rep.ownership_signs)
+    return structural_certificate(m_mat, red.b_sig, red.b_tau, red.game.ownership_signs)
 
 
 def test_witness_check_game_context(three_state):
@@ -500,7 +505,7 @@ def test_witness_check_game_context(three_state):
     rng = np.random.default_rng(5)
     for _ in range(200):
         x = rng.standard_normal(3)
-        i = int(np.argmax(np.abs(np.linalg.solve(red.b_tau, red.rep.ownership_signs * x))))
+        i = int(np.argmax(np.abs(np.linalg.solve(red.b_tau, red.game.ownership_signs * x))))
         rounding = 4 * unit * abs(x[i]) * float(np.abs(m_mat[i]) @ np.abs(x))
         bound = (cert.theta_cert - cert.err) * float(x @ x) - rounding
         assert x[i] * (m_mat @ x)[i] >= bound > 0.0
@@ -515,7 +520,7 @@ def test_minors_agree_with_theta_search():
     for k in range(20):
         m = rng.standard_normal((4, 4)) + np.diag(rng.uniform(0.0, 1.5, 4))
         ok = pmatrix_check_minors(m).ok
-        val, x = estimate_theta(m, n_samples=3000, seed=100 + k)
+        val, x = estimate_theta(m, gaussian_block(m, 3000, 100 + k))
         if ok:
             assert val > 0.0
             assert pmatrix_witness_check(m, x) is not None
@@ -550,9 +555,7 @@ def test_certify_hard_theta_mode():
 
 
 def test_certify_single_state_game():
-    game = make_game(
-        0.5, [(1, [(2.0, [(0, 1.0)]), (2.0, [(0, 1.0)])])]
-    )
+    game = build_game(0.5, [(1, [(2.0, [(0, 1.0)]), (2.0, [(0, 1.0)])])])
     report = certify(to_lcp(game), CertifyOptions(seed=3, samples=200))
     assert report.kappa_est == 0.0
     assert report.delta == pytest.approx(1.0, abs=1e-12)
@@ -599,12 +602,12 @@ def test_structural_certificate_holds_on_game_lcps(case):
     cert = _certificate(game, part)
     assert cert.ok and cert.mu_s > 0.0 and cert.mu_t > 0.0
     assert 0.0 <= cert.ratio < 1e-3
-    if game.n_states <= 12:
+    if game.n <= 12:
         assert pmatrix_check_minors(to_lcp(game, part).m).ok
 
 
 def test_structural_certificate_refuses_excess_row_mass():
-    # Game(...) skips validate_game: every row carries mass 1.1, so
+    # build_game skips validate_game: every row carries mass 1.1, so
     # gamma P has row sums 1.045 and B loses its diagonal dominance
     rng = np.random.default_rng(21)
     states = []
@@ -614,10 +617,10 @@ def test_structural_certificate_refuses_excess_row_mass():
             targets = rng.choice(6, size=3, replace=False)
             weights = rng.uniform(0.1, 1.0, 3)
             weights *= 1.1 / weights.sum()
-            dist = tuple((int(t), float(w)) for t, w in zip(targets, weights))
-            actions.append(Action(cost=float(rng.uniform(-1.0, 1.0)), dist=dist))
-        states.append(State(owner=1 + i % 2, actions=tuple(actions)))
-    game = Game(gamma=0.95, states=tuple(states))
+            dist = list(zip(targets.tolist(), weights.tolist()))
+            actions.append((float(rng.uniform(-1.0, 1.0)), dist))
+        states.append((1 + i % 2, actions))
+    game = build_game(0.95, states)
     to_lcp(game)  # the reduction itself accepts the game
     cert = _certificate(game)
     assert not cert.ok and min(cert.mu_s, cert.mu_t) < 0.0
@@ -626,7 +629,7 @@ def test_structural_certificate_refuses_excess_row_mass():
     assert "not certified" in report.pmatrix_detail
     # a self-loop of mass 1.5 turns b_ii negative: M = (1 - 1.425) / 0.05 < 0
     # is not a P-matrix although |b_ii| exceeds the (empty) off-diagonal sum
-    loop = make_game(0.95, [(1, [(0.0, [(0, 1.5)]), (0.0, [(0, 1.0)])])])
+    loop = build_game(0.95, [(1, [(0.0, [(0, 1.5)]), (0.0, [(0, 1.0)])])])
     assert not pmatrix_check_minors(to_lcp(loop).m).ok
     assert not _certificate(loop).ok
 
@@ -645,7 +648,7 @@ def test_structural_certificate_refuses_gamma_at_one():
     with pytest.raises(SingularMatrixError, match="condition number"):
         to_lcp(game)
     red = reduction(game)
-    signs = red.rep.ownership_signs
+    signs = red.game.ownership_signs
     m_mat = signs[:, None] * np.linalg.solve(red.b_tau.T, red.b_sig.T).T * signs[None, :]
     cert = structural_certificate(m_mat, red.b_sig, red.b_tau, signs)
     assert not cert.ok and cert.mu_t <= 0.0

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import types
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from gamelcp.bench import random_game
 from gamelcp.game import (
     PLAYER_MIN,
     GameValidationError,
-    MatrixRep,
+    build_game,
     game_to_dict,
     is_optimal,
     load_game,
     markov_step_distribution,
-    matrix_representation,
     reduced_costs,
     restrict,
     save_game,
@@ -23,7 +23,9 @@ from gamelcp.game import (
     value_vector,
 )
 
-from conftest import three_state_game, hard_instance, make_game
+from conftest import THREE_STATE_SPEC, three_state_game, hard_instance
+
+ARRAYS = ("p", "costs", "ownership_signs", "offsets", "state_of_action", "owners")
 
 FIG1_P = np.array(
     [
@@ -38,27 +40,25 @@ FIG1_P = np.array(
 FIG1_C = np.array([7.0, 3.0, -4.0, 2.0, 5.0, -10.0])
 
 
-def test_three_state_matrix_representation_exact(three_state):
-    rep = matrix_representation(three_state)
-    assert np.array_equal(rep.p, FIG1_P)
-    assert np.array_equal(rep.costs, FIG1_C)
+def test_three_state_game_arrays_exact(three_state):
+    assert np.array_equal(three_state.p, FIG1_P)
+    assert np.array_equal(three_state.costs, FIG1_C)
     expect_j = np.zeros((6, 3))
     expect_j[[0, 1], 0] = 1.0
     expect_j[[2, 3], 1] = 1.0
     expect_j[[4, 5], 2] = 1.0
-    assert np.array_equal(rep.source, expect_j)
-    assert np.array_equal(rep.ownership_signs, [1.0, -1.0, 1.0])
-    assert np.array_equal(rep.ownership_matrix(), np.diag([1.0, -1.0, 1.0]))
+    assert np.array_equal(three_state.source, expect_j)
+    assert np.array_equal(three_state.ownership_signs, [1.0, -1.0, 1.0])
 
 
 def test_three_state_restrict(three_state):
-    p_sigma, c_sigma = restrict(matrix_representation(three_state), [0, 1, 0])
+    p_sigma, c_sigma = restrict(three_state, [0, 1, 0])
     assert np.array_equal(p_sigma, [[0, 0.5, 0.5], [0.5, 0.25, 0.25], [0, 1, 0]])
     assert np.array_equal(c_sigma, [7.0, 2.0, 5.0])
 
 
 def test_three_state_markov_steps(three_state):
-    p_sigma, _ = restrict(matrix_representation(three_state), [0, 1, 0])
+    p_sigma, _ = restrict(three_state, [0, 1, 0])
     expect = {
         0: np.array([1.0, 0.0, 0.0]),
         1: np.array([0.0, 0.5, 0.5]),
@@ -71,7 +71,7 @@ def test_three_state_markov_steps(three_state):
 
 
 def test_markov_chapman_kolmogorov(three_state):
-    p_sigma, _ = restrict(matrix_representation(three_state), [0, 1, 0])
+    p_sigma, _ = restrict(three_state, [0, 1, 0])
     for s, t in ((1, 2), (2, 3), (0, 4)):
         via = markov_step_distribution(p_sigma, 0, s)
         stepped = via.copy()
@@ -82,6 +82,10 @@ def test_markov_chapman_kolmogorov(three_state):
 
 
 def test_validation_rejections():
+    for obj in (three_state_game(), [], None):
+        with pytest.raises(GameValidationError, match="^expected dict, got "):
+            validate_game(obj)
+
     ok = {
         "gamma": 0.5,
         "states": [{"owner": 2, "actions": [{"cost": 1.0, "dist": [[0, 1.0]]}]}],
@@ -129,129 +133,103 @@ def test_validation_rejections():
 
 
 def test_single_state_minimizer_rep():
-    game = make_game(0.5, [(1, [(2.0, [(0, 1.0)])])])
-    rep = matrix_representation(game)
-    assert np.array_equal(rep.p, [[1.0]])
-    assert np.array_equal(rep.source, [[1.0]])
-    assert np.array_equal(rep.ownership_signs, [-1.0])
+    game = build_game(0.5, [(1, [(2.0, [(0, 1.0)])])])
+    assert np.array_equal(game.p, [[1.0]])
+    assert np.array_equal(game.source, [[1.0]])
+    assert np.array_equal(game.ownership_signs, [-1.0])
 
 
 def test_g3_restrictions(g3):
     game, part = g3
-    rep = matrix_representation(game)
-    p_sigma, _ = restrict(rep, part.sigma)
-    p_tau, _ = restrict(rep, part.tau)
+    p_sigma, _ = restrict(game, part.sigma)
+    p_tau, _ = restrict(game, part.tau)
     assert np.array_equal(p_sigma, [[1, 0, 0], [0, 1, 0], [1, 0, 0]])
     assert np.array_equal(p_tau, [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
 
 
 def test_g3_value_vectors(g3):
     game, part = g3
-    rep = matrix_representation(game)
-    assert np.allclose(value_vector(rep, part.tau), [2.0, -2.0, 0.0], atol=1e-12)
-    assert np.allclose(value_vector(rep, part.sigma), [2.0, -2.0, 2.0], atol=1e-12)
+    assert np.allclose(value_vector(game, part.tau), [2.0, -2.0, 0.0], atol=1e-12)
+    assert np.allclose(value_vector(game, part.sigma), [2.0, -2.0, 2.0], atol=1e-12)
 
 
 def test_zero_costs_zero_values(three_state):
-    zero = make_game(
-        0.5,
-        [
-            (2, [(0.0, [(1, 0.5), (2, 0.5)]), (0.0, [(0, 1.0)])]),
-            (1, [(0.0, [(0, 1.0)]), (0.0, [(0, 0.5), (1, 0.25), (2, 0.25)])]),
-            (2, [(0.0, [(1, 1.0)]), (0.0, [(1, 1 / 3), (2, 2 / 3)])]),
-        ],
-    )
-    rep = matrix_representation(zero)
+    zero = build_game(0.5, _with_costs(lambda cost: 0.0))
     for profile in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
-        assert np.abs(value_vector(rep, profile)).max() <= 1e-15
+        assert np.abs(value_vector(zero, profile)).max() <= 1e-15
 
 
 def test_g3_reduced_costs(g3):
     game, part = g3
-    rep = matrix_representation(game)
-    rc_tau = reduced_costs(rep, part.tau)
+    rc_tau = reduced_costs(game, part.tau)
     # under tau, the unused jump of the tail state has advantage a + gamma*v(0) - v(2) = 2
     assert abs(rc_tau[4] - 2.0) <= 1e-12
-    rc_sigma = reduced_costs(rep, part.sigma)
+    rc_sigma = reduced_costs(game, part.sigma)
     assert abs(rc_sigma[5] - (-2.0)) <= 1e-12
 
 
 def test_chosen_actions_have_zero_reduced_cost(three_state):
     rng = np.random.default_rng(7)
-    rep = matrix_representation(three_state)
     for _ in range(10):
         profile = rng.integers(0, 2, size=3)
-        rc = reduced_costs(rep, profile)
-        chosen = rep.offsets[:-1] + profile
+        rc = reduced_costs(three_state, profile)
+        chosen = three_state.offsets[:-1] + profile
         assert np.abs(rc[chosen]).max() <= 1e-9
 
 
 def test_g3_optimality_verdicts(g3):
     game, part = g3
-    rep = matrix_representation(game)
-    ok, violations = is_optimal(rep, part.sigma)
+    ok, violations = is_optimal(game, part.sigma)
     assert ok and violations.size == 0
-    ok, violations = is_optimal(rep, part.tau)
+    ok, violations = is_optimal(game, part.tau)
     assert not ok
     assert violations.tolist() == [4]  # the tail state's jump to the +1 anchor
 
 
 def test_single_action_game_always_optimal():
-    game = make_game(0.9, [(1, [(1.0, [(1, 1.0)])]), (2, [(-1.0, [(0, 1.0)])])])
-    ok, violations = is_optimal(matrix_representation(game), [0, 0])
+    game = build_game(0.9, [(1, [(1.0, [(1, 1.0)])]), (2, [(-1.0, [(0, 1.0)])])])
+    ok, violations = is_optimal(game, [0, 0])
     assert ok and violations.size == 0
+
+
+def _with_costs(new_cost):
+    """THREE_STATE_SPEC with each action's cost c replaced by new_cost(c)."""
+    return [
+        (owner, [(new_cost(cost), dist) for cost, dist in actions])
+        for owner, actions in THREE_STATE_SPEC
+    ]
 
 
 def test_row_sum_identity():
     rng = np.random.default_rng(11)
     for gamma in (0.3, 0.9):
         game = three_state_game(gamma)
-        ones_cost = make_game(
-            gamma,
-            [
-                (st.owner, [(1.0, list(a.dist)) for a in st.actions])
-                for st in game.states
-            ],
-        )
+        ones_cost = build_game(gamma, _with_costs(lambda cost: 1.0))
         for profile in ([0, 0, 0], [1, 1, 1], [1, 0, 1]):
-            v = value_vector(matrix_representation(ones_cost), profile)
+            v = value_vector(ones_cost, profile)
             assert np.abs(v - 1.0 / (1.0 - gamma)).max() <= 1e-9
         for _ in range(5):
             profile = rng.integers(0, 2, size=3)
-            shifted = make_game(
-                gamma,
-                [
-                    (st.owner, [(a.cost + 1.0, list(a.dist)) for a in st.actions])
-                    for st in game.states
-                ],
-            )
-            v0 = value_vector(matrix_representation(game), profile)
-            v1 = value_vector(matrix_representation(shifted), profile)
+            shifted = build_game(gamma, _with_costs(lambda cost: cost + 1.0))
+            v0 = value_vector(game, profile)
+            v1 = value_vector(shifted, profile)
             # adding 1 to every cost adds the geometric series 1/(1-gamma)
             assert np.abs(v1 - v0 - 1.0 / (1.0 - gamma)).max() <= 1e-9
 
 
 def test_cost_scaling_homogeneity(three_state):
     lam = 3.5
-    scaled = make_game(
-        three_state.gamma,
-        [
-            (st.owner, [(lam * a.cost, list(a.dist)) for a in st.actions])
-            for st in three_state.states
-        ],
-    )
-    rep = matrix_representation(three_state)
-    rep_s = matrix_representation(scaled)
+    scaled = build_game(three_state.gamma, _with_costs(lambda cost: lam * cost))
     rng = np.random.default_rng(13)
     for _ in range(8):
         profile = rng.integers(0, 2, size=3)
-        v = value_vector(rep, profile)
-        v_s = value_vector(rep_s, profile)
+        v = value_vector(three_state, profile)
+        v_s = value_vector(scaled, profile)
         assert np.abs(v_s - lam * v).max() <= 1e-9 * max(1.0, np.abs(v).max())
-        rc = reduced_costs(rep, profile)
-        rc_s = reduced_costs(rep_s, profile)
+        rc = reduced_costs(three_state, profile)
+        rc_s = reduced_costs(scaled, profile)
         assert np.abs(rc_s - lam * rc).max() <= 1e-9 * max(1.0, np.abs(rc).max())
-        assert is_optimal(rep, profile)[0] == is_optimal(rep_s, profile)[0]
+        assert is_optimal(three_state, profile)[0] == is_optimal(scaled, profile)[0]
 
 
 @pytest.mark.parametrize(
@@ -274,8 +252,7 @@ def test_cost_scaling_homogeneity(three_state):
     ],
 )
 def test_profile_checked_against_the_matrix_rep(check):
-    # the messages are those the Game-taking functions gave
-    rep = matrix_representation(random_game(5, 0.9, 1))
+    game = random_game(5, 0.9, 1)
     for profile, message in (
         ([2, 0, 0, 0, 0], r"^profile slot 2 out of range at state 0 \(2 actions\)$"),
         ([0, 0, -1, 0, 0], r"^profile slot -1 out of range at state 2 \(2 actions\)$"),
@@ -283,16 +260,16 @@ def test_profile_checked_against_the_matrix_rep(check):
         ([[0] * 5], r"^profile length \(1, 5\) does not match 5 states$"),
     ):
         with pytest.raises(GameValidationError, match=message):
-            check(rep, profile)
+            check(game, profile)
 
 
 def test_profile_check_reads_each_states_action_count():
-    rep = matrix_representation(_repeated_target_game())  # 2, 1 and 3 actions
-    assert value_vector(rep, [1, 0, 2]).shape == (3,)
+    game = build_game(0.9, REPEATED_TARGET_SPEC)  # 2, 1 and 3 actions
+    assert value_vector(game, [1, 0, 2]).shape == (3,)
     with pytest.raises(GameValidationError, match=r"slot 1 .* state 1 \(1 actions\)$"):
-        value_vector(rep, [0, 1, 0])
+        value_vector(game, [0, 1, 0])
     with pytest.raises(GameValidationError, match=r"slot 3 .* state 2 \(3 actions\)$"):
-        value_vector(rep, [0, 0, 3])
+        value_vector(game, [0, 0, 3])
 
 
 def test_json_roundtrip(tmp_path, three_state):
@@ -305,29 +282,65 @@ def test_json_roundtrip(tmp_path, three_state):
     assert game_to_dict(loaded) == d
 
 
-def _matrix_representation_loop(game):
-    """Oracle: the per-entry loop that matrix_representation replaced."""
-    n = game.n_states
-    m = game.n_actions
+def _assert_same_arrays(got, want):
+    for name in ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    assert got.gamma == want.gamma
+
+
+def test_save_load_gives_the_same_arrays(tmp_path):
+    games = [random_game(n, 0.9, 50 + n) for n in range(1, 65)]
+    games += [hard_instance(n, 0.95, m)[0] for n in (3, 12) for m in ("kappa", "theta")]
+    # repeated targets, and a zero entry (state 3 to itself)
+    zero_entry = (2, [(4.0, [(3, 0.0), (1, 1.0)])])
+    games.append(build_game(0.9, REPEATED_TARGET_SPEC + [zero_entry]))
+    path = tmp_path / "game.json"
+    for game in games:
+        save_game(game, path)
+        _assert_same_arrays(load_game(path), game)
+    # the file lists each action's successors once, in state order
+    states = json.loads(path.read_text())["states"]
+    assert states[2]["actions"] == [
+        {"cost": 3.0, "dist": [[0, 0.3], [1, game.p[3, 1]]]},
+        {"cost": 0.0, "dist": [[0, 1.0]]},
+        {"cost": -1.0, "dist": [[1, 1.0]]},
+    ]
+    assert states[3]["actions"] == [{"cost": 4.0, "dist": [[1, 1.0]]}]
+
+
+def _spec(raw):
+    """The builder's nested form of a game in file form."""
+    return [
+        (s["owner"], [(a["cost"], a["dist"]) for a in s["actions"]])
+        for s in raw["states"]
+    ]
+
+
+def _matrix_representation_loop(gamma, states):
+    """Oracle: the per-entry loop that build_game's scatter replaced."""
+    n = len(states)
+    m = sum(len(actions) for _, actions in states)
     p = np.zeros((m, n))
     costs = np.empty(m)
     offsets = np.zeros(n + 1, dtype=np.int64)
     state_of_action = np.empty(m, dtype=np.int64)
     owners = np.empty(n, dtype=np.int64)
     row = 0
-    for i, s in enumerate(game.states):
-        owners[i] = s.owner
+    for i, (owner, actions) in enumerate(states):
+        owners[i] = owner
         offsets[i] = row
-        for a in s.actions:
-            costs[row] = a.cost
-            for j, prob in a.dist:
+        for cost, dist in actions:
+            costs[row] = cost
+            for j, prob in dist:
                 p[row, j] += prob
             state_of_action[row] = i
             row += 1
     offsets[n] = row
     signs = np.where(owners == PLAYER_MIN, -1.0, 1.0)
-    return MatrixRep(
-        gamma=game.gamma,
+    return types.SimpleNamespace(
+        gamma=gamma,
         p=p,
         costs=costs,
         ownership_signs=signs,
@@ -337,49 +350,43 @@ def _matrix_representation_loop(game):
     )
 
 
-def _repeated_target_game():
-    # repeated targets whose sums depend on the order of accumulation:
-    # (0.1 + 0.2) + 0.7 != 0.1 + (0.2 + 0.7) in floating point
-    return make_game(
-        0.9,
+# repeated targets whose sums depend on the order of accumulation:
+# (0.1 + 0.2) + 0.7 != 0.1 + (0.2 + 0.7) in floating point
+REPEATED_TARGET_SPEC = [
+    (1, [(1.0, [(0, 0.1), (1, 0.2), (0, 0.7)]), (-2.5, [(2, 1.0)])]),
+    (2, [(0.5, [(2, 0.1), (2, 0.2), (2, 0.7)])]),
+    (
+        1,
         [
-            (1, [(1.0, [(0, 0.1), (1, 0.2), (0, 0.7)]), (-2.5, [(2, 1.0)])]),
-            (2, [(0.5, [(2, 0.1), (2, 0.2), (2, 0.7)])]),
-            (
-                1,
-                [
-                    (3.0, [(1, 0.3), (0, 0.3), (1, 0.1), (1, 0.3)]),
-                    (0.0, [(0, 0.5), (0, 0.5)]),
-                    (-1.0, [(1, 1.0)]),
-                ],
-            ),
+            (3.0, [(1, 0.3), (0, 0.3), (1, 0.1), (1, 0.3)]),
+            (0.0, [(0, 0.5), (0, 0.5)]),
+            (-1.0, [(1, 1.0)]),
         ],
-    )
+    ),
+]
 
 
-def test_matrix_representation_matches_entry_loop():
-    games = [three_state_game(), _repeated_target_game()]
-    games += [random_game(n, 0.9, 40 + n) for n in (1, 2, 7, 33, 64)]
-    games += [hard_instance(12, 0.99, mode)[0] for mode in ("kappa", "theta")]
+def test_build_game_matches_entry_loop():
+    specs = [(0.5, THREE_STATE_SPEC), (0.9, REPEATED_TARGET_SPEC)]
+    specs += [
+        (0.9, _spec(game_to_dict(random_game(n, 0.9, 40 + n)))) for n in (1, 2, 7, 33, 64)
+    ]
+    specs += [
+        (0.99, _spec(game_to_dict(hard_instance(12, 0.99, mode)[0])))
+        for mode in ("kappa", "theta")
+    ]
     assert (0.1 + 0.2) + 0.7 != 0.1 + (0.2 + 0.7)
-    for game in games:
-        got = matrix_representation(game)
-        want = _matrix_representation_loop(game)
-        for name in (
-            "p", "costs", "ownership_signs", "offsets", "state_of_action", "owners"
-        ):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert np.array_equal(a, b), name
-        assert got.gamma == want.gamma
-    rep = matrix_representation(_repeated_target_game())
-    assert rep.p[0, 0] == (0.0 + 0.1) + 0.7
-    assert rep.p[2, 2] == ((0.0 + 0.1) + 0.2) + 0.7
+    for gamma, states in specs:
+        want = _matrix_representation_loop(gamma, states)
+        _assert_same_arrays(build_game(gamma, states), want)
+    game = build_game(0.9, REPEATED_TARGET_SPEC)
+    assert game.p[0, 0] == (0.0 + 0.1) + 0.7
+    assert game.p[2, 2] == ((0.0 + 0.1) + 0.2) + 0.7
 
 
-def test_matrix_representation_refuses_targets_out_of_range():
-    game = make_game(0.5, [(1, [(1.0, [(0, 0.5), (1, 0.5)])])])
+def test_build_game_refuses_targets_out_of_range():
+    states = [(1, [(1.0, [(0, 0.5), (1, 0.5)])])]
     with pytest.raises(IndexError):
-        _matrix_representation_loop(game)
+        _matrix_representation_loop(0.5, states)
     with pytest.raises(IndexError):
-        matrix_representation(game)
+        build_game(0.5, states)

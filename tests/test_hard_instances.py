@@ -5,7 +5,7 @@ import pytest
 
 from conftest import hard_instance
 from gamelcp.conditioning import kappa_at, smallest_eigenvalue_sym, theta_at
-from gamelcp.game import is_optimal, matrix_representation, restrict, value_vector
+from gamelcp.game import PLAYER_MAX, is_optimal, restrict, value_vector
 from gamelcp.hard_instances import (
     A_MODES,
     HardInstanceSpec,
@@ -37,9 +37,9 @@ def beta_of(gamma):
 
 def test_builder_shape_and_partition():
     game, partition = hard_instance(7, 0.6, a_mode="kappa")
-    assert game.n_states == 7
-    assert all(st.owner == 2 for st in game.states)
-    assert all(len(st.actions) == 2 for st in game.states)
+    assert game.n == 7
+    assert np.array_equal(game.owners, [PLAYER_MAX] * 7)
+    assert np.array_equal(game.offsets, np.arange(0, 16, 2))
     assert partition.sigma == (0,) * 7
     assert partition.tau == (1,) * 7
     derived = default_partition(game)
@@ -50,20 +50,21 @@ def test_builder_shape_and_partition():
 def test_anchor_states_have_duplicate_self_loops():
     game, _ = hard_instance(5, 0.5, a_mode="theta")
     for i in (0, 1):
-        first, second = game.states[i].actions
-        assert first == second
-        assert first.dist == ((i, 1.0),)
-    assert game.states[0].actions[0].cost == 1.0
-    assert game.states[1].actions[0].cost == -1.0
+        first, second = 2 * i, 2 * i + 1
+        assert np.array_equal(game.p[first], game.p[second])
+        assert game.costs[first] == game.costs[second]
+        assert np.array_equal(game.p[first], np.eye(5)[i])
+    assert game.costs[0] == 1.0
+    assert game.costs[2] == -1.0
 
 
 def test_tail_states_jump_to_the_anchors():
     game, _ = hard_instance(6, 0.8, a_mode="custom", a=3.0)
-    for st in game.states[2:]:
-        to_zero, to_one = st.actions
-        assert to_zero.cost == 3.0 and to_one.cost == 3.0
-        assert to_zero.dist == ((0, 1.0),)
-        assert to_one.dist == ((1, 1.0),)
+    for i in range(2, 6):
+        to_zero, to_one = 2 * i, 2 * i + 1
+        assert game.costs[to_zero] == 3.0 and game.costs[to_one] == 3.0
+        assert np.array_equal(game.p[to_zero], np.eye(6)[0])
+        assert np.array_equal(game.p[to_one], np.eye(6)[1])
 
 
 # -- closed forms vs the actual game ------------------------------------------
@@ -76,11 +77,10 @@ def test_closed_forms_match_game(n, gamma, mode):
     game, partition = build_hard_instance(spec)
     forms = closed_forms(spec)
 
-    rep = matrix_representation(game)
-    _, c_tau = restrict(rep, partition.tau)
+    _, c_tau = restrict(game, partition.tau)
     assert np.array_equal(c_tau, forms.c_tau)
 
-    v_tau = value_vector(rep, partition.tau)
+    v_tau = value_vector(game, partition.tau)
     scale = 1.0 + np.abs(forms.v_tau).max()
     assert np.abs(v_tau - forms.v_tau).max() <= 1e-9 * scale
 
@@ -231,7 +231,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("n", [3, 4])
 def test_brute_force_optimum_prefers_the_high_anchor(n):
     game, _ = hard_instance(n, 0.5, a_mode="kappa")
-    result = brute_force_solve(matrix_representation(game))
+    result = brute_force_solve(game)
     expected = np.full(n, 2.0)  # a + beta with a = beta = 1
     expected[1] = -2.0
     assert np.abs(result.values - expected).max() <= 1e-9
@@ -241,12 +241,11 @@ def test_brute_force_optimum_prefers_the_high_anchor(n):
 @pytest.mark.parametrize("n,gamma", GRID)
 def test_all_slot_zero_profile_is_optimal(n, gamma):
     game, partition = hard_instance(n, gamma, a_mode="kappa")
-    rep = matrix_representation(game)
-    ok, violations = is_optimal(rep, partition.sigma)
+    ok, violations = is_optimal(game, partition.sigma)
     assert ok and violations.size == 0
     beta = beta_of(gamma)
     a = beta
-    v = value_vector(rep, partition.sigma)
+    v = value_vector(game, partition.sigma)
     expected = np.full(n, a + beta)
     expected[0] = 1.0 + beta
     expected[1] = -(1.0 + beta)

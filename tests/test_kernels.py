@@ -9,7 +9,7 @@ from gamelcp import _kernels as kn
 from gamelcp.bench import random_game
 import gamelcp.conditioning as cond
 from gamelcp.conditioning import pmatrix_check_minors
-from gamelcp.game import matrix_representation, value_vector
+from gamelcp.game import value_vector
 
 
 def _well_conditioned(rng, n):
@@ -84,10 +84,10 @@ def test_row_scaling_keeps_badly_scaled_rows_solvable():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_value_vector_gamma_edge(seed):
     profile = np.zeros(16, dtype=np.int64)
-    v = value_vector(matrix_representation(random_game(16, 1.0 - 1e-8, seed)), profile)
+    v = value_vector(random_game(16, 1.0 - 1e-8, seed), profile)
     assert np.all(np.isfinite(v))
     with pytest.raises(kn.SingularMatrixError):
-        value_vector(matrix_representation(random_game(16, 1.0 - 1e-15, seed)), profile)
+        value_vector(random_game(16, 1.0 - 1e-15, seed), profile)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """LCP reduction, verification, and recovery tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import gamelcp.lcp as lcp_module
 from gamelcp._kernels import SingularMatrixError
 from gamelcp.bench import random_game
 from gamelcp.conditioning import CertifyOptions, certify
-from gamelcp.game import GameValidationError, is_optimal, matrix_representation, restrict
+from gamelcp.game import GameValidationError, build_game, is_optimal, restrict
 from gamelcp.lcp import (
     Lcp,
     Partition,
@@ -22,8 +24,6 @@ from gamelcp.lcp import (
     write_lcp,
 )
 
-from conftest import make_game
-
 G3_M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 1.0, 1.0]])
 G3_Q = np.array([0.0, 0.0, -2.0])
 
@@ -35,7 +35,7 @@ def test_default_partition_slots(three_state):
 
 
 def test_default_partition_rejects_three_actions():
-    game = make_game(
+    game = build_game(
         0.5,
         [
             (1, [(0.0, [(0, 1.0)]), (1.0, [(1, 1.0)]), (2.0, [(0, 1.0)])]),
@@ -78,9 +78,9 @@ def test_identical_rows_give_identity_m():
         (1, [(1.0, [(1, 1.0)]), (4.0, [(1, 1.0)])]),
         (2, [(-2.0, [(0, 0.5), (1, 0.5)]), (3.0, [(0, 0.5), (1, 0.5)])]),
     ]
-    game = make_game(0.7, spec)
+    game = build_game(0.7, spec)
     lcp = to_lcp(game)
-    signs = matrix_representation(game).ownership_signs
+    signs = game.ownership_signs
     assert np.allclose(lcp.m, np.eye(2), atol=1e-12)
     c_sig = np.array([1.0, -2.0])
     c_tau = np.array([4.0, 3.0])
@@ -94,16 +94,15 @@ def test_reduction_identity_random():
     rng = np.random.default_rng(31)
     for k in range(10):
         game = random_game(int(rng.integers(2, 9)), 0.8, seed=700 + k, max_support=3)
-        rep = matrix_representation(game)
         part = default_partition(game)
         lcp = to_lcp(game, part)
-        p_sig, _ = restrict(rep, part.sigma)
-        p_tau, _ = restrict(rep, part.tau)
-        b_sig = np.eye(rep.n) - rep.gamma * p_sig
-        b_tau = np.eye(rep.n) - rep.gamma * p_tau
-        s = rep.ownership_signs
+        p_sig, _ = restrict(game, part.sigma)
+        p_tau, _ = restrict(game, part.tau)
+        b_sig = np.eye(game.n) - game.gamma * p_sig
+        b_tau = np.eye(game.n) - game.gamma * p_tau
+        s = game.ownership_signs
         for _ in range(10):
-            x = rng.standard_normal(rep.n)
+            x = rng.standard_normal(game.n)
             lhs = lcp.m @ (s * (b_tau @ x))
             rhs = s * (b_sig @ x)
             assert np.abs(lhs - rhs).max() <= 1e-9 * (1.0 + np.abs(rhs).max())
@@ -112,16 +111,7 @@ def test_reduction_identity_random():
 def test_cost_scaling_scales_q_only(g3):
     game, part = g3
     lam = 3.5
-    scaled = make_game(
-        game.gamma,
-        [
-            (
-                st.owner,
-                [(lam * act.cost, list(act.dist)) for act in st.actions],
-            )
-            for st in game.states
-        ],
-    )
+    scaled = dataclasses.replace(game, costs=lam * game.costs)
     base = to_lcp(game, part)
     out = to_lcp(scaled, part)
     assert np.allclose(out.m, base.m, atol=1e-12)
@@ -149,8 +139,7 @@ def test_recover_g3_exact(g3):
     res = recover(to_lcp(game, part), w, z)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
     assert res.profile[2] == 0
-    rep = matrix_representation(game)
-    ok, _ = is_optimal(rep, res.profile)
+    ok, _ = is_optimal(game, res.profile)
     assert ok
     assert res.method == "lcp"
 
@@ -218,7 +207,7 @@ def test_reduction_accepts_well_posed_game_near_gamma_one():
     game = random_game(4, 0.999999, 0)
     lcp = to_lcp(game)
     red = lcp.reduction
-    s = red.rep.ownership_signs
+    s = red.game.ownership_signs
     x = np.random.default_rng(3).standard_normal(4)
     lhs = lcp.m @ (s * (red.b_tau @ x))
     assert np.abs(lhs - s * (red.b_sig @ x)).max() <= 1e-6

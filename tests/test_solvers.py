@@ -7,7 +7,7 @@ from gamelcp import solvers
 from gamelcp.game import (
     PLAYER_MIN,
     GameValidationError,
-    matrix_representation,
+    build_game,
     reduced_costs,
     value_vector,
 )
@@ -22,28 +22,27 @@ from gamelcp.solvers import (
 )
 from gamelcp.bench import random_game
 
-from conftest import three_state_game, hard_instance, make_game
+from conftest import three_state_game, hard_instance
 
 
 def test_g3_first_bellman_iterate(g3):
     game, _ = g3
-    rep = matrix_representation(game)
-    v1 = bellman_backup(rep, np.zeros(3))
+    v1 = bellman_backup(game, np.zeros(3))
     assert np.array_equal(v1, [1.0, -1.0, 1.0])
 
 
-def _two_reduceat_backup(rep, v):
+def _two_reduceat_backup(game, v):
     # the backup as first written: both reductions, then pick per owner
-    y = rep.costs + rep.gamma * (rep.p @ v)
-    starts = rep.offsets[:-1]
+    y = game.costs + game.gamma * (game.p @ v)
+    starts = game.offsets[:-1]
     mins = np.minimum.reduceat(y, starts)
     maxs = np.maximum.reduceat(y, starts)
-    return np.where(rep.owners == PLAYER_MIN, mins, maxs)
+    return np.where(game.owners == PLAYER_MIN, mins, maxs)
 
 
 def _uneven_game(gamma=0.9):
     # 1- and 3-action states of both owners, for uneven segments
-    return make_game(
+    return build_game(
         gamma,
         [
             (1, [(1.5, [(1, 1.0)])]),
@@ -61,23 +60,21 @@ def test_bellman_backup_matches_two_reduceat_oracle():
     games = [uneven] + [random_game(n, 0.95, seed=700 + n) for n in (1, 5, 16, 64)]
     rng = np.random.default_rng(17)
     for game in games:
-        rep = matrix_representation(game)
         for _ in range(20):
-            v = rng.normal(scale=10.0, size=rep.n)
-            assert np.array_equal(bellman_backup(rep, v), _two_reduceat_backup(rep, v))
-    assert {1, 2} <= set(matrix_representation(uneven).owners.tolist())
+            v = rng.normal(scale=10.0, size=game.n)
+            assert np.array_equal(bellman_backup(game, v), _two_reduceat_backup(game, v))
+    assert {1, 2} <= set(uneven.owners.tolist())
 
 
 def test_bellman_fixed_point(g3):
     game, _ = g3
-    rep = matrix_representation(game)
     v_star = np.array([2.0, -2.0, 2.0])
-    assert np.abs(bellman_backup(rep, v_star) - v_star).max() <= 1e-12
+    assert np.abs(bellman_backup(game, v_star) - v_star).max() <= 1e-12
 
 
 def test_value_iteration_g3(g3):
     game, _ = g3
-    res = value_iteration(matrix_representation(game), eps=1e-8)
+    res = value_iteration(game, eps=1e-8)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-8)
     assert res.method == "value_iteration"
     assert res.iterations >= 1
@@ -87,20 +84,18 @@ def test_value_iteration_accuracy_guarantee():
     rng = np.random.default_rng(21)
     for k in range(10):
         game = random_game(5, float(rng.uniform(0.2, 0.9)), seed=100 + k)
-        rep = matrix_representation(game)
-        oracle = brute_force_solve(rep)
-        res = value_iteration(rep, eps=1e-6)
+        oracle = brute_force_solve(game)
+        res = value_iteration(game, eps=1e-6)
         assert np.abs(res.values - oracle.values).max() <= 1e-6
 
 
 def test_value_iteration_contraction():
     game, _ = hard_instance(4, 0.8, a=2.0)
-    rep = matrix_representation(game)
-    oracle = brute_force_solve(rep)
+    oracle = brute_force_solve(game)
     v = np.zeros(4)
     err = np.abs(v - oracle.values).max()
     for _ in range(60):
-        v = bellman_backup(rep, v)
+        v = bellman_backup(game, v)
         new_err = np.abs(v - oracle.values).max()
         assert new_err <= game.gamma * err + 1e-12
         err = new_err
@@ -108,7 +103,7 @@ def test_value_iteration_contraction():
 
 def test_strategy_iteration_from_tau(g3):
     game, part = g3
-    res = strategy_iteration(matrix_representation(game), initial_profile=part.tau)
+    res = strategy_iteration(game, initial_profile=part.tau)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
     assert res.profile[2] == 0  # tail state switched to the sigma slot
     assert res.iterations == 1
@@ -116,20 +111,20 @@ def test_strategy_iteration_from_tau(g3):
 
 def test_strategy_iteration_zero_switches_at_optimum(g3):
     game, part = g3
-    res = strategy_iteration(matrix_representation(game), initial_profile=part.sigma)
+    res = strategy_iteration(game, initial_profile=part.sigma)
     assert res.iterations == 0
     assert np.array_equal(res.profile, part.sigma)
 
 
 def test_strategy_iteration_checks_its_initial_profile():
-    rep = matrix_representation(random_game(5, 0.9, 1))
+    game = random_game(5, 0.9, 1)
     for profile, message in (
         ([2, 0, 0, 0, 0], r"^profile slot 2 out of range at state 0 \(2 actions\)$"),
         ([0, 0, -1, 0, 0], r"^profile slot -1 out of range at state 2 \(2 actions\)$"),
         ([0, 0, 0, 0], r"^profile length \(4,\) does not match 5 states$"),
     ):
         with pytest.raises(GameValidationError, match=message):
-            strategy_iteration(rep, initial_profile=profile)
+            strategy_iteration(game, initial_profile=profile)
 
 
 def test_strategy_iteration_improves_single_player_games():
@@ -138,22 +133,21 @@ def test_strategy_iteration_improves_single_player_games():
     made = 0
     for k in range(40):
         game = random_game(6, 0.7, seed=300 + k)
-        if any(st.owner != 2 for st in game.states):
+        if np.any(game.owners != 2):
             continue
         made += 1
-        rep = matrix_representation(game)
         choice = np.zeros(6, dtype=np.int64)
         for _ in range(20):
-            v = value_vector(rep, choice)
-            rc = reduced_costs(rep, choice, v)
+            v = value_vector(game, choice)
+            rc = reduced_costs(game, choice, v)
             new_choice = choice.copy()
             for i in range(6):
-                seg = rc[rep.offsets[i] : rep.offsets[i + 1]]
+                seg = rc[game.offsets[i] : game.offsets[i + 1]]
                 if seg.max() > 1e-9:
                     new_choice[i] = int(np.argmax(seg))
             if np.array_equal(new_choice, choice):
                 break
-            v_new = value_vector(rep, new_choice)
+            v_new = value_vector(game, new_choice)
             assert np.all(v_new >= v - 1e-9)
             assert v_new.max() > v.max() - 1e-12  # strict somewhere
             choice = new_choice
@@ -162,27 +156,27 @@ def test_strategy_iteration_improves_single_player_games():
 
 def test_brute_force_g3(g3):
     game, _ = g3
-    res = brute_force_solve(matrix_representation(game))
+    res = brute_force_solve(game)
     assert np.array_equal(res.profile, [0, 0, 0])
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
 
 
 def test_brute_force_single_action_game():
-    game = make_game(0.9, [(1, [(1.0, [(1, 1.0)])]), (2, [(-1.0, [(0, 1.0)])])])
-    res = brute_force_solve(matrix_representation(game))
+    game = build_game(0.9, [(1, [(1.0, [(1, 1.0)])]), (2, [(-1.0, [(0, 1.0)])])])
+    res = brute_force_solve(game)
     assert np.array_equal(res.profile, [0, 0])
 
 
 def test_brute_force_cap():
     game, _ = hard_instance(21, 0.5, a=1.0)  # 2^21 profiles exceeds the cap
     with pytest.raises(SolverFailure, match="cap"):
-        brute_force_solve(matrix_representation(game))
+        brute_force_solve(game)
 
 
 def test_three_state_brute_matches_value_iteration():
-    rep = matrix_representation(three_state_game(0.5))
-    res_b = brute_force_solve(rep)
-    res_v = value_iteration(rep, eps=1e-8)
+    game = three_state_game(0.5)
+    res_b = brute_force_solve(game)
+    res_v = value_iteration(game, eps=1e-8)
     assert np.abs(res_b.values - res_v.values).max() <= 1e-6
 
 
@@ -191,10 +185,9 @@ def test_cross_method_agreement_random():
     for k in range(20):
         gamma = float(rng.uniform(0.2, 0.9))
         game = random_game(int(rng.integers(2, 7)), gamma, seed=500 + k)
-        rep = matrix_representation(game)
-        res_b = brute_force_solve(rep)
-        res_v = value_iteration(rep, eps=1e-8)
-        res_s = strategy_iteration(rep)
+        res_b = brute_force_solve(game)
+        res_v = value_iteration(game, eps=1e-8)
+        res_s = strategy_iteration(game)
         assert np.abs(res_b.values - res_v.values).max() <= 1e-6
         assert np.abs(res_b.values - res_s.values).max() <= 1e-6
 
@@ -204,27 +197,27 @@ def test_cross_method_agreement_random():
 # signed, block-checked and loop-free versions.
 
 
-def _oracle_greedy_profile(rep, v):
-    y = rep.costs + rep.gamma * (rep.p @ np.asarray(v, dtype=np.float64))
-    n = rep.n
+def _oracle_greedy_profile(game, v):
+    y = game.costs + game.gamma * (game.p @ np.asarray(v, dtype=np.float64))
+    n = game.n
     choice = np.empty(n, dtype=np.int64)
     for i in range(n):
-        seg = y[rep.offsets[i] : rep.offsets[i + 1]]
-        choice[i] = np.argmin(seg) if rep.owners[i] == PLAYER_MIN else np.argmax(seg)
+        seg = y[game.offsets[i] : game.offsets[i + 1]]
+        choice[i] = np.argmin(seg) if game.owners[i] == PLAYER_MIN else np.argmax(seg)
     return choice
 
 
-def _oracle_value_iteration(rep, eps=1e-8):
-    threshold = eps * (1.0 - rep.gamma) / (2.0 * rep.gamma)
-    v = np.zeros(rep.n)
+def _oracle_value_iteration(game, eps=1e-8):
+    threshold = eps * (1.0 - game.gamma) / (2.0 * game.gamma)
+    v = np.zeros(game.n)
     for it in range(1, solvers.VI_MAX_ITERS + 1):
-        v_next = _two_reduceat_backup(rep, v)
+        v_next = _two_reduceat_backup(game, v)
         delta = float(np.max(np.abs(v_next - v)))
         v = v_next
         if delta <= threshold:
-            choice = _oracle_greedy_profile(rep, v)
+            choice = _oracle_greedy_profile(game, v)
             return SolveResult(
-                values=value_vector(rep, choice),
+                values=value_vector(game, choice),
                 profile=choice,
                 iterations=it,
                 method="value_iteration",
@@ -236,12 +229,12 @@ def _oracle_value_iteration(rep, eps=1e-8):
     )
 
 
-def _oracle_switch(rep, choice, rc, tol):
+def _oracle_switch(game, choice, rc, tol):
     switched = False
     new_choice = choice.copy()
-    for i in range(rep.n):
-        seg = rc[rep.offsets[i] : rep.offsets[i + 1]]
-        if rep.owners[i] == PLAYER_MIN:
+    for i in range(game.n):
+        seg = rc[game.offsets[i] : game.offsets[i + 1]]
+        if game.owners[i] == PLAYER_MIN:
             best = int(np.argmin(seg))
             improving = seg[best] < -tol
         else:
@@ -253,12 +246,12 @@ def _oracle_switch(rep, choice, rc, tol):
     return new_choice if switched else None
 
 
-def _oracle_strategy_iteration(rep, tol=1e-9):
-    choice = np.zeros(rep.n, dtype=np.int64)
+def _oracle_strategy_iteration(game, tol=1e-9):
+    choice = np.zeros(game.n, dtype=np.int64)
     rounds = 0
     while True:
-        v = value_vector(rep, choice)
-        new_choice = _oracle_switch(rep, choice, reduced_costs(rep, choice, v), tol)
+        v = value_vector(game, choice)
+        new_choice = _oracle_switch(game, choice, reduced_costs(game, choice, v), tol)
         if new_choice is None:
             return SolveResult(v, choice, rounds, "strategy_iteration")
         choice = new_choice
@@ -283,21 +276,20 @@ def _same_result(got, want):
 def test_value_iteration_matches_stepwise_oracle():
     ends = set()
     for game in _oracle_games():
-        rep = matrix_representation(game)
-        want = _oracle_value_iteration(rep)
-        _same_result(value_iteration(rep), want)
+        want = _oracle_value_iteration(game)
+        _same_result(value_iteration(game), want)
         ends.add(want.iterations % solvers.VI_BLOCK)
     assert len(ends) > 4  # runs stop at many places within a block
 
 
 @pytest.mark.parametrize("cap", [1, 7, solvers.VI_BLOCK, 2 * solvers.VI_BLOCK + 5])
 def test_value_iteration_cap_matches_oracle(cap, monkeypatch):
-    rep = matrix_representation(random_game(16, 0.999, seed=916))
+    game = random_game(16, 0.999, seed=916)
     monkeypatch.setattr(solvers, "VI_MAX_ITERS", cap)
     with pytest.raises(SolverFailure) as want:
-        _oracle_value_iteration(rep)
+        _oracle_value_iteration(game)
     with pytest.raises(SolverFailure) as got:
-        value_iteration(rep)
+        value_iteration(game)
     assert str(got.value) == str(want.value)
     assert got.value.context["last_step"] == want.value.context["last_step"]
 
@@ -305,20 +297,20 @@ def test_value_iteration_cap_matches_oracle(cap, monkeypatch):
 def test_value_iteration_stops_exactly_at_the_cap(monkeypatch):
     # a run that meets the stop rule on its last allowed iterate succeeds,
     # one iterate fewer fails; the count is not a multiple of the block
-    rep = matrix_representation(random_game(5, 0.9, seed=906))
-    needed = _oracle_value_iteration(rep).iterations
+    game = random_game(5, 0.9, seed=906)
+    needed = _oracle_value_iteration(game).iterations
     assert needed % solvers.VI_BLOCK != 0
     monkeypatch.setattr(solvers, "VI_MAX_ITERS", needed)
-    _same_result(value_iteration(rep), _oracle_value_iteration(rep))
+    _same_result(value_iteration(game), _oracle_value_iteration(game))
     monkeypatch.setattr(solvers, "VI_MAX_ITERS", needed - 1)
     with pytest.raises(SolverFailure, match=f"within {needed - 1} iterations"):
-        value_iteration(rep)
+        value_iteration(game)
 
 
 def _tie_game():
     # duplicated actions give exact ties in 1-, 2- and 3-action states
     twin = (1.0, [(0, 0.5), (1, 0.5)])
-    return make_game(
+    return build_game(
         0.9,
         [
             (1, [twin, twin, (2.0, [(2, 1.0)])]),
@@ -332,37 +324,35 @@ def _tie_game():
 def test_greedy_profile_matches_per_state_oracle():
     rng = np.random.default_rng(31)
     for game in [_tie_game(), _uneven_game()] + _oracle_games()[4::3]:
-        rep = matrix_representation(game)
         # integer values and costs tie often; v = 0 ties every twin
-        vs = [np.zeros(rep.n)] + [rng.integers(-2, 3, rep.n).astype(float) for _ in range(20)]
-        vs += [rng.normal(size=rep.n) for _ in range(5)]
+        vs = [np.zeros(game.n)] + [rng.integers(-2, 3, game.n).astype(float) for _ in range(20)]
+        vs += [rng.normal(size=game.n) for _ in range(5)]
         for v in vs:
-            got = greedy_profile(rep, v)
+            got = greedy_profile(game, v)
             assert got.dtype == np.int64
-            assert np.array_equal(got, _oracle_greedy_profile(rep, v))
-    rep = matrix_representation(_tie_game())
-    assert greedy_profile(rep, np.zeros(4)).tolist() == [0, 0, 0, 0]
+            assert np.array_equal(got, _oracle_greedy_profile(game, v))
+    game = _tie_game()
+    assert greedy_profile(game, np.zeros(4)).tolist() == [0, 0, 0, 0]
 
 
 def test_switch_rule_matches_per_state_oracle():
     rng = np.random.default_rng(37)
     tol = 0.25
     for game in (_tie_game(), _uneven_game(), random_game(16, 0.9, seed=3)):
-        rep = matrix_representation(game)
-        rows = solvers._SignedRows(rep)
-        m = rep.p.shape[0]
-        choice = np.zeros(rep.n, dtype=np.int64)
+        rows = solvers._SignedRows(game)
+        m = game.p.shape[0]
+        choice = np.zeros(game.n, dtype=np.int64)
         for _ in range(200):
             # exact ties, reduced costs exactly at -tol, 0 and +tol, and NaNs,
             # where argmin and argmax take the first NaN, which never improves
             rc = rng.choice([-2 * tol, -tol, 0.0, tol, 2 * tol, np.nan], size=m)
-            want = _oracle_switch(rep, choice, rc, tol)
+            want = _oracle_switch(game, choice, rc, tol)
             got = solvers._switch(rows, choice, rc, tol)
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.array_equal(got, want)
-    rep = matrix_representation(_tie_game())
-    rows = solvers._SignedRows(rep)
+    game = _tie_game()
+    rows = solvers._SignedRows(game)
     choice = np.array([2, 1, 0, 1])
     assert solvers._switch(rows, choice, np.full(9, tol), tol) is None
     assert solvers._switch(rows, choice, np.full(9, -tol), tol) is None
@@ -373,5 +363,4 @@ def test_switch_rule_matches_per_state_oracle():
 
 def test_strategy_iteration_matches_per_state_oracle():
     for game in [_tie_game()] + _oracle_games():
-        rep = matrix_representation(game)
-        _same_result(strategy_iteration(rep), _oracle_strategy_iteration(rep))
+        _same_result(strategy_iteration(game), _oracle_strategy_iteration(game))
