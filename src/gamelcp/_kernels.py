@@ -1,17 +1,21 @@
-"""The package's one dense linear solve, through LAPACK via ``numpy.linalg``.
+"""The package's dense linear solves, through LAPACK via ``numpy.linalg``.
 
-Value vectors, the LCP reduction, solution recovery, Lemke's terminal basis
-and the minor scan's low minors all solve through :func:`solve`, so they
-share one singularity gate (the interior-point Newton systems are ungated).
+Two gates, for two kinds of matrix.  The game's own systems B = I - gamma P
+(value vectors, the LCP reduction, solution recovery) are diagonally
+dominant, so their condition number has a closed-form bound:
+:func:`solve_discounted` checks it and makes one plain solve.  General
+matrices (Lemke's terminal basis, the minor scan's low minors) have no such
+bound, so :func:`solve` measures theirs from the inverse it forms.  The
+interior-point Newton systems are ungated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PIVOT_RTOL", "SingularMatrixError", "solve"]
+__all__ = ["PIVOT_RTOL", "SingularMatrixError", "solve", "solve_discounted"]
 
-#: a system is declared singular when its row-equilibrated inf-norm
+#: a system is declared singular when its (bounded or measured) inf-norm
 #: condition number exceeds 1 / PIVOT_RTOL
 PIVOT_RTOL = 1e-13
 
@@ -51,3 +55,35 @@ def solve(a, b):
             f"row-scaled condition number {cond:.3e} exceeds {1.0 / PIVOT_RTOL:.0e}"
         )
     return sol[:, :k] if b.ndim == 2 else sol[:, 0]
+
+
+def solve_discounted(b, rhs, transpose=False):
+    """Solve ``b @ x = rhs`` (``b.T @ x = rhs`` with ``transpose``) for a
+    game system ``b = I - gamma P``; ``rhs`` may be a vector or columns.
+
+    With gamma r = ||I - b||_inf (r the largest absolute row sum of P) below
+    1, the Neumann series gives ||b^-1||_inf <= 1 / (1 - gamma r), so
+    kappa_inf(b) <= (1 + gamma r) / (1 - gamma r).  For the transpose,
+    kappa_inf(b.T) = ||b||_1 ||b^-1||_1 <= (1 + gamma c) n / (1 - gamma r),
+    with gamma c = ||I - b||_1 and ||b^-1||_1 <= n ||b^-1||_inf.  Raises
+    :class:`SingularMatrixError` when gamma r >= 1 (no bound holds) or
+    when the bound exceeds ``1 / PIVOT_RTOL``; otherwise makes one plain
+    solve.
+    """
+    n = b.shape[0]
+    off = np.abs(np.eye(n) - b)
+    gamma_r = float(off.sum(axis=1).max())
+    if not gamma_r < 1.0:
+        raise SingularMatrixError(
+            f"gamma r = {gamma_r:.17g} >= 1: I - gamma P is not diagonally "
+            "dominant, so its condition number has no bound"
+        )
+    if transpose:
+        bound = (1.0 + float(off.sum(axis=0).max())) * n / (1.0 - gamma_r)
+    else:
+        bound = (1.0 + gamma_r) / (1.0 - gamma_r)
+    if not bound <= 1.0 / PIVOT_RTOL:
+        raise SingularMatrixError(
+            f"condition number bound {bound:.3e} exceeds {1.0 / PIVOT_RTOL:.0e}"
+        )
+    return np.linalg.solve(b.T if transpose else b, rhs)

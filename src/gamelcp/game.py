@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import solve_discounted
 
 __all__ = [
     "Game",
@@ -257,10 +257,11 @@ def restrict(game, profile):
 
 
 def value_vector(game, profile):
-    """Solve (I - gamma P_profile) v = c_profile for the profile's values."""
+    """Solve (I - gamma P_profile) v = c_profile for the profile's values,
+    with one plain solve behind the system's closed-form condition bound
+    (:func:`~gamelcp._kernels.solve_discounted`)."""
     p_sel, c_sel = restrict(game, profile)
-    a = np.eye(game.n) - game.gamma * p_sel
-    return _kernels.solve(a, c_sel)
+    return solve_discounted(np.eye(game.n) - game.gamma * p_sel, c_sel)
 
 
 def reduced_costs(game, profile, values=None):

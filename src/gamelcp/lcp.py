@@ -9,8 +9,9 @@ sign matrix, the LCP data is
 
 and a solution (w, z >= 0, w = q + Mz, w.z = 0) recovers the optimal
 values v = B_t^{-1} (c_tau + S z) together with the optimal profile
-(sigma's action where w_i <= z_i, tau's otherwise).  M is built by solving
-B_t^T X^T = B_s^T for all columns in one call.
+(sigma's action where w_i <= z_i, tau's otherwise).  One solve,
+B_t^T X^T = B_s^T for all columns, gives X = B_s B_t^{-1}, and both
+M = S X S and q = S X c_tau - S c_sigma are read from it.
 The :class:`Lcp` from :func:`to_lcp` keeps its :class:`Reduction` (the
 :class:`~gamelcp.game.Game`, the partition, B_s, B_t and the two cost
 vectors), which ``recover`` and ``conditioning.certify`` read.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import SingularMatrixError, _gamma, solve
+from ._kernels import SingularMatrixError, _gamma, solve_discounted
 from .game import (
     Game,
     GameValidationError,
@@ -113,7 +114,7 @@ def _check_partition(game, partition):
     return sigma, tau
 
 
-def _check_residual(lhs, x, rhs, what):
+def _check_residual(lhs, x, rhs):
     """Refuse x unless |lhs x - rhs|_ij <= gamma_3n (|lhs_i|_1 |x_j|_inf +
     |rhs_ij|) for row i, column j: a backward-stable solve's rounding (LU
     fill-in puts rounding where a sparse row is 0, so not |lhs_i| |x_j|)."""
@@ -125,7 +126,8 @@ def _check_residual(lhs, x, rhs, what):
     k = np.unravel_index(np.argmax(res - bound), res.shape)
     if res[k] > bound[k]:
         raise SingularMatrixError(
-            f"{what}: residual {res[k]:.3e} exceeds its rounding bound {bound[k]:.3e}"
+            f"reduction system: residual {res[k]:.3e} exceeds its rounding bound "
+            f"{bound[k]:.3e}"
         )
 
 
@@ -158,16 +160,13 @@ def reduction(game, partition=None):
 def to_lcp(game, partition=None):
     """Build the LCP (M, q) for the game under the given action partition."""
     red = reduction(game, partition)
-    x_t = solve(red.b_tau.T, red.b_sig.T)
-    _check_residual(red.b_tau.T, x_t, red.b_sig.T, "reduction system")
+    x_t = solve_discounted(red.b_tau, red.b_sig.T, transpose=True)
+    _check_residual(red.b_tau.T, x_t, red.b_sig.T)
     x = x_t.T
-
-    h = solve(red.b_tau, red.c_tau)
-    _check_residual(red.b_tau, h, red.c_tau, "tau value system")
 
     s = red.game.ownership_signs
     m = s[:, None] * x * s[None, :]
-    q = s * (red.b_sig @ h) - s * red.c_sig
+    q = s * (x @ red.c_tau) - s * red.c_sig
     return Lcp(m=m, q=q, reduction=red)
 
 
@@ -223,7 +222,7 @@ def recover(lcp, w, z, tol=1e-6):
     game = red.game
     z = np.asarray(z, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    v_formula = solve(red.b_tau, red.c_tau + game.ownership_signs * z)
+    v_formula = solve_discounted(red.b_tau, red.c_tau + game.ownership_signs * z)
 
     choice = np.where(w <= z, red.sigma, red.tau).astype(np.int64)
     v_exact = value_vector(game, choice)
@@ -253,14 +252,42 @@ def write_lcp(lcp, path):
         fh.write("\n")
 
 
-def read_lcp(path):
+def _json_object(path, keys):
+    """The JSON object in ``path``; ValueError names the path and the first
+    of ``keys`` it lacks."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    n = int(payload["n"])
-    m = np.asarray(payload["M"], dtype=np.float64)
-    q = np.asarray(payload["q"], dtype=np.float64)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return payload
+
+
+def _array_of(path, payload, key, kinds, what):
+    """``payload[key]`` as an array whose dtype kind is in ``kinds`` (empty
+    arrays pass, for the caller's shape check); ValueError otherwise."""
+    try:
+        arr = np.asarray(payload[key])
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{path}: {key!r} must be {what}: {exc}") from exc
+    if arr.size and arr.dtype.kind not in kinds:
+        raise ValueError(f"{path}: {key!r} must be {what}")
+    return arr
+
+
+def read_lcp(path):
+    payload = _json_object(path, ("n", "M", "q"))
+    n = payload["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{path}: 'n' must be an integer")
+    m = _array_of(path, payload, "M", "iuf", "a matrix of numbers").astype(np.float64)
+    q = _array_of(path, payload, "q", "iuf", "a list of numbers").astype(np.float64)
     if m.shape != (n, n) or q.shape != (n,):
-        raise ValueError(f"inconsistent LCP file: n={n}, M {m.shape}, q {q.shape}")
+        raise ValueError(
+            f"{path}: inconsistent LCP file: n={n}, M {m.shape}, q {q.shape}"
+        )
     return Lcp(m=m, q=q)
 
 
@@ -275,9 +302,9 @@ def save_partition(partition, path):
 
 
 def load_partition(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return Partition(
-        sigma=np.asarray(payload["sigma"], dtype=np.int64),
-        tau=np.asarray(payload["tau"], dtype=np.int64),
+    payload = _json_object(path, ("sigma", "tau"))
+    sigma, tau = (
+        _array_of(path, payload, key, "iu", "a list of integers").astype(np.int64)
+        for key in ("sigma", "tau")
     )
+    return Partition(sigma=sigma, tau=tau)

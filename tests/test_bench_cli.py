@@ -317,11 +317,17 @@ def test_cli_solve_ipm_at_a_loose_tol(tmp_path, capsys, tol):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls of build_game, to_lcp and value_vector, wherever gamelcp
-    binds them."""
-    counts = {"build_game": 0, "to_lcp": 0, "value_vector": 0}
+    """Calls of build_game, to_lcp, value_vector and the two dense solves,
+    wherever gamelcp binds them."""
+    counts = {
+        "build_game": 0,
+        "to_lcp": 0,
+        "value_vector": 0,
+        "solve_discounted": 0,
+        "solve": 0,
+    }
     for name in counts:
-        real = getattr(gamelcp, name)
+        real = getattr(gamelcp._kernels if "solve" in name else gamelcp, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
@@ -372,10 +378,17 @@ def test_cli_builds_the_game_matrices_once_per_op(
     method = command[-1] if command[0] == "solve" else "certify"
     fixed, per_iteration = VALUE_SOLVES[method]
     iterations = json.loads(out.read_text()).get("iterations", 0)
+    lcps = 0 if method in ("vi", "si", "brute") else 1
+    value_solves = fixed + per_iteration * iterations
+    # one game-system solve per to_lcp, one for recover's value formula and
+    # one per value vector; the gated general solve only for Lemke's
+    # terminal basis, which holds 6 of this game's z's
     assert builds == {
         "build_game": matrix_builds,
-        "to_lcp": 0 if method in ("vi", "si", "brute") else 1,
-        "value_vector": fixed + per_iteration * iterations,
+        "to_lcp": lcps,
+        "value_vector": value_solves,
+        "solve_discounted": lcps + (method in ("ipm", "pivot")) + value_solves,
+        "solve": 1 if method == "pivot" else 0,
     }
 
 
@@ -418,11 +431,30 @@ def test_is_optimal_on_given_values_is_the_same_rule():
 def test_bench_builds_the_game_matrices_once_per_cell(builds):
     rows = run_bench([6, 10], [0.5, 0.9], samples=50)
     assert all(math.isfinite(r.solver_iters) for r in rows)
-    assert builds == {"build_game": 4, "to_lcp": 4, "value_vector": 0}
+    assert builds == {
+        "build_game": 4,
+        "to_lcp": 4,
+        "value_vector": 0,
+        "solve_discounted": 4,
+        "solve": 0,
+    }
 
 
 def test_cli_solve_missing_file(tmp_path):
     assert main(["solve", "--game", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "body, key", [("{}", "'sigma'"), ("[]", "JSON object"), ('{"sigma": [0, 0, 0]}', "'tau'")]
+)
+@pytest.mark.parametrize("command", ["solve", "reduce", "certify"])
+def test_cli_malformed_partition_exits_2(tmp_path, capsys, command, body, key):
+    part = tmp_path / "part.json"
+    part.write_text(body)
+    argv = [command, "--game", str(write_g3(tmp_path)), "--partition", str(part)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(part) in err and key in err
 
 
 def test_cli_rejects_unknown_flag():

@@ -33,7 +33,7 @@ from gamelcp._kernels import SingularMatrixError
 from gamelcp.cli import main
 from gamelcp.game import build_game, restrict, save_game
 from gamelcp.hard_instances import HardInstanceSpec, closed_forms
-from gamelcp.lcp import default_partition, reduction, to_lcp
+from gamelcp.lcp import Lcp, default_partition, reduction, to_lcp
 
 from conftest import hard_instance
 
@@ -486,6 +486,16 @@ def test_witness_check_diagonal():
     assert pmatrix_witness_check(-np.eye(3), np.array([1.0, 1.0, 1.0])) is None
 
 
+def _plain_lcp(game):
+    """The game's LCP from one unchecked np.linalg.solve, for games whose
+    systems to_lcp refuses."""
+    red = reduction(game)
+    signs = red.game.ownership_signs
+    x = np.linalg.solve(red.b_tau.T, red.b_sig.T).T
+    m_mat = signs[:, None] * x * signs[None, :]
+    return Lcp(m=m_mat, q=signs * (x @ red.c_tau) - signs * red.c_sig, reduction=red)
+
+
 def _certificate(game, partition=None, m_mat=None):
     red = reduction(game, partition)
     if m_mat is None:
@@ -621,14 +631,18 @@ def test_structural_certificate_refuses_excess_row_mass():
             actions.append((float(rng.uniform(-1.0, 1.0)), dist))
         states.append((1 + i % 2, actions))
     game = build_game(0.95, states)
-    to_lcp(game)  # the reduction itself accepts the game
-    cert = _certificate(game)
+    # to_lcp's solve refuses a system with no condition bound
+    with pytest.raises(SingularMatrixError, match="gamma r = 1.045"):
+        to_lcp(game)
+    lcp = _plain_lcp(game)
+    cert = _certificate(game, m_mat=lcp.m)
     assert not cert.ok and min(cert.mu_s, cert.mu_t) < 0.0
-    report = certify(to_lcp(game), CertifyOptions(seed=0, samples=100))
+    report = certify(lcp, CertifyOptions(seed=0, samples=100))
     assert report.pmatrix == "undecided"
     assert "not certified" in report.pmatrix_detail
     # a self-loop of mass 1.5 turns b_ii negative: M = (1 - 1.425) / 0.05 < 0
-    # is not a P-matrix although |b_ii| exceeds the (empty) off-diagonal sum
+    # is not a P-matrix although |b_ii| exceeds the (empty) off-diagonal sum;
+    # to_lcp solves only with B_t = 0.05, whose bound holds
     loop = build_game(0.95, [(1, [(0.0, [(0, 1.5)]), (0.0, [(0, 1.0)])])])
     assert not pmatrix_check_minors(to_lcp(loop).m).ok
     assert not _certificate(loop).ok
@@ -647,10 +661,7 @@ def test_structural_certificate_refuses_gamma_at_one():
     game = random_game(12, 1.0 - 1e-15, 3)
     with pytest.raises(SingularMatrixError, match="condition number"):
         to_lcp(game)
-    red = reduction(game)
-    signs = red.game.ownership_signs
-    m_mat = signs[:, None] * np.linalg.solve(red.b_tau.T, red.b_sig.T).T * signs[None, :]
-    cert = structural_certificate(m_mat, red.b_sig, red.b_tau, signs)
+    cert = _certificate(game, m_mat=_plain_lcp(game).m)
     assert not cert.ok and cert.mu_t <= 0.0
 
 

@@ -1,4 +1,4 @@
-"""The dense solve and the principal-minor scan against numpy.linalg oracles."""
+"""The dense solves and the principal-minor scan against numpy.linalg oracles."""
 
 import itertools
 
@@ -9,7 +9,8 @@ from gamelcp import _kernels as kn
 from gamelcp.bench import random_game
 import gamelcp.conditioning as cond
 from gamelcp.conditioning import pmatrix_check_minors
-from gamelcp.game import value_vector
+from gamelcp.game import build_game, value_vector
+from gamelcp.lcp import reduction
 
 
 def _well_conditioned(rng, n):
@@ -88,6 +89,62 @@ def test_value_vector_gamma_edge(seed):
     assert np.all(np.isfinite(v))
     with pytest.raises(kn.SingularMatrixError):
         value_vector(random_game(16, 1.0 - 1e-15, seed), profile)
+
+
+# ---------------------------------------------------------------------------
+# solve_discounted
+
+
+def test_solve_discounted_is_one_plain_solve():
+    # behind its gate the helper is np.linalg.solve, bit for bit, on B and B^T
+    for n in range(1, 65):
+        red = reduction(random_game(n, (0.5, 0.9, 0.99)[n % 3], n))
+        b = red.b_tau
+        assert np.array_equal(
+            kn.solve_discounted(b, red.c_tau), np.linalg.solve(b, red.c_tau)
+        )
+        assert np.array_equal(
+            kn.solve_discounted(b, red.b_sig.T, transpose=True),
+            np.linalg.solve(b.T, red.b_sig.T),
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transposed_solve_gamma_edge(seed):
+    # test_value_vector_gamma_edge covers the untransposed solve
+    red = reduction(random_game(16, 1.0 - 1e-8, seed))
+    x = kn.solve_discounted(red.b_tau, red.b_sig.T, transpose=True)
+    assert np.all(np.isfinite(x))
+    red = reduction(random_game(16, 1.0 - 1e-15, seed))
+    with pytest.raises(kn.SingularMatrixError, match="condition number"):
+        kn.solve_discounted(red.b_tau, red.b_sig.T, transpose=True)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_solve_discounted_refuses_excess_row_mass(transpose):
+    # build_game skips validate_game's mass check: gamma r = 0.9 * 1.2 >= 1
+    heavy = build_game(0.9, [(1, [(1.0, [(0, 0.6), (1, 0.6)])])] * 2)
+    b = np.eye(2) - 0.9 * heavy.p
+    with pytest.raises(kn.SingularMatrixError, match="gamma r = 1.08"):
+        kn.solve_discounted(b, np.ones(2), transpose)
+    # gamma r = 1 exactly: b is the zero matrix, refused before LAPACK sees it
+    with pytest.raises(kn.SingularMatrixError, match="gamma r = 1 >= 1"):
+        kn.solve_discounted(np.zeros((1, 1)), np.ones(1), transpose)
+
+
+def test_transposed_bound_covers_a_funnel(monkeypatch):
+    # every state moves to state 0: kappa_inf(B) = (1 + g) / (1 - g) = 19,
+    # but kappa_inf(B^T) = kappa_1(B) is about n^2 g^2 / (1 - g), above
+    # n kappa_inf(B), so the transposed gate needs B's column sums
+    n, g = 64, 0.9
+    b = np.eye(n)
+    b[:, 0] -= g
+    kappa_t = np.linalg.cond(b.T, np.inf)
+    assert kappa_t > 20 * n * (1.0 + g) / (1.0 - g)
+    monkeypatch.setattr(kn, "PIVOT_RTOL", 1.0 / kappa_t)
+    kn.solve_discounted(b, np.ones(n))
+    with pytest.raises(kn.SingularMatrixError, match="condition number bound"):
+        kn.solve_discounted(b, np.ones(n), transpose=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gamelcp.lcp as lcp_module
-from gamelcp._kernels import SingularMatrixError
+from gamelcp._kernels import SingularMatrixError, _gamma, solve
 from gamelcp.bench import random_game
 from gamelcp.conditioning import CertifyOptions, certify
 from gamelcp.game import GameValidationError, build_game, is_optimal, restrict
@@ -191,6 +191,27 @@ def test_read_lcp_rejects_inconsistent_shapes(tmp_path):
         read_lcp(path)
 
 
+@pytest.mark.parametrize(
+    "loader, body, key",
+    [
+        (read_lcp, "[]", "expected a JSON object"),
+        (read_lcp, '{"M": [[1.0]], "q": [0.0]}', "missing key 'n'"),
+        (read_lcp, '{"n": 1, "M": [[1.0]]}', "missing key 'q'"),
+        (read_lcp, '{"n": "1", "M": [[1.0]], "q": [0.0]}', "'n' must be an integer"),
+        (read_lcp, '{"n": 1, "M": [[null]], "q": [0.0]}', "'M' must be"),
+        (load_partition, "{}", "missing key 'sigma'"),
+        (load_partition, '{"sigma": [0.5], "tau": [1]}', "'sigma' must be"),
+        (load_partition, '{"sigma": [0], "tau": [[0], [1, 2]]}', "'tau' must be"),
+    ],
+)
+def test_file_readers_name_the_path_and_key(tmp_path, loader, body, key):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    with pytest.raises(ValueError) as exc:
+        loader(path)
+    assert str(path) in str(exc.value) and key in str(exc.value)
+
+
 def test_partition_file_round_trip(tmp_path, g3):
     _, part = g3
     path = tmp_path / "part.json"
@@ -213,19 +234,39 @@ def test_reduction_accepts_well_posed_game_near_gamma_one():
     assert np.abs(lhs - s * (red.b_sig @ x)).max() <= 1e-6
 
 
-@pytest.mark.parametrize(
-    "system, ndim", [("reduction system", 2), ("tau value system", 1)]
-)
-def test_reduction_refuses_perturbed_solve(monkeypatch, system, ndim):
-    real = lcp_module.solve
+def test_reduction_refuses_perturbed_solve(monkeypatch):
+    real = lcp_module.solve_discounted
 
-    def off_by_1e8(a, b):
-        x = real(a, b)
-        return x * (1.0 + 1e-8) if np.ndim(b) == ndim else x
+    def off_by_1e8(b, rhs, transpose=False):
+        return real(b, rhs, transpose) * (1.0 + 1e-8)
 
-    monkeypatch.setattr(lcp_module, "solve", off_by_1e8)
-    with pytest.raises(SingularMatrixError, match=f"{system}: .* rounding bound"):
+    monkeypatch.setattr(lcp_module, "solve_discounted", off_by_1e8)
+    with pytest.raises(SingularMatrixError, match="reduction system: .* rounding bound"):
         to_lcp(random_game(8, 0.9, 3))
+
+
+def _two_solve_q(red):
+    """to_lcp's q when it solved the tau value system apart from M's
+    system (verbatim, less that system's residual check: it refused
+    random_game(9, 0.999, 90), residual 7.6e-14 against a bound of 4.1e-14,
+    which the one-solve q builds)."""
+    h = solve(red.b_tau, red.c_tau)
+    s = red.game.ownership_signs
+    return s * (red.b_sig @ h) - s * red.c_sig
+
+
+def test_q_from_the_reduction_solve_matches_two_solves():
+    # both q's are within first-order forward error of the exact one:
+    # gamma_3n kappa(B_t) ||B_s|| |h|, with kappa(B_t) <= (1 + g) / (1 - g),
+    # ||B_s|| <= 1 + g and |h| <= |c_tau| / (1 - g)
+    rng = np.random.default_rng(16)
+    for seed in range(200):
+        n = int(rng.integers(1, 65))
+        g = float(rng.choice([0.5, 0.9, 0.99, 0.999]))
+        lcp = to_lcp(random_game(n, g, seed))
+        red = lcp.reduction
+        tol = 2 * _gamma(3 * n) * ((1 + g) / (1 - g)) ** 2 * np.abs(red.c_tau).max()
+        assert np.abs(lcp.q - _two_solve_q(red)).max() <= tol
 
 
 def test_certify_and_recover_need_the_lcp_from_to_lcp(tmp_path, g3):
