@@ -75,6 +75,10 @@ def random_game(n, gamma, seed, max_support=4):
     uniform transition support, costs uniform in [-10, 10]."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(
+            f"discount out of range: gamma must lie strictly in (0, 1), got {gamma}"
+        )
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(n):
@@ -126,6 +130,8 @@ def run_bench(
 ):
     """One row per (n, gamma) cell.  A cell whose solve or estimation fails
     is kept with NaN measurements so partial sweeps still flush."""
+    if samples < 0:  # refused here: a cell would turn the refusal into NaNs
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     rows = []
     for idx, (n, gamma) in enumerate(itertools.product(ns, gammas)):
         rows.append(_bench_cell(n, gamma, a_mode, seed + idx, samples, ipm_epsilon))

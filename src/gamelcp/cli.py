@@ -94,7 +94,10 @@ def _build_parser():
     p_bench = sub.add_parser("bench", help="sweep the hard family and write CSV")
     p_bench.add_argument("--ns", required=True, help="comma list, e.g. 8,16,32")
     p_bench.add_argument("--gammas", required=True, help="comma list, e.g. 0.5,0.9")
-    p_bench.add_argument("--a-mode", choices=A_MODES, default="kappa")
+    # no --a here, so "custom" could never run
+    p_bench.add_argument(
+        "--a-mode", choices=tuple(m for m in A_MODES if m != "custom"), default="kappa"
+    )
     p_bench.add_argument("--samples", type=int, default=2000)
     p_bench.add_argument("--plot", default=None, help="also render an SVG")
     p_bench.add_argument(

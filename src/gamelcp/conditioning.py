@@ -298,14 +298,6 @@ def gaussian_block(m_mat, samples, seed):
     return x_rows, x_rows @ m_mat.T
 
 
-def _best_sample(block, batch_fn, better):
-    """(value, direction) of the best row of a :func:`gaussian_block`."""
-    x_rows, y_rows = block
-    vals = batch_fn(x_rows, y_rows)
-    k = int(np.argmin(vals)) if better == "min" else int(np.argmax(vals))
-    return float(vals[k]), x_rows[k].copy()
-
-
 def _climb(m_mat, x0, batch_fn, better):
     """Coordinate hill climbing with incremental M x updates.
 
@@ -376,6 +368,41 @@ def _climb(m_mat, x0, batch_fn, better):
     return best, x
 
 
+def _estimate(m_mat, x, val, witnesses, block, exact, batch_fn, better):
+    """(value, direction) of the best of the start x (worth val), the
+    witnesses and the rows of ``block``, after a climb from it.
+
+    ``exact`` scores the witnesses and the returned direction; ``batch_fn``,
+    whose last bits can differ, scores only the block and the climb.  An
+    infinite best that no climb can better is returned as it is.
+    """
+    sign = 1.0 if better == "max" else -1.0
+    for wit in witnesses:
+        wit = np.asarray(wit, dtype=np.float64)
+        wit_val = exact(m_mat, wit)
+        if sign * wit_val > sign * val:
+            val, x = wit_val, wit.copy()
+    if block is not None:
+        x_rows, y_rows = block
+        vals = batch_fn(x_rows, y_rows)
+        k = int(np.argmax(vals)) if better == "max" else int(np.argmin(vals))
+        if sign * vals[k] > sign * val:
+            val, x = float(vals[k]), x_rows[k].copy()
+    if sign * val == np.inf:
+        return val, x
+    climb_val, climb_x = _climb(m_mat, x, batch_fn, better)
+    if sign * climb_val > sign * val:
+        x = climb_x
+    return exact(m_mat, x), x
+
+
+def _kappa_or_inf(m_mat, x):
+    try:
+        return kappa_at(m_mat, x)
+    except KappaUndefined:
+        return np.inf
+
+
 def estimate_kappa(m_mat, block, witnesses=()):
     """Lower estimate of kappa(M): max of kappa_at over witnesses, the
     sampled directions of ``block`` (a :func:`gaussian_block` of M, or
@@ -386,30 +413,11 @@ def estimate_kappa(m_mat, block, witnesses=()):
     is not P* (impossible for game-derived matrices).
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
-    best_val = 0.0
-    best_x = np.zeros(m_mat.shape[0])
-    best_x[0] = 1.0
-    for wit in witnesses:
-        wit = np.asarray(wit, dtype=np.float64)
-        try:
-            val = kappa_at(m_mat, wit)
-        except KappaUndefined:
-            return np.inf, wit
-        if val > best_val:
-            best_val, best_x = val, wit.copy()
-    if block is not None:
-        val, x = _best_sample(block, _kappa_batch, "max")
-        if val > best_val:
-            best_val, best_x = val, x
-    if math.isinf(best_val):
-        return best_val, best_x
-    val, x = _climb(m_mat, best_x, _kappa_batch, "max")
-    if val > best_val:
-        best_x = x
-    try:
-        return kappa_at(m_mat, best_x), best_x
-    except KappaUndefined:
-        return np.inf, best_x
+    e_0 = np.zeros(m_mat.shape[0])
+    e_0[0] = 1.0
+    return _estimate(
+        m_mat, e_0, 0.0, witnesses, block, _kappa_or_inf, _kappa_batch, "max"
+    )
 
 
 def estimate_theta(m_mat, block, witnesses=()):
@@ -421,24 +429,13 @@ def estimate_theta(m_mat, block, witnesses=()):
     is ``theta_at`` recomputed from it.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
-    n = m_mat.shape[0]
-    uniform = np.full(n, 1.0 / math.sqrt(n))
-    best_val = theta_at(m_mat, uniform)
-    best_x = uniform
-    for wit in witnesses:
-        wit = np.asarray(wit, dtype=np.float64)
-        val = theta_at(m_mat, wit)
-        if val < best_val:
-            best_val, best_x = val, wit.copy()
-    if block is not None:
-        val, x = _best_sample(block, _theta_batch, "min")
-        if val < best_val:
-            best_val, best_x = val, x
-    val, x = _climb(m_mat, best_x, _theta_batch, "min")
-    if val < best_val:
-        best_x = x
-    best_x = best_x / np.linalg.norm(best_x)
-    return theta_at(m_mat, best_x), best_x
+    uniform = np.full(m_mat.shape[0], 1.0 / math.sqrt(m_mat.shape[0]))
+    _, x = _estimate(
+        m_mat, uniform, theta_at(m_mat, uniform), witnesses, block, theta_at,
+        _theta_batch, "min",
+    )
+    x = x / np.linalg.norm(x)
+    return theta_at(m_mat, x), x
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +446,10 @@ def estimate_theta(m_mat, block, witnesses=()):
 class CertifyOptions:
     seed: int
     samples: int = 10_000
+
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError(f"samples must be nonnegative, got {self.samples}")
 
 
 CSV_COLUMNS = (

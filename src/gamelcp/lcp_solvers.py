@@ -4,41 +4,40 @@ The interior point method tracks the scalar-shifted family q(t) = q + t*1:
 its iterates keep w - M z - q = t 1 with (w, z) > 0.  The start
 t0 = max(0, 1 - min_i (q + M 1)_i) makes (z, w) = (1, q(t0) + M 1) strictly
 interior.  It follows the path with the neighborhood predictor-corrector
-scheme of Kojima, Megiddo, Noma & Yoshise (LNCS 538, 1991); each stage has
-two parts.
+scheme of Kojima, Megiddo, Noma & Yoshise (LNCS 538, 1991), one trace row
+per Newton step.  Every row solves the same Newton system toward a target
+product and a shift reduction,
 
-* Corrector: pure centering at a fixed shift,
+    dw - M dz = -s 1,   z o dw + w o dz = target 1 - w o z,
 
-      dw = M dz,   z o dw + w o dz = (w.z / n) 1 - w o z,
+and its phase picks the two:
 
-  repeated until every w_i z_i >= CENTER_SHARE * mean(w o z).  Its line
-  search halves the step (BACKTRACK) until the potential
+* Corrector ("center"), while some w_i z_i < CENTER_SHARE * mean(w o z):
+  s = 0 and target = mean(w o z), pure centering at the current shift.
+  The step halves (BACKTRACK) until the potential
 
       f(w, z) = rho * ln(w.z) - sum_i ln(w_i z_i),        rho = n + sqrt(n),
 
   strictly decreases.
-* Predictor: the affine step that lowers the shift and the gap together,
+* Predictor, once the row is back in that narrow neighborhood: s = t and
+  target = floor = FLOOR_SHARE * epsilon / n, so a full step would reach
+  shift 0 with every product at the floor.  The step shrinks by
+  PREDICT_SHRINK until every product is at least PREDICT_SHARE times their
+  mean; the shift then becomes (1 - step) t.  The floor keeps the gap from
+  collapsing far below epsilon while the shift is still above its target,
+  where the corrector's line search would stall.
 
-      dw - M dz = -t 1,   z o dw + w o dz = floor 1 - w o z,
-
-  with floor = FLOOR_SHARE * epsilon / n, so a full step would reach shift 0
-  with every product at the floor.  The step shrinks by PREDICT_SHRINK until
-  every product is at least PREDICT_SHARE times their mean; the shift then
-  becomes (1 - step) t.  The floor keeps the gap from collapsing far below
-  epsilon while the shift is still above its target, where the corrector's
-  line search would stall.
-
-Both steps start at the full Newton step, or at STEP_FRACTION of the largest
-step that keeps (w, z) positive when that is shorter.  Both advance w by
-their own dw instead of recomputing q + t*1 + M z, whose rounding (about
-1e-13 relative to |q|) would swamp the smallest slacks near the end of the
-path.  The run ends once t <= epsilon * 1e-3 and the gap is below epsilon;
+Every row's step starts at the full Newton step, or at STEP_FRACTION of the
+largest step that keeps (w, z) positive when that is shorter.  Every row
+advances w by its own dw instead of recomputing q + t*1 + M z, whose
+rounding (about 1e-13 relative to |q|) would swamp the smallest slacks near
+the end of the path.  The run ends once t <= epsilon * 1e-3 and the gap is below epsilon;
 w then snaps to q + t*1 + M z when that keeps it positive and the gap below
 epsilon, so the returned pair solves the original LCP up to a
 q-perturbation of at most epsilon * 1e-3 per component.
 
 Newton directions come from one plain LAPACK solve with no condition gate:
-every step moves w by a product (M dz, M dz - t 1), never by a solve, so a
+every step moves w by a product (M dz - s 1), never by a solve, so a
 poor direction costs progress (the line search or the neighborhood refuses
 it), not feasibility.  The returned pair is checked once, at exit, by
 ``verify_solution``.
@@ -160,15 +159,9 @@ def _newton(z, m_mat, w, rhs):
     return d
 
 
-def _centering(z, m_mat, w):
-    """Corrector: z o dw + w o dz = mean(w o z) 1 - w o z with dw = M dz."""
-    dz = _newton(z, m_mat, w, float(w @ z) / z.shape[0] - w * z)
-    return m_mat @ dz, dz
-
-
-def _affine(z, m_mat, w, t, floor):
-    """Predictor: z o dw + w o dz = floor 1 - w o z with dw - M dz = -t 1."""
-    dz = _newton(z, m_mat, w, floor + t * z - w * z)
+def _direction(z, m_mat, w, t, target):
+    """z o dw + w o dz = target 1 - w o z with dw = M dz - t 1."""
+    dz = _newton(z, m_mat, w, target + t * z - w * z)
     return m_mat @ dz - t, dz
 
 
@@ -192,65 +185,50 @@ def solve_potential_reduction(lcp, options=None):
     floor = FLOOR_SHARE * opts.epsilon / n
     w = q + t + m_mat @ z
     f = _potential(w, z, rho)
+    gap = float(w @ z)
     iteration = 0
 
-    while True:
-        # corrector: pure centering at the current shift, back into the
-        # narrow neighborhood min(w o z) >= CENTER_SHARE * mean(w o z)
-        while True:
-            gap = float(w @ z)
-            done = t <= t_final and gap < opts.epsilon
-            if done or float(np.min(w * z)) * n >= CENTER_SHARE * gap:
-                break
-            if iteration >= MAX_ITERS:
-                _fail(trace, f"gap {gap:.3e} after MAX_ITERS={MAX_ITERS}")
-            iteration += 1
-            try:
-                dw, dz = _centering(z, m_mat, w)
-            except SingularMatrixError:
-                _fail(trace, "singular Newton system")
-            alpha = min(1.0, STEP_FRACTION * _max_positive_step(w, dw, z, dz))
-            while alpha >= STEP_FLOOR:
-                w1 = w + alpha * dw
-                z1 = z + alpha * dz
-                if w1.min() > 0.0 and z1.min() > 0.0:
-                    f1 = _potential(w1, z1, rho)
-                    if f1 < f:
-                        break
-                alpha *= BACKTRACK
-            else:
-                _fail(trace, f"line search stalled at step < {STEP_FLOOR}")
-            w, z, f = w1, z1, f1
-            trace.append(iteration, w @ z, f, alpha, t, "center")
-        if done:
-            break
-
-        # predictor: the affine step that lowers the shift and the gap
-        # together, to the edge of the wide neighborhood (PREDICT_SHARE)
+    while not (t <= t_final and gap < opts.epsilon):
+        # off the narrow neighborhood the row re-centers at its shift; inside
+        # it the row lowers the shift and the gap together
+        center = float(np.min(w * z)) * n < CENTER_SHARE * gap
+        phase = "center" if center else "predictor"
         if iteration >= MAX_ITERS:
-            _fail(trace, f"shift {t:.3e} still above target after MAX_ITERS={MAX_ITERS}")
+            _fail(
+                trace,
+                f"{phase} row at gap {gap:.3e}, shift {t:.3e} after MAX_ITERS={MAX_ITERS}",
+            )
         iteration += 1
+        shift, target = (0.0, gap / n) if center else (t, floor)
         try:
-            dw, dz = _affine(z, m_mat, w, t, floor)
+            dw, dz = _direction(z, m_mat, w, shift, target)
         except SingularMatrixError:
-            _fail(trace, "singular Newton system")
+            _fail(trace, f"singular Newton system in a {phase} row")
         alpha = min(1.0, STEP_FRACTION * _max_positive_step(w, dw, z, dz))
         while alpha >= STEP_FLOOR:
             w1 = w + alpha * dw
             z1 = z + alpha * dz
-            prod = w1 * z1
-            if w1.min() > 0.0 and z1.min() > 0.0 and (
-                float(prod.min()) * n >= PREDICT_SHARE * float(prod.sum())
-            ):
-                break
-            alpha *= PREDICT_SHRINK
+            if w1.min() > 0.0 and z1.min() > 0.0:
+                if center:  # the potential must strictly decrease
+                    f1 = _potential(w1, z1, rho)
+                    if f1 < f:
+                        break
+                else:  # the products must stay in the wide neighborhood
+                    prod = w1 * z1
+                    if float(prod.min()) * n >= PREDICT_SHARE * float(prod.sum()):
+                        break
+            alpha *= BACKTRACK if center else PREDICT_SHRINK
         else:
-            _fail(trace, f"homotopy stalled at shift {t:.3e}")
+            _fail(trace, f"{phase} step fell below {STEP_FLOOR} at shift {t:.3e}")
         # w follows its own direction (see the module docstring)
         w, z = w1, z1
-        t = (1.0 - alpha) * t
-        f = _potential(w, z, rho)
-        trace.append(iteration, w @ z, f, alpha, t, "predictor")
+        if center:
+            f = f1
+        else:
+            t = (1.0 - alpha) * t
+            f = _potential(w, z, rho)
+        gap = float(w @ z)
+        trace.append(iteration, gap, f, alpha, t, phase)
 
     # leave with w exactly feasible whenever that keeps the interior and the
     # gap target

@@ -609,6 +609,50 @@ def test_cli_bench_rejects_empty_sweep(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("gamma", ["1.5", "-0.5", "1.0", "0.0"])
+def test_cli_gen_random_refuses_discount_out_of_range(tmp_path, capsys, gamma):
+    # the game would be written, and then refused by every command reading it
+    out = tmp_path / "g.json"
+    argv = ["--output", str(out), "gen", "--family", "random", "--n", "3", "--gamma", gamma]
+    assert main(argv) == 2
+    assert "discount out of range" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="discount out of range"):
+        random_game(3, float(gamma), 0)
+
+
+def test_cli_refuses_negative_samples(tmp_path, capsys):
+    game_path = write_g3(tmp_path)
+    report = tmp_path / "report.json"
+    certify_argv = ["--output", str(report), "certify", "--game", str(game_path)]
+    assert main(certify_argv + ["--samples", "-3"]) == 2
+    assert "samples must be nonnegative" in capsys.readouterr().err
+    assert not report.exists()
+    csv_path = tmp_path / "sweep.csv"
+    bench_argv = ["--output", str(csv_path), "bench", "--ns", "4", "--gammas", "0.5"]
+    assert main(bench_argv + ["--samples", "-3"]) == 2
+    assert "samples must be nonnegative" in capsys.readouterr().err
+    assert not csv_path.exists()  # refused before the first cell
+    with pytest.raises(ValueError, match="samples"):
+        run_bench([4], [0.5], samples=-1)
+    # no sampled directions is still a valid request
+    assert main(certify_argv + ["--samples", "0"]) == 0
+    assert json.loads(report.read_text())["samples"] == 0
+    assert main(bench_argv + ["--samples", "0"]) == 0
+    assert read_bench_csv(csv_path)[0].kappa_est >= 0.0
+
+
+def test_cli_bench_offers_no_custom_a_mode(tmp_path, capsys):
+    # bench has no --a, and a_mode 'custom' needs one
+    argv = ["--output", str(tmp_path / "x.csv"), "bench", "--ns", "4", "--gammas", "0.5"]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv + ["--a-mode", "custom"])
+    assert exc_info.value.code == 2
+    assert "invalid choice: 'custom'" in capsys.readouterr().err
+    for mode in ("kappa", "eigenvalue", "theta"):
+        assert main(argv + ["--a-mode", mode]) == 0
+
+
 GEN_ARGV = ["gen", "--family", "gn", "--n", "4", "--gamma", "0.5"]
 
 

@@ -416,6 +416,101 @@ def test_certify_estimates_equal_the_estimators_called_alone(case):
     assert report.theta_est == theta
 
 
+# The two estimators as first written, each with its own witness loop,
+# best-sample pick and climb: the bit-exact reference for the shared driver.
+# The start and the witnesses are scored with kappa_at / theta_at, whose last
+# bits can differ from the batch scorers'.
+
+
+def _best_sample(block, batch_fn, better):
+    """(value, direction) of the best row of a :func:`gaussian_block`."""
+    x_rows, y_rows = block
+    vals = batch_fn(x_rows, y_rows)
+    k = int(np.argmin(vals)) if better == "min" else int(np.argmax(vals))
+    return float(vals[k]), x_rows[k].copy()
+
+
+def _estimate_kappa_apart(m_mat, block, witnesses=()):
+    m_mat = np.asarray(m_mat, dtype=np.float64)
+    best_val = 0.0
+    best_x = np.zeros(m_mat.shape[0])
+    best_x[0] = 1.0
+    for wit in witnesses:
+        wit = np.asarray(wit, dtype=np.float64)
+        try:
+            val = kappa_at(m_mat, wit)
+        except KappaUndefined:
+            return np.inf, wit
+        if val > best_val:
+            best_val, best_x = val, wit.copy()
+    if block is not None:
+        val, x = _best_sample(block, cond._kappa_batch, "max")
+        if val > best_val:
+            best_val, best_x = val, x
+    if math.isinf(best_val):
+        return best_val, best_x
+    val, x = cond._climb(m_mat, best_x, cond._kappa_batch, "max")
+    if val > best_val:
+        best_x = x
+    try:
+        return kappa_at(m_mat, best_x), best_x
+    except KappaUndefined:
+        return np.inf, best_x
+
+
+def _estimate_theta_apart(m_mat, block, witnesses=()):
+    m_mat = np.asarray(m_mat, dtype=np.float64)
+    n = m_mat.shape[0]
+    uniform = np.full(n, 1.0 / math.sqrt(n))
+    best_val = theta_at(m_mat, uniform)
+    best_x = uniform
+    for wit in witnesses:
+        wit = np.asarray(wit, dtype=np.float64)
+        val = theta_at(m_mat, wit)
+        if val < best_val:
+            best_val, best_x = val, wit.copy()
+    if block is not None:
+        val, x = _best_sample(block, cond._theta_batch, "min")
+        if val < best_val:
+            best_val, best_x = val, x
+    val, x = cond._climb(m_mat, best_x, cond._theta_batch, "min")
+    if val < best_val:
+        best_x = x
+    best_x = best_x / np.linalg.norm(best_x)
+    return theta_at(m_mat, best_x), best_x
+
+
+def _assert_estimators_match_apart(m_mat, block, witnesses):
+    for got, want in (
+        (estimate_kappa(m_mat, block, witnesses), _estimate_kappa_apart(m_mat, block, witnesses)),
+        (estimate_theta(m_mat, block, witnesses), _estimate_theta_apart(m_mat, block, witnesses)),
+    ):
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+
+def test_estimator_driver_matches_the_estimators_apart():
+    for m_mat, witnesses in _oracle_cases():
+        for block in (None, gaussian_block(m_mat, 500, 5)):
+            _assert_estimators_match_apart(m_mat, block, witnesses)
+    # an undefined witness ends the kappa search at +inf with that witness
+    for witnesses in ([np.array([1.0, 0.0])], [np.array([0.0, 1.0]), np.array([1.0, 0.0])]):
+        _assert_estimators_match_apart(-np.eye(2), gaussian_block(-np.eye(2), 50, 1), witnesses)
+
+
+@pytest.mark.parametrize("n,gamma,seed", [(8, 0.99, 1904), (32, 0.95, 1923), (64, 0.95, 1933)])
+def test_estimator_driver_scores_witnesses_exactly(n, gamma, seed):
+    # sweep cells where scoring the start and the witnesses with the batch
+    # scorers instead of kappa_at / theta_at moves kappa_est by one ulp
+    lcp = hard_lcp(n, gamma)
+    witnesses = _certify_witnesses(lcp)
+    _assert_estimators_match_apart(lcp.m, gaussian_block(lcp.m, 2000, seed), witnesses)
+    report = certify(lcp, CertifyOptions(seed=seed, samples=2000))
+    block = gaussian_block(lcp.m, 2000, seed)
+    assert report.kappa_est == _estimate_kappa_apart(lcp.m, block, witnesses)[0]
+    assert report.theta_est == _estimate_theta_apart(lcp.m, block, witnesses)[0]
+
+
 def _kappa_batch_by_where(x_rows, y_rows):
     prods = x_rows * y_rows
     pos = np.where(prods > 0.0, prods, 0.0).sum(axis=1)

@@ -17,16 +17,24 @@ from gamelcp.lcp import (
     to_lcp,
     verify_solution,
 )
-from gamelcp._kernels import solve
+from gamelcp._kernels import SingularMatrixError, solve
 from gamelcp.lcp_solvers import (
+    BACKTRACK,
+    CENTER_SHARE,
     FLOOR_SHARE,
     MAX_PIVOTS,
+    PREDICT_SHARE,
+    PREDICT_SHRINK,
+    STEP_FLOOR,
+    STEP_FRACTION,
     IpmOptions,
     IpmTrace,
-    _affine,
-    _centering,
+    _direction,
+    _fail,
     _lex_ratio_row,
     _max_positive_step,
+    _newton,
+    _potential,
     solve_pivoting,
     solve_potential_reduction,
 )
@@ -164,14 +172,14 @@ def test_corrector_and_predictor_directions_against_full_system(g3):
         scale = 1.0 + np.abs(lcp.m).max()
         mu = float(w @ z) / n
 
-        dw, dz = _centering(z, lcp.m, w)
+        dw, dz = _direction(z, lcp.m, w, 0.0, mu)
         dw_full, dz_full = _full_newton(lcp, w, z, np.zeros(n), mu - w * z)
         assert np.abs(dz - dz_full).max() <= 1e-10 * scale
         assert np.abs(dw - dw_full).max() <= 1e-10 * scale
         assert np.array_equal(dw, lcp.m @ dz)
 
         floor = FLOOR_SHARE * eps / n
-        dw, dz = _affine(z, lcp.m, w, t, floor)
+        dw, dz = _direction(z, lcp.m, w, t, floor)
         dw_full, dz_full = _full_newton(lcp, w, z, np.full(n, -t), floor - w * z)
         assert np.abs(dz - dz_full).max() <= 1e-10 * scale
         assert np.abs(dw - dw_full).max() <= 1e-10 * scale
@@ -284,6 +292,174 @@ def test_ipm_exit_check_is_wired(g3, monkeypatch):
     assert len(trace) >= 1
     assert trace.termination.startswith("exit check failed")
     assert exc_info.value.context["check"] is bad
+
+
+# The IPM as first written for the predictor-corrector scheme, a corrector
+# loop nested in a predictor loop, each with its own Newton call and step
+# rule: the bit-exact reference for the one-loop solve_potential_reduction.
+
+
+def _centering(z, m_mat, w):
+    """Corrector: z o dw + w o dz = mean(w o z) 1 - w o z with dw = M dz."""
+    dz = _newton(z, m_mat, w, float(w @ z) / z.shape[0] - w * z)
+    return m_mat @ dz, dz
+
+
+def _affine(z, m_mat, w, t, floor):
+    """Predictor: z o dw + w o dz = floor 1 - w o z with dw - M dz = -t 1."""
+    dz = _newton(z, m_mat, w, floor + t * z - w * z)
+    return m_mat @ dz - t, dz
+
+
+def _nested_loop_ipm(lcp, options=None):
+    MAX_ITERS = lcp_solvers.MAX_ITERS  # read at call time, as monkeypatched
+    opts = options if options is not None else IpmOptions()
+    m_mat = np.asarray(lcp.m, dtype=np.float64)
+    q = np.asarray(lcp.q, dtype=np.float64)
+    n = q.shape[0]
+    rho = n + math.sqrt(n)
+
+    trace = IpmTrace()
+    z = np.ones(n)
+    t = max(0.0, 1.0 - float(np.min(q + m_mat @ z)))
+    t_final = opts.epsilon * 1e-3
+    floor = FLOOR_SHARE * opts.epsilon / n
+    w = q + t + m_mat @ z
+    f = _potential(w, z, rho)
+    iteration = 0
+
+    while True:
+        # corrector: pure centering at the current shift, back into the
+        # narrow neighborhood min(w o z) >= CENTER_SHARE * mean(w o z)
+        while True:
+            gap = float(w @ z)
+            done = t <= t_final and gap < opts.epsilon
+            if done or float(np.min(w * z)) * n >= CENTER_SHARE * gap:
+                break
+            if iteration >= MAX_ITERS:
+                _fail(trace, f"gap {gap:.3e} after MAX_ITERS={MAX_ITERS}")
+            iteration += 1
+            try:
+                dw, dz = _centering(z, m_mat, w)
+            except SingularMatrixError:
+                _fail(trace, "singular Newton system")
+            alpha = min(1.0, STEP_FRACTION * _max_positive_step(w, dw, z, dz))
+            while alpha >= STEP_FLOOR:
+                w1 = w + alpha * dw
+                z1 = z + alpha * dz
+                if w1.min() > 0.0 and z1.min() > 0.0:
+                    f1 = _potential(w1, z1, rho)
+                    if f1 < f:
+                        break
+                alpha *= BACKTRACK
+            else:
+                _fail(trace, f"line search stalled at step < {STEP_FLOOR}")
+            w, z, f = w1, z1, f1
+            trace.append(iteration, w @ z, f, alpha, t, "center")
+        if done:
+            break
+
+        # predictor: the affine step that lowers the shift and the gap
+        # together, to the edge of the wide neighborhood (PREDICT_SHARE)
+        if iteration >= MAX_ITERS:
+            _fail(trace, f"shift {t:.3e} still above target after MAX_ITERS={MAX_ITERS}")
+        iteration += 1
+        try:
+            dw, dz = _affine(z, m_mat, w, t, floor)
+        except SingularMatrixError:
+            _fail(trace, "singular Newton system")
+        alpha = min(1.0, STEP_FRACTION * _max_positive_step(w, dw, z, dz))
+        while alpha >= STEP_FLOOR:
+            w1 = w + alpha * dw
+            z1 = z + alpha * dz
+            prod = w1 * z1
+            if w1.min() > 0.0 and z1.min() > 0.0 and (
+                float(prod.min()) * n >= PREDICT_SHARE * float(prod.sum())
+            ):
+                break
+            alpha *= PREDICT_SHRINK
+        else:
+            _fail(trace, f"homotopy stalled at shift {t:.3e}")
+        # w follows its own direction (see the module docstring)
+        w, z = w1, z1
+        t = (1.0 - alpha) * t
+        f = _potential(w, z, rho)
+        trace.append(iteration, w @ z, f, alpha, t, "predictor")
+
+    # leave with w exactly feasible whenever that keeps the interior and the
+    # gap target
+    w_snap = q + t + m_mat @ z
+    if w_snap.min() > 0.0 and float(w_snap @ z) < opts.epsilon:
+        w = w_snap
+    check = verify_solution(lcp, w, z, opts.epsilon)
+    if not check.ok:
+        _fail(trace, f"exit check failed: {check}", check=check)
+    trace.termination = "converged"
+    return w, z, trace
+
+
+def _trace_rows(trace):
+    return (
+        trace.iters, trace.gaps, trace.potentials, trace.steps, trace.shifts,
+        trace.phases,
+    )
+
+
+def _run_ipm(solver, lcp):
+    """(w, z, trace rows, failed) of one solve, failed or not."""
+    try:
+        w, z, trace = solver(lcp, IpmOptions(epsilon=1e-9))
+    except SolverFailure as exc:
+        return None, None, _trace_rows(exc.context["trace"]), True
+    return w, z, _trace_rows(trace), False
+
+
+def _ipm_oracle_cases():
+    for n in (8, 24, 64):
+        for gamma in (0.5, 0.9, 0.99, 0.999):
+            for seed in range(1, 13):
+                game = random_game(n, gamma, seed)
+                yield f"random-{n}-{gamma}-{seed}", to_lcp(game, default_partition(game))
+    for gamma in (0.9, 0.99, 0.999):
+        for seed in range(1, 9):
+            game = random_game(256, gamma, seed)
+            yield f"random-256-{gamma}-{seed}", to_lcp(game, default_partition(game))
+    for n in (8, 32, 64, 256):
+        for gamma in (0.5, 0.9, 0.99, 0.999):
+            for mode in ("kappa", "eigenvalue", "theta"):
+                spec = HardInstanceSpec(n, gamma, mode)
+                yield f"hard-{n}-{gamma}-{mode}", to_lcp(*build_hard_instance(spec))
+
+
+def test_one_loop_ipm_is_bit_identical_to_nested_loops():
+    rows = solves = 0
+    for name, lcp in _ipm_oracle_cases():
+        got = _run_ipm(solve_potential_reduction, lcp)
+        want = _run_ipm(_nested_loop_ipm, lcp)
+        assert got[2] == want[2], name
+        assert got[3] == want[3], name
+        if not got[3]:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), name
+        rows += len(got[2][0])
+        solves += 1
+    assert solves == 216
+    assert rows > 5000
+
+
+def test_one_loop_ipm_failure_paths_match_nested_loops(g3, monkeypatch):
+    singular = Lcp(m=np.diag([-1.0, 1.0]), q=np.array([2.0, 2.0]))
+    near_singular = Lcp(m=np.diag([-1.0, 1.0]), q=np.array([2.0 + 1e-15, 2.0]))
+    for lcp in (singular, near_singular):
+        got = _run_ipm(solve_potential_reduction, lcp)
+        assert got[3] and got == _run_ipm(_nested_loop_ipm, lcp)
+    game = random_game(24, 0.99, 5)
+    cases = [to_lcp(*g3), to_lcp(game, default_partition(game))]
+    for budget in (0, 1, 2, 7):
+        monkeypatch.setattr(lcp_solvers, "MAX_ITERS", budget)
+        for lcp in cases:
+            got = _run_ipm(solve_potential_reduction, lcp)
+            assert got[3] and got == _run_ipm(_nested_loop_ipm, lcp)
+            assert len(got[2][0]) == budget
 
 
 def _two_mask_step(w, dw, z, dz):
