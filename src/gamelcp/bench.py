@@ -16,10 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from ._csv import csv_line, write_csv
 from .conditioning import (
     CertifyOptions,
     certify,
@@ -49,25 +50,6 @@ __all__ = [
     "run_bench",
     "write_bench_csv",
 ]
-
-BENCH_COLUMNS = (
-    "n",
-    "gamma",
-    "a_mode",
-    "kappa_est",
-    "kappa_ub",
-    "kappa_lb_pred",
-    "delta",
-    "delta_lb",
-    "delta_ub_pred",
-    "theta_est",
-    "theta_lb",
-    "theta_ub_pred",
-    "cond",
-    "solver_iters",
-    "wall_ms",
-    "seed",
-)
 
 
 def random_game(n, gamma, seed, max_support=4):
@@ -115,8 +97,10 @@ class BenchRow:
     seed: int
 
     def csv_row(self):
-        vals = [getattr(self, c) for c in BENCH_COLUMNS]
-        return ",".join(v if isinstance(v, str) else repr(v) for v in vals)
+        return csv_line(astuple(self))
+
+
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 def run_bench(
@@ -179,13 +163,13 @@ def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
 
 
 def write_bench_csv(rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(BENCH_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(row.csv_row() + "\n")
+    write_csv(path, BENCH_COLUMNS, map(astuple, rows))
 
 
 def read_bench_csv(path):
+    # field types are strings ("int", "float", "str") under postponed annotations
+    types = {"int": int, "float": float, "str": str}
+    parsers = [types[f.type] for f in fields(BenchRow)]
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -198,15 +182,8 @@ def read_bench_csv(path):
             parts = line.split(",")
             if len(parts) != len(BENCH_COLUMNS):
                 raise ValueError(f"malformed benchmark CSV row: {line!r}")
-            kwargs = {}
-            for name, raw in zip(BENCH_COLUMNS, parts, strict=True):
-                if name == "a_mode":
-                    kwargs[name] = raw
-                elif name in ("n", "seed"):
-                    kwargs[name] = int(raw)
-                else:
-                    kwargs[name] = float(raw)
-            rows.append(BenchRow(**kwargs))
+            cells = zip(parsers, parts, strict=True)
+            rows.append(BenchRow(*(parse(raw) for parse, raw in cells)))
     return rows
 
 

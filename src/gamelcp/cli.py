@@ -1,7 +1,11 @@
 """Command line front end.
 
 Subcommands: gen, solve, reduce, certify, bench, plot.  Global flags
-(--seed, --tol, --output) come before the subcommand.
+(--seed, --tol, --output) come before the subcommand.  --seed applies to
+gen --family random, certify and bench (default 0), --tol to solve and
+bench (default 1e-9, and it must be positive and finite); given to any
+other command, either is a usage error.  gen, solve, reduce and certify
+write their one artifact to --output, or to stdout without it.
 
 Exit codes: 0 on success, 1 when a solver fails, a solution does not
 verify or certify cannot decide that M is a P-matrix, 2 on usage or I/O
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bench import (
@@ -21,17 +26,16 @@ from .bench import (
     run_bench,
     write_bench_csv,
 )
-from .conditioning import CertifyOptions, certify, write_report_csv, write_report_json
-from .game import GameValidationError, game_to_dict, is_optimal, load_game, save_game
+from .conditioning import CertifyOptions, certify, report_json, write_report_csv
+from .game import GameValidationError, game_json, is_optimal, load_game
 from .hard_instances import A_MODES, HardInstanceSpec, build_hard_instance
 from .lcp import (
     RecoveryError,
     default_partition,
+    lcp_json,
     load_partition,
     recover,
-    save_partition,
     to_lcp,
-    write_lcp,
 )
 from .lcp_solvers import IpmOptions, solve_pivoting, solve_potential_reduction
 from .solvers import (
@@ -52,8 +56,9 @@ def _build_parser():
         description="Solve discounted turn-based stochastic games through "
         "their linear complementarity reduction and certify conditioning.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
+    # None marks "not given": a command that ignores the flag refuses it
+    parser.add_argument("--seed", type=int, default=None, help="base RNG seed (0)")
+    parser.add_argument("--tol", type=float, default=None, help="tolerance (1e-9)")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -63,9 +68,6 @@ def _build_parser():
     p_gen.add_argument("--gamma", type=float, required=True)
     p_gen.add_argument("--a-mode", choices=A_MODES, default=None)
     p_gen.add_argument("--a", type=float, default=None)
-    p_gen.add_argument(
-        "--partition", default=None, help="partition sidecar path (gn family)"
-    )
     p_gen.set_defaults(func=_cmd_gen)
 
     p_solve = sub.add_parser("solve", help="solve a game and print the equilibrium")
@@ -79,9 +81,6 @@ def _build_parser():
     p_reduce = sub.add_parser("reduce", help="write the game's LCP (M, q) as JSON")
     p_reduce.add_argument("--game", required=True)
     p_reduce.add_argument("--partition", default=None)
-    p_reduce.add_argument(
-        "--emit-partition", default=None, help="also save the partition used"
-    )
     p_reduce.set_defaults(func=_cmd_reduce)
 
     p_cert = sub.add_parser("certify", help="estimate kappa/delta/theta with bounds")
@@ -99,10 +98,6 @@ def _build_parser():
         "--a-mode", choices=tuple(m for m in A_MODES if m != "custom"), default="kappa"
     )
     p_bench.add_argument("--samples", type=int, default=2000)
-    p_bench.add_argument("--plot", default=None, help="also render an SVG")
-    p_bench.add_argument(
-        "--plot-quantity", choices=tuple(_QUANTITIES), default="kappa_est"
-    )
     p_bench.set_defaults(func=_cmd_bench)
 
     p_plot = sub.add_parser("plot", help="render a benchmark CSV as SVG")
@@ -113,40 +108,46 @@ def _build_parser():
 
 
 def _write_or_print(text, path):
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+
+
+def _resolve_global_flags(args):
+    """Refuse --seed and --tol where the command ignores them, then fill in
+    their defaults."""
+    seeded = args.command in ("certify", "bench") or (
+        args.command == "gen" and args.family == "random"
+    )
+    if args.seed is not None and not seeded:
+        raise ValueError(
+            "--seed applies to gen --family random, certify and bench only"
+        )
+    if args.tol is not None and args.command not in ("solve", "bench"):
+        raise ValueError("--tol applies to solve and bench only")
+    args.seed = 0 if args.seed is None else args.seed
+    args.tol = 1e-9 if args.tol is None else args.tol
+    if not 0.0 < args.tol < math.inf:  # NaN too
+        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
 
 
 def _cmd_gen(args):
     if args.family == "random":
-        for flag, value in (
-            ("--a-mode", args.a_mode),
-            ("--a", args.a),
-            ("--partition", args.partition),
-        ):
+        for flag, value in (("--a-mode", args.a_mode), ("--a", args.a)):
             if value is not None:
                 raise ValueError(f"{flag} applies to --family gn only")
-    elif args.a is not None and args.a_mode != "custom":
-        raise ValueError("--a needs --a-mode custom")
-    if args.family == "gn":
+        game = random_game(args.n, args.gamma, args.seed)
+    else:
+        if args.a is not None and args.a_mode != "custom":
+            raise ValueError("--a needs --a-mode custom")
         spec = HardInstanceSpec(
             n=args.n, gamma=args.gamma, a_mode=args.a_mode or "kappa", a=args.a
         )
-        game, partition = build_hard_instance(spec)
-        sidecar = args.partition
-        if sidecar is None and args.output is not None:
-            sidecar = args.output + ".partition.json"
-        if sidecar is not None:
-            save_partition(partition, sidecar)
-    else:
-        game = random_game(args.n, args.gamma, args.seed)
-    if args.output is None:
-        _write_or_print(json.dumps(game_to_dict(game), indent=2), None)
-    else:
-        save_game(game, args.output)
+        game, _ = build_hard_instance(spec)
+    _write_or_print(game_json(game), args.output)
     return EXIT_OK
 
 
@@ -208,19 +209,8 @@ def _cmd_solve(args):
 
 def _cmd_reduce(args):
     game = load_game(args.game)
-    partition = _load_partition_or_default(game, args.partition)
-    lcp = to_lcp(game, partition)
-    if args.output is None:
-        payload = {
-            "n": lcp.n,
-            "M": [[float(v) for v in row] for row in lcp.m],
-            "q": [float(v) for v in lcp.q],
-        }
-        _write_or_print(json.dumps(payload, indent=2), None)
-    else:
-        write_lcp(lcp, args.output)
-    if args.emit_partition is not None:
-        save_partition(partition, args.emit_partition)
+    lcp = to_lcp(game, _load_partition_or_default(game, args.partition))
+    _write_or_print(lcp_json(lcp), args.output)
     return EXIT_OK
 
 
@@ -229,10 +219,8 @@ def _cmd_certify(args):
     partition = _load_partition_or_default(game, args.partition)
     lcp = to_lcp(game, partition)
     report = certify(lcp, CertifyOptions(seed=args.seed, samples=args.samples))
-    if args.output is None:
-        _write_or_print(json.dumps(report.to_json_dict(), indent=2), None)
-    else:
-        write_report_json(report, args.output)
+    _write_or_print(report_json(report), args.output)
+    if args.output is not None:
         sys.stdout.write(
             f"n={report.n} gamma={report.gamma} kappa_est={report.kappa_est:.6g} "
             f"delta={report.delta:.6g} theta_est={report.theta_est:.6g} "
@@ -275,10 +263,6 @@ def _cmd_bench(args):
         ipm_epsilon=args.tol,
         on_row=flush,
     )
-    if args.plot is not None:
-        svg = _render_rows(rows, args.plot_quantity)
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(svg)
     return EXIT_OK
 
 
@@ -323,6 +307,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _resolve_global_flags(args)
         return args.func(args)
     except (SolverFailure, RecoveryError, ArithmeticError) as exc:
         sys.stderr.write(f"solver failure: {exc}\n")

@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from ._kernels import SingularMatrixError, _gamma, solve
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "kappa_upper_bound",
     "pmatrix_check_minors",
     "pmatrix_witness_check",
+    "report_json",
     "smallest_eigenvalue_sym",
     "structural_certificate",
     "theta_at",
@@ -488,10 +490,6 @@ class ConditioningReport:
     def to_json_dict(self):
         return asdict(self)
 
-    def csv_row(self):
-        vals = [getattr(self, c) for c in CSV_COLUMNS]
-        return ",".join(v if isinstance(v, str) else repr(v) for v in vals)
-
 
 def certify(lcp, options):
     """Report kappa/delta/theta of the LCP ``lcp.to_lcp`` built, with fences.
@@ -532,13 +530,15 @@ def certify(lcp, options):
     )
 
 
+def report_json(report):
+    """The report's file form, as ``write_report_json`` writes it."""
+    return json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
 def write_report_json(report, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(report_json(report))
 
 
 def write_report_csv(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.write(report.csv_row() + "\n")
+    write_csv(path, CSV_COLUMNS, [[getattr(report, c) for c in CSV_COLUMNS]])

@@ -46,6 +46,7 @@ __all__ = [
     "PLAYER_MIN",
     "as_profile",
     "build_game",
+    "game_json",
     "game_to_dict",
     "is_optimal",
     "load_game",
@@ -226,10 +227,14 @@ def load_game(path):
         return validate_game(json.load(fh))
 
 
+def game_json(game):
+    """The game's file form, as ``save_game`` writes it."""
+    return json.dumps(game_to_dict(game), indent=2) + "\n"
+
+
 def save_game(game, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(game), fh, indent=2)
-        fh.write("\n")
+        fh.write(game_json(game))
 
 
 def as_profile(game, choice):
@@ -281,8 +286,8 @@ def is_optimal(game, profile, tol=1e-9, values=None):
     <= tol.  Violating rows are global action indices.  ``values``, when
     given, must be the profile's value vector; it saves a solve.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:  # NaN too: every comparison with it is false
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     rc = reduced_costs(game, profile, values)
     owner_of_action = game.owners[game.state_of_action]
     bad_min = (owner_of_action == PLAYER_MIN) & (rc < -tol)

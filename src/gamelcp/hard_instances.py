@@ -44,6 +44,13 @@ __all__ = [
 A_MODES = ("kappa", "eigenvalue", "theta", "custom")
 
 
+def _check_n_gamma(n, gamma):
+    if n < 3:
+        raise ValueError(f"the hard family needs n >= 3, got n={n}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma}")
+
+
 @dataclass(frozen=True)
 class HardInstanceSpec:
     n: int
@@ -52,16 +59,15 @@ class HardInstanceSpec:
     a: float | None = None
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"the hard family needs n >= 3, got n={self.n}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie strictly in (0, 1), got {self.gamma}")
+        _check_n_gamma(self.n, self.gamma)
         if self.a_mode not in A_MODES:
             raise ValueError(f"a_mode must be one of {A_MODES}, got {self.a_mode!r}")
         if self.a_mode == "custom" and self.a is None:
             raise ValueError("a_mode 'custom' needs an explicit a")
         if self.a_mode != "custom" and self.a is not None:
             raise ValueError(f"a is for a_mode 'custom' only, not {self.a_mode!r}")
+        if self.a is not None and not math.isfinite(self.a):
+            raise ValueError(f"a must be finite, got {self.a}")
 
     def resolve_a(self):
         if self.a_mode == "kappa":
@@ -130,21 +136,18 @@ def _beta(gamma):
 def predicted_kappa_lb(n, gamma):
     """kappa certified by c_tau in kappa mode; raw value, negative means
     the certificate is vacuous at that size."""
-    if n < 3:
-        raise ValueError(f"the hard family needs n >= 3, got n={n}")
+    _check_n_gamma(n, gamma)
     return (n - 2) / 8.0 * _beta(gamma) ** 2 - 0.25
 
 
 def predicted_eig_ub(n, gamma):
     """Exact smallest-witnessed eigenvalue of (M + M^T)/2: eigenvector c_tau
     in eigenvalue mode."""
-    if n < 3:
-        raise ValueError(f"the hard family needs n >= 3, got n={n}")
+    _check_n_gamma(n, gamma)
     return 1.0 - gamma * math.sqrt(n - 2) / (math.sqrt(2.0) * (1.0 - gamma))
 
 
 def predicted_theta_ub(n, gamma):
     """Upper fence for theta from the theta-mode witness c_tau/||c_tau||."""
-    if n < 3:
-        raise ValueError(f"the hard family needs n >= 3, got n={n}")
+    _check_n_gamma(n, gamma)
     return (1.0 - gamma) ** 2 / ((2.0 * gamma) ** 2 * (n - 2))

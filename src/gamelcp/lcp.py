@@ -44,6 +44,7 @@ __all__ = [
     "RecoveryError",
     "Reduction",
     "default_partition",
+    "lcp_json",
     "load_partition",
     "read_lcp",
     "recover",
@@ -181,6 +182,8 @@ class LcpCheck:
 
 def verify_solution(lcp, w, z, tol=1e-9):
     """Residual report for a candidate (w, z): feasibility, gap, positivity."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     w = np.asarray(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     feas = float(np.max(np.abs(w - lcp.q - lcp.m @ z)))
@@ -245,11 +248,16 @@ def recover(lcp, w, z, tol=1e-6):
     return SolveResult(values=v_exact, profile=choice, iterations=0, method="lcp")
 
 
-def write_lcp(lcp, path):
+def lcp_json(lcp):
+    """The LCP's file form, compact JSON of n, M and q, as ``write_lcp``
+    writes it."""
     payload = {"n": int(lcp.n), "M": lcp.m.tolist(), "q": lcp.q.tolist()}
+    return json.dumps(payload) + "\n"
+
+
+def write_lcp(lcp, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(lcp_json(lcp))
 
 
 def _json_object(path, keys):

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import write_csv
 from ._kernels import SingularMatrixError, solve
 from .lcp import verify_solution
 from .solvers import SolverFailure
@@ -82,8 +83,8 @@ class IpmOptions:
     epsilon: float = 1e-9
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.epsilon > 0:  # NaN too
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass
@@ -124,15 +125,10 @@ class IpmTrace:
         return True
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("iter,gap,potential,step,shift,phase\n")
-            for row in zip(
-                self.iters, self.gaps, self.potentials, self.steps, self.shifts,
-                self.phases,
-            ):
-                fh.write(
-                    f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r},{row[5]}\n"
-                )
+        rows = zip(
+            self.iters, self.gaps, self.potentials, self.steps, self.shifts, self.phases
+        )
+        write_csv(path, ("iter", "gap", "potential", "step", "shift", "phase"), rows)
 
 
 def _potential(w, z, rho):

@@ -111,8 +111,8 @@ def value_iteration(game, eps=1e-8):
     that meets the rule ends the run.  The iterates, the iteration count
     and the result are those of checking after every step.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:  # NaN too: every comparison with it is false
+        raise ValueError(f"eps must be positive, got {eps}")
     rows = _SignedRows(game)
     threshold = eps * (1.0 - game.gamma) / (2.0 * game.gamma)
     block = np.zeros((VI_BLOCK + 1, game.n))  # block[0] is the last iterate so far
@@ -165,6 +165,8 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     given one.  Revisiting a profile raises (cannot happen for exact
     arithmetic; guards against tolerance misuse).
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     rows = _SignedRows(game)
     if initial_profile is None:
         initial_profile = np.zeros(game.n, dtype=np.int64)

@@ -27,6 +27,7 @@ from gamelcp.cli import main
 from gamelcp.conditioning import CSV_COLUMNS
 from gamelcp.game import (
     build_game,
+    game_json,
     game_to_dict,
     is_optimal,
     load_game,
@@ -34,7 +35,7 @@ from gamelcp.game import (
     validate_game,
     value_vector,
 )
-from gamelcp.lcp import read_lcp, load_partition, to_lcp
+from gamelcp.lcp import default_partition, lcp_json, read_lcp, to_lcp
 
 WALL = BENCH_COLUMNS.index("wall_ms")
 
@@ -207,10 +208,14 @@ def test_cli_gen_hard_family(tmp_path):
     assert rc == 0
     game = load_game(out)
     assert game.n == 6 and game.gamma == 0.5
-    sidecar = tmp_path / "g6.json.partition.json"
-    partition = load_partition(sidecar)
-    assert np.array_equal(partition.sigma, np.zeros(6))
-    assert np.array_equal(partition.tau, np.ones(6))
+    built, partition = hard_instance(6, 0.5, a_mode="kappa")
+    assert out.read_text() == game_json(built)
+    # the family's partition is the default one, so gen writes no partition
+    # file and reduce, solve and certify need none
+    assert list(tmp_path.iterdir()) == [out]
+    default = default_partition(game)
+    assert np.array_equal(partition.sigma, default.sigma)
+    assert np.array_equal(partition.tau, default.tau)
 
 
 def test_cli_gen_stdout(capsys):
@@ -253,6 +258,7 @@ def test_cli_gen_rejects_tiny_hard_instance(tmp_path):
 
 
 GEN = ["gen", "--n", "4", "--gamma", "0.5"]
+SOLVE_METHODS = ("vi", "si", "brute", "ipm", "pivot")
 
 
 @pytest.mark.parametrize(
@@ -270,15 +276,56 @@ GEN = ["gen", "--n", "4", "--gamma", "0.5"]
         ),
         (GEN + ["--family", "random", "--a-mode", "theta"], "--a-mode"),
         (GEN + ["--family", "random", "--a-mode", "kappa"], "--a-mode"),
+        # global flags of commands that ignore them
+        (["--seed", "3"] + GEN + ["--family", "gn"], "--seed"),
+        (["--seed", "3", "solve", "--game", "{tmp}/g3.json"], "--seed"),
+        (["--seed", "3", "reduce", "--game", "{tmp}/g3.json"], "--seed"),
+        (["--seed", "3", "plot", "--input", "{tmp}/absent.csv"], "--seed"),
+        (["--tol", "1e-6"] + GEN + ["--family", "random"], "--tol"),
+        (["--tol", "5", "reduce", "--game", "{tmp}/g3.json"], "--tol"),
+        (["--tol", "1e-6", "certify", "--game", "{tmp}/g3.json"], "--tol"),
+        (["--tol", "1e-6", "plot", "--input", "{tmp}/absent.csv"], "--tol"),
+        # flags that only wrote what the program already had
+        (GEN + ["--family", "gn", "--partition", "{tmp}/p.json"], "--partition"),
+        (["reduce", "--game", "{tmp}/g3.json", "--emit-partition", "{tmp}/p.json"],
+         "--emit-partition"),
+        (["bench", "--ns", "4", "--gammas", "0.5", "--plot", "{tmp}/s.svg"], "--plot"),
+        (["bench", "--ns", "4", "--gammas", "0.5", "--plot-quantity", "cond"],
+         "--plot-quantity"),
     ],
 )
 def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv, flag):
     write_g3(tmp_path)
     out = tmp_path / "out.json"
     argv = ["--output", str(out)] + [a.format(tmp=tmp_path) for a in argv]
-    assert main(argv) == 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag the command lacks
+        code = exc.code
+    assert code == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--game", "{g3}", "--method", m] for m in SOLVE_METHODS]
+    + [["bench", "--ns", "4", "--gammas", "0.5"]],
+    ids=[*SOLVE_METHODS, "bench"],
+)
+def test_cli_refuses_a_tol_that_is_not_positive(
+    tmp_path, capsys, builds, command, tol
+):
+    # at NaN every comparison is false: si and brute certified any profile
+    game_path = write_g3(tmp_path)
+    builds.update(build_game=0)
+    out = tmp_path / "out"
+    argv = ["--tol", tol, "--output", str(out)]
+    assert main(argv + [a.format(g3=game_path) for a in command]) == 2
+    assert "--tol must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+    assert builds["build_game"] == 0  # refused before any game is built
 
 
 def test_cli_gen_custom_cost(tmp_path):
@@ -286,6 +333,10 @@ def test_cli_gen_custom_cost(tmp_path):
     argv = ["--output", str(out)] + GEN + ["--family", "gn", "--a-mode", "custom"]
     assert main(argv + ["--a", "2.5"]) == 0
     assert load_game(out).costs[4] == 2.5  # state 2's slot 0
+    out.unlink()
+    for bad in ("nan", "inf"):  # solve would refuse the written game
+        assert main(argv + ["--a", bad]) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["vi", "si", "brute", "ipm", "pivot"])
@@ -473,29 +524,20 @@ def test_cli_reduce_matches_library(tmp_path, capsys):
     path = write_g3(tmp_path)
     rc = main(["reduce", "--game", str(path)])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    payload = json.loads(printed)
     game, partition = hard_instance(3, 0.5, a=1.0)
     lcp = to_lcp(game, partition)
     assert np.array_equal(np.array(payload["M"]), lcp.m)
     assert np.array_equal(np.array(payload["q"]), lcp.q)
 
     out = tmp_path / "g3.lcp.json"
-    side = tmp_path / "g3.partition.json"
-    rc = main(
-        [
-            "--output",
-            str(out),
-            "reduce",
-            "--game",
-            str(path),
-            "--emit-partition",
-            str(side),
-        ]
-    )
+    rc = main(["--output", str(out), "reduce", "--game", str(path)])
     assert rc == 0
+    # one serialization, to the file or to stdout
+    assert out.read_text() == printed == lcp_json(lcp)
     back = read_lcp(out)
     assert np.array_equal(back.m, lcp.m) and np.array_equal(back.q, lcp.q)
-    assert np.array_equal(load_partition(side).tau, np.ones(3))
 
 
 def test_cli_certify_hard_instance(tmp_path, capsys):
@@ -566,17 +608,19 @@ def test_cli_bench_and_plot_round_trip(tmp_path, capsys):
             "0.5",
             "--samples",
             "200",
-            "--plot",
-            str(svg_path),
-            "--plot-quantity",
-            "inv_theta",
         ]
     )
     assert rc == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
     rows = read_bench_csv(csv_path)
     assert [r.n for r in rows] == [4, 6]
-    assert svg_path.read_text().startswith("<svg ")
+
+    argv = ["--output", str(svg_path), "plot", "--input", str(csv_path)]
+    assert main(argv + ["--quantity", "inv_theta"]) == 0
+    series = [("gamma=0.5", [4, 6], [1.0 / r.theta_est for r in rows])]
+    assert svg_path.read_text() == render_loglog_svg(
+        series, title="inv_theta vs n (log-log)", xlabel="n", ylabel="inv_theta"
+    )
 
     out_svg = tmp_path / "replot.svg"
     rc = main(

@@ -1,5 +1,7 @@
 """The bad-conditioning family: builder, closed forms, predicted measures."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,10 @@ def test_predicted_theta_spot_values():
 def test_predictions_refuse_tiny_n(pred):
     with pytest.raises(ValueError, match="n >= 3"):
         pred(2, 0.5)
+    # and a discount outside (0, 1), as the fences do
+    for gamma in (1.0, 1.5, 0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="gamma must lie strictly"):
+            pred(10, gamma)
 
 
 @pytest.mark.parametrize("n,gamma", GRID)
@@ -223,6 +229,9 @@ def test_spec_validation():
     for mode in ("kappa", "eigenvalue", "theta"):
         with pytest.raises(ValueError, match=f"a_mode 'custom' only, not '{mode}'"):
             HardInstanceSpec(5, 0.5, a_mode=mode, a=1.0)
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="a must be finite"):
+            HardInstanceSpec(5, 0.5, a_mode="custom", a=a)
 
 
 # -- the family's optimum -----------------------------------------------------

@@ -42,8 +42,9 @@ from gamelcp.solvers import SolverFailure
 
 
 def test_ipm_options_validation():
-    with pytest.raises(ValueError, match="epsilon"):
-        IpmOptions(epsilon=0.0)
+    for epsilon in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            IpmOptions(epsilon=epsilon)
 
 
 def test_ipm_identity_lcp():

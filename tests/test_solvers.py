@@ -1,5 +1,7 @@
 """Value iteration, strategy iteration, and brute force against each other."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from gamelcp.game import (
     PLAYER_MIN,
     GameValidationError,
     build_game,
+    is_optimal,
     reduced_costs,
     value_vector,
 )
+from gamelcp.lcp import to_lcp, verify_solution
 from gamelcp.solvers import (
     SolveResult,
     SolverFailure,
@@ -152,6 +156,25 @@ def test_strategy_iteration_improves_single_player_games():
             assert v_new.max() > v.max() - 1e-12  # strict somewhere
             choice = new_choice
     assert made >= 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda game, lcp: is_optimal(game, [0, 0, 0], math.nan),
+        lambda game, lcp: brute_force_solve(game, tol=math.nan),
+        lambda game, lcp: strategy_iteration(game, tol=math.nan),
+        lambda game, lcp: value_iteration(game, eps=math.nan),
+        lambda game, lcp: verify_solution(lcp, lcp.q, np.zeros(3), math.nan),
+    ],
+    ids=["is_optimal", "brute", "si", "vi", "verify_solution"],
+)
+def test_a_nan_tolerance_is_refused(g3, call):
+    # every comparison with NaN is false, so an unchecked NaN tolerance
+    # passes every optimality test (si and brute) or none (vi, the LCP checks)
+    game, partition = g3
+    with pytest.raises(ValueError, match="got nan"):
+        call(game, to_lcp(game, partition))
 
 
 def test_brute_force_g3(g3):
