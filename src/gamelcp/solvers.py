@@ -5,6 +5,11 @@ is checked against its per-state action counts.  All three solvers return
 a :class:`SolveResult` whose ``values`` field is the exact value vector of
 the returned profile (a LAPACK solve), so results from different methods
 are directly comparable.
+
+Value iteration has two stop rules, both within ``eps`` of the optimal
+values: it returns at the first block end whose greedy profile passes the
+optimality check at ``eps * (1 - gamma)``, or at the first iterate whose
+step is at most ``eps * (1 - gamma) / (2 gamma)``, whichever comes first.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 10**6
 VI_MAX_ITERS = 10**6
-VI_BLOCK = 32  # iterates per stop-rule check in value_iteration
+VI_BLOCK = 32  # iterates per stop-rule check (and profile check) in value_iteration
 SI_MAX_ROUNDS = 10**6
 
 
@@ -99,22 +104,36 @@ def greedy_profile(game, v):
 
 
 def value_iteration(game, eps=1e-8):
-    """Iterate the optimality operator from v = 0 until the step is small.
+    """Iterate the optimality operator from v = 0 until a profile certifies
+    or the step is small.
 
-    Stops at the first iterate with ||v_k - v_{k-1}||_inf <= eps * (1 -
-    gamma) / (2 gamma), which puts v within eps of the optimal values by the
-    standard contraction argument.  The returned profile is greedy against
-    that iterate and the returned values are that profile's exact values.
+    Two stop rules, each of which puts the returned values within eps of
+    the optimal values.  The returned values are always the returned
+    profile's exact values.
 
-    The stop rule is checked per block: VI_BLOCK iterates are written into
-    one array, then all their steps are measured in one call and the first
-    that meets the rule ends the run.  The iterates, the iteration count
-    and the result are those of checking after every step.
+    - Certificate: at each block end, the profile greedy against the last
+      iterate is solved and checked by :func:`~gamelcp.game.is_optimal` at
+      tau = eps * (1 - gamma).  If it passes, |T v_s - v_s| <= tau for its
+      values v_s, so ||v_s - v*|| <= tau / (1 - gamma) = eps.  The check
+      depends only on the profile, so a profile already checked is not
+      solved again.
+    - Step: the first iterate with ||v_k - v_{k-1}||_inf <= eps * (1 -
+      gamma) / (2 gamma) puts v_k within eps / 2 of v*, by the standard
+      contraction argument, and the profile greedy against v_k within eps.
+
+    Iterates run in blocks: VI_BLOCK iterates are written into one array,
+    then all their steps are measured in one call.  The first step that
+    meets its rule ends the run, with the iterates, the iteration count and
+    the result of checking after every step.  Otherwise the block end's
+    profile is checked, and the run stops there if it certifies, which
+    reports a multiple of VI_BLOCK (or VI_MAX_ITERS) as ``iterations``.
     """
     if not eps > 0:  # NaN too: every comparison with it is false
         raise ValueError(f"eps must be positive, got {eps}")
     rows = _SignedRows(game)
     threshold = eps * (1.0 - game.gamma) / (2.0 * game.gamma)
+    tau = eps * (1.0 - game.gamma)
+    checked = {}  # profile bytes -> its exact values
     block = np.zeros((VI_BLOCK + 1, game.n))  # block[0] is the last iterate so far
     done = 0
     while done < VI_MAX_ITERS:
@@ -126,18 +145,26 @@ def value_iteration(game, eps=1e-8):
         if met.size:
             v = block[met[0] + 1]
             choice = rows.first_best(rows.signed_y(v))
+            values = checked.get(choice.tobytes())
             return SolveResult(
-                values=value_vector(game, choice),
+                values=value_vector(game, choice) if values is None else values,
                 profile=choice,
                 iterations=done + int(met[0]) + 1,
                 method="value_iteration",
             )
         done += k
+        choice = rows.first_best(rows.signed_y(block[k]))
+        key = choice.tobytes()
+        if key not in checked:
+            values = checked[key] = value_vector(game, choice)
+            if is_optimal(game, choice, tau, values=values)[0]:
+                return SolveResult(values, choice, done, "value_iteration")
         block[0] = block[k]
     raise SolverFailure(
         f"value iteration did not reach step {threshold:.3e} within {VI_MAX_ITERS} "
         "iterations",
         last_step=float(steps[k - 1]),
+        profiles_checked=len(checked),
     )
 
 

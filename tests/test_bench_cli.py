@@ -366,6 +366,18 @@ def test_cli_solve_ipm_at_a_loose_tol(tmp_path, capsys, tol):
         assert "optimal=True" in capsys.readouterr().out.splitlines()[0]
 
 
+def test_cli_solve_vi_near_gamma_one_exits_1(tmp_path, capsys):
+    # the first block end's value solve refuses the near-singular system
+    path = tmp_path / "near_one.json"
+    save_game(random_game(16, 1 - 1e-14, 1), path)
+    assert main(["solve", "--game", str(path), "--method", "vi"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solver failure: condition number bound 2.047e+14 exceeds 1e+13" in (
+        captured.err
+    )
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Calls of build_game, to_lcp, value_vector and the two dense solves,

@@ -24,6 +24,7 @@ from gamelcp.solvers import (
     strategy_iteration,
     value_iteration,
 )
+from gamelcp._kernels import SingularMatrixError
 from gamelcp.bench import random_game
 
 from conftest import three_state_game, hard_instance
@@ -91,6 +92,8 @@ def test_value_iteration_accuracy_guarantee():
         oracle = brute_force_solve(game)
         res = value_iteration(game, eps=1e-6)
         assert np.abs(res.values - oracle.values).max() <= 1e-6
+        # the returned profile certifies at the tolerance VI checks it at
+        assert is_optimal(game, res.profile, 1e-6 * (1 - game.gamma), values=res.values)[0]
 
 
 def test_value_iteration_contraction():
@@ -230,7 +233,8 @@ def _oracle_greedy_profile(game, v):
     return choice
 
 
-def _oracle_value_iteration(game, eps=1e-8):
+def _oracle_step_value_iteration(game, eps=1e-8):
+    # value iteration with the step rule alone
     threshold = eps * (1.0 - game.gamma) / (2.0 * game.gamma)
     v = np.zeros(game.n)
     for it in range(1, solvers.VI_MAX_ITERS + 1):
@@ -249,6 +253,41 @@ def _oracle_value_iteration(game, eps=1e-8):
         f"value iteration did not reach step {threshold:.3e} within "
         f"{solvers.VI_MAX_ITERS} iterations",
         last_step=delta,
+    )
+
+
+def _oracle_value_iteration(game, eps=1e-8):
+    # the step rule, plus the certificate at every iterate that ends a
+    # block or the run: the greedy profile, unless checked before, is solved
+    # and checked at eps (1 - gamma) with the is_optimal the solver uses
+    threshold = eps * (1.0 - game.gamma) / (2.0 * game.gamma)
+    tau = eps * (1.0 - game.gamma)
+    checked = []
+    v = np.zeros(game.n)
+    for it in range(1, solvers.VI_MAX_ITERS + 1):
+        v_next = _two_reduceat_backup(game, v)
+        delta = float(np.max(np.abs(v_next - v)))
+        v = v_next
+        if delta <= threshold:
+            choice = _oracle_greedy_profile(game, v)
+            return SolveResult(
+                values=value_vector(game, choice),
+                profile=choice,
+                iterations=it,
+                method="value_iteration",
+            )
+        if it % solvers.VI_BLOCK == 0 or it == solvers.VI_MAX_ITERS:
+            choice = _oracle_greedy_profile(game, v)
+            if not any(np.array_equal(choice, c) for c in checked):
+                checked.append(choice)
+                values = value_vector(game, choice)
+                if solvers.is_optimal(game, choice, tau, values=values)[0]:
+                    return SolveResult(values, choice, it, "value_iteration")
+    raise SolverFailure(
+        f"value iteration did not reach step {threshold:.3e} within "
+        f"{solvers.VI_MAX_ITERS} iterations",
+        last_step=delta,
+        profiles_checked=len(checked),
     )
 
 
@@ -296,38 +335,122 @@ def _same_result(got, want):
     assert np.array_equal(got.values, want.values)
 
 
-def test_value_iteration_matches_stepwise_oracle():
+def _never_certify(monkeypatch):
+    # leaves value iteration the step rule alone, as the eps-only oracle
+    monkeypatch.setattr(solvers, "is_optimal", lambda *args, **kwargs: (False, None))
+
+
+def test_value_iteration_matches_stepwise_oracle(monkeypatch):
+    _never_certify(monkeypatch)
     ends = set()
     for game in _oracle_games():
-        want = _oracle_value_iteration(game)
+        want = _oracle_step_value_iteration(game)
         _same_result(value_iteration(game), want)
         ends.add(want.iterations % solvers.VI_BLOCK)
     assert len(ends) > 4  # runs stop at many places within a block
 
 
+def test_value_iteration_certificate_matches_stepwise_oracle():
+    stops = set()
+    for game in _oracle_games():
+        want = _oracle_value_iteration(game)
+        _same_result(value_iteration(game), want)
+        stops.add(want.iterations % solvers.VI_BLOCK == 0)
+    assert stops == {True, False}  # both rules end some run
+
+
 @pytest.mark.parametrize("cap", [1, 7, solvers.VI_BLOCK, 2 * solvers.VI_BLOCK + 5])
 def test_value_iteration_cap_matches_oracle(cap, monkeypatch):
     game = random_game(16, 0.999, seed=916)
+    _never_certify(monkeypatch)
     monkeypatch.setattr(solvers, "VI_MAX_ITERS", cap)
     with pytest.raises(SolverFailure) as want:
-        _oracle_value_iteration(game)
+        _oracle_step_value_iteration(game)
     with pytest.raises(SolverFailure) as got:
         value_iteration(game)
     assert str(got.value) == str(want.value)
     assert got.value.context["last_step"] == want.value.context["last_step"]
+    # the certifying oracle, never certifying either, counts the same
+    # distinct block-end profiles
+    with pytest.raises(SolverFailure) as counted:
+        _oracle_value_iteration(game)
+    assert counted.value.context == got.value.context
+    assert 1 <= got.value.context["profiles_checked"] <= math.ceil(cap / solvers.VI_BLOCK)
 
 
 def test_value_iteration_stops_exactly_at_the_cap(monkeypatch):
     # a run that meets the stop rule on its last allowed iterate succeeds,
     # one iterate fewer fails; the count is not a multiple of the block
+    _never_certify(monkeypatch)
     game = random_game(5, 0.9, seed=906)
-    needed = _oracle_value_iteration(game).iterations
+    needed = _oracle_step_value_iteration(game).iterations
     assert needed % solvers.VI_BLOCK != 0
     monkeypatch.setattr(solvers, "VI_MAX_ITERS", needed)
-    _same_result(value_iteration(game), _oracle_value_iteration(game))
+    _same_result(value_iteration(game), _oracle_step_value_iteration(game))
     monkeypatch.setattr(solvers, "VI_MAX_ITERS", needed - 1)
     with pytest.raises(SolverFailure, match=f"within {needed - 1} iterations"):
         value_iteration(game)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("gamma", [0.9, 0.99])
+@pytest.mark.parametrize("a_mode", ["kappa", "eigenvalue", "theta"])
+def test_value_iteration_certifies_the_hard_family_at_the_first_block(n, gamma, a_mode):
+    game, _ = hard_instance(n, gamma, a_mode=a_mode)
+    res = value_iteration(game)
+    assert res.iterations == solvers.VI_BLOCK
+    assert is_optimal(game, res.profile, 1e-8 * (1 - gamma), values=res.values)[0]
+
+
+def test_value_iteration_certifies_at_eps_times_one_minus_gamma():
+    # state 0's second action leads to a state worth 0 instead of 200 and
+    # is better by 7.5e-9: between tau = eps (1 - gamma) = 5e-9 and eps.
+    # The iterate at the first block end still prefers the first action, a
+    # profile that passes at eps but not at tau, so the step rule ends the
+    # run, at iterate 36, with the second action.
+    eps, gamma = 1e-8, 0.5
+    game = build_game(
+        gamma,
+        [
+            (1, [(7.5e-9, [(1, 1.0)]), (100.0, [(2, 1.0)])]),
+            (1, [(100.0, [(1, 1.0)])]),
+            (1, [(0.0, [(2, 1.0)])]),
+        ],
+    )
+    v = np.zeros(3)
+    for _ in range(solvers.VI_BLOCK):
+        v = bellman_backup(game, v)
+    early = greedy_profile(game, v)
+    assert early.tolist() == [0, 0, 0]
+    assert is_optimal(game, early, eps)[0]
+    assert not is_optimal(game, early, eps * (1 - gamma))[0]
+    res = value_iteration(game, eps=eps)
+    assert res.iterations == 36
+    assert res.profile.tolist() == [1, 0, 0]
+
+
+def test_value_iteration_solves_each_profile_once(monkeypatch):
+    solved = []
+
+    def counted(game, profile):
+        solved.append(bytes(np.asarray(profile, dtype=np.int64)))
+        return value_vector(game, profile)
+
+    monkeypatch.setattr(solvers, "value_vector", counted)
+    games = _oracle_games() + [hard_instance(16, 0.99, a_mode="kappa")[0]]
+    for game in games:
+        for eps in (1e-8, 1e-12):
+            solved.clear()
+            value_iteration(game, eps=eps)
+            assert 1 <= len(solved) == len(set(solved))
+
+
+def test_value_iteration_fails_early_near_gamma_one():
+    # the first block end's value solve refuses the near-singular system
+    # instead of iterating to the cap
+    game = random_game(16, 1 - 1e-14, 1)
+    with pytest.raises(SingularMatrixError, match="condition number bound 2.047e"):
+        value_iteration(game, eps=1e-9)
 
 
 def _tie_game():
