@@ -3,7 +3,8 @@
 Subcommands: gen, solve, reduce, certify, bench, plot.  Global flags
 (--seed, --tol, --output) come before the subcommand.  --seed applies to
 gen --family random, certify and bench (default 0), --tol to solve and
-bench (default 1e-9, and it must be positive and finite); given to any
+bench (default 1e-9, and it must be positive and finite; solve also
+refuses a --tol below the rounding level of the game's values); given to any
 other command, either is a usage error.  gen, solve, reduce and certify
 write their one artifact to --output, or to stdout without it.
 
@@ -48,6 +49,13 @@ from .solvers import (
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_USAGE = 2
+
+# solve refuses a --tol below TOL_FLOOR_ULPS * UNIT_ROUNDOFF * max|cost| /
+# (1 - gamma): the values reach max|cost| / (1 - gamma), and a reduced cost
+# smaller than a few of their roundings cannot be told apart from rounding.
+# The check is on the flag as given; the default 1e-9 is left to the solvers
+UNIT_ROUNDOFF = 2.0**-53
+TOL_FLOOR_ULPS = 2
 
 
 def _build_parser():
@@ -129,6 +137,7 @@ def _resolve_global_flags(args):
     if args.tol is not None and args.command not in ("solve", "bench"):
         raise ValueError("--tol applies to solve and bench only")
     args.seed = 0 if args.seed is None else args.seed
+    args.tol_given = args.tol is not None
     args.tol = 1e-9 if args.tol is None else args.tol
     if not 0.0 < args.tol < math.inf:  # NaN too
         raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
@@ -159,6 +168,12 @@ def _load_partition_or_default(game, path):
 
 def _cmd_solve(args):
     game = load_game(args.game)
+    floor = TOL_FLOOR_ULPS * UNIT_ROUNDOFF * float(abs(game.costs).max()) / (1.0 - game.gamma)
+    if args.tol_given and args.tol < floor:  # a game the default misses fails in its solver
+        raise ValueError(
+            f"--tol {args.tol:.3g} is below what float64 can certify for this game: "
+            f"{floor:.3g} = {TOL_FLOOR_ULPS} u max|cost| / (1 - gamma), u = 2^-53"
+        )
     if args.method in ("vi", "si", "brute"):
         if args.partition is not None:
             raise ValueError("--partition applies to --method ipm and pivot only")

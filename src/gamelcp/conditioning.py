@@ -65,6 +65,13 @@ MINORS_TOL = 1e-12  # a minor above this times its row-max product is positive
 MINORS_CHUNK_ENTRIES = 1 << 21  # matrix entries per batched determinant call
 HILL_CLIMB_ROUNDS = 100
 CLIMB_WINDOW_ENTRIES = 1 << 15  # direction entries per climb call over hit-less rounds
+# a climb call scores its predicted chain of moves after this many calls in a
+# row took their predicted move, and keeps doing so while each call confirms
+# this many.  At 2, certify_random's climbs confirmed 1.0 move per
+# speculative call (1.2 at 3), and its op_ms_p90 read 36.6-38.0 ref_ms
+# against 35.0-36.3 at 3 (perfbench, seed 19, three alternating runs each on
+# a 2-core VM); sweep_hard's confirm about 17 at either gate.
+SPECULATE_AFTER = 3
 
 
 class KappaUndefined(ArithmeticError):
@@ -300,6 +307,30 @@ def gaussian_block(m_mat, samples, seed):
     return x_rows, x_rows @ m_mat.T
 
 
+def _chain(guess, stop):
+    """The predicted moves before ``stop`` that a speculative call scores:
+    ``guess`` cut before a -step that would follow its own +step, so that
+    no base moves a coordinate twice."""
+    cut = (guess[1:] == guess[:-1] + 1) & (guess[:-1] % 2 == 0)
+    chain = guess[: int(cut.argmax()) + 1] if cut.any() else guess
+    return chain[chain < stop]
+
+
+def _confirmed(hits, ends):
+    """(k, d) for a speculative call whose first chain move held: ``hits``
+    flags the rows after it, each against its own base, and ``ends`` are the
+    rows of the later chain moves.  d is the first row whose flag disagrees
+    with being a chain end (None when every row agrees), and k counts the
+    chain moves before it, the first move included."""
+    expect = np.zeros(hits.size, dtype=bool)
+    expect[ends] = True
+    wrong = np.flatnonzero(hits != expect)
+    if not wrong.size:
+        return ends.size + 1, None
+    d = int(wrong[0])
+    return 1 + int(np.searchsorted(ends, d)), d
+
+
 def _climb(m_mat, x0, batch_fn, better):
     """Coordinate hill climbing with incremental M x updates.
 
@@ -314,59 +345,130 @@ def _climb(m_mat, x0, batch_fn, better):
     window of rounds from the same x, whose first hit in (round, move)
     order is the move the round-by-round climb takes.  The window is one
     round, doubles after each call without a hit and falls back to one
-    after a hit; it never passes the rounds left or CLIMB_WINDOW_ENTRIES
-    direction entries per call (4 rounds at n = 64).
+    after a hit.
+
+    A call that takes move h also flags the later moves of its round that
+    improve on the same x: the predicted chain j_1 < j_2 < ... of the moves
+    that the next calls take.  Once SPECULATE_AFTER calls in a row have
+    taken their predicted move, a call also scores, from each base_k (x
+    after j_1..j_k), the moves after j_k up to j_{k+1} or the round's end,
+    each against base_k's value, and keeps the longest prefix that checks
+    out (:func:`_confirmed`): j_1 must be the first hit from x, and every
+    later row must hit exactly where it is a chain end.  At the first row
+    that disagrees, the climb takes it if it is an unpredicted hit, or else
+    stays at base_k and moves past that chain end.  A wrong j_1 leaves the
+    rows from x to decide the call, so a wrong guess costs no extra call.
+    base_k's y is a left fold of the steps (``np.cumsum``), the same
+    rounding as one move per call, and the chain is cut before a -step that
+    would follow its own +step (:func:`_chain`).  The climb keeps
+    speculating while each such call confirms SPECULATE_AFTER moves.
+
+    No call passes the rounds left or CLIMB_WINDOW_ENTRIES direction
+    entries (4 rounds at n = 64); the chain's rows count against the cap.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
     best = batch_fn(x[None, :], y[None, :])[0]
     n = x.shape[0]
-    # move p is +step (p even) or -step (p odd) on coordinate p // 2
-    move_coords = np.repeat(np.arange(n), 2)
-    move_signs = np.tile((1.0, -1.0), n)
-    move_cols = m_mat.T[move_coords]  # row p: the column of M that move p scales
-    n_moves = len(move_coords)
+    # move p is +step (p even) or -step (p odd) on coordinate p // 2; slot
+    # r * n_moves + p is move p of the r-th round from now, its scale halved
+    # r times
+    n_moves = 2 * n
     max_window = max(1, CLIMB_WINDOW_ENTRIES // (n_moves * n))
-    halvings = 0.5 ** np.arange(max_window)
+    max_rows = max_window * n_moves
+    slot_moves = np.tile(np.arange(n_moves), max_window)
+    slot_coords = slot_moves // 2
+    slot_cols = m_mat.T[slot_coords]  # the column of M that the slot's move scales
+    slot_factors = np.repeat(0.5 ** np.arange(max_window), n_moves)
+    slot_factors[1::2] *= -1.0
+    all_rows = np.arange(max_rows)
+    no_base = np.zeros(max_rows, dtype=np.intp)
+    lower = np.tri(n_moves, dtype=bool)
+    improves = np.greater if better == "max" else np.less
     scale = 1.0
-    sign = 1.0 if better == "max" else -1.0
     window = 1
     rounds_left = HILL_CLIMB_ROUNDS
     pos = 0  # the next move to try; 0 starts a window of rounds
+    plus_step = None  # the step of the +move taken at pos - 1, if it was taken
+    guess = no_base[:0]  # the moves after pos predicted to improve, in order
+    streak = 0  # calls in a row that took their predicted move
     while rounds_left:
         rounds = min(window, rounds_left, max_window) if pos == 0 else 1
-        scales = scale * halvings[:rounds]
-        coords = move_coords[pos:]
-        # moves[r, k]: move pos + k of the r-th round from now
-        moves = scales[:, None] * np.maximum(1.0, np.abs(x[coords])) * move_signs[pos:]
-        if pos % 2:  # -step right after a taken +step: the step measured before it
-            moves[0, 0] = -last_step
-        x_rows = np.repeat(x[None, :], moves.size, axis=0)
-        x_rows.reshape(rounds, -1, n)[:, np.arange(len(coords)), coords] += moves
-        y_rows = (y + moves[:, :, None] * move_cols[pos:]).reshape(moves.size, n)
-        moves = moves.ravel()
+        n_a = rounds * (n_moves - pos)  # rows from x; the chain's rows follow
+        rows = slice(pos, pos + n_a)  # the moves left from x, in each round of the window
+        chain, stop = guess[:0], n_moves
+        if streak >= SPECULATE_AFTER and guess.size and n_a < max_rows:
+            stop = min(n_moves, int(guess[0]) + 1 + max_rows - n_a)
+            chain = _chain(guess, stop)
+            rows = np.r_[rows, chain[0] + 1:stop]  # then the moves after chain[0]
+        row_moves, row_coords = slot_moves[rows], slot_coords[rows]
+        steps = scale * slot_factors[rows] * np.maximum(1.0, np.abs(x[row_coords]))
+        if plus_step is not None:  # -step right after a taken +step: the step measured before it
+            steps[0] = -plus_step
+        bases_x, bases_y, row_base = x[None, :], y[None, :], no_base[: steps.size]
+        if chain.size:  # base k is x after the chain's first k moves
+            chain_rows = chain - chain[0] - 1 + n_a
+            chain_rows[0] = chain[0] - pos
+            chain_steps = steps[chain_rows]
+            plus = (chain % 2 == 0) & (chain + 1 < stop)  # -steps after a chain +step
+            steps[(chain - chain[0] + n_a)[plus]] = -chain_steps[plus]
+            coords = slot_coords[chain]
+            bases_x = np.repeat(bases_x, chain.size + 1, axis=0)
+            bases_x[1:, coords] = np.where(
+                lower[: chain.size, : chain.size], x[coords] + chain_steps, x[coords]
+            )
+            bases_y = np.cumsum(
+                np.concatenate((bases_y, chain_steps[:, None] * slot_cols[chain])), axis=0
+            )
+            row_base = np.concatenate((row_base[:n_a], np.searchsorted(chain, row_moves[n_a:])))
+        x_rows = bases_x[row_base]
+        x_rows[all_rows[: steps.size], row_coords] += steps
+        y_rows = bases_y[row_base] + steps[:, None] * slot_cols[rows]
         vals = batch_fn(x_rows, y_rows)
-        hits = sign * vals > sign * best
-        h = int(np.argmax(hits))  # the first improving move, if any
-        if not hits[h]:
+        hits = improves(vals, best)  # the rows after chain[0] are rescored below
+        h = int(hits[:n_a].argmax())  # the first improving move from x, if any
+        took, base = hits[h], None
+        predicted = guess.size and h == guess[0] - pos
+        if chain.size and took and predicted:
+            bests = vals[chain_rows]
+            hits[n_a:] = improves(vals[n_a:], bests[row_base[n_a:] - 1])
+            k, d = _confirmed(hits[n_a:], chain_rows[1:] - n_a)
+            if d is not None and hits[n_a + d]:  # an unpredicted hit
+                h = n_a + d
+                seg_end = chain_rows[k] + 1 if k < chain.size else steps.size
+            else:  # a chain end that did not improve, or the rows ran out
+                base, next_pos = k, stop if d is None else int(row_moves[n_a + d]) + 1
+            streak = k if k >= SPECULATE_AFTER else 0
+        else:
+            seg_end = h + n_moves - row_moves[h]  # the rest of h's round
+            streak = streak + 1 if took and predicted and not chain.size else 0
+        if not took:
             if pos == 0:  # rounds without a move
                 rounds_left -= rounds
-                scale = scales[-1] * 0.5
+                scale *= 0.5**rounds
                 window *= 2
-            else:  # the round ends with the moves it took
-                rounds_left -= 1
-                pos = 0
-            continue
-        r, p = divmod(h, n_moves - pos)
-        if pos == 0:  # r rounds without a move before this one
-            rounds_left -= r
-            scale = scales[r]
-            window = 1
-        x, y, best, last_step = x_rows[h], y_rows[h], vals[h], moves[h]
-        pos += p + 1
-        if pos == n_moves:  # the round took its last move
+                continue
+            pos = n_moves  # the round ends with the moves it took
+        elif base is None:
+            if pos == 0:  # r rounds without a move before this one
+                r = h // n_moves
+                rounds_left -= r
+                scale *= 0.5**r
+                window = 1
+            # the later moves that improve on the same base
+            guess = row_moves[h + 1 : seg_end][hits[h + 1 : seg_end]]
+            x, y, best = x_rows[h], y_rows[h], vals[h]
+            pos = int(row_moves[h]) + 1
+            plus_step = steps[h] if pos % 2 else None
+        else:
+            x, y, best = bases_x[base], bases_y[base], bests[base - 1]
+            pos, guess = next_pos, guess[:0]
+            taken = chain[base - 1] == pos - 1 and pos % 2
+            plus_step = chain_steps[base - 1] if taken else None
+        if pos == n_moves:  # the round is over
             rounds_left -= 1
             pos = 0
+            plus_step, guess, streak = None, guess[:0], 0
     return best, x
 
 

@@ -328,6 +328,24 @@ def test_cli_refuses_a_tol_that_is_not_positive(
     assert builds["build_game"] == 0  # refused before any game is built
 
 
+@pytest.mark.parametrize("method", SOLVE_METHODS)
+def test_cli_solve_refuses_a_tol_below_the_rounding_of_the_values(
+    tmp_path, capsys, method
+):
+    # here 1e-16 once made si, brute and ipm fail (exit 1) while vi and pivot
+    # passed; the floor is 2 u max|cost| / (1 - gamma) = 4.19e-15
+    path = tmp_path / "g.json"
+    gen = ["gen", "--family", "random", "--n", "4", "--gamma", "0.5"]
+    assert main(["--output", str(path)] + gen) == 0
+    solve = ["solve", "--game", str(path), "--method", method]
+    for tol in ("1e-16", "1e-300"):
+        assert main(["--tol", tol] + solve) == 2
+        err = capsys.readouterr().err
+        assert "below what float64 can certify" in err and "4.19e-15" in err
+    assert main(["--tol", "1e-14"] + solve) == 0
+    assert "optimal=True" in capsys.readouterr().out.splitlines()[0]
+
+
 def test_cli_gen_custom_cost(tmp_path):
     out = tmp_path / "g.json"
     argv = ["--output", str(out)] + GEN + ["--family", "gn", "--a-mode", "custom"]

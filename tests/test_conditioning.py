@@ -347,11 +347,19 @@ def _counted(batch_fn, rows):
 
 
 def _climb_identity_cases():
-    for n in (8, 64):
-        for a_mode in ("kappa", "eigenvalue", "theta"):
-            game, part = hard_instance(n, 0.9, a_mode=a_mode)
-            lcp = to_lcp(game, part)
-            yield f"hard-{n}-{a_mode}", lcp.m, _certify_witnesses(lcp)
+    # the sweep's hard cells, where most calls take a predicted chain of moves
+    for n in (8, 16, 32, 48, 64):
+        for gamma in (0.9, 0.99):
+            for a_mode in ("kappa", "eigenvalue", "theta"):
+                game, part = hard_instance(n, gamma, a_mode=a_mode)
+                lcp = to_lcp(game, part)
+                suffix = "" if gamma == 0.9 else f"-{gamma}"
+                yield f"hard-{n}-{a_mode}{suffix}", lcp.m, _certify_witnesses(lcp)
+    # at n = 96 one round's moves fill the entry cap: a chain gets only the
+    # rows that the moves already taken in the round left free
+    game, part = hard_instance(96, 0.9, a_mode="kappa")
+    lcp = to_lcp(game, part)
+    yield "hard-96-kappa", lcp.m, _certify_witnesses(lcp)
     for n in (1, 8, 24):
         for gamma in (0.5, 0.99):
             game = random_game(n, gamma, 40 + n)
@@ -391,6 +399,94 @@ def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
     assert got_val == want_val == 0.0 and np.array_equal(got_x, want_x)
     # one call scores the start, then one per window of 48-move rounds
     assert rows == [1] + [48 * w for w in (1, 2, 4, 8, 16, 28, 28, 13)]
+
+
+def test_hard_theta_climb_scores_its_chains_in_few_calls(monkeypatch):
+    # on the n = 64 hard game nearly every move the theta climb takes was
+    # flagged by the call before; scoring each predicted chain in one call
+    # takes the climb from 1,361 calls (one per move taken) to 149
+    game, part = hard_instance(64, 0.9, a_mode="kappa")
+    lcp = to_lcp(game, part)
+    starts = _climb_starts(monkeypatch, lcp.m, _certify_witnesses(lcp))
+    x0, batch_fn, better = starts[1]
+    assert batch_fn is cond._theta_batch
+    rows = []
+    got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better)
+    want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better)
+    assert got_val == want_val and np.array_equal(got_x, want_x)
+    assert len(rows) == 149 and max(rows) <= 4 * 128
+
+
+def _climb_branches(monkeypatch, m_mat, x0, batch_fn, better):
+    """Run ``_climb`` and name the branches of its speculative calls taken:
+    "first" (the chain breaks at its first move), "unpredicted" (a hit the
+    chain did not predict), "miss-odd" (a predicted move that does not
+    improve, leaving the climb at an odd move whose +step was not taken),
+    "last" (a chain confirmed through the round's last move) and "cut" (a
+    chain cut before a -step that would follow its own +step)."""
+    events = []
+    chain_fn, confirmed_fn = cond._chain, cond._confirmed
+
+    def chain_spy(guess, stop):
+        chain = chain_fn(guess, stop)
+        events.append(("chain", guess.copy(), stop, chain.copy()))
+        return chain
+
+    def confirmed_spy(hits, ends):
+        k, d = confirmed_fn(hits, ends)
+        events.append(("confirmed", hits.copy(), d))
+        return k, d
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cond, "_chain", chain_spy)
+        mp.setattr(cond, "_confirmed", confirmed_spy)
+        val, x = cond._climb(m_mat, x0, batch_fn, better)
+    branches = set()
+    for i, event in enumerate(events):
+        if event[0] == "chain":
+            _, guess, stop, chain = event
+            if chain.size < np.count_nonzero(guess < stop):
+                branches.add("cut")
+            if i + 1 == len(events) or events[i + 1][0] != "confirmed":
+                branches.add("first")
+            continue
+        _, hits, d = event
+        chain = events[i - 1][3]
+        if d is None:
+            if chain[-1] == 2 * m_mat.shape[0] - 1:
+                branches.add("last")
+        elif hits[d]:
+            branches.add("unpredicted")
+        elif (chain[0] + 1 + d) % 2 == 0:  # row d is move chain[0] + 1 + d
+            branches.add("miss-odd")
+    return val, x, branches
+
+
+def _chain_branch_cases():
+    # found by searching small gaussian matrices, random games and hard
+    # cells for climbs that reach the chain's rarer branches; at (8, 27) the
+    # -step after an untaken chain end differs from -(the last step taken)
+    for n, seed in ((8, 27), (8, 33), (8, 35)):
+        rng = np.random.default_rng(seed)
+        m_mat = rng.standard_normal((n, n)) + math.sqrt(n) * np.eye(n)
+        yield m_mat, rng.standard_normal(n)
+    game = random_game(16, 0.9, 0)
+    yield to_lcp(game, default_partition(game)).m, np.random.default_rng(0).standard_normal(16)
+    game, part = hard_instance(16, 0.9, a_mode="kappa")
+    yield to_lcp(game, part).m, np.random.default_rng(16).standard_normal(16)
+
+
+def test_speculative_climb_takes_every_chain_branch_bit_identically(monkeypatch):
+    seen = set()
+    for m_mat, x0 in _chain_branch_cases():
+        for batch_fn, better in ((cond._kappa_batch, "max"), (cond._theta_batch, "min")):
+            got_val, got_x, branches = _climb_branches(monkeypatch, m_mat, x0, batch_fn, better)
+            want_val, want_x = _round_by_round_climb(m_mat, x0, batch_fn, better)
+            assert got_val == want_val
+            assert np.array_equal(got_x, want_x)
+            assert np.array_equal(np.signbit(got_x), np.signbit(want_x))
+            seen |= branches
+    assert seen == {"first", "unpredicted", "miss-odd", "last", "cut"}
 
 
 def _certify_cases():

@@ -580,13 +580,37 @@ def _pivot_oracle_cases():
                 yield to_lcp(*build_hard_instance(HardInstanceSpec(n, gamma, mode)))
 
 
-def test_pivoting_rank1_elimination_matches_row_loop():
+def _ratio_tableaux(monkeypatch, solver, lcp):
+    """``solver(lcp)`` and a copy of the tableau it hands to
+    ``_lex_ratio_row`` at each pivot.  (w, z) are re-solved from the
+    terminal basis, so only the tableaux show how the elimination rounds."""
+    tableaux = []
+    ratio_row = lcp_solvers._lex_ratio_row
+
+    def spy(tableau, col, n):
+        tableaux.append(tableau.copy())
+        return ratio_row(tableau, col, n)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lcp_solvers, "_lex_ratio_row", spy)
+        mp.setitem(globals(), "_lex_ratio_row", spy)  # the row-loop oracle's name
+        return solver(lcp), tableaux
+
+
+def test_pivoting_rank1_elimination_matches_row_loop(monkeypatch):
     pivoted = 0
     for lcp in _pivot_oracle_cases():
-        w, z, pivots = solve_pivoting(lcp)
-        w_o, z_o, pivots_o = _pivoting_row_loop(lcp)
+        (w, z, pivots), tableaux = _ratio_tableaux(monkeypatch, solve_pivoting, lcp)
+        (w_o, z_o, pivots_o), tableaux_o = _ratio_tableaux(
+            monkeypatch, _pivoting_row_loop, lcp
+        )
         assert pivots == pivots_o
         assert np.array_equal(w, w_o) and np.array_equal(z, z_o)
+        assert len(tableaux) == len(tableaux_o) == max(pivots - 1, 0)
+        # equal to the last bit; only the sign of a zero can differ, where
+        # the rank-1 update subtracts 0 * x from a row the loop skips
+        for got, want in zip(tableaux, tableaux_o):
+            assert np.array_equal(got, want)
         pivoted += pivots > 0
     assert pivoted >= 30
 
