@@ -20,8 +20,12 @@ here always stay on the certified side of those fences.
 
 ``certify`` proves the M of an LCP from ``lcp.to_lcp`` a P-matrix from the
 row diagonally dominant B_s = I - gamma P_sigma, B_t = I - gamma P_tau it
-keeps (:func:`structural_certificate`); the principal-minor scan (n <= 20)
-and the one-direction witness check remain as independent checks.
+keeps (:func:`structural_certificate`), and estimates kappa and theta from
+one :func:`gaussian_block` of directions and a coordinate hill climb from
+the best of them (:func:`estimate_kappa`, :func:`estimate_theta`).
+:func:`pmatrix_check_minors` (all principal minors, n <= 20) and
+:func:`pmatrix_witness_check` (one direction) are independent P-matrix
+oracles for callers and tests: ``certify`` never calls them.
 """
 
 from __future__ import annotations
@@ -277,24 +281,27 @@ def structural_certificate(m_mat, b_sig, b_tau, signs):
 
 
 def _kappa_batch(x_rows, y_rows):
-    prods = x_rows * y_rows
+    prods = np.multiply(x_rows, y_rows, order="C")  # each row sums as one run
     # the same summands in the same order as masking by sign; only the sign
     # of an all-zero sum can differ, and no comparison below sees it
-    pos = np.maximum(prods, 0.0).sum(axis=1)
-    neg = np.minimum(prods, 0.0, out=prods).sum(axis=1)
-    vals = np.zeros(x_rows.shape[0])
+    pos = np.add.reduce(np.maximum(prods, 0.0), axis=1)
+    neg = np.add.reduce(np.minimum(prods, 0.0, out=prods), axis=1)
     active = pos + neg < 0.0
-    safe = active & (pos > 0.0)
-    vals[safe] = (-neg[safe] / pos[safe] - 1.0) / 4.0
-    vals[active & ~safe] = np.inf
-    return vals
+    # neg / pos reads -inf where the negative part outweighs an empty
+    # positive part, and -1 (kappa 0) where it does not outweigh it
+    ratio = np.where(active, -np.inf, -1.0)
+    np.divide(neg, pos, out=ratio, where=active & (pos > 0.0))
+    return (-1.0 - ratio) / 4.0
 
 
 def _theta_batch(x_rows, y_rows):
-    norms = (x_rows * x_rows).sum(axis=1)
-    vals = np.full(x_rows.shape[0], np.inf)  # a zero direction certifies nothing
-    np.divide((x_rows * y_rows).max(axis=1), norms, out=vals, where=norms > 0.0)
-    return vals
+    norms = np.add.reduce(np.multiply(x_rows, x_rows, order="C"), axis=1)
+    prods = np.multiply(x_rows, y_rows, order="C").ravel()
+    # a max is exact in any order, and reduceat takes each row's faster than
+    # a reduction along short rows
+    top = np.maximum.reduceat(prods, np.arange(0, prods.size, x_rows.shape[1]))
+    # inf / 0 is inf: a zero direction certifies nothing
+    return np.where(norms > 0.0, top, np.inf) / norms
 
 
 def gaussian_block(m_mat, samples, seed):
@@ -365,6 +372,16 @@ def _climb(m_mat, x0, batch_fn, better):
 
     No call passes the rounds left or CLIMB_WINDOW_ENTRIES direction
     entries (4 rounds at n = 64); the chain's rows count against the cap.
+
+    Every call builds its rows one way.  Its bases are x, then base_1..base_k
+    in a speculative call, and counts[b] consecutive rows start from base b.
+    The x rows are the bases repeated by counts, with each row's moved entry
+    set by one flat scatter; the y rows are each step times its column of M,
+    plus the base's y (a broadcast when x is the only base).  A step is
+    (scale * factor) * max(1, |x_j|), read from two tables kept between
+    calls: the scaled factors, rebuilt when the scale changes, and
+    max(1, |x|), updated at the coordinate a move changes or rebuilt when
+    the climb jumps to a chain base.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
@@ -381,16 +398,18 @@ def _climb(m_mat, x0, batch_fn, better):
     slot_cols = m_mat.T[slot_coords]  # the column of M that the slot's move scales
     slot_factors = np.repeat(0.5 ** np.arange(max_window), n_moves)
     slot_factors[1::2] *= -1.0
-    all_rows = np.arange(max_rows)
-    no_base = np.zeros(max_rows, dtype=np.intp)
+    slots = np.arange(max_rows)
+    row_starts = slots * n  # where row i of a call's x rows starts, flattened
     lower = np.tri(n_moves, dtype=bool)
     improves = np.greater if better == "max" else np.less
     scale = 1.0
+    scaled = scale * slot_factors  # a slot's step over max(1, |x_j|)
+    mag = np.maximum(1.0, np.abs(x))  # max(1, |x_j|) at the current x
     window = 1
     rounds_left = HILL_CLIMB_ROUNDS
     pos = 0  # the next move to try; 0 starts a window of rounds
     plus_step = None  # the step of the +move taken at pos - 1, if it was taken
-    guess = no_base[:0]  # the moves after pos predicted to improve, in order
+    guess = slot_moves[:0]  # the moves after pos predicted to improve, in order
     streak = 0  # calls in a row that took their predicted move
     while rounds_left:
         rounds = min(window, rounds_left, max_window) if pos == 0 else 1
@@ -400,12 +419,14 @@ def _climb(m_mat, x0, batch_fn, better):
         if streak >= SPECULATE_AFTER and guess.size and n_a < max_rows:
             stop = min(n_moves, int(guess[0]) + 1 + max_rows - n_a)
             chain = _chain(guess, stop)
-            rows = np.r_[rows, chain[0] + 1:stop]  # then the moves after chain[0]
+            # then the moves after chain[0]
+            rows = np.concatenate((slots[rows], slots[chain[0] + 1 : stop]))
         row_moves, row_coords = slot_moves[rows], slot_coords[rows]
-        steps = scale * slot_factors[rows] * np.maximum(1.0, np.abs(x[row_coords]))
+        steps = scaled[rows] * mag[row_coords]
         if plus_step is not None:  # -step right after a taken +step: the step measured before it
             steps[0] = -plus_step
-        bases_x, bases_y, row_base = x[None, :], y[None, :], no_base[: steps.size]
+        # counts[b] consecutive rows are scored from base b
+        bases_x, bases_y, counts = x[None, :], y, n_a
         if chain.size:  # base k is x after the chain's first k moves
             chain_rows = chain - chain[0] - 1 + n_a
             chain_rows[0] = chain[0] - pos
@@ -413,17 +434,20 @@ def _climb(m_mat, x0, batch_fn, better):
             plus = (chain % 2 == 0) & (chain + 1 < stop)  # -steps after a chain +step
             steps[(chain - chain[0] + n_a)[plus]] = -chain_steps[plus]
             coords = slot_coords[chain]
-            bases_x = np.repeat(bases_x, chain.size + 1, axis=0)
+            bases_x = bases_x.repeat(chain.size + 1, axis=0)
             bases_x[1:, coords] = np.where(
                 lower[: chain.size, : chain.size], x[coords] + chain_steps, x[coords]
             )
             bases_y = np.cumsum(
-                np.concatenate((bases_y, chain_steps[:, None] * slot_cols[chain])), axis=0
+                np.concatenate((y[None, :], chain_steps[:, None] * slot_cols[chain])), axis=0
             )
-            row_base = np.concatenate((row_base[:n_a], np.searchsorted(chain, row_moves[n_a:])))
-        x_rows = bases_x[row_base]
-        x_rows[all_rows[: steps.size], row_coords] += steps
-        y_rows = bases_y[row_base] + steps[:, None] * slot_cols[rows]
+            # the moves after chain[k-1] up to chain[k] (or stop) go from base k
+            ends = np.concatenate(((chain[0] - n_a,), chain, (stop - 1,)))
+            counts = ends[1:] - ends[:-1]
+        x_rows = bases_x.repeat(counts, axis=0)
+        x_rows.ravel()[row_starts[: steps.size] + row_coords] += steps
+        y_rows = steps[:, None] * slot_cols[rows]
+        y_rows += bases_y.repeat(counts, axis=0) if chain.size else y
         vals = batch_fn(x_rows, y_rows)
         hits = improves(vals, best)  # the rows after chain[0] are rescored below
         h = int(hits[:n_a].argmax())  # the first improving move from x, if any
@@ -431,7 +455,7 @@ def _climb(m_mat, x0, batch_fn, better):
         predicted = guess.size and h == guess[0] - pos
         if chain.size and took and predicted:
             bests = vals[chain_rows]
-            hits[n_a:] = improves(vals[n_a:], bests[row_base[n_a:] - 1])
+            hits[n_a:] = improves(vals[n_a:], bests.repeat(counts[1:]))
             k, d = _confirmed(hits[n_a:], chain_rows[1:] - n_a)
             if d is not None and hits[n_a + d]:  # an unpredicted hit
                 h = n_a + d
@@ -446,22 +470,31 @@ def _climb(m_mat, x0, batch_fn, better):
             if pos == 0:  # rounds without a move
                 rounds_left -= rounds
                 scale *= 0.5**rounds
+                scaled = scale * slot_factors
                 window *= 2
                 continue
             pos = n_moves  # the round ends with the moves it took
         elif base is None:
             if pos == 0:  # r rounds without a move before this one
                 r = h // n_moves
-                rounds_left -= r
-                scale *= 0.5**r
+                if r:
+                    rounds_left -= r
+                    scale *= 0.5**r
+                    scaled = scale * slot_factors
                 window = 1
             # the later moves that improve on the same base
             guess = row_moves[h + 1 : seg_end][hits[h + 1 : seg_end]]
             x, y, best = x_rows[h], y_rows[h], vals[h]
+            if h < n_a:  # x moved on one coordinate
+                j = row_coords[h]
+                mag[j] = max(1.0, abs(x[j]))
+            else:
+                mag = np.maximum(1.0, np.abs(x))
             pos = int(row_moves[h]) + 1
             plus_step = steps[h] if pos % 2 else None
         else:
             x, y, best = bases_x[base], bases_y[base], bests[base - 1]
+            mag = np.maximum(1.0, np.abs(x))
             pos, guess = next_pos, guess[:0]
             taken = chain[base - 1] == pos - 1 and pos % 2
             plus_step = chain_steps[base - 1] if taken else None

@@ -51,6 +51,7 @@ __all__ = [
     "is_optimal",
     "load_game",
     "markov_step_distribution",
+    "reduced_cost_rounding",
     "reduced_costs",
     "restrict",
     "save_game",
@@ -277,6 +278,19 @@ def reduced_costs(game, profile, values=None):
     else:
         as_profile(game, profile)
     return game.costs + game.gamma * (game.p @ values) - values[game.state_of_action]
+
+
+def reduced_cost_rounding(game, values):
+    """The rounding level of the reduced costs at ``values``.
+
+    A reduced cost c + gamma P v - v carries rounding of about
+    u (|c| + 2 |v|), u = 2^-53; this gives 8 u (max|c| + 2 max|v|).  An
+    optimality check at a tolerance below it cannot tell a violation from
+    rounding.  |v| reaches max|c| / (1 - gamma), so near gamma = 1 the
+    level exceeds tolerances of the form eps (1 - gamma).
+    """
+    c_max = float(np.abs(game.costs).max())
+    return 8.0 * 2.0**-53 * (c_max + 2.0 * float(np.abs(values).max()))
 
 
 def is_optimal(game, profile, tol=1e-9, values=None):

@@ -6,10 +6,11 @@ a :class:`SolveResult` whose ``values`` field is the exact value vector of
 the returned profile (a LAPACK solve), so results from different methods
 are directly comparable.
 
-Value iteration has two stop rules, both within ``eps`` of the optimal
-values: it returns at the first block end whose greedy profile passes the
-optimality check at ``eps * (1 - gamma)``, or at the first iterate whose
-step is at most ``eps * (1 - gamma) / (2 gamma)``, whichever comes first.
+Value iteration has two stop rules: it returns at the first block end
+whose greedy profile passes the optimality check at ``eps * (1 - gamma)``
+(or at the rounding level of its reduced costs, where that is larger), or
+at the first iterate whose step is at most ``eps * (1 - gamma) / (2
+gamma)``, whichever comes first.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import as_profile, is_optimal, reduced_costs, value_vector
+from .game import as_profile, is_optimal, reduced_cost_rounding, reduced_costs, value_vector
 
 __all__ = [
     "SolveResult",
@@ -107,16 +108,19 @@ def value_iteration(game, eps=1e-8):
     """Iterate the optimality operator from v = 0 until a profile certifies
     or the step is small.
 
-    Two stop rules, each of which puts the returned values within eps of
-    the optimal values.  The returned values are always the returned
-    profile's exact values.
+    Two stop rules.  The returned values are always the returned profile's
+    exact values.
 
     - Certificate: at each block end, the profile greedy against the last
       iterate is solved and checked by :func:`~gamelcp.game.is_optimal` at
-      tau = eps * (1 - gamma).  If it passes, |T v_s - v_s| <= tau for its
-      values v_s, so ||v_s - v*|| <= tau / (1 - gamma) = eps.  The check
-      depends only on the profile, so a profile already checked is not
-      solved again.
+      max(tau, level), with tau = eps * (1 - gamma) and level the rounding
+      of the reduced costs at the profile's values v_s
+      (:func:`~gamelcp.game.reduced_cost_rounding`).  If it passes,
+      |T v_s - v_s| <= max(tau, level), so v_s is within
+      max(eps, level / (1 - gamma)) of the optimal values.  Near gamma = 1
+      tau falls below the level, and a check at tau alone could fail on
+      rounding.  The check depends only on the profile, so a profile
+      already checked is not solved again.
     - Step: the first iterate with ||v_k - v_{k-1}||_inf <= eps * (1 -
       gamma) / (2 gamma) puts v_k within eps / 2 of v*, by the standard
       contraction argument, and the profile greedy against v_k within eps.
@@ -157,7 +161,8 @@ def value_iteration(game, eps=1e-8):
         key = choice.tobytes()
         if key not in checked:
             values = checked[key] = value_vector(game, choice)
-            if is_optimal(game, choice, tau, values=values)[0]:
+            tol = max(tau, reduced_cost_rounding(game, values))
+            if is_optimal(game, choice, tol, values=values)[0]:
                 return SolveResult(values, choice, done, "value_iteration")
         block[0] = block[k]
     raise SolverFailure(

@@ -342,6 +342,9 @@ def test_10_scaling_reproduction():
     theta_rows = run_bench(ns, gammas, a_mode="theta", seed=0, samples=2000)
     sweep_gammas = (0.5, 0.75, 0.9, 0.95, 0.99)
     gamma_rows = run_bench((64,), sweep_gammas, a_mode="kappa", seed=0, samples=2000)
+    # -delta does not depend on the mode (M does not); theta_est is read in
+    # theta mode, as in its series in n
+    horizon_rows = run_bench((64,), sweep_gammas, a_mode="theta", seed=0, samples=2000)
 
     def per_gamma(rows, gamma, x_of, y_of):
         cells = sorted((r.n, r) for r in rows if r.gamma == gamma)
@@ -376,6 +379,19 @@ def test_10_scaling_reproduction():
             "kappa_est vs 1/(1-gamma), n=64",
             [1.0 / (1.0 - r.gamma) for r in gamma_rows],
             [r.kappa_est for r in gamma_rows],
+            2.0,
+        )
+    )
+    horizon_rows = sorted(horizon_rows, key=lambda r: r.gamma)
+    horizons = [1.0 / (1.0 - r.gamma) for r in horizon_rows]
+    series.append(
+        ("-delta vs 1/(1-gamma), n=64", horizons, [-r.delta for r in horizon_rows], 1.0)
+    )
+    series.append(
+        (
+            "1/theta_est vs 1/(1-gamma), n=64",
+            horizons,
+            [1.0 / r.theta_est for r in horizon_rows],
             2.0,
         )
     )

@@ -364,6 +364,12 @@ def _climb_identity_cases():
         for gamma in (0.5, 0.99):
             game = random_game(n, gamma, 40 + n)
             yield f"random-{n}-{gamma}", to_lcp(game, default_partition(game)).m, ()
+    # the certify workload's sizes and discounts, with certify's witnesses
+    for n in (10, 12):
+        for gamma in (0.9, 0.99):
+            game = random_game(n, gamma, 1900 + n)
+            lcp = to_lcp(game, default_partition(game))
+            yield f"certify-{n}-{gamma}", lcp.m, _certify_witnesses(lcp)
 
 
 @pytest.mark.parametrize("case", list(_climb_identity_cases()), ids=lambda c: c[0])
@@ -646,6 +652,84 @@ def test_kappa_batch_sign_split_matches_where():
         ]
         assert np.array_equal(cond._kappa_batch(xs, ys), want)
     assert cond._kappa_batch(edge_x, edge_y).tolist() == [0.0, np.inf, 0.25, 0.625]
+
+
+def _row_scores(x, y):
+    """(kappa, theta) of one direction from its own contiguous products:
+    the per-row reference for the batch scorers."""
+    prods = np.ascontiguousarray(x * y)
+    pos = np.maximum(prods, 0.0).sum()
+    neg = np.minimum(prods, 0.0).sum()
+    if pos + neg >= 0.0:
+        kappa = 0.0
+    elif pos > 0.0:
+        kappa = (-neg / pos - 1.0) / 4.0
+    else:
+        kappa = np.inf
+    norm = np.ascontiguousarray(x * x).sum()
+    theta = prods.max() / norm if norm > 0.0 else np.inf
+    return kappa, theta
+
+
+def _layouts(x_rows, y_rows):
+    """The same rows C-ordered, F-ordered, strided, and one of each."""
+
+    def strided(a):
+        big = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+        big[::2, ::3] = a
+        return big[::2, ::3]
+
+    yield "C", x_rows, y_rows
+    yield "F", np.asfortranarray(x_rows), np.asfortranarray(y_rows)
+    yield "strided", strided(x_rows), strided(y_rows)
+    yield "mixed", np.asfortranarray(x_rows), strided(y_rows)
+
+
+def _scorer_cases():
+    rng = np.random.default_rng(9)
+    scales = rng.choice((1e-3, 1.0, 1e3), (300, 1))
+    yield "random", rng.standard_normal((300, 24)), rng.standard_normal((300, 24)) * scales
+    edge_x = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],  # a zero direction: theta inf, kappa 0
+            [-0.0, 0.0, -0.0, 0.0],  # a zero direction of signed zeros
+            [1.0, -2.0, 3.0, 0.5],  # all products negative: kappa inf
+            [-0.0, 1.0, -1.0, 2.0],  # a -0.0 entry
+            [1.0, -0.0, 0.0, 0.0],  # a top product of 0.0 beside -0.0
+        ]
+    )
+    edge_y = np.array(
+        [
+            [1.0, -1.0, 2.0, 0.0],
+            [1.0, 2.0, 3.0, 4.0],
+            [-1.0, 1.0, -0.5, -2.0],
+            [1.0, 2.0, 1.0, -3.0],
+            [0.0, 5.0, -1.0, 2.0],
+        ]
+    )
+    yield "edges", edge_x, edge_y
+    yield "n=1", np.array([[2.0], [0.0], [-0.0], [-1.5]]), np.array([[3.0], [1.0], [1.0], [2.0]])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["kappa", "theta"])
+@pytest.mark.parametrize("case", list(_scorer_cases()), ids=lambda c: c[0])
+def test_batch_scorers_ignore_layout_and_match_each_row(kind, case):
+    batch_fn = (cond._kappa_batch, cond._theta_batch)[kind]
+    _, x_rows, y_rows = case
+    want = [_row_scores(x, y)[kind] for x, y in zip(x_rows, y_rows)]
+    for layout, xs, ys in _layouts(x_rows, y_rows):
+        assert _bits(batch_fn(xs, ys)) == _bits(want), layout
+
+
+def test_batch_scorers_edge_values():
+    (_, x_rows, y_rows), = [c for c in _scorer_cases() if c[0] == "edges"]
+    assert cond._kappa_batch(x_rows, y_rows).tolist() == [0.0, 0.0, np.inf, 0.625, 0.0]
+    theta = cond._theta_batch(x_rows, y_rows)
+    assert theta[:2].tolist() == [np.inf, np.inf] and theta[4] == 0.0
 
 
 def test_minors_check_g3(g3):

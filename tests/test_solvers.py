@@ -11,6 +11,7 @@ from gamelcp.game import (
     GameValidationError,
     build_game,
     is_optimal,
+    reduced_cost_rounding,
     reduced_costs,
     value_vector,
 )
@@ -94,6 +95,25 @@ def test_value_iteration_accuracy_guarantee():
         assert np.abs(res.values - oracle.values).max() <= 1e-6
         # the returned profile certifies at the tolerance VI checks it at
         assert is_optimal(game, res.profile, 1e-6 * (1 - game.gamma), values=res.values)[0]
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_value_iteration_certifies_near_gamma_one(n):
+    # at gamma 0.9999, eps (1 - gamma) = 1e-13 lies below the rounding of the
+    # reduced costs: checked at it alone, 9 of these 10 games fail on
+    # rounding and run the step rule for 273,264-287,866 iterations.  At
+    # the rounding level every game certifies within a few blocks, at
+    # strategy iteration's profile
+    for seed in range(1, 6):
+        game = random_game(n, 0.9999, seed)
+        res = value_iteration(game, eps=1e-9)
+        want = strategy_iteration(game)
+        assert res.iterations <= 12 * solvers.VI_BLOCK
+        assert np.array_equal(res.profile, want.profile)
+        assert np.array_equal(res.values, want.values)
+        level = reduced_cost_rounding(game, res.values)
+        assert level > 1e-9 * (1 - game.gamma)
+        assert is_optimal(game, res.profile, level, values=res.values)[0]
 
 
 def test_value_iteration_contraction():
