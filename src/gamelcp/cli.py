@@ -28,7 +28,13 @@ from .bench import (
     write_bench_csv,
 )
 from .conditioning import CertifyOptions, certify, report_json, write_report_csv
-from .game import GameValidationError, game_json, is_optimal, load_game
+from .game import (
+    GameValidationError,
+    game_json,
+    is_optimal,
+    load_game,
+    reduced_cost_rounding,
+)
 from .hard_instances import A_MODES, HardInstanceSpec, build_hard_instance
 from .lcp import (
     RecoveryError,
@@ -196,26 +202,26 @@ def _cmd_solve(args):
         result.iterations = iterations
     result.method = args.method
 
-    ok, violations = is_optimal(
-        game, result.profile, tol=max(args.tol, 1e-9), values=result.values
-    )
-    lines = [
-        f"method={result.method} iterations={result.iterations} optimal={ok}"
-    ]
-    for i, (slot, val) in enumerate(zip(result.profile, result.values, strict=True)):
-        lines.append(f"state {i}: action {int(slot)}  value {float(val)!r}")
-    payload = {
-        "method": result.method,
-        "iterations": int(result.iterations),
-        "optimal": bool(ok),
-        "values": [float(v) for v in result.values],
-        "profile": [int(s) for s in result.profile],
-    }
+    # no tighter than the reduced costs' rounding at the result's values
+    tol = max(args.tol, 1e-9, reduced_cost_rounding(game, result.values))
+    ok, violations = is_optimal(game, result.profile, tol=tol, values=result.values)
+    summary = f"method={result.method} iterations={result.iterations} optimal={ok}"
     if args.output is None:
+        lines = [summary] + [
+            f"state {i}: action {int(slot)}  value {float(val)!r}"
+            for i, (slot, val) in enumerate(zip(result.profile, result.values, strict=True))
+        ]
         _write_or_print("\n".join(lines), None)
     else:
+        payload = {
+            "method": result.method,
+            "iterations": int(result.iterations),
+            "optimal": bool(ok),
+            "values": [float(v) for v in result.values],
+            "profile": [int(s) for s in result.profile],
+        }
         _write_or_print(json.dumps(payload, indent=2), args.output)
-        sys.stdout.write(lines[0] + "\n")
+        sys.stdout.write(summary + "\n")
     if not ok:
         sys.stderr.write(f"optimality check failed on actions {violations}\n")
         return EXIT_SOLVER

@@ -70,11 +70,13 @@ MINORS_CHUNK_ENTRIES = 1 << 21  # matrix entries per batched determinant call
 HILL_CLIMB_ROUNDS = 100
 CLIMB_WINDOW_ENTRIES = 1 << 15  # direction entries per climb call over hit-less rounds
 # a climb call scores its predicted chain of moves after this many calls in a
-# row took their predicted move, and keeps doing so while each call confirms
-# this many.  At 2, certify_random's climbs confirmed 1.0 move per
-# speculative call (1.2 at 3), and its op_ms_p90 read 36.6-38.0 ref_ms
-# against 35.0-36.3 at 3 (perfbench, seed 19, three alternating runs each on
-# a 2-core VM); sweep_hard's confirm about 17 at either gate.
+# row took their predicted move (the count carries across round ends), and
+# keeps doing so while each call confirms this many.  On a seed-19 pass at 2,
+# certify_random's climbs make 3,387 speculative calls that confirm 0.88
+# moves each (1,658 and 0.95 at 3) and 2% fewer calls in all, yet it ran at
+# 51.5-54.6 ops/s, op_ms_p90 30.3-32.4 ref_ms, against 56.5-57.7 and
+# 29.7-30.4 at 3 (perfbench, three alternating runs each on a 2-core VM);
+# sweep_hard's confirm 15-16 moves and ran at the same speed at either gate.
 SPECULATE_AFTER = 3
 
 
@@ -368,7 +370,20 @@ def _climb(m_mat, x0, batch_fn, better):
     base_k's y is a left fold of the steps (``np.cumsum``), the same
     rounding as one move per call, and the chain is cut before a -step that
     would follow its own +step (:func:`_chain`).  The climb keeps
-    speculating while each such call confirms SPECULATE_AFTER moves.
+    speculating while each such call confirms SPECULATE_AFTER moves.  The
+    streak carries across round ends: a call with no prediction (a round's
+    opening call) leaves it as it is, and as every speculative call is
+    checked, a stale streak costs at most one larger call.
+
+    A round's closing scan, a call after a move (pos > 0) that predicts no
+    hit, also scores the next round's moves 0..pos from the same x, when
+    that round is among the rounds left and its rows fit the cap.  The
+    round took a move, so if the scan finds none the next round starts from
+    the same x at the same scale, and its moves after pos are the scan's own
+    rows; move pos takes the regular step there, not -(the +step just
+    taken).  The first hit among the extra rows is the next round's first
+    move; with none, the next round takes no move either, and the two
+    rounds end as a window of one hit-less round would.
 
     No call passes the rounds left or CLIMB_WINDOW_ENTRIES direction
     entries (4 rounds at n = 64); the chain's rows count against the cap.
@@ -421,12 +436,17 @@ def _climb(m_mat, x0, batch_fn, better):
             chain = _chain(guess, stop)
             # then the moves after chain[0]
             rows = np.concatenate((slots[rows], slots[chain[0] + 1 : stop]))
+        # a closing scan that predicts no hit also scores the next round's
+        # moves 0..pos from the same x: its moves after pos are this call's
+        wrap = pos > 0 and not guess.size and rounds_left >= 2 and n_moves < max_rows
+        if wrap:
+            rows = np.concatenate((slots[rows], slots[: pos + 1]))
         row_moves, row_coords = slot_moves[rows], slot_coords[rows]
         steps = scaled[rows] * mag[row_coords]
         if plus_step is not None:  # -step right after a taken +step: the step measured before it
             steps[0] = -plus_step
         # counts[b] consecutive rows are scored from base b
-        bases_x, bases_y, counts = x[None, :], y, n_a
+        bases_x, bases_y, counts = x[None, :], y, steps.size
         if chain.size:  # base k is x after the chain's first k moves
             chain_rows = chain - chain[0] - 1 + n_a
             chain_rows[0] = chain[0] - pos
@@ -465,7 +485,14 @@ def _climb(m_mat, x0, batch_fn, better):
             streak = k if k >= SPECULATE_AFTER else 0
         else:
             seg_end = h + n_moves - row_moves[h]  # the rest of h's round
-            streak = streak + 1 if took and predicted and not chain.size else 0
+            if guess.size:  # a call with no prediction leaves the streak
+                streak = streak + 1 if took and predicted and not chain.size else 0
+        if not took and wrap:  # the round ends with the moves it took
+            rounds_left -= 1
+            h = n_a + int(hits[n_a:].argmax())  # the next round's first move
+            took, seg_end = hits[h], steps.size
+            if not took:  # nor does the next round: a hit-less window of one round
+                pos, plus_step = 0, None
         if not took:
             if pos == 0:  # rounds without a move
                 rounds_left -= rounds
@@ -485,7 +512,7 @@ def _climb(m_mat, x0, batch_fn, better):
             # the later moves that improve on the same base
             guess = row_moves[h + 1 : seg_end][hits[h + 1 : seg_end]]
             x, y, best = x_rows[h], y_rows[h], vals[h]
-            if h < n_a:  # x moved on one coordinate
+            if h < n_a or not chain.size:  # x moved on one coordinate
                 j = row_coords[h]
                 mag[j] = max(1.0, abs(x[j]))
             else:
@@ -501,7 +528,7 @@ def _climb(m_mat, x0, batch_fn, better):
         if pos == n_moves:  # the round is over
             rounds_left -= 1
             pos = 0
-            plus_step, guess, streak = None, guess[:0], 0
+            plus_step, guess = None, guess[:0]
     return best, x
 
 

@@ -193,7 +193,9 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
 
     Every round switches each state that owns a strictly improving action
     (reduced cost < -tol for player 1, > tol for player 2) to its best
-    action, lowest slot on ties.  Starts from the all-slot-0 profile unless
+    action, lowest slot on ties, with tol floored at the reduced costs'
+    rounding level (:func:`~gamelcp.game.reduced_cost_rounding`): below it
+    a switch chases rounding.  Starts from the all-slot-0 profile unless
     given one.  Revisiting a profile raises (cannot happen for exact
     arithmetic; guards against tolerance misuse).
     """
@@ -206,7 +208,8 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     seen = {tuple(choice.tolist())}
     for rounds in range(1, SI_MAX_ROUNDS + 1):
         v = value_vector(game, choice)
-        new_choice = _switch(rows, choice, reduced_costs(game, choice, v), tol)
+        floor_tol = max(tol, reduced_cost_rounding(game, v))
+        new_choice = _switch(rows, choice, reduced_costs(game, choice, v), floor_tol)
         if new_choice is None:
             return SolveResult(
                 values=v,

@@ -31,6 +31,7 @@ from gamelcp.game import (
     game_to_dict,
     is_optimal,
     load_game,
+    reduced_cost_rounding,
     save_game,
     validate_game,
     value_vector,
@@ -382,6 +383,24 @@ def test_cli_solve_ipm_at_a_loose_tol(tmp_path, capsys, tol):
         argv = ["--tol", tol, "solve", "--game", str(path), "--method", "ipm"]
         assert main(argv) == 0, capsys.readouterr().err
         assert "optimal=True" in capsys.readouterr().out.splitlines()[0]
+
+
+def test_cli_solve_checks_at_the_reduced_cost_rounding_near_gamma_one(tmp_path, capsys):
+    # the reduced costs here round at 1.48e-8, above the default tol 1e-9:
+    # checked at 1e-9, si cycled and vi, ipm and pivot failed on three actions
+    game = random_game(64, 0.999999, 1)
+    path = tmp_path / "g.json"
+    save_game(game, path)
+    states = {}
+    for method in ("si", "vi", "ipm", "pivot"):
+        assert main(["solve", "--game", str(path), "--method", method]) == 0, (
+            capsys.readouterr().err
+        )
+        head, *states[method] = capsys.readouterr().out.splitlines()
+        assert f"method={method}" in head and "optimal=True" in head
+    assert states["si"] == states["vi"] == states["ipm"] == states["pivot"]
+    values = np.array([float(line.split()[-1]) for line in states["si"]])
+    assert reduced_cost_rounding(game, values) == pytest.approx(1.48e-8, rel=0.01)
 
 
 def test_cli_solve_vi_near_gamma_one_exits_1(tmp_path, capsys):

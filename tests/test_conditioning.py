@@ -285,7 +285,8 @@ def test_estimate_theta_zero_move_is_not_a_direction():
 # call and must return the same x and value bit for bit.
 
 
-def _round_by_round_climb(m_mat, x0, batch_fn, better):
+def _round_by_round_climb(m_mat, x0, batch_fn, better, path=None):
+    """``path``, if given, receives (x, round) after each move taken."""
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
     m_cols = np.ascontiguousarray(m_mat.T)
@@ -295,7 +296,7 @@ def _round_by_round_climb(m_mat, x0, batch_fn, better):
     move_signs = np.tile((1.0, -1.0), x.shape[0])
     scale = 1.0
     sign = 1.0 if better == "max" else -1.0
-    for _ in range(cond.HILL_CLIMB_ROUNDS):
+    for r in range(cond.HILL_CLIMB_ROUNDS):
         pos = 0  # the next move to try
         while pos < len(move_coords):
             coords = move_coords[pos:]
@@ -312,6 +313,8 @@ def _round_by_round_climb(m_mat, x0, batch_fn, better):
                 break
             x, y, best, last_step = x_rows[h], y_rows[h], vals[h], moves[h]
             pos += h + 1
+            if path is not None:
+                path.append((x, r))
         if pos == 0:  # no move taken this round
             scale *= 0.5
     return best, x
@@ -410,7 +413,9 @@ def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
 def test_hard_theta_climb_scores_its_chains_in_few_calls(monkeypatch):
     # on the n = 64 hard game nearly every move the theta climb takes was
     # flagged by the call before; scoring each predicted chain in one call
-    # takes the climb from 1,361 calls (one per move taken) to 149
+    # takes the climb from 1,361 calls (one per move taken) to 149, and
+    # carrying the streak across round ends, with each closing scan also
+    # opening the next round, to 86
     game, part = hard_instance(64, 0.9, a_mode="kappa")
     lcp = to_lcp(game, part)
     starts = _climb_starts(monkeypatch, lcp.m, _certify_witnesses(lcp))
@@ -420,7 +425,7 @@ def test_hard_theta_climb_scores_its_chains_in_few_calls(monkeypatch):
     got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better)
     want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better)
     assert got_val == want_val and np.array_equal(got_x, want_x)
-    assert len(rows) == 149 and max(rows) <= 4 * 128
+    assert len(rows) == 86 and max(rows) <= 4 * 128
 
 
 def _climb_branches(monkeypatch, m_mat, x0, batch_fn, better):
@@ -429,9 +434,18 @@ def _climb_branches(monkeypatch, m_mat, x0, batch_fn, better):
     chain did not predict), "miss-odd" (a predicted move that does not
     improve, leaving the climb at an odd move whose +step was not taken),
     "last" (a chain confirmed through the round's last move) and "cut" (a
-    chain cut before a -step that would follow its own +step)."""
+    chain cut before a -step that would follow its own +step); and of its
+    round ends: "carried" (a round's first speculative call, too early in
+    the round for the round's own calls to have built the streak),
+    "wrap-hit" (a closing scan whose rows for the next round take its first
+    move) and "wrap-skip" (a closing scan after which the next round takes
+    no move)."""
     events = []
     chain_fn, confirmed_fn = cond._chain, cond._confirmed
+
+    def scoring(x_rows, y_rows):
+        events.append(("call", x_rows.copy()))
+        return batch_fn(x_rows, y_rows)
 
     def chain_spy(guess, stop):
         chain = chain_fn(guess, stop)
@@ -446,20 +460,45 @@ def _climb_branches(monkeypatch, m_mat, x0, batch_fn, better):
     with monkeypatch.context() as mp:
         mp.setattr(cond, "_chain", chain_spy)
         mp.setattr(cond, "_confirmed", confirmed_spy)
-        val, x = cond._climb(m_mat, x0, batch_fn, better)
+        val, x = cond._climb(m_mat, x0, scoring, better)
+    path = []
+    _round_by_round_climb(m_mat, x0, batch_fn, better, path)
+    n_moves = 2 * m_mat.shape[0]
     branches = set()
+    calls, speculated = 0, False  # calls so far in the round, and if one speculated
     for i, event in enumerate(events):
+        if event[0] == "call":
+            x_rows = event[1]
+            if events[i - 1][0] == "chain":
+                if not speculated and calls <= cond.SPECULATE_AFTER:
+                    branches.add("carried")
+                speculated = True
+            elif x_rows.shape[0] % n_moves == 0:  # a window of rounds opens one
+                calls, speculated = 0, False
+            elif x_rows.shape[0] == n_moves + 1:  # a closing scan that wraps
+                # its base: the last x of the path that every row moves once
+                t = max(t for t, (x_t, _) in enumerate(path)
+                        if np.count_nonzero(x_rows != x_t, axis=1).max() <= 1)
+                now = path[t][1]
+                then = path[t + 1][1] if t + 1 < len(path) else now + 2
+                if then == now + 1:
+                    branches.add("wrap-hit")
+                    calls, speculated = 0, False
+                elif then > now + 1:
+                    branches.add("wrap-skip")
+            calls += 1
+            continue
         if event[0] == "chain":
             _, guess, stop, chain = event
             if chain.size < np.count_nonzero(guess < stop):
                 branches.add("cut")
-            if i + 1 == len(events) or events[i + 1][0] != "confirmed":
-                branches.add("first")
+            if i + 2 == len(events) or events[i + 2][0] != "confirmed":
+                branches.add("first")  # the call after the chain confirms nothing
             continue
         _, hits, d = event
-        chain = events[i - 1][3]
+        chain = events[i - 2][3]  # the chain before the call this checks
         if d is None:
-            if chain[-1] == 2 * m_mat.shape[0] - 1:
+            if chain[-1] == n_moves - 1:
                 branches.add("last")
         elif hits[d]:
             branches.add("unpredicted")
@@ -492,7 +531,9 @@ def test_speculative_climb_takes_every_chain_branch_bit_identically(monkeypatch)
             assert np.array_equal(got_x, want_x)
             assert np.array_equal(np.signbit(got_x), np.signbit(want_x))
             seen |= branches
-    assert seen == {"first", "unpredicted", "miss-odd", "last", "cut"}
+    assert seen == {
+        "first", "unpredicted", "miss-odd", "last", "cut", "carried", "wrap-hit", "wrap-skip"
+    }
 
 
 def _certify_cases():
