@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PIVOT_RTOL", "SingularMatrixError", "solve", "solve_discounted"]
+__all__ = ["PIVOT_RTOL", "SingularMatrixError", "UNIT_ROUNDOFF", "solve", "solve_discounted"]
+
+#: u = 2^-53, the relative rounding error of one float64 operation
+UNIT_ROUNDOFF = 2.0**-53
 
 #: a system is declared singular when its (bounded or measured) inf-norm
 #: condition number exceeds 1 / PIVOT_RTOL
@@ -26,7 +29,7 @@ class SingularMatrixError(ArithmeticError):
 
 def _gamma(k):
     """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
-    ku = k * np.finfo(np.float64).eps / 2.0
+    ku = k * UNIT_ROUNDOFF
     return ku / (1.0 - ku)
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 
+from ._kernels import UNIT_ROUNDOFF
 from .bench import (
     random_game,
     read_bench_csv,
@@ -28,13 +29,7 @@ from .bench import (
     write_bench_csv,
 )
 from .conditioning import CertifyOptions, certify, report_json, write_report_csv
-from .game import (
-    GameValidationError,
-    game_json,
-    is_optimal,
-    load_game,
-    reduced_cost_rounding,
-)
+from .game import GameValidationError, game_json, is_optimal, load_game
 from .hard_instances import A_MODES, HardInstanceSpec, build_hard_instance
 from .lcp import (
     RecoveryError,
@@ -60,7 +55,6 @@ EXIT_USAGE = 2
 # (1 - gamma): the values reach max|cost| / (1 - gamma), and a reduced cost
 # smaller than a few of their roundings cannot be told apart from rounding.
 # The check is on the flag as given; the default 1e-9 is left to the solvers
-UNIT_ROUNDOFF = 2.0**-53
 TOL_FLOOR_ULPS = 2
 
 
@@ -197,14 +191,11 @@ def _cmd_solve(args):
             iterations = len(trace)
         else:
             w, z, iterations = solve_pivoting(lcp)
-        # recover's checks are no tighter than the tolerance the IPM stopped at
-        result = recover(lcp, w, z, tol=max(args.tol, 1e-6))
+        result = recover(lcp, w, z, tol=args.tol)
         result.iterations = iterations
     result.method = args.method
 
-    # no tighter than the reduced costs' rounding at the result's values
-    tol = max(args.tol, 1e-9, reduced_cost_rounding(game, result.values))
-    ok, violations = is_optimal(game, result.profile, tol=tol, values=result.values)
+    ok, violations = is_optimal(game, result.profile, tol=args.tol, values=result.values)
     summary = f"method={result.method} iterations={result.iterations} optimal={ok}"
     if args.output is None:
         lines = [summary] + [

@@ -380,10 +380,10 @@ def _climb(m_mat, x0, batch_fn, better):
     that round is among the rounds left and its rows fit the cap.  The
     round took a move, so if the scan finds none the next round starts from
     the same x at the same scale, and its moves after pos are the scan's own
-    rows; move pos takes the regular step there, not -(the +step just
-    taken).  The first hit among the extra rows is the next round's first
-    move; with none, the next round takes no move either, and the two
-    rounds end as a window of one hit-less round would.
+    rows; the extra rows take the next round's steps, measured at x.  The
+    first hit among the extra rows is the next round's first move; with
+    none, the next round takes no move either, and the two rounds end as a
+    window of one hit-less round would.
 
     No call passes the rounds left or CLIMB_WINDOW_ENTRIES direction
     entries (4 rounds at n = 64); the chain's rows count against the cap.
@@ -392,11 +392,11 @@ def _climb(m_mat, x0, batch_fn, better):
     in a speculative call, and counts[b] consecutive rows start from base b.
     The x rows are the bases repeated by counts, with each row's moved entry
     set by one flat scatter; the y rows are each step times its column of M,
-    plus the base's y (a broadcast when x is the only base).  A step is
-    (scale * factor) * max(1, |x_j|), read from two tables kept between
-    calls: the scaled factors, rebuilt when the scale changes, and
-    max(1, |x|), updated at the coordinate a move changes or rebuilt when
-    the climb jumps to a chain base.
+    plus the base's y (a broadcast when x is the only base).  Each step
+    comes from the round's table, +-scale max(1, |x_j|) per move measured
+    at the round's start and halved once per later round of a window: in
+    a round coordinate j moves only at moves 2j and 2j + 1, as in the
+    round-by-round climb, so the -step after a taken +step is -(that step).
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
@@ -411,22 +411,21 @@ def _climb(m_mat, x0, batch_fn, better):
     slot_moves = np.tile(np.arange(n_moves), max_window)
     slot_coords = slot_moves // 2
     slot_cols = m_mat.T[slot_coords]  # the column of M that the slot's move scales
-    slot_factors = np.repeat(0.5 ** np.arange(max_window), n_moves)
-    slot_factors[1::2] *= -1.0
+    slot_halvings = np.repeat(0.5 ** np.arange(max_window), n_moves)
+    move_signs = np.tile((1.0, -1.0), n)
     slots = np.arange(max_rows)
     row_starts = slots * n  # where row i of a call's x rows starts, flattened
     lower = np.tri(n_moves, dtype=bool)
     improves = np.greater if better == "max" else np.less
     scale = 1.0
-    scaled = scale * slot_factors  # a slot's step over max(1, |x_j|)
-    mag = np.maximum(1.0, np.abs(x))  # max(1, |x_j|) at the current x
     window = 1
     rounds_left = HILL_CLIMB_ROUNDS
     pos = 0  # the next move to try; 0 starts a window of rounds
-    plus_step = None  # the step of the +move taken at pos - 1, if it was taken
     guess = slot_moves[:0]  # the moves after pos predicted to improve, in order
     streak = 0  # calls in a row that took their predicted move
     while rounds_left:
+        if pos == 0:  # a round starts: its steps, measured at x
+            table = (scale * move_signs) * np.repeat(np.maximum(1.0, np.abs(x)), 2)
         rounds = min(window, rounds_left, max_window) if pos == 0 else 1
         n_a = rounds * (n_moves - pos)  # rows from x; the chain's rows follow
         rows = slice(pos, pos + n_a)  # the moves left from x, in each round of the window
@@ -442,17 +441,18 @@ def _climb(m_mat, x0, batch_fn, better):
         if wrap:
             rows = np.concatenate((slots[rows], slots[: pos + 1]))
         row_moves, row_coords = slot_moves[rows], slot_coords[rows]
-        steps = scaled[rows] * mag[row_coords]
-        if plus_step is not None:  # -step right after a taken +step: the step measured before it
-            steps[0] = -plus_step
+        steps = table[row_moves]
+        if rounds > 1:  # a window's later rounds
+            steps *= slot_halvings[rows]
+        if wrap:  # the next round's steps, measured at x
+            next_table = (scale * move_signs) * np.repeat(np.maximum(1.0, np.abs(x)), 2)
+            steps[n_a:] = next_table[: pos + 1]
         # counts[b] consecutive rows are scored from base b
         bases_x, bases_y, counts = x[None, :], y, steps.size
         if chain.size:  # base k is x after the chain's first k moves
             chain_rows = chain - chain[0] - 1 + n_a
             chain_rows[0] = chain[0] - pos
-            chain_steps = steps[chain_rows]
-            plus = (chain % 2 == 0) & (chain + 1 < stop)  # -steps after a chain +step
-            steps[(chain - chain[0] + n_a)[plus]] = -chain_steps[plus]
+            chain_steps = table[chain]
             coords = slot_coords[chain]
             bases_x = bases_x.repeat(chain.size + 1, axis=0)
             bases_x[1:, coords] = np.where(
@@ -489,15 +489,15 @@ def _climb(m_mat, x0, batch_fn, better):
                 streak = streak + 1 if took and predicted and not chain.size else 0
         if not took and wrap:  # the round ends with the moves it took
             rounds_left -= 1
+            table = next_table
             h = n_a + int(hits[n_a:].argmax())  # the next round's first move
             took, seg_end = hits[h], steps.size
             if not took:  # nor does the next round: a hit-less window of one round
-                pos, plus_step = 0, None
+                pos = 0
         if not took:
             if pos == 0:  # rounds without a move
                 rounds_left -= rounds
                 scale *= 0.5**rounds
-                scaled = scale * slot_factors
                 window *= 2
                 continue
             pos = n_moves  # the round ends with the moves it took
@@ -507,28 +507,18 @@ def _climb(m_mat, x0, batch_fn, better):
                 if r:
                     rounds_left -= r
                     scale *= 0.5**r
-                    scaled = scale * slot_factors
+                    table *= 0.5**r
                 window = 1
             # the later moves that improve on the same base
             guess = row_moves[h + 1 : seg_end][hits[h + 1 : seg_end]]
             x, y, best = x_rows[h], y_rows[h], vals[h]
-            if h < n_a or not chain.size:  # x moved on one coordinate
-                j = row_coords[h]
-                mag[j] = max(1.0, abs(x[j]))
-            else:
-                mag = np.maximum(1.0, np.abs(x))
             pos = int(row_moves[h]) + 1
-            plus_step = steps[h] if pos % 2 else None
         else:
             x, y, best = bases_x[base], bases_y[base], bests[base - 1]
-            mag = np.maximum(1.0, np.abs(x))
             pos, guess = next_pos, guess[:0]
-            taken = chain[base - 1] == pos - 1 and pos % 2
-            plus_step = chain_steps[base - 1] if taken else None
         if pos == n_moves:  # the round is over
             rounds_left -= 1
-            pos = 0
-            plus_step, guess = None, guess[:0]
+            pos, guess = 0, guess[:0]
     return best, x
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import solve_discounted
+from ._kernels import UNIT_ROUNDOFF, solve_discounted
 
 __all__ = [
     "Game",
@@ -290,19 +290,26 @@ def reduced_cost_rounding(game, values):
     level exceeds tolerances of the form eps (1 - gamma).
     """
     c_max = float(np.abs(game.costs).max())
-    return 8.0 * 2.0**-53 * (c_max + 2.0 * float(np.abs(values).max()))
+    return 8.0 * UNIT_ROUNDOFF * (c_max + 2.0 * float(np.abs(values).max()))
 
 
 def is_optimal(game, profile, tol=1e-9, values=None):
     """Check the profile's optimality; returns (verdict, violating rows).
 
-    Player-1 actions must have reduced cost >= -tol, player-2 actions
-    <= tol.  Violating rows are global action indices.  ``values``, when
-    given, must be the profile's value vector; it saves a solve.
+    Player-1 actions must have reduced cost >= -t, player-2 actions <= t,
+    with t = max(tol, level) and level the reduced costs' rounding at the
+    profile's values (:func:`reduced_cost_rounding`): below it a check
+    cannot tell a violation from rounding.  So tol = 0 checks at the
+    level, not exactly.  Violating rows are global action indices.
+    ``values``, when given, must be the profile's value vector; it saves a
+    solve.
     """
     if not tol >= 0:  # NaN too: every comparison with it is false
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    if values is None:
+        values = value_vector(game, profile)
     rc = reduced_costs(game, profile, values)
+    tol = max(tol, reduced_cost_rounding(game, values))
     owner_of_action = game.owners[game.state_of_action]
     bad_min = (owner_of_action == PLAYER_MIN) & (rc < -tol)
     bad_max = (owner_of_action == PLAYER_MAX) & (rc > tol)

@@ -208,11 +208,13 @@ def recover(lcp, w, z, tol=1e-6):
     Accepts approximate solutions: (w, z) must pass ``verify_solution`` at
     ``tol``, the profile is extracted by the per-state comparison
     ``w_i <= z_i`` (sigma on ties), and the result must pass the game's
-    optimality check at ``tol``, else :class:`RecoveryError` reports the
-    worst violation.  The value formula gets a complementarity allowance on
-    top of ``tol``: a pair with w_i = z_i = 0 in the exact solution sits at
-    w_i ~ z_i ~ sqrt(gap) on the central path, and that z error enters the
-    values through B_tau^{-1} with gain at most 1/(1 - gamma).
+    optimality check at ``tol`` (floored at the reduced costs' rounding
+    level by :func:`~gamelcp.game.is_optimal`), else :class:`RecoveryError`
+    reports the worst violation.  The value formula gets a complementarity
+    allowance on top of ``tol``: a pair with w_i = z_i = 0 in the exact
+    solution sits at w_i ~ z_i ~ sqrt(gap) on the central path, and that z
+    error enters the values through B_tau^{-1} with gain at most
+    1/(1 - gamma).
     """
     red = lcp.game_reduction("recover")
     check = verify_solution(lcp, w, z, tol)

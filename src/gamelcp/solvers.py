@@ -113,14 +113,13 @@ def value_iteration(game, eps=1e-8):
 
     - Certificate: at each block end, the profile greedy against the last
       iterate is solved and checked by :func:`~gamelcp.game.is_optimal` at
-      max(tau, level), with tau = eps * (1 - gamma) and level the rounding
-      of the reduced costs at the profile's values v_s
+      tau = eps * (1 - gamma), which it floors at the rounding level of the
+      reduced costs at the profile's values v_s
       (:func:`~gamelcp.game.reduced_cost_rounding`).  If it passes,
       |T v_s - v_s| <= max(tau, level), so v_s is within
-      max(eps, level / (1 - gamma)) of the optimal values.  Near gamma = 1
-      tau falls below the level, and a check at tau alone could fail on
-      rounding.  The check depends only on the profile, so a profile
-      already checked is not solved again.
+      max(eps, level / (1 - gamma)) of the optimal values.  The check
+      depends only on the profile, so a profile already checked is not
+      solved again.
     - Step: the first iterate with ||v_k - v_{k-1}||_inf <= eps * (1 -
       gamma) / (2 gamma) puts v_k within eps / 2 of v*, by the standard
       contraction argument, and the profile greedy against v_k within eps.
@@ -161,8 +160,7 @@ def value_iteration(game, eps=1e-8):
         key = choice.tobytes()
         if key not in checked:
             values = checked[key] = value_vector(game, choice)
-            tol = max(tau, reduced_cost_rounding(game, values))
-            if is_optimal(game, choice, tol, values=values)[0]:
+            if is_optimal(game, choice, tau, values=values)[0]:
                 return SolveResult(values, choice, done, "value_iteration")
         block[0] = block[k]
     raise SolverFailure(
@@ -195,9 +193,11 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     (reduced cost < -tol for player 1, > tol for player 2) to its best
     action, lowest slot on ties, with tol floored at the reduced costs'
     rounding level (:func:`~gamelcp.game.reduced_cost_rounding`): below it
-    a switch chases rounding.  Starts from the all-slot-0 profile unless
-    given one.  Revisiting a profile raises (cannot happen for exact
-    arithmetic; guards against tolerance misuse).
+    a switch chases rounding.  So at return no reduced cost at the returned
+    values lies past max(tol, level) on its owner's wrong side, and the
+    profile passes :func:`~gamelcp.game.is_optimal` at tol.  Starts from
+    the all-slot-0 profile unless given one.  Revisiting a profile raises
+    (cannot happen for exact arithmetic; guards against tolerance misuse).
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")

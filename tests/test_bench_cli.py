@@ -23,6 +23,7 @@ from gamelcp.bench import (
     run_bench,
     write_bench_csv,
 )
+from gamelcp import cli
 from gamelcp.cli import main
 from gamelcp.conditioning import CSV_COLUMNS
 from gamelcp.game import (
@@ -37,6 +38,7 @@ from gamelcp.game import (
     value_vector,
 )
 from gamelcp.lcp import default_partition, lcp_json, read_lcp, to_lcp
+from gamelcp.solvers import strategy_iteration
 
 WALL = BENCH_COLUMNS.index("wall_ms")
 
@@ -401,6 +403,37 @@ def test_cli_solve_checks_at_the_reduced_cost_rounding_near_gamma_one(tmp_path, 
     assert states["si"] == states["vi"] == states["ipm"] == states["pivot"]
     values = np.array([float(line.split()[-1]) for line in states["si"]])
     assert reduced_cost_rounding(game, values) == pytest.approx(1.48e-8, rel=0.01)
+
+
+def test_is_optimal_floors_its_tol_at_the_reduced_cost_rounding():
+    # the game above: strategy iteration's profile passes at the rounding
+    # level 1.48e-8, and a check at 1e-9, or at 0, is no tighter than that
+    game = random_game(64, 0.999999, 1)
+    res = strategy_iteration(game)
+    assert reduced_cost_rounding(game, res.values) == pytest.approx(1.48e-8, rel=0.01)
+    assert is_optimal(game, res.profile, 1e-9, values=res.values)[0]
+    assert is_optimal(game, res.profile, 0.0, values=res.values)[0]
+    assert is_optimal(game, res.profile, 0.0)[0]
+
+
+def test_cli_solve_hands_its_tol_to_recover_and_the_final_check(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.json"
+    save_game(random_game(16, 0.9, 1), path)
+    tols = {}
+
+    def spy(fn):
+        def recording(*args, tol, **kwargs):
+            tols.setdefault(fn.__name__, []).append(tol)
+            return fn(*args, tol=tol, **kwargs)
+
+        return recording
+
+    monkeypatch.setattr(cli, "recover", spy(cli.recover))
+    monkeypatch.setattr(cli, "is_optimal", spy(cli.is_optimal))
+    argv = ["--tol", "1e-12", "solve", "--game", str(path), "--method", "ipm"]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert "optimal=True" in capsys.readouterr().out.splitlines()[0]
+    assert tols == {"recover": [1e-12], "is_optimal": [1e-12]}
 
 
 def test_cli_solve_vi_near_gamma_one_exits_1(tmp_path, capsys):
