@@ -4,9 +4,9 @@ Subcommands: gen, solve, reduce, certify, bench, plot.  Global flags
 (--seed, --tol, --output) come before the subcommand.  --seed applies to
 gen --family random, certify and bench (default 0), --tol to solve and
 bench (default 1e-9, and it must be positive and finite; solve also
-refuses a --tol below the rounding level of the game's values); given to any
-other command, either is a usage error.  gen, solve, reduce and certify
-write their one artifact to --output, or to stdout without it.
+refuses a --tol below the reduced costs' rounding at the values' bound);
+given to any other command, either is a usage error.  gen, solve, reduce
+and certify write their one artifact to --output, or to stdout without it.
 
 Exit codes: 0 on success, 1 when a solver fails, a solution does not
 verify or certify cannot decide that M is a P-matrix, 2 on usage or I/O
@@ -20,7 +20,6 @@ import json
 import math
 import sys
 
-from ._kernels import UNIT_ROUNDOFF
 from .bench import (
     random_game,
     read_bench_csv,
@@ -29,7 +28,13 @@ from .bench import (
     write_bench_csv,
 )
 from .conditioning import CertifyOptions, certify, report_json, write_report_csv
-from .game import GameValidationError, game_json, is_optimal, load_game
+from .game import (
+    GameValidationError,
+    game_json,
+    is_optimal,
+    load_game,
+    reduced_cost_rounding,
+)
 from .hard_instances import A_MODES, HardInstanceSpec, build_hard_instance
 from .lcp import (
     RecoveryError,
@@ -50,12 +55,6 @@ from .solvers import (
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_USAGE = 2
-
-# solve refuses a --tol below TOL_FLOOR_ULPS * UNIT_ROUNDOFF * max|cost| /
-# (1 - gamma): the values reach max|cost| / (1 - gamma), and a reduced cost
-# smaller than a few of their roundings cannot be told apart from rounding.
-# The check is on the flag as given; the default 1e-9 is left to the solvers
-TOL_FLOOR_ULPS = 2
 
 
 def _build_parser():
@@ -168,11 +167,13 @@ def _load_partition_or_default(game, path):
 
 def _cmd_solve(args):
     game = load_game(args.game)
-    floor = TOL_FLOOR_ULPS * UNIT_ROUNDOFF * float(abs(game.costs).max()) / (1.0 - game.gamma)
-    if args.tol_given and args.tol < floor:  # a game the default misses fails in its solver
+    # the reduced costs' rounding at the values' bound: is_optimal floors no
+    # --tol at or above it (the default is left to the solvers)
+    floor = reduced_cost_rounding(game, float(abs(game.costs).max()) / (1.0 - game.gamma))
+    if args.tol_given and args.tol < floor:
         raise ValueError(
             f"--tol {args.tol:.3g} is below what float64 can certify for this game: "
-            f"{floor:.3g} = {TOL_FLOOR_ULPS} u max|cost| / (1 - gamma), u = 2^-53"
+            f"{floor:.3g}, the reduced costs' rounding at values of max|cost| / (1 - gamma)"
         )
     if args.method in ("vi", "si", "brute"):
         if args.partition is not None:

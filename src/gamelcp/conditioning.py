@@ -109,33 +109,6 @@ def theta_lower_bound(n, gamma):
     return (1.0 - gamma) ** 2 / ((1.0 + gamma) ** 2 * n)
 
 
-def _kappa_from_products(prods):
-    pos = float(prods[prods > 0.0].sum())
-    neg = float(prods[prods < 0.0].sum())
-    if pos + neg >= 0.0:
-        return 0.0
-    if pos == 0.0:
-        raise KappaUndefined(
-            "direction has negative products only; no finite kappa certifies it"
-        )
-    return (-neg / pos - 1.0) / 4.0
-
-
-def kappa_at(m_mat, x):
-    """Least kappa certified by direction x (0 when the plain sum is >= 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    return _kappa_from_products(x * (np.asarray(m_mat) @ x))
-
-
-def theta_at(m_mat, x):
-    """max_i x_i (Mx)_i after normalizing x to unit 2-norm."""
-    x = np.asarray(x, dtype=np.float64)
-    nrm2 = float(x @ x)
-    if nrm2 == 0.0:
-        raise ValueError("theta_at needs a nonzero direction")
-    return float(np.max(x * (np.asarray(m_mat) @ x))) / nrm2
-
-
 def smallest_eigenvalue_sym(m_mat):
     """Smallest eigenpair of (M + M^T)/2 by ``numpy.linalg.eigh``.
 
@@ -304,6 +277,30 @@ def _theta_batch(x_rows, y_rows):
     top = np.maximum.reduceat(prods, np.arange(0, prods.size, x_rows.shape[1]))
     # inf / 0 is inf: a zero direction certifies nothing
     return np.where(norms > 0.0, top, np.inf) / norms
+
+
+def _score(batch_fn, m_mat, x):
+    """``batch_fn``'s value of the one direction x."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(batch_fn(x[None, :], (np.asarray(m_mat) @ x)[None, :])[0])
+
+
+def kappa_at(m_mat, x):
+    """Least kappa certified by direction x (0 when the plain sum is >= 0)."""
+    val = _score(_kappa_batch, m_mat, x)
+    if val == np.inf:
+        raise KappaUndefined(
+            "direction has negative products only; no finite kappa certifies it"
+        )
+    return val
+
+
+def theta_at(m_mat, x):
+    """max_i x_i (Mx)_i after normalizing x to unit 2-norm."""
+    val = _score(_theta_batch, m_mat, x)
+    if val == np.inf:
+        raise ValueError("theta_at needs a nonzero direction")
+    return val
 
 
 def gaussian_block(m_mat, samples, seed):
@@ -522,39 +519,29 @@ def _climb(m_mat, x0, batch_fn, better):
     return best, x
 
 
-def _estimate(m_mat, x, val, witnesses, block, exact, batch_fn, better):
-    """(value, direction) of the best of the start x (worth val), the
-    witnesses and the rows of ``block``, after a climb from it.
-
-    ``exact`` scores the witnesses and the returned direction; ``batch_fn``,
-    whose last bits can differ, scores only the block and the climb.  An
-    infinite best that no climb can better is returned as it is.
+def _estimate(m_mat, x, val, witnesses, block, batch_fn, better):
+    """The direction that scores best under ``batch_fn`` among the start x
+    (worth val), the witnesses and the rows of ``block``, after a climb
+    from it.  The witnesses are scored as one batch whose y rows are
+    ``m_mat @ w`` one at a time, as :func:`kappa_at` and :func:`theta_at`
+    form them, so each witness scores as it does alone; ties keep the
+    earlier direction.  An infinite best, which no climb can better, is
+    returned as it is.
     """
     sign = 1.0 if better == "max" else -1.0
-    for wit in witnesses:
-        wit = np.asarray(wit, dtype=np.float64)
-        wit_val = exact(m_mat, wit)
-        if sign * wit_val > sign * val:
-            val, x = wit_val, wit.copy()
-    if block is not None:
-        x_rows, y_rows = block
+    batches = [] if block is None else [block]
+    if len(witnesses):
+        wit_rows = np.array(witnesses, dtype=np.float64)
+        batches.insert(0, (wit_rows, np.array([m_mat @ w for w in wit_rows])))
+    for x_rows, y_rows in batches:
         vals = batch_fn(x_rows, y_rows)
         k = int(np.argmax(vals)) if better == "max" else int(np.argmin(vals))
         if sign * vals[k] > sign * val:
-            val, x = float(vals[k]), x_rows[k].copy()
+            val, x = vals[k], x_rows[k].copy()
     if sign * val == np.inf:
-        return val, x
+        return x
     climb_val, climb_x = _climb(m_mat, x, batch_fn, better)
-    if sign * climb_val > sign * val:
-        x = climb_x
-    return exact(m_mat, x), x
-
-
-def _kappa_or_inf(m_mat, x):
-    try:
-        return kappa_at(m_mat, x)
-    except KappaUndefined:
-        return np.inf
+    return climb_x if sign * climb_val > sign * val else x
 
 
 def estimate_kappa(m_mat, block, witnesses=()):
@@ -562,16 +549,15 @@ def estimate_kappa(m_mat, block, witnesses=()):
     sampled directions of ``block`` (a :func:`gaussian_block` of M, or
     None), and coordinate hill climbing from the best of them.
 
-    Returns (value, direction); the value is ``kappa_at`` recomputed from
-    the returned direction.  An infinite value means a direction proved M
-    is not P* (impossible for game-derived matrices).
+    Returns (value, direction); the value is ``kappa_at``'s of the returned
+    direction, inf where that raises: a direction proved M is not P*
+    (impossible for game-derived matrices).
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     e_0 = np.zeros(m_mat.shape[0])
     e_0[0] = 1.0
-    return _estimate(
-        m_mat, e_0, 0.0, witnesses, block, _kappa_or_inf, _kappa_batch, "max"
-    )
+    x = _estimate(m_mat, e_0, 0.0, witnesses, block, _kappa_batch, "max")
+    return _score(_kappa_batch, m_mat, x), x
 
 
 def estimate_theta(m_mat, block, witnesses=()):
@@ -580,13 +566,12 @@ def estimate_theta(m_mat, block, witnesses=()):
     :func:`gaussian_block` of M, or None), and hill climbing from the best.
 
     Returns (value, direction); the direction is unit 2-norm and the value
-    is ``theta_at`` recomputed from it.
+    is ``theta_at``'s of it.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     uniform = np.full(m_mat.shape[0], 1.0 / math.sqrt(m_mat.shape[0]))
-    _, x = _estimate(
-        m_mat, uniform, theta_at(m_mat, uniform), witnesses, block, theta_at,
-        _theta_batch, "min",
+    x = _estimate(
+        m_mat, uniform, theta_at(m_mat, uniform), witnesses, block, _theta_batch, "min"
     )
     x = x / np.linalg.norm(x)
     return theta_at(m_mat, x), x

@@ -136,19 +136,27 @@ def build_game(gamma, states):
     )
 
 
+def _integral(value):
+    """``int(value)``, refusing a float that it would truncate (1.9 is not 1)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def validate_game(obj):
     """Validate ``obj``, a parsed JSON dict, and return its :class:`Game`.
 
     Checks: gamma strictly inside (0, 1); at least one state; at least one
     action per state; owner in {1, 2}; distribution targets in range with
-    nonnegative mass summing to 1 within 1e-12.  Distributions are never
+    nonnegative mass summing to 1 within 1e-12.  An owner or a target must
+    be an integer (1.0 is one, 1.9 is not).  Distributions are never
     renormalized; off-by-more-than-tolerance mass is an error.
     """
     if not isinstance(obj, dict):
         raise GameValidationError(f"expected dict, got {type(obj).__name__}")
     try:
         gamma = float(obj["gamma"])
-        raw_states = obj["states"]
+        raw_states = list(obj["states"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GameValidationError(f"malformed game object: {exc}") from exc
     if not (0.0 < gamma < 1.0):
@@ -160,8 +168,8 @@ def validate_game(obj):
     states = []
     for i, rs in enumerate(raw_states):
         try:
-            owner = int(rs["owner"])
-            raw_actions = rs["actions"]
+            owner = _integral(rs["owner"])
+            raw_actions = list(rs["actions"])
         except (KeyError, TypeError, ValueError) as exc:
             raise GameValidationError(f"state {i}: malformed entry: {exc}") from exc
         if owner not in (PLAYER_MIN, PLAYER_MAX):
@@ -172,7 +180,7 @@ def validate_game(obj):
         for a, ra in enumerate(raw_actions):
             try:
                 cost = float(ra["cost"])
-                dist = [(int(j), float(p)) for j, p in ra["dist"]]
+                dist = [(_integral(j), float(p)) for j, p in ra["dist"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise GameValidationError(
                     f"state {i} action {a}: malformed entry: {exc}"
@@ -281,7 +289,8 @@ def reduced_costs(game, profile, values=None):
 
 
 def reduced_cost_rounding(game, values):
-    """The rounding level of the reduced costs at ``values``.
+    """The rounding level of the reduced costs at ``values``, a value vector
+    or a bound on its entries' magnitude.
 
     A reduced cost c + gamma P v - v carries rounding of about
     u (|c| + 2 |v|), u = 2^-53; this gives 8 u (max|c| + 2 max|v|).  An

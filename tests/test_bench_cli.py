@@ -336,16 +336,18 @@ def test_cli_solve_refuses_a_tol_below_the_rounding_of_the_values(
     tmp_path, capsys, method
 ):
     # here 1e-16 once made si, brute and ipm fail (exit 1) while vi and pivot
-    # passed; the floor is 2 u max|cost| / (1 - gamma) = 4.19e-15
+    # passed; the floor is reduced_cost_rounding at values of max|cost| /
+    # (1 - gamma) = 4.19e-14, so 1e-14, once taken but checked at SI's
+    # level 2.82e-14, is refused too
     path = tmp_path / "g.json"
     gen = ["gen", "--family", "random", "--n", "4", "--gamma", "0.5"]
     assert main(["--output", str(path)] + gen) == 0
     solve = ["solve", "--game", str(path), "--method", method]
-    for tol in ("1e-16", "1e-300"):
+    for tol in ("1e-16", "1e-300", "1e-14"):
         assert main(["--tol", tol] + solve) == 2
         err = capsys.readouterr().err
-        assert "below what float64 can certify" in err and "4.19e-15" in err
-    assert main(["--tol", "1e-14"] + solve) == 0
+        assert "below what float64 can certify" in err and "4.19e-14" in err
+    assert main(["--tol", "1e-13"] + solve) == 0
     assert "optimal=True" in capsys.readouterr().out.splitlines()[0]
 
 
@@ -575,6 +577,37 @@ def test_bench_builds_the_game_matrices_once_per_cell(builds):
 
 def test_cli_solve_missing_file(tmp_path):
     assert main(["solve", "--game", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        # a TypeError once escaped as a traceback (exit 1)
+        (5, "malformed game object"),
+        (None, "malformed game object"),
+        ([{"owner": 2, "actions": 5}], "state 0: malformed entry"),
+        # int() once truncated these, and the wrong game solved with exit 0
+        ([{"owner": 1.9, "actions": []}], "state 0: malformed entry: 1.9 is not an integer"),
+        (
+            [{"owner": 2, "actions": [{"cost": 1.0, "dist": [[1.99, 1.0]]}]}],
+            "state 0 action 0: malformed entry: 1.99 is not an integer",
+        ),
+        ([], "game has no states"),
+    ],
+)
+def test_cli_solve_refuses_a_malformed_game_file(tmp_path, capsys, states, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"gamma": 0.5, "states": states}))
+    assert main(["solve", "--game", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_solve_takes_integral_floats_as_indices(tmp_path, capsys):
+    state = {"owner": 2.0, "actions": [{"cost": 1.0, "dist": [[0.0, 1.0]]}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"gamma": 0.5, "states": [state]}))
+    assert main(["solve", "--game", str(path), "--method", "vi"]) == 0
+    assert "optimal=True" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

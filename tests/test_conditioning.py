@@ -561,8 +561,8 @@ def test_certify_estimates_equal_the_estimators_called_alone(case):
 
 # The two estimators as first written, each with its own witness loop,
 # best-sample pick and climb: the bit-exact reference for the shared driver.
-# The start and the witnesses are scored with kappa_at / theta_at, whose last
-# bits can differ from the batch scorers'.
+# They score each witness alone with kappa_at / theta_at, the batch scorers
+# on one row; the driver scores the witnesses as one batch of the same rows.
 
 
 def _best_sample(block, batch_fn, better):
@@ -643,8 +643,8 @@ def test_estimator_driver_matches_the_estimators_apart():
 
 @pytest.mark.parametrize("n,gamma,seed", [(8, 0.99, 1904), (32, 0.95, 1923), (64, 0.95, 1933)])
 def test_estimator_driver_scores_witnesses_exactly(n, gamma, seed):
-    # sweep cells where scoring the start and the witnesses with the batch
-    # scorers instead of kappa_at / theta_at moves kappa_est by one ulp
+    # sweep cells whose kappa_est moved by one ulp when the start and the
+    # witnesses had a scorer of their own, apart from the batch scorers
     lcp = hard_lcp(n, gamma)
     witnesses = _certify_witnesses(lcp)
     _assert_estimators_match_apart(lcp.m, gaussian_block(lcp.m, 2000, seed), witnesses)
@@ -771,6 +771,37 @@ def test_batch_scorers_edge_values():
     assert cond._kappa_batch(x_rows, y_rows).tolist() == [0.0, 0.0, np.inf, 0.625, 0.0]
     theta = cond._theta_batch(x_rows, y_rows)
     assert theta[:2].tolist() == [np.inf, np.inf] and theta[4] == 0.0
+
+
+def test_one_direction_scorers_are_the_batch_scorers_on_one_row():
+    # the hard cell's rows once scored apart on 27 (kappa) and 68 (theta) of 200
+    game = random_game(24, 0.9, 1)
+    for m_mat in (hard_lcp(32, 0.9).m, to_lcp(game, default_partition(game)).m):
+        x_rows, _ = gaussian_block(m_mat, 200, 0)
+        y_rows = np.array([m_mat @ x for x in x_rows])
+        for one, batch_fn in ((kappa_at, cond._kappa_batch), (theta_at, cond._theta_batch)):
+            want = batch_fn(x_rows, y_rows)
+            assert _bits([one(m_mat, x) for x in x_rows]) == _bits(want)
+
+
+def test_estimator_driver_scores_each_witness_as_it_scores_alone():
+    # many witnesses, so that y rows formed by one matrix product would
+    # differ in the last bits from M @ w on some of them
+    m_mat = hard_lcp(32, 0.9).m
+    witnesses = list(gaussian_block(m_mat, 200, 0)[0])
+    e_0 = np.eye(32)[0]
+    for one, batch_fn, better, val in (
+        (kappa_at, cond._kappa_batch, "max", 0.0),
+        (theta_at, cond._theta_batch, "min", theta_at(m_mat, e_0)),
+    ):
+        scored = []
+
+        def recording(x_rows, y_rows):
+            scored.append(batch_fn(x_rows, y_rows))
+            return scored[-1]
+
+        cond._estimate(m_mat, e_0, val, witnesses, None, recording, better)
+        assert _bits(scored[0]) == _bits([one(m_mat, w) for w in witnesses])
 
 
 def test_minors_check_g3(g3):
