@@ -188,7 +188,11 @@ def read_bench_csv(path):
 
 
 def fit_loglog_slope(xs, ys):
-    """Least-squares slope of log(y) against log(x), positive pairs only."""
+    """Least-squares slope of log(y) against log(x), positive pairs only.
+
+    Raises ValueError unless at least two such pairs remain and their x
+    values differ.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     keep = (xs > 0.0) & (ys > 0.0) & np.isfinite(xs) & np.isfinite(ys)
@@ -196,6 +200,8 @@ def fit_loglog_slope(xs, ys):
     if xs.size < 2:
         raise ValueError("slope fit needs at least two positive finite points")
     lx, ly = np.log(xs), np.log(ys)
+    if lx.min() == lx.max():  # no spread in x: the slope is 0 / 0
+        raise ValueError("slope fit needs at least two distinct x values")
     lx = lx - lx.mean()
     return float((lx @ (ly - ly.mean())) / (lx @ lx))
 
@@ -216,7 +222,8 @@ def _ticks_log10(lo, hi):
 
 def render_loglog_svg(series, title, xlabel, ylabel):
     """series: list of (label, xs, ys) with positive data.  Returns SVG text;
-    each legend entry carries the series' fitted log-log slope."""
+    each legend entry carries the series' fitted log-log slope, when
+    :func:`fit_loglog_slope` can fit one."""
     pts = []
     for _, xs, ys in series:
         for x, y in zip(xs, ys, strict=True):

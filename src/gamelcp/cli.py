@@ -93,7 +93,13 @@ def _build_parser():
     p_cert = sub.add_parser("certify", help="estimate kappa/delta/theta with bounds")
     p_cert.add_argument("--game", required=True)
     p_cert.add_argument("--partition", default=None)
-    p_cert.add_argument("--samples", type=int, default=10_000)
+    p_cert.add_argument(
+        "--samples",
+        type=int,
+        default=10_000,
+        help="gaussian directions to sample (default 10000); streamed in chunks, "
+        "so memory does not grow with it",
+    )
     p_cert.add_argument("--csv", default=None, help="also write a one-row CSV")
     p_cert.set_defaults(func=_cmd_certify)
 
@@ -104,7 +110,13 @@ def _build_parser():
     p_bench.add_argument(
         "--a-mode", choices=tuple(m for m in A_MODES if m != "custom"), default="kappa"
     )
-    p_bench.add_argument("--samples", type=int, default=2000)
+    p_bench.add_argument(
+        "--samples",
+        type=int,
+        default=2000,
+        help="gaussian directions per cell's certify (default 2000); streamed in "
+        "chunks, so memory does not grow with it",
+    )
     p_bench.set_defaults(func=_cmd_bench)
 
     p_plot = sub.add_parser("plot", help="render a benchmark CSV as SVG")

@@ -21,8 +21,11 @@ here always stay on the certified side of those fences.
 ``certify`` proves the M of an LCP from ``lcp.to_lcp`` a P-matrix from the
 row diagonally dominant B_s = I - gamma P_sigma, B_t = I - gamma P_tau it
 keeps (:func:`structural_certificate`), and estimates kappa and theta from
-one :func:`gaussian_block` of directions and a coordinate hill climb from
-the best of them (:func:`estimate_kappa`, :func:`estimate_theta`).
+one gaussian sample of directions and a coordinate hill climb from the best
+of them (:func:`estimate_kappa`, :func:`estimate_theta`).  It streams the
+sample a chunk at a time through both measures' scorers and hands each
+estimator only the row it would pick from the whole :func:`gaussian_block`,
+so its memory does not grow with the number of samples.
 :func:`pmatrix_check_minors` (all principal minors, n <= 20) and
 :func:`pmatrix_witness_check` (one direction) are independent P-matrix
 oracles for callers and tests: ``certify`` never calls them.
@@ -69,6 +72,12 @@ MINORS_TOL = 1e-12  # a minor above this times its row-max product is positive
 MINORS_CHUNK_ENTRIES = 1 << 21  # matrix entries per batched determinant call
 HILL_CLIMB_ROUNDS = 100
 CLIMB_WINDOW_ENTRIES = 1 << 15  # direction entries per climb call over hit-less rounds
+# direction entries per chunk of the gaussian sample that certify streams
+# (128 KB of directions).  certify_random's op_ms_p50 ran at 15.5-15.7 ref_ms
+# with chunks of 2^13 or 2^14 entries, 15.4-16.5 at 2^15, 16.5-16.7 at 2^16
+# and 16.7-17.9 at 2^17, against 14.1-15.6 with the whole sample at once
+# (perfbench seed 19, three runs each on a 2-core VM).
+SAMPLE_CHUNK_ENTRIES = 1 << 14
 # a climb call scores its predicted chain of moves after this many calls in a
 # row took their predicted move (the count carries across round ends), and
 # keeps doing so while each call confirms this many.  On a seed-19 pass at 2,
@@ -303,14 +312,54 @@ def theta_at(m_mat, x):
     return val
 
 
+def _sample_chunks(m_mat, samples, seed):
+    """The gaussian sample: ``samples`` directions drawn in order from one
+    ``default_rng(seed)``, yielded as (x_rows, x_rows @ M.T) chunks of at
+    most SAMPLE_CHUNK_ENTRIES direction entries (one row at least).
+
+    The chunks' row counts differ by one at most: a short last chunk would
+    take BLAS's path for few rows, whose products round apart from the
+    one-shot product's rows (1 to 18 rows at n = 64 on OpenBLAS 0.3.31,
+    Haswell kernels), while chunks this long match them bit for bit there.
+    """
+    rng = np.random.default_rng(seed)
+    n = m_mat.shape[0]
+    chunks = -(-samples // max(1, SAMPLE_CHUNK_ENTRIES // n))
+    for k in range(chunks):
+        rows = (k + 1) * samples // chunks - k * samples // chunks
+        x_rows = rng.standard_normal((rows, n))
+        yield x_rows, x_rows @ m_mat.T
+
+
 def gaussian_block(m_mat, samples, seed):
     """``samples`` gaussian directions drawn from ``seed`` and M times each,
-    as (x_rows, y_rows); None when ``samples`` is not positive."""
+    as (x_rows, y_rows): the chunks of the sample that :func:`certify`
+    streams, concatenated.  None when ``samples`` is not positive."""
     if samples <= 0:
         return None
     m_mat = np.asarray(m_mat, dtype=np.float64)
-    x_rows = np.random.default_rng(seed).standard_normal((samples, m_mat.shape[0]))
-    return x_rows, x_rows @ m_mat.T
+    chunks = list(_sample_chunks(m_mat, samples, seed))
+    return tuple(np.concatenate(part) for part in zip(*chunks, strict=True))
+
+
+def _sample_bests(m_mat, samples, seed):
+    """The row of the gaussian sample that :func:`estimate_kappa` and the
+    one that :func:`estimate_theta` would pick from its whole block, each as
+    a one-row block (None for both when ``samples`` is not positive).
+
+    Each chunk is scored once per measure; a later chunk replaces a row only
+    when it scores strictly better, as argmax and argmin keep the first
+    index, so each is the block's first best while memory stays one chunk.
+    """
+    measures = ((_kappa_batch, 1.0), (_theta_batch, -1.0))  # max kappa, min theta
+    bests = [(None, None)] * len(measures)  # (sign * value, one-row block)
+    for x_rows, y_rows in _sample_chunks(m_mat, samples, seed):
+        for i, (batch_fn, sign) in enumerate(measures):
+            vals = sign * batch_fn(x_rows, y_rows)
+            k = int(np.argmax(vals))
+            if bests[i][1] is None or vals[k] > bests[i][0]:
+                bests[i] = vals[k], (x_rows[k : k + 1].copy(), y_rows[k : k + 1].copy())
+    return tuple(block for _, block in bests)
 
 
 def _chain(guess, stop):
@@ -394,6 +443,13 @@ def _climb(m_mat, x0, batch_fn, better):
     at the round's start and halved once per later round of a window: in
     a round coordinate j moves only at moves 2j and 2j + 1, as in the
     round-by-round climb, so the -step after a taken +step is -(that step).
+
+    Every call writes its rows into one workspace of max_rows x and y rows
+    that the climb allocates once, and the climb copies out the row it
+    takes.  Rows allocated per call (about 256 KB each at n >= 48) made the
+    climb's speed hang on glibc: its trim threshold follows the largest
+    block freed so far, once the whole gaussian sample, and below it the
+    heap holding the rows was trimmed and faulted in again on every call.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
@@ -413,6 +469,7 @@ def _climb(m_mat, x0, batch_fn, better):
     slots = np.arange(max_rows)
     row_starts = slots * n  # where row i of a call's x rows starts, flattened
     lower = np.tri(n_moves, dtype=bool)
+    workspace = np.empty((2, max_rows, n))  # each call's x rows and y rows
     improves = np.greater if better == "max" else np.less
     scale = 1.0
     window = 1
@@ -461,9 +518,10 @@ def _climb(m_mat, x0, batch_fn, better):
             # the moves after chain[k-1] up to chain[k] (or stop) go from base k
             ends = np.concatenate(((chain[0] - n_a,), chain, (stop - 1,)))
             counts = ends[1:] - ends[:-1]
-        x_rows = bases_x.repeat(counts, axis=0)
+        x_rows, y_rows = workspace[:, : steps.size]
+        x_rows[...] = bases_x.repeat(counts, axis=0) if chain.size else x
         x_rows.ravel()[row_starts[: steps.size] + row_coords] += steps
-        y_rows = steps[:, None] * slot_cols[rows]
+        np.multiply(steps[:, None], slot_cols[rows], out=y_rows)
         y_rows += bases_y.repeat(counts, axis=0) if chain.size else y
         vals = batch_fn(x_rows, y_rows)
         hits = improves(vals, best)  # the rows after chain[0] are rescored below
@@ -508,7 +566,8 @@ def _climb(m_mat, x0, batch_fn, better):
                 window = 1
             # the later moves that improve on the same base
             guess = row_moves[h + 1 : seg_end][hits[h + 1 : seg_end]]
-            x, y, best = x_rows[h], y_rows[h], vals[h]
+            # copies: the next call overwrites the workspace
+            x, y, best = x_rows[h].copy(), y_rows[h].copy(), vals[h]
             pos = int(row_moves[h]) + 1
         else:
             x, y, best = bases_x[base], bases_y[base], bests[base - 1]
@@ -546,8 +605,11 @@ def _estimate(m_mat, x, val, witnesses, block, batch_fn, better):
 
 def estimate_kappa(m_mat, block, witnesses=()):
     """Lower estimate of kappa(M): max of kappa_at over witnesses, the
-    sampled directions of ``block`` (a :func:`gaussian_block` of M, or
-    None), and coordinate hill climbing from the best of them.
+    sampled directions of ``block`` ((x_rows, y_rows) with y_rows = x_rows
+    @ M.T, as :func:`gaussian_block` gives, or None), and coordinate hill
+    climbing from the best of them.  Only the block's first best row
+    counts, so that row alone, as :func:`certify` hands it, gives the same
+    estimate as its whole block.
 
     Returns (value, direction); the value is ``kappa_at``'s of the returned
     direction, inf where that raises: a direction proved M is not P*
@@ -562,8 +624,8 @@ def estimate_kappa(m_mat, block, witnesses=()):
 
 def estimate_theta(m_mat, block, witnesses=()):
     """Upper estimate of theta(M): min of theta_at over witnesses, the
-    uniform direction, the sampled directions of ``block`` (a
-    :func:`gaussian_block` of M, or None), and hill climbing from the best.
+    uniform direction, the sampled directions of ``block`` (as for
+    :func:`estimate_kappa`), and hill climbing from the best.
 
     Returns (value, direction); the direction is unit 2-norm and the value
     is ``theta_at``'s of it.
@@ -638,9 +700,11 @@ def certify(lcp, options):
     m_mat = np.asarray(lcp.m, dtype=np.float64)
     n, gamma, signs = red.game.n, red.game.gamma, red.game.ownership_signs
     witnesses = [red.c_tau, signs * red.c_tau]
-    block = gaussian_block(m_mat, options.samples, options.seed)  # one draw for both
-    kappa_est, _ = estimate_kappa(m_mat, block, witnesses)
-    theta_est, _ = estimate_theta(m_mat, block, witnesses)
+    # one draw for both estimators, streamed: each gets only the row it
+    # would pick from the whole block
+    kappa_block, theta_block = _sample_bests(m_mat, options.samples, options.seed)
+    kappa_est, _ = estimate_kappa(m_mat, kappa_block, witnesses)
+    theta_est, _ = estimate_theta(m_mat, theta_block, witnesses)
     delta, _ = smallest_eigenvalue_sym(m_mat)
     cert = structural_certificate(m_mat, red.b_sig, red.b_tau, signs)
     cond = -delta / theta_est

@@ -158,6 +158,17 @@ def test_fit_loglog_slope_exact():
         fit_loglog_slope([1.0, -2.0], [1.0, 4.0])
 
 
+def test_fit_loglog_slope_refuses_points_with_one_x():
+    # `gamelcp bench --ns 8,8` gives such a series; the fit was 0 / 0, a nan
+    # slope printed in the plot's legend
+    with pytest.raises(ValueError, match="two distinct x values"):
+        fit_loglog_slope([8.0, 8.0], [3.0, 5.0])
+    with pytest.raises(ValueError, match="two distinct x values"):
+        fit_loglog_slope([8.0, 8.0, 8.0, -1.0], [3.0, 5.0, 7.0, 9.0])
+    svg = render_loglog_svg([("gamma=0.5", [8.0, 8.0], [3.0, 5.0])], "t", "n", "y")
+    assert "gamma=0.5</text>" in svg and "slope" not in svg
+
+
 def test_kappa_grows_linearly_in_size():
     rows = run_bench([8, 16, 32, 64], [0.9], a_mode="kappa", seed=0, samples=500)
     slope = fit_loglog_slope([r.n for r in rows], [r.kappa_est for r in rows])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -544,6 +545,9 @@ def _certify_cases():
         for a_mode in ("kappa", "theta"):
             game, part = hard_instance(n, 0.9, a_mode=a_mode)
             yield f"hard-{n}-{a_mode}", game, part
+    # 3,000 samples at n = 64 take twelve chunks of 250 rows
+    game, part = hard_instance(64, 0.9, a_mode="kappa")
+    yield "hard-64-kappa", game, part
 
 
 @pytest.mark.parametrize("case", list(_certify_cases()), ids=lambda c: c[0])
@@ -557,6 +561,107 @@ def test_certify_estimates_equal_the_estimators_called_alone(case):
     theta, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 3000, 11), witnesses)
     assert report.kappa_est == kappa
     assert report.theta_est == theta
+
+
+# certify streams the gaussian sample a chunk at a time: the chunks are the
+# one-shot draws and products, and the rows it hands the estimators are the
+# ones they would pick from the whole block.
+
+
+def _sample_matrix(n):
+    # kappa and theta vary from row to row, so the picks are not all row 0
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((n, n)) + math.sqrt(n) * np.eye(n)
+
+
+def _chunk_rows(n):
+    return max(1, cond.SAMPLE_CHUNK_ENTRIES // n)
+
+
+@pytest.mark.parametrize("n", [1, 12, 64])
+def test_sample_chunks_are_the_one_shot_draws_and_products(n):
+    m_mat = _sample_matrix(n)
+    r = _chunk_rows(n)
+    samples = 3 * r + 5
+    chunks = list(cond._sample_chunks(m_mat, samples, 7))
+    sizes = [c[0].shape[0] for c in chunks]
+    assert len(sizes) == 4 and sum(sizes) == samples and max(sizes) <= r
+    assert max(sizes) - min(sizes) <= 1  # no short last chunk
+    x_all = np.random.default_rng(7).standard_normal((samples, n))
+    assert np.array_equal(np.concatenate([c[0] for c in chunks]), x_all)
+    assert np.array_equal(np.concatenate([c[1] for c in chunks]), x_all @ m_mat.T)
+    x_rows, y_rows = gaussian_block(m_mat, samples, 7)
+    assert np.array_equal(x_rows, x_all) and np.array_equal(y_rows, x_all @ m_mat.T)
+
+
+def _block_bests(m_mat, samples, seed):
+    """The first argmax of kappa and first argmin of theta over the block."""
+    x_rows, y_rows = gaussian_block(m_mat, samples, seed)
+    k = int(np.argmax(cond._kappa_batch(x_rows, y_rows)))
+    t = int(np.argmin(cond._theta_batch(x_rows, y_rows)))
+    return [(x_rows[i : i + 1], y_rows[i : i + 1]) for i in (k, t)]
+
+
+def _assert_same_blocks(got, want):
+    assert len(got) == len(want) == 2
+    for (gx, gy), (wx, wy) in zip(got, want, strict=True):
+        assert gx.shape == wx.shape == gy.shape == wy.shape
+        assert np.array_equal(gx, wx) and np.array_equal(gy, wy)
+
+
+@pytest.mark.parametrize("n", [1, 12, 64])
+def test_streamed_sample_picks_the_block_first_bests(n):
+    m_mat = _sample_matrix(n)
+    r = _chunk_rows(n)
+    assert cond._sample_bests(m_mat, 0, 3) == (None, None)
+    for samples in (1, r - 1, r, r + 1, 3 * r + 5):
+        got = cond._sample_bests(m_mat, samples, 3)
+        _assert_same_blocks(got, _block_bests(m_mat, samples, 3))
+
+
+def test_streamed_sample_keeps_row_0_of_an_all_zero_kappa_block():
+    # M = I: every direction certifies kappa 0, so no later chunk is better
+    m_mat = np.eye(12)
+    samples = 3 * _chunk_rows(12) + 5
+    kappa_block, _ = cond._sample_bests(m_mat, samples, 4)
+    x_rows, y_rows = gaussian_block(m_mat, samples, 4)
+    assert not cond._kappa_batch(x_rows, y_rows).any()
+    assert np.array_equal(kappa_block[0], x_rows[:1])
+    assert np.array_equal(kappa_block[1], y_rows[:1])
+
+
+@pytest.mark.parametrize("n", [1, 12, 64])
+def test_streamed_sample_picks_do_not_depend_on_the_chunk_size(monkeypatch, n):
+    m_mat = _sample_matrix(n)
+    samples = 2000
+    want = cond._sample_bests(m_mat, samples, 9)
+    _assert_same_blocks(want, _block_bests(m_mat, samples, 9))
+    for entries in (n, 7 * n):
+        monkeypatch.setattr(cond, "SAMPLE_CHUNK_ENTRIES", entries)
+        got = cond._sample_bests(m_mat, samples, 9)
+        for (gx, gy), (wx, wy) in zip(got, want, strict=True):
+            assert np.array_equal(gx, wx)
+            # chunks of 1 and 7 rows take BLAS's few-row products, which
+            # may round apart from the long chunks' within a dot product's
+            # error bound
+            bound = n * np.finfo(float).eps * (np.abs(wx) @ np.abs(m_mat.T))
+            assert np.all(np.abs(gy - wy) <= bound)
+
+
+@pytest.mark.parametrize("n, samples", [(64, 10_000), (8, 100_000)])
+def test_certify_memory_does_not_grow_with_the_sample(n, samples):
+    # the whole sample at once took a 19.6 MB (n = 64) and a 25.2 MB (n = 8)
+    # peak; streamed, the peak is a chunk and a climb's rows, 1.0-1.3 MB
+    game = random_game(n, 0.9, 1)
+    lcp = to_lcp(game, default_partition(game))
+    options = CertifyOptions(seed=0, samples=samples)
+    tracemalloc.start()
+    try:
+        certify(lcp, options)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 # The two estimators as first written, each with its own witness loop,
