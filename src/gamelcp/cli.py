@@ -224,7 +224,7 @@ def _cmd_solve(args):
             "values": [float(v) for v in result.values],
             "profile": [int(s) for s in result.profile],
         }
-        _write_or_print(json.dumps(payload, indent=2), args.output)
+        _write_or_print(json.dumps(payload), args.output)
         sys.stdout.write(summary + "\n")
     if not ok:
         sys.stderr.write(f"optimality check failed on actions {violations}\n")

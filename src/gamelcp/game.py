@@ -26,7 +26,8 @@ The file form is ``{"gamma": g, "states": [{"owner": 1 or 2, "actions":
 [{"cost": c, "dist": [[target, prob], ...]}, ...]}, ...]}``.
 :func:`save_game` writes each action's successors in state order, one
 entry per positive probability, so repeated targets are merged and zero
-entries dropped; loading either form gives the same arrays.
+entries dropped; loading either form gives the same arrays.  It writes one
+state per line, but any JSON layout of the same value loads the same.
 """
 
 from __future__ import annotations
@@ -237,8 +238,24 @@ def load_game(path):
 
 
 def game_json(game):
-    """The game's file form, as ``save_game`` writes it."""
-    return json.dumps(game_to_dict(game), indent=2) + "\n"
+    """The game's file form, as ``save_game`` writes it: one state per line.
+
+    One line per state keeps a written game readable and its diffs local
+    when a file is edited by hand.  Every value is a plain ``json.dumps``,
+    which runs CPython's C encoder (``indent`` would send it through the
+    pure-Python one, several times slower), and the envelope is built from
+    :func:`game_to_dict`'s keys, so the two cannot drift apart.  The layout
+    is not part of the file form: any layout of the same JSON value loads
+    to the same arrays.
+    """
+    fields = []
+    for key, value in game_to_dict(game).items():
+        if key == "states":
+            text = "[\n" + ",\n".join(map(json.dumps, value)) + "\n]"
+        else:
+            text = json.dumps(value)
+        fields.append(f"{json.dumps(key)}: {text}")
+    return "{" + ", ".join(fields) + "}\n"
 
 
 def save_game(game, path):

@@ -720,6 +720,28 @@ def test_cli_certify_single_state(tmp_path, capsys):
     assert report["pmatrix"] == "structural"
 
 
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+def test_game_and_solve_writers_run_the_c_json_encoder(tmp_path, monkeypatch, capsys):
+    # indent= sends json.dumps through the pure-Python encoder, several
+    # times slower on a game file
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1.5], indent=2)
+    game = random_game(8, 0.9, 3)
+    path, out = tmp_path / "g.json", tmp_path / "r.json"
+    text = game_json(game)
+    save_game(game, path)
+    assert path.read_text() == text
+    argv = ["--output", str(out), "solve", "--game", str(path), "--method", "si"]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert len(out.read_text().splitlines()) == 1
+    assert payload["profile"] == strategy_iteration(game).profile.tolist()
+
+
 def test_cli_bench_and_plot_round_trip(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     svg_path = tmp_path / "sweep.svg"

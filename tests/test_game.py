@@ -12,6 +12,7 @@ from gamelcp.game import (
     PLAYER_MIN,
     GameValidationError,
     build_game,
+    game_json,
     game_to_dict,
     is_optimal,
     load_game,
@@ -308,6 +309,39 @@ def test_save_load_gives_the_same_arrays(tmp_path):
         {"cost": -1.0, "dist": [[1, 1.0]]},
     ]
     assert states[3]["actions"] == [{"cost": 4.0, "dist": [[1, 1.0]]}]
+
+
+def test_game_json_writes_one_state_per_line():
+    for game in (random_game(1, 0.5, 0), random_game(16, 0.99, 7), three_state_game()):
+        text = game_json(game)
+        want = game_to_dict(game)
+        assert json.loads(text) == want
+        lines = text.splitlines()
+        assert len(lines) == game.n + 2 and text.endswith("]}\n")
+        states = [json.loads(line.rstrip(",")) for line in lines[1:-1]]
+        assert states == want["states"]
+
+
+def test_new_and_old_indented_layouts_load_the_same_arrays(tmp_path):
+    games = [
+        random_game(n, gamma, seed)
+        for n in (1, 2, 16, 64)
+        for gamma in (0.5, 0.9, 0.9999)
+        for seed in (0, 3)
+    ]
+    games += [
+        hard_instance(n, gamma, mode)[0]
+        for n in (3, 16)
+        for gamma in (0.5, 0.99)
+        for mode in ("kappa", "eigenvalue", "theta")
+    ]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    for game in games:
+        new.write_text(game_json(game), encoding="utf-8")
+        old.write_text(json.dumps(game_to_dict(game), indent=2) + "\n", encoding="utf-8")
+        from_new, from_old = load_game(new), load_game(old)
+        _assert_same_arrays(from_new, from_old)
+        _assert_same_arrays(from_new, game)
 
 
 def _spec(raw):

@@ -6,13 +6,23 @@ import numpy as np
 import pytest
 
 from conftest import hard_instance
-from gamelcp.conditioning import kappa_at, smallest_eigenvalue_sym, theta_at
+from gamelcp.conditioning import (
+    CertifyOptions,
+    _kappa_batch,
+    _theta_batch,
+    certify,
+    gaussian_block,
+    kappa_at,
+    smallest_eigenvalue_sym,
+    theta_at,
+)
 from gamelcp.game import PLAYER_MAX, is_optimal, restrict, value_vector
 from gamelcp.hard_instances import (
     A_MODES,
     HardInstanceSpec,
     build_hard_instance,
     closed_forms,
+    exact_conditioning,
     predicted_eig_ub,
     predicted_kappa_lb,
     predicted_theta_ub,
@@ -204,6 +214,74 @@ def test_theta_witness_sits_under_the_fence(n, gamma):
     exact = 1.0 / float(forms.c_tau @ forms.c_tau)
     assert got == pytest.approx(exact, rel=1e-9)
     assert got <= fence + 1e-12
+
+
+# -- exact measures -------------------------------------------------------------
+
+# a float M and x round the scores; no estimate may cross an exact value by
+# more than this, relative
+ROUNDING_MARGIN = 1e-12
+
+
+def kappa_direction(n, gamma):
+    x = np.full(n, -beta_of(gamma) / 2.0)
+    x[0], x[1] = -0.5, 0.5
+    return x
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 17, 64])
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.99])
+def test_exact_measures_are_attained(n, gamma):
+    lcp = to_lcp(*hard_instance(n, gamma, a_mode="kappa"))
+    exact = exact_conditioning(n, gamma)
+    assert exact.kappa == max(0.0, predicted_kappa_lb(n, gamma))
+    assert exact.delta == predicted_eig_ub(n, gamma)
+    assert np.linalg.norm(exact.theta_direction) == pytest.approx(1.0, rel=1e-15)
+    assert theta_at(lcp.m, exact.theta_direction) == pytest.approx(exact.theta, rel=1e-9)
+    got = kappa_at(lcp.m, kappa_direction(n, gamma))
+    if exact.kappa > 0.0:
+        assert got == pytest.approx(exact.kappa, rel=1e-9)
+    else:
+        assert got == 0.0
+    lam, _ = smallest_eigenvalue_sym(lcp.m)
+    assert lam == pytest.approx(exact.delta, rel=1e-9, abs=1e-12)
+    # the theta-mode fence lies above theta
+    assert exact.theta < predicted_theta_ub(n, gamma)
+
+
+def test_exact_measures_spot_values():
+    # gamma 0.5: beta 1 and r = 1 + sqrt(2)
+    exact = exact_conditioning(10, 0.5)
+    assert exact.kappa == 0.75 and exact.delta == pytest.approx(-1.0, abs=1e-12)
+    assert exact.theta == pytest.approx(1.0 / (2.0 + 8.0 * (1.0 + math.sqrt(2.0)) ** 2))
+    assert exact_conditioning(3, 0.5).kappa == 0.0
+    with pytest.raises(ValueError, match="n >= 3"):
+        exact_conditioning(2, 0.5)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+def test_gaussian_directions_never_beat_the_exact_measures(n, gamma):
+    lcp = to_lcp(*hard_instance(n, gamma, a_mode="kappa"))
+    exact = exact_conditioning(n, gamma)
+    x_rows, y_rows = gaussian_block(lcp.m, 100_000, seed=n)
+    kappa = float(_kappa_batch(x_rows, y_rows).max())
+    theta = float(_theta_batch(x_rows, y_rows).min())
+    assert kappa <= exact.kappa * (1.0 + ROUNDING_MARGIN) + ROUNDING_MARGIN
+    assert theta >= exact.theta * (1.0 - ROUNDING_MARGIN)
+
+
+@pytest.mark.parametrize("mode", ["kappa", "eigenvalue", "theta"])
+def test_certify_never_crosses_the_exact_measures(mode):
+    for n in (8, 16, 32):
+        for gamma in (0.5, 0.9, 0.99):
+            exact = exact_conditioning(n, gamma)
+            report = certify(
+                to_lcp(*hard_instance(n, gamma, a_mode=mode)),
+                CertifyOptions(seed=0, samples=2000),
+            )
+            assert report.kappa_est <= exact.kappa * (1.0 + ROUNDING_MARGIN)
+            assert report.theta_est >= exact.theta * (1.0 - ROUNDING_MARGIN)
 
 
 # -- the cost knob ------------------------------------------------------------

@@ -238,6 +238,18 @@ def test_cross_method_agreement_random():
         assert np.abs(res_b.values - res_s.values).max() <= 1e-6
 
 
+def test_vi_si_and_brute_force_agree_bit_for_bit_near_gamma_one():
+    # each reports value_vector of its profile, so equal profiles give
+    # equal values
+    for n in range(1, 9):
+        for seed in range(20):
+            game = random_game(n, 0.9999, seed)
+            brute = brute_force_solve(game)
+            for result in (value_iteration(game), strategy_iteration(game)):
+                np.testing.assert_array_equal(result.profile, brute.profile)
+                np.testing.assert_array_equal(result.values, brute.values)
+
+
 # The stepwise, per-state solvers as first written, kept verbatim (with the
 # two-reduceat backup for bellman_backup) as bit-exact oracles for the
 # signed, block-checked and loop-free versions.
