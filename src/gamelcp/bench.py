@@ -22,7 +22,6 @@ import numpy as np
 
 from ._csv import csv_line, write_csv
 from .conditioning import (
-    CertifyOptions,
     certify,
     delta_lower_bound,
     kappa_upper_bound,
@@ -37,7 +36,7 @@ from .hard_instances import (
     predicted_theta_ub,
 )
 from .lcp import to_lcp
-from .lcp_solvers import IpmOptions, solve_potential_reduction
+from .lcp_solvers import solve_potential_reduction
 from .solvers import SolverFailure
 
 __all__ = [
@@ -147,14 +146,14 @@ def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
         seed=cell_seed,
     )
     try:
-        report = certify(lcp, CertifyOptions(seed=cell_seed, samples=samples))
+        report = certify(lcp, cell_seed, samples=samples)
     except (ArithmeticError, ValueError):
         return row
     row.kappa_est, row.theta_est = report.kappa_est, report.theta_est
     row.delta, row.cond = report.delta, report.cond
     try:
         start = time.perf_counter()
-        _, _, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=ipm_epsilon))
+        _, _, trace = solve_potential_reduction(lcp, epsilon=ipm_epsilon)
         row.wall_ms = (time.perf_counter() - start) * 1e3
         row.solver_iters = float(len(trace))
     except SolverFailure:

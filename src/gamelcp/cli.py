@@ -27,7 +27,7 @@ from .bench import (
     run_bench,
     write_bench_csv,
 )
-from .conditioning import CertifyOptions, certify, report_json, write_report_csv
+from .conditioning import certify, report_json, write_report_csv
 from .game import (
     GameValidationError,
     game_json,
@@ -44,7 +44,7 @@ from .lcp import (
     recover,
     to_lcp,
 )
-from .lcp_solvers import IpmOptions, solve_pivoting, solve_potential_reduction
+from .lcp_solvers import solve_pivoting, solve_potential_reduction
 from .solvers import (
     SolverFailure,
     brute_force_solve,
@@ -200,7 +200,7 @@ def _cmd_solve(args):
         partition = _load_partition_or_default(game, args.partition)
         lcp = to_lcp(game, partition)
         if args.method == "ipm":
-            w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=args.tol))
+            w, z, trace = solve_potential_reduction(lcp, epsilon=args.tol)
             iterations = len(trace)
         else:
             w, z, iterations = solve_pivoting(lcp)
@@ -243,7 +243,7 @@ def _cmd_certify(args):
     game = load_game(args.game)
     partition = _load_partition_or_default(game, args.partition)
     lcp = to_lcp(game, partition)
-    report = certify(lcp, CertifyOptions(seed=args.seed, samples=args.samples))
+    report = certify(lcp, args.seed, samples=args.samples)
     _write_or_print(report_json(report), args.output)
     if args.output is not None:
         sys.stdout.write(

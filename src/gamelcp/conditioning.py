@@ -44,7 +44,6 @@ from ._csv import write_csv
 from ._kernels import SingularMatrixError, _gamma, solve
 
 __all__ = [
-    "CertifyOptions",
     "ConditioningReport",
     "KappaUndefined",
     "MinorsCheck",
@@ -64,7 +63,6 @@ __all__ = [
     "theta_at",
     "theta_lower_bound",
     "write_report_csv",
-    "write_report_json",
 ]
 
 MINORS_LIMIT = 20
@@ -643,16 +641,6 @@ def estimate_theta(m_mat, block, witnesses=()):
 # certification report
 
 
-@dataclass
-class CertifyOptions:
-    seed: int
-    samples: int = 10_000
-
-    def __post_init__(self):
-        if self.samples < 0:
-            raise ValueError(f"samples must be nonnegative, got {self.samples}")
-
-
 CSV_COLUMNS = (
     "n",
     "gamma",
@@ -690,19 +678,23 @@ class ConditioningReport:
         return asdict(self)
 
 
-def certify(lcp, options):
-    """Report kappa/delta/theta of the LCP ``lcp.to_lcp`` built, with fences.
+def certify(lcp, seed, samples=10_000):
+    """Report kappa/delta/theta of the LCP ``lcp.to_lcp`` built, with fences,
+    estimating kappa and theta from ``samples`` gaussian directions drawn
+    from ``seed``.
 
     The P-matrix verdict is ``structural`` when :func:`structural_certificate`
     holds for the computed M and the LCP's B_s, B_t, else ``undecided``.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     red = lcp.game_reduction("certify")
     m_mat = np.asarray(lcp.m, dtype=np.float64)
     n, gamma, signs = red.game.n, red.game.gamma, red.game.ownership_signs
     witnesses = [red.c_tau, signs * red.c_tau]
     # one draw for both estimators, streamed: each gets only the row it
     # would pick from the whole block
-    kappa_block, theta_block = _sample_bests(m_mat, options.samples, options.seed)
+    kappa_block, theta_block = _sample_bests(m_mat, samples, seed)
     kappa_est, _ = estimate_kappa(m_mat, kappa_block, witnesses)
     theta_est, _ = estimate_theta(m_mat, theta_block, witnesses)
     delta, _ = smallest_eigenvalue_sym(m_mat)
@@ -726,19 +718,14 @@ def certify(lcp, options):
         runtime_potential=(
             f"O((-delta/theta) n^4 log(1/eps)) with -delta/theta ~= {cond:.6g}"
         ),
-        samples=options.samples,
-        seed=options.seed,
+        samples=samples,
+        seed=seed,
     )
 
 
 def report_json(report):
-    """The report's file form, as ``write_report_json`` writes it."""
+    """The report's file form, as ``certify --output`` writes it."""
     return json.dumps(report.to_json_dict(), indent=2) + "\n"
-
-
-def write_report_json(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_json(report))
 
 
 def write_report_csv(report, path):

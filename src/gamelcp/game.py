@@ -51,7 +51,6 @@ __all__ = [
     "game_to_dict",
     "is_optimal",
     "load_game",
-    "markov_step_distribution",
     "reduced_cost_rounding",
     "reduced_costs",
     "restrict",
@@ -93,13 +92,6 @@ class Game:
     def n(self):
         return self.p.shape[1]
 
-    @property
-    def source(self):
-        """The (m, n) one-hot matrix mapping each action row to its source state."""
-        out = np.zeros(self.p.shape)
-        out[np.arange(self.p.shape[0]), self.state_of_action] = 1.0
-        return out
-
 
 def build_game(gamma, states):
     """The :class:`Game` of ``states``, a list of
@@ -137,11 +129,24 @@ def build_game(gamma, states):
     )
 
 
+def _number(value):
+    """``float(value)`` for a JSON number, refusing a string or a boolean,
+    which ``float`` would take, and an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _integral(value):
-    """``int(value)``, refusing a float that it would truncate (1.9 is not 1)."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)`` for a JSON number that is an integer, refusing a float
+    that ``int`` would truncate (1.9 is not 1)."""
+    number = _number(value)
+    if not number.is_integer():
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    return int(number)
 
 
 def validate_game(obj):
@@ -149,14 +154,16 @@ def validate_game(obj):
 
     Checks: gamma strictly inside (0, 1); at least one state; at least one
     action per state; owner in {1, 2}; distribution targets in range with
-    nonnegative mass summing to 1 within 1e-12.  An owner or a target must
-    be an integer (1.0 is one, 1.9 is not).  Distributions are never
-    renormalized; off-by-more-than-tolerance mass is an error.
+    nonnegative mass summing to 1 within 1e-12.  gamma, a cost and a
+    probability must be JSON numbers, and an owner or a target an integer
+    (1.0 is one, 1.9 is not); a string or a boolean is neither.
+    Distributions are never renormalized; off-by-more-than-tolerance mass
+    is an error.
     """
     if not isinstance(obj, dict):
         raise GameValidationError(f"expected dict, got {type(obj).__name__}")
     try:
-        gamma = float(obj["gamma"])
+        gamma = _number(obj["gamma"])
         raw_states = list(obj["states"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GameValidationError(f"malformed game object: {exc}") from exc
@@ -180,8 +187,8 @@ def validate_game(obj):
         actions = []
         for a, ra in enumerate(raw_actions):
             try:
-                cost = float(ra["cost"])
-                dist = [(_integral(j), float(p)) for j, p in ra["dist"]]
+                cost = _number(ra["cost"])
+                dist = [(_integral(j), _number(p)) for j, p in ra["dist"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise GameValidationError(
                     f"state {i} action {a}: malformed entry: {exc}"
@@ -341,18 +348,3 @@ def is_optimal(game, profile, tol=1e-9, values=None):
     bad_max = (owner_of_action == PLAYER_MAX) & (rc > tol)
     violations = np.flatnonzero(bad_min | bad_max)
     return violations.size == 0, violations
-
-
-def markov_step_distribution(p_sigma, start, t):
-    """Row distribution after t steps of the chain p_sigma from ``start``."""
-    p_sigma = np.asarray(p_sigma, dtype=np.float64)
-    n = p_sigma.shape[0]
-    if not 0 <= start < n:
-        raise ValueError(f"start state {start} out of range")
-    if t < 0 or int(t) != t:
-        raise ValueError(f"step count must be a nonnegative integer, got {t}")
-    dist = np.zeros(n)
-    dist[start] = 1.0
-    for _ in range(int(t)):
-        dist = dist @ p_sigma
-    return dist

@@ -37,10 +37,8 @@ from .lcp import Partition
 __all__ = [
     "A_MODES",
     "ExactConditioning",
-    "HardFamilyForms",
     "HardInstanceSpec",
     "build_hard_instance",
-    "closed_forms",
     "exact_conditioning",
     "predicted_eig_ub",
     "predicted_kappa_lb",
@@ -97,42 +95,6 @@ def build_hard_instance(spec):
     game = build_game(spec.gamma, states)
     partition = Partition(sigma=(0,) * spec.n, tau=(1,) * spec.n)
     return game, partition
-
-
-@dataclass
-class HardFamilyForms:
-    """Closed forms under tau: costs, values, M c_tau, and the products
-    c_tau * (M c_tau) that witness the conditioning bounds."""
-
-    a: float
-    beta: float
-    c_tau: np.ndarray
-    v_tau: np.ndarray
-    image: np.ndarray
-    products: np.ndarray
-
-
-def closed_forms(spec):
-    n = spec.n
-    a = spec.resolve_a()
-    beta = spec.gamma / (1.0 - spec.gamma)
-
-    c_tau = np.full(n, a)
-    c_tau[0] = 1.0
-    c_tau[1] = -1.0
-
-    v_tau = np.full(n, a - beta)
-    v_tau[0] = 1.0 + beta
-    v_tau[1] = -(1.0 + beta)
-
-    image = np.full(n, a - 2.0 * beta)
-    image[0] = 1.0
-    image[1] = -1.0
-
-    products = c_tau * image
-    return HardFamilyForms(
-        a=a, beta=beta, c_tau=c_tau, v_tau=v_tau, image=image, products=products
-    )
 
 
 def _beta(gamma):

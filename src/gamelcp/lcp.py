@@ -46,13 +46,10 @@ __all__ = [
     "default_partition",
     "lcp_json",
     "load_partition",
-    "read_lcp",
     "recover",
     "reduction",
-    "save_partition",
     "to_lcp",
     "verify_solution",
-    "write_lcp",
 ]
 
 
@@ -251,70 +248,29 @@ def recover(lcp, w, z, tol=1e-6):
 
 
 def lcp_json(lcp):
-    """The LCP's file form, compact JSON of n, M and q, as ``write_lcp``
-    writes it."""
+    """The LCP's file form, as ``reduce`` writes it: compact JSON of n, M and q."""
     payload = {"n": int(lcp.n), "M": lcp.m.tolist(), "q": lcp.q.tolist()}
     return json.dumps(payload) + "\n"
 
 
-def write_lcp(lcp, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(lcp_json(lcp))
-
-
-def _json_object(path, keys):
-    """The JSON object in ``path``; ValueError names the path and the first
-    of ``keys`` it lacks."""
+def load_partition(path):
+    """The :class:`Partition` in ``path``, a JSON object of two integer
+    lists "sigma" and "tau"; ValueError names the path and what is wrong."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    for key in keys:
+    for key in ("sigma", "tau"):
         if key not in payload:
             raise ValueError(f"{path}: missing key {key!r}")
-    return payload
-
-
-def _array_of(path, payload, key, kinds, what):
-    """``payload[key]`` as an array whose dtype kind is in ``kinds`` (empty
-    arrays pass, for the caller's shape check); ValueError otherwise."""
-    try:
-        arr = np.asarray(payload[key])
-    except ValueError as exc:  # ragged nesting
-        raise ValueError(f"{path}: {key!r} must be {what}: {exc}") from exc
-    if arr.size and arr.dtype.kind not in kinds:
-        raise ValueError(f"{path}: {key!r} must be {what}")
-    return arr
-
-
-def read_lcp(path):
-    payload = _json_object(path, ("n", "M", "q"))
-    n = payload["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{path}: 'n' must be an integer")
-    m = _array_of(path, payload, "M", "iuf", "a matrix of numbers").astype(np.float64)
-    q = _array_of(path, payload, "q", "iuf", "a list of numbers").astype(np.float64)
-    if m.shape != (n, n) or q.shape != (n,):
-        raise ValueError(
-            f"{path}: inconsistent LCP file: n={n}, M {m.shape}, q {q.shape}"
-        )
-    return Lcp(m=m, q=q)
-
-
-def save_partition(partition, path):
-    payload = {
-        "sigma": [int(v) for v in partition.sigma],
-        "tau": [int(v) for v in partition.tau],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-
-
-def load_partition(path):
-    payload = _json_object(path, ("sigma", "tau"))
-    sigma, tau = (
-        _array_of(path, payload, key, "iu", "a list of integers").astype(np.int64)
-        for key in ("sigma", "tau")
-    )
-    return Partition(sigma=sigma, tau=tau)
+    slots = []
+    for key in ("sigma", "tau"):
+        try:
+            arr = np.asarray(payload[key])
+        except ValueError as exc:  # ragged nesting
+            raise ValueError(f"{path}: {key!r} must be a list of integers: {exc}") from exc
+        # an empty list passes, for the partition check's shape test
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"{path}: {key!r} must be a list of integers")
+        slots.append(arr.astype(np.int64))
+    return Partition(*slots)

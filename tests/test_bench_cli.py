@@ -37,7 +37,7 @@ from gamelcp.game import (
     validate_game,
     value_vector,
 )
-from gamelcp.lcp import default_partition, lcp_json, read_lcp, to_lcp
+from gamelcp.lcp import default_partition, lcp_json, to_lcp
 from gamelcp.solvers import strategy_iteration
 
 WALL = BENCH_COLUMNS.index("wall_ms")
@@ -613,6 +613,24 @@ def test_cli_solve_refuses_a_malformed_game_file(tmp_path, capsys, states, messa
     assert message in capsys.readouterr().err
 
 
+def test_cli_solve_refuses_strings_and_booleans_for_numbers(tmp_path, capsys):
+    # this file once solved as gamma 0.5, owner 1, cost 7 and P = [[1.0]]
+    state = {"owner": True, "actions": [{"cost": "7", "dist": [[False, "1.0"]]}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"gamma": "0.5", "states": [state]}))
+    assert main(["solve", "--game", str(path)]) == 2
+    assert "malformed game object: '0.5' is not a number" in capsys.readouterr().err
+
+
+def test_cli_solve_refuses_a_cost_past_the_float_range(tmp_path, capsys):
+    # the OverflowError of float() once exited 1, as a solver failure
+    state = {"owner": 2, "actions": [{"cost": 10**400, "dist": [[0, 1.0]]}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"gamma": 0.5, "states": [state]}))
+    assert main(["solve", "--game", str(path)]) == 2
+    assert "state 0 action 0: malformed entry: int too large" in capsys.readouterr().err
+
+
 def test_cli_solve_takes_integral_floats_as_indices(tmp_path, capsys):
     state = {"owner": 2.0, "actions": [{"cost": 1.0, "dist": [[0.0, 1.0]]}]}
     path = tmp_path / "g.json"
@@ -662,8 +680,6 @@ def test_cli_reduce_matches_library(tmp_path, capsys):
     assert rc == 0
     # one serialization, to the file or to stdout
     assert out.read_text() == printed == lcp_json(lcp)
-    back = read_lcp(out)
-    assert np.array_equal(back.m, lcp.m) and np.array_equal(back.q, lcp.q)
 
 
 def test_cli_certify_hard_instance(tmp_path, capsys):

@@ -12,7 +12,6 @@ from gamelcp import conditioning as cond
 from gamelcp.bench import random_game
 from gamelcp.conditioning import (
     CSV_COLUMNS,
-    CertifyOptions,
     KappaUndefined,
     certify,
     delta_lower_bound,
@@ -27,16 +26,17 @@ from gamelcp.conditioning import (
     structural_certificate,
     theta_at,
     theta_lower_bound,
+    report_json,
     write_report_csv,
-    write_report_json,
 )
 from gamelcp._kernels import SingularMatrixError
 from gamelcp.cli import main
 from gamelcp.game import build_game, restrict, save_game
-from gamelcp.hard_instances import HardInstanceSpec, closed_forms
+from gamelcp.hard_instances import HardInstanceSpec
 from gamelcp.lcp import Lcp, default_partition, reduction, to_lcp
 
 from conftest import hard_instance
+from oracles import closed_forms
 
 NOT_P = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -556,7 +556,7 @@ def test_certify_estimates_equal_the_estimators_called_alone(case):
     _, game, part = case
     lcp = to_lcp(game, part)
     witnesses = _certify_witnesses(lcp)
-    report = certify(lcp, CertifyOptions(seed=11, samples=3000))
+    report = certify(lcp, seed=11, samples=3000)
     kappa, _ = estimate_kappa(lcp.m, gaussian_block(lcp.m, 3000, 11), witnesses)
     theta, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 3000, 11), witnesses)
     assert report.kappa_est == kappa
@@ -654,10 +654,9 @@ def test_certify_memory_does_not_grow_with_the_sample(n, samples):
     # peak; streamed, the peak is a chunk and a climb's rows, 1.0-1.3 MB
     game = random_game(n, 0.9, 1)
     lcp = to_lcp(game, default_partition(game))
-    options = CertifyOptions(seed=0, samples=samples)
     tracemalloc.start()
     try:
-        certify(lcp, options)
+        certify(lcp, seed=0, samples=samples)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -753,7 +752,7 @@ def test_estimator_driver_scores_witnesses_exactly(n, gamma, seed):
     lcp = hard_lcp(n, gamma)
     witnesses = _certify_witnesses(lcp)
     _assert_estimators_match_apart(lcp.m, gaussian_block(lcp.m, 2000, seed), witnesses)
-    report = certify(lcp, CertifyOptions(seed=seed, samples=2000))
+    report = certify(lcp, seed=seed, samples=2000)
     block = gaussian_block(lcp.m, 2000, seed)
     assert report.kappa_est == _estimate_kappa_apart(lcp.m, block, witnesses)[0]
     assert report.theta_est == _estimate_theta_apart(lcp.m, block, witnesses)[0]
@@ -996,7 +995,7 @@ def test_minors_agree_with_theta_search():
 
 def test_certify_hard_kappa_mode():
     game, part = hard_instance(10, 0.5, a_mode="kappa")
-    report = certify(to_lcp(game, part), CertifyOptions(seed=0, samples=2000))
+    report = certify(to_lcp(game, part), seed=0, samples=2000)
     assert report.n == 10
     assert report.kappa_est == pytest.approx(0.75, abs=1e-9)
     assert report.kappa_ub == 40.0
@@ -1010,7 +1009,7 @@ def test_certify_hard_kappa_mode():
 
 def test_certify_hard_theta_mode():
     game, part = hard_instance(10, 0.5, a_mode="theta")
-    report = certify(to_lcp(game, part), CertifyOptions(seed=0, samples=2000))
+    report = certify(to_lcp(game, part), seed=0, samples=2000)
     assert report.theta_lb == pytest.approx(1.0 / 90.0)
     assert report.theta_lb - 1e-9 <= report.theta_est <= 1.0 / 34.0 + 1e-12
     assert report.pmatrix == "structural"
@@ -1018,7 +1017,7 @@ def test_certify_hard_theta_mode():
 
 def test_certify_single_state_game():
     game = build_game(0.5, [(1, [(2.0, [(0, 1.0)]), (2.0, [(0, 1.0)])])])
-    report = certify(to_lcp(game), CertifyOptions(seed=3, samples=200))
+    report = certify(to_lcp(game), seed=3, samples=200)
     assert report.kappa_est == 0.0
     assert report.delta == pytest.approx(1.0, abs=1e-12)
     assert report.theta_est == pytest.approx(1.0, abs=1e-12)
@@ -1032,7 +1031,7 @@ def test_certify_accepts_well_conditioned_small_minors(seed):
     game = random_game(12, 0.99, seed)
     mc = pmatrix_check_minors(to_lcp(game, default_partition(game)).m)
     assert mc.ok and 0.0 < mc.min_scaled_minor < 1e-12
-    report = certify(to_lcp(game), CertifyOptions(seed=0, samples=200))
+    report = certify(to_lcp(game), seed=0, samples=200)
     assert report.pmatrix == "structural"
 
 
@@ -1044,7 +1043,8 @@ def test_minors_check_refuses_near_singular_positive_minor():
 
 def test_certify_requires_options(g3):
     game, _ = g3
-    with pytest.raises(TypeError, match="options"):
+    # the seed has no default: every report names the draw it came from
+    with pytest.raises(TypeError, match="seed"):
         certify(to_lcp(game))
 
 
@@ -1089,7 +1089,7 @@ def test_structural_certificate_refuses_excess_row_mass():
     lcp = _plain_lcp(game)
     cert = _certificate(game, m_mat=lcp.m)
     assert not cert.ok and min(cert.mu_s, cert.mu_t) < 0.0
-    report = certify(lcp, CertifyOptions(seed=0, samples=100))
+    report = certify(lcp, seed=0, samples=100)
     assert report.pmatrix == "undecided"
     assert "not certified" in report.pmatrix_detail
     # a self-loop of mass 1.5 turns b_ii negative: M = (1 - 1.425) / 0.05 < 0
@@ -1137,12 +1137,10 @@ def test_cli_certify_undecided_exits_1_with_report(tmp_path, capsys):
 
 def test_report_files(tmp_path, g3):
     game, part = g3
-    report = certify(to_lcp(game, part), CertifyOptions(seed=7, samples=300))
-    jpath = tmp_path / "report.json"
+    report = certify(to_lcp(game, part), seed=7, samples=300)
     cpath = tmp_path / "report.csv"
-    write_report_json(report, jpath)
     write_report_csv(report, cpath)
-    payload = json.loads(jpath.read_text())
+    payload = json.loads(report_json(report))
     assert set(payload) == {
         "n", "gamma", "kappa_est", "kappa_ub", "delta", "delta_lb",
         "theta_est", "theta_lb", "cond", "pmatrix", "pmatrix_detail",

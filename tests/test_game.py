@@ -16,7 +16,6 @@ from gamelcp.game import (
     game_to_dict,
     is_optimal,
     load_game,
-    markov_step_distribution,
     reduced_costs,
     restrict,
     save_game,
@@ -25,6 +24,7 @@ from gamelcp.game import (
 )
 
 from conftest import THREE_STATE_SPEC, three_state_game, hard_instance
+from oracles import markov_step_distribution
 
 ARRAYS = ("p", "costs", "ownership_signs", "offsets", "state_of_action", "owners")
 
@@ -44,11 +44,8 @@ FIG1_C = np.array([7.0, 3.0, -4.0, 2.0, 5.0, -10.0])
 def test_three_state_game_arrays_exact(three_state):
     assert np.array_equal(three_state.p, FIG1_P)
     assert np.array_equal(three_state.costs, FIG1_C)
-    expect_j = np.zeros((6, 3))
-    expect_j[[0, 1], 0] = 1.0
-    expect_j[[2, 3], 1] = 1.0
-    expect_j[[4, 5], 2] = 1.0
-    assert np.array_equal(three_state.source, expect_j)
+    assert np.array_equal(three_state.offsets, [0, 2, 4, 6])
+    assert np.array_equal(three_state.state_of_action, [0, 0, 1, 1, 2, 2])
     assert np.array_equal(three_state.ownership_signs, [1.0, -1.0, 1.0])
 
 
@@ -133,10 +130,77 @@ def test_validation_rejections():
             validate_game(bad)
 
 
+def _set_gamma(obj, value):
+    obj["gamma"] = value
+
+
+def _set_owner(obj, value):
+    obj["states"][0]["owner"] = value
+
+
+def _set_cost(obj, value):
+    obj["states"][0]["actions"][0]["cost"] = value
+
+
+def _set_target(obj, value):
+    obj["states"][0]["actions"][0]["dist"][0][0] = value
+
+
+def _set_prob(obj, value):
+    obj["states"][0]["actions"][0]["dist"][0][1] = value
+
+
+# float() and int() take strings and booleans: each of these once loaded as
+# the number it spells (True as owner 1, "0.5" as gamma 0.5)
+@pytest.mark.parametrize(
+    "set_field, value, message",
+    [
+        (_set_gamma, "0.5", "^malformed game object: '0.5' is not a number$"),
+        (_set_gamma, True, "^malformed game object: True is not a number$"),
+        (_set_owner, "2", "^state 0: malformed entry: '2' is not a number$"),
+        (_set_owner, True, "^state 0: malformed entry: True is not a number$"),
+        (_set_cost, "7", "^state 0 action 0: malformed entry: '7' is not a number$"),
+        (_set_cost, False, "^state 0 action 0: malformed entry: False is not a number$"),
+        (_set_target, "0", "^state 0 action 0: malformed entry: '0' is not a number$"),
+        (_set_target, False, "^state 0 action 0: malformed entry: False is not a number$"),
+        (_set_prob, "1.0", "^state 0 action 0: malformed entry: '1.0' is not a number$"),
+        (_set_prob, True, "^state 0 action 0: malformed entry: True is not a number$"),
+    ],
+)
+def test_validation_refuses_strings_and_booleans_for_numbers(set_field, value, message):
+    obj = {
+        "gamma": 0.5,
+        "states": [{"owner": 2, "actions": [{"cost": 1.0, "dist": [[0, 1.0]]}]}],
+    }
+    set_field(obj, value)
+    with pytest.raises(GameValidationError, match=message):
+        validate_game(obj)
+
+
+@pytest.mark.parametrize("set_field", [_set_gamma, _set_owner, _set_cost, _set_target, _set_prob])
+def test_validation_refuses_integers_past_the_float_range(set_field):
+    # float() raised OverflowError here, which escaped as a solver failure
+    obj = {
+        "gamma": 0.5,
+        "states": [{"owner": 2, "actions": [{"cost": 1.0, "dist": [[0, 1.0]]}]}],
+    }
+    set_field(obj, 10**400)
+    with pytest.raises(GameValidationError, match="int too large to convert to float$"):
+        validate_game(obj)
+
+
+def test_validation_takes_ints_and_integral_floats():
+    game = validate_game(
+        {"gamma": 0.5, "states": [{"owner": 1.0, "actions": [{"cost": 7, "dist": [[0.0, 1]]}]}]}
+    )
+    assert game.costs.dtype == np.float64 and np.array_equal(game.costs, [7.0])
+    assert np.array_equal(game.p, [[1.0]]) and np.array_equal(game.owners, [1])
+
+
 def test_single_state_minimizer_rep():
     game = build_game(0.5, [(1, [(2.0, [(0, 1.0)])])])
     assert np.array_equal(game.p, [[1.0]])
-    assert np.array_equal(game.source, [[1.0]])
+    assert np.array_equal(game.state_of_action, [0])
     assert np.array_equal(game.ownership_signs, [-1.0])
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import hard_instance
+from oracles import closed_forms
 from gamelcp.conditioning import (
-    CertifyOptions,
     _kappa_batch,
     _theta_batch,
     certify,
@@ -21,7 +21,6 @@ from gamelcp.hard_instances import (
     A_MODES,
     HardInstanceSpec,
     build_hard_instance,
-    closed_forms,
     exact_conditioning,
     predicted_eig_ub,
     predicted_kappa_lb,
@@ -278,7 +277,8 @@ def test_certify_never_crosses_the_exact_measures(mode):
             exact = exact_conditioning(n, gamma)
             report = certify(
                 to_lcp(*hard_instance(n, gamma, a_mode=mode)),
-                CertifyOptions(seed=0, samples=2000),
+                seed=0,
+                samples=2000,
             )
             assert report.kappa_est <= exact.kappa * (1.0 + ROUNDING_MARGIN)
             assert report.theta_est >= exact.theta * (1.0 - ROUNDING_MARGIN)

@@ -1,6 +1,7 @@
 """LCP reduction, verification, and recovery tests."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,20 +9,18 @@ import pytest
 import gamelcp.lcp as lcp_module
 from gamelcp._kernels import SingularMatrixError, _gamma, solve
 from gamelcp.bench import random_game
-from gamelcp.conditioning import CertifyOptions, certify
+from gamelcp.conditioning import certify
 from gamelcp.game import GameValidationError, build_game, is_optimal, restrict
 from gamelcp.lcp import (
     Lcp,
     Partition,
     RecoveryError,
     default_partition,
+    lcp_json,
     load_partition,
-    read_lcp,
     recover,
-    save_partition,
     to_lcp,
     verify_solution,
-    write_lcp,
 )
 
 G3_M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 1.0, 1.0]])
@@ -174,31 +173,18 @@ def test_verify_solution_reports(g3):
     assert neg.min_z == -1.0
 
 
-def test_lcp_file_round_trip(tmp_path, g3):
+def test_lcp_file_round_trip(g3):
     game, part = g3
     lcp = to_lcp(game, part)
-    path = tmp_path / "g3.lcp.json"
-    write_lcp(lcp, path)
-    back = read_lcp(path)
-    assert np.array_equal(back.m, lcp.m)
-    assert np.array_equal(back.q, lcp.q)
-
-
-def test_read_lcp_rejects_inconsistent_shapes(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"n": 3, "M": [[1.0]], "q": [0.0]}')
-    with pytest.raises(ValueError, match="inconsistent"):
-        read_lcp(path)
+    back = json.loads(lcp_json(lcp))
+    assert back["n"] == 3
+    assert np.array_equal(back["M"], lcp.m)
+    assert np.array_equal(back["q"], lcp.q)
 
 
 @pytest.mark.parametrize(
     "loader, body, key",
     [
-        (read_lcp, "[]", "expected a JSON object"),
-        (read_lcp, '{"M": [[1.0]], "q": [0.0]}', "missing key 'n'"),
-        (read_lcp, '{"n": 1, "M": [[1.0]]}', "missing key 'q'"),
-        (read_lcp, '{"n": "1", "M": [[1.0]], "q": [0.0]}', "'n' must be an integer"),
-        (read_lcp, '{"n": 1, "M": [[null]], "q": [0.0]}', "'M' must be"),
         (load_partition, "{}", "missing key 'sigma'"),
         (load_partition, '{"sigma": [0.5], "tau": [1]}', "'sigma' must be"),
         (load_partition, '{"sigma": [0], "tau": [[0], [1, 2]]}', "'tau' must be"),
@@ -215,7 +201,7 @@ def test_file_readers_name_the_path_and_key(tmp_path, loader, body, key):
 def test_partition_file_round_trip(tmp_path, g3):
     _, part = g3
     path = tmp_path / "part.json"
-    save_partition(part, path)
+    path.write_text(json.dumps({"sigma": list(part.sigma), "tau": list(part.tau)}))
     back = load_partition(path)
     assert np.array_equal(back.sigma, part.sigma)
     assert np.array_equal(back.tau, part.tau)
@@ -269,17 +255,14 @@ def test_q_from_the_reduction_solve_matches_two_solves():
         assert np.abs(lcp.q - _two_solve_q(red)).max() <= tol
 
 
-def test_certify_and_recover_need_the_lcp_from_to_lcp(tmp_path, g3):
+def test_certify_and_recover_need_the_lcp_from_to_lcp(g3):
     game, part = g3
     lcp = to_lcp(game, part)
     assert lcp.reduction is not None
-    path = tmp_path / "g3.lcp.json"
-    write_lcp(lcp, path)
-    bare = read_lcp(path)
+    # an LCP built by hand carries no game
+    bare = Lcp(m=lcp.m, q=lcp.q)
     assert bare.reduction is None
     with pytest.raises(ValueError, match="to_lcp"):
         recover(bare, np.zeros(3), np.array([0.0, 0.0, 2.0]))
     with pytest.raises(ValueError, match="to_lcp"):
-        certify(bare, CertifyOptions(seed=0, samples=10))
-    with pytest.raises(ValueError, match="to_lcp"):
-        recover(Lcp(m=lcp.m, q=lcp.q), np.zeros(3), np.array([0.0, 0.0, 2.0]))
+        certify(bare, seed=0, samples=10)

@@ -27,7 +27,6 @@ from gamelcp.lcp_solvers import (
     PREDICT_SHRINK,
     STEP_FLOOR,
     STEP_FRACTION,
-    IpmOptions,
     IpmTrace,
     _direction,
     _fail,
@@ -39,12 +38,14 @@ from gamelcp.lcp_solvers import (
     solve_potential_reduction,
 )
 from gamelcp.solvers import SolverFailure
+from oracles import monotone_within_stages, stages
 
 
 def test_ipm_options_validation():
+    lcp = Lcp(m=np.eye(4), q=np.ones(4))
     for epsilon in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            IpmOptions(epsilon=epsilon)
+            solve_potential_reduction(lcp, epsilon=epsilon)
 
 
 def test_ipm_identity_lcp():
@@ -59,12 +60,12 @@ def test_ipm_identity_lcp():
 def test_ipm_solves_g3(g3):
     game, part = g3
     lcp = to_lcp(game, part)
-    opts = IpmOptions(epsilon=1e-10)
-    w, z, trace = solve_potential_reduction(lcp, opts)
+    epsilon = 1e-10
+    w, z, trace = solve_potential_reduction(lcp, epsilon=epsilon)
     assert float(w @ z) < 1e-10
     # the shift has been driven (almost) all the way home
     feas = np.abs(w - lcp.q - lcp.m @ z).max()
-    assert feas <= opts.epsilon * 1e-3 * 1.01
+    assert feas <= epsilon * 1e-3 * 1.01
     res = recover(lcp, w, z, tol=1e-6)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-6)
     assert np.allclose(z, [0.0, 0.0, 2.0], atol=1e-5)
@@ -82,12 +83,12 @@ def test_ipm_trace_shape_and_monotonicity(g3):
     ):
         assert len(rows) == k
     assert set(trace.phases) <= {"center", "predictor"}
-    lo_hi = trace.stages()
+    lo_hi = stages(trace)
     assert lo_hi[0][0] == 0
     assert lo_hi[-1][1] == k
     for (a, b), (c, _) in zip(lo_hi, lo_hi[1:]):
         assert b == c
-    assert trace.monotone_within_stages()
+    assert monotone_within_stages(trace)
     assert trace.iters == sorted(trace.iters)
 
 
@@ -167,7 +168,7 @@ def _direction_cases(g3):
 
 
 def test_corrector_and_predictor_directions_against_full_system(g3):
-    eps = IpmOptions().epsilon
+    eps = 1e-9  # the IPM's default epsilon
     for lcp, w, z, t in _direction_cases(g3):
         n = lcp.n
         scale = 1.0 + np.abs(lcp.m).max()
@@ -192,10 +193,10 @@ def test_corrector_and_predictor_directions_against_full_system(g3):
 
 def test_ipm_stages_split_at_predictor_rows():
     trace = IpmTrace()
-    assert trace.stages() == []
+    assert stages(trace) == []
     for phase in ("center", "center", "predictor", "center", "predictor", "predictor"):
         trace.append(0, 1.0, 1.0, 1.0, 0.0, phase)
-    assert trace.stages() == [(0, 2), (2, 4), (4, 5), (5, 6)]
+    assert stages(trace) == [(0, 2), (2, 4), (4, 5), (5, 6)]
 
 
 @pytest.mark.parametrize("mode", ["kappa", "eigenvalue", "theta"])
@@ -205,12 +206,12 @@ def test_ipm_monotone_within_stages_once_the_shift_reaches_zero(mode):
     # raise the potential, and only the phase tells the stages apart
     for n in (8, 16, 32, 64):
         lcp = to_lcp(*build_hard_instance(HardInstanceSpec(n, 0.1, mode)))
-        _, _, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
+        _, _, trace = solve_potential_reduction(lcp, epsilon=1e-9)
         zero = [i for i, t in enumerate(trace.shifts) if t == 0.0]
         assert zero and trace.phases[zero[0]] == "predictor"
         after = [trace.phases[i] for i in zero[1:]]
         assert "predictor" in after and "center" in after
-        assert trace.monotone_within_stages()
+        assert monotone_within_stages(trace)
         raised = [
             i for i in range(1, len(trace))
             if trace.phases[i] == "predictor"
@@ -220,7 +221,7 @@ def test_ipm_monotone_within_stages_once_the_shift_reaches_zero(mode):
 
 
 def _ipm_rows(lcp):
-    w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
+    w, z, trace = solve_potential_reduction(lcp, epsilon=1e-9)
     assert trace.termination == "converged"
     recover(lcp, w, z)
     return len(trace)
@@ -280,9 +281,8 @@ def test_ipm_near_singular_newton_system_fails_with_context():
 def test_ipm_exit_check_is_wired(g3, monkeypatch):
     game = random_game(64, 0.99, 1903)
     lcp = to_lcp(game, default_partition(game))
-    opts = IpmOptions(epsilon=1e-9)
-    w, z, _ = solve_potential_reduction(lcp, opts)
-    assert verify_solution(lcp, w, z, opts.epsilon).ok
+    w, z, _ = solve_potential_reduction(lcp, epsilon=1e-9)
+    assert verify_solution(lcp, w, z, 1e-9).ok
 
     bad = LcpCheck(feasibility=1.0, complementarity=0.0, min_w=0.0, min_z=0.0, ok=False)
     monkeypatch.setattr("gamelcp.lcp_solvers.verify_solution", lambda *args: bad)
@@ -312,9 +312,8 @@ def _affine(z, m_mat, w, t, floor):
     return m_mat @ dz - t, dz
 
 
-def _nested_loop_ipm(lcp, options=None):
+def _nested_loop_ipm(lcp, epsilon=1e-9):
     MAX_ITERS = lcp_solvers.MAX_ITERS  # read at call time, as monkeypatched
-    opts = options if options is not None else IpmOptions()
     m_mat = np.asarray(lcp.m, dtype=np.float64)
     q = np.asarray(lcp.q, dtype=np.float64)
     n = q.shape[0]
@@ -323,8 +322,8 @@ def _nested_loop_ipm(lcp, options=None):
     trace = IpmTrace()
     z = np.ones(n)
     t = max(0.0, 1.0 - float(np.min(q + m_mat @ z)))
-    t_final = opts.epsilon * 1e-3
-    floor = FLOOR_SHARE * opts.epsilon / n
+    t_final = epsilon * 1e-3
+    floor = FLOOR_SHARE * epsilon / n
     w = q + t + m_mat @ z
     f = _potential(w, z, rho)
     iteration = 0
@@ -334,7 +333,7 @@ def _nested_loop_ipm(lcp, options=None):
         # narrow neighborhood min(w o z) >= CENTER_SHARE * mean(w o z)
         while True:
             gap = float(w @ z)
-            done = t <= t_final and gap < opts.epsilon
+            done = t <= t_final and gap < epsilon
             if done or float(np.min(w * z)) * n >= CENTER_SHARE * gap:
                 break
             if iteration >= MAX_ITERS:
@@ -390,9 +389,9 @@ def _nested_loop_ipm(lcp, options=None):
     # leave with w exactly feasible whenever that keeps the interior and the
     # gap target
     w_snap = q + t + m_mat @ z
-    if w_snap.min() > 0.0 and float(w_snap @ z) < opts.epsilon:
+    if w_snap.min() > 0.0 and float(w_snap @ z) < epsilon:
         w = w_snap
-    check = verify_solution(lcp, w, z, opts.epsilon)
+    check = verify_solution(lcp, w, z, epsilon)
     if not check.ok:
         _fail(trace, f"exit check failed: {check}", check=check)
     trace.termination = "converged"
@@ -409,7 +408,7 @@ def _trace_rows(trace):
 def _run_ipm(solver, lcp):
     """(w, z, trace rows, failed) of one solve, failed or not."""
     try:
-        w, z, trace = solver(lcp, IpmOptions(epsilon=1e-9))
+        w, z, trace = solver(lcp, epsilon=1e-9)
     except SolverFailure as exc:
         return None, None, _trace_rows(exc.context["trace"]), True
     return w, z, _trace_rows(trace), False
@@ -623,7 +622,7 @@ def test_solvers_agree_on_game_lcps():
         part = default_partition(game)
         lcp = to_lcp(game, part)
         w_p, z_p, _ = solve_pivoting(lcp)
-        w_i, z_i, _ = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-11))
+        w_i, z_i, _ = solve_potential_reduction(lcp, epsilon=1e-11)
         assert np.abs(z_p - z_i).max() <= 1e-6
         assert np.abs(w_p - w_i).max() <= 1e-6
         assert verify_solution(lcp, w_p, z_p).ok
@@ -646,6 +645,6 @@ def test_ipm_tangent_keeps_tiny_slacks_at_gamma_099(case):
     else:
         game, part = build_hard_instance(HardInstanceSpec(48, 0.99, case.split("-")[2]))
     lcp = to_lcp(game, part)
-    w, z, trace = solve_potential_reduction(lcp, IpmOptions(epsilon=1e-9))
+    w, z, trace = solve_potential_reduction(lcp, epsilon=1e-9)
     assert trace.termination == "converged"
     recover(lcp, w, z)
