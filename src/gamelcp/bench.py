@@ -113,8 +113,11 @@ def run_bench(
 ):
     """One row per (n, gamma) cell.  A cell whose solve or estimation fails
     is kept with NaN measurements so partial sweeps still flush."""
-    if samples < 0:  # refused here: a cell would turn the refusal into NaNs
+    # refused before any cell runs: a cell would turn certify's refusal into NaNs
+    if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rows = []
     for idx, (n, gamma) in enumerate(itertools.product(ns, gammas)):
         rows.append(_bench_cell(n, gamma, a_mode, seed + idx, samples, ipm_epsilon))
@@ -124,7 +127,7 @@ def run_bench(
 
 
 def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
-    lcp = to_lcp(*build_hard_instance(HardInstanceSpec(n, gamma, a_mode)))
+    lcp = to_lcp(build_hard_instance(HardInstanceSpec(n, gamma, a_mode)))
 
     nan = float("nan")
     row = BenchRow(
@@ -147,7 +150,7 @@ def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
     )
     try:
         report = certify(lcp, cell_seed, samples=samples)
-    except (ArithmeticError, ValueError):
+    except ArithmeticError:  # a failed eigensolve or eigenpair check
         return row
     row.kappa_est, row.theta_est = report.kappa_est, report.theta_est
     row.delta, row.cond = report.delta, report.cond

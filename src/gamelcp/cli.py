@@ -7,6 +7,9 @@ bench (default 1e-9, and it must be positive and finite; solve also
 refuses a --tol below the reduced costs' rounding at the values' bound);
 given to any other command, either is a usage error.  gen, solve, reduce
 and certify write their one artifact to --output, or to stdout without it.
+solve --method ipm|pivot, reduce and certify go through the LCP, whose
+sigma is each state's first action and tau its second: to swap the two
+for a state, reorder its actions in the game file.
 
 Exit codes: 0 on success, 1 when a solver fails, a solution does not
 verify or certify cannot decide that M is a P-matrix, 2 on usage or I/O
@@ -36,14 +39,7 @@ from .game import (
     reduced_cost_rounding,
 )
 from .hard_instances import A_MODES, HardInstanceSpec, build_hard_instance
-from .lcp import (
-    RecoveryError,
-    default_partition,
-    lcp_json,
-    load_partition,
-    recover,
-    to_lcp,
-)
+from .lcp import RecoveryError, lcp_json, recover, to_lcp
 from .lcp_solvers import solve_pivoting, solve_potential_reduction
 from .solvers import (
     SolverFailure,
@@ -82,17 +78,14 @@ def _build_parser():
     p_solve.add_argument(
         "--method", choices=("vi", "si", "brute", "ipm", "pivot"), default="ipm"
     )
-    p_solve.add_argument("--partition", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="write the game's LCP (M, q) as JSON")
     p_reduce.add_argument("--game", required=True)
-    p_reduce.add_argument("--partition", default=None)
     p_reduce.set_defaults(func=_cmd_reduce)
 
     p_cert = sub.add_parser("certify", help="estimate kappa/delta/theta with bounds")
     p_cert.add_argument("--game", required=True)
-    p_cert.add_argument("--partition", default=None)
     p_cert.add_argument(
         "--samples",
         type=int,
@@ -166,15 +159,9 @@ def _cmd_gen(args):
         spec = HardInstanceSpec(
             n=args.n, gamma=args.gamma, a_mode=args.a_mode or "kappa", a=args.a
         )
-        game, _ = build_hard_instance(spec)
+        game = build_hard_instance(spec)
     _write_or_print(game_json(game), args.output)
     return EXIT_OK
-
-
-def _load_partition_or_default(game, path):
-    if path is None:
-        return default_partition(game)
-    return load_partition(path)
 
 
 def _cmd_solve(args):
@@ -188,8 +175,6 @@ def _cmd_solve(args):
             f"{floor:.3g}, the reduced costs' rounding at values of max|cost| / (1 - gamma)"
         )
     if args.method in ("vi", "si", "brute"):
-        if args.partition is not None:
-            raise ValueError("--partition applies to --method ipm and pivot only")
         if args.method == "vi":
             result = value_iteration(game, eps=args.tol)
         elif args.method == "si":
@@ -197,8 +182,7 @@ def _cmd_solve(args):
         else:
             result = brute_force_solve(game, tol=args.tol)
     else:
-        partition = _load_partition_or_default(game, args.partition)
-        lcp = to_lcp(game, partition)
+        lcp = to_lcp(game)
         if args.method == "ipm":
             w, z, trace = solve_potential_reduction(lcp, epsilon=args.tol)
             iterations = len(trace)
@@ -234,15 +218,14 @@ def _cmd_solve(args):
 
 def _cmd_reduce(args):
     game = load_game(args.game)
-    lcp = to_lcp(game, _load_partition_or_default(game, args.partition))
+    lcp = to_lcp(game)
     _write_or_print(lcp_json(lcp), args.output)
     return EXIT_OK
 
 
 def _cmd_certify(args):
     game = load_game(args.game)
-    partition = _load_partition_or_default(game, args.partition)
-    lcp = to_lcp(game, partition)
+    lcp = to_lcp(game)
     report = certify(lcp, args.seed, samples=args.samples)
     _write_or_print(report_json(report), args.output)
     if args.output is not None:

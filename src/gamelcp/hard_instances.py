@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PLAYER_MAX, build_game
-from .lcp import Partition
 
 __all__ = [
     "A_MODES",
@@ -84,7 +83,8 @@ class HardInstanceSpec:
 
 
 def build_hard_instance(spec):
-    """Returns (game, partition) with sigma = all slot 0, tau = all slot 1."""
+    """The game of ``spec``; the reduction's sigma is slot 0 (to anchor 0)
+    and tau slot 1 (to anchor 1) in every state."""
     a = spec.resolve_a()
     to_zero, to_one = (a, [(0, 1.0)]), (a, [(1, 1.0)])
     states = [
@@ -92,9 +92,7 @@ def build_hard_instance(spec):
         (PLAYER_MAX, [(-1.0, [(1, 1.0)])] * 2),
     ]
     states += [(PLAYER_MAX, [to_zero, to_one])] * (spec.n - 2)
-    game = build_game(spec.gamma, states)
-    partition = Partition(sigma=(0,) * spec.n, tau=(1,) * spec.n)
-    return game, partition
+    return build_game(spec.gamma, states)
 
 
 def _beta(gamma):

@@ -1,20 +1,21 @@
 """Reduction of two-action games to linear complementarity problems.
 
-For a game where every state has exactly two actions, split the actions
-into two full profiles sigma (slot 0 of each state) and tau (slot 1).
-With B_s = I - gamma P_sigma, B_t = I - gamma P_tau and S the ownership
-sign matrix, the LCP data is
+For a game where every state has exactly two actions, the action order
+splits them into two full profiles: sigma is slot 0 of each state and tau
+slot 1 (reorder a state's two actions to swap them).  With
+B_s = I - gamma P_sigma, B_t = I - gamma P_tau and S the ownership sign
+matrix, the LCP data is
 
     M = S B_s B_t^{-1} S,      q = S B_s B_t^{-1} c_tau - S c_sigma,
 
 and a solution (w, z >= 0, w = q + Mz, w.z = 0) recovers the optimal
 values v = B_t^{-1} (c_tau + S z) together with the optimal profile
-(sigma's action where w_i <= z_i, tau's otherwise).  One solve,
+(slot 0 where w_i <= z_i, slot 1 otherwise).  One solve,
 B_t^T X^T = B_s^T for all columns, gives X = B_s B_t^{-1}, and both
 M = S X S and q = S X c_tau - S c_sigma are read from it.
 The :class:`Lcp` from :func:`to_lcp` keeps its :class:`Reduction` (the
-:class:`~gamelcp.game.Game`, the partition, B_s, B_t and the two cost
-vectors), which ``recover`` and ``conditioning.certify`` read.
+:class:`~gamelcp.game.Game`, B_s, B_t and the two cost vectors), which
+``recover`` and ``conditioning.certify`` read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from ._kernels import SingularMatrixError, _gamma, solve_discounted
 from .game import (
     Game,
     GameValidationError,
-    as_profile,
     is_optimal,
     reduced_costs,
     restrict,
@@ -40,12 +40,9 @@ from .solvers import SolveResult
 __all__ = [
     "Lcp",
     "LcpCheck",
-    "Partition",
     "RecoveryError",
     "Reduction",
-    "default_partition",
     "lcp_json",
-    "load_partition",
     "recover",
     "reduction",
     "to_lcp",
@@ -71,23 +68,8 @@ class Lcp:
         return self.reduction
 
 
-@dataclass
-class Partition:
-    """Per-state slot pair (sigma, tau) covering both actions of each state."""
-
-    sigma: np.ndarray
-    tau: np.ndarray
-
-
 class RecoveryError(RuntimeError):
     pass
-
-
-def default_partition(game):
-    """sigma = slot 0 and tau = slot 1 everywhere; needs 2 actions per state."""
-    _check_two_actions(np.diff(game.offsets))
-    n = game.n
-    return Partition(sigma=np.zeros(n, dtype=np.int64), tau=np.ones(n, dtype=np.int64))
 
 
 def _check_two_actions(counts):
@@ -97,19 +79,6 @@ def _check_two_actions(counts):
         raise GameValidationError(
             f"state {i} has {counts[i]} actions; the reduction needs exactly 2 per state"
         )
-
-
-def _check_partition(game, partition):
-    _check_two_actions(np.diff(game.offsets))
-    sigma = as_profile(game, partition.sigma)
-    tau = as_profile(game, partition.tau)
-    # with two slots per state, sigma and tau cover both exactly when they differ
-    same = np.flatnonzero(sigma == tau)
-    if same.size:
-        raise GameValidationError(
-            f"partition does not cover both actions of state {same[0]}"
-        )
-    return sigma, tau
 
 
 def _check_residual(lhs, x, rhs):
@@ -131,33 +100,31 @@ def _check_residual(lhs, x, rhs):
 
 @dataclass
 class Reduction:
-    """The game's data under a partition: B_s, B_t and the two cost vectors."""
+    """The game's data under its action order: B_s, B_t and the two cost vectors."""
 
     game: Game
-    sigma: np.ndarray
-    tau: np.ndarray
     b_sig: np.ndarray
     b_tau: np.ndarray
     c_sig: np.ndarray
     c_tau: np.ndarray
 
 
-def reduction(game, partition=None):
-    """B_s = I - gamma P_sigma and B_t = I - gamma P_tau from the stored P."""
-    if partition is None:
-        partition = default_partition(game)
-    sigma, tau = _check_partition(game, partition)
-    p_sig, c_sig = restrict(game, sigma)
-    p_tau, c_tau = restrict(game, tau)
+def reduction(game):
+    """B_s = I - gamma P_sigma and B_t = I - gamma P_tau from the stored P,
+    with sigma = slot 0 and tau = slot 1 of every state."""
+    _check_two_actions(np.diff(game.offsets))
+    zeros = np.zeros(game.n, dtype=np.int64)
+    p_sig, c_sig = restrict(game, zeros)
+    p_tau, c_tau = restrict(game, zeros + 1)
     eye = np.eye(game.n)
     b_sig = eye - game.gamma * p_sig
     b_tau = eye - game.gamma * p_tau
-    return Reduction(game, sigma, tau, b_sig, b_tau, c_sig, c_tau)
+    return Reduction(game, b_sig, b_tau, c_sig, c_tau)
 
 
-def to_lcp(game, partition=None):
-    """Build the LCP (M, q) for the game under the given action partition."""
-    red = reduction(game, partition)
+def to_lcp(game):
+    """Build the LCP (M, q) for the game, sigma = slot 0 and tau = slot 1."""
+    red = reduction(game)
     x_t = solve_discounted(red.b_tau, red.b_sig.T, transpose=True)
     _check_residual(red.b_tau.T, x_t, red.b_sig.T)
     x = x_t.T
@@ -204,10 +171,11 @@ def recover(lcp, w, z, tol=1e-6):
 
     Accepts approximate solutions: (w, z) must pass ``verify_solution`` at
     ``tol``, the profile is extracted by the per-state comparison
-    ``w_i <= z_i`` (sigma on ties), and the result must pass the game's
-    optimality check at ``tol`` (floored at the reduced costs' rounding
-    level by :func:`~gamelcp.game.is_optimal`), else :class:`RecoveryError`
-    reports the worst violation.  The value formula gets a complementarity
+    ``w_i <= z_i`` (slot 0 where it holds, so on ties; slot 1 otherwise),
+    and the result must pass the game's optimality check at ``tol``
+    (floored at the reduced costs' rounding level by
+    :func:`~gamelcp.game.is_optimal`), else :class:`RecoveryError` reports
+    the worst violation.  The value formula gets a complementarity
     allowance on top of ``tol``: a pair with w_i = z_i = 0 in the exact
     solution sits at w_i ~ z_i ~ sqrt(gap) on the central path, and that z
     error enters the values through B_tau^{-1} with gain at most
@@ -226,7 +194,7 @@ def recover(lcp, w, z, tol=1e-6):
     w = np.asarray(w, dtype=np.float64)
     v_formula = solve_discounted(red.b_tau, red.c_tau + game.ownership_signs * z)
 
-    choice = np.where(w <= z, red.sigma, red.tau).astype(np.int64)
+    choice = np.where(w <= z, 0, 1).astype(np.int64)
     v_exact = value_vector(game, choice)
     ok, violations = is_optimal(game, choice, tol, values=v_exact)
     if not ok:
@@ -252,25 +220,3 @@ def lcp_json(lcp):
     payload = {"n": int(lcp.n), "M": lcp.m.tolist(), "q": lcp.q.tolist()}
     return json.dumps(payload) + "\n"
 
-
-def load_partition(path):
-    """The :class:`Partition` in ``path``, a JSON object of two integer
-    lists "sigma" and "tau"; ValueError names the path and what is wrong."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    for key in ("sigma", "tau"):
-        if key not in payload:
-            raise ValueError(f"{path}: missing key {key!r}")
-    slots = []
-    for key in ("sigma", "tau"):
-        try:
-            arr = np.asarray(payload[key])
-        except ValueError as exc:  # ragged nesting
-            raise ValueError(f"{path}: {key!r} must be a list of integers: {exc}") from exc
-        # an empty list passes, for the partition check's shape test
-        if arr.size and arr.dtype.kind not in "iu":
-            raise ValueError(f"{path}: {key!r} must be a list of integers")
-        slots.append(arr.astype(np.int64))
-    return Partition(*slots)

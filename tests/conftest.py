@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from gamelcp.game import build_game
@@ -21,6 +24,21 @@ def three_state_game(gamma=0.5):
 def hard_instance(n, gamma, a_mode="custom", a=None):
     spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode, a=a)
     return build_hard_instance(spec)
+
+
+def sigma_tau(game):
+    """The reduction's two profiles: slot 0 (sigma) and slot 1 (tau) of
+    every state."""
+    return np.zeros(game.n, dtype=np.int64), np.ones(game.n, dtype=np.int64)
+
+
+def swap_actions(game, states):
+    """``game`` with the two actions of each of ``states`` in the other
+    order: the reduction's sigma and tau trade places there."""
+    rows = np.arange(game.costs.size)
+    first = game.offsets[np.asarray(states, dtype=np.int64)]
+    rows[first], rows[first + 1] = first + 1, first
+    return dataclasses.replace(game, p=game.p[rows], costs=game.costs[rows])
 
 
 @pytest.fixture

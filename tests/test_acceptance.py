@@ -6,7 +6,7 @@ exactly as stated and must not be loosened to make a run green.
 
 import numpy as np
 
-from conftest import three_state_game
+from conftest import sigma_tau, three_state_game
 from oracles import closed_forms, markov_step_distribution, monotone_within_stages
 from gamelcp.bench import fit_loglog_slope, random_game, run_bench
 from gamelcp.conditioning import (
@@ -28,7 +28,7 @@ from gamelcp.hard_instances import (
     predicted_kappa_lb,
     predicted_theta_ub,
 )
-from gamelcp.lcp import default_partition, recover, to_lcp
+from gamelcp.lcp import recover, to_lcp
 from gamelcp.lcp_solvers import solve_pivoting, solve_potential_reduction
 from gamelcp.solvers import (
     SolverFailure,
@@ -51,8 +51,8 @@ def _report(label, ok, detail=""):
 
 def _hard(n, gamma, a_mode, a=None):
     spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode, a=a)
-    game, partition = build_hard_instance(spec)
-    return spec, game, partition, to_lcp(game, partition)
+    game = build_hard_instance(spec)
+    return spec, game, to_lcp(game)
 
 
 def test_01_fixture_fidelity():
@@ -104,9 +104,9 @@ def test_02_hard_family_closed_forms():
     for n in NS_GRID:
         for gamma in GAMMA_GRID:
             for a in (1.0, gamma / (1.0 - gamma)):
-                spec, game, partition, lcp = _hard(n, gamma, "custom", a)
+                spec, game, lcp = _hard(n, gamma, "custom", a)
                 forms = closed_forms(spec)
-                v = value_vector(game, partition.tau)
+                v = value_vector(game, sigma_tau(game)[1])
                 r = lcp.m @ forms.c_tau
                 r_prime = forms.c_tau * r
                 for got, want in (
@@ -133,7 +133,7 @@ def test_03_kappa_witness_exactness():
             predicted = predicted_kappa_lb(n, gamma)
             if predicted <= 0.0:
                 continue
-            spec, _, _, lcp = _hard(n, gamma, "kappa")
+            spec, _, lcp = _hard(n, gamma, "kappa")
             got = kappa_at(lcp.m, closed_forms(spec).c_tau)
             rel = abs(got - predicted) / max(1.0, abs(predicted))
             worst = max(worst, rel)
@@ -154,7 +154,7 @@ def test_04_eigenvalue_witness_exactness():
     spot = None
     for n in NS_GRID + (10,):
         for gamma in GAMMA_GRID:
-            spec, _, _, lcp = _hard(n, gamma, "eigenvalue")
+            spec, _, lcp = _hard(n, gamma, "eigenvalue")
             x = closed_forms(spec).c_tau
             predicted = predicted_eig_ub(n, gamma)
             sym = 0.5 * (lcp.m + lcp.m.T)
@@ -180,7 +180,7 @@ def test_05_theta_sandwich():
     notes = []
     for n in NS_GRID + (10,):
         for gamma in GAMMA_GRID:
-            spec, _, _, lcp = _hard(n, gamma, "theta")
+            spec, _, lcp = _hard(n, gamma, "theta")
             forms = closed_forms(spec)
             est, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 2000, 0), (forms.c_tau,))
             lo = theta_lower_bound(n, gamma)
@@ -188,7 +188,7 @@ def test_05_theta_sandwich():
             if not (lo - 1e-12 <= est <= hi + 1e-9):
                 ok = False
                 notes.append(f"(n={n}, gamma={gamma}): {lo:.3e} <= {est:.3e} <= {hi:.3e}")
-    spec, _, _, lcp = _hard(10, 0.5, "theta")
+    spec, _, lcp = _hard(10, 0.5, "theta")
     c_tau = closed_forms(spec).c_tau
     witness = theta_at(lcp.m, c_tau)
     spot_est, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 2000, 0), (c_tau,))
@@ -211,7 +211,7 @@ def test_06_global_bounds_on_random_games():
         n = int(rng.integers(1, 17))
         gamma = float(rng.uniform(0.1, 0.99))
         game = random_game(n, gamma, seed=k)
-        lcp = to_lcp(game, default_partition(game))
+        lcp = to_lcp(game)
         kappa_ub = kappa_upper_bound(n, gamma)
         delta_lb = delta_lower_bound(n, gamma)
         theta_lb = theta_lower_bound(n, gamma)
@@ -238,7 +238,7 @@ def test_07_pmatrix_minors_on_random_games():
         n = int(rng.integers(1, 13))
         gamma = float(rng.uniform(0.1, 0.99))
         game = random_game(n, gamma, seed=1000 + k)
-        check = pmatrix_check_minors(to_lcp(game, default_partition(game)).m)
+        check = pmatrix_check_minors(to_lcp(game).m)
         if not check.ok:
             bad.append((k, n, gamma))
     ok = not bad
@@ -258,8 +258,7 @@ def test_08_oracle_equivalence():
         n = int(rng.integers(1, 9))
         gamma = float(rng.uniform(0.1, 0.99))
         game = random_game(n, gamma, seed=2000 + k)
-        partition = default_partition(game)
-        lcp = to_lcp(game, partition)
+        lcp = to_lcp(game)
 
         results = [
             brute_force_solve(game),
@@ -290,14 +289,14 @@ def test_09_ipm_convergence():
     cases = []
     for n in (8, 16, 32, 64):
         for gamma in (0.5, 0.9, 0.95):
-            _, _, _, lcp = _hard(n, gamma, "kappa")
+            _, _, lcp = _hard(n, gamma, "kappa")
             cases.append((f"hard n={n} gamma={gamma}", lcp))
             game = random_game(n, gamma, seed=300 + n)
             cases.append(
-                (f"random n={n} gamma={gamma}", to_lcp(game, default_partition(game)))
+                (f"random n={n} gamma={gamma}", to_lcp(game))
             )
     for mode in ("eigenvalue", "theta"):
-        _, _, _, lcp = _hard(64, 0.95, mode)
+        _, _, lcp = _hard(64, 0.95, mode)
         cases.append((f"hard n=64 gamma=0.95 {mode}", lcp))
 
     bad = []

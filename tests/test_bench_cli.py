@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gamelcp
-from conftest import hard_instance
+from conftest import hard_instance, swap_actions
 from gamelcp.bench import (
     BENCH_COLUMNS,
     fit_loglog_slope,
@@ -37,7 +37,7 @@ from gamelcp.game import (
     validate_game,
     value_vector,
 )
-from gamelcp.lcp import default_partition, lcp_json, to_lcp
+from gamelcp.lcp import lcp_json, to_lcp
 from gamelcp.solvers import strategy_iteration
 
 WALL = BENCH_COLUMNS.index("wall_ms")
@@ -208,7 +208,7 @@ def test_render_svg_rejects_empty():
 
 
 def write_g3(tmp_path):
-    game, _ = hard_instance(3, 0.5, a=1.0)
+    game = hard_instance(3, 0.5, a=1.0)
     path = tmp_path / "g3.json"
     save_game(game, path)
     return path
@@ -222,14 +222,11 @@ def test_cli_gen_hard_family(tmp_path):
     assert rc == 0
     game = load_game(out)
     assert game.n == 6 and game.gamma == 0.5
-    built, partition = hard_instance(6, 0.5, a_mode="kappa")
+    built = hard_instance(6, 0.5, a_mode="kappa")
     assert out.read_text() == game_json(built)
-    # the family's partition is the default one, so gen writes no partition
-    # file and reduce, solve and certify need none
+    # the family's partition is its action order, so gen writes one file
+    # and reduce, solve and certify read no other
     assert list(tmp_path.iterdir()) == [out]
-    default = default_partition(game)
-    assert np.array_equal(partition.sigma, default.sigma)
-    assert np.array_equal(partition.tau, default.tau)
 
 
 def test_cli_gen_stdout(capsys):
@@ -306,6 +303,16 @@ SOLVE_METHODS = ("vi", "si", "brute", "ipm", "pivot")
         (["bench", "--ns", "4", "--gammas", "0.5", "--plot", "{tmp}/s.svg"], "--plot"),
         (["bench", "--ns", "4", "--gammas", "0.5", "--plot-quantity", "cond"],
          "--plot-quantity"),
+        # a partition file only restated the game's action order
+        *(
+            (["solve", "--game", "{tmp}/g3.json", "--method", method,
+              "--partition", "{tmp}/p.json"], "--partition")
+            for method in ("ipm", "pivot")
+        ),
+        (["reduce", "--game", "{tmp}/g3.json", "--partition", "{tmp}/p.json"],
+         "--partition"),
+        (["certify", "--game", "{tmp}/g3.json", "--partition", "{tmp}/p.json"],
+         "--partition"),
     ],
 )
 def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv, flag):
@@ -639,19 +646,6 @@ def test_cli_solve_takes_integral_floats_as_indices(tmp_path, capsys):
     assert "optimal=True" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "body, key", [("{}", "'sigma'"), ("[]", "JSON object"), ('{"sigma": [0, 0, 0]}', "'tau'")]
-)
-@pytest.mark.parametrize("command", ["solve", "reduce", "certify"])
-def test_cli_malformed_partition_exits_2(tmp_path, capsys, command, body, key):
-    part = tmp_path / "part.json"
-    part.write_text(body)
-    argv = [command, "--game", str(write_g3(tmp_path)), "--partition", str(part)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert str(part) in err and key in err
-
-
 def test_cli_rejects_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--nope"])
@@ -670,8 +664,8 @@ def test_cli_reduce_matches_library(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     payload = json.loads(printed)
-    game, partition = hard_instance(3, 0.5, a=1.0)
-    lcp = to_lcp(game, partition)
+    game = hard_instance(3, 0.5, a=1.0)
+    lcp = to_lcp(game)
     assert np.array_equal(np.array(payload["M"]), lcp.m)
     assert np.array_equal(np.array(payload["q"]), lcp.q)
 
@@ -684,7 +678,7 @@ def test_cli_reduce_matches_library(tmp_path, capsys):
 
 def test_cli_certify_hard_instance(tmp_path, capsys):
     game_path = tmp_path / "g10.json"
-    game, _ = hard_instance(10, 0.5, a_mode="kappa")
+    game = hard_instance(10, 0.5, a_mode="kappa")
     save_game(game, game_path)
     report_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
@@ -848,6 +842,39 @@ def test_cli_refuses_negative_samples(tmp_path, capsys):
     assert json.loads(report.read_text())["samples"] == 0
     assert main(bench_argv + ["--samples", "0"]) == 0
     assert read_bench_csv(csv_path)[0].kappa_est >= 0.0
+
+
+def test_cli_bench_refuses_a_negative_seed(tmp_path, capsys):
+    # default_rng(-1) raises ValueError inside certify, which a cell once
+    # caught and wrote as a NaN row with exit 0
+    csv_path = tmp_path / "b.csv"
+    argv = ["--seed", "-1", "--output", str(csv_path), "bench", "--ns", "8", "--gammas", "0.5"]
+    assert main(argv) == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert not csv_path.exists()  # refused before the first cell
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        run_bench([4], [0.5], seed=-1)
+
+
+def test_cli_solve_swapped_game_mirrors_the_profile(tmp_path, capsys):
+    # reordering a state's two actions in the game file is how sigma and tau
+    # are swapped there: the LCP methods give the same values and a profile
+    # mirrored on the swapped states
+    game = random_game(8, 0.9, 5)
+    flip = np.array([1, 0, 0, 1, 1, 0, 1, 0], dtype=bool)
+    paths = tmp_path / "g.json", tmp_path / "swapped.json"
+    save_game(game, paths[0])
+    save_game(swap_actions(game, np.flatnonzero(flip)), paths[1])
+    for method in ("ipm", "pivot"):
+        base, out = (
+            tmp_path / f"{method}.json", tmp_path / f"{method}.swapped.json"
+        )
+        for path, result in zip(paths, (base, out)):
+            argv = ["--output", str(result), "solve", "--game", str(path), "--method", method]
+            assert main(argv) == 0, capsys.readouterr().err
+        base, out = json.loads(base.read_text()), json.loads(out.read_text())
+        assert np.abs(np.subtract(out["values"], base["values"])).max() <= 1e-12
+        assert (np.array(out["profile"]) ^ flip).tolist() == base["profile"]
 
 
 def test_cli_bench_offers_no_custom_a_mode(tmp_path, capsys):

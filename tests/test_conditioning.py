@@ -33,17 +33,17 @@ from gamelcp._kernels import SingularMatrixError
 from gamelcp.cli import main
 from gamelcp.game import build_game, restrict, save_game
 from gamelcp.hard_instances import HardInstanceSpec
-from gamelcp.lcp import Lcp, default_partition, reduction, to_lcp
+from gamelcp.lcp import Lcp, reduction, to_lcp
 
-from conftest import hard_instance
+from conftest import hard_instance, sigma_tau
 from oracles import closed_forms
 
 NOT_P = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def hard_lcp(n, gamma, a_mode="kappa"):
-    game, part = hard_instance(n, gamma, a_mode=a_mode)
-    return to_lcp(game, part)
+    game = hard_instance(n, gamma, a_mode=a_mode)
+    return to_lcp(game)
 
 
 def test_kappa_at_hard_witness_exact():
@@ -174,7 +174,7 @@ def test_estimate_kappa_identity_is_zero():
 def _random_game_lcps(count, n=24, gamma=0.99, seed0=500):
     for k in range(count):
         game = random_game(n, gamma, seed0 + k)
-        yield to_lcp(game, default_partition(game)).m
+        yield to_lcp(game).m
 
 
 def test_estimate_kappa_is_exact_at_its_direction():
@@ -252,14 +252,14 @@ def _oracle_cases():
         for gamma in (0.5, 0.99):
             for a_mode in ("kappa", "eigenvalue", "theta"):
                 spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode)
-                game, part = hard_instance(n, gamma, a_mode=a_mode)
-                _, c_tau = restrict(game, part.tau)
+                game = hard_instance(n, gamma, a_mode=a_mode)
+                _, c_tau = restrict(game, sigma_tau(game)[1])
                 witnesses = [closed_forms(spec).c_tau, game.ownership_signs * c_tau]
-                yield to_lcp(game, part).m, witnesses
+                yield to_lcp(game).m, witnesses
     for n in (8, 12, 24):
         for gamma in (0.5, 0.99):
             game = random_game(n, gamma, 300 + n)
-            yield to_lcp(game, default_partition(game)).m, ()
+            yield to_lcp(game).m, ()
 
 
 def test_batched_climb_matches_scalar_oracle(monkeypatch):
@@ -355,24 +355,24 @@ def _climb_identity_cases():
     for n in (8, 16, 32, 48, 64):
         for gamma in (0.9, 0.99):
             for a_mode in ("kappa", "eigenvalue", "theta"):
-                game, part = hard_instance(n, gamma, a_mode=a_mode)
-                lcp = to_lcp(game, part)
+                game = hard_instance(n, gamma, a_mode=a_mode)
+                lcp = to_lcp(game)
                 suffix = "" if gamma == 0.9 else f"-{gamma}"
                 yield f"hard-{n}-{a_mode}{suffix}", lcp.m, _certify_witnesses(lcp)
     # at n = 96 one round's moves fill the entry cap: a chain gets only the
     # rows that the moves already taken in the round left free
-    game, part = hard_instance(96, 0.9, a_mode="kappa")
-    lcp = to_lcp(game, part)
+    game = hard_instance(96, 0.9, a_mode="kappa")
+    lcp = to_lcp(game)
     yield "hard-96-kappa", lcp.m, _certify_witnesses(lcp)
     for n in (1, 8, 24):
         for gamma in (0.5, 0.99):
             game = random_game(n, gamma, 40 + n)
-            yield f"random-{n}-{gamma}", to_lcp(game, default_partition(game)).m, ()
+            yield f"random-{n}-{gamma}", to_lcp(game).m, ()
     # the certify workload's sizes and discounts, with certify's witnesses
     for n in (10, 12):
         for gamma in (0.9, 0.99):
             game = random_game(n, gamma, 1900 + n)
-            lcp = to_lcp(game, default_partition(game))
+            lcp = to_lcp(game)
             yield f"certify-{n}-{gamma}", lcp.m, _certify_witnesses(lcp)
 
 
@@ -397,7 +397,7 @@ def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
     # plateau and no round moves x, so windows of 1, 2, 4, 8, 16 and then
     # the entry cap's 28 rounds (n = 24) score all 100 rounds in 8 calls
     game = random_game(24, 0.9, 1900)
-    lcp = to_lcp(game, default_partition(game))
+    lcp = to_lcp(game)
     witnesses = _certify_witnesses(lcp)
     assert estimate_kappa(lcp.m, gaussian_block(lcp.m, 10_000, 0), witnesses)[0] == 0.0
     starts = _climb_starts(monkeypatch, lcp.m, witnesses, samples=10_000, seed=0)
@@ -417,8 +417,8 @@ def test_hard_theta_climb_scores_its_chains_in_few_calls(monkeypatch):
     # takes the climb from 1,361 calls (one per move taken) to 149, and
     # carrying the streak across round ends, with each closing scan also
     # opening the next round, to 86
-    game, part = hard_instance(64, 0.9, a_mode="kappa")
-    lcp = to_lcp(game, part)
+    game = hard_instance(64, 0.9, a_mode="kappa")
+    lcp = to_lcp(game)
     starts = _climb_starts(monkeypatch, lcp.m, _certify_witnesses(lcp))
     x0, batch_fn, better = starts[1]
     assert batch_fn is cond._theta_batch
@@ -517,9 +517,9 @@ def _chain_branch_cases():
         m_mat = rng.standard_normal((n, n)) + math.sqrt(n) * np.eye(n)
         yield m_mat, rng.standard_normal(n)
     game = random_game(16, 0.9, 0)
-    yield to_lcp(game, default_partition(game)).m, np.random.default_rng(0).standard_normal(16)
-    game, part = hard_instance(16, 0.9, a_mode="kappa")
-    yield to_lcp(game, part).m, np.random.default_rng(16).standard_normal(16)
+    yield to_lcp(game).m, np.random.default_rng(0).standard_normal(16)
+    game = hard_instance(16, 0.9, a_mode="kappa")
+    yield to_lcp(game).m, np.random.default_rng(16).standard_normal(16)
 
 
 def test_speculative_climb_takes_every_chain_branch_bit_identically(monkeypatch):
@@ -540,21 +540,21 @@ def test_speculative_climb_takes_every_chain_branch_bit_identically(monkeypatch)
 def _certify_cases():
     for n in (1, 8, 24):
         for gamma in (0.5, 0.99):
-            yield f"random-{n}-{gamma}", random_game(n, gamma, 60 + n), None
+            yield f"random-{n}-{gamma}", random_game(n, gamma, 60 + n)
     for n in (8, 32):
         for a_mode in ("kappa", "theta"):
-            game, part = hard_instance(n, 0.9, a_mode=a_mode)
-            yield f"hard-{n}-{a_mode}", game, part
+            game = hard_instance(n, 0.9, a_mode=a_mode)
+            yield f"hard-{n}-{a_mode}", game
     # 3,000 samples at n = 64 take twelve chunks of 250 rows
-    game, part = hard_instance(64, 0.9, a_mode="kappa")
-    yield "hard-64-kappa", game, part
+    game = hard_instance(64, 0.9, a_mode="kappa")
+    yield "hard-64-kappa", game
 
 
 @pytest.mark.parametrize("case", list(_certify_cases()), ids=lambda c: c[0])
 def test_certify_estimates_equal_the_estimators_called_alone(case):
     # certify draws its gaussian block once for both estimators
-    _, game, part = case
-    lcp = to_lcp(game, part)
+    _, game = case
+    lcp = to_lcp(game)
     witnesses = _certify_witnesses(lcp)
     report = certify(lcp, seed=11, samples=3000)
     kappa, _ = estimate_kappa(lcp.m, gaussian_block(lcp.m, 3000, 11), witnesses)
@@ -653,7 +653,7 @@ def test_certify_memory_does_not_grow_with_the_sample(n, samples):
     # the whole sample at once took a 19.6 MB (n = 64) and a 25.2 MB (n = 8)
     # peak; streamed, the peak is a chunk and a climb's rows, 1.0-1.3 MB
     game = random_game(n, 0.9, 1)
-    lcp = to_lcp(game, default_partition(game))
+    lcp = to_lcp(game)
     tracemalloc.start()
     try:
         certify(lcp, seed=0, samples=samples)
@@ -880,7 +880,7 @@ def test_batch_scorers_edge_values():
 def test_one_direction_scorers_are_the_batch_scorers_on_one_row():
     # the hard cell's rows once scored apart on 27 (kappa) and 68 (theta) of 200
     game = random_game(24, 0.9, 1)
-    for m_mat in (hard_lcp(32, 0.9).m, to_lcp(game, default_partition(game)).m):
+    for m_mat in (hard_lcp(32, 0.9).m, to_lcp(game).m):
         x_rows, _ = gaussian_block(m_mat, 200, 0)
         y_rows = np.array([m_mat @ x for x in x_rows])
         for one, batch_fn in ((kappa_at, cond._kappa_batch), (theta_at, cond._theta_batch)):
@@ -909,8 +909,8 @@ def test_estimator_driver_scores_each_witness_as_it_scores_alone():
 
 
 def test_minors_check_g3(g3):
-    game, part = g3
-    mc = pmatrix_check_minors(to_lcp(game, part).m)
+    game = g3
+    mc = pmatrix_check_minors(to_lcp(game).m)
     assert mc.ok
     assert mc.failing_subset is None
     assert mc.min_scaled_minor > 0.0
@@ -947,10 +947,10 @@ def _plain_lcp(game):
     return Lcp(m=m_mat, q=signs * (x @ red.c_tau) - signs * red.c_sig, reduction=red)
 
 
-def _certificate(game, partition=None, m_mat=None):
-    red = reduction(game, partition)
+def _certificate(game, m_mat=None):
+    red = reduction(game)
     if m_mat is None:
-        m_mat = to_lcp(game, partition).m
+        m_mat = to_lcp(game).m
     return structural_certificate(m_mat, red.b_sig, red.b_tau, red.game.ownership_signs)
 
 
@@ -994,8 +994,8 @@ def test_minors_agree_with_theta_search():
 
 
 def test_certify_hard_kappa_mode():
-    game, part = hard_instance(10, 0.5, a_mode="kappa")
-    report = certify(to_lcp(game, part), seed=0, samples=2000)
+    game = hard_instance(10, 0.5, a_mode="kappa")
+    report = certify(to_lcp(game), seed=0, samples=2000)
     assert report.n == 10
     assert report.kappa_est == pytest.approx(0.75, abs=1e-9)
     assert report.kappa_ub == 40.0
@@ -1008,8 +1008,8 @@ def test_certify_hard_kappa_mode():
 
 
 def test_certify_hard_theta_mode():
-    game, part = hard_instance(10, 0.5, a_mode="theta")
-    report = certify(to_lcp(game, part), seed=0, samples=2000)
+    game = hard_instance(10, 0.5, a_mode="theta")
+    report = certify(to_lcp(game), seed=0, samples=2000)
     assert report.theta_lb == pytest.approx(1.0 / 90.0)
     assert report.theta_lb - 1e-9 <= report.theta_est <= 1.0 / 34.0 + 1e-12
     assert report.pmatrix == "structural"
@@ -1029,7 +1029,7 @@ def test_certify_accepts_well_conditioned_small_minors(seed):
     # each game has positive minors below 1e-12 times their row-max product,
     # all with cond_2 below 2000, and no minor with det <= 0
     game = random_game(12, 0.99, seed)
-    mc = pmatrix_check_minors(to_lcp(game, default_partition(game)).m)
+    mc = pmatrix_check_minors(to_lcp(game).m)
     assert mc.ok and 0.0 < mc.min_scaled_minor < 1e-12
     report = certify(to_lcp(game), seed=0, samples=200)
     assert report.pmatrix == "structural"
@@ -1042,7 +1042,7 @@ def test_minors_check_refuses_near_singular_positive_minor():
 
 
 def test_certify_requires_options(g3):
-    game, _ = g3
+    game = g3
     # the seed has no default: every report names the draw it came from
     with pytest.raises(TypeError, match="seed"):
         certify(to_lcp(game))
@@ -1051,21 +1051,21 @@ def test_certify_requires_options(g3):
 def _cert_cases():
     for n in (1, 8, 12, 24, 64):
         for gamma in (0.5, 0.9, 0.99):
-            yield f"random-{n}-{gamma}", random_game(n, gamma, 7 * n), None
+            yield f"random-{n}-{gamma}", random_game(n, gamma, 7 * n)
     for n in (8, 64):
         for a_mode in ("kappa", "eigenvalue", "theta"):
-            game, part = hard_instance(n, 0.9, a_mode=a_mode)
-            yield f"hard-{n}-{a_mode}", game, part
+            game = hard_instance(n, 0.9, a_mode=a_mode)
+            yield f"hard-{n}-{a_mode}", game
 
 
 @pytest.mark.parametrize("case", list(_cert_cases()), ids=lambda c: c[0])
 def test_structural_certificate_holds_on_game_lcps(case):
-    _, game, part = case
-    cert = _certificate(game, part)
+    _, game = case
+    cert = _certificate(game)
     assert cert.ok and cert.mu_s > 0.0 and cert.mu_t > 0.0
     assert 0.0 <= cert.ratio < 1e-3
     if game.n <= 12:
-        assert pmatrix_check_minors(to_lcp(game, part).m).ok
+        assert pmatrix_check_minors(to_lcp(game).m).ok
 
 
 def test_structural_certificate_refuses_excess_row_mass():
@@ -1136,8 +1136,8 @@ def test_cli_certify_undecided_exits_1_with_report(tmp_path, capsys):
 
 
 def test_report_files(tmp_path, g3):
-    game, part = g3
-    report = certify(to_lcp(game, part), seed=7, samples=300)
+    game = g3
+    report = certify(to_lcp(game), seed=7, samples=300)
     cpath = tmp_path / "report.csv"
     write_report_csv(report, cpath)
     payload = json.loads(report_json(report))

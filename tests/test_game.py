@@ -23,7 +23,7 @@ from gamelcp.game import (
     value_vector,
 )
 
-from conftest import THREE_STATE_SPEC, three_state_game, hard_instance
+from conftest import THREE_STATE_SPEC, three_state_game, hard_instance, sigma_tau
 from oracles import markov_step_distribution
 
 ARRAYS = ("p", "costs", "ownership_signs", "offsets", "state_of_action", "owners")
@@ -205,17 +205,19 @@ def test_single_state_minimizer_rep():
 
 
 def test_g3_restrictions(g3):
-    game, part = g3
-    p_sigma, _ = restrict(game, part.sigma)
-    p_tau, _ = restrict(game, part.tau)
+    game = g3
+    sigma, tau = sigma_tau(game)
+    p_sigma, _ = restrict(game, sigma)
+    p_tau, _ = restrict(game, tau)
     assert np.array_equal(p_sigma, [[1, 0, 0], [0, 1, 0], [1, 0, 0]])
     assert np.array_equal(p_tau, [[1, 0, 0], [0, 1, 0], [0, 1, 0]])
 
 
 def test_g3_value_vectors(g3):
-    game, part = g3
-    assert np.allclose(value_vector(game, part.tau), [2.0, -2.0, 0.0], atol=1e-12)
-    assert np.allclose(value_vector(game, part.sigma), [2.0, -2.0, 2.0], atol=1e-12)
+    game = g3
+    sigma, tau = sigma_tau(game)
+    assert np.allclose(value_vector(game, tau), [2.0, -2.0, 0.0], atol=1e-12)
+    assert np.allclose(value_vector(game, sigma), [2.0, -2.0, 2.0], atol=1e-12)
 
 
 def test_zero_costs_zero_values(three_state):
@@ -225,11 +227,12 @@ def test_zero_costs_zero_values(three_state):
 
 
 def test_g3_reduced_costs(g3):
-    game, part = g3
-    rc_tau = reduced_costs(game, part.tau)
+    game = g3
+    sigma, tau = sigma_tau(game)
+    rc_tau = reduced_costs(game, tau)
     # under tau, the unused jump of the tail state has advantage a + gamma*v(0) - v(2) = 2
     assert abs(rc_tau[4] - 2.0) <= 1e-12
-    rc_sigma = reduced_costs(game, part.sigma)
+    rc_sigma = reduced_costs(game, sigma)
     assert abs(rc_sigma[5] - (-2.0)) <= 1e-12
 
 
@@ -243,10 +246,11 @@ def test_chosen_actions_have_zero_reduced_cost(three_state):
 
 
 def test_g3_optimality_verdicts(g3):
-    game, part = g3
-    ok, violations = is_optimal(game, part.sigma)
+    game = g3
+    sigma, tau = sigma_tau(game)
+    ok, violations = is_optimal(game, sigma)
     assert ok and violations.size == 0
-    ok, violations = is_optimal(game, part.tau)
+    ok, violations = is_optimal(game, tau)
     assert not ok
     assert violations.tolist() == [4]  # the tail state's jump to the +1 anchor
 
@@ -357,7 +361,7 @@ def _assert_same_arrays(got, want):
 
 def test_save_load_gives_the_same_arrays(tmp_path):
     games = [random_game(n, 0.9, 50 + n) for n in range(1, 65)]
-    games += [hard_instance(n, 0.95, m)[0] for n in (3, 12) for m in ("kappa", "theta")]
+    games += [hard_instance(n, 0.95, m) for n in (3, 12) for m in ("kappa", "theta")]
     # repeated targets, and a zero entry (state 3 to itself)
     zero_entry = (2, [(4.0, [(3, 0.0), (1, 1.0)])])
     games.append(build_game(0.9, REPEATED_TARGET_SPEC + [zero_entry]))
@@ -394,7 +398,7 @@ def test_new_and_old_indented_layouts_load_the_same_arrays(tmp_path):
         for seed in (0, 3)
     ]
     games += [
-        hard_instance(n, gamma, mode)[0]
+        hard_instance(n, gamma, mode)
         for n in (3, 16)
         for gamma in (0.5, 0.99)
         for mode in ("kappa", "eigenvalue", "theta")
@@ -470,7 +474,7 @@ def test_build_game_matches_entry_loop():
         (0.9, _spec(game_to_dict(random_game(n, 0.9, 40 + n)))) for n in (1, 2, 7, 33, 64)
     ]
     specs += [
-        (0.99, _spec(game_to_dict(hard_instance(12, 0.99, mode)[0])))
+        (0.99, _spec(game_to_dict(hard_instance(12, 0.99, mode))))
         for mode in ("kappa", "theta")
     ]
     assert (0.1 + 0.2) + 0.7 != 0.1 + (0.2 + 0.7)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hard_instance
+from conftest import hard_instance, sigma_tau
 from oracles import closed_forms
 from gamelcp.conditioning import (
     _kappa_batch,
@@ -26,7 +26,7 @@ from gamelcp.hard_instances import (
     predicted_kappa_lb,
     predicted_theta_ub,
 )
-from gamelcp.lcp import default_partition, to_lcp
+from gamelcp.lcp import reduction, to_lcp
 from gamelcp.solvers import brute_force_solve
 
 GRID = [
@@ -47,19 +47,24 @@ def beta_of(gamma):
 
 
 def test_builder_shape_and_partition():
-    game, partition = hard_instance(7, 0.6, a_mode="kappa")
+    game = hard_instance(7, 0.6, a_mode="kappa")
     assert game.n == 7
     assert np.array_equal(game.owners, [PLAYER_MAX] * 7)
     assert np.array_equal(game.offsets, np.arange(0, 16, 2))
-    assert partition.sigma == (0,) * 7
-    assert partition.tau == (1,) * 7
-    derived = default_partition(game)
-    assert np.array_equal(derived.sigma, partition.sigma)
-    assert np.array_equal(derived.tau, partition.tau)
+    # the family's partition is its action order: sigma (slot 0) jumps to
+    # anchor 0 and tau (slot 1) to anchor 1 from every tail state
+    sigma, tau = sigma_tau(game)
+    p_sig, _ = restrict(game, sigma)
+    p_tau, _ = restrict(game, tau)
+    assert np.array_equal(p_sig[2:], np.tile(np.eye(7)[0], (5, 1)))
+    assert np.array_equal(p_tau[2:], np.tile(np.eye(7)[1], (5, 1)))
+    red = reduction(game)
+    assert np.array_equal(red.b_sig, np.eye(7) - 0.6 * p_sig)
+    assert np.array_equal(red.b_tau, np.eye(7) - 0.6 * p_tau)
 
 
 def test_anchor_states_have_duplicate_self_loops():
-    game, _ = hard_instance(5, 0.5, a_mode="theta")
+    game = hard_instance(5, 0.5, a_mode="theta")
     for i in (0, 1):
         first, second = 2 * i, 2 * i + 1
         assert np.array_equal(game.p[first], game.p[second])
@@ -70,7 +75,7 @@ def test_anchor_states_have_duplicate_self_loops():
 
 
 def test_tail_states_jump_to_the_anchors():
-    game, _ = hard_instance(6, 0.8, a_mode="custom", a=3.0)
+    game = hard_instance(6, 0.8, a_mode="custom", a=3.0)
     for i in range(2, 6):
         to_zero, to_one = 2 * i, 2 * i + 1
         assert game.costs[to_zero] == 3.0 and game.costs[to_one] == 3.0
@@ -85,17 +90,18 @@ def test_tail_states_jump_to_the_anchors():
 @pytest.mark.parametrize("mode", ["kappa", "eigenvalue", "theta"])
 def test_closed_forms_match_game(n, gamma, mode):
     spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=mode)
-    game, partition = build_hard_instance(spec)
+    game = build_hard_instance(spec)
+    _, tau = sigma_tau(game)
     forms = closed_forms(spec)
 
-    _, c_tau = restrict(game, partition.tau)
+    _, c_tau = restrict(game, tau)
     assert np.array_equal(c_tau, forms.c_tau)
 
-    v_tau = value_vector(game, partition.tau)
+    v_tau = value_vector(game, tau)
     scale = 1.0 + np.abs(forms.v_tau).max()
     assert np.abs(v_tau - forms.v_tau).max() <= 1e-9 * scale
 
-    lcp = to_lcp(game, partition)
+    lcp = to_lcp(game)
     image = lcp.m @ forms.c_tau
     assert np.abs(image - forms.image).max() <= 1e-9 * (1.0 + np.abs(image).max())
     assert np.array_equal(forms.products, forms.c_tau * forms.image)
@@ -121,8 +127,8 @@ def test_doubled_cost_zeroes_the_image_tail():
 
 def test_matrix_structure_identity_plus_anchor_columns():
     n, gamma = 8, 0.7
-    game, partition = hard_instance(n, gamma, a_mode="kappa")
-    lcp = to_lcp(game, partition)
+    game = hard_instance(n, gamma, a_mode="kappa")
+    lcp = to_lcp(game)
     beta = beta_of(gamma)
     expected = np.eye(n)
     expected[2:, 1] = beta
@@ -134,8 +140,8 @@ def test_matrix_ignores_the_cost_knob():
     base = None
     for mode in A_MODES:
         a = 0.123 if mode == "custom" else None
-        game, partition = hard_instance(6, 0.7, a_mode=mode, a=a)
-        m = to_lcp(game, partition).m
+        game = hard_instance(6, 0.7, a_mode=mode, a=a)
+        m = to_lcp(game).m
         if base is None:
             base = m
         else:
@@ -175,8 +181,8 @@ def test_predictions_refuse_tiny_n(pred):
 
 @pytest.mark.parametrize("n,gamma", GRID)
 def test_kappa_witness_achieves_the_prediction(n, gamma):
-    game, partition = hard_instance(n, gamma, a_mode="kappa")
-    lcp = to_lcp(game, partition)
+    game = hard_instance(n, gamma, a_mode="kappa")
+    lcp = to_lcp(game)
     forms = closed_forms(HardInstanceSpec(n=n, gamma=gamma, a_mode="kappa"))
     predicted = predicted_kappa_lb(n, gamma)
     got = kappa_at(lcp.m, forms.c_tau)
@@ -189,8 +195,8 @@ def test_kappa_witness_achieves_the_prediction(n, gamma):
 
 @pytest.mark.parametrize("n,gamma", GRID)
 def test_eigenvalue_witness_bounds_the_spectrum(n, gamma):
-    game, partition = hard_instance(n, gamma, a_mode="eigenvalue")
-    lcp = to_lcp(game, partition)
+    game = hard_instance(n, gamma, a_mode="eigenvalue")
+    lcp = to_lcp(game)
     forms = closed_forms(HardInstanceSpec(n=n, gamma=gamma, a_mode="eigenvalue"))
     predicted = predicted_eig_ub(n, gamma)
     sym = 0.5 * (lcp.m + lcp.m.T)
@@ -203,8 +209,8 @@ def test_eigenvalue_witness_bounds_the_spectrum(n, gamma):
 
 @pytest.mark.parametrize("n,gamma", GRID)
 def test_theta_witness_sits_under_the_fence(n, gamma):
-    game, partition = hard_instance(n, gamma, a_mode="theta")
-    lcp = to_lcp(game, partition)
+    game = hard_instance(n, gamma, a_mode="theta")
+    lcp = to_lcp(game)
     spec = HardInstanceSpec(n=n, gamma=gamma, a_mode="theta")
     forms = closed_forms(spec)
     fence = predicted_theta_ub(n, gamma)
@@ -231,7 +237,7 @@ def kappa_direction(n, gamma):
 @pytest.mark.parametrize("n", [3, 4, 8, 17, 64])
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9, 0.99])
 def test_exact_measures_are_attained(n, gamma):
-    lcp = to_lcp(*hard_instance(n, gamma, a_mode="kappa"))
+    lcp = to_lcp(hard_instance(n, gamma, a_mode="kappa"))
     exact = exact_conditioning(n, gamma)
     assert exact.kappa == max(0.0, predicted_kappa_lb(n, gamma))
     assert exact.delta == predicted_eig_ub(n, gamma)
@@ -261,7 +267,7 @@ def test_exact_measures_spot_values():
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
 def test_gaussian_directions_never_beat_the_exact_measures(n, gamma):
-    lcp = to_lcp(*hard_instance(n, gamma, a_mode="kappa"))
+    lcp = to_lcp(hard_instance(n, gamma, a_mode="kappa"))
     exact = exact_conditioning(n, gamma)
     x_rows, y_rows = gaussian_block(lcp.m, 100_000, seed=n)
     kappa = float(_kappa_batch(x_rows, y_rows).max())
@@ -276,7 +282,7 @@ def test_certify_never_crosses_the_exact_measures(mode):
         for gamma in (0.5, 0.9, 0.99):
             exact = exact_conditioning(n, gamma)
             report = certify(
-                to_lcp(*hard_instance(n, gamma, a_mode=mode)),
+                to_lcp(hard_instance(n, gamma, a_mode=mode)),
                 seed=0,
                 samples=2000,
             )
@@ -317,7 +323,7 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_brute_force_optimum_prefers_the_high_anchor(n):
-    game, _ = hard_instance(n, 0.5, a_mode="kappa")
+    game = hard_instance(n, 0.5, a_mode="kappa")
     result = brute_force_solve(game)
     expected = np.full(n, 2.0)  # a + beta with a = beta = 1
     expected[1] = -2.0
@@ -327,12 +333,13 @@ def test_brute_force_optimum_prefers_the_high_anchor(n):
 
 @pytest.mark.parametrize("n,gamma", GRID)
 def test_all_slot_zero_profile_is_optimal(n, gamma):
-    game, partition = hard_instance(n, gamma, a_mode="kappa")
-    ok, violations = is_optimal(game, partition.sigma)
+    game = hard_instance(n, gamma, a_mode="kappa")
+    sigma, _ = sigma_tau(game)
+    ok, violations = is_optimal(game, sigma)
     assert ok and violations.size == 0
     beta = beta_of(gamma)
     a = beta
-    v = value_vector(game, partition.sigma)
+    v = value_vector(game, sigma)
     expected = np.full(n, a + beta)
     expected[0] = 1.0 + beta
     expected[1] = -(1.0 + beta)

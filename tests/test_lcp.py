@@ -13,24 +13,30 @@ from gamelcp.conditioning import certify
 from gamelcp.game import GameValidationError, build_game, is_optimal, restrict
 from gamelcp.lcp import (
     Lcp,
-    Partition,
     RecoveryError,
-    default_partition,
     lcp_json,
-    load_partition,
     recover,
+    reduction,
     to_lcp,
     verify_solution,
 )
+
+from conftest import sigma_tau, swap_actions
 
 G3_M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 1.0, 1.0]])
 G3_Q = np.array([0.0, 0.0, -2.0])
 
 
 def test_default_partition_slots(three_state):
-    part = default_partition(three_state)
-    assert part.sigma.tolist() == [0, 0, 0]
-    assert part.tau.tolist() == [1, 1, 1]
+    # the action order is the partition: sigma is slot 0, tau slot 1
+    game = three_state
+    red = reduction(game)
+    first = game.offsets[:-1]
+    eye = np.eye(game.n)
+    assert np.array_equal(red.b_sig, eye - game.gamma * game.p[first])
+    assert np.array_equal(red.b_tau, eye - game.gamma * game.p[first + 1])
+    assert red.c_sig.tolist() == [7.0, -4.0, 5.0]
+    assert red.c_tau.tolist() == [3.0, 2.0, -10.0]
 
 
 def test_default_partition_rejects_three_actions():
@@ -41,31 +47,15 @@ def test_default_partition_rejects_three_actions():
             (2, [(0.0, [(1, 1.0)]), (1.0, [(0, 1.0)])]),
         ],
     )
-    with pytest.raises(GameValidationError, match="state 0 has 3 actions"):
-        default_partition(game)
     message = r"^state 0 has 3 actions; the reduction needs exactly 2 per state$"
     with pytest.raises(GameValidationError, match=message):
-        to_lcp(game)
+        reduction(game)
     with pytest.raises(GameValidationError, match=message):
-        to_lcp(game, Partition(sigma=[0, 0], tau=[1, 1]))
-
-
-def test_partition_must_cover_both_actions(g3):
-    game, _ = g3
-    for sigma, tau, message in (
-        ([0, 0, 0], [0, 0, 0], r"^partition does not cover both actions of state 0$"),
-        ([0, 1, 0], [1, 1, 1], r"^partition does not cover both actions of state 1$"),
-        ([0, 0, 0], [1, 2, 1], r"^profile slot 2 out of range at state 1 \(2 actions\)$"),
-        ([-1, 0, 0], [1, 1, 1], r"^profile slot -1 out of range at state 0 \(2 actions\)$"),
-        ([0, 0], [1, 1], r"^profile length \(2,\) does not match 3 states$"),
-    ):
-        with pytest.raises(GameValidationError, match=message):
-            to_lcp(game, Partition(sigma=np.array(sigma), tau=np.array(tau)))
+        to_lcp(game)
 
 
 def test_g3_reduction_exact(g3):
-    game, part = g3
-    lcp = to_lcp(game, part)
+    lcp = to_lcp(g3)
     assert np.array_equal(lcp.m, G3_M)
     assert np.array_equal(lcp.q, G3_Q)
     assert lcp.n == 3
@@ -93,10 +83,10 @@ def test_reduction_identity_random():
     rng = np.random.default_rng(31)
     for k in range(10):
         game = random_game(int(rng.integers(2, 9)), 0.8, seed=700 + k, max_support=3)
-        part = default_partition(game)
-        lcp = to_lcp(game, part)
-        p_sig, _ = restrict(game, part.sigma)
-        p_tau, _ = restrict(game, part.tau)
+        sigma, tau = sigma_tau(game)
+        lcp = to_lcp(game)
+        p_sig, _ = restrict(game, sigma)
+        p_tau, _ = restrict(game, tau)
         b_sig = np.eye(game.n) - game.gamma * p_sig
         b_tau = np.eye(game.n) - game.gamma * p_tau
         s = game.ownership_signs
@@ -108,21 +98,16 @@ def test_reduction_identity_random():
 
 
 def test_cost_scaling_scales_q_only(g3):
-    game, part = g3
     lam = 3.5
-    scaled = dataclasses.replace(game, costs=lam * game.costs)
-    base = to_lcp(game, part)
-    out = to_lcp(scaled, part)
+    scaled = dataclasses.replace(g3, costs=lam * g3.costs)
+    base = to_lcp(g3)
+    out = to_lcp(scaled)
     assert np.allclose(out.m, base.m, atol=1e-12)
     assert np.allclose(out.q, lam * base.q, atol=1e-12)
 
 
 def test_swapped_partition_nonnegative_q(g3):
-    game, _ = g3
-    swapped = Partition(
-        sigma=np.ones(3, dtype=np.int64), tau=np.zeros(3, dtype=np.int64)
-    )
-    lcp = to_lcp(game, swapped)
+    lcp = to_lcp(swap_actions(g3, [0, 1, 2]))
     assert np.allclose(lcp.q, [0.0, 0.0, 2.0], atol=1e-12)
     # q >= 0 means w = q, z = 0 solves the LCP outright
     check = verify_solution(lcp, lcp.q, np.zeros(3))
@@ -132,35 +117,31 @@ def test_swapped_partition_nonnegative_q(g3):
 
 
 def test_recover_g3_exact(g3):
-    game, part = g3
     w = np.zeros(3)
     z = np.array([0.0, 0.0, 2.0])
-    res = recover(to_lcp(game, part), w, z)
+    res = recover(to_lcp(g3), w, z)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
     assert res.profile[2] == 0
-    ok, _ = is_optimal(game, res.profile)
+    ok, _ = is_optimal(g3, res.profile)
     assert ok
     assert res.method == "lcp"
 
 
 def test_recover_tolerates_tiny_noise(g3):
-    game, part = g3
     rng = np.random.default_rng(37)
     w = rng.uniform(0.0, 1e-10, 3)
     z = np.array([0.0, 0.0, 2.0]) + rng.uniform(0.0, 1e-10, 3)
-    res = recover(to_lcp(game, part), w, z)
+    res = recover(to_lcp(g3), w, z)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-8)
 
 
 def test_recover_rejects_garbage(g3):
-    game, part = g3
     with pytest.raises(RecoveryError, match="residuals too large"):
-        recover(to_lcp(game, part), np.zeros(3), np.zeros(3))
+        recover(to_lcp(g3), np.zeros(3), np.zeros(3))
 
 
 def test_verify_solution_reports(g3):
-    game, part = g3
-    lcp = to_lcp(game, part)
+    lcp = to_lcp(g3)
     good = verify_solution(lcp, np.zeros(3), np.array([0.0, 0.0, 2.0]))
     assert good.ok
     assert good.feasibility == 0.0
@@ -174,38 +155,11 @@ def test_verify_solution_reports(g3):
 
 
 def test_lcp_file_round_trip(g3):
-    game, part = g3
-    lcp = to_lcp(game, part)
+    lcp = to_lcp(g3)
     back = json.loads(lcp_json(lcp))
     assert back["n"] == 3
     assert np.array_equal(back["M"], lcp.m)
     assert np.array_equal(back["q"], lcp.q)
-
-
-@pytest.mark.parametrize(
-    "loader, body, key",
-    [
-        (load_partition, "{}", "missing key 'sigma'"),
-        (load_partition, '{"sigma": [0.5], "tau": [1]}', "'sigma' must be"),
-        (load_partition, '{"sigma": [0], "tau": [[0], [1, 2]]}', "'tau' must be"),
-    ],
-)
-def test_file_readers_name_the_path_and_key(tmp_path, loader, body, key):
-    path = tmp_path / "bad.json"
-    path.write_text(body)
-    with pytest.raises(ValueError) as exc:
-        loader(path)
-    assert str(path) in str(exc.value) and key in str(exc.value)
-
-
-def test_partition_file_round_trip(tmp_path, g3):
-    _, part = g3
-    path = tmp_path / "part.json"
-    path.write_text(json.dumps({"sigma": list(part.sigma), "tau": list(part.tau)}))
-    back = load_partition(path)
-    assert np.array_equal(back.sigma, part.sigma)
-    assert np.array_equal(back.tau, part.tau)
-    assert back.sigma.dtype == np.int64
 
 
 def test_reduction_accepts_well_posed_game_near_gamma_one():
@@ -256,8 +210,7 @@ def test_q_from_the_reduction_solve_matches_two_solves():
 
 
 def test_certify_and_recover_need_the_lcp_from_to_lcp(g3):
-    game, part = g3
-    lcp = to_lcp(game, part)
+    lcp = to_lcp(g3)
     assert lcp.reduction is not None
     # an LCP built by hand carries no game
     bare = Lcp(m=lcp.m, q=lcp.q)

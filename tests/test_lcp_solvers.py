@@ -11,8 +11,6 @@ from gamelcp.hard_instances import HardInstanceSpec, build_hard_instance
 from gamelcp.lcp import (
     Lcp,
     LcpCheck,
-    Partition,
-    default_partition,
     recover,
     to_lcp,
     verify_solution,
@@ -37,7 +35,9 @@ from gamelcp.lcp_solvers import (
     solve_pivoting,
     solve_potential_reduction,
 )
+from gamelcp.game import restrict
 from gamelcp.solvers import SolverFailure
+from conftest import swap_actions
 from oracles import monotone_within_stages, stages
 
 
@@ -58,8 +58,8 @@ def test_ipm_identity_lcp():
 
 
 def test_ipm_solves_g3(g3):
-    game, part = g3
-    lcp = to_lcp(game, part)
+    game = g3
+    lcp = to_lcp(game)
     epsilon = 1e-10
     w, z, trace = solve_potential_reduction(lcp, epsilon=epsilon)
     assert float(w @ z) < 1e-10
@@ -72,8 +72,8 @@ def test_ipm_solves_g3(g3):
 
 
 def test_ipm_trace_shape_and_monotonicity(g3):
-    game, part = g3
-    lcp = to_lcp(game, part)
+    game = g3
+    lcp = to_lcp(game)
     _, _, trace = solve_potential_reduction(lcp)
     k = len(trace)
     assert k >= 1
@@ -93,8 +93,8 @@ def test_ipm_trace_shape_and_monotonicity(g3):
 
 
 def test_ipm_trace_csv(tmp_path, g3):
-    game, part = g3
-    _, _, trace = solve_potential_reduction(to_lcp(game, part))
+    game = g3
+    _, _, trace = solve_potential_reduction(to_lcp(game))
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     lines = path.read_text().splitlines()
@@ -108,8 +108,8 @@ def test_ipm_trace_csv(tmp_path, g3):
 
 def test_centering_direction_against_full_system(g3):
     # solve the unreduced 2n x 2n Newton system independently and compare
-    game, part = g3
-    lcp = to_lcp(game, part)
+    game = g3
+    lcp = to_lcp(game)
     n = lcp.n
     rho = n + math.sqrt(n)
     z = np.ones(n)
@@ -153,16 +153,16 @@ def _full_newton(lcp, w, z, residual, target):
 
 
 def _direction_cases(g3):
-    game, part = g3
+    game = g3
     rng = np.random.default_rng(53)
-    for lcp in (to_lcp(game, part), to_lcp(*build_hard_instance(HardInstanceSpec(8, 0.9)))):
+    for lcp in (to_lcp(game), to_lcp(build_hard_instance(HardInstanceSpec(8, 0.9)))):
         n = lcp.n
         z = np.ones(n)
         t0 = max(0.0, 1.0 - float(np.min(lcp.q + lcp.m @ z)))
         yield lcp, lcp.q + t0 + lcp.m @ z, z, t0  # the IPM's start
     for n in (5, 17):
         game = random_game(n, 0.9, 70 + n)
-        lcp = to_lcp(game, default_partition(game))
+        lcp = to_lcp(game)
         w, z = rng.uniform(1e-3, 10.0, size=(2, n))
         yield lcp, w, z, float(rng.uniform(1e-6, 1.0))  # an arbitrary interior pair
 
@@ -205,7 +205,7 @@ def test_ipm_monotone_within_stages_once_the_shift_reaches_zero(mode):
     # later predictor and centering rows share one shift; the predictor rows
     # raise the potential, and only the phase tells the stages apart
     for n in (8, 16, 32, 64):
-        lcp = to_lcp(*build_hard_instance(HardInstanceSpec(n, 0.1, mode)))
+        lcp = to_lcp(build_hard_instance(HardInstanceSpec(n, 0.1, mode)))
         _, _, trace = solve_potential_reduction(lcp, epsilon=1e-9)
         zero = [i for i, t in enumerate(trace.shifts) if t == 0.0]
         assert zero and trace.phases[zero[0]] == "predictor"
@@ -231,10 +231,10 @@ def test_ipm_converges_at_n256():
     for gamma in (0.9, 0.99, 0.999):
         for seed in range(1, 9):
             game = random_game(256, gamma, seed)
-            _ipm_rows(to_lcp(game, default_partition(game)))
+            _ipm_rows(to_lcp(game))
     for gamma in (0.99, 0.999):
         for mode in ("kappa", "eigenvalue", "theta"):
-            _ipm_rows(to_lcp(*build_hard_instance(HardInstanceSpec(256, gamma, mode))))
+            _ipm_rows(to_lcp(build_hard_instance(HardInstanceSpec(256, gamma, mode))))
 
 
 def test_ipm_work_grows_slower_than_n():
@@ -242,15 +242,15 @@ def test_ipm_work_grows_slower_than_n():
         rows = []
         for seed in range(1, 7):
             game = random_game(n, 0.9, seed)
-            rows.append(_ipm_rows(to_lcp(game, default_partition(game))))
+            rows.append(_ipm_rows(to_lcp(game)))
         return float(np.median(rows))
 
     assert median_rows(256) <= 3.0 * median_rows(16)
 
 
 def test_ipm_budget_failure_carries_trace(g3, monkeypatch):
-    game, part = g3
-    lcp = to_lcp(game, part)
+    game = g3
+    lcp = to_lcp(game)
     monkeypatch.setattr(lcp_solvers, "MAX_ITERS", 1)
     with pytest.raises(SolverFailure, match="MAX_ITERS") as exc_info:
         solve_potential_reduction(lcp)
@@ -280,13 +280,13 @@ def test_ipm_near_singular_newton_system_fails_with_context():
 
 def test_ipm_exit_check_is_wired(g3, monkeypatch):
     game = random_game(64, 0.99, 1903)
-    lcp = to_lcp(game, default_partition(game))
+    lcp = to_lcp(game)
     w, z, _ = solve_potential_reduction(lcp, epsilon=1e-9)
     assert verify_solution(lcp, w, z, 1e-9).ok
 
     bad = LcpCheck(feasibility=1.0, complementarity=0.0, min_w=0.0, min_z=0.0, ok=False)
     monkeypatch.setattr("gamelcp.lcp_solvers.verify_solution", lambda *args: bad)
-    g3_lcp = to_lcp(*g3)
+    g3_lcp = to_lcp(g3)
     with pytest.raises(SolverFailure, match="exit check failed") as exc_info:
         solve_potential_reduction(g3_lcp)
     trace = exc_info.value.context["trace"]
@@ -419,16 +419,16 @@ def _ipm_oracle_cases():
         for gamma in (0.5, 0.9, 0.99, 0.999):
             for seed in range(1, 13):
                 game = random_game(n, gamma, seed)
-                yield f"random-{n}-{gamma}-{seed}", to_lcp(game, default_partition(game))
+                yield f"random-{n}-{gamma}-{seed}", to_lcp(game)
     for gamma in (0.9, 0.99, 0.999):
         for seed in range(1, 9):
             game = random_game(256, gamma, seed)
-            yield f"random-256-{gamma}-{seed}", to_lcp(game, default_partition(game))
+            yield f"random-256-{gamma}-{seed}", to_lcp(game)
     for n in (8, 32, 64, 256):
         for gamma in (0.5, 0.9, 0.99, 0.999):
             for mode in ("kappa", "eigenvalue", "theta"):
                 spec = HardInstanceSpec(n, gamma, mode)
-                yield f"hard-{n}-{gamma}-{mode}", to_lcp(*build_hard_instance(spec))
+                yield f"hard-{n}-{gamma}-{mode}", to_lcp(build_hard_instance(spec))
 
 
 def test_one_loop_ipm_is_bit_identical_to_nested_loops():
@@ -453,7 +453,7 @@ def test_one_loop_ipm_failure_paths_match_nested_loops(g3, monkeypatch):
         got = _run_ipm(solve_potential_reduction, lcp)
         assert got[3] and got == _run_ipm(_nested_loop_ipm, lcp)
     game = random_game(24, 0.99, 5)
-    cases = [to_lcp(*g3), to_lcp(game, default_partition(game))]
+    cases = [to_lcp(g3), to_lcp(game)]
     for budget in (0, 1, 2, 7):
         monkeypatch.setattr(lcp_solvers, "MAX_ITERS", budget)
         for lcp in cases:
@@ -493,11 +493,7 @@ def test_max_positive_step_matches_two_mask_oracle():
 
 
 def test_pivoting_shortcut_on_nonnegative_q(g3):
-    game, _ = g3
-    swapped = Partition(
-        sigma=np.ones(3, dtype=np.int64), tau=np.zeros(3, dtype=np.int64)
-    )
-    lcp = to_lcp(game, swapped)
+    lcp = to_lcp(swap_actions(g3, [0, 1, 2]))
     w, z, pivots = solve_pivoting(lcp)
     assert pivots == 0
     assert np.array_equal(w, lcp.q)
@@ -505,8 +501,8 @@ def test_pivoting_shortcut_on_nonnegative_q(g3):
 
 
 def test_pivoting_g3_exact(g3):
-    game, part = g3
-    lcp = to_lcp(game, part)
+    game = g3
+    lcp = to_lcp(game)
     w, z, pivots = solve_pivoting(lcp)
     assert np.array_equal(w, [0.0, 0.0, 0.0])
     assert np.array_equal(z, [0.0, 0.0, 2.0])
@@ -525,7 +521,7 @@ def test_pivoting_exact_complementarity_random():
     for k in range(15):
         n = int(rng.integers(2, 13))
         game = random_game(n, float(rng.uniform(0.3, 0.9)), seed=900 + k)
-        lcp = to_lcp(game, default_partition(game))
+        lcp = to_lcp(game)
         w, z, _ = solve_pivoting(lcp)
         check = verify_solution(lcp, w, z, tol=1e-10)
         assert check.ok
@@ -572,11 +568,11 @@ def _pivot_oracle_cases():
         for gamma in (0.5, 0.9, 0.999):
             for seed in (1, 2):
                 game = random_game(n, gamma, 100 * n + seed)
-                yield to_lcp(game, default_partition(game))
+                yield to_lcp(game)
     for n in (8, 24):
         for gamma in (0.5, 0.99):
             for mode in ("kappa", "eigenvalue", "theta"):
-                yield to_lcp(*build_hard_instance(HardInstanceSpec(n, gamma, mode)))
+                yield to_lcp(build_hard_instance(HardInstanceSpec(n, gamma, mode)))
 
 
 def _ratio_tableaux(monkeypatch, solver, lcp):
@@ -619,8 +615,7 @@ def test_solvers_agree_on_game_lcps():
     for k in range(12):
         n = int(rng.integers(2, 13))
         game = random_game(n, float(rng.uniform(0.3, 0.95)), seed=1100 + k)
-        part = default_partition(game)
-        lcp = to_lcp(game, part)
+        lcp = to_lcp(game)
         w_p, z_p, _ = solve_pivoting(lcp)
         w_i, z_i, _ = solve_potential_reduction(lcp, epsilon=1e-11)
         assert np.abs(z_p - z_i).max() <= 1e-6
@@ -629,6 +624,30 @@ def test_solvers_agree_on_game_lcps():
         res_p = recover(lcp, w_p, z_p)
         res_i = recover(lcp, w_i, z_i)
         assert np.abs(res_p.values - res_i.values).max() <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_swapped_actions_give_what_the_swapped_partition_gave(seed):
+    # reordering a state's two actions swaps sigma and tau there: the
+    # swapped game's reduction is the original's under the swapped
+    # partition, and each LCP solver gives the original game's values with
+    # the profile mirrored on the swapped states
+    game = random_game(12, 0.9, 1200 + seed)
+    flip = np.random.default_rng(seed).random(game.n) < 0.5
+    assert 0 < flip.sum() < game.n
+    swapped = swap_actions(game, np.flatnonzero(flip))
+    red = to_lcp(swapped).reduction
+    sigma = flip.astype(np.int64)
+    for b, c, profile in ((red.b_sig, red.c_sig, sigma), (red.b_tau, red.c_tau, 1 - sigma)):
+        p_sel, c_sel = restrict(game, profile)
+        assert np.array_equal(b, np.eye(game.n) - game.gamma * p_sel)
+        assert np.array_equal(c, c_sel)
+    for solve_lcp in (solve_pivoting, solve_potential_reduction):
+        base_lcp, swapped_lcp = to_lcp(game), to_lcp(swapped)
+        base = recover(base_lcp, *solve_lcp(base_lcp)[:2])
+        out = recover(swapped_lcp, *solve_lcp(swapped_lcp)[:2])
+        assert np.abs(out.values - base.values).max() <= 1e-12
+        assert np.array_equal(out.profile ^ flip, base.profile)
 
 
 @pytest.mark.parametrize(
@@ -641,10 +660,9 @@ def test_ipm_tangent_keeps_tiny_slacks_at_gamma_099(case):
     # games, advancing w by each step's own direction does not
     if case.startswith("random"):
         game = random_game(64, 0.99, 1903)
-        part = default_partition(game)
     else:
-        game, part = build_hard_instance(HardInstanceSpec(48, 0.99, case.split("-")[2]))
-    lcp = to_lcp(game, part)
+        game = build_hard_instance(HardInstanceSpec(48, 0.99, case.split("-")[2]))
+    lcp = to_lcp(game)
     w, z, trace = solve_potential_reduction(lcp, epsilon=1e-9)
     assert trace.termination == "converged"
     recover(lcp, w, z)

@@ -1,11 +1,18 @@
-"""The package's export lists name only what exists."""
+"""The package's export lists name only what exists, and the README's
+library code runs."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import gamelcp
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ["gamelcp"] + [
     f"gamelcp.{info.name}" for info in pkgutil.iter_modules(gamelcp.__path__)
@@ -19,3 +26,15 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported))
     assert [n for n in exported if not hasattr(module, n)] == []
 
+
+
+def test_readme_quick_tour_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick tour\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

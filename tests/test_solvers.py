@@ -28,11 +28,11 @@ from gamelcp.solvers import (
 from gamelcp._kernels import SingularMatrixError
 from gamelcp.bench import random_game
 
-from conftest import three_state_game, hard_instance
+from conftest import three_state_game, hard_instance, sigma_tau
 
 
 def test_g3_first_bellman_iterate(g3):
-    game, _ = g3
+    game = g3
     v1 = bellman_backup(game, np.zeros(3))
     assert np.array_equal(v1, [1.0, -1.0, 1.0])
 
@@ -73,13 +73,13 @@ def test_bellman_backup_matches_two_reduceat_oracle():
 
 
 def test_bellman_fixed_point(g3):
-    game, _ = g3
+    game = g3
     v_star = np.array([2.0, -2.0, 2.0])
     assert np.abs(bellman_backup(game, v_star) - v_star).max() <= 1e-12
 
 
 def test_value_iteration_g3(g3):
-    game, _ = g3
+    game = g3
     res = value_iteration(game, eps=1e-8)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-8)
     assert res.method == "value_iteration"
@@ -117,7 +117,7 @@ def test_value_iteration_certifies_near_gamma_one(n):
 
 
 def test_value_iteration_contraction():
-    game, _ = hard_instance(4, 0.8, a=2.0)
+    game = hard_instance(4, 0.8, a=2.0)
     oracle = brute_force_solve(game)
     v = np.zeros(4)
     err = np.abs(v - oracle.values).max()
@@ -129,18 +129,20 @@ def test_value_iteration_contraction():
 
 
 def test_strategy_iteration_from_tau(g3):
-    game, part = g3
-    res = strategy_iteration(game, initial_profile=part.tau)
+    game = g3
+    _, tau = sigma_tau(game)
+    res = strategy_iteration(game, initial_profile=tau)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
     assert res.profile[2] == 0  # tail state switched to the sigma slot
     assert res.iterations == 1
 
 
 def test_strategy_iteration_zero_switches_at_optimum(g3):
-    game, part = g3
-    res = strategy_iteration(game, initial_profile=part.sigma)
+    game = g3
+    sigma, _ = sigma_tau(game)
+    res = strategy_iteration(game, initial_profile=sigma)
     assert res.iterations == 0
-    assert np.array_equal(res.profile, part.sigma)
+    assert np.array_equal(res.profile, sigma)
 
 
 def test_strategy_iteration_checks_its_initial_profile():
@@ -195,13 +197,13 @@ def test_strategy_iteration_improves_single_player_games():
 def test_a_nan_tolerance_is_refused(g3, call):
     # every comparison with NaN is false, so an unchecked NaN tolerance
     # passes every optimality test (si and brute) or none (vi, the LCP checks)
-    game, partition = g3
+    game = g3
     with pytest.raises(ValueError, match="got nan"):
-        call(game, to_lcp(game, partition))
+        call(game, to_lcp(game))
 
 
 def test_brute_force_g3(g3):
-    game, _ = g3
+    game = g3
     res = brute_force_solve(game)
     assert np.array_equal(res.profile, [0, 0, 0])
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
@@ -214,7 +216,7 @@ def test_brute_force_single_action_game():
 
 
 def test_brute_force_cap():
-    game, _ = hard_instance(21, 0.5, a=1.0)  # 2^21 profiles exceeds the cap
+    game = hard_instance(21, 0.5, a=1.0)  # 2^21 profiles exceeds the cap
     with pytest.raises(SolverFailure, match="cap"):
         brute_force_solve(game)
 
@@ -428,7 +430,7 @@ def test_value_iteration_stops_exactly_at_the_cap(monkeypatch):
 @pytest.mark.parametrize("gamma", [0.9, 0.99])
 @pytest.mark.parametrize("a_mode", ["kappa", "eigenvalue", "theta"])
 def test_value_iteration_certifies_the_hard_family_at_the_first_block(n, gamma, a_mode):
-    game, _ = hard_instance(n, gamma, a_mode=a_mode)
+    game = hard_instance(n, gamma, a_mode=a_mode)
     res = value_iteration(game)
     assert res.iterations == solvers.VI_BLOCK
     assert is_optimal(game, res.profile, 1e-8 * (1 - gamma), values=res.values)[0]
@@ -469,7 +471,7 @@ def test_value_iteration_solves_each_profile_once(monkeypatch):
         return value_vector(game, profile)
 
     monkeypatch.setattr(solvers, "value_vector", counted)
-    games = _oracle_games() + [hard_instance(16, 0.99, a_mode="kappa")[0]]
+    games = _oracle_games() + [hard_instance(16, 0.99, a_mode="kappa")]
     for game in games:
         for eps in (1e-8, 1e-12):
             solved.clear()
