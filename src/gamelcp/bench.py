@@ -111,8 +111,9 @@ def run_bench(
     ipm_epsilon=1e-9,
     on_row=None,
 ):
-    """One row per (n, gamma) cell.  A cell whose solve or estimation fails
-    is kept with NaN measurements so partial sweeps still flush."""
+    """One row per (n, gamma) cell.  A cell whose reduction, estimation or
+    solve fails is kept with NaN measurements so partial sweeps still flush;
+    a bad n, gamma or a_mode is refused."""
     # refused before any cell runs: a cell would turn certify's refusal into NaNs
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -127,7 +128,7 @@ def run_bench(
 
 
 def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
-    lcp = to_lcp(build_hard_instance(HardInstanceSpec(n, gamma, a_mode)))
+    game = build_hard_instance(HardInstanceSpec(n, gamma, a_mode))
 
     nan = float("nan")
     row = BenchRow(
@@ -149,8 +150,9 @@ def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
         seed=cell_seed,
     )
     try:
+        lcp = to_lcp(game)
         report = certify(lcp, cell_seed, samples=samples)
-    except ArithmeticError:  # a failed eigensolve or eigenpair check
+    except ArithmeticError:  # a refused reduction, eigensolve or eigenpair check
         return row
     row.kappa_est, row.theta_est = report.kappa_est, report.theta_est
     row.delta, row.cond = report.delta, report.cond

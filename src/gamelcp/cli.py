@@ -2,11 +2,12 @@
 
 Subcommands: gen, solve, reduce, certify, bench, plot.  Global flags
 (--seed, --tol, --output) come before the subcommand.  --seed applies to
-gen --family random, certify and bench (default 0), --tol to solve and
-bench (default 1e-9, and it must be positive and finite; solve also
-refuses a --tol below the reduced costs' rounding at the values' bound);
-given to any other command, either is a usage error.  gen, solve, reduce
-and certify write their one artifact to --output, or to stdout without it.
+gen --family random, certify and bench (default 0, and it must be
+nonnegative), --tol to solve and bench (default 1e-9, and it must be
+positive and finite; solve also refuses a --tol below the reduced costs'
+rounding at the values' bound); given to any other command, either is a
+usage error.  gen, solve, reduce and certify write their one artifact to
+--output, or to stdout without it.
 solve --method ipm|pivot, reduce and certify go through the LCP, whose
 sigma is each state's first action and tau its second: to swap the two
 for a state, reorder its actions in the game file.
@@ -141,6 +142,8 @@ def _resolve_global_flags(args):
     if args.tol is not None and args.command not in ("solve", "bench"):
         raise ValueError("--tol applies to solve and bench only")
     args.seed = 0 if args.seed is None else args.seed
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     args.tol_given = args.tol is not None
     args.tol = 1e-9 if args.tol is None else args.tol
     if not 0.0 < args.tol < math.inf:  # NaN too

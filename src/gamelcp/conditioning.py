@@ -20,12 +20,13 @@ here always stay on the certified side of those fences.
 
 ``certify`` proves the M of an LCP from ``lcp.to_lcp`` a P-matrix from the
 row diagonally dominant B_s = I - gamma P_sigma, B_t = I - gamma P_tau it
-keeps (:func:`structural_certificate`), and estimates kappa and theta from
-one gaussian sample of directions and a coordinate hill climb from the best
-of them (:func:`estimate_kappa`, :func:`estimate_theta`).  It streams the
-sample a chunk at a time through both measures' scorers and hands each
-estimator only the row it would pick from the whole :func:`gaussian_block`,
-so its memory does not grow with the number of samples.
+keeps (:func:`structural_certificate`), and estimates kappa and theta with
+:func:`estimate_kappa` and :func:`estimate_theta`: each scores its built-in
+start and the starts it is given, c_tau, S c_tau and the best direction of
+one gaussian sample, then climbs from the best of them by coordinate moves.
+It streams the sample a chunk at a time through both measures' scorers and
+keeps only each measure's best row, so its memory does not grow with the
+number of samples.
 :func:`pmatrix_check_minors` (all principal minors, n <= 20) and
 :func:`pmatrix_witness_check` (one direction) are independent P-matrix
 oracles for callers and tests: ``certify`` never calls them.
@@ -52,7 +53,6 @@ __all__ = [
     "delta_lower_bound",
     "estimate_kappa",
     "estimate_theta",
-    "gaussian_block",
     "kappa_at",
     "kappa_upper_bound",
     "pmatrix_check_minors",
@@ -318,7 +318,8 @@ def _sample_chunks(m_mat, samples, seed):
     The chunks' row counts differ by one at most: a short last chunk would
     take BLAS's path for few rows, whose products round apart from the
     one-shot product's rows (1 to 18 rows at n = 64 on OpenBLAS 0.3.31,
-    Haswell kernels), while chunks this long match them bit for bit there.
+    Haswell kernels), while chunks this long match them bit for bit there,
+    so the sample's picks are those that the one-shot product gives.
     """
     rng = np.random.default_rng(seed)
     n = m_mat.shape[0]
@@ -329,35 +330,26 @@ def _sample_chunks(m_mat, samples, seed):
         yield x_rows, x_rows @ m_mat.T
 
 
-def gaussian_block(m_mat, samples, seed):
-    """``samples`` gaussian directions drawn from ``seed`` and M times each,
-    as (x_rows, y_rows): the chunks of the sample that :func:`certify`
-    streams, concatenated.  None when ``samples`` is not positive."""
-    if samples <= 0:
-        return None
-    m_mat = np.asarray(m_mat, dtype=np.float64)
-    chunks = list(_sample_chunks(m_mat, samples, seed))
-    return tuple(np.concatenate(part) for part in zip(*chunks, strict=True))
-
-
 def _sample_bests(m_mat, samples, seed):
-    """The row of the gaussian sample that :func:`estimate_kappa` and the
-    one that :func:`estimate_theta` would pick from its whole block, each as
-    a one-row block (None for both when ``samples`` is not positive).
+    """The first best direction of the gaussian sample under kappa (the
+    max) and under theta (the min), each as a list of at most one row
+    (empty when ``samples`` is not positive).
 
-    Each chunk is scored once per measure; a later chunk replaces a row only
-    when it scores strictly better, as argmax and argmin keep the first
-    index, so each is the block's first best while memory stays one chunk.
+    The sample ranks its rows by their chunk's products, not one ``M @ x``
+    each.  Each chunk is scored once per measure; a later chunk replaces a
+    row only when it scores strictly better, as argmax and argmin keep the
+    first index, so each is the whole sample's first best while memory
+    stays one chunk.
     """
     measures = ((_kappa_batch, 1.0), (_theta_batch, -1.0))  # max kappa, min theta
-    bests = [(None, None)] * len(measures)  # (sign * value, one-row block)
+    bests = [(None, [])] * len(measures)  # (sign * value, [row])
     for x_rows, y_rows in _sample_chunks(m_mat, samples, seed):
         for i, (batch_fn, sign) in enumerate(measures):
             vals = sign * batch_fn(x_rows, y_rows)
             k = int(np.argmax(vals))
-            if bests[i][1] is None or vals[k] > bests[i][0]:
-                bests[i] = vals[k], (x_rows[k : k + 1].copy(), y_rows[k : k + 1].copy())
-    return tuple(block for _, block in bests)
+            if not bests[i][1] or vals[k] > bests[i][0]:
+                bests[i] = vals[k], [x_rows[k].copy()]
+    return tuple(rows for _, rows in bests)
 
 
 def _chain(guess, stop):
@@ -576,38 +568,26 @@ def _climb(m_mat, x0, batch_fn, better):
     return best, x
 
 
-def _estimate(m_mat, x, val, witnesses, block, batch_fn, better):
-    """The direction that scores best under ``batch_fn`` among the start x
-    (worth val), the witnesses and the rows of ``block``, after a climb
-    from it.  The witnesses are scored as one batch whose y rows are
-    ``m_mat @ w`` one at a time, as :func:`kappa_at` and :func:`theta_at`
-    form them, so each witness scores as it does alone; ties keep the
-    earlier direction.  An infinite best, which no climb can better, is
-    returned as it is.
+def _estimate(m_mat, starts, batch_fn, better):
+    """The first of ``starts`` that scores best under ``batch_fn``, after a
+    climb from it.  The starts are scored as one batch whose y rows are
+    ``m_mat @ s`` one at a time, as :func:`kappa_at` and :func:`theta_at`
+    form them, so each start scores as it does alone.  An infinite best,
+    which no climb can better, is returned as it is; the climb starts from
+    the same score and moves only to strictly better ones.
     """
+    x_rows = np.array(starts, dtype=np.float64)
+    vals = batch_fn(x_rows, np.array([m_mat @ s for s in x_rows]))
     sign = 1.0 if better == "max" else -1.0
-    batches = [] if block is None else [block]
-    if len(witnesses):
-        wit_rows = np.array(witnesses, dtype=np.float64)
-        batches.insert(0, (wit_rows, np.array([m_mat @ w for w in wit_rows])))
-    for x_rows, y_rows in batches:
-        vals = batch_fn(x_rows, y_rows)
-        k = int(np.argmax(vals)) if better == "max" else int(np.argmin(vals))
-        if sign * vals[k] > sign * val:
-            val, x = vals[k], x_rows[k].copy()
-    if sign * val == np.inf:
-        return x
-    climb_val, climb_x = _climb(m_mat, x, batch_fn, better)
-    return climb_x if sign * climb_val > sign * val else x
+    k = int(np.argmax(sign * vals))
+    if sign * vals[k] == np.inf:
+        return x_rows[k]
+    return _climb(m_mat, x_rows[k], batch_fn, better)[1]
 
 
-def estimate_kappa(m_mat, block, witnesses=()):
-    """Lower estimate of kappa(M): max of kappa_at over witnesses, the
-    sampled directions of ``block`` ((x_rows, y_rows) with y_rows = x_rows
-    @ M.T, as :func:`gaussian_block` gives, or None), and coordinate hill
-    climbing from the best of them.  Only the block's first best row
-    counts, so that row alone, as :func:`certify` hands it, gives the same
-    estimate as its whole block.
+def estimate_kappa(m_mat, starts=()):
+    """Lower estimate of kappa(M): the best of kappa_at over e_0 and the
+    directions ``starts``, then coordinate hill climbing from it.
 
     Returns (value, direction); the value is ``kappa_at``'s of the returned
     direction, inf where that raises: a direction proved M is not P*
@@ -616,23 +596,20 @@ def estimate_kappa(m_mat, block, witnesses=()):
     m_mat = np.asarray(m_mat, dtype=np.float64)
     e_0 = np.zeros(m_mat.shape[0])
     e_0[0] = 1.0
-    x = _estimate(m_mat, e_0, 0.0, witnesses, block, _kappa_batch, "max")
+    x = _estimate(m_mat, [e_0, *starts], _kappa_batch, "max")
     return _score(_kappa_batch, m_mat, x), x
 
 
-def estimate_theta(m_mat, block, witnesses=()):
-    """Upper estimate of theta(M): min of theta_at over witnesses, the
-    uniform direction, the sampled directions of ``block`` (as for
-    :func:`estimate_kappa`), and hill climbing from the best.
+def estimate_theta(m_mat, starts=()):
+    """Upper estimate of theta(M): the best of theta_at over the uniform
+    direction and the directions ``starts``, then hill climbing from it.
 
     Returns (value, direction); the direction is unit 2-norm and the value
     is ``theta_at``'s of it.
     """
     m_mat = np.asarray(m_mat, dtype=np.float64)
     uniform = np.full(m_mat.shape[0], 1.0 / math.sqrt(m_mat.shape[0]))
-    x = _estimate(
-        m_mat, uniform, theta_at(m_mat, uniform), witnesses, block, _theta_batch, "min"
-    )
+    x = _estimate(m_mat, [uniform, *starts], _theta_batch, "min")
     x = x / np.linalg.norm(x)
     return theta_at(m_mat, x), x
 
@@ -692,11 +669,10 @@ def certify(lcp, seed, samples=10_000):
     m_mat = np.asarray(lcp.m, dtype=np.float64)
     n, gamma, signs = red.game.n, red.game.gamma, red.game.ownership_signs
     witnesses = [red.c_tau, signs * red.c_tau]
-    # one draw for both estimators, streamed: each gets only the row it
-    # would pick from the whole block
-    kappa_block, theta_block = _sample_bests(m_mat, samples, seed)
-    kappa_est, _ = estimate_kappa(m_mat, kappa_block, witnesses)
-    theta_est, _ = estimate_theta(m_mat, theta_block, witnesses)
+    # one draw for both estimators, streamed: each gets only its best row
+    kappa_best, theta_best = _sample_bests(m_mat, samples, seed)
+    kappa_est, _ = estimate_kappa(m_mat, witnesses + kappa_best)
+    theta_est, _ = estimate_theta(m_mat, witnesses + theta_best)
     delta, _ = smallest_eigenvalue_sym(m_mat)
     cert = structural_certificate(m_mat, red.b_sig, red.b_tau, signs)
     cond = -delta / theta_est

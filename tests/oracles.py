@@ -2,13 +2,16 @@
 
 Each restates something the package computes another way, so a test can
 hold the package to it: the hard family's closed forms under tau, the
-t-step distribution of a profile's Markov chain, and the interior point
-trace's stages with the potential's descent inside each.
+t-step distribution of a profile's Markov chain, the interior point
+trace's stages with the potential's descent inside each, and the gaussian
+sample that ``certify`` streams, whole.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from gamelcp.conditioning import _sample_chunks
 
 
 @dataclass
@@ -75,3 +78,10 @@ def monotone_within_stages(trace):
             if not trace.potentials[i] < trace.potentials[i - 1]:
                 return False
     return True
+
+
+def gaussian_sample(m_mat, samples, seed):
+    """The gaussian sample that ``certify`` streams, whole: its ``samples``
+    directions drawn from ``seed`` and M times each, as (x_rows, y_rows)."""
+    chunks = list(_sample_chunks(np.asarray(m_mat, dtype=np.float64), samples, seed))
+    return tuple(np.concatenate(part) for part in zip(*chunks, strict=True))

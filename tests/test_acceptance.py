@@ -10,9 +10,9 @@ from conftest import sigma_tau, three_state_game
 from oracles import closed_forms, markov_step_distribution, monotone_within_stages
 from gamelcp.bench import fit_loglog_slope, random_game, run_bench
 from gamelcp.conditioning import (
+    _sample_bests,
     delta_lower_bound,
     estimate_theta,
-    gaussian_block,
     kappa_at,
     kappa_upper_bound,
     pmatrix_check_minors,
@@ -182,7 +182,7 @@ def test_05_theta_sandwich():
         for gamma in GAMMA_GRID:
             spec, _, lcp = _hard(n, gamma, "theta")
             forms = closed_forms(spec)
-            est, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 2000, 0), (forms.c_tau,))
+            est, _ = estimate_theta(lcp.m, [forms.c_tau, *_sample_bests(lcp.m, 2000, 0)[1]])
             lo = theta_lower_bound(n, gamma)
             hi = predicted_theta_ub(n, gamma)
             if not (lo - 1e-12 <= est <= hi + 1e-9):
@@ -191,7 +191,7 @@ def test_05_theta_sandwich():
     spec, _, lcp = _hard(10, 0.5, "theta")
     c_tau = closed_forms(spec).c_tau
     witness = theta_at(lcp.m, c_tau)
-    spot_est, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 2000, 0), (c_tau,))
+    spot_est, _ = estimate_theta(lcp.m, [c_tau, *_sample_bests(lcp.m, 2000, 0)[1]])
     ok = ok and abs(witness - 1.0 / 34.0) <= 1e-9
     ok = ok and 1.0 / 90.0 - 1e-12 <= spot_est <= 1.0 / 32.0 + 1e-9
     detail = _report(

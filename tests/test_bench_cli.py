@@ -856,6 +856,37 @@ def test_cli_bench_refuses_a_negative_seed(tmp_path, capsys):
         run_bench([4], [0.5], seed=-1)
 
 
+def test_cli_gen_and_certify_refuse_a_negative_seed(tmp_path, capsys):
+    # numpy's own refusal, "expected non-negative integer", named neither
+    # the flag nor the value
+    game_path = write_g3(tmp_path)
+    out = tmp_path / "out.json"
+    for command in (
+        ["gen", "--family", "random", "--n", "6", "--gamma", "0.9"],
+        ["certify", "--game", str(game_path)],
+    ):
+        assert main(["--seed", "-1", "--output", str(out)] + command) == 2
+        assert "error: --seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_bench_keeps_a_refused_reduction_as_a_nan_row(tmp_path, capsys):
+    # at n = 8 and gamma 1 - 1e-12, to_lcp refuses B_t (condition number
+    # bound 6.4e13 > 1e13); the sweep once stopped there with exit 1
+    csv_path = tmp_path / "fb.csv"
+    argv = ["--output", str(csv_path), "bench", "--ns", "3,8"]
+    assert main(argv + ["--gammas", "0.999999999999", "--samples", "50"]) == 0
+    kept, refused = read_bench_csv(csv_path)
+    assert math.isfinite(kept.kappa_est) and math.isfinite(kept.theta_est)
+    assert refused.n == 8 and refused.seed == 1
+    assert all(math.isfinite(v) for v in (refused.kappa_ub, refused.delta_lb, refused.theta_lb))
+    measured = ("kappa_est", "delta", "theta_est", "cond", "solver_iters", "wall_ms")
+    assert all(math.isnan(getattr(refused, c)) for c in measured)
+    # a cell that cannot be built is still a usage error
+    with pytest.raises(ValueError, match="n >= 3"):
+        run_bench([2], [0.5], samples=0)
+
+
 def test_cli_solve_swapped_game_mirrors_the_profile(tmp_path, capsys):
     # reordering a state's two actions in the game file is how sigma and tau
     # are swapped there: the LCP methods give the same values and a profile

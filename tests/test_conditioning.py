@@ -17,7 +17,6 @@ from gamelcp.conditioning import (
     delta_lower_bound,
     estimate_kappa,
     estimate_theta,
-    gaussian_block,
     kappa_at,
     kappa_upper_bound,
     pmatrix_check_minors,
@@ -36,7 +35,7 @@ from gamelcp.hard_instances import HardInstanceSpec
 from gamelcp.lcp import Lcp, reduction, to_lcp
 
 from conftest import hard_instance, sigma_tau
-from oracles import closed_forms
+from oracles import closed_forms, gaussian_sample
 
 NOT_P = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -44,6 +43,12 @@ NOT_P = np.array([[0.0, 1.0], [-1.0, 0.0]])
 def hard_lcp(n, gamma, a_mode="kappa"):
     game = hard_instance(n, gamma, a_mode=a_mode)
     return to_lcp(game)
+
+
+def _starts(m_mat, witnesses, samples, seed):
+    """certify's starts for kappa and for theta: the witnesses, then that
+    measure's best direction of the gaussian sample."""
+    return [[*witnesses, *best] for best in cond._sample_bests(m_mat, samples, seed)]
 
 
 def test_kappa_at_hard_witness_exact():
@@ -140,7 +145,7 @@ def test_theta_at_basics():
 
 def test_estimate_theta_identity():
     eye = np.eye(6)
-    val, x = estimate_theta(eye, gaussian_block(eye, 500, 1))
+    val, x = estimate_theta(eye, cond._sample_bests(eye, 500, 1)[1])
     assert val == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert np.abs(x @ x - 1.0) <= 1e-9
 
@@ -148,8 +153,7 @@ def test_estimate_theta_identity():
 def test_estimate_theta_hard_sandwich():
     lcp = hard_lcp(10, 0.5, a_mode="theta")
     forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="theta"))
-    block = gaussian_block(lcp.m, 2000, 0)
-    val, x = estimate_theta(lcp.m, block, witnesses=(forms.c_tau,))
+    val, x = estimate_theta(lcp.m, _starts(lcp.m, [forms.c_tau], 2000, 0)[1])
     assert theta_lower_bound(10, 0.5) - 1e-9 <= val <= 1.0 / 34.0 + 1e-12
     assert theta_at(lcp.m, x) == pytest.approx(val, abs=1e-12)
 
@@ -157,8 +161,7 @@ def test_estimate_theta_hard_sandwich():
 def test_estimate_kappa_hard_witness_is_optimal():
     lcp = hard_lcp(10, 0.5)
     forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="kappa"))
-    block = gaussian_block(lcp.m, 2000, 0)
-    val, x = estimate_kappa(lcp.m, block, witnesses=(forms.c_tau,))
+    val, x = estimate_kappa(lcp.m, _starts(lcp.m, [forms.c_tau], 2000, 0)[0])
     # c_tau attains the true kappa; sampling and climbing cannot beat it
     assert val == pytest.approx(0.75, abs=1e-9)
     assert kappa_at(lcp.m, x) == pytest.approx(val, abs=1e-12)
@@ -166,7 +169,7 @@ def test_estimate_kappa_hard_witness_is_optimal():
 
 def test_estimate_kappa_identity_is_zero():
     eye = np.eye(5)
-    val, x = estimate_kappa(eye, gaussian_block(eye, 500, 2))
+    val, x = estimate_kappa(eye, cond._sample_bests(eye, 500, 2)[0])
     assert val == 0.0
     assert x.shape == (5,)
 
@@ -181,13 +184,13 @@ def test_estimate_kappa_is_exact_at_its_direction():
     # the reported lower estimate is kappa_at of the reported direction,
     # bit for bit, never the incrementally updated climb value
     for m_mat in _random_game_lcps(10):
-        val, x = estimate_kappa(m_mat, gaussian_block(m_mat, 1000, 3))
+        val, x = estimate_kappa(m_mat, cond._sample_bests(m_mat, 1000, 3)[0])
         assert val == kappa_at(m_mat, x)
 
 
 def test_estimate_theta_is_exact_at_its_direction():
     for m_mat in _random_game_lcps(10):
-        val, x = estimate_theta(m_mat, gaussian_block(m_mat, 1000, 3))
+        val, x = estimate_theta(m_mat, cond._sample_bests(m_mat, 1000, 3)[1])
         assert val == theta_at(m_mat, x)
 
 
@@ -242,9 +245,8 @@ def _scalar_climb(m_mat, x0, batch_fn, better, rounds=cond.HILL_CLIMB_ROUNDS):
 
 
 def _estimates(m_mat, witnesses, samples, seed):
-    kappa, _ = estimate_kappa(m_mat, gaussian_block(m_mat, samples, seed), witnesses)
-    theta, _ = estimate_theta(m_mat, gaussian_block(m_mat, samples, seed), witnesses)
-    return kappa, theta
+    kappa_starts, theta_starts = _starts(m_mat, witnesses, samples, seed)
+    return estimate_kappa(m_mat, kappa_starts)[0], estimate_theta(m_mat, theta_starts)[0]
 
 
 def _oracle_cases():
@@ -276,7 +278,7 @@ def test_estimate_theta_zero_move_is_not_a_direction():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         m = np.array([[2.0]])
-        val, x = estimate_theta(m, gaussian_block(m, 10_000, 0))
+        val, x = estimate_theta(m, cond._sample_bests(m, 10_000, 0)[1])
     assert val == 2.0
     assert x.tolist() == [1.0]
 
@@ -335,10 +337,11 @@ def _climb_starts(monkeypatch, m_mat, witnesses, samples=500, seed=5):
         starts.append((np.array(x0, dtype=np.float64), batch_fn, better))
         return real(m, x0, batch_fn, better)
 
+    kappa_starts, theta_starts = _starts(m_mat, witnesses, samples, seed)
     with monkeypatch.context() as mp:
         mp.setattr(cond, "_climb", spy)
-        estimate_kappa(m_mat, gaussian_block(m_mat, samples, seed), witnesses)
-        estimate_theta(m_mat, gaussian_block(m_mat, samples, seed), witnesses)
+        estimate_kappa(m_mat, kappa_starts)
+        estimate_theta(m_mat, theta_starts)
     return starts
 
 
@@ -399,7 +402,7 @@ def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
     game = random_game(24, 0.9, 1900)
     lcp = to_lcp(game)
     witnesses = _certify_witnesses(lcp)
-    assert estimate_kappa(lcp.m, gaussian_block(lcp.m, 10_000, 0), witnesses)[0] == 0.0
+    assert estimate_kappa(lcp.m, _starts(lcp.m, witnesses, 10_000, 0)[0])[0] == 0.0
     starts = _climb_starts(monkeypatch, lcp.m, witnesses, samples=10_000, seed=0)
     x0, batch_fn, better = starts[0]
     assert batch_fn is cond._kappa_batch and x0.tolist() == [1.0] + [0.0] * 23
@@ -552,20 +555,20 @@ def _certify_cases():
 
 @pytest.mark.parametrize("case", list(_certify_cases()), ids=lambda c: c[0])
 def test_certify_estimates_equal_the_estimators_called_alone(case):
-    # certify draws its gaussian block once for both estimators
+    # certify draws its gaussian sample once for both estimators
     _, game = case
     lcp = to_lcp(game)
-    witnesses = _certify_witnesses(lcp)
     report = certify(lcp, seed=11, samples=3000)
-    kappa, _ = estimate_kappa(lcp.m, gaussian_block(lcp.m, 3000, 11), witnesses)
-    theta, _ = estimate_theta(lcp.m, gaussian_block(lcp.m, 3000, 11), witnesses)
+    kappa_starts, theta_starts = _starts(lcp.m, _certify_witnesses(lcp), 3000, 11)
+    kappa, _ = estimate_kappa(lcp.m, kappa_starts)
+    theta, _ = estimate_theta(lcp.m, theta_starts)
     assert report.kappa_est == kappa
     assert report.theta_est == theta
 
 
 # certify streams the gaussian sample a chunk at a time: the chunks are the
 # one-shot draws and products, and the rows it hands the estimators are the
-# ones they would pick from the whole block.
+# whole sample's first bests.
 
 
 def _sample_matrix(n):
@@ -590,44 +593,41 @@ def test_sample_chunks_are_the_one_shot_draws_and_products(n):
     x_all = np.random.default_rng(7).standard_normal((samples, n))
     assert np.array_equal(np.concatenate([c[0] for c in chunks]), x_all)
     assert np.array_equal(np.concatenate([c[1] for c in chunks]), x_all @ m_mat.T)
-    x_rows, y_rows = gaussian_block(m_mat, samples, 7)
-    assert np.array_equal(x_rows, x_all) and np.array_equal(y_rows, x_all @ m_mat.T)
 
 
-def _block_bests(m_mat, samples, seed):
-    """The first argmax of kappa and first argmin of theta over the block."""
-    x_rows, y_rows = gaussian_block(m_mat, samples, seed)
+def _whole_sample_bests(m_mat, samples, seed):
+    """The first argmax of kappa and first argmin of theta over the whole
+    sample, each as a list of one row."""
+    x_rows, y_rows = gaussian_sample(m_mat, samples, seed)
     k = int(np.argmax(cond._kappa_batch(x_rows, y_rows)))
     t = int(np.argmin(cond._theta_batch(x_rows, y_rows)))
-    return [(x_rows[i : i + 1], y_rows[i : i + 1]) for i in (k, t)]
+    return [[x_rows[k]], [x_rows[t]]]
 
 
-def _assert_same_blocks(got, want):
+def _assert_same_rows(got, want):
     assert len(got) == len(want) == 2
-    for (gx, gy), (wx, wy) in zip(got, want, strict=True):
-        assert gx.shape == wx.shape == gy.shape == wy.shape
-        assert np.array_equal(gx, wx) and np.array_equal(gy, wy)
+    for g, w in zip(got, want, strict=True):
+        assert len(g) == len(w) == 1 and np.array_equal(g[0], w[0])
 
 
 @pytest.mark.parametrize("n", [1, 12, 64])
 def test_streamed_sample_picks_the_block_first_bests(n):
     m_mat = _sample_matrix(n)
     r = _chunk_rows(n)
-    assert cond._sample_bests(m_mat, 0, 3) == (None, None)
+    assert cond._sample_bests(m_mat, 0, 3) == ([], [])
     for samples in (1, r - 1, r, r + 1, 3 * r + 5):
         got = cond._sample_bests(m_mat, samples, 3)
-        _assert_same_blocks(got, _block_bests(m_mat, samples, 3))
+        _assert_same_rows(got, _whole_sample_bests(m_mat, samples, 3))
 
 
 def test_streamed_sample_keeps_row_0_of_an_all_zero_kappa_block():
     # M = I: every direction certifies kappa 0, so no later chunk is better
     m_mat = np.eye(12)
     samples = 3 * _chunk_rows(12) + 5
-    kappa_block, _ = cond._sample_bests(m_mat, samples, 4)
-    x_rows, y_rows = gaussian_block(m_mat, samples, 4)
+    (kappa_row,), _ = cond._sample_bests(m_mat, samples, 4)
+    x_rows, y_rows = gaussian_sample(m_mat, samples, 4)
     assert not cond._kappa_batch(x_rows, y_rows).any()
-    assert np.array_equal(kappa_block[0], x_rows[:1])
-    assert np.array_equal(kappa_block[1], y_rows[:1])
+    assert np.array_equal(kappa_row, x_rows[0])
 
 
 @pytest.mark.parametrize("n", [1, 12, 64])
@@ -635,17 +635,10 @@ def test_streamed_sample_picks_do_not_depend_on_the_chunk_size(monkeypatch, n):
     m_mat = _sample_matrix(n)
     samples = 2000
     want = cond._sample_bests(m_mat, samples, 9)
-    _assert_same_blocks(want, _block_bests(m_mat, samples, 9))
+    _assert_same_rows(want, _whole_sample_bests(m_mat, samples, 9))
     for entries in (n, 7 * n):
         monkeypatch.setattr(cond, "SAMPLE_CHUNK_ENTRIES", entries)
-        got = cond._sample_bests(m_mat, samples, 9)
-        for (gx, gy), (wx, wy) in zip(got, want, strict=True):
-            assert np.array_equal(gx, wx)
-            # chunks of 1 and 7 rows take BLAS's few-row products, which
-            # may round apart from the long chunks' within a dot product's
-            # error bound
-            bound = n * np.finfo(float).eps * (np.abs(wx) @ np.abs(m_mat.T))
-            assert np.all(np.abs(gy - wy) <= bound)
+        _assert_same_rows(cond._sample_bests(m_mat, samples, 9), want)
 
 
 @pytest.mark.parametrize("n, samples", [(64, 10_000), (8, 100_000)])
@@ -663,39 +656,25 @@ def test_certify_memory_does_not_grow_with_the_sample(n, samples):
     assert peak < 3 * 2**20
 
 
-# The two estimators as first written, each with its own witness loop,
-# best-sample pick and climb: the bit-exact reference for the shared driver.
-# They score each witness alone with kappa_at / theta_at, the batch scorers
-# on one row; the driver scores the witnesses as one batch of the same rows.
+# The two estimators as first written, each with its own start loop and
+# climb: the bit-exact reference for the shared driver.  They score each
+# start alone with kappa_at / theta_at, the batch scorers on one row; the
+# driver scores the starts as one batch of the same rows.
 
 
-def _best_sample(block, batch_fn, better):
-    """(value, direction) of the best row of a :func:`gaussian_block`."""
-    x_rows, y_rows = block
-    vals = batch_fn(x_rows, y_rows)
-    k = int(np.argmin(vals)) if better == "min" else int(np.argmax(vals))
-    return float(vals[k]), x_rows[k].copy()
-
-
-def _estimate_kappa_apart(m_mat, block, witnesses=()):
+def _estimate_kappa_apart(m_mat, starts=()):
     m_mat = np.asarray(m_mat, dtype=np.float64)
-    best_val = 0.0
-    best_x = np.zeros(m_mat.shape[0])
-    best_x[0] = 1.0
-    for wit in witnesses:
-        wit = np.asarray(wit, dtype=np.float64)
+    e_0 = np.zeros(m_mat.shape[0])
+    e_0[0] = 1.0
+    best_val, best_x = None, None
+    for x in [e_0, *starts]:
+        x = np.asarray(x, dtype=np.float64)
         try:
-            val = kappa_at(m_mat, wit)
+            val = kappa_at(m_mat, x)
         except KappaUndefined:
-            return np.inf, wit
-        if val > best_val:
-            best_val, best_x = val, wit.copy()
-    if block is not None:
-        val, x = _best_sample(block, cond._kappa_batch, "max")
-        if val > best_val:
-            best_val, best_x = val, x
-    if math.isinf(best_val):
-        return best_val, best_x
+            return np.inf, x
+        if best_x is None or val > best_val:
+            best_val, best_x = val, x.copy()
     val, x = cond._climb(m_mat, best_x, cond._kappa_batch, "max")
     if val > best_val:
         best_x = x
@@ -705,21 +684,15 @@ def _estimate_kappa_apart(m_mat, block, witnesses=()):
         return np.inf, best_x
 
 
-def _estimate_theta_apart(m_mat, block, witnesses=()):
+def _estimate_theta_apart(m_mat, starts=()):
     m_mat = np.asarray(m_mat, dtype=np.float64)
     n = m_mat.shape[0]
-    uniform = np.full(n, 1.0 / math.sqrt(n))
-    best_val = theta_at(m_mat, uniform)
-    best_x = uniform
-    for wit in witnesses:
-        wit = np.asarray(wit, dtype=np.float64)
-        val = theta_at(m_mat, wit)
-        if val < best_val:
-            best_val, best_x = val, wit.copy()
-    if block is not None:
-        val, x = _best_sample(block, cond._theta_batch, "min")
-        if val < best_val:
-            best_val, best_x = val, x
+    best_val, best_x = None, None
+    for x in [np.full(n, 1.0 / math.sqrt(n)), *starts]:
+        x = np.asarray(x, dtype=np.float64)
+        val = theta_at(m_mat, x)
+        if best_x is None or val < best_val:
+            best_val, best_x = val, x.copy()
     val, x = cond._climb(m_mat, best_x, cond._theta_batch, "min")
     if val < best_val:
         best_x = x
@@ -727,10 +700,11 @@ def _estimate_theta_apart(m_mat, block, witnesses=()):
     return theta_at(m_mat, best_x), best_x
 
 
-def _assert_estimators_match_apart(m_mat, block, witnesses):
+def _assert_estimators_match_apart(m_mat, witnesses, samples, seed):
+    kappa_starts, theta_starts = _starts(m_mat, witnesses, samples, seed)
     for got, want in (
-        (estimate_kappa(m_mat, block, witnesses), _estimate_kappa_apart(m_mat, block, witnesses)),
-        (estimate_theta(m_mat, block, witnesses), _estimate_theta_apart(m_mat, block, witnesses)),
+        (estimate_kappa(m_mat, kappa_starts), _estimate_kappa_apart(m_mat, kappa_starts)),
+        (estimate_theta(m_mat, theta_starts), _estimate_theta_apart(m_mat, theta_starts)),
     ):
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
@@ -738,11 +712,19 @@ def _assert_estimators_match_apart(m_mat, block, witnesses):
 
 def test_estimator_driver_matches_the_estimators_apart():
     for m_mat, witnesses in _oracle_cases():
-        for block in (None, gaussian_block(m_mat, 500, 5)):
-            _assert_estimators_match_apart(m_mat, block, witnesses)
-    # an undefined witness ends the kappa search at +inf with that witness
+        for samples in (0, 500):
+            _assert_estimators_match_apart(m_mat, witnesses, samples, 5)
+    # the first undefined start ends the kappa search at +inf with that
+    # start: on -I that is e_0 itself, ahead of every witness
     for witnesses in ([np.array([1.0, 0.0])], [np.array([0.0, 1.0]), np.array([1.0, 0.0])]):
-        _assert_estimators_match_apart(-np.eye(2), gaussian_block(-np.eye(2), 50, 1), witnesses)
+        _assert_estimators_match_apart(-np.eye(2), witnesses, 50, 1)
+        val, x = estimate_kappa(-np.eye(2), witnesses)
+        assert val == np.inf and x.tolist() == [1.0, 0.0]
+    # where e_0 certifies kappa 0, an undefined witness is the one returned
+    m_mat = np.diag([1.0, -1.0])
+    _assert_estimators_match_apart(m_mat, [np.array([0.0, 1.0])], 50, 1)
+    val, x = estimate_kappa(m_mat, [np.array([0.0, 1.0])])
+    assert val == np.inf and x.tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("n,gamma,seed", [(8, 0.99, 1904), (32, 0.95, 1923), (64, 0.95, 1933)])
@@ -751,11 +733,11 @@ def test_estimator_driver_scores_witnesses_exactly(n, gamma, seed):
     # witnesses had a scorer of their own, apart from the batch scorers
     lcp = hard_lcp(n, gamma)
     witnesses = _certify_witnesses(lcp)
-    _assert_estimators_match_apart(lcp.m, gaussian_block(lcp.m, 2000, seed), witnesses)
+    _assert_estimators_match_apart(lcp.m, witnesses, 2000, seed)
     report = certify(lcp, seed=seed, samples=2000)
-    block = gaussian_block(lcp.m, 2000, seed)
-    assert report.kappa_est == _estimate_kappa_apart(lcp.m, block, witnesses)[0]
-    assert report.theta_est == _estimate_theta_apart(lcp.m, block, witnesses)[0]
+    kappa_starts, theta_starts = _starts(lcp.m, witnesses, 2000, seed)
+    assert report.kappa_est == _estimate_kappa_apart(lcp.m, kappa_starts)[0]
+    assert report.theta_est == _estimate_theta_apart(lcp.m, theta_starts)[0]
 
 
 def _kappa_batch_by_where(x_rows, y_rows):
@@ -881,7 +863,7 @@ def test_one_direction_scorers_are_the_batch_scorers_on_one_row():
     # the hard cell's rows once scored apart on 27 (kappa) and 68 (theta) of 200
     game = random_game(24, 0.9, 1)
     for m_mat in (hard_lcp(32, 0.9).m, to_lcp(game).m):
-        x_rows, _ = gaussian_block(m_mat, 200, 0)
+        x_rows, _ = gaussian_sample(m_mat, 200, 0)
         y_rows = np.array([m_mat @ x for x in x_rows])
         for one, batch_fn in ((kappa_at, cond._kappa_batch), (theta_at, cond._theta_batch)):
             want = batch_fn(x_rows, y_rows)
@@ -892,11 +874,10 @@ def test_estimator_driver_scores_each_witness_as_it_scores_alone():
     # many witnesses, so that y rows formed by one matrix product would
     # differ in the last bits from M @ w on some of them
     m_mat = hard_lcp(32, 0.9).m
-    witnesses = list(gaussian_block(m_mat, 200, 0)[0])
-    e_0 = np.eye(32)[0]
-    for one, batch_fn, better, val in (
-        (kappa_at, cond._kappa_batch, "max", 0.0),
-        (theta_at, cond._theta_batch, "min", theta_at(m_mat, e_0)),
+    starts = list(gaussian_sample(m_mat, 200, 0)[0])
+    for one, batch_fn, better in (
+        (kappa_at, cond._kappa_batch, "max"),
+        (theta_at, cond._theta_batch, "min"),
     ):
         scored = []
 
@@ -904,8 +885,8 @@ def test_estimator_driver_scores_each_witness_as_it_scores_alone():
             scored.append(batch_fn(x_rows, y_rows))
             return scored[-1]
 
-        cond._estimate(m_mat, e_0, val, witnesses, None, recording, better)
-        assert _bits(scored[0]) == _bits([one(m_mat, w) for w in witnesses])
+        cond._estimate(m_mat, starts, recording, better)
+        assert _bits(scored[0]) == _bits([one(m_mat, s) for s in starts])
 
 
 def test_minors_check_g3(g3):
@@ -981,7 +962,7 @@ def test_minors_agree_with_theta_search():
     for k in range(20):
         m = rng.standard_normal((4, 4)) + np.diag(rng.uniform(0.0, 1.5, 4))
         ok = pmatrix_check_minors(m).ok
-        val, x = estimate_theta(m, gaussian_block(m, 3000, 100 + k))
+        val, x = estimate_theta(m, cond._sample_bests(m, 3000, 100 + k)[1])
         if ok:
             assert val > 0.0
             assert pmatrix_witness_check(m, x) is not None

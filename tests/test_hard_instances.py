@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import hard_instance, sigma_tau
-from oracles import closed_forms
+from oracles import closed_forms, gaussian_sample
 from gamelcp.conditioning import (
     _kappa_batch,
     _theta_batch,
     certify,
-    gaussian_block,
     kappa_at,
     smallest_eigenvalue_sym,
     theta_at,
@@ -269,7 +268,7 @@ def test_exact_measures_spot_values():
 def test_gaussian_directions_never_beat_the_exact_measures(n, gamma):
     lcp = to_lcp(hard_instance(n, gamma, a_mode="kappa"))
     exact = exact_conditioning(n, gamma)
-    x_rows, y_rows = gaussian_block(lcp.m, 100_000, seed=n)
+    x_rows, y_rows = gaussian_sample(lcp.m, 100_000, seed=n)
     kappa = float(_kappa_batch(x_rows, y_rows).max())
     theta = float(_theta_batch(x_rows, y_rows).min())
     assert kappa <= exact.kappa * (1.0 + ROUNDING_MARGIN) + ROUNDING_MARGIN
