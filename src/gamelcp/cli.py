@@ -6,8 +6,11 @@ gen --family random, certify and bench (default 0, and it must be
 nonnegative), --tol to solve and bench (default 1e-9, and it must be
 positive and finite; solve also refuses a --tol below the reduced costs'
 rounding at the values' bound); given to any other command, either is a
-usage error.  gen, solve, reduce and certify write their one artifact to
---output, or to stdout without it.
+usage error.  gen, reduce and certify write their one artifact to
+--output, or to stdout without it.  solve prints a "method=... iterations=...
+optimal=..." line; without --output one "state i: action a  value v" line
+per state follows it, and with --output the result goes to the file as one
+JSON line.
 solve --method ipm|pivot, reduce and certify go through the LCP, whose
 sigma is each state's first action and tau its second: to swap the two
 for a state, reorder its actions in the game file.
@@ -184,6 +187,7 @@ def _cmd_solve(args):
             result = strategy_iteration(game, tol=args.tol)
         else:
             result = brute_force_solve(game, tol=args.tol)
+        iterations = result.iterations
     else:
         lcp = to_lcp(game)
         if args.method == "ipm":
@@ -192,11 +196,9 @@ def _cmd_solve(args):
         else:
             w, z, iterations = solve_pivoting(lcp)
         result = recover(lcp, w, z, tol=args.tol)
-        result.iterations = iterations
-    result.method = args.method
 
     ok, violations = is_optimal(game, result.profile, tol=args.tol, values=result.values)
-    summary = f"method={result.method} iterations={result.iterations} optimal={ok}"
+    summary = f"method={args.method} iterations={iterations} optimal={ok}"
     if args.output is None:
         lines = [summary] + [
             f"state {i}: action {int(slot)}  value {float(val)!r}"
@@ -205,8 +207,8 @@ def _cmd_solve(args):
         _write_or_print("\n".join(lines), None)
     else:
         payload = {
-            "method": result.method,
-            "iterations": int(result.iterations),
+            "method": args.method,
+            "iterations": int(iterations),
             "optimal": bool(ok),
             "values": [float(v) for v in result.values],
             "profile": [int(s) for s in result.profile],

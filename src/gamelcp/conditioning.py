@@ -665,6 +665,8 @@ def certify(lcp, seed, samples=10_000):
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     red = lcp.game_reduction("certify")
     m_mat = np.asarray(lcp.m, dtype=np.float64)
     n, gamma, signs = red.game.n, red.game.gamma, red.game.ownership_signs

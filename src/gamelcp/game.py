@@ -74,16 +74,15 @@ class Game:
     """A game as its matrices.
 
     p is the (m, n) row-stochastic action transition matrix, costs the
-    (m,) cost vector, owners the (n,) owner of each state and
-    ownership_signs the (n,) vector with -1 on player-1 states and +1 on
-    player-2 states.  offsets[i]:offsets[i+1] slices the action rows of
-    state i; state_of_action maps rows back.
+    (m,) cost vector and ownership_signs the (n,) vector S with -1 on
+    player-1 states and +1 on player-2 states, the game's one record of
+    who owns each state.  offsets[i]:offsets[i+1] slices the action rows
+    of state i; state_of_action maps rows back.
     """
 
     gamma: float
     p: np.ndarray
     costs: np.ndarray
-    owners: np.ndarray
     ownership_signs: np.ndarray
     offsets: np.ndarray
     state_of_action: np.ndarray
@@ -91,6 +90,11 @@ class Game:
     @property
     def n(self):
         return self.p.shape[1]
+
+    @property
+    def owners(self):
+        """The (n,) owner of each state, 1 or 2, read from ownership_signs."""
+        return np.where(self.ownership_signs < 0, PLAYER_MIN, PLAYER_MAX)
 
 
 def build_game(gamma, states):
@@ -106,7 +110,6 @@ def build_game(gamma, states):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     state_of_action = np.repeat(np.arange(n, dtype=np.int64), counts)
-    owners = np.array([owner for owner, _ in states], dtype=np.int64)
     actions = [a for _, acts in states for a in acts]
     m = len(actions)
     costs = np.array([cost for cost, _ in actions], dtype=np.float64)
@@ -122,8 +125,7 @@ def build_game(gamma, states):
         gamma=gamma,
         p=p,
         costs=costs,
-        owners=owners,
-        ownership_signs=np.where(owners == PLAYER_MIN, -1.0, 1.0),
+        ownership_signs=np.array([-1.0 if o == PLAYER_MIN else 1.0 for o, _ in states]),
         offsets=offsets,
         state_of_action=state_of_action,
     )
@@ -329,13 +331,13 @@ def reduced_cost_rounding(game, values):
 def is_optimal(game, profile, tol=1e-9, values=None):
     """Check the profile's optimality; returns (verdict, violating rows).
 
-    Player-1 actions must have reduced cost >= -t, player-2 actions <= t,
-    with t = max(tol, level) and level the reduced costs' rounding at the
-    profile's values (:func:`reduced_cost_rounding`): below it a check
-    cannot tell a violation from rounding.  So tol = 0 checks at the
-    level, not exactly.  Violating rows are global action indices.
-    ``values``, when given, must be the profile's value vector; it saves a
-    solve.
+    Player-1 actions must have reduced cost >= -t and player-2 actions
+    <= t, that is S rc <= t with S the owner's sign, where t = max(tol,
+    level) and level is the reduced costs' rounding at the profile's
+    values (:func:`reduced_cost_rounding`): below it a check cannot tell a
+    violation from rounding.  So tol = 0 checks at the level, not exactly.
+    Violating rows are global action indices.  ``values``, when given,
+    must be the profile's value vector; it saves a solve.
     """
     if not tol >= 0:  # NaN too: every comparison with it is false
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -343,8 +345,6 @@ def is_optimal(game, profile, tol=1e-9, values=None):
         values = value_vector(game, profile)
     rc = reduced_costs(game, profile, values)
     tol = max(tol, reduced_cost_rounding(game, values))
-    owner_of_action = game.owners[game.state_of_action]
-    bad_min = (owner_of_action == PLAYER_MIN) & (rc < -tol)
-    bad_max = (owner_of_action == PLAYER_MAX) & (rc > tol)
-    violations = np.flatnonzero(bad_min | bad_max)
+    # negation is exact, so -rc > t is rc < -t bit for bit
+    violations = np.flatnonzero(game.ownership_signs[game.state_of_action] * rc > tol)
     return violations.size == 0, violations

@@ -180,6 +180,7 @@ def recover(lcp, w, z, tol=1e-6):
     solution sits at w_i ~ z_i ~ sqrt(gap) on the central path, and that z
     error enters the values through B_tau^{-1} with gain at most
     1/(1 - gamma).
+    The result's ``iterations`` is 0: the LCP solver's count is its own.
     """
     red = lcp.game_reduction("recover")
     check = verify_solution(lcp, w, z, tol)
@@ -212,7 +213,7 @@ def recover(lcp, w, z, tol=1e-6):
         raise RecoveryError(
             f"recovered values disagree with the profile's values by {drift:.3e}"
         )
-    return SolveResult(values=v_exact, profile=choice, iterations=0, method="lcp")
+    return SolveResult(values=v_exact, profile=choice, iterations=0)
 
 
 def lcp_json(lcp):

@@ -79,10 +79,9 @@ MAX_ITERS = 10_000  # trace rows; every stage has a predictor row, so this caps 
 
 @dataclass
 class IpmTrace:
-    """Per accepted step: iteration index, gap, potential, step size, shift
-    and phase ("center" or "predictor")."""
+    """Per accepted step, one row: gap, potential, step size, shift and
+    phase ("center" or "predictor").  Row k is iteration k + 1."""
 
-    iters: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
     potentials: list = field(default_factory=list)
     steps: list = field(default_factory=list)
@@ -90,8 +89,7 @@ class IpmTrace:
     phases: list = field(default_factory=list)
     termination: str = ""
 
-    def append(self, iteration, gap, potential, step, shift, phase):
-        self.iters.append(int(iteration))
+    def append(self, gap, potential, step, shift, phase):
         self.gaps.append(float(gap))
         self.potentials.append(float(potential))
         self.steps.append(float(step))
@@ -99,12 +97,12 @@ class IpmTrace:
         self.phases.append(phase)
 
     def __len__(self):
-        return len(self.iters)
+        return len(self.gaps)
 
     def write_csv(self, path):
-        rows = zip(
-            self.iters, self.gaps, self.potentials, self.steps, self.shifts, self.phases
-        )
+        """One row per step, its ``iter`` column numbered 1..len."""
+        columns = (self.gaps, self.potentials, self.steps, self.shifts, self.phases)
+        rows = zip(range(1, len(self) + 1), *columns)
         write_csv(path, ("iter", "gap", "potential", "step", "shift", "phase"), rows)
 
 
@@ -160,19 +158,17 @@ def solve_potential_reduction(lcp, epsilon=1e-9):
     w = q + t + m_mat @ z
     f = _potential(w, z, rho)
     gap = float(w @ z)
-    iteration = 0
 
     while not (t <= t_final and gap < epsilon):
         # off the narrow neighborhood the row re-centers at its shift; inside
         # it the row lowers the shift and the gap together
         center = float(np.min(w * z)) * n < CENTER_SHARE * gap
         phase = "center" if center else "predictor"
-        if iteration >= MAX_ITERS:
+        if len(trace) >= MAX_ITERS:
             _fail(
                 trace,
                 f"{phase} row at gap {gap:.3e}, shift {t:.3e} after MAX_ITERS={MAX_ITERS}",
             )
-        iteration += 1
         shift, target = (0.0, gap / n) if center else (t, floor)
         try:
             dw, dz = _direction(z, m_mat, w, shift, target)
@@ -202,7 +198,7 @@ def solve_potential_reduction(lcp, epsilon=1e-9):
             t = (1.0 - alpha) * t
             f = _potential(w, z, rho)
         gap = float(w @ z)
-        trace.append(iteration, gap, f, alpha, t, phase)
+        trace.append(gap, f, alpha, t, phase)
 
     # leave with w exactly feasible whenever that keeps the interior and the
     # gap target

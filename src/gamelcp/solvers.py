@@ -52,7 +52,6 @@ class SolveResult:
     values: np.ndarray
     profile: np.ndarray
     iterations: int
-    method: str
 
 
 class _SignedRows:
@@ -153,7 +152,6 @@ def value_iteration(game, eps=1e-8):
                 values=value_vector(game, choice) if values is None else values,
                 profile=choice,
                 iterations=done + int(met[0]) + 1,
-                method="value_iteration",
             )
         done += k
         choice = rows.first_best(rows.signed_y(block[k]))
@@ -161,7 +159,7 @@ def value_iteration(game, eps=1e-8):
         if key not in checked:
             values = checked[key] = value_vector(game, choice)
             if is_optimal(game, choice, tau, values=values)[0]:
-                return SolveResult(values, choice, done, "value_iteration")
+                return SolveResult(values, choice, done)
         block[0] = block[k]
     raise SolverFailure(
         f"value iteration did not reach step {threshold:.3e} within {VI_MAX_ITERS} "
@@ -211,12 +209,7 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
         floor_tol = max(tol, reduced_cost_rounding(game, v))
         new_choice = _switch(rows, choice, reduced_costs(game, choice, v), floor_tol)
         if new_choice is None:
-            return SolveResult(
-                values=v,
-                profile=choice,
-                iterations=rounds - 1,
-                method="strategy_iteration",
-            )
+            return SolveResult(values=v, profile=choice, iterations=rounds - 1)
         key = tuple(new_choice.tolist())
         if key in seen:
             raise SolverFailure("strategy iteration revisited a profile (cycle)")
@@ -243,9 +236,7 @@ def brute_force_solve(game, tol=1e-9):
         choice = np.asarray(tup, dtype=np.int64)
         v = value_vector(game, choice)
         if is_optimal(game, choice, tol, values=v)[0]:
-            return SolveResult(
-                values=v, profile=choice, iterations=examined, method="brute_force"
-            )
+            return SolveResult(values=v, profile=choice, iterations=examined)
     raise SolverFailure(
         f"no profile among {total} passed the optimality check at tol {tol} "
         "(numeric tolerance defect)"

@@ -566,6 +566,20 @@ def test_certify_estimates_equal_the_estimators_called_alone(case):
     assert report.theta_est == theta
 
 
+@pytest.mark.parametrize("samples", [0, None], ids=["samples-0", "default-samples"])
+def test_certify_refuses_a_negative_seed_before_drawing(samples, monkeypatch):
+    # numpy's own refusal, "expected non-negative integer", named neither
+    # the seed nor its value, and came even at samples=0
+    def no_draw(*args):
+        raise AssertionError("certify drew a sample")
+
+    monkeypatch.setattr(cond, "_sample_bests", no_draw)
+    lcp = to_lcp(random_game(4, 0.9, 1))
+    given = {} if samples is None else {"samples": samples}
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+        certify(lcp, seed=-1, **given)
+
+
 # certify streams the gaussian sample a chunk at a time: the chunks are the
 # one-shot draws and products, and the rows it hands the estimators are the
 # whole sample's first bests.

@@ -9,6 +9,7 @@ import pytest
 
 from gamelcp.bench import random_game
 from gamelcp.game import (
+    PLAYER_MAX,
     PLAYER_MIN,
     GameValidationError,
     build_game,
@@ -16,6 +17,7 @@ from gamelcp.game import (
     game_to_dict,
     is_optimal,
     load_game,
+    reduced_cost_rounding,
     reduced_costs,
     restrict,
     save_game,
@@ -259,6 +261,51 @@ def test_single_action_game_always_optimal():
     game = build_game(0.9, [(1, [(1.0, [(1, 1.0)])]), (2, [(-1.0, [(0, 1.0)])])])
     ok, violations = is_optimal(game, [0, 0])
     assert ok and violations.size == 0
+
+
+def _owner_rule(game, profile, tol):
+    """Oracle: player-1 rows need rc >= -t and player-2 rows rc <= t, with
+    the owners read from the game's file form."""
+    values = value_vector(game, profile)
+    rc = reduced_costs(game, profile, values)
+    tol = max(tol, reduced_cost_rounding(game, values))
+    owners = np.array([state["owner"] for state in game_to_dict(game)["states"]])
+    owner_of_action = owners[game.state_of_action]
+    bad_min = (owner_of_action == PLAYER_MIN) & (rc < -tol)
+    bad_max = (owner_of_action == PLAYER_MAX) & (rc > tol)
+    violations = np.flatnonzero(bad_min | bad_max)
+    return violations.size == 0, violations
+
+
+def test_is_optimal_reads_the_signs_as_the_owner_rule():
+    # a state's owner is stored once, as its sign in S; is_optimal flags
+    # S rc > t, which must agree with the owner rule row for row
+    three_actions = build_game(
+        0.9,
+        [
+            (1, [(1.0, [(0, 1.0)]), (0.5, [(1, 1.0)]), (-0.2, [(0, 0.5), (1, 0.5)])]),
+            (2, [(2.0, [(0, 1.0)]), (0.0, [(1, 1.0)])]),
+        ],
+    )
+    cases = [(three_actions, [[a, b] for a in range(3) for b in range(2)])]
+    for n in range(1, 17):
+        game = random_game(n, 0.9, n)
+        rng = np.random.default_rng(100 + n)
+        counts = np.diff(game.offsets)
+        cases.append((game, [rng.integers(0, counts) for _ in range(50)]))
+    verdicts = set()
+    for game, profiles in cases:
+        owners = [state["owner"] for state in game_to_dict(game)["states"]]
+        assert game.owners.tolist() == owners
+        for profile in profiles:
+            # the last tolerance puts one row exactly on the threshold
+            edge = float(np.abs(reduced_costs(game, profile)).max())
+            for tol in (0.0, 1e-9, 0.5, edge):
+                ok, violations = is_optimal(game, profile, tol)
+                want_ok, want = _owner_rule(game, profile, tol)
+                assert ok == want_ok and np.array_equal(violations, want)
+                verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def _with_costs(new_cost):

@@ -77,10 +77,7 @@ def test_ipm_trace_shape_and_monotonicity(g3):
     _, _, trace = solve_potential_reduction(lcp)
     k = len(trace)
     assert k >= 1
-    for rows in (
-        trace.iters, trace.gaps, trace.potentials, trace.steps, trace.shifts,
-        trace.phases,
-    ):
+    for rows in (trace.gaps, trace.potentials, trace.steps, trace.shifts, trace.phases):
         assert len(rows) == k
     assert set(trace.phases) <= {"center", "predictor"}
     lo_hi = stages(trace)
@@ -89,7 +86,6 @@ def test_ipm_trace_shape_and_monotonicity(g3):
     for (a, b), (c, _) in zip(lo_hi, lo_hi[1:]):
         assert b == c
     assert monotone_within_stages(trace)
-    assert trace.iters == sorted(trace.iters)
 
 
 def test_ipm_trace_csv(tmp_path, g3):
@@ -101,7 +97,7 @@ def test_ipm_trace_csv(tmp_path, g3):
     assert lines[0] == "iter,gap,potential,step,shift,phase"
     assert len(lines) == len(trace) + 1
     first = lines[1].split(",")
-    assert int(first[0]) == trace.iters[0]
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, len(trace) + 1))
     assert float(first[1]) == trace.gaps[0]
     assert [line.split(",")[5] for line in lines[1:]] == trace.phases
 
@@ -195,7 +191,7 @@ def test_ipm_stages_split_at_predictor_rows():
     trace = IpmTrace()
     assert stages(trace) == []
     for phase in ("center", "center", "predictor", "center", "predictor", "predictor"):
-        trace.append(0, 1.0, 1.0, 1.0, 0.0, phase)
+        trace.append(1.0, 1.0, 1.0, 0.0, phase)
     assert stages(trace) == [(0, 2), (2, 4), (4, 5), (5, 6)]
 
 
@@ -355,7 +351,7 @@ def _nested_loop_ipm(lcp, epsilon=1e-9):
             else:
                 _fail(trace, f"line search stalled at step < {STEP_FLOOR}")
             w, z, f = w1, z1, f1
-            trace.append(iteration, w @ z, f, alpha, t, "center")
+            trace.append(w @ z, f, alpha, t, "center")
         if done:
             break
 
@@ -384,7 +380,7 @@ def _nested_loop_ipm(lcp, epsilon=1e-9):
         w, z = w1, z1
         t = (1.0 - alpha) * t
         f = _potential(w, z, rho)
-        trace.append(iteration, w @ z, f, alpha, t, "predictor")
+        trace.append(w @ z, f, alpha, t, "predictor")
 
     # leave with w exactly feasible whenever that keeps the interior and the
     # gap target
@@ -399,10 +395,7 @@ def _nested_loop_ipm(lcp, epsilon=1e-9):
 
 
 def _trace_rows(trace):
-    return (
-        trace.iters, trace.gaps, trace.potentials, trace.steps, trace.shifts,
-        trace.phases,
-    )
+    return (trace.gaps, trace.potentials, trace.steps, trace.shifts, trace.phases)
 
 
 def _run_ipm(solver, lcp):

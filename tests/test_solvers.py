@@ -82,7 +82,6 @@ def test_value_iteration_g3(g3):
     game = g3
     res = value_iteration(game, eps=1e-8)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-8)
-    assert res.method == "value_iteration"
     assert res.iterations >= 1
 
 
@@ -281,7 +280,6 @@ def _oracle_step_value_iteration(game, eps=1e-8):
                 values=value_vector(game, choice),
                 profile=choice,
                 iterations=it,
-                method="value_iteration",
             )
     raise SolverFailure(
         f"value iteration did not reach step {threshold:.3e} within "
@@ -308,7 +306,6 @@ def _oracle_value_iteration(game, eps=1e-8):
                 values=value_vector(game, choice),
                 profile=choice,
                 iterations=it,
-                method="value_iteration",
             )
         if it % solvers.VI_BLOCK == 0 or it == solvers.VI_MAX_ITERS:
             choice = _oracle_greedy_profile(game, v)
@@ -316,7 +313,7 @@ def _oracle_value_iteration(game, eps=1e-8):
                 checked.append(choice)
                 values = value_vector(game, choice)
                 if solvers.is_optimal(game, choice, tau, values=values)[0]:
-                    return SolveResult(values, choice, it, "value_iteration")
+                    return SolveResult(values, choice, it)
     raise SolverFailure(
         f"value iteration did not reach step {threshold:.3e} within "
         f"{solvers.VI_MAX_ITERS} iterations",
@@ -349,7 +346,7 @@ def _oracle_strategy_iteration(game, tol=1e-9):
         v = value_vector(game, choice)
         new_choice = _oracle_switch(game, choice, reduced_costs(game, choice, v), tol)
         if new_choice is None:
-            return SolveResult(v, choice, rounds, "strategy_iteration")
+            return SolveResult(v, choice, rounds)
         choice = new_choice
         rounds += 1
 
