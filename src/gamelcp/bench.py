@@ -50,8 +50,10 @@ __all__ = [
     "write_bench_csv",
 ]
 
+MAX_SUPPORT = 4  # the most successors of one action in random_game
 
-def random_game(n, gamma, seed, max_support=4):
+
+def random_game(n, gamma, seed):
     """Seeded random game: two actions per state, random owner, sparse
     uniform transition support, costs uniform in [-10, 10]."""
     if n < 1:
@@ -66,7 +68,7 @@ def random_game(n, gamma, seed, max_support=4):
         owner = int(rng.integers(1, 3))
         actions = []
         for _ in range(2):
-            support = int(rng.integers(1, min(max_support, n) + 1))
+            support = int(rng.integers(1, min(MAX_SUPPORT, n) + 1))
             targets = rng.choice(n, size=support, replace=False)
             weights = rng.uniform(0.1, 1.0, size=support)
             weights /= weights.sum()

@@ -180,25 +180,23 @@ def _cmd_solve(args):
             f"--tol {args.tol:.3g} is below what float64 can certify for this game: "
             f"{floor:.3g}, the reduced costs' rounding at values of max|cost| / (1 - gamma)"
         )
-    if args.method in ("vi", "si", "brute"):
-        if args.method == "vi":
-            result = value_iteration(game, eps=args.tol)
-        elif args.method == "si":
-            result = strategy_iteration(game, tol=args.tol)
-        else:
-            result = brute_force_solve(game, tol=args.tol)
-        iterations = result.iterations
+    if args.method == "vi":
+        result = value_iteration(game, eps=args.tol)
+    elif args.method == "si":
+        result = strategy_iteration(game, tol=args.tol)
+    elif args.method == "brute":
+        result = brute_force_solve(game, tol=args.tol)
     else:
         lcp = to_lcp(game)
         if args.method == "ipm":
             w, z, trace = solve_potential_reduction(lcp, epsilon=args.tol)
-            iterations = len(trace)
+            result = recover(lcp, w, z, len(trace), tol=args.tol)
         else:
-            w, z, iterations = solve_pivoting(lcp)
-        result = recover(lcp, w, z, tol=args.tol)
+            w, z, pivots = solve_pivoting(lcp)
+            result = recover(lcp, w, z, pivots, tol=args.tol)
 
     ok, violations = is_optimal(game, result.profile, tol=args.tol, values=result.values)
-    summary = f"method={args.method} iterations={iterations} optimal={ok}"
+    summary = f"method={args.method} iterations={result.iterations} optimal={ok}"
     if args.output is None:
         lines = [summary] + [
             f"state {i}: action {int(slot)}  value {float(val)!r}"
@@ -208,7 +206,7 @@ def _cmd_solve(args):
     else:
         payload = {
             "method": args.method,
-            "iterations": int(iterations),
+            "iterations": int(result.iterations),
             "optimal": bool(ok),
             "values": [float(v) for v in result.values],
             "profile": [int(s) for s in result.profile],

@@ -27,6 +27,9 @@ one gaussian sample, then climbs from the best of them by coordinate moves.
 It streams the sample a chunk at a time through both measures' scorers and
 keeps only each measure's best row, so its memory does not grow with the
 number of samples.
+Every function here reads M in Fortran order, as ``lcp.to_lcp`` builds
+it, and copies any other layout: products with a C-ordered copy of M take
+other BLAS kernels, which round apart in the last bits.
 :func:`pmatrix_check_minors` (all principal minors, n <= 20) and
 :func:`pmatrix_witness_check` (one direction) are independent P-matrix
 oracles for callers and tests: ``certify`` never calls them.
@@ -122,7 +125,7 @@ def smallest_eigenvalue_sym(m_mat):
     The returned pair must satisfy ||A v - lam v|| <= 1e-9 ||A||_F or an
     ArithmeticError is raised.
     """
-    m_mat = np.asarray(m_mat, dtype=np.float64)
+    m_mat = np.asfortranarray(m_mat, dtype=np.float64)
     a = 0.5 * (m_mat + m_mat.T)
     try:
         vals, vecs = np.linalg.eigh(a)
@@ -167,7 +170,7 @@ def pmatrix_check_minors(m_mat):
     stops at the first subset that fails, which becomes ``failing_subset``.
     ``min_scaled_minor`` is the least determinant / scale ratio scanned.
     """
-    m_mat = np.asarray(m_mat, dtype=np.float64)
+    m_mat = np.asfortranarray(m_mat, dtype=np.float64)
     n = m_mat.shape[0]
     if n > MINORS_LIMIT:
         raise ValueError(
@@ -201,7 +204,7 @@ def pmatrix_check_minors(m_mat):
 def pmatrix_witness_check(m_mat, x):
     """Index i with x_i (Mx)_i > 0, or None (then M is not a P-matrix)."""
     x = np.asarray(x, dtype=np.float64)
-    prods = x * (np.asarray(m_mat, dtype=np.float64) @ x)
+    prods = x * (np.asfortranarray(m_mat, dtype=np.float64) @ x)
     i = int(np.argmax(prods))
     return i if prods[i] > 0.0 else None
 
@@ -244,7 +247,7 @@ def structural_certificate(m_mat, b_sig, b_tau, signs):
     e < theta_cert proves it; ``ok`` leaves room for the rounding of e and
     theta_cert themselves (2n + 8 roundings each).
     """
-    m_mat = np.asarray(m_mat, dtype=np.float64)
+    m_mat = np.asfortranarray(m_mat, dtype=np.float64)
     n = m_mat.shape[0]
     mu_s, mu_t = _row_margin(b_sig), _row_margin(b_tau)
     theta = mu_s * mu_t / (n * float(np.abs(b_tau).sum(axis=1).max()) ** 2)
@@ -289,7 +292,7 @@ def _theta_batch(x_rows, y_rows):
 def _score(batch_fn, m_mat, x):
     """``batch_fn``'s value of the one direction x."""
     x = np.asarray(x, dtype=np.float64)
-    return float(batch_fn(x[None, :], (np.asarray(m_mat) @ x)[None, :])[0])
+    return float(batch_fn(x[None, :], (np.asfortranarray(m_mat) @ x)[None, :])[0])
 
 
 def kappa_at(m_mat, x):
@@ -593,7 +596,7 @@ def estimate_kappa(m_mat, starts=()):
     direction, inf where that raises: a direction proved M is not P*
     (impossible for game-derived matrices).
     """
-    m_mat = np.asarray(m_mat, dtype=np.float64)
+    m_mat = np.asfortranarray(m_mat, dtype=np.float64)
     e_0 = np.zeros(m_mat.shape[0])
     e_0[0] = 1.0
     x = _estimate(m_mat, [e_0, *starts], _kappa_batch, "max")
@@ -607,7 +610,7 @@ def estimate_theta(m_mat, starts=()):
     Returns (value, direction); the direction is unit 2-norm and the value
     is ``theta_at``'s of it.
     """
-    m_mat = np.asarray(m_mat, dtype=np.float64)
+    m_mat = np.asfortranarray(m_mat, dtype=np.float64)
     uniform = np.full(m_mat.shape[0], 1.0 / math.sqrt(m_mat.shape[0]))
     x = _estimate(m_mat, [uniform, *starts], _theta_batch, "min")
     x = x / np.linalg.norm(x)
@@ -668,7 +671,7 @@ def certify(lcp, seed, samples=10_000):
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     red = lcp.game_reduction("certify")
-    m_mat = np.asarray(lcp.m, dtype=np.float64)
+    m_mat = np.asfortranarray(lcp.m, dtype=np.float64)
     n, gamma, signs = red.game.n, red.game.gamma, red.game.ownership_signs
     witnesses = [red.c_tau, signs * red.c_tau]
     # one draw for both estimators, streamed: each gets only its best row

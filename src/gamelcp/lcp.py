@@ -52,11 +52,16 @@ __all__ = [
 
 @dataclass
 class Lcp:
-    """(M, q), and the game data it was built from (None if not to_lcp's)."""
+    """(M, q), and the game data it was built from (None if not to_lcp's).
+    M is kept in Fortran order, as to_lcp builds it (a copy for any other
+    layout), so that no product with it depends on the caller's layout."""
 
     m: np.ndarray
     q: np.ndarray
     reduction: Reduction | None = None
+
+    def __post_init__(self):
+        self.m = np.asfortranarray(self.m, dtype=np.float64)
 
     @property
     def n(self):
@@ -165,7 +170,7 @@ def verify_solution(lcp, w, z, tol=1e-9):
     )
 
 
-def recover(lcp, w, z, tol=1e-6):
+def recover(lcp, w, z, iterations, tol=1e-6):
     """Map a solution of ``lcp`` (from :func:`to_lcp`) to its game's values
     and a verified profile (ValueError for an LCP without a reduction).
 
@@ -180,7 +185,8 @@ def recover(lcp, w, z, tol=1e-6):
     solution sits at w_i ~ z_i ~ sqrt(gap) on the central path, and that z
     error enters the values through B_tau^{-1} with gain at most
     1/(1 - gamma).
-    The result's ``iterations`` is 0: the LCP solver's count is its own.
+    ``iterations`` is the LCP solver's count (IPM rows or Lemke pivots),
+    which the result carries.
     """
     red = lcp.game_reduction("recover")
     check = verify_solution(lcp, w, z, tol)
@@ -213,7 +219,7 @@ def recover(lcp, w, z, tol=1e-6):
         raise RecoveryError(
             f"recovered values disagree with the profile's values by {drift:.3e}"
         )
-    return SolveResult(values=v_exact, profile=choice, iterations=0)
+    return SolveResult(values=v_exact, profile=choice, iterations=iterations)
 
 
 def lcp_json(lcp):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import as_profile, is_optimal, reduced_cost_rounding, reduced_costs, value_vector
+from .game import as_profile, is_optimal, reduced_costs, value_vector
 
 __all__ = [
     "SolveResult",
@@ -169,32 +169,17 @@ def value_iteration(game, eps=1e-8):
     )
 
 
-def _switch(rows, choice, rc, tol):
-    """Strategy iteration's switch rule; None when no state improves.
-
-    A state improves when its best reduced cost is < -tol (player 1) or
-    > tol (player 2), i.e. when its signed best is < -tol; it then moves to
-    that best slot, the lowest on ties.
-    """
-    signed = rows.sign_a * rc
-    best = rows.first_best(signed)
-    improving = signed[rows.starts + best] < -tol
-    if not improving.any():
-        return None
-    return np.where(improving, best, choice)
-
-
 def strategy_iteration(game, initial_profile=None, tol=1e-9):
     """All-switch strategy iteration with cycle detection.
 
-    Every round switches each state that owns a strictly improving action
-    (reduced cost < -tol for player 1, > tol for player 2) to its best
-    action, lowest slot on ties, with tol floored at the reduced costs'
-    rounding level (:func:`~gamelcp.game.reduced_cost_rounding`): below it
-    a switch chases rounding.  So at return no reduced cost at the returned
-    values lies past max(tol, level) on its owner's wrong side, and the
-    profile passes :func:`~gamelcp.game.is_optimal` at tol.  Starts from
-    the all-slot-0 profile unless given one.  Revisiting a profile raises
+    Every round solves the profile's values and checks them with
+    :func:`~gamelcp.game.is_optimal` at tol.  The run returns at the first
+    profile it passes; otherwise every state that :func:`is_optimal` flags
+    switches to its best action, lowest slot on ties, and the others keep
+    theirs.  So SI improves exactly where the optimality check sees a
+    violation, past tol floored at the reduced costs' rounding level.  A
+    state whose best is a NaN reduced cost keeps its slot.  Starts from the
+    all-slot-0 profile unless given one.  Revisiting a profile raises
     (cannot happen for exact arithmetic; guards against tolerance misuse).
     """
     if not tol >= 0:
@@ -206,15 +191,19 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     seen = {tuple(choice.tolist())}
     for rounds in range(1, SI_MAX_ROUNDS + 1):
         v = value_vector(game, choice)
-        floor_tol = max(tol, reduced_cost_rounding(game, v))
-        new_choice = _switch(rows, choice, reduced_costs(game, choice, v), floor_tol)
-        if new_choice is None:
+        violations = is_optimal(game, choice, tol, values=v)[1]
+        signed = rows.sign_a * reduced_costs(game, choice, v)
+        best = rows.first_best(signed)
+        flagged = game.state_of_action[violations]
+        # first_best gives a state holding a NaN its first NaN, no improvement
+        flagged = flagged[~np.isnan(signed[rows.starts[flagged] + best[flagged]])]
+        if not flagged.size:
             return SolveResult(values=v, profile=choice, iterations=rounds - 1)
-        key = tuple(new_choice.tolist())
+        choice[flagged] = best[flagged]
+        key = tuple(choice.tolist())
         if key in seen:
             raise SolverFailure("strategy iteration revisited a profile (cycle)")
         seen.add(key)
-        choice = new_choice
     raise SolverFailure(f"strategy iteration exceeded {SI_MAX_ROUNDS} rounds")
 
 

@@ -265,10 +265,10 @@ def test_08_oracle_equivalence():
             value_iteration(game, eps=1e-8),
             strategy_iteration(game),
         ]
-        w, z, _ = solve_pivoting(lcp)
-        results.append(recover(lcp, w, z, tol=1e-6))
-        w, z, _ = solve_potential_reduction(lcp, epsilon=1e-9)
-        results.append(recover(lcp, w, z, tol=1e-6))
+        w, z, pivots = solve_pivoting(lcp)
+        results.append(recover(lcp, w, z, pivots, tol=1e-6))
+        w, z, trace = solve_potential_reduction(lcp, epsilon=1e-9)
+        results.append(recover(lcp, w, z, len(trace), tol=1e-6))
 
         reference = results[0].values
         for res in results:

@@ -1146,3 +1146,38 @@ def test_report_files(tmp_path, g3):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines[1].split(",")) == len(CSV_COLUMNS)
     assert lines[1].split(",")[0] == "3"
+
+
+def _layout_corpus():
+    for n in (8, 24):
+        for gamma in (0.9, 0.99):
+            for seed in (3, 4, 5):  # at each, a C-ordered copy once rounded apart
+                yield to_lcp(random_game(n, gamma, seed))
+
+
+def test_c_and_fortran_copies_of_m_give_identical_estimates():
+    # a C-ordered copy of M sends M @ x and x_rows @ M.T through other BLAS
+    # kernels; every entry point reads M in Fortran order, so the two
+    # layouts of one matrix give the same bits
+    rng = np.random.default_rng(43)
+    for lcp in _layout_corpus():
+        f_mat, c_mat = lcp.m, np.ascontiguousarray(lcp.m)
+        assert f_mat.flags.f_contiguous and not c_mat.flags.f_contiguous
+        red = lcp.reduction
+        for x in rng.standard_normal((5, lcp.n)):
+            assert kappa_at(f_mat, x) == kappa_at(c_mat, x)
+            assert theta_at(f_mat, x) == theta_at(c_mat, x)
+        starts = [red.c_tau, red.game.ownership_signs * red.c_tau]
+        for estimate in (estimate_kappa, estimate_theta):
+            (f_val, f_x), (c_val, c_x) = estimate(f_mat, starts), estimate(c_mat, starts)
+            assert f_val == c_val and np.array_equal(f_x, c_x)
+        args = (red.b_sig, red.b_tau, red.game.ownership_signs)
+        assert structural_certificate(f_mat, *args) == structural_certificate(c_mat, *args)
+        want = report_json(certify(lcp, 0, samples=2000))
+        # Lcp keeps M in Fortran order, and certify reads it so even when
+        # the field is replaced after construction
+        c_lcp = Lcp(c_mat, lcp.q, red)
+        assert c_lcp.m.flags.f_contiguous
+        assert report_json(certify(c_lcp, 0, samples=2000)) == want
+        c_lcp.m = c_mat
+        assert report_json(certify(c_lcp, 0, samples=2000)) == want

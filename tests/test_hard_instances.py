@@ -1,5 +1,6 @@
 """The bad-conditioning family: builder, closed forms, predicted measures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -343,3 +344,37 @@ def test_all_slot_zero_profile_is_optimal(n, gamma):
     expected[0] = 1.0 + beta
     expected[1] = -(1.0 + beta)
     assert np.abs(v - expected).max() <= 1e-9 * (1.0 + beta)
+
+
+def _least_deltas(n, gamma):
+    """The least delta over every deterministic two-action game on n states,
+    one entry per ownership vector S (S and -S give the same M, so s_0 = 1):
+    every sigma successor map and every tau successor map, in one batch."""
+    maps = np.array(list(itertools.product(range(n), repeat=n)))
+    b = np.eye(n) - gamma * np.eye(n)[maps]  # B = I - gamma P for each map
+    x = b[:, None] @ np.linalg.inv(b)[None, :]  # B_s B_t^-1 for each (sigma, tau)
+    sym = 0.5 * (x + np.swapaxes(x, -1, -2))
+    least = []
+    for tail in itertools.product((1.0, -1.0), repeat=n - 1):
+        s = np.array((1.0, *tail))
+        least.append(float(np.linalg.eigvalsh(s[:, None] * sym * s)[..., 0].min()))
+    return least
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("gamma", [0.9, 0.99])
+def test_hard_family_has_the_least_delta_among_deterministic_games(n, gamma):
+    want = predicted_eig_ub(n, gamma)
+    least = _least_deltas(n, gamma)
+    # S A S is similar to A, so ownership never moves the least delta
+    assert len(least) == 2 ** (n - 1)
+    for value in least:
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_hard_family_is_not_extremal_at_every_discount():
+    # at n = 3 and gamma = 0.5 (beta = 1) a deterministic game reaches
+    # delta = 0.25, below the hard family's 1 - sqrt(1/2) = 0.2929
+    least = min(_least_deltas(3, 0.5))
+    assert abs(least - 0.25) <= 1e-12
+    assert least < predicted_eig_ub(3, 0.5) - 0.04

@@ -76,13 +76,14 @@ def test_identical_rows_give_identity_m():
     assert np.allclose(lcp.q, signs * (c_tau - c_sig), atol=1e-12)
 
 
-def test_reduction_identity_random():
+def test_reduction_identity_random(monkeypatch):
     # M S (I - gamma P_tau) x == S (I - gamma P_sigma) x for any x
-    from gamelcp.bench import random_game
+    from gamelcp import bench
 
+    monkeypatch.setattr(bench, "MAX_SUPPORT", 3)
     rng = np.random.default_rng(31)
     for k in range(10):
-        game = random_game(int(rng.integers(2, 9)), 0.8, seed=700 + k, max_support=3)
+        game = bench.random_game(int(rng.integers(2, 9)), 0.8, seed=700 + k)
         sigma, tau = sigma_tau(game)
         lcp = to_lcp(game)
         p_sig, _ = restrict(game, sigma)
@@ -112,14 +113,14 @@ def test_swapped_partition_nonnegative_q(g3):
     # q >= 0 means w = q, z = 0 solves the LCP outright
     check = verify_solution(lcp, lcp.q, np.zeros(3))
     assert check.ok
-    res = recover(lcp, lcp.q, np.zeros(3))
+    res = recover(lcp, lcp.q, np.zeros(3), 0)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-9)
 
 
 def test_recover_g3_exact(g3):
     w = np.zeros(3)
     z = np.array([0.0, 0.0, 2.0])
-    res = recover(to_lcp(g3), w, z)
+    res = recover(to_lcp(g3), w, z, 0)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-12)
     assert res.profile[2] == 0
     ok, _ = is_optimal(g3, res.profile)
@@ -130,13 +131,13 @@ def test_recover_tolerates_tiny_noise(g3):
     rng = np.random.default_rng(37)
     w = rng.uniform(0.0, 1e-10, 3)
     z = np.array([0.0, 0.0, 2.0]) + rng.uniform(0.0, 1e-10, 3)
-    res = recover(to_lcp(g3), w, z)
+    res = recover(to_lcp(g3), w, z, 0)
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-8)
 
 
 def test_recover_rejects_garbage(g3):
     with pytest.raises(RecoveryError, match="residuals too large"):
-        recover(to_lcp(g3), np.zeros(3), np.zeros(3))
+        recover(to_lcp(g3), np.zeros(3), np.zeros(3), 0)
 
 
 def test_verify_solution_reports(g3):
@@ -215,6 +216,6 @@ def test_certify_and_recover_need_the_lcp_from_to_lcp(g3):
     bare = Lcp(m=lcp.m, q=lcp.q)
     assert bare.reduction is None
     with pytest.raises(ValueError, match="to_lcp"):
-        recover(bare, np.zeros(3), np.array([0.0, 0.0, 2.0]))
+        recover(bare, np.zeros(3), np.array([0.0, 0.0, 2.0]), 0)
     with pytest.raises(ValueError, match="to_lcp"):
         certify(bare, seed=0, samples=10)

@@ -66,7 +66,8 @@ def test_ipm_solves_g3(g3):
     # the shift has been driven (almost) all the way home
     feas = np.abs(w - lcp.q - lcp.m @ z).max()
     assert feas <= epsilon * 1e-3 * 1.01
-    res = recover(lcp, w, z, tol=1e-6)
+    res = recover(lcp, w, z, len(trace), tol=1e-6)
+    assert res.iterations == len(trace)  # the result carries the solver's count
     assert np.allclose(res.values, [2.0, -2.0, 2.0], atol=1e-6)
     assert np.allclose(z, [0.0, 0.0, 2.0], atol=1e-5)
 
@@ -219,7 +220,7 @@ def test_ipm_monotone_within_stages_once_the_shift_reaches_zero(mode):
 def _ipm_rows(lcp):
     w, z, trace = solve_potential_reduction(lcp, epsilon=1e-9)
     assert trace.termination == "converged"
-    recover(lcp, w, z)
+    recover(lcp, w, z, len(trace))
     return len(trace)
 
 
@@ -439,6 +440,19 @@ def test_one_loop_ipm_is_bit_identical_to_nested_loops():
     assert rows > 5000
 
 
+def test_ipm_does_not_depend_on_the_layout_of_m():
+    # Lcp keeps M in Fortran order, so a C-ordered copy of the same matrix
+    # gives the same trace and pair bit for bit
+    for n in (8, 24, 64):
+        for gamma in (0.9, 0.99):
+            lcp = to_lcp(random_game(n, gamma, 1))
+            c_lcp = Lcp(np.ascontiguousarray(lcp.m), lcp.q, lcp.reduction)
+            assert c_lcp.m.flags.f_contiguous
+            got, want = _run_ipm(solve_potential_reduction, c_lcp), _run_ipm(solve_potential_reduction, lcp)
+            assert got[2] == want[2] and got[3] == want[3] is False
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_one_loop_ipm_failure_paths_match_nested_loops(g3, monkeypatch):
     singular = Lcp(m=np.diag([-1.0, 1.0]), q=np.array([2.0, 2.0]))
     near_singular = Lcp(m=np.diag([-1.0, 1.0]), q=np.array([2.0 + 1e-15, 2.0]))
@@ -609,13 +623,14 @@ def test_solvers_agree_on_game_lcps():
         n = int(rng.integers(2, 13))
         game = random_game(n, float(rng.uniform(0.3, 0.95)), seed=1100 + k)
         lcp = to_lcp(game)
-        w_p, z_p, _ = solve_pivoting(lcp)
-        w_i, z_i, _ = solve_potential_reduction(lcp, epsilon=1e-11)
+        w_p, z_p, pivots = solve_pivoting(lcp)
+        w_i, z_i, trace = solve_potential_reduction(lcp, epsilon=1e-11)
         assert np.abs(z_p - z_i).max() <= 1e-6
         assert np.abs(w_p - w_i).max() <= 1e-6
         assert verify_solution(lcp, w_p, z_p).ok
-        res_p = recover(lcp, w_p, z_p)
-        res_i = recover(lcp, w_i, z_i)
+        res_p = recover(lcp, w_p, z_p, pivots)
+        res_i = recover(lcp, w_i, z_i, len(trace))
+        assert (res_p.iterations, res_i.iterations) == (pivots, len(trace))
         assert np.abs(res_p.values - res_i.values).max() <= 1e-9
 
 
@@ -637,8 +652,8 @@ def test_swapped_actions_give_what_the_swapped_partition_gave(seed):
         assert np.array_equal(c, c_sel)
     for solve_lcp in (solve_pivoting, solve_potential_reduction):
         base_lcp, swapped_lcp = to_lcp(game), to_lcp(swapped)
-        base = recover(base_lcp, *solve_lcp(base_lcp)[:2])
-        out = recover(swapped_lcp, *solve_lcp(swapped_lcp)[:2])
+        base = recover(base_lcp, *solve_lcp(base_lcp)[:2], 0)
+        out = recover(swapped_lcp, *solve_lcp(swapped_lcp)[:2], 0)
         assert np.abs(out.values - base.values).max() <= 1e-12
         assert np.array_equal(out.profile ^ flip, base.profile)
 
@@ -658,4 +673,4 @@ def test_ipm_tangent_keeps_tiny_slacks_at_gamma_099(case):
     lcp = to_lcp(game)
     w, z, trace = solve_potential_reduction(lcp, epsilon=1e-9)
     assert trace.termination == "converged"
-    recover(lcp, w, z)
+    recover(lcp, w, z, len(trace))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gamelcp import game as game_module
 from gamelcp import solvers
 from gamelcp.game import (
     PLAYER_MIN,
@@ -340,11 +341,14 @@ def _oracle_switch(game, choice, rc, tol):
 
 
 def _oracle_strategy_iteration(game, tol=1e-9):
+    # switches past tol floored at the reduced costs' rounding level, the
+    # floor is_optimal applies
     choice = np.zeros(game.n, dtype=np.int64)
     rounds = 0
     while True:
         v = value_vector(game, choice)
-        new_choice = _oracle_switch(game, choice, reduced_costs(game, choice, v), tol)
+        floor_tol = max(tol, reduced_cost_rounding(game, v))
+        new_choice = _oracle_switch(game, choice, reduced_costs(game, choice, v), floor_tol)
         if new_choice is None:
             return SolveResult(v, choice, rounds)
         choice = new_choice
@@ -512,32 +516,72 @@ def test_greedy_profile_matches_per_state_oracle():
     assert greedy_profile(game, np.zeros(4)).tolist() == [0, 0, 0, 0]
 
 
-def test_switch_rule_matches_per_state_oracle():
+def _first_round(game, choice, rc, tol, monkeypatch):
+    """SI's first round from ``choice`` when the reduced costs of ``choice``
+    are ``rc`` (and 0 at every later profile), with is_optimal's verdict on
+    ``choice``: (profile after the round or None, flagged states)."""
+    def fake(game_, profile, values=None):
+        same = np.array_equal(np.asarray(profile), choice)
+        return rc.copy() if same else np.zeros(len(game_.costs))
+
+    monkeypatch.setattr(game_module, "reduced_costs", fake)
+    monkeypatch.setattr(solvers, "reduced_costs", fake)
+    flagged = set(game.state_of_action[is_optimal(game, choice, tol)[1]].tolist())
+    res = strategy_iteration(game, initial_profile=choice, tol=tol)
+    monkeypatch.undo()
+    assert res.iterations in (0, 1)
+    return (res.profile if res.iterations else None), flagged
+
+
+def test_switch_rule_matches_per_state_oracle(monkeypatch):
+    # SI switches the states is_optimal flags, each to its first best; the
+    # reduced costs are drawn where the rule's edges lie: exact ties, values
+    # exactly at -tol, 0 and +tol, and NaNs, where argmin and argmax take
+    # the first NaN, which never improves
     rng = np.random.default_rng(37)
     tol = 0.25
     for game in (_tie_game(), _uneven_game(), random_game(16, 0.9, seed=3)):
-        rows = solvers._SignedRows(game)
         m = game.p.shape[0]
         choice = np.zeros(game.n, dtype=np.int64)
+        chosen = game.offsets[:-1] + choice
         for _ in range(200):
-            # exact ties, reduced costs exactly at -tol, 0 and +tol, and NaNs,
-            # where argmin and argmax take the first NaN, which never improves
             rc = rng.choice([-2 * tol, -tol, 0.0, tol, 2 * tol, np.nan], size=m)
+            rc[chosen] = 0.0  # a profile's own actions cost nothing against its values
             want = _oracle_switch(game, choice, rc, tol)
-            got = solvers._switch(rows, choice, rc, tol)
+            got, flagged = _first_round(game, choice, rc, tol, monkeypatch)
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.array_equal(got, want)
+            holds_nan = set(game.state_of_action[np.isnan(rc)].tolist())
+            switched = set() if want is None else set(np.flatnonzero(want != choice).tolist())
+            assert flagged - holds_nan == switched
     game = _tie_game()
-    rows = solvers._SignedRows(game)
     choice = np.array([2, 1, 0, 1])
-    assert solvers._switch(rows, choice, np.full(9, tol), tol) is None
-    assert solvers._switch(rows, choice, np.full(9, -tol), tol) is None
+    # reduced costs exactly at +-tol pass is_optimal and switch nothing
+    for edge in (tol, -tol):
+        rc = np.full(9, edge)
+        rc[game.offsets[:-1] + choice] = 0.0
+        assert _first_round(game, choice, rc, tol, monkeypatch) == (None, set())
     # a state improves past tol to its lowest tied slot, others keep theirs
-    rc = np.array([-1.0, -1.0, 0.0, 1.0, 0.0, 1.0, 0.0, tol, tol])
-    assert solvers._switch(rows, choice, rc, tol).tolist() == [0, 0, 0, 1]
+    rc = np.array([-1.0, -1.0, 0.0, 1.0, 0.0, 1.0, 0.0, tol, 0.0])
+    got, flagged = _first_round(game, choice, rc, tol, monkeypatch)
+    assert got.tolist() == [0, 0, 0, 1] and flagged == {0, 1}
+    # a NaN in a flagged state is its first best, and the state keeps its slot
+    rc[1] = np.nan
+    got, flagged = _first_round(game, choice, rc, tol, monkeypatch)
+    assert got.tolist() == [2, 0, 0, 1] and flagged == {0, 1}
 
 
 def test_strategy_iteration_matches_per_state_oracle():
     for game in [_tie_game()] + _oracle_games():
         _same_result(strategy_iteration(game), _oracle_strategy_iteration(game))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+def test_strategy_iteration_matches_the_oracle_where_the_rounding_floor_binds(tol):
+    # optimal values near 8e6 put the reduced costs' rounding level near
+    # 1.5e-8, past tol and past the default 1e-9
+    game = random_game(64, 0.999999, 1)
+    want = _oracle_strategy_iteration(game, tol)
+    assert reduced_cost_rounding(game, want.values) > 1e-9
+    _same_result(strategy_iteration(game, tol=tol), want)
