@@ -27,7 +27,7 @@ from .conditioning import (
     kappa_upper_bound,
     theta_lower_bound,
 )
-from .game import build_game
+from .game import build_game, check_gamma
 from .hard_instances import (
     HardInstanceSpec,
     build_hard_instance,
@@ -58,10 +58,7 @@ def random_game(n, gamma, seed):
     uniform transition support, costs uniform in [-10, 10]."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(
-            f"discount out of range: gamma must lie strictly in (0, 1), got {gamma}"
-        )
+    check_gamma(gamma)
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(n):

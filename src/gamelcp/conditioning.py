@@ -46,6 +46,7 @@ import numpy as np
 
 from ._csv import write_csv
 from ._kernels import SingularMatrixError, _gamma, solve
+from .game import check_gamma
 
 __all__ = [
     "ConditioningReport",
@@ -97,8 +98,7 @@ class KappaUndefined(ArithmeticError):
 def _check_n_gamma(n, gamma):
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma}")
+    check_gamma(gamma)
 
 
 def kappa_upper_bound(n, gamma):

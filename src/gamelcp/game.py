@@ -47,6 +47,7 @@ __all__ = [
     "PLAYER_MIN",
     "as_profile",
     "build_game",
+    "check_gamma",
     "game_json",
     "game_to_dict",
     "is_optimal",
@@ -95,6 +96,14 @@ class Game:
     def owners(self):
         """The (n,) owner of each state, 1 or 2, read from ownership_signs."""
         return np.where(self.ownership_signs < 0, PLAYER_MIN, PLAYER_MAX)
+
+
+def check_gamma(gamma):
+    """Refuse a discount factor outside the open interval (0, 1), NaN too."""
+    if not 0.0 < gamma < 1.0:
+        raise GameValidationError(
+            f"discount out of range: gamma must lie strictly in (0, 1), got {gamma}"
+        )
 
 
 def build_game(gamma, states):
@@ -169,8 +178,7 @@ def validate_game(obj):
         raw_states = list(obj["states"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GameValidationError(f"malformed game object: {exc}") from exc
-    if not (0.0 < gamma < 1.0):
-        raise GameValidationError(f"discount out of range: gamma must lie strictly in (0, 1), got {gamma}")
+    check_gamma(gamma)
     n = len(raw_states)
     if n == 0:
         raise GameValidationError("game has no states")
@@ -299,9 +307,13 @@ def restrict(game, profile):
 def value_vector(game, profile):
     """Solve (I - gamma P_profile) v = c_profile for the profile's values,
     with one plain solve behind the system's closed-form condition bound
-    (:func:`~gamelcp._kernels.solve_discounted`)."""
+    (:func:`~gamelcp._kernels.solve_discounted`).  Raises ArithmeticError
+    when a value is not finite (a NaN cost, or costs near the float range)."""
     p_sel, c_sel = restrict(game, profile)
-    return solve_discounted(np.eye(game.n) - game.gamma * p_sel, c_sel)
+    values = solve_discounted(np.eye(game.n) - game.gamma * p_sel, c_sel)
+    if not np.isfinite(values).all():
+        raise ArithmeticError("the profile's values are not finite")
+    return values
 
 
 def reduced_costs(game, profile, values=None):
@@ -337,14 +349,19 @@ def is_optimal(game, profile, tol=1e-9, values=None):
     values (:func:`reduced_cost_rounding`): below it a check cannot tell a
     violation from rounding.  So tol = 0 checks at the level, not exactly.
     Violating rows are global action indices.  ``values``, when given,
-    must be the profile's value vector; it saves a solve.
+    must be the profile's value vector; it saves a solve.  Raises
+    ArithmeticError if a reduced cost or the level is not finite (an
+    infinite t, from values near the float range, would pass any profile).
     """
     if not tol >= 0:  # NaN too: every comparison with it is false
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if values is None:
         values = value_vector(game, profile)
     rc = reduced_costs(game, profile, values)
-    tol = max(tol, reduced_cost_rounding(game, values))
+    level = reduced_cost_rounding(game, values)
+    if not (np.isfinite(rc).all() and math.isfinite(level)):
+        raise ArithmeticError("the profile's reduced costs or their rounding are not finite")
+    tol = max(tol, level)
     # negation is exact, so -rc > t is rc < -t bit for bit
     violations = np.flatnonzero(game.ownership_signs[game.state_of_action] * rc > tol)
     return violations.size == 0, violations

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import PLAYER_MAX, build_game
+from .game import PLAYER_MAX, build_game, check_gamma
 
 __all__ = [
     "A_MODES",
@@ -50,8 +50,7 @@ A_MODES = ("kappa", "eigenvalue", "theta", "custom")
 def _check_n_gamma(n, gamma):
     if n < 3:
         raise ValueError(f"the hard family needs n >= 3, got n={n}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie strictly in (0, 1), got {gamma}")
+    check_gamma(gamma)
 
 
 @dataclass(frozen=True)

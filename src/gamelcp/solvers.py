@@ -6,11 +6,10 @@ a :class:`SolveResult` whose ``values`` field is the exact value vector of
 the returned profile (a LAPACK solve), so results from different methods
 are directly comparable.
 
-Value iteration has two stop rules: it returns at the first block end
+Value iteration has one stop rule: it returns at the first block end
 whose greedy profile passes the optimality check at ``eps * (1 - gamma)``
-(or at the rounding level of its reduced costs, where that is larger), or
-at the first iterate whose step is at most ``eps * (1 - gamma) / (2
-gamma)``, whichever comes first.
+(or at the rounding level of its reduced costs, where that is larger), so
+it reports a multiple of ``VI_BLOCK`` as its iteration count.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 10**6
 VI_MAX_ITERS = 10**6
-VI_BLOCK = 32  # iterates per stop-rule check (and profile check) in value_iteration
+VI_BLOCK = 32  # iterates per profile check in value_iteration
 SI_MAX_ROUNDS = 10**6
 
 
@@ -75,10 +74,9 @@ class _SignedRows:
         """sign_a * (c + gamma P v): every action's signed one-step value."""
         return self.sc + self.sg * (self.game.p @ v)
 
-    def backup(self, v, out=None):
-        """One step of the optimality operator, written to ``out`` if given."""
-        lows = np.minimum.reduceat(self.signed_y(v), self.starts)
-        return np.multiply(self.sign, lows, out=out)
+    def backup(self, v):
+        """One step of the optimality operator."""
+        return self.sign * np.minimum.reduceat(self.signed_y(v), self.starts)
 
     def first_best(self, signed):
         """Lowest slot per state attaining the segment minimum of ``signed``.
@@ -104,67 +102,36 @@ def greedy_profile(game, v):
 
 
 def value_iteration(game, eps=1e-8):
-    """Iterate the optimality operator from v = 0 until a profile certifies
-    or the step is small.
+    """Iterate the optimality operator from v = 0 until a profile certifies.
 
-    Two stop rules.  The returned values are always the returned profile's
-    exact values.
-
-    - Certificate: at each block end, the profile greedy against the last
-      iterate is solved and checked by :func:`~gamelcp.game.is_optimal` at
-      tau = eps * (1 - gamma), which it floors at the rounding level of the
-      reduced costs at the profile's values v_s
-      (:func:`~gamelcp.game.reduced_cost_rounding`).  If it passes,
-      |T v_s - v_s| <= max(tau, level), so v_s is within
-      max(eps, level / (1 - gamma)) of the optimal values.  The check
-      depends only on the profile, so a profile already checked is not
-      solved again.
-    - Step: the first iterate with ||v_k - v_{k-1}||_inf <= eps * (1 -
-      gamma) / (2 gamma) puts v_k within eps / 2 of v*, by the standard
-      contraction argument, and the profile greedy against v_k within eps.
-
-    Iterates run in blocks: VI_BLOCK iterates are written into one array,
-    then all their steps are measured in one call.  The first step that
-    meets its rule ends the run, with the iterates, the iteration count and
-    the result of checking after every step.  Otherwise the block end's
-    profile is checked, and the run stops there if it certifies, which
-    reports a multiple of VI_BLOCK (or VI_MAX_ITERS) as ``iterations``.
+    Every VI_BLOCK iterates, the profile greedy against the last iterate is
+    solved and checked by :func:`~gamelcp.game.is_optimal` at tau = eps *
+    (1 - gamma), which it floors at the rounding level of the reduced costs
+    at the profile's values v_s (:func:`~gamelcp.game.reduced_cost_rounding`).
+    If it passes, |T v_s - v_s| <= max(tau, level), so v_s is within
+    max(eps, level / (1 - gamma)) of the optimal values, and the run returns
+    the profile with v_s and the iteration count, a multiple of VI_BLOCK.
+    The check depends only on the profile, so a profile already checked is
+    not solved again.
     """
     if not eps > 0:  # NaN too: every comparison with it is false
         raise ValueError(f"eps must be positive, got {eps}")
     rows = _SignedRows(game)
-    threshold = eps * (1.0 - game.gamma) / (2.0 * game.gamma)
     tau = eps * (1.0 - game.gamma)
-    checked = {}  # profile bytes -> its exact values
-    block = np.zeros((VI_BLOCK + 1, game.n))  # block[0] is the last iterate so far
-    done = 0
-    while done < VI_MAX_ITERS:
-        k = min(VI_BLOCK, VI_MAX_ITERS - done)
-        for j in range(1, k + 1):
-            rows.backup(block[j - 1], out=block[j])
-        steps = np.abs(block[1 : k + 1] - block[:k]).max(axis=1)
-        met = np.flatnonzero(steps <= threshold)
-        if met.size:
-            v = block[met[0] + 1]
-            choice = rows.first_best(rows.signed_y(v))
-            values = checked.get(choice.tobytes())
-            return SolveResult(
-                values=value_vector(game, choice) if values is None else values,
-                profile=choice,
-                iterations=done + int(met[0]) + 1,
-            )
-        done += k
-        choice = rows.first_best(rows.signed_y(block[k]))
+    checked = set()  # bytes of every profile checked
+    v = np.zeros(game.n)
+    for done in range(VI_BLOCK, VI_MAX_ITERS + 1, VI_BLOCK):
+        for _ in range(VI_BLOCK):
+            v = rows.backup(v)
+        choice = rows.first_best(rows.signed_y(v))
         key = choice.tobytes()
         if key not in checked:
-            values = checked[key] = value_vector(game, choice)
+            checked.add(key)
+            values = value_vector(game, choice)
             if is_optimal(game, choice, tau, values=values)[0]:
                 return SolveResult(values, choice, done)
-        block[0] = block[k]
     raise SolverFailure(
-        f"value iteration did not reach step {threshold:.3e} within {VI_MAX_ITERS} "
-        "iterations",
-        last_step=float(steps[k - 1]),
+        f"value iteration certified no profile within {VI_MAX_ITERS} iterations",
         profiles_checked=len(checked),
     )
 
@@ -177,10 +144,10 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     profile it passes; otherwise every state that :func:`is_optimal` flags
     switches to its best action, lowest slot on ties, and the others keep
     theirs.  So SI improves exactly where the optimality check sees a
-    violation, past tol floored at the reduced costs' rounding level.  A
-    state whose best is a NaN reduced cost keeps its slot.  Starts from the
-    all-slot-0 profile unless given one.  Revisiting a profile raises
-    (cannot happen for exact arithmetic; guards against tolerance misuse).
+    violation, past tol floored at the reduced costs' rounding level.
+    Starts from the all-slot-0 profile unless given one.  Revisiting a
+    profile raises (cannot happen for exact arithmetic; guards against
+    tolerance misuse).
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -192,13 +159,10 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     for rounds in range(1, SI_MAX_ROUNDS + 1):
         v = value_vector(game, choice)
         violations = is_optimal(game, choice, tol, values=v)[1]
-        signed = rows.sign_a * reduced_costs(game, choice, v)
-        best = rows.first_best(signed)
-        flagged = game.state_of_action[violations]
-        # first_best gives a state holding a NaN its first NaN, no improvement
-        flagged = flagged[~np.isnan(signed[rows.starts[flagged] + best[flagged]])]
-        if not flagged.size:
+        if not violations.size:
             return SolveResult(values=v, profile=choice, iterations=rounds - 1)
+        best = rows.first_best(rows.sign_a * reduced_costs(game, choice, v))
+        flagged = game.state_of_action[violations]
         choice[flagged] = best[flagged]
         key = tuple(choice.tolist())
         if key in seen:

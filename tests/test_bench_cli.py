@@ -638,6 +638,22 @@ def test_cli_solve_refuses_a_cost_past_the_float_range(tmp_path, capsys):
     assert "state 0 action 0: malformed entry: int too large" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("method", ["vi", "si", "brute", "ipm", "pivot"])
+def test_cli_solve_fails_where_the_values_leave_the_float_range(tmp_path, capsys, method):
+    # every cost is finite, so the file loads, but the values overflow: no
+    # method may report optimal=True with a non-finite value (the IPM's
+    # potential overflows, and its warning is not the point here)
+    game = random_game(4, 0.99, 1)
+    game.costs = game.costs * 1e306
+    path = tmp_path / "huge.json"
+    save_game(game, path)
+    assert main(["solve", "--game", str(path), "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert "optimal=" not in captured.out
+    assert "solver failure: " in captured.err
+
+
 def test_cli_solve_takes_integral_floats_as_indices(tmp_path, capsys):
     state = {"owner": 2.0, "actions": [{"cost": 1.0, "dist": [[0.0, 1.0]]}]}
     path = tmp_path / "g.json"

@@ -101,9 +101,8 @@ def test_value_iteration_accuracy_guarantee():
 def test_value_iteration_certifies_near_gamma_one(n):
     # at gamma 0.9999, eps (1 - gamma) = 1e-13 lies below the rounding of the
     # reduced costs: checked at it alone, 9 of these 10 games fail on
-    # rounding and run the step rule for 273,264-287,866 iterations.  At
-    # the rounding level every game certifies within a few blocks, at
-    # strategy iteration's profile
+    # rounding.  At the rounding level every game certifies within a few
+    # blocks, at strategy iteration's profile
     for seed in range(1, 6):
         game = random_game(n, 0.9999, seed)
         res = value_iteration(game, eps=1e-9)
@@ -202,6 +201,32 @@ def test_a_nan_tolerance_is_refused(g3, call):
         call(game, to_lcp(game))
 
 
+def test_a_nan_cost_leaves_no_optimal_profile():
+    # build_game takes a NaN cost unchecked; the profile holding it has NaN
+    # values, which each method once returned as optimal
+    nan_cost = (math.nan, [(0, 1.0)])
+    game = build_game(
+        0.9,
+        [(1, [nan_cost, (1.0, [(1, 1.0)])]), (2, [(0.0, [(1, 1.0)]), (2.0, [(0, 1.0)])])],
+    )
+    for solve in (value_iteration, strategy_iteration, brute_force_solve):
+        with pytest.raises(ArithmeticError, match="values are not finite"):
+            solve(game)
+    with pytest.raises(ArithmeticError, match="reduced costs or their rounding are not finite"):
+        is_optimal(game, [0, 0], values=np.full(2, math.nan))
+
+
+def test_values_near_the_float_range_leave_no_verdict():
+    # the values near 1e308 are finite, but their reduced costs' rounding
+    # level overflows, and a check at an infinite tolerance once passed SI's
+    # all-slot-0 start, which is not optimal
+    game = random_game(4, 0.99, 1)
+    game.costs = game.costs * (1e308 / np.abs(strategy_iteration(game).values).max())
+    for solve in (value_iteration, strategy_iteration):
+        with pytest.raises(ArithmeticError, match="rounding are not finite"):
+            solve(game)
+
+
 def test_brute_force_g3(g3):
     game = g3
     res = brute_force_solve(game)
@@ -252,9 +277,9 @@ def test_vi_si_and_brute_force_agree_bit_for_bit_near_gamma_one():
                 np.testing.assert_array_equal(result.values, brute.values)
 
 
-# The stepwise, per-state solvers as first written, kept verbatim (with the
-# two-reduceat backup for bellman_backup) as bit-exact oracles for the
-# signed, block-checked and loop-free versions.
+# The stepwise, per-state solvers, with the two-reduceat backup for
+# bellman_backup, as bit-exact oracles for the signed, block-checked and
+# loop-free versions.
 
 
 def _oracle_greedy_profile(game, v):
@@ -267,48 +292,16 @@ def _oracle_greedy_profile(game, v):
     return choice
 
 
-def _oracle_step_value_iteration(game, eps=1e-8):
-    # value iteration with the step rule alone
-    threshold = eps * (1.0 - game.gamma) / (2.0 * game.gamma)
-    v = np.zeros(game.n)
-    for it in range(1, solvers.VI_MAX_ITERS + 1):
-        v_next = _two_reduceat_backup(game, v)
-        delta = float(np.max(np.abs(v_next - v)))
-        v = v_next
-        if delta <= threshold:
-            choice = _oracle_greedy_profile(game, v)
-            return SolveResult(
-                values=value_vector(game, choice),
-                profile=choice,
-                iterations=it,
-            )
-    raise SolverFailure(
-        f"value iteration did not reach step {threshold:.3e} within "
-        f"{solvers.VI_MAX_ITERS} iterations",
-        last_step=delta,
-    )
-
-
 def _oracle_value_iteration(game, eps=1e-8):
-    # the step rule, plus the certificate at every iterate that ends a
-    # block or the run: the greedy profile, unless checked before, is solved
-    # and checked at eps (1 - gamma) with the is_optimal the solver uses
-    threshold = eps * (1.0 - game.gamma) / (2.0 * game.gamma)
+    # the certificate at every iterate that ends a block: the greedy
+    # profile, unless checked before, is solved and checked at eps (1 - gamma)
+    # with the is_optimal the solver uses
     tau = eps * (1.0 - game.gamma)
     checked = []
     v = np.zeros(game.n)
     for it in range(1, solvers.VI_MAX_ITERS + 1):
-        v_next = _two_reduceat_backup(game, v)
-        delta = float(np.max(np.abs(v_next - v)))
-        v = v_next
-        if delta <= threshold:
-            choice = _oracle_greedy_profile(game, v)
-            return SolveResult(
-                values=value_vector(game, choice),
-                profile=choice,
-                iterations=it,
-            )
-        if it % solvers.VI_BLOCK == 0 or it == solvers.VI_MAX_ITERS:
+        v = _two_reduceat_backup(game, v)
+        if it % solvers.VI_BLOCK == 0:
             choice = _oracle_greedy_profile(game, v)
             if not any(np.array_equal(choice, c) for c in checked):
                 checked.append(choice)
@@ -316,9 +309,8 @@ def _oracle_value_iteration(game, eps=1e-8):
                 if solvers.is_optimal(game, choice, tau, values=values)[0]:
                     return SolveResult(values, choice, it)
     raise SolverFailure(
-        f"value iteration did not reach step {threshold:.3e} within "
-        f"{solvers.VI_MAX_ITERS} iterations",
-        last_step=delta,
+        f"value iteration certified no profile within {solvers.VI_MAX_ITERS} "
+        "iterations",
         profiles_checked=len(checked),
     )
 
@@ -356,9 +348,11 @@ def _oracle_strategy_iteration(game, tol=1e-9):
 
 
 def _oracle_games():
-    games = [_uneven_game(g) for g in (0.5, 0.9, 0.99, 0.999)]
+    # at gamma 0.1 and 0.3 the iterates settle long before the first block end
+    gammas = (0.1, 0.3, 0.5, 0.9, 0.99, 0.999)
+    games = [_uneven_game(g) for g in gammas]
     for n in (1, 5, 16, 64):
-        for gamma in (0.5, 0.9, 0.99, 0.999):
+        for gamma in gammas:
             games.append(random_game(n, gamma, seed=900 + n))
     return games
 
@@ -370,61 +364,29 @@ def _same_result(got, want):
     assert np.array_equal(got.values, want.values)
 
 
-def _never_certify(monkeypatch):
-    # leaves value iteration the step rule alone, as the eps-only oracle
-    monkeypatch.setattr(solvers, "is_optimal", lambda *args, **kwargs: (False, None))
-
-
-def test_value_iteration_matches_stepwise_oracle(monkeypatch):
-    _never_certify(monkeypatch)
-    ends = set()
-    for game in _oracle_games():
-        want = _oracle_step_value_iteration(game)
-        _same_result(value_iteration(game), want)
-        ends.add(want.iterations % solvers.VI_BLOCK)
-    assert len(ends) > 4  # runs stop at many places within a block
-
-
 def test_value_iteration_certificate_matches_stepwise_oracle():
-    stops = set()
     for game in _oracle_games():
-        want = _oracle_value_iteration(game)
-        _same_result(value_iteration(game), want)
-        stops.add(want.iterations % solvers.VI_BLOCK == 0)
-    assert stops == {True, False}  # both rules end some run
+        got = value_iteration(game)
+        _same_result(got, _oracle_value_iteration(game))
+        assert got.iterations % solvers.VI_BLOCK == 0
 
 
 @pytest.mark.parametrize("cap", [1, 7, solvers.VI_BLOCK, 2 * solvers.VI_BLOCK + 5])
 def test_value_iteration_cap_matches_oracle(cap, monkeypatch):
+    # a run that never certifies fails at the cap, having checked each
+    # distinct block-end profile once
     game = random_game(16, 0.999, seed=916)
-    _never_certify(monkeypatch)
+    monkeypatch.setattr(solvers, "is_optimal", lambda *args, **kwargs: (False, None))
     monkeypatch.setattr(solvers, "VI_MAX_ITERS", cap)
     with pytest.raises(SolverFailure) as want:
-        _oracle_step_value_iteration(game)
+        _oracle_value_iteration(game)
     with pytest.raises(SolverFailure) as got:
         value_iteration(game)
     assert str(got.value) == str(want.value)
-    assert got.value.context["last_step"] == want.value.context["last_step"]
-    # the certifying oracle, never certifying either, counts the same
-    # distinct block-end profiles
-    with pytest.raises(SolverFailure) as counted:
-        _oracle_value_iteration(game)
-    assert counted.value.context == got.value.context
-    assert 1 <= got.value.context["profiles_checked"] <= math.ceil(cap / solvers.VI_BLOCK)
-
-
-def test_value_iteration_stops_exactly_at_the_cap(monkeypatch):
-    # a run that meets the stop rule on its last allowed iterate succeeds,
-    # one iterate fewer fails; the count is not a multiple of the block
-    _never_certify(monkeypatch)
-    game = random_game(5, 0.9, seed=906)
-    needed = _oracle_step_value_iteration(game).iterations
-    assert needed % solvers.VI_BLOCK != 0
-    monkeypatch.setattr(solvers, "VI_MAX_ITERS", needed)
-    _same_result(value_iteration(game), _oracle_step_value_iteration(game))
-    monkeypatch.setattr(solvers, "VI_MAX_ITERS", needed - 1)
-    with pytest.raises(SolverFailure, match=f"within {needed - 1} iterations"):
-        value_iteration(game)
+    assert got.value.context == want.value.context
+    checked = got.value.context["profiles_checked"]
+    assert (checked >= 1) == (cap >= solvers.VI_BLOCK)
+    assert checked <= cap // solvers.VI_BLOCK
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -441,8 +403,8 @@ def test_value_iteration_certifies_at_eps_times_one_minus_gamma():
     # state 0's second action leads to a state worth 0 instead of 200 and
     # is better by 7.5e-9: between tau = eps (1 - gamma) = 5e-9 and eps.
     # The iterate at the first block end still prefers the first action, a
-    # profile that passes at eps but not at tau, so the step rule ends the
-    # run, at iterate 36, with the second action.
+    # profile that passes at eps but not at tau, so the run goes on to the
+    # second block end, iterate 64, and certifies the second action there.
     eps, gamma = 1e-8, 0.5
     game = build_game(
         gamma,
@@ -460,7 +422,7 @@ def test_value_iteration_certifies_at_eps_times_one_minus_gamma():
     assert is_optimal(game, early, eps)[0]
     assert not is_optimal(game, early, eps * (1 - gamma))[0]
     res = value_iteration(game, eps=eps)
-    assert res.iterations == 36
+    assert res.iterations == 2 * solvers.VI_BLOCK
     assert res.profile.tolist() == [1, 0, 0]
 
 
@@ -535,9 +497,8 @@ def _first_round(game, choice, rc, tol, monkeypatch):
 
 def test_switch_rule_matches_per_state_oracle(monkeypatch):
     # SI switches the states is_optimal flags, each to its first best; the
-    # reduced costs are drawn where the rule's edges lie: exact ties, values
-    # exactly at -tol, 0 and +tol, and NaNs, where argmin and argmax take
-    # the first NaN, which never improves
+    # reduced costs are drawn where the rule's edges lie: exact ties and
+    # values exactly at -tol, 0 and +tol
     rng = np.random.default_rng(37)
     tol = 0.25
     for game in (_tie_game(), _uneven_game(), random_game(16, 0.9, seed=3)):
@@ -545,16 +506,15 @@ def test_switch_rule_matches_per_state_oracle(monkeypatch):
         choice = np.zeros(game.n, dtype=np.int64)
         chosen = game.offsets[:-1] + choice
         for _ in range(200):
-            rc = rng.choice([-2 * tol, -tol, 0.0, tol, 2 * tol, np.nan], size=m)
+            rc = rng.choice([-2 * tol, -tol, 0.0, tol, 2 * tol], size=m)
             rc[chosen] = 0.0  # a profile's own actions cost nothing against its values
             want = _oracle_switch(game, choice, rc, tol)
             got, flagged = _first_round(game, choice, rc, tol, monkeypatch)
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.array_equal(got, want)
-            holds_nan = set(game.state_of_action[np.isnan(rc)].tolist())
             switched = set() if want is None else set(np.flatnonzero(want != choice).tolist())
-            assert flagged - holds_nan == switched
+            assert flagged == switched
     game = _tie_game()
     choice = np.array([2, 1, 0, 1])
     # reduced costs exactly at +-tol pass is_optimal and switch nothing
@@ -566,10 +526,11 @@ def test_switch_rule_matches_per_state_oracle(monkeypatch):
     rc = np.array([-1.0, -1.0, 0.0, 1.0, 0.0, 1.0, 0.0, tol, 0.0])
     got, flagged = _first_round(game, choice, rc, tol, monkeypatch)
     assert got.tolist() == [0, 0, 0, 1] and flagged == {0, 1}
-    # a NaN in a flagged state is its first best, and the state keeps its slot
+    # a NaN reduced cost leaves no verdict, and SI raises
     rc[1] = np.nan
-    got, flagged = _first_round(game, choice, rc, tol, monkeypatch)
-    assert got.tolist() == [2, 0, 0, 1] and flagged == {0, 1}
+    monkeypatch.setattr(game_module, "reduced_costs", lambda *args, **kwargs: rc.copy())
+    with pytest.raises(ArithmeticError, match="reduced costs or their rounding are not finite"):
+        strategy_iteration(game, initial_profile=choice, tol=tol)
 
 
 def test_strategy_iteration_matches_per_state_oracle():
