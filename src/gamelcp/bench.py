@@ -29,8 +29,8 @@ from .conditioning import (
 )
 from .game import build_game, check_gamma
 from .hard_instances import (
-    HardInstanceSpec,
     build_hard_instance,
+    hard_cost,
     predicted_eig_ub,
     predicted_kappa_lb,
     predicted_theta_ub,
@@ -113,7 +113,8 @@ def run_bench(
     """One row per (n, gamma) cell.  A cell whose reduction, estimation or
     solve fails is kept with NaN measurements so partial sweeps still flush;
     a bad n, gamma or a_mode is refused."""
-    # refused before any cell runs: a cell would turn certify's refusal into NaNs
+    # refused up front, before any row flushes: certify never sees them when
+    # cell 0's reduction fails, and later cells' seed + idx may be >= 0
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if seed < 0:
@@ -127,7 +128,7 @@ def run_bench(
 
 
 def _bench_cell(n, gamma, a_mode, cell_seed, samples, ipm_epsilon):
-    game = build_hard_instance(HardInstanceSpec(n, gamma, a_mode))
+    game = build_hard_instance(n, gamma, hard_cost(n, gamma, a_mode))
 
     nan = float("nan")
     row = BenchRow(
@@ -227,15 +228,18 @@ def render_loglog_svg(series, title, xlabel, ylabel):
     """series: list of (label, xs, ys) with positive data.  Returns SVG text;
     each legend entry carries the series' fitted log-log slope, when
     :func:`fit_loglog_slope` can fit one."""
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys, strict=True):
-            if x > 0.0 and y > 0.0 and math.isfinite(x) and math.isfinite(y):
-                pts.append((math.log10(x), math.log10(y)))
-    if not pts:
+    kept = [  # each series' positive finite points, by x
+        sorted(
+            (x, y)
+            for x, y in zip(xs, ys, strict=True)
+            if x > 0.0 and y > 0.0 and math.isfinite(x) and math.isfinite(y)
+        )
+        for _, xs, ys in series
+    ]
+    lxs = [math.log10(x) for pairs in kept for x, _ in pairs]
+    lys = [math.log10(y) for pairs in kept for _, y in pairs]
+    if not lxs:
         raise ValueError("nothing to plot: no positive finite points")
-    lxs = [p[0] for p in pts]
-    lys = [p[1] for p in pts]
     x_lo, x_hi = min(lxs), max(lxs)
     y_lo, y_hi = min(lys), max(lys)
     if x_hi - x_lo < 1e-9:
@@ -290,13 +294,8 @@ def render_loglog_svg(series, title, xlabel, ylabel):
     )
 
     legend_y = _MT + 6
-    for k, (label, xs, ys) in enumerate(series):
+    for k, ((label, _, _), pairs) in enumerate(zip(series, kept, strict=True)):
         color = _PALETTE[k % len(_PALETTE)]
-        pairs = sorted(
-            (x, y)
-            for x, y in zip(xs, ys, strict=True)
-            if x > 0.0 and y > 0.0 and math.isfinite(x) and math.isfinite(y)
-        )
         if not pairs:
             continue
         coords = " ".join(

@@ -1,16 +1,17 @@
 """Command line front end.
 
-Subcommands: gen, solve, reduce, certify, bench, plot.  Global flags
-(--seed, --tol, --output) come before the subcommand.  --seed applies to
-gen --family random, certify and bench (default 0, and it must be
-nonnegative), --tol to solve and bench (default 1e-9, and it must be
-positive and finite; solve also refuses a --tol below the reduced costs'
-rounding at the values' bound); given to any other command, either is a
-usage error.  gen, reduce and certify write their one artifact to
---output, or to stdout without it.  solve prints a "method=... iterations=...
-optimal=..." line; without --output one "state i: action a  value v" line
-per state follows it, and with --output the result goes to the file as one
-JSON line.
+Subcommands: gen, solve, reduce, certify, bench, plot.  gen --family gn
+takes its tail cost as --a-mode (a named cost, default kappa) or as --a,
+not both.  Global flags (--seed, --tol, --output) come before the
+subcommand.  --seed applies to gen --family random, certify and bench
+(default 0, and it must be nonnegative), --tol to solve and bench
+(default 1e-9, and it must be positive and finite; solve also refuses a
+--tol below the reduced costs' rounding at the values' bound); given to
+any other command, either is a usage error.  gen, reduce and certify
+write their one artifact to --output, or to stdout without it.  solve
+prints a "method=... iterations=... optimal=..." line; without --output
+one "state i: action a  value v" line per state follows it, and with
+--output the result goes to the file as one JSON line.
 solve --method ipm|pivot, reduce and certify go through the LCP, whose
 sigma is each state's first action and tau its second: to swap the two
 for a state, reorder its actions in the game file.
@@ -42,7 +43,7 @@ from .game import (
     load_game,
     reduced_cost_rounding,
 )
-from .hard_instances import A_MODES, HardInstanceSpec, build_hard_instance
+from .hard_instances import A_MODES, build_hard_instance, hard_cost
 from .lcp import RecoveryError, lcp_json, recover, to_lcp
 from .lcp_solvers import solve_pivoting, solve_potential_reduction
 from .solvers import (
@@ -73,8 +74,9 @@ def _build_parser():
     p_gen.add_argument("--family", choices=("gn", "random"), required=True)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--gamma", type=float, required=True)
-    p_gen.add_argument("--a-mode", choices=A_MODES, default=None)
-    p_gen.add_argument("--a", type=float, default=None)
+    cost = p_gen.add_mutually_exclusive_group()  # gn's tail cost, named or given
+    cost.add_argument("--a-mode", choices=A_MODES, help="a named cost (default kappa)")
+    cost.add_argument("--a", type=float, help="the cost itself")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_solve = sub.add_parser("solve", help="solve a game and print the equilibrium")
@@ -103,10 +105,7 @@ def _build_parser():
     p_bench = sub.add_parser("bench", help="sweep the hard family and write CSV")
     p_bench.add_argument("--ns", required=True, help="comma list, e.g. 8,16,32")
     p_bench.add_argument("--gammas", required=True, help="comma list, e.g. 0.5,0.9")
-    # no --a here, so "custom" could never run
-    p_bench.add_argument(
-        "--a-mode", choices=tuple(m for m in A_MODES if m != "custom"), default="kappa"
-    )
+    p_bench.add_argument("--a-mode", choices=A_MODES, default="kappa")
     p_bench.add_argument(
         "--samples",
         type=int,
@@ -160,12 +159,9 @@ def _cmd_gen(args):
                 raise ValueError(f"{flag} applies to --family gn only")
         game = random_game(args.n, args.gamma, args.seed)
     else:
-        if args.a is not None and args.a_mode != "custom":
-            raise ValueError("--a needs --a-mode custom")
-        spec = HardInstanceSpec(
-            n=args.n, gamma=args.gamma, a_mode=args.a_mode or "kappa", a=args.a
-        )
-        game = build_hard_instance(spec)
+        a_mode = args.a_mode or "kappa"
+        a = args.a if args.a is not None else hard_cost(args.n, args.gamma, a_mode)
+        game = build_hard_instance(args.n, args.gamma, a)
     _write_or_print(game_json(game), args.output)
     return EXIT_OK
 

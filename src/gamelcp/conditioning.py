@@ -578,8 +578,14 @@ def _estimate(m_mat, starts, batch_fn, better):
     form them, so each start scores as it does alone.  An infinite best,
     which no climb can better, is returned as it is; the climb starts from
     the same score and moves only to strictly better ones.
+
+    A start with an entry past 2^256 (c_tau of costs near the float
+    range), whose products would overflow, is scaled to a largest entry in
+    [1/2, 1) by a power of two: that is exact and moves neither measure.
     """
     x_rows = np.array(starts, dtype=np.float64)
+    exps = np.frexp(np.abs(x_rows).max(axis=1))[1]  # largest entry < 2^exps
+    x_rows = np.ldexp(x_rows, -np.where(exps > 256, exps, 0)[:, None])
     vals = batch_fn(x_rows, np.array([m_mat @ s for s in x_rows]))
     sign = 1.0 if better == "max" else -1.0
     k = int(np.argmax(sign * vals))

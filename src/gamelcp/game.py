@@ -32,6 +32,7 @@ state per line, but any JSON layout of the same value loads the same.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ class Game:
     (m,) cost vector and ownership_signs the (n,) vector S with -1 on
     player-1 states and +1 on player-2 states, the game's one record of
     who owns each state.  offsets[i]:offsets[i+1] slices the action rows
-    of state i; state_of_action maps rows back.
+    of state i, the game's one record of its action layout.
     """
 
     gamma: float
@@ -86,11 +87,15 @@ class Game:
     costs: np.ndarray
     ownership_signs: np.ndarray
     offsets: np.ndarray
-    state_of_action: np.ndarray
 
     @property
     def n(self):
         return self.p.shape[1]
+
+    @functools.cached_property
+    def state_of_action(self):
+        """The (m,) state of each action row, read from offsets once per game."""
+        return np.repeat(np.arange(self.offsets.size - 1), np.diff(self.offsets))
 
     @property
     def owners(self):
@@ -118,7 +123,6 @@ def build_game(gamma, states):
     n = len(states)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    state_of_action = np.repeat(np.arange(n, dtype=np.int64), counts)
     actions = [a for _, acts in states for a in acts]
     m = len(actions)
     costs = np.array([cost for cost, _ in actions], dtype=np.float64)
@@ -136,7 +140,6 @@ def build_game(gamma, states):
         costs=costs,
         ownership_signs=np.array([-1.0 if o == PLAYER_MIN else 1.0 for o, _ in states]),
         offsets=offsets,
-        state_of_action=state_of_action,
     )
 
 

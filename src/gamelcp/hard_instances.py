@@ -10,13 +10,13 @@ With sigma = all slot 0 and tau = all slot 1, the LCP matrix is
     M = I + beta (E2 - E1),      beta = gamma / (1 - gamma),
 
 where E1 / E2 carry a single 1 per tail row in column 0 / 1.  M does not
-depend on ``a``; the cost vector does, and picking ``a`` tunes which
-conditioning measure the tau-column costs witness:
+depend on ``a``; the cost vector does, and :func:`hard_cost` names the ``a``
+whose tau-column costs witness each measure, one per mode of ``A_MODES``:
 
-* a = gamma/(1-gamma): c_tau certifies kappa >= (n-2)/8 (gamma/(1-gamma))^2 - 1/4,
-* a = sqrt(2/(n-2)):   c_tau is an exact eigenvector of (M + M^T)/2 with
-  eigenvalue 1 - gamma sqrt(n-2) / (sqrt(2) (1-gamma)),
-* a = 2 gamma/(1-gamma): c_tau/||c_tau|| pins theta below
+* kappa, a = beta: c_tau certifies kappa >= (n-2)/8 beta^2 - 1/4,
+* eigenvalue, a = sqrt(2/(n-2)): c_tau is an exact eigenvector of
+  (M + M^T)/2 with eigenvalue 1 - beta sqrt((n-2)/2),
+* theta, a = 2 beta: c_tau/||c_tau|| pins theta below
   (1-gamma)^2 / ((2 gamma)^2 (n-2)).
 
 The three measures of M are known in closed form
@@ -36,15 +36,15 @@ from .game import PLAYER_MAX, build_game, check_gamma
 __all__ = [
     "A_MODES",
     "ExactConditioning",
-    "HardInstanceSpec",
     "build_hard_instance",
     "exact_conditioning",
+    "hard_cost",
     "predicted_eig_ub",
     "predicted_kappa_lb",
     "predicted_theta_ub",
 ]
 
-A_MODES = ("kappa", "eigenvalue", "theta", "custom")
+A_MODES = ("kappa", "eigenvalue", "theta")
 
 
 def _check_n_gamma(n, gamma):
@@ -53,45 +53,30 @@ def _check_n_gamma(n, gamma):
     check_gamma(gamma)
 
 
-@dataclass(frozen=True)
-class HardInstanceSpec:
-    n: int
-    gamma: float
-    a_mode: str = "kappa"
-    a: float | None = None
-
-    def __post_init__(self):
-        _check_n_gamma(self.n, self.gamma)
-        if self.a_mode not in A_MODES:
-            raise ValueError(f"a_mode must be one of {A_MODES}, got {self.a_mode!r}")
-        if self.a_mode == "custom" and self.a is None:
-            raise ValueError("a_mode 'custom' needs an explicit a")
-        if self.a_mode != "custom" and self.a is not None:
-            raise ValueError(f"a is for a_mode 'custom' only, not {self.a_mode!r}")
-        if self.a is not None and not math.isfinite(self.a):
-            raise ValueError(f"a must be finite, got {self.a}")
-
-    def resolve_a(self):
-        if self.a_mode == "kappa":
-            return self.gamma / (1.0 - self.gamma)
-        if self.a_mode == "eigenvalue":
-            return math.sqrt(2.0 / (self.n - 2))
-        if self.a_mode == "theta":
-            return 2.0 * self.gamma / (1.0 - self.gamma)
-        return float(self.a)
+def hard_cost(n, gamma, a_mode):
+    """The tail cost ``a`` whose c_tau witnesses the measure ``a_mode``
+    names, one of ``A_MODES`` (see the module docstring)."""
+    _check_n_gamma(n, gamma)
+    beta = _beta(gamma)
+    costs = {"kappa": beta, "eigenvalue": math.sqrt(2.0 / (n - 2)), "theta": 2.0 * beta}
+    if a_mode not in costs:
+        raise ValueError(f"a_mode must be one of {A_MODES}, got {a_mode!r}")
+    return costs[a_mode]
 
 
-def build_hard_instance(spec):
-    """The game of ``spec``; the reduction's sigma is slot 0 (to anchor 0)
-    and tau slot 1 (to anchor 1) in every state."""
-    a = spec.resolve_a()
+def build_hard_instance(n, gamma, a):
+    """The hard game on n states with tail cost ``a``; the reduction's sigma
+    is slot 0 (to anchor 0) and tau slot 1 (to anchor 1) in every state."""
+    _check_n_gamma(n, gamma)
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     to_zero, to_one = (a, [(0, 1.0)]), (a, [(1, 1.0)])
     states = [
         (PLAYER_MAX, [(1.0, [(0, 1.0)])] * 2),
         (PLAYER_MAX, [(-1.0, [(1, 1.0)])] * 2),
     ]
-    states += [(PLAYER_MAX, [to_zero, to_one])] * (spec.n - 2)
-    return build_game(spec.gamma, states)
+    states += [(PLAYER_MAX, [to_zero, to_one])] * (n - 2)
+    return build_game(gamma, states)
 
 
 def _beta(gamma):

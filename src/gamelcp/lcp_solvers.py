@@ -141,6 +141,12 @@ def _fail(trace, reason, **context):
     raise SolverFailure(f"interior point method failed: {reason}", trace=trace, **context)
 
 
+def _refuse_non_finite(trace, row, gap, potential):
+    if not (math.isfinite(gap) and math.isfinite(potential)):
+        _fail(trace, f"non-finite potential at row {row}: gap {gap:.3e}, potential {potential}")
+
+
+@np.errstate(all="ignore")  # _refuse_non_finite reports instead
 def solve_potential_reduction(lcp, epsilon=1e-9):
     """Solve a P-matrix LCP; returns (w, z, trace) with w.z < epsilon."""
     if not epsilon > 0:  # NaN too
@@ -158,6 +164,7 @@ def solve_potential_reduction(lcp, epsilon=1e-9):
     w = q + t + m_mat @ z
     f = _potential(w, z, rho)
     gap = float(w @ z)
+    _refuse_non_finite(trace, 0, gap, f)
 
     while not (t <= t_final and gap < epsilon):
         # off the narrow neighborhood the row re-centers at its shift; inside
@@ -181,6 +188,7 @@ def solve_potential_reduction(lcp, epsilon=1e-9):
             if w1.min() > 0.0 and z1.min() > 0.0:
                 if center:  # the potential must strictly decrease
                     f1 = _potential(w1, z1, rho)
+                    _refuse_non_finite(trace, len(trace) + 1, gap, f1)
                     if f1 < f:
                         break
                 else:  # the products must stay in the wide neighborhood
@@ -198,6 +206,7 @@ def solve_potential_reduction(lcp, epsilon=1e-9):
             t = (1.0 - alpha) * t
             f = _potential(w, z, rho)
         gap = float(w @ z)
+        _refuse_non_finite(trace, len(trace) + 1, gap, f)
         trace.append(gap, f, alpha, t, phase)
 
     # leave with w exactly feasible whenever that keeps the interior and the

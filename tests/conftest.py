@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gamelcp.game import build_game
-from gamelcp.hard_instances import HardInstanceSpec, build_hard_instance
+from gamelcp.hard_instances import build_hard_instance, hard_cost
 
 
 THREE_STATE_SPEC = [
@@ -21,9 +21,9 @@ def three_state_game(gamma=0.5):
     return build_game(gamma, THREE_STATE_SPEC)
 
 
-def hard_instance(n, gamma, a_mode="custom", a=None):
-    spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode, a=a)
-    return build_hard_instance(spec)
+def hard_instance(n, gamma, a_mode):
+    """The hard game at the tail cost that ``a_mode`` names."""
+    return build_hard_instance(n, gamma, hard_cost(n, gamma, a_mode))
 
 
 def sigma_tau(game):
@@ -48,4 +48,4 @@ def three_state():
 
 @pytest.fixture
 def g3():
-    return hard_instance(3, 0.5, a=1.0)
+    return build_hard_instance(3, 0.5, 1.0)

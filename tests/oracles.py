@@ -27,10 +27,8 @@ class HardFamilyForms:
     products: np.ndarray
 
 
-def closed_forms(spec):
-    n = spec.n
-    a = spec.resolve_a()
-    beta = spec.gamma / (1.0 - spec.gamma)
+def closed_forms(n, gamma, a):
+    beta = gamma / (1.0 - gamma)
 
     c_tau = np.full(n, a)
     c_tau[0] = 1.0

@@ -22,8 +22,8 @@ from gamelcp.conditioning import (
 )
 from gamelcp.game import is_optimal, restrict, value_vector
 from gamelcp.hard_instances import (
-    HardInstanceSpec,
     build_hard_instance,
+    hard_cost,
     predicted_eig_ub,
     predicted_kappa_lb,
     predicted_theta_ub,
@@ -49,10 +49,10 @@ def _report(label, ok, detail=""):
     return detail
 
 
-def _hard(n, gamma, a_mode, a=None):
-    spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode, a=a)
-    game = build_hard_instance(spec)
-    return spec, game, to_lcp(game)
+def _hard(n, gamma, a):
+    """The hard game at tail cost a, its closed forms and its LCP."""
+    game = build_hard_instance(n, gamma, a)
+    return closed_forms(n, gamma, a), game, to_lcp(game)
 
 
 def test_01_fixture_fidelity():
@@ -104,8 +104,7 @@ def test_02_hard_family_closed_forms():
     for n in NS_GRID:
         for gamma in GAMMA_GRID:
             for a in (1.0, gamma / (1.0 - gamma)):
-                spec, game, lcp = _hard(n, gamma, "custom", a)
-                forms = closed_forms(spec)
+                forms, game, lcp = _hard(n, gamma, a)
                 v = value_vector(game, sigma_tau(game)[1])
                 r = lcp.m @ forms.c_tau
                 r_prime = forms.c_tau * r
@@ -133,8 +132,8 @@ def test_03_kappa_witness_exactness():
             predicted = predicted_kappa_lb(n, gamma)
             if predicted <= 0.0:
                 continue
-            spec, _, lcp = _hard(n, gamma, "kappa")
-            got = kappa_at(lcp.m, closed_forms(spec).c_tau)
+            forms, _, lcp = _hard(n, gamma, hard_cost(n, gamma, "kappa"))
+            got = kappa_at(lcp.m, forms.c_tau)
             rel = abs(got - predicted) / max(1.0, abs(predicted))
             worst = max(worst, rel)
             if (n, gamma) == (10, 0.5):
@@ -154,8 +153,8 @@ def test_04_eigenvalue_witness_exactness():
     spot = None
     for n in NS_GRID + (10,):
         for gamma in GAMMA_GRID:
-            spec, _, lcp = _hard(n, gamma, "eigenvalue")
-            x = closed_forms(spec).c_tau
+            forms, _, lcp = _hard(n, gamma, hard_cost(n, gamma, "eigenvalue"))
+            x = forms.c_tau
             predicted = predicted_eig_ub(n, gamma)
             sym = 0.5 * (lcp.m + lcp.m.T)
             residual = float(np.abs(sym @ x - predicted * x).max())
@@ -180,16 +179,15 @@ def test_05_theta_sandwich():
     notes = []
     for n in NS_GRID + (10,):
         for gamma in GAMMA_GRID:
-            spec, _, lcp = _hard(n, gamma, "theta")
-            forms = closed_forms(spec)
+            forms, _, lcp = _hard(n, gamma, hard_cost(n, gamma, "theta"))
             est, _ = estimate_theta(lcp.m, [forms.c_tau, *_sample_bests(lcp.m, 2000, 0)[1]])
             lo = theta_lower_bound(n, gamma)
             hi = predicted_theta_ub(n, gamma)
             if not (lo - 1e-12 <= est <= hi + 1e-9):
                 ok = False
                 notes.append(f"(n={n}, gamma={gamma}): {lo:.3e} <= {est:.3e} <= {hi:.3e}")
-    spec, _, lcp = _hard(10, 0.5, "theta")
-    c_tau = closed_forms(spec).c_tau
+    forms, _, lcp = _hard(10, 0.5, hard_cost(10, 0.5, "theta"))
+    c_tau = forms.c_tau
     witness = theta_at(lcp.m, c_tau)
     spot_est, _ = estimate_theta(lcp.m, [c_tau, *_sample_bests(lcp.m, 2000, 0)[1]])
     ok = ok and abs(witness - 1.0 / 34.0) <= 1e-9
@@ -289,14 +287,14 @@ def test_09_ipm_convergence():
     cases = []
     for n in (8, 16, 32, 64):
         for gamma in (0.5, 0.9, 0.95):
-            _, _, lcp = _hard(n, gamma, "kappa")
+            _, _, lcp = _hard(n, gamma, hard_cost(n, gamma, "kappa"))
             cases.append((f"hard n={n} gamma={gamma}", lcp))
             game = random_game(n, gamma, seed=300 + n)
             cases.append(
                 (f"random n={n} gamma={gamma}", to_lcp(game))
             )
     for mode in ("eigenvalue", "theta"):
-        _, _, lcp = _hard(64, 0.95, mode)
+        _, _, lcp = _hard(64, 0.95, hard_cost(64, 0.95, mode))
         cases.append((f"hard n=64 gamma=0.95 {mode}", lcp))
 
     bad = []

@@ -37,6 +37,7 @@ from gamelcp.game import (
     validate_game,
     value_vector,
 )
+from gamelcp.hard_instances import A_MODES, build_hard_instance
 from gamelcp.lcp import lcp_json, to_lcp
 from gamelcp.solvers import strategy_iteration
 
@@ -208,7 +209,7 @@ def test_render_svg_rejects_empty():
 
 
 def write_g3(tmp_path):
-    game = hard_instance(3, 0.5, a=1.0)
+    game = build_hard_instance(3, 0.5, 1.0)
     path = tmp_path / "g3.json"
     save_game(game, path)
     return path
@@ -275,10 +276,11 @@ SOLVE_METHODS = ("vi", "si", "brute", "ipm", "pivot")
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (GEN + ["--family", "gn", "--a", "2"], "--a"),
+        # --a-mode names a cost and --a gives one: not both
+        (GEN + ["--family", "gn", "--a", "2", "--a-mode", "kappa"], "--a"),
         (GEN + ["--family", "gn", "--a-mode", "theta", "--a", "2"], "--a"),
         (GEN + ["--family", "random", "--a", "2"], "--a"),
-        (GEN + ["--family", "random", "--a-mode", "custom", "--a", "2"], "--a"),
+        (GEN + ["--family", "random", "--a-mode", "kappa", "--a", "2"], "--a"),
         (GEN + ["--family", "random", "--partition", "{tmp}/p.json"], "--partition"),
         *(
             (["solve", "--game", "{tmp}/g3.json", "--method", method,
@@ -369,12 +371,19 @@ def test_cli_solve_refuses_a_tol_below_the_rounding_of_the_values(
     assert "optimal=True" in capsys.readouterr().out.splitlines()[0]
 
 
-def test_cli_gen_custom_cost(tmp_path):
+def test_cli_gen_custom_cost(tmp_path, capsys):
     out = tmp_path / "g.json"
-    argv = ["--output", str(out)] + GEN + ["--family", "gn", "--a-mode", "custom"]
+    argv = ["--output", str(out)] + GEN + ["--family", "gn"]
     assert main(argv + ["--a", "2.5"]) == 0
     assert load_game(out).costs[4] == 2.5  # state 2's slot 0
+    assert main(argv + ["--a", "2"]) == 0
+    assert out.read_text() == game_json(build_hard_instance(4, 0.5, 2.0))
     out.unlink()
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv + ["--a-mode", "theta", "--a", "2"])
+    assert exc_info.value.code == 2
+    assert "argument --a: not allowed with argument --a-mode" in capsys.readouterr().err
+    assert not out.exists()
     for bad in ("nan", "inf"):  # solve would refuse the written game
         assert main(argv + ["--a", bad]) == 2
         assert not out.exists()
@@ -638,12 +647,11 @@ def test_cli_solve_refuses_a_cost_past_the_float_range(tmp_path, capsys):
     assert "state 0 action 0: malformed entry: int too large" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("method", ["vi", "si", "brute", "ipm", "pivot"])
 def test_cli_solve_fails_where_the_values_leave_the_float_range(tmp_path, capsys, method):
     # every cost is finite, so the file loads, but the values overflow: no
-    # method may report optimal=True with a non-finite value (the IPM's
-    # potential overflows, and its warning is not the point here)
+    # method may report optimal=True with a non-finite value, and no
+    # overflow warning may escape (pytest makes one an error)
     game = random_game(4, 0.99, 1)
     game.costs = game.costs * 1e306
     path = tmp_path / "huge.json"
@@ -652,6 +660,8 @@ def test_cli_solve_fails_where_the_values_leave_the_float_range(tmp_path, capsys
     captured = capsys.readouterr()
     assert "optimal=" not in captured.out
     assert "solver failure: " in captured.err
+    if method == "ipm":  # the IPM names the row and the gap where it overflowed
+        assert "non-finite potential at row 1: gap 1.950e+307, potential nan" in captured.err
 
 
 def test_cli_solve_takes_integral_floats_as_indices(tmp_path, capsys):
@@ -680,7 +690,7 @@ def test_cli_reduce_matches_library(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     payload = json.loads(printed)
-    game = hard_instance(3, 0.5, a=1.0)
+    game = build_hard_instance(3, 0.5, 1.0)
     lcp = to_lcp(game)
     assert np.array_equal(np.array(payload["M"]), lcp.m)
     assert np.array_equal(np.array(payload["q"]), lcp.q)
@@ -690,6 +700,34 @@ def test_cli_reduce_matches_library(tmp_path, capsys):
     assert rc == 0
     # one serialization, to the file or to stdout
     assert out.read_text() == printed == lcp_json(lcp)
+
+
+@pytest.mark.parametrize("case", ["random-costs-1e160", "hard-a-1e200"])
+def test_cli_certify_takes_costs_near_the_float_range(tmp_path, case):
+    # M does not depend on the costs, but certify's starts c_tau and S c_tau
+    # do: their products overflowed, and the NaN score won the pick
+    path, unscaled = tmp_path / "g.json", tmp_path / "unscaled.json"
+    if case == "random-costs-1e160":
+        game = random_game(8, 0.9, 3)
+        save_game(game, unscaled)
+        game.costs = game.costs * 1e160
+        save_game(game, path)
+    else:
+        gen = ["gen", "--family", "gn", "--n", "8", "--gamma", "0.9", "--a"]
+        assert main(["--output", str(path)] + gen + ["1e200"]) == 0
+        assert main(["--output", str(unscaled)] + gen + ["1"]) == 0
+    reports = []
+    for game_path in (path, unscaled):
+        out = tmp_path / "report.json"
+        assert main(["--output", str(out), "certify", "--game", str(game_path)]) == 0
+        reports.append(json.loads(out.read_text()))
+    big, small = reports
+    assert big["pmatrix"] == "structural"
+    assert big["kappa_est"] <= big["kappa_ub"]
+    assert big["delta_lb"] <= big["delta"] and big["theta_lb"] <= big["theta_est"]
+    # a start is scaled by a power of two, so the estimates are the unscaled ones
+    for key in ("kappa_est", "delta", "theta_est"):
+        assert big[key] == small[key], key
 
 
 def test_cli_certify_hard_instance(tmp_path, capsys):
@@ -925,13 +963,13 @@ def test_cli_solve_swapped_game_mirrors_the_profile(tmp_path, capsys):
 
 
 def test_cli_bench_offers_no_custom_a_mode(tmp_path, capsys):
-    # bench has no --a, and a_mode 'custom' needs one
+    # a mode only names a cost; a cost of one's own is gen --a
     argv = ["--output", str(tmp_path / "x.csv"), "bench", "--ns", "4", "--gammas", "0.5"]
     with pytest.raises(SystemExit) as exc_info:
         main(argv + ["--a-mode", "custom"])
     assert exc_info.value.code == 2
     assert "invalid choice: 'custom'" in capsys.readouterr().err
-    for mode in ("kappa", "eigenvalue", "theta"):
+    for mode in A_MODES:
         assert main(argv + ["--a-mode", mode]) == 0
 
 

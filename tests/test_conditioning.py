@@ -31,7 +31,7 @@ from gamelcp.conditioning import (
 from gamelcp._kernels import SingularMatrixError
 from gamelcp.cli import main
 from gamelcp.game import build_game, restrict, save_game
-from gamelcp.hard_instances import HardInstanceSpec
+from gamelcp.hard_instances import hard_cost
 from gamelcp.lcp import Lcp, reduction, to_lcp
 
 from conftest import hard_instance, sigma_tau
@@ -53,7 +53,7 @@ def _starts(m_mat, witnesses, samples, seed):
 
 def test_kappa_at_hard_witness_exact():
     lcp = hard_lcp(10, 0.5)
-    forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="kappa"))
+    forms = closed_forms(10, 0.5, hard_cost(10, 0.5, "kappa"))
     assert kappa_at(lcp.m, forms.c_tau) == 0.75
 
 
@@ -73,7 +73,7 @@ def test_kappa_at_undefined():
 
 def test_kappa_at_scale_invariant():
     lcp = hard_lcp(10, 0.5)
-    forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="kappa"))
+    forms = closed_forms(10, 0.5, hard_cost(10, 0.5, "kappa"))
     base = kappa_at(lcp.m, forms.c_tau)
     assert abs(kappa_at(lcp.m, 3.7 * forms.c_tau) - base) <= 1e-12
     assert abs(kappa_at(lcp.m, -forms.c_tau) - base) <= 1e-12
@@ -114,7 +114,7 @@ def test_smallest_eigenvalue_offdiag():
 def test_smallest_eigenvalue_hard_family():
     # in eigenvalue mode c_tau is an exact eigenvector of the symmetrization
     lcp = hard_lcp(10, 0.5, a_mode="eigenvalue")
-    forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="eigenvalue"))
+    forms = closed_forms(10, 0.5, hard_cost(10, 0.5, "eigenvalue"))
     a = 0.5 * (lcp.m + lcp.m.T)
     resid = np.linalg.norm(a @ forms.c_tau - (-1.0) * forms.c_tau)
     assert resid <= 1e-9 * np.linalg.norm(forms.c_tau)
@@ -125,7 +125,7 @@ def test_smallest_eigenvalue_hard_family():
 
 def test_theta_at_hard_witness_exact():
     lcp = hard_lcp(10, 0.5, a_mode="theta")
-    forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="theta"))
+    forms = closed_forms(10, 0.5, hard_cost(10, 0.5, "theta"))
     assert theta_at(lcp.m, forms.c_tau) == 1.0 / 34.0
 
 
@@ -152,7 +152,7 @@ def test_estimate_theta_identity():
 
 def test_estimate_theta_hard_sandwich():
     lcp = hard_lcp(10, 0.5, a_mode="theta")
-    forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="theta"))
+    forms = closed_forms(10, 0.5, hard_cost(10, 0.5, "theta"))
     val, x = estimate_theta(lcp.m, _starts(lcp.m, [forms.c_tau], 2000, 0)[1])
     assert theta_lower_bound(10, 0.5) - 1e-9 <= val <= 1.0 / 34.0 + 1e-12
     assert theta_at(lcp.m, x) == pytest.approx(val, abs=1e-12)
@@ -160,7 +160,7 @@ def test_estimate_theta_hard_sandwich():
 
 def test_estimate_kappa_hard_witness_is_optimal():
     lcp = hard_lcp(10, 0.5)
-    forms = closed_forms(HardInstanceSpec(n=10, gamma=0.5, a_mode="kappa"))
+    forms = closed_forms(10, 0.5, hard_cost(10, 0.5, "kappa"))
     val, x = estimate_kappa(lcp.m, _starts(lcp.m, [forms.c_tau], 2000, 0)[0])
     # c_tau attains the true kappa; sampling and climbing cannot beat it
     assert val == pytest.approx(0.75, abs=1e-9)
@@ -253,10 +253,10 @@ def _oracle_cases():
     for n in (8, 16):
         for gamma in (0.5, 0.99):
             for a_mode in ("kappa", "eigenvalue", "theta"):
-                spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=a_mode)
+                forms = closed_forms(n, gamma, hard_cost(n, gamma, a_mode))
                 game = hard_instance(n, gamma, a_mode=a_mode)
                 _, c_tau = restrict(game, sigma_tau(game)[1])
-                witnesses = [closed_forms(spec).c_tau, game.ownership_signs * c_tau]
+                witnesses = [forms.c_tau, game.ownership_signs * c_tau]
                 yield to_lcp(game).m, witnesses
     for n in (8, 12, 24):
         for gamma in (0.5, 0.99):

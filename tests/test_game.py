@@ -1,5 +1,6 @@
 """Model encoding, validation, and the per-profile linear algebra."""
 
+import dataclasses
 import functools
 import json
 import types
@@ -41,6 +42,16 @@ FIG1_P = np.array(
     ]
 )
 FIG1_C = np.array([7.0, 3.0, -4.0, 2.0, 5.0, -10.0])
+
+
+def test_state_of_action_is_read_from_offsets(three_state):
+    # the action layout is recorded once: a game with other offsets maps
+    # its rows by them, so restrict and is_optimal read one layout
+    regrouped = dataclasses.replace(three_state, offsets=np.array([0, 1, 4, 6]))
+    assert np.array_equal(regrouped.state_of_action, [0, 1, 1, 1, 2, 2])
+    assert np.array_equal(three_state.state_of_action, [0, 0, 1, 1, 2, 2])
+    assert three_state.state_of_action is three_state.state_of_action  # once per game
+    assert "state_of_action" not in {f.name for f in dataclasses.fields(three_state)}
 
 
 def test_three_state_game_arrays_exact(three_state):

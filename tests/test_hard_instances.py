@@ -19,9 +19,9 @@ from gamelcp.conditioning import (
 from gamelcp.game import PLAYER_MAX, is_optimal, restrict, value_vector
 from gamelcp.hard_instances import (
     A_MODES,
-    HardInstanceSpec,
     build_hard_instance,
     exact_conditioning,
+    hard_cost,
     predicted_eig_ub,
     predicted_kappa_lb,
     predicted_theta_ub,
@@ -75,7 +75,7 @@ def test_anchor_states_have_duplicate_self_loops():
 
 
 def test_tail_states_jump_to_the_anchors():
-    game = hard_instance(6, 0.8, a_mode="custom", a=3.0)
+    game = build_hard_instance(6, 0.8, 3.0)
     for i in range(2, 6):
         to_zero, to_one = 2 * i, 2 * i + 1
         assert game.costs[to_zero] == 3.0 and game.costs[to_one] == 3.0
@@ -89,10 +89,9 @@ def test_tail_states_jump_to_the_anchors():
 @pytest.mark.parametrize("n,gamma", GRID)
 @pytest.mark.parametrize("mode", ["kappa", "eigenvalue", "theta"])
 def test_closed_forms_match_game(n, gamma, mode):
-    spec = HardInstanceSpec(n=n, gamma=gamma, a_mode=mode)
-    game = build_hard_instance(spec)
+    game = hard_instance(n, gamma, mode)
     _, tau = sigma_tau(game)
-    forms = closed_forms(spec)
+    forms = closed_forms(n, gamma, hard_cost(n, gamma, mode))
 
     _, c_tau = restrict(game, tau)
     assert np.array_equal(c_tau, forms.c_tau)
@@ -108,8 +107,7 @@ def test_closed_forms_match_game(n, gamma, mode):
 
 
 def test_closed_form_entries_at_a_known_point():
-    spec = HardInstanceSpec(n=10, gamma=0.5, a_mode="kappa")
-    forms = closed_forms(spec)
+    forms = closed_forms(10, 0.5, hard_cost(10, 0.5, "kappa"))
     assert forms.a == 1.0 and forms.beta == 1.0
     assert np.array_equal(forms.c_tau, [1.0, -1.0] + [1.0] * 8)
     assert np.array_equal(forms.v_tau, [2.0, -2.0] + [0.0] * 8)
@@ -119,8 +117,7 @@ def test_closed_form_entries_at_a_known_point():
 
 def test_doubled_cost_zeroes_the_image_tail():
     # a = 2 beta makes every tail row of M c_tau vanish
-    spec = HardInstanceSpec(n=10, gamma=0.5, a_mode="custom", a=2.0)
-    forms = closed_forms(spec)
+    forms = closed_forms(10, 0.5, 2.0)
     assert np.array_equal(forms.image[2:], np.zeros(8))
     assert np.array_equal(forms.products[2:], np.zeros(8))
 
@@ -138,10 +135,8 @@ def test_matrix_structure_identity_plus_anchor_columns():
 
 def test_matrix_ignores_the_cost_knob():
     base = None
-    for mode in A_MODES:
-        a = 0.123 if mode == "custom" else None
-        game = hard_instance(6, 0.7, a_mode=mode, a=a)
-        m = to_lcp(game).m
+    for a in [hard_cost(6, 0.7, mode) for mode in A_MODES] + [0.123]:
+        m = to_lcp(build_hard_instance(6, 0.7, a)).m
         if base is None:
             base = m
         else:
@@ -183,7 +178,7 @@ def test_predictions_refuse_tiny_n(pred):
 def test_kappa_witness_achieves_the_prediction(n, gamma):
     game = hard_instance(n, gamma, a_mode="kappa")
     lcp = to_lcp(game)
-    forms = closed_forms(HardInstanceSpec(n=n, gamma=gamma, a_mode="kappa"))
+    forms = closed_forms(n, gamma, hard_cost(n, gamma, "kappa"))
     predicted = predicted_kappa_lb(n, gamma)
     got = kappa_at(lcp.m, forms.c_tau)
     if predicted > 0.0:
@@ -197,7 +192,7 @@ def test_kappa_witness_achieves_the_prediction(n, gamma):
 def test_eigenvalue_witness_bounds_the_spectrum(n, gamma):
     game = hard_instance(n, gamma, a_mode="eigenvalue")
     lcp = to_lcp(game)
-    forms = closed_forms(HardInstanceSpec(n=n, gamma=gamma, a_mode="eigenvalue"))
+    forms = closed_forms(n, gamma, hard_cost(n, gamma, "eigenvalue"))
     predicted = predicted_eig_ub(n, gamma)
     sym = 0.5 * (lcp.m + lcp.m.T)
     x = forms.c_tau
@@ -211,8 +206,7 @@ def test_eigenvalue_witness_bounds_the_spectrum(n, gamma):
 def test_theta_witness_sits_under_the_fence(n, gamma):
     game = hard_instance(n, gamma, a_mode="theta")
     lcp = to_lcp(game)
-    spec = HardInstanceSpec(n=n, gamma=gamma, a_mode="theta")
-    forms = closed_forms(spec)
+    forms = closed_forms(n, gamma, hard_cost(n, gamma, "theta"))
     fence = predicted_theta_ub(n, gamma)
     got = theta_at(lcp.m, forms.c_tau)
     # exact witness value: anchors carry the only nonzero products
@@ -293,29 +287,31 @@ def test_certify_never_crosses_the_exact_measures(mode):
 # -- the cost knob ------------------------------------------------------------
 
 
-def test_resolve_a_per_mode():
-    assert HardInstanceSpec(10, 0.5, a_mode="kappa").resolve_a() == 1.0
-    assert HardInstanceSpec(10, 0.5, a_mode="eigenvalue").resolve_a() == 0.5
-    assert HardInstanceSpec(10, 0.5, a_mode="theta").resolve_a() == 2.0
-    assert HardInstanceSpec(10, 0.5, a_mode="custom", a=3.25).resolve_a() == 3.25
-    assert HardInstanceSpec(10, 0.5).a_mode == "kappa"
+def test_hard_cost_per_mode():
+    # bit for bit the costs the three modes have always named
+    assert A_MODES == ("kappa", "eigenvalue", "theta")
+    for n, gamma in GRID + [(64, 0.999), (1000, 0.3)]:
+        assert hard_cost(n, gamma, "kappa") == gamma / (1.0 - gamma)
+        assert hard_cost(n, gamma, "eigenvalue") == math.sqrt(2.0 / (n - 2))
+        assert hard_cost(n, gamma, "theta") == 2.0 * gamma / (1.0 - gamma)
+    assert (hard_cost(10, 0.5, "kappa"), hard_cost(10, 0.5, "theta")) == (1.0, 2.0)
+    assert hard_cost(10, 0.5, "eigenvalue") == 0.5
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError, match="n >= 3"):
-        HardInstanceSpec(2, 0.5)
-    with pytest.raises(ValueError, match="gamma must lie strictly"):
-        HardInstanceSpec(5, 1.0)
-    with pytest.raises(ValueError, match="a_mode must be one of"):
-        HardInstanceSpec(5, 0.5, a_mode="sharp")
-    with pytest.raises(ValueError, match="needs an explicit a"):
-        HardInstanceSpec(5, 0.5, a_mode="custom")
-    for mode in ("kappa", "eigenvalue", "theta"):
-        with pytest.raises(ValueError, match=f"a_mode 'custom' only, not '{mode}'"):
-            HardInstanceSpec(5, 0.5, a_mode=mode, a=1.0)
+def test_hard_family_refuses_bad_parameters():
+    for mode in ("sharp", "custom"):
+        with pytest.raises(ValueError, match="a_mode must be one of"):
+            hard_cost(5, 0.5, mode)
+    for n, gamma, match in ((2, 0.5, "n >= 3"), (5, 1.0, "gamma must lie strictly")):
+        with pytest.raises(ValueError, match=match):
+            build_hard_instance(n, gamma, 1.0)
+        with pytest.raises(ValueError, match=match):
+            hard_cost(n, gamma, "eigenvalue")
     for a in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="a must be finite"):
-            HardInstanceSpec(5, 0.5, a_mode="custom", a=a)
+            build_hard_instance(5, 0.5, a)
+    # any finite a builds, the largest float included
+    assert build_hard_instance(5, 0.5, -1.7976931348623157e308).costs[4] < 0.0
 
 
 # -- the family's optimum -----------------------------------------------------

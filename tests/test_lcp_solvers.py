@@ -7,7 +7,6 @@ import pytest
 
 from gamelcp import lcp_solvers
 from gamelcp.bench import random_game
-from gamelcp.hard_instances import HardInstanceSpec, build_hard_instance
 from gamelcp.lcp import (
     Lcp,
     LcpCheck,
@@ -37,7 +36,7 @@ from gamelcp.lcp_solvers import (
 )
 from gamelcp.game import restrict
 from gamelcp.solvers import SolverFailure
-from conftest import swap_actions
+from conftest import hard_instance, swap_actions
 from oracles import monotone_within_stages, stages
 
 
@@ -152,7 +151,7 @@ def _full_newton(lcp, w, z, residual, target):
 def _direction_cases(g3):
     game = g3
     rng = np.random.default_rng(53)
-    for lcp in (to_lcp(game), to_lcp(build_hard_instance(HardInstanceSpec(8, 0.9)))):
+    for lcp in (to_lcp(game), to_lcp(hard_instance(8, 0.9, "kappa"))):
         n = lcp.n
         z = np.ones(n)
         t0 = max(0.0, 1.0 - float(np.min(lcp.q + lcp.m @ z)))
@@ -202,7 +201,7 @@ def test_ipm_monotone_within_stages_once_the_shift_reaches_zero(mode):
     # later predictor and centering rows share one shift; the predictor rows
     # raise the potential, and only the phase tells the stages apart
     for n in (8, 16, 32, 64):
-        lcp = to_lcp(build_hard_instance(HardInstanceSpec(n, 0.1, mode)))
+        lcp = to_lcp(hard_instance(n, 0.1, mode))
         _, _, trace = solve_potential_reduction(lcp, epsilon=1e-9)
         zero = [i for i, t in enumerate(trace.shifts) if t == 0.0]
         assert zero and trace.phases[zero[0]] == "predictor"
@@ -231,7 +230,7 @@ def test_ipm_converges_at_n256():
             _ipm_rows(to_lcp(game))
     for gamma in (0.99, 0.999):
         for mode in ("kappa", "eigenvalue", "theta"):
-            _ipm_rows(to_lcp(build_hard_instance(HardInstanceSpec(256, gamma, mode))))
+            _ipm_rows(to_lcp(hard_instance(256, gamma, mode)))
 
 
 def test_ipm_work_grows_slower_than_n():
@@ -421,8 +420,7 @@ def _ipm_oracle_cases():
     for n in (8, 32, 64, 256):
         for gamma in (0.5, 0.9, 0.99, 0.999):
             for mode in ("kappa", "eigenvalue", "theta"):
-                spec = HardInstanceSpec(n, gamma, mode)
-                yield f"hard-{n}-{gamma}-{mode}", to_lcp(build_hard_instance(spec))
+                yield f"hard-{n}-{gamma}-{mode}", to_lcp(hard_instance(n, gamma, mode))
 
 
 def test_one_loop_ipm_is_bit_identical_to_nested_loops():
@@ -579,7 +577,7 @@ def _pivot_oracle_cases():
     for n in (8, 24):
         for gamma in (0.5, 0.99):
             for mode in ("kappa", "eigenvalue", "theta"):
-                yield to_lcp(build_hard_instance(HardInstanceSpec(n, gamma, mode)))
+                yield to_lcp(hard_instance(n, gamma, mode))
 
 
 def _ratio_tableaux(monkeypatch, solver, lcp):
@@ -669,7 +667,7 @@ def test_ipm_tangent_keeps_tiny_slacks_at_gamma_099(case):
     if case.startswith("random"):
         game = random_game(64, 0.99, 1903)
     else:
-        game = build_hard_instance(HardInstanceSpec(48, 0.99, case.split("-")[2]))
+        game = hard_instance(48, 0.99, case.split("-")[2])
     lcp = to_lcp(game)
     w, z, trace = solve_potential_reduction(lcp, epsilon=1e-9)
     assert trace.termination == "converged"

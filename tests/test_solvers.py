@@ -28,6 +28,7 @@ from gamelcp.solvers import (
 )
 from gamelcp._kernels import SingularMatrixError
 from gamelcp.bench import random_game
+from gamelcp.hard_instances import build_hard_instance
 
 from conftest import three_state_game, hard_instance, sigma_tau
 
@@ -116,7 +117,7 @@ def test_value_iteration_certifies_near_gamma_one(n):
 
 
 def test_value_iteration_contraction():
-    game = hard_instance(4, 0.8, a=2.0)
+    game = build_hard_instance(4, 0.8, 2.0)
     oracle = brute_force_solve(game)
     v = np.zeros(4)
     err = np.abs(v - oracle.values).max()
@@ -241,7 +242,7 @@ def test_brute_force_single_action_game():
 
 
 def test_brute_force_cap():
-    game = hard_instance(21, 0.5, a=1.0)  # 2^21 profiles exceeds the cap
+    game = build_hard_instance(21, 0.5, 1.0)  # 2^21 profiles exceeds the cap
     with pytest.raises(SolverFailure, match="cap"):
         brute_force_solve(game)
 
