@@ -6,7 +6,7 @@ dominant, so their condition number has a closed-form bound:
 :func:`solve_discounted` checks it and makes one plain solve.  General
 matrices (Lemke's terminal basis, the minor scan's low minors) have no such
 bound, so :func:`solve` measures theirs from the inverse it forms.  The
-interior-point Newton systems are ungated.
+interior-point and theta-equalization Newton systems are ungated.
 """
 
 from __future__ import annotations

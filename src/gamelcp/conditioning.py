@@ -23,10 +23,11 @@ row diagonally dominant B_s = I - gamma P_sigma, B_t = I - gamma P_tau it
 keeps (:func:`structural_certificate`), and estimates kappa and theta with
 :func:`estimate_kappa` and :func:`estimate_theta`: each scores its built-in
 start and the starts it is given, c_tau, S c_tau and the best direction of
-one gaussian sample, then climbs from the best of them by coordinate moves.
-It streams the sample a chunk at a time through both measures' scorers and
-keeps only each measure's best row, so its memory does not grow with the
-number of samples.
+one gaussian sample, then climbs from the best of them by coordinate moves;
+theta's climb stops at step scale THETA_SCALE_FLOOR and a Newton
+equalization, :func:`_equalize`, finishes it.  It streams the sample a
+chunk at a time through both measures' scorers and keeps only each
+measure's best row, so its memory does not grow with the number of samples.
 Every function here reads M in Fortran order, as ``lcp.to_lcp`` builds
 it, and copies any other layout: products with a C-ordered copy of M take
 other BLAS kernels, which round apart in the last bits.
@@ -89,6 +90,11 @@ SAMPLE_CHUNK_ENTRIES = 1 << 14
 # 29.7-30.4 at 3 (perfbench, three alternating runs each on a 2-core VM);
 # sweep_hard's confirm 15-16 moves and ran at the same speed at either gate.
 SPECULATE_AFTER = 3
+# theta's climb ends above this step scale and _equalize finishes it.  Against
+# the full climb, on certify_random's and sweep_hard's inputs at seeds 1-10, 19:
+# 2^-12 ran 2.2x faster, worst +6.7e-3 relative; 2^-15 1.8x, +6.7e-4; 2^-20 1.5x, +1e-5
+THETA_SCALE_FLOOR = 2.0**-15
+EQUALIZE_STEPS = 50  # Newton steps, and halvings of each
 
 
 class KappaUndefined(ArithmeticError):
@@ -379,14 +385,15 @@ def _confirmed(hits, ends):
     return 1 + int(np.searchsorted(ends, d)), d
 
 
-def _climb(m_mat, x0, batch_fn, better):
+def _climb(m_mat, x0, batch_fn, better, floor=0.0):
     """Coordinate hill climbing with incremental M x updates.
 
     Each of ``HILL_CLIMB_ROUNDS`` rounds tries +scale, then -scale, on each
     coordinate in order, taking the first improving move; rounds without
-    any improvement halve the scale.  One ``batch_fn`` call scores every
-    move left in the round from the current x, and the climb jumps to the
-    first that improves.
+    any improvement halve the scale, and the climb ends before a round
+    whose scale would be below ``floor``: no call scores such a round.  One
+    ``batch_fn`` call scores every move left in the round from x, and the
+    climb jumps to the first that improves.
 
     A round without a move leaves x and y as they were, so a round's first
     call also scores the next rounds, at scales halved once per round: a
@@ -470,10 +477,11 @@ def _climb(m_mat, x0, batch_fn, better):
     pos = 0  # the next move to try; 0 starts a window of rounds
     guess = slot_moves[:0]  # the moves after pos predicted to improve, in order
     streak = 0  # calls in a row that took their predicted move
-    while rounds_left:
+    while rounds_left and scale >= floor:
         if pos == 0:  # a round starts: its steps, measured at x
             table = (scale * move_signs) * np.repeat(np.maximum(1.0, np.abs(x)), 2)
-        rounds = min(window, rounds_left, max_window) if pos == 0 else 1
+            above = int(math.log2(scale / floor)) + 1 if floor else rounds_left
+        rounds = min(window, rounds_left, max_window, above) if pos == 0 else 1
         n_a = rounds * (n_moves - pos)  # rows from x; the chain's rows follow
         rows = slice(pos, pos + n_a)  # the moves left from x, in each round of the window
         chain, stop = guess[:0], n_moves
@@ -571,7 +579,7 @@ def _climb(m_mat, x0, batch_fn, better):
     return best, x
 
 
-def _estimate(m_mat, starts, batch_fn, better):
+def _estimate(m_mat, starts, batch_fn, better, floor=0.0):
     """The first of ``starts`` that scores best under ``batch_fn``, after a
     climb from it.  The starts are scored as one batch whose y rows are
     ``m_mat @ s`` one at a time, as :func:`kappa_at` and :func:`theta_at`
@@ -591,7 +599,44 @@ def _estimate(m_mat, starts, batch_fn, better):
     k = int(np.argmax(sign * vals))
     if sign * vals[k] == np.inf:
         return x_rows[k]
-    return _climb(m_mat, x_rows[k], batch_fn, better)[1]
+    return _climb(m_mat, x_rows[k], batch_fn, better, floor)[1]
+
+
+def _equalize(m_mat, x):
+    """(theta_at, direction) of the least-scoring unit direction among x and
+    the iterates of damped Newton on x o (Mx) = 1 from x, scaled to a largest
+    product of 1.  Each step solves diag(Mx) + diag(x) M ungated and halves
+    until the residual falls; a singular Jacobian, or a step that no halving
+    lets fall (a non-finite one), ends it."""
+    best, best_val = x, theta_at(m_mat, x)
+    if not 0.0 < best_val < np.inf:
+        return best_val, best
+    with np.errstate(all="ignore"):  # the residual's fall checks finiteness
+        x = x / math.sqrt(best_val)
+        y = m_mat @ x
+        res = x * y - 1.0
+        for _ in range(EQUALIZE_STEPS):
+            if res @ res <= 1e-24:  # equalized to about 1e-12
+                break
+            try:
+                step = np.linalg.solve(np.diag(y) + x[:, None] * m_mat, -res)
+            except np.linalg.LinAlgError:
+                break
+            for _ in range(EQUALIZE_STEPS):
+                x_t = x + step
+                y_t = m_mat @ x_t
+                res_t = x_t * y_t - 1.0
+                if res_t @ res_t < res @ res:
+                    break
+                step *= 0.5
+            else:
+                break
+            x, y, res = x_t, y_t, res_t
+            u = x / np.linalg.norm(x)
+            val = theta_at(m_mat, u)
+            if val < best_val:
+                best, best_val = u, val
+    return best_val, best
 
 
 def estimate_kappa(m_mat, starts=()):
@@ -611,16 +656,16 @@ def estimate_kappa(m_mat, starts=()):
 
 def estimate_theta(m_mat, starts=()):
     """Upper estimate of theta(M): the best of theta_at over the uniform
-    direction and the directions ``starts``, then hill climbing from it.
+    direction and the directions ``starts``, then hill climbing from it
+    down to step scale THETA_SCALE_FLOOR, then :func:`_equalize`.
 
     Returns (value, direction); the direction is unit 2-norm and the value
-    is ``theta_at``'s of it.
+    is ``theta_at``'s of it, never above that of the climb's end.
     """
     m_mat = np.asfortranarray(m_mat, dtype=np.float64)
     uniform = np.full(m_mat.shape[0], 1.0 / math.sqrt(m_mat.shape[0]))
-    x = _estimate(m_mat, [uniform, *starts], _theta_batch, "min")
-    x = x / np.linalg.norm(x)
-    return theta_at(m_mat, x), x
+    x = _estimate(m_mat, [uniform, *starts], _theta_batch, "min", THETA_SCALE_FLOOR)
+    return _equalize(m_mat, x / np.linalg.norm(x))
 
 
 # ---------------------------------------------------------------------------

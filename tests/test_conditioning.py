@@ -216,7 +216,7 @@ def _theta_objective(x, y):
     return float(np.max(x * y)) / nrm2
 
 
-def _scalar_climb(m_mat, x0, batch_fn, better, rounds=cond.HILL_CLIMB_ROUNDS):
+def _scalar_climb(m_mat, x0, batch_fn, better, floor=0.0):
     objective = _kappa_objective if batch_fn is cond._kappa_batch else _theta_objective
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
@@ -224,7 +224,9 @@ def _scalar_climb(m_mat, x0, batch_fn, better, rounds=cond.HILL_CLIMB_ROUNDS):
     n = x.shape[0]
     scale = 1.0
     sign = 1.0 if better == "max" else -1.0
-    for _ in range(rounds):
+    for _ in range(cond.HILL_CLIMB_ROUNDS):
+        if scale < floor:
+            break
         improved = False
         for j in range(n):
             step = scale * max(1.0, abs(x[j]))
@@ -288,8 +290,9 @@ def test_estimate_theta_zero_move_is_not_a_direction():
 # call and must return the same x and value bit for bit.
 
 
-def _round_by_round_climb(m_mat, x0, batch_fn, better, path=None):
-    """``path``, if given, receives (x, round) after each move taken."""
+def _round_by_round_climb(m_mat, x0, batch_fn, better, path=None, floor=0.0):
+    """``path``, if given, receives (x, round) after each move taken.  The
+    climb ends before the first round whose scale is below ``floor``."""
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
     m_cols = np.ascontiguousarray(m_mat.T)
@@ -300,6 +303,8 @@ def _round_by_round_climb(m_mat, x0, batch_fn, better, path=None):
     scale = 1.0
     sign = 1.0 if better == "max" else -1.0
     for r in range(cond.HILL_CLIMB_ROUNDS):
+        if scale < floor:
+            break
         pos = 0  # the next move to try
         while pos < len(move_coords):
             coords = move_coords[pos:]
@@ -329,13 +334,13 @@ def _certify_witnesses(lcp):
 
 
 def _climb_starts(monkeypatch, m_mat, witnesses, samples=500, seed=5):
-    """(x0, batch_fn, better) of every climb the two estimators run."""
+    """(x0, batch_fn, better, floor) of every climb the two estimators run."""
     starts = []
     real = cond._climb
 
-    def spy(m, x0, batch_fn, better):
-        starts.append((np.array(x0, dtype=np.float64), batch_fn, better))
-        return real(m, x0, batch_fn, better)
+    def spy(m, x0, batch_fn, better, floor=0.0):
+        starts.append((np.array(x0, dtype=np.float64), batch_fn, better, floor))
+        return real(m, x0, batch_fn, better, floor)
 
     kappa_starts, theta_starts = _starts(m_mat, witnesses, samples, seed)
     with monkeypatch.context() as mp:
@@ -385,11 +390,13 @@ def test_windowed_climb_is_bit_identical_to_round_by_round(monkeypatch, case):
     n = m_mat.shape[0]
     max_window = max(1, cond.CLIMB_WINDOW_ENTRIES // (2 * n * n))
     rows = []
-    for x0, batch_fn, better in _climb_starts(monkeypatch, m_mat, witnesses):
-        got_val, got_x = cond._climb(m_mat, x0, _counted(batch_fn, rows), better)
-        want_val, want_x = _round_by_round_climb(m_mat, x0, batch_fn, better)
-        assert np.array_equal(got_x, want_x)
-        assert got_val == want_val
+    for x0, batch_fn, better, _ in _climb_starts(monkeypatch, m_mat, witnesses):
+        # every climb both with and without theta's floor
+        for floor in (0.0, cond.THETA_SCALE_FLOOR):
+            got_val, got_x = cond._climb(m_mat, x0, _counted(batch_fn, rows), better, floor)
+            want_val, want_x = _round_by_round_climb(m_mat, x0, batch_fn, better, floor=floor)
+            assert np.array_equal(got_x, want_x)
+            assert got_val == want_val
     assert max(rows) <= max_window * 2 * n
     if n == 64:  # the entry cap bites: windows stop at 4 rounds of 128 moves
         assert max_window == 4 and max(rows) == 4 * 128
@@ -404,35 +411,63 @@ def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
     witnesses = _certify_witnesses(lcp)
     assert estimate_kappa(lcp.m, _starts(lcp.m, witnesses, 10_000, 0)[0])[0] == 0.0
     starts = _climb_starts(monkeypatch, lcp.m, witnesses, samples=10_000, seed=0)
-    x0, batch_fn, better = starts[0]
+    x0, batch_fn, better, floor = starts[0]
     assert batch_fn is cond._kappa_batch and x0.tolist() == [1.0] + [0.0] * 23
+    assert floor == 0.0  # kappa's climb has no floor
     rows = []
-    got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better)
+    got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better, floor)
     want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better)
     assert got_val == want_val == 0.0 and np.array_equal(got_x, want_x)
     # one call scores the start, then one per window of 48-move rounds
     assert rows == [1] + [48 * w for w in (1, 2, 4, 8, 16, 28, 28, 13)]
 
 
+def test_window_stops_at_the_floor_before_a_later_hit():
+    # from x = 0 only a step below 3 * 2^-20 improves, so the round-by-round
+    # climb's first move is in round 19, at scale 2^-19.  Hit-less windows of
+    # 1, 2, 4 and 8 rounds reach round 15, whose window of 16 would find that
+    # hit in its fifth round; at the floor 2^-15 the window is cut to round
+    # 15 alone, and the climb ends where it started
+    target = 1.5 * 2.0**-20
+
+    def closeness(x_rows, y_rows):
+        return -np.abs(x_rows[:, 0] - target)
+
+    m_mat = np.ones((1, 1))
+    for floor, window_rows in ((0.0, 32), (cond.THETA_SCALE_FLOOR, 2)):
+        rows, path = [], []
+        got_val, got_x = cond._climb(m_mat, [0.0], _counted(closeness, rows), "max", floor)
+        want = _round_by_round_climb(m_mat, [0.0], closeness, "max", path, floor)
+        assert got_val == want[0] and np.array_equal(got_x, want[1])
+        assert rows[:6] == [1, 2, 4, 8, 16, window_rows]
+    assert not path and got_x.tolist() == [0.0]
+    assert len(rows) == 6  # nothing is scored past the floor
+    _round_by_round_climb(m_mat, [0.0], closeness, "max", path)
+    assert path[0][0].tolist() == [2.0**-19] and path[0][1] == 19
+
+
 def test_hard_theta_climb_scores_its_chains_in_few_calls(monkeypatch):
     # on the n = 64 hard game nearly every move the theta climb takes was
-    # flagged by the call before; scoring each predicted chain in one call
-    # takes the climb from 1,361 calls (one per move taken) to 149, and
-    # carrying the streak across round ends, with each closing scan also
-    # opening the next round, to 86
+    # flagged by the call before.  Scoring each predicted chain in one call,
+    # and carrying the streak across round ends, with each closing scan also
+    # opening the next round, takes the climb's 1,302 moves in 86 calls
+    # without a floor; at theta's floor it takes 248 moves in 20 calls, and
+    # one window of 4 rounds is cut to the 3 rounds above the floor
     game = hard_instance(64, 0.9, a_mode="kappa")
     lcp = to_lcp(game)
     starts = _climb_starts(monkeypatch, lcp.m, _certify_witnesses(lcp))
-    x0, batch_fn, better = starts[1]
-    assert batch_fn is cond._theta_batch
-    rows = []
-    got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better)
-    want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better)
-    assert got_val == want_val and np.array_equal(got_x, want_x)
-    assert len(rows) == 86 and max(rows) <= 4 * 128
+    x0, batch_fn, better, floor = starts[1]
+    assert batch_fn is cond._theta_batch and floor == cond.THETA_SCALE_FLOOR
+    for floor, moves, calls in ((0.0, 1302, 86), (floor, 248, 20)):
+        rows, path = [], []
+        got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better, floor)
+        want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better, path, floor)
+        assert got_val == want_val and np.array_equal(got_x, want_x)
+        assert len(path) == moves and len(rows) == calls and max(rows) <= 4 * 128
+    assert 3 * 128 in rows
 
 
-def _climb_branches(monkeypatch, m_mat, x0, batch_fn, better):
+def _climb_branches(monkeypatch, m_mat, x0, batch_fn, better, floor=0.0):
     """Run ``_climb`` and name the branches of its speculative calls taken:
     "first" (the chain breaks at its first move), "unpredicted" (a hit the
     chain did not predict), "miss-odd" (a predicted move that does not
@@ -464,9 +499,9 @@ def _climb_branches(monkeypatch, m_mat, x0, batch_fn, better):
     with monkeypatch.context() as mp:
         mp.setattr(cond, "_chain", chain_spy)
         mp.setattr(cond, "_confirmed", confirmed_spy)
-        val, x = cond._climb(m_mat, x0, scoring, better)
+        val, x = cond._climb(m_mat, x0, scoring, better, floor)
     path = []
-    _round_by_round_climb(m_mat, x0, batch_fn, better, path)
+    _round_by_round_climb(m_mat, x0, batch_fn, better, path, floor)
     n_moves = 2 * m_mat.shape[0]
     branches = set()
     calls, speculated = 0, False  # calls so far in the round, and if one speculated
@@ -529,12 +564,17 @@ def test_speculative_climb_takes_every_chain_branch_bit_identically(monkeypatch)
     seen = set()
     for m_mat, x0 in _chain_branch_cases():
         for batch_fn, better in ((cond._kappa_batch, "max"), (cond._theta_batch, "min")):
-            got_val, got_x, branches = _climb_branches(monkeypatch, m_mat, x0, batch_fn, better)
-            want_val, want_x = _round_by_round_climb(m_mat, x0, batch_fn, better)
-            assert got_val == want_val
-            assert np.array_equal(got_x, want_x)
-            assert np.array_equal(np.signbit(got_x), np.signbit(want_x))
-            seen |= branches
+            for floor in (0.0, cond.THETA_SCALE_FLOOR):
+                got_val, got_x, branches = _climb_branches(
+                    monkeypatch, m_mat, x0, batch_fn, better, floor
+                )
+                want_val, want_x = _round_by_round_climb(
+                    m_mat, x0, batch_fn, better, floor=floor
+                )
+                assert got_val == want_val
+                assert np.array_equal(got_x, want_x)
+                assert np.array_equal(np.signbit(got_x), np.signbit(want_x))
+                seen |= branches
     assert seen == {
         "first", "unpredicted", "miss-odd", "last", "cut", "carried", "wrap-hit", "wrap-skip"
     }
@@ -707,11 +747,10 @@ def _estimate_theta_apart(m_mat, starts=()):
         val = theta_at(m_mat, x)
         if best_x is None or val < best_val:
             best_val, best_x = val, x.copy()
-    val, x = cond._climb(m_mat, best_x, cond._theta_batch, "min")
+    val, x = cond._climb(m_mat, best_x, cond._theta_batch, "min", cond.THETA_SCALE_FLOOR)
     if val < best_val:
         best_x = x
-    best_x = best_x / np.linalg.norm(best_x)
-    return theta_at(m_mat, best_x), best_x
+    return cond._equalize(m_mat, best_x / np.linalg.norm(best_x))
 
 
 def _assert_estimators_match_apart(m_mat, witnesses, samples, seed):
@@ -752,6 +791,103 @@ def test_estimator_driver_scores_witnesses_exactly(n, gamma, seed):
     kappa_starts, theta_starts = _starts(lcp.m, witnesses, 2000, seed)
     assert report.kappa_est == _estimate_kappa_apart(lcp.m, kappa_starts)[0]
     assert report.theta_est == _estimate_theta_apart(lcp.m, theta_starts)[0]
+
+
+# theta's climb stops at THETA_SCALE_FLOOR and a Newton equalization
+# (``_equalize``) finishes it; kappa's climb has no floor.
+
+
+def _floor_corpus():
+    for n in (8, 12, 16, 24):
+        for gamma in (0.9, 0.99):
+            for seed in (1, 2, 3):
+                yield to_lcp(random_game(n, gamma, 3500 + 10 * n + seed))
+
+
+def _full_climb_theta(m_mat, starts):
+    """theta_at of the full HILL_CLIMB_ROUNDS climb, with no floor and no
+    finish, from the first best of the uniform direction and ``starts``."""
+    n = m_mat.shape[0]
+    starts = [np.full(n, 1.0 / math.sqrt(n)), *starts]
+    x0 = starts[int(np.argmin([theta_at(m_mat, s) for s in starts]))]
+    _, x = cond._climb(m_mat, x0, cond._theta_batch, "min")
+    return theta_at(m_mat, x / np.linalg.norm(x))
+
+
+def test_theta_finish_beats_the_full_climb_on_most_games():
+    # the finish is lower on all 24 games, down to 0.14 times the climb's
+    lower = 0
+    for lcp in _floor_corpus():
+        theta_starts = _starts(lcp.m, _certify_witnesses(lcp), 2000, 0)[1]
+        val, _ = estimate_theta(lcp.m, theta_starts)
+        full = _full_climb_theta(lcp.m, theta_starts)
+        assert val <= full * (1.0 + 1e-3)
+        lower += val < full
+    assert lower >= 0.8 * 24
+
+
+def test_equalize_never_scores_above_its_start():
+    rng = np.random.default_rng(35)
+    cases = [lcp.m for lcp in _floor_corpus()]
+    cases += [hard_lcp(n, 0.9, a_mode).m for n in (8, 32) for a_mode in ("kappa", "eigenvalue")]
+    for m_mat in cases:
+        n = m_mat.shape[0]
+        for x in [np.full(n, 1.0 / math.sqrt(n)), *rng.standard_normal((3, n))]:
+            x = x / np.linalg.norm(x)
+            val, got = cond._equalize(m_mat, x)
+            assert val == theta_at(m_mat, got) <= theta_at(m_mat, x)
+            assert np.linalg.norm(got) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_kappa_climbs_have_no_floor(monkeypatch):
+    for lcp in list(_floor_corpus())[::4]:
+        witnesses = _certify_witnesses(lcp)
+        floors = {
+            batch_fn: floor for _, batch_fn, _, floor in _climb_starts(monkeypatch, lcp.m, witnesses)
+        }
+        assert floors == {cond._kappa_batch: 0.0, cond._theta_batch: cond.THETA_SCALE_FLOOR}
+        # the same value and direction as a kappa climb with no floor
+        kappa_starts = _starts(lcp.m, witnesses, 500, 5)[0]
+        got_val, got_x = estimate_kappa(lcp.m, kappa_starts)
+        want_val, want_x = _estimate_kappa_apart(lcp.m, kappa_starts)
+        assert got_val == want_val and np.array_equal(got_x, want_x)
+
+
+def _quiet_equalize(m_mat, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cond._equalize(np.asfortranarray(m_mat, dtype=np.float64), np.array(x))[1]
+
+
+def test_equalize_stops_quietly_at_the_edges(monkeypatch):
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counted_solve(a, b):
+        solves.append(a.shape[0])
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    # M = I from e_0: J = 2 diag(e_0) is singular, and the first solve refuses it
+    e_0 = np.eye(4)[0]
+    assert np.array_equal(_quiet_equalize(np.eye(4), e_0), e_0)
+    assert solves == [4]
+    # a subnormal entry: J = 2 diag(x), and the step 1 / 2e-310 overflows;
+    # no halving of an infinite step lets the residual fall
+    x = np.array([1.0, 1e-310])
+    assert np.array_equal(_quiet_equalize(np.eye(2), x), x)
+    assert solves == [4, 2]
+    # 1x1: the start is equalized already, and a negative M has no positive
+    # product to scale by
+    assert _quiet_equalize([[2.0]], [1.0]).tolist() == [1.0]
+    assert _quiet_equalize([[-1.0]], [1.0]).tolist() == [1.0]
+    assert solves == [4, 2]
+    # 2x2 with a skew part: the equalized direction puts both products equal
+    m_mat = np.array([[1.0, 3.0], [-1.0, 2.0]])
+    got = _quiet_equalize(m_mat, [1.0, 0.0])
+    prods = got * (m_mat @ got)
+    assert prods[0] == pytest.approx(prods[1], rel=1e-12)
+    assert theta_at(m_mat, got) < theta_at(m_mat, [1.0, 0.0])
 
 
 def _kappa_batch_by_where(x_rows, y_rows):

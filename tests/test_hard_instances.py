@@ -272,8 +272,10 @@ def test_gaussian_directions_never_beat_the_exact_measures(n, gamma):
 
 @pytest.mark.parametrize("mode", ["kappa", "eigenvalue", "theta"])
 def test_certify_never_crosses_the_exact_measures(mode):
-    for n in (8, 16, 32):
-        for gamma in (0.5, 0.9, 0.99):
+    # every cell of the bench sweep: no estimate, theta's Newton finish
+    # included, may cross an exact measure
+    for n in (8, 12, 16, 24, 32, 48, 64):
+        for gamma in (0.5, 0.8, 0.9, 0.95, 0.99):
             exact = exact_conditioning(n, gamma)
             report = certify(
                 to_lcp(hard_instance(n, gamma, a_mode=mode)),
@@ -282,6 +284,8 @@ def test_certify_never_crosses_the_exact_measures(mode):
             )
             assert report.kappa_est <= exact.kappa * (1.0 + ROUNDING_MARGIN)
             assert report.theta_est >= exact.theta * (1.0 - ROUNDING_MARGIN)
+            if mode == "theta":
+                assert report.theta_est <= predicted_theta_ub(n, gamma)
 
 
 # -- the cost knob ------------------------------------------------------------
