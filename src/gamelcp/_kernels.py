@@ -6,7 +6,8 @@ dominant, so their condition number has a closed-form bound:
 :func:`solve_discounted` checks it and makes one plain solve.  General
 matrices (Lemke's terminal basis, the minor scan's low minors) have no such
 bound, so :func:`solve` measures theirs from the inverse it forms.  The
-interior-point and theta-equalization Newton systems are ungated.
+Newton systems of the interior-point method and of theta's equalization
+share one ungated solve, :func:`_newton`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,21 @@ def _gamma(k):
     """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
     ku = k * UNIT_ROUNDOFF
     return ku / (1.0 - ku)
+
+
+def _newton(z, m_mat, w, rhs):
+    """Solve (diag(z) M + diag(w)) d = rhs with no condition gate.  Raises
+    :class:`SingularMatrixError` when LAPACK meets an exactly singular pivot
+    or d is not finite."""
+    a = z[:, None] * m_mat
+    a.flat[:: a.shape[0] + 1] += w
+    try:
+        d = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    if not np.isfinite(d).all():
+        raise SingularMatrixError("non-finite Newton direction")
+    return d
 
 
 def solve(a, b):

@@ -114,13 +114,17 @@ def run_bench(
     solve fails is kept with NaN measurements so partial sweeps still flush;
     a bad n, gamma or a_mode is refused."""
     # refused up front, before any row flushes: certify never sees them when
-    # cell 0's reduction fails, and later cells' seed + idx may be >= 0
+    # cell 0's reduction fails, later cells' seed + idx may be >= 0, and a
+    # bad later cell would leave the earlier rows written
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    cells = list(itertools.product(ns, gammas))
+    for n, gamma in cells:
+        hard_cost(n, gamma, a_mode)
     rows = []
-    for idx, (n, gamma) in enumerate(itertools.product(ns, gammas)):
+    for idx, (n, gamma) in enumerate(cells):
         rows.append(_bench_cell(n, gamma, a_mode, seed + idx, samples, ipm_epsilon))
         if on_row is not None:
             on_row(rows[-1])

@@ -23,7 +23,8 @@ row diagonally dominant B_s = I - gamma P_sigma, B_t = I - gamma P_tau it
 keeps (:func:`structural_certificate`), and estimates kappa and theta with
 :func:`estimate_kappa` and :func:`estimate_theta`: each scores its built-in
 start and the starts it is given, c_tau, S c_tau and the best direction of
-one gaussian sample, then climbs from the best of them by coordinate moves;
+one gaussian sample, then climbs from the best of them by coordinate moves,
+scoring the moves it predicts to try next in one call (:func:`_climb`);
 theta's climb stops at step scale THETA_SCALE_FLOOR and a Newton
 equalization, :func:`_equalize`, finishes it.  It streams the sample a
 chunk at a time through both measures' scorers and keeps only each
@@ -46,7 +47,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._csv import write_csv
-from ._kernels import SingularMatrixError, _gamma, solve
+from ._kernels import SingularMatrixError, _gamma, _newton, solve
 from .game import check_gamma
 
 __all__ = [
@@ -81,14 +82,12 @@ CLIMB_WINDOW_ENTRIES = 1 << 15  # direction entries per climb call over hit-less
 # and 16.7-17.9 at 2^17, against 14.1-15.6 with the whole sample at once
 # (perfbench seed 19, three runs each on a 2-core VM).
 SAMPLE_CHUNK_ENTRIES = 1 << 14
-# a climb call scores its predicted chain of moves after this many calls in a
-# row took their predicted move (the count carries across round ends), and
-# keeps doing so while each call confirms this many.  On a seed-19 pass at 2,
-# certify_random's climbs make 3,387 speculative calls that confirm 0.88
-# moves each (1,658 and 0.95 at 3) and 2% fewer calls in all, yet it ran at
-# 51.5-54.6 ops/s, op_ms_p90 30.3-32.4 ref_ms, against 56.5-57.7 and
-# 29.7-30.4 at 3 (perfbench, three alternating runs each on a 2-core VM);
-# sweep_hard's confirm 15-16 moves and ran at the same speed at either gate.
+# a climb call predicts exactly its flagged moves, each row scored from x
+# after the flagged moves before it, once this many calls in a row took the
+# first flagged move; the count carries across round ends.  Against 3, on the
+# recorded climbs of a seed-19 perfbench pass (2-core VM): at 0, certify_random's
+# make 7% fewer calls in 26% more CPU time, sweep_hard's 14% fewer in 2% less;
+# at 2, +4% and -2% CPU time.
 SPECULATE_AFTER = 3
 # theta's climb ends above this step scale and _equalize finishes it.  Against
 # the full climb, on certify_random's and sweep_hard's inputs at seeds 1-10, 19:
@@ -361,103 +360,46 @@ def _sample_bests(m_mat, samples, seed):
     return tuple(rows for _, rows in bests)
 
 
-def _chain(guess, stop):
-    """The predicted moves before ``stop`` that a speculative call scores:
-    ``guess`` cut before a -step that would follow its own +step, so that
-    no base moves a coordinate twice."""
-    cut = (guess[1:] == guess[:-1] + 1) & (guess[:-1] % 2 == 0)
-    chain = guess[: int(cut.argmax()) + 1] if cut.any() else guess
-    return chain[chain < stop]
-
-
-def _confirmed(hits, ends):
-    """(k, d) for a speculative call whose first chain move held: ``hits``
-    flags the rows after it, each against its own base, and ``ends`` are the
-    rows of the later chain moves.  d is the first row whose flag disagrees
-    with being a chain end (None when every row agrees), and k counts the
-    chain moves before it, the first move included."""
-    expect = np.zeros(hits.size, dtype=bool)
-    expect[ends] = True
-    wrong = np.flatnonzero(hits != expect)
-    if not wrong.size:
-        return ends.size + 1, None
-    d = int(wrong[0])
-    return 1 + int(np.searchsorted(ends, d)), d
-
-
 def _climb(m_mat, x0, batch_fn, better, floor=0.0):
     """Coordinate hill climbing with incremental M x updates.
 
     Each of ``HILL_CLIMB_ROUNDS`` rounds tries +scale, then -scale, on each
-    coordinate in order, taking the first improving move; rounds without
-    any improvement halve the scale, and the climb ends before a round
-    whose scale would be below ``floor``: no call scores such a round.  One
-    ``batch_fn`` call scores every move left in the round from x, and the
-    climb jumps to the first that improves.
+    coordinate in order and takes every move that improves; a round without
+    a move halves the scale, and the climb ends before a round whose scale
+    would be below ``floor``.  A round reads its steps, +-scale max(1, |x_j|),
+    from one table measured at its start.
 
-    A round without a move leaves x and y as they were, so a round's first
-    call also scores the next rounds, at scales halved once per round: a
-    window of rounds from the same x, whose first hit in (round, move)
-    order is the move the round-by-round climb takes.  The window is one
-    round, doubles after each call without a hit and falls back to one
-    after a hit.
-
-    A call that takes move h also flags the later moves of its round that
-    improve on the same x: the predicted chain j_1 < j_2 < ... of the moves
-    that the next calls take.  Once SPECULATE_AFTER calls in a row have
-    taken their predicted move, a call also scores, from each base_k (x
-    after j_1..j_k), the moves after j_k up to j_{k+1} or the round's end,
-    each against base_k's value, and keeps the longest prefix that checks
-    out (:func:`_confirmed`): j_1 must be the first hit from x, and every
-    later row must hit exactly where it is a chain end.  At the first row
-    that disagrees, the climb takes it if it is an unpredicted hit, or else
-    stays at base_k and moves past that chain end.  A wrong j_1 leaves the
-    rows from x to decide the call, so a wrong guess costs no extra call.
-    base_k's y is a left fold of the steps (``np.cumsum``), the same
-    rounding as one move per call, and the chain is cut before a -step that
-    would follow its own +step (:func:`_chain`).  The climb keeps
-    speculating while each such call confirms SPECULATE_AFTER moves.  The
-    streak carries across round ends: a call with no prediction (a round's
-    opening call) leaves it as it is, and as every speculative call is
-    checked, a stale streak costs at most one larger call.
-
-    A round's closing scan, a call after a move (pos > 0) that predicts no
-    hit, also scores the next round's moves 0..pos from the same x, when
-    that round is among the rounds left and its rows fit the cap.  The
-    round took a move, so if the scan finds none the next round starts from
-    the same x at the same scale, and its moves after pos are the scan's own
-    rows; the extra rows take the next round's steps, measured at x.  The
-    first hit among the extra rows is the next round's first move; with
-    none, the next round takes no move either, and the two rounds end as a
-    window of one hit-less round would.
-
-    No call passes the rounds left or CLIMB_WINDOW_ENTRIES direction
-    entries (4 rounds at n = 64); the chain's rows count against the cap.
-
-    Every call builds its rows one way.  Its bases are x, then base_1..base_k
-    in a speculative call, and counts[b] consecutive rows start from base b.
-    The x rows are the bases repeated by counts, with each row's moved entry
-    set by one flat scatter; the y rows are each step times its column of M,
-    plus the base's y (a broadcast when x is the only base).  Each step
-    comes from the round's table, +-scale max(1, |x_j|) per move measured
-    at the round's start and halved once per later round of a window: in
-    a round coordinate j moves only at moves 2j and 2j + 1, as in the
-    round-by-round climb, so the -step after a taken +step is -(that step).
-
-    Every call writes its rows into one workspace of max_rows x and y rows
-    that the climb allocates once, and the climb copies out the row it
-    takes.  Rows allocated per call (about 256 KB each at n >= 48) made the
-    climb's speed hang on glibc: its trim threshold follows the largest
-    block freed so far, once the whole gaussian sample, and below it the
-    heap holding the rows was trimmed and faulted in again on every call.
+    Each ``batch_fn`` call scores one slice of the slot table, the moves that
+    a call per move would try next, with a prediction of which improve:
+    * at a round's start, none in a window of rounds from x at scales halved
+      once per round.  The window doubles after rounds without a move, is one
+      round after a move, and stops at the rounds left, the floor and the cap
+      of CLIMB_WINDOW_ENTRIES direction entries per call;
+    * after a move with none flagged, none in the rest of the round, nor in
+      the next round's moves 0..pos (its later moves are this call's rows)
+      when that round is left and fits the cap;
+    * once SPECULATE_AFTER calls in a row, counted across round ends, took
+      the first flagged move: exactly the flagged moves, the row of move m
+      scored from its base, x after the flagged moves before m;
+    * otherwise, none in the rest of the round.
+    The rows before the first one off the prediction are applied as
+    predicted.  That row, if it improves, is taken: the rounds scored before
+    its own end (a window's each halve the scale), the table is measured
+    again at x, and the later moves of its round that improve on the same
+    base are flagged.  A flagged row that does not improve leaves x at its
+    base; with no such row, x goes to the last base and every round scored
+    ends.  A base's y is a cumulative sum of step times column, and its x
+    one of one-hot steps with -0.0 elsewhere, which keeps every other
+    entry's bits: the roundings of one move per call.  Every call writes its
+    rows into one workspace per climb: rows allocated per call made glibc
+    trim the heap and fault it in again on every call.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
     best = batch_fn(x[None, :], y[None, :])[0]
     n = x.shape[0]
     # move p is +step (p even) or -step (p odd) on coordinate p // 2; slot
-    # r * n_moves + p is move p of the r-th round from now, its scale halved
-    # r times
+    # r * n_moves + p is move p of the r-th round from now
     n_moves = 2 * n
     max_window = max(1, CLIMB_WINDOW_ENTRIES // (n_moves * n))
     max_rows = max_window * n_moves
@@ -466,113 +408,86 @@ def _climb(m_mat, x0, batch_fn, better, floor=0.0):
     slot_cols = m_mat.T[slot_coords]  # the column of M that the slot's move scales
     slot_halvings = np.repeat(0.5 ** np.arange(max_window), n_moves)
     move_signs = np.tile((1.0, -1.0), n)
-    slots = np.arange(max_rows)
-    row_starts = slots * n  # where row i of a call's x rows starts, flattened
-    lower = np.tri(n_moves, dtype=bool)
+    row_starts = np.arange(max_rows) * n  # where row i of a call's x rows starts, flattened
     workspace = np.empty((2, max_rows, n))  # each call's x rows and y rows
     improves = np.greater if better == "max" else np.less
-    scale = 1.0
-    window = 1
-    rounds_left = HILL_CLIMB_ROUNDS
+
+    def measured(scale):  # a round's steps from x
+        return (scale * move_signs) * np.repeat(np.maximum(1.0, np.abs(x)), 2)
+
+    scale, window, rounds_left = 1.0, 1, HILL_CLIMB_ROUNDS
     pos = 0  # the next move to try; 0 starts a window of rounds
-    guess = slot_moves[:0]  # the moves after pos predicted to improve, in order
-    streak = 0  # calls in a row that took their predicted move
+    guess = slot_moves[:0]  # the moves after pos flagged to improve, in order
+    streak = 0  # calls in a row that took the first flagged move
     while rounds_left and scale >= floor:
-        if pos == 0:  # a round starts: its steps, measured at x
-            table = (scale * move_signs) * np.repeat(np.maximum(1.0, np.abs(x)), 2)
+        speculate = streak >= SPECULATE_AFTER and guess.size
+        if pos == 0:
+            table = measured(scale)
             above = int(math.log2(scale / floor)) + 1 if floor else rounds_left
-        rounds = min(window, rounds_left, max_window, above) if pos == 0 else 1
-        n_a = rounds * (n_moves - pos)  # rows from x; the chain's rows follow
-        rows = slice(pos, pos + n_a)  # the moves left from x, in each round of the window
-        chain, stop = guess[:0], n_moves
-        if streak >= SPECULATE_AFTER and guess.size and n_a < max_rows:
-            stop = min(n_moves, int(guess[0]) + 1 + max_rows - n_a)
-            chain = _chain(guess, stop)
-            # then the moves after chain[0]
-            rows = np.concatenate((slots[rows], slots[chain[0] + 1 : stop]))
-        # a closing scan that predicts no hit also scores the next round's
-        # moves 0..pos from the same x: its moves after pos are this call's
-        wrap = pos > 0 and not guess.size and rounds_left >= 2 and n_moves < max_rows
-        if wrap:
-            rows = np.concatenate((slots[rows], slots[: pos + 1]))
-        row_moves, row_coords = slot_moves[rows], slot_coords[rows]
+            end = min(window, rounds_left, max_window, above) * n_moves
+        elif not guess.size and rounds_left >= 2 and max_window > 1:
+            end = n_moves + pos + 1  # the closing scan wraps into the next round
+        else:
+            end = n_moves
+        rows, n_rows = slice(pos, end), end - pos
+        row_moves = slot_moves[rows]
         steps = table[row_moves]
-        if rounds > 1:  # a window's later rounds
+        if end > n_moves and pos:  # the next round's moves 0..pos
+            steps[n_moves - pos :] = measured(scale)[: pos + 1]
+        elif end > n_moves:  # a window's later rounds
             steps *= slot_halvings[rows]
-        if wrap:  # the next round's steps, measured at x
-            next_table = (scale * move_signs) * np.repeat(np.maximum(1.0, np.abs(x)), 2)
-            steps[n_a:] = next_table[: pos + 1]
-        # counts[b] consecutive rows are scored from base b
-        bases_x, bases_y, counts = x[None, :], y, steps.size
-        if chain.size:  # base k is x after the chain's first k moves
-            chain_rows = chain - chain[0] - 1 + n_a
-            chain_rows[0] = chain[0] - pos
-            chain_steps = table[chain]
-            coords = slot_coords[chain]
-            bases_x = bases_x.repeat(chain.size + 1, axis=0)
-            bases_x[1:, coords] = np.where(
-                lower[: chain.size, : chain.size], x[coords] + chain_steps, x[coords]
-            )
-            bases_y = np.cumsum(
-                np.concatenate((y[None, :], chain_steps[:, None] * slot_cols[chain])), axis=0
-            )
-            # the moves after chain[k-1] up to chain[k] (or stop) go from base k
-            ends = np.concatenate(((chain[0] - n_a,), chain, (stop - 1,)))
-            counts = ends[1:] - ends[:-1]
-        x_rows, y_rows = workspace[:, : steps.size]
-        x_rows[...] = bases_x.repeat(counts, axis=0) if chain.size else x
-        x_rows.ravel()[row_starts[: steps.size] + row_coords] += steps
+        x_rows, y_rows = workspace[:, :n_rows]
         np.multiply(steps[:, None], slot_cols[rows], out=y_rows)
-        y_rows += bases_y.repeat(counts, axis=0) if chain.size else y
+        flagged = guess - pos if speculate else guess[:0]  # the rows predicted to improve
+        if speculate:
+            counts = np.diff(np.concatenate(((0,), flagged + 1, (n_rows,))))
+            ones = np.full((flagged.size, n), -0.0)
+            ones[np.arange(flagged.size), slot_coords[guess]] = steps[flagged]
+            bases_x = np.cumsum(np.concatenate((x[None, :], ones)), axis=0)
+            bases_y = np.cumsum(np.concatenate((y[None, :], y_rows[flagged])), axis=0)
+            x_rows[...] = bases_x.repeat(counts, axis=0)
+            y_rows += bases_y.repeat(counts, axis=0)
+        else:
+            x_rows[...] = x
+            y_rows += y
+        x_rows.ravel()[row_starts[:n_rows] + slot_coords[rows]] += steps
         vals = batch_fn(x_rows, y_rows)
-        hits = improves(vals, best)  # the rows after chain[0] are rescored below
-        h = int(hits[:n_a].argmax())  # the first improving move from x, if any
-        took, base = hits[h], None
-        predicted = guess.size and h == guess[0] - pos
-        if chain.size and took and predicted:
-            bests = vals[chain_rows]
-            hits[n_a:] = improves(vals[n_a:], bests.repeat(counts[1:]))
-            k, d = _confirmed(hits[n_a:], chain_rows[1:] - n_a)
-            if d is not None and hits[n_a + d]:  # an unpredicted hit
-                h = n_a + d
-                seg_end = chain_rows[k] + 1 if k < chain.size else steps.size
-            else:  # a chain end that did not improve, or the rows ran out
-                base, next_pos = k, stop if d is None else int(row_moves[n_a + d]) + 1
+        if speculate:
+            hits = improves(vals, np.concatenate(((best,), vals[flagged])).repeat(counts))
+            off = hits.copy()
+            off[flagged] ^= True
+        else:
+            hits = off = improves(vals, best)
+        d = int(off.argmax())
+        d = d if off[d] else n_rows  # the first row off the prediction
+        k = int(np.searchsorted(flagged, d)) if speculate else 0  # the flagged rows before it
+        took = d < n_rows and hits[d]
+        if speculate:
             streak = k if k >= SPECULATE_AFTER else 0
-        else:
-            seg_end = h + n_moves - row_moves[h]  # the rest of h's round
-            if guess.size:  # a call with no prediction leaves the streak
-                streak = streak + 1 if took and predicted and not chain.size else 0
-        if not took and wrap:  # the round ends with the moves it took
-            rounds_left -= 1
-            table = next_table
-            h = n_a + int(hits[n_a:].argmax())  # the next round's first move
-            took, seg_end = hits[h], steps.size
-            if not took:  # nor does the next round: a hit-less window of one round
-                pos = 0
-        if not took:
-            if pos == 0:  # rounds without a move
-                rounds_left -= rounds
-                scale *= 0.5**rounds
-                window *= 2
-                continue
-            pos = n_moves  # the round ends with the moves it took
-        elif base is None:
-            if pos == 0:  # r rounds without a move before this one
-                r = h // n_moves
-                if r:
-                    rounds_left -= r
-                    scale *= 0.5**r
-                    table *= 0.5**r
-                window = 1
-            # the later moves that improve on the same base
-            guess = row_moves[h + 1 : seg_end][hits[h + 1 : seg_end]]
+        elif guess.size:  # a call with no move flagged leaves the streak
+            streak = streak + 1 if took and row_moves[d] == guess[0] else 0
+        # the rounds that end before row d's round, or every round scored
+        passed = (pos + d) // n_moves if d < n_rows else -(-end // n_moves)
+        hitless = max(0, passed - (pos > 0))  # a round after a move halves nothing
+        rounds_left -= passed
+        scale *= 0.5**hitless
+        if took:
+            if passed:
+                table = measured(scale)
+            window = 1
+            # the rows after d on its base, to the next flagged row or its round's end
+            e = flagged[k] + 1 if k < flagged.size else d + n_moves - row_moves[d]
+            guess = row_moves[d + 1 : e][hits[d + 1 : e]]
             # copies: the next call overwrites the workspace
-            x, y, best = x_rows[h].copy(), y_rows[h].copy(), vals[h]
-            pos = int(row_moves[h]) + 1
+            x, y, best = x_rows[d].copy(), y_rows[d].copy(), vals[d]
+            pos = int(row_moves[d]) + 1
         else:
-            x, y, best = bases_x[base], bases_y[base], bests[base - 1]
-            pos, guess = next_pos, guess[:0]
+            if k:  # the base of row d, or the last base
+                x, y, best = bases_x[k], bases_y[k], vals[flagged[k - 1]]
+            if hitless:
+                window *= 2
+            pos = pos + d + 1 if d < n_rows else 0
+            guess = guess[:0]
         if pos == n_moves:  # the round is over
             rounds_left -= 1
             pos, guess = 0, guess[:0]
@@ -605,9 +520,9 @@ def _estimate(m_mat, starts, batch_fn, better, floor=0.0):
 def _equalize(m_mat, x):
     """(theta_at, direction) of the least-scoring unit direction among x and
     the iterates of damped Newton on x o (Mx) = 1 from x, scaled to a largest
-    product of 1.  Each step solves diag(Mx) + diag(x) M ungated and halves
-    until the residual falls; a singular Jacobian, or a step that no halving
-    lets fall (a non-finite one), ends it."""
+    product of 1.  Each step solves diag(Mx) + diag(x) M ungated
+    (:func:`_newton`) and halves until the residual falls; a singular
+    Jacobian, a non-finite step or a step that no halving lets fall ends it."""
     best, best_val = x, theta_at(m_mat, x)
     if not 0.0 < best_val < np.inf:
         return best_val, best
@@ -619,8 +534,8 @@ def _equalize(m_mat, x):
             if res @ res <= 1e-24:  # equalized to about 1e-12
                 break
             try:
-                step = np.linalg.solve(np.diag(y) + x[:, None] * m_mat, -res)
-            except np.linalg.LinAlgError:
+                step = _newton(x, m_mat, y, -res)
+            except SingularMatrixError:
                 break
             for _ in range(EQUALIZE_STEPS):
                 x_t = x + step

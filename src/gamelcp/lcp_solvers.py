@@ -36,10 +36,10 @@ w then snaps to q + t*1 + M z when that keeps it positive and the gap below
 epsilon, so the returned pair solves the original LCP up to a
 q-perturbation of at most epsilon * 1e-3 per component.
 
-Newton directions come from one plain LAPACK solve with no condition gate:
-every step moves w by a product (M dz - s 1), never by a solve, so a
-poor direction costs progress (the line search or the neighborhood refuses
-it), not feasibility.  The returned pair is checked once, at exit, by
+Newton directions come from one plain LAPACK solve with no condition gate
+(``_kernels._newton``): every step moves w by a product (M dz - s 1), never
+by a solve, so a poor direction costs progress (the line search or the
+neighborhood refuses it), not feasibility.  The returned pair is checked once, at exit, by
 ``verify_solution``.
 
 The pivoting solver is plain complementary pivoting with the all-ones
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csv import write_csv
-from ._kernels import SingularMatrixError, solve
+from ._kernels import SingularMatrixError, _newton, solve
 from .lcp import verify_solution
 from .solvers import SolverFailure
 
@@ -115,19 +115,6 @@ def _max_positive_step(w, dw, z, dz):
     d = np.concatenate((dw, dz))
     neg = d < 0.0
     return float(np.min(x[neg] / -d[neg])) if neg.any() else np.inf
-
-
-def _newton(z, m_mat, w, rhs):
-    """Solve (diag(z) M + diag(w)) d = rhs; ungated (see the module docstring)."""
-    a = z[:, None] * m_mat
-    a.flat[:: a.shape[0] + 1] += w
-    try:
-        d = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    if not np.isfinite(d).all():
-        raise SingularMatrixError("non-finite Newton direction")
-    return d
 
 
 def _direction(z, m_mat, w, t, target):

@@ -910,6 +910,21 @@ def test_cli_bench_refuses_a_negative_seed(tmp_path, capsys):
         run_bench([4], [0.5], seed=-1)
 
 
+def test_cli_bench_refuses_a_bad_later_cell_before_the_first_row(tmp_path, capsys):
+    # the first cell once ran and wrote its row before a later cell was
+    # refused with exit 2, which left a partial CSV behind
+    csv_path = tmp_path / "x.csv"
+    refusals = (("8", "0.5,1.5", "discount out of range"), ("8,2", "0.5", "n >= 3"))
+    for ns, gammas, message in refusals:
+        assert main(["--output", str(csv_path), "bench", "--ns", ns, "--gammas", gammas]) == 2
+        assert message in capsys.readouterr().err
+        assert not csv_path.exists()
+    rows = []
+    with pytest.raises(ValueError, match="n >= 3"):
+        run_bench([8, 2], [0.5], on_row=rows.append)
+    assert rows == []
+
+
 def test_cli_gen_and_certify_refuse_a_negative_seed(tmp_path, capsys):
     # numpy's own refusal, "expected non-negative integer", named neither
     # the flag nor the value

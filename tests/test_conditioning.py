@@ -376,8 +376,21 @@ def _climb_identity_cases():
         for gamma in (0.5, 0.99):
             game = random_game(n, gamma, 40 + n)
             yield f"random-{n}-{gamma}", to_lcp(game).m, ()
+    # integer entries: products and moves tie exactly, and a tie is no move
+    for n in (6, 16):
+        rng = np.random.default_rng(n)
+        m_mat = np.asfortranarray(rng.integers(-4, 5, (n, n)) + n * np.eye(n))
+        yield f"integer-{n}", m_mat, [rng.integers(-3, 4, n).astype(np.float64)]
+    # a -0.0 start entry keeps its sign until a move changes it: the hard
+    # n = 6 game's M beside I_4, with certify's witnesses padded by -0.0,
+    # whose kappa climb speculates on the hard block and keeps the pad
+    lcp = to_lcp(hard_instance(6, 0.9, a_mode="kappa"))
+    m_mat = np.eye(10, order="F")
+    m_mat[:6, :6] = lcp.m
+    pad = np.full(4, -0.0)
+    yield "signed-zeros-10", m_mat, [np.concatenate((w, pad)) for w in _certify_witnesses(lcp)]
     # the certify workload's sizes and discounts, with certify's witnesses
-    for n in (10, 12):
+    for n in (10, 12, 24):
         for gamma in (0.9, 0.99):
             game = random_game(n, gamma, 1900 + n)
             lcp = to_lcp(game)
@@ -396,6 +409,7 @@ def test_windowed_climb_is_bit_identical_to_round_by_round(monkeypatch, case):
             got_val, got_x = cond._climb(m_mat, x0, _counted(batch_fn, rows), better, floor)
             want_val, want_x = _round_by_round_climb(m_mat, x0, batch_fn, better, floor=floor)
             assert np.array_equal(got_x, want_x)
+            assert np.array_equal(np.signbit(got_x), np.signbit(want_x))
             assert got_val == want_val
     assert max(rows) <= max_window * 2 * n
     if n == 64:  # the entry cap bites: windows stop at 4 rounds of 128 moves
@@ -467,82 +481,89 @@ def test_hard_theta_climb_scores_its_chains_in_few_calls(monkeypatch):
     assert 3 * 128 in rows
 
 
-def _climb_branches(monkeypatch, m_mat, x0, batch_fn, better, floor=0.0):
-    """Run ``_climb`` and name the branches of its speculative calls taken:
-    "first" (the chain breaks at its first move), "unpredicted" (a hit the
-    chain did not predict), "miss-odd" (a predicted move that does not
-    improve, leaving the climb at an odd move whose +step was not taken),
-    "last" (a chain confirmed through the round's last move) and "cut" (a
-    chain cut before a -step that would follow its own +step); and of its
-    round ends: "carried" (a round's first speculative call, too early in
-    the round for the round's own calls to have built the streak),
-    "wrap-hit" (a closing scan whose rows for the next round take its first
-    move) and "wrap-skip" (a closing scan after which the next round takes
-    no move)."""
-    events = []
-    chain_fn, confirmed_fn = cond._chain, cond._confirmed
+def _scored_from(rows, i, base, coords):
+    """Is row i + 1 scored from row i, so that row i is a flagged move,
+    rather than from row i's base?  The last row's flag leaves no trace."""
+    if i + 1 == len(rows):
+        return False
+    nxt, c = rows[i + 1], coords[i + 1]
+    if coords[i] == c:  # a -step after its +step: near x_c from row i, near x_c - step from base
+        return abs(nxt[c] - base[c]) < abs(rows[i][c] - base[c]) / 2
+    keep = np.arange(nxt.size) != c
+    return np.array_equal(nxt[keep], rows[i][keep]) and not np.array_equal(nxt[keep], base[keep])
+
+
+def _climb_branches(m_mat, x0, batch_fn, better, floor=0.0):
+    """Run ``_climb`` and name the branches that its calls take, read from
+    each call's rows against the round-by-round path.  A speculative call
+    scores the rows after a flagged move from x after that move.  Its
+    outcome is the first row where the path parts from that prediction:
+    "first" (at or before the first flagged move), "unpredicted" (a move
+    that was not flagged improves), "miss" (a flagged move does not
+    improve; "miss-odd" when that leaves the climb at an odd move whose
+    +step was not taken), or "last" (no row before the round's last: the
+    round ends at the call's last base).  Round ends: "carried" (a round's
+    first speculative call, too early in the round for the round's own
+    calls to have built the streak), "wrap-hit" (a closing scan whose rows
+    for the next round take its first move) and "wrap-skip" (a closing
+    scan after which the next round takes no move)."""
+    calls = []
 
     def scoring(x_rows, y_rows):
-        events.append(("call", x_rows.copy()))
+        calls.append(x_rows.copy())
         return batch_fn(x_rows, y_rows)
 
-    def chain_spy(guess, stop):
-        chain = chain_fn(guess, stop)
-        events.append(("chain", guess.copy(), stop, chain.copy()))
-        return chain
-
-    def confirmed_spy(hits, ends):
-        k, d = confirmed_fn(hits, ends)
-        events.append(("confirmed", hits.copy(), d))
-        return k, d
-
-    with monkeypatch.context() as mp:
-        mp.setattr(cond, "_chain", chain_spy)
-        mp.setattr(cond, "_confirmed", confirmed_spy)
-        val, x = cond._climb(m_mat, x0, scoring, better, floor)
+    val, x = cond._climb(m_mat, x0, scoring, better, floor)
     path = []
     _round_by_round_climb(m_mat, x0, batch_fn, better, path, floor)
+    xs = [np.asarray(x0, dtype=np.float64)] + [x_t for x_t, _ in path]
+    rounds = [-1] + [r for _, r in path]  # the round of each x
     n_moves = 2 * m_mat.shape[0]
     branches = set()
-    calls, speculated = 0, False  # calls so far in the round, and if one speculated
-    for i, event in enumerate(events):
-        if event[0] == "call":
-            x_rows = event[1]
-            if events[i - 1][0] == "chain":
-                if not speculated and calls <= cond.SPECULATE_AFTER:
+    t = 0  # the climb's x is xs[t]
+    calls_in_round, speculated = 0, False
+    for rows in calls[1:]:  # calls[0] scores the start
+        n_rows = rows.shape[0]
+        if n_rows % n_moves == 0:  # a window of rounds opens one
+            calls_in_round, speculated = 0, False
+        elif n_rows == n_moves + 1:  # a closing scan that wraps
+            then = rounds[t + 1] if t + 1 < len(xs) else rounds[t] + 2
+            if then == rounds[t] + 1:
+                branches.add("wrap-hit")
+                calls_in_round, speculated = 0, False
+            elif then > rounds[t] + 1:
+                branches.add("wrap-skip")
+        else:  # the rest of a round: moves pos..n_moves - 1
+            pos = n_moves - n_rows
+            coords = (pos + np.arange(n_rows)) // 2
+            flags, base = [], xs[t]
+            for i in range(n_rows):
+                flags.append(_scored_from(rows, i, base, coords))
+                base = rows[i] if flags[-1] else base
+            if any(flags):
+                if not speculated and calls_in_round <= cond.SPECULATE_AFTER:
                     branches.add("carried")
                 speculated = True
-            elif x_rows.shape[0] % n_moves == 0:  # a window of rounds opens one
-                calls, speculated = 0, False
-            elif x_rows.shape[0] == n_moves + 1:  # a closing scan that wraps
-                # its base: the last x of the path that every row moves once
-                t = max(t for t, (x_t, _) in enumerate(path)
-                        if np.count_nonzero(x_rows != x_t, axis=1).max() <= 1)
-                now = path[t][1]
-                then = path[t + 1][1] if t + 1 < len(path) else now + 2
-                if then == now + 1:
-                    branches.add("wrap-hit")
-                    calls, speculated = 0, False
-                elif then > now + 1:
-                    branches.add("wrap-skip")
-            calls += 1
-            continue
-        if event[0] == "chain":
-            _, guess, stop, chain = event
-            if chain.size < np.count_nonzero(guess < stop):
-                branches.add("cut")
-            if i + 2 == len(events) or events[i + 2][0] != "confirmed":
-                branches.add("first")  # the call after the chain confirms nothing
-            continue
-        _, hits, d = event
-        chain = events[i - 2][3]  # the chain before the call this checks
-        if d is None:
-            if chain[-1] == n_moves - 1:
-                branches.add("last")
-        elif hits[d]:
-            branches.add("unpredicted")
-        elif (chain[0] + 1 + d) % 2 == 0:  # row d is move chain[0] + 1 + d
-            branches.add("miss-odd")
+                j = t  # the path's x before row i: row i's base, while the prediction holds
+                for i, flag in enumerate(flags):
+                    took = j + 1 < len(xs) and np.array_equal(rows[i], xs[j + 1])
+                    if took and i + 1 == n_rows:
+                        break  # a flagged or an unflagged last move: no trace tells
+                    if took != flag:
+                        if j == t:
+                            branches.add("first")
+                        branches.add("unpredicted" if took else "miss")
+                        if not took and (pos + i + 1) % 2:
+                            branches.add("miss-odd")
+                        break
+                    j += flag
+                else:
+                    branches.add("last")
+        calls_in_round += 1
+        for row in rows:  # the moves a call takes are rows that the path visits, in order
+            if t + 1 < len(xs) and np.array_equal(row, xs[t + 1]):
+                t += 1
+    assert t == len(path)
     return val, x, branches
 
 
@@ -560,14 +581,12 @@ def _chain_branch_cases():
     yield to_lcp(game).m, np.random.default_rng(16).standard_normal(16)
 
 
-def test_speculative_climb_takes_every_chain_branch_bit_identically(monkeypatch):
+def test_speculative_climb_takes_every_chain_branch_bit_identically():
     seen = set()
     for m_mat, x0 in _chain_branch_cases():
         for batch_fn, better in ((cond._kappa_batch, "max"), (cond._theta_batch, "min")):
             for floor in (0.0, cond.THETA_SCALE_FLOOR):
-                got_val, got_x, branches = _climb_branches(
-                    monkeypatch, m_mat, x0, batch_fn, better, floor
-                )
+                got_val, got_x, branches = _climb_branches(m_mat, x0, batch_fn, better, floor)
                 want_val, want_x = _round_by_round_climb(
                     m_mat, x0, batch_fn, better, floor=floor
                 )
@@ -576,7 +595,7 @@ def test_speculative_climb_takes_every_chain_branch_bit_identically(monkeypatch)
                 assert np.array_equal(np.signbit(got_x), np.signbit(want_x))
                 seen |= branches
     assert seen == {
-        "first", "unpredicted", "miss-odd", "last", "cut", "carried", "wrap-hit", "wrap-skip"
+        "first", "unpredicted", "miss", "miss-odd", "last", "carried", "wrap-hit", "wrap-skip"
     }
 
 
@@ -872,8 +891,8 @@ def test_equalize_stops_quietly_at_the_edges(monkeypatch):
     e_0 = np.eye(4)[0]
     assert np.array_equal(_quiet_equalize(np.eye(4), e_0), e_0)
     assert solves == [4]
-    # a subnormal entry: J = 2 diag(x), and the step 1 / 2e-310 overflows;
-    # no halving of an infinite step lets the residual fall
+    # a subnormal entry: J = 2 diag(x), and the step 1 / 2e-310 overflows,
+    # which ends it at once
     x = np.array([1.0, 1e-310])
     assert np.array_equal(_quiet_equalize(np.eye(2), x), x)
     assert solves == [4, 2]

@@ -14,7 +14,7 @@ from gamelcp.lcp import (
     to_lcp,
     verify_solution,
 )
-from gamelcp._kernels import SingularMatrixError, solve
+from gamelcp._kernels import SingularMatrixError, _newton, solve
 from gamelcp.lcp_solvers import (
     BACKTRACK,
     CENTER_SHARE,
@@ -29,7 +29,6 @@ from gamelcp.lcp_solvers import (
     _fail,
     _lex_ratio_row,
     _max_positive_step,
-    _newton,
     _potential,
     solve_pivoting,
     solve_potential_reduction,
