@@ -50,7 +50,7 @@ def _newton(z, m_mat, w, rhs):
 
 
 def solve(a, b):
-    """Solve ``a @ x = b``; ``b`` may be a vector or stacked columns.
+    """Solve ``a @ x = b`` for one right-hand side vector ``b``.
 
     One LAPACK call solves for ``[b | I]``, which yields the inverse of
     ``a`` alongside ``x``.  Raises :class:`SingularMatrixError` when LAPACK
@@ -61,19 +61,17 @@ def solve(a, b):
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    rhs = b if b.ndim == 2 else b[:, None]
     try:
-        sol = np.linalg.solve(a, np.hstack([rhs, np.eye(a.shape[0])]))
+        sol = np.linalg.solve(a, np.hstack([b[:, None], np.eye(a.shape[0])]))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
-    k = rhs.shape[1]
     # with D = diag(row 1-norms), D^-1 a has unit inf-norm and inverse a^-1 D
-    cond = float((np.abs(sol[:, k:]) @ np.abs(a).sum(axis=1)).max())
+    cond = float((np.abs(sol[:, 1:]) @ np.abs(a).sum(axis=1)).max())
     if not cond <= 1.0 / PIVOT_RTOL:
         raise SingularMatrixError(
             f"row-scaled condition number {cond:.3e} exceeds {1.0 / PIVOT_RTOL:.0e}"
         )
-    return sol[:, :k] if b.ndim == 2 else sol[:, 0]
+    return sol[:, 0]
 
 
 def solve_discounted(b, rhs, transpose=False):

@@ -22,8 +22,8 @@ here always stay on the certified side of those fences.
 row diagonally dominant B_s = I - gamma P_sigma, B_t = I - gamma P_tau it
 keeps (:func:`structural_certificate`), and estimates kappa and theta with
 :func:`estimate_kappa` and :func:`estimate_theta`: each scores its built-in
-start and the starts it is given, c_tau, S c_tau and the best direction of
-one gaussian sample, then climbs from the best of them by coordinate moves,
+start and the starts it is given, c_tau and the best direction of one
+gaussian sample, then climbs from the best of them by coordinate moves,
 scoring the moves it predicts to try next in one call (:func:`_climb`);
 theta's climb stops at step scale THETA_SCALE_FLOOR and a Newton
 equalization, :func:`_equalize`, finishes it.  It streams the sample a
@@ -639,11 +639,10 @@ def certify(lcp, seed, samples=10_000):
     red = lcp.game_reduction("certify")
     m_mat = np.asfortranarray(lcp.m, dtype=np.float64)
     n, gamma, signs = red.game.n, red.game.gamma, red.game.ownership_signs
-    witnesses = [red.c_tau, signs * red.c_tau]
     # one draw for both estimators, streamed: each gets only its best row
     kappa_best, theta_best = _sample_bests(m_mat, samples, seed)
-    kappa_est, _ = estimate_kappa(m_mat, witnesses + kappa_best)
-    theta_est, _ = estimate_theta(m_mat, witnesses + theta_best)
+    kappa_est, _ = estimate_kappa(m_mat, [red.c_tau] + kappa_best)
+    theta_est, _ = estimate_theta(m_mat, [red.c_tau] + theta_best)
     delta, _ = smallest_eigenvalue_sym(m_mat)
     cert = structural_certificate(m_mat, red.b_sig, red.b_tau, signs)
     cond = -delta / theta_est

@@ -35,12 +35,11 @@ from .game import (
     restrict,
     value_vector,
 )
-from .solvers import SolveResult
+from .solvers import SolveResult, SolverFailure
 
 __all__ = [
     "Lcp",
     "LcpCheck",
-    "RecoveryError",
     "Reduction",
     "lcp_json",
     "recover",
@@ -71,10 +70,6 @@ class Lcp:
         if self.reduction is None:
             raise ValueError(f"{caller} needs an LCP that to_lcp built from a game")
         return self.reduction
-
-
-class RecoveryError(RuntimeError):
-    pass
 
 
 def _check_two_actions(counts):
@@ -179,8 +174,11 @@ def recover(lcp, w, z, iterations, tol=1e-6):
     ``w_i <= z_i`` (slot 0 where it holds, so on ties; slot 1 otherwise),
     and the result must pass the game's optimality check at ``tol``
     (floored at the reduced costs' rounding level by
-    :func:`~gamelcp.game.is_optimal`), else :class:`RecoveryError` reports
-    the worst violation.  The value formula gets a complementarity
+    :func:`~gamelcp.game.is_optimal`), and the values of the LCP's formula
+    must agree with the profile's.  Each refusal raises
+    :class:`~gamelcp.solvers.SolverFailure` with the failed check as
+    ``check=`` context: the :class:`LcpCheck`, the violating actions, or
+    the drift.  The value formula gets a complementarity
     allowance on top of ``tol``: a pair with w_i = z_i = 0 in the exact
     solution sits at w_i ~ z_i ~ sqrt(gap) on the central path, and that z
     error enters the values through B_tau^{-1} with gain at most
@@ -191,10 +189,11 @@ def recover(lcp, w, z, iterations, tol=1e-6):
     red = lcp.game_reduction("recover")
     check = verify_solution(lcp, w, z, tol)
     if not check.ok:
-        raise RecoveryError(
+        raise SolverFailure(
             f"LCP residuals too large: feasibility {check.feasibility:.3e}, "
             f"complementarity {check.complementarity:.3e}, "
-            f"min_w {check.min_w:.3e}, min_z {check.min_z:.3e}"
+            f"min_w {check.min_w:.3e}, min_z {check.min_z:.3e}",
+            check=check,
         )
     game = red.game
     z = np.asarray(z, dtype=np.float64)
@@ -207,17 +206,19 @@ def recover(lcp, w, z, iterations, tol=1e-6):
     if not ok:
         rc = reduced_costs(game, choice, v_exact)
         worst = float(np.max(np.abs(rc[violations])))
-        raise RecoveryError(
+        raise SolverFailure(
             f"recovered profile fails the optimality check at tol {tol}: "
             f"max reduced-cost violation {worst:.3e} on actions "
-            f"{violations.tolist()}"
+            f"{violations.tolist()}",
+            check=violations,
         )
     drift = float(np.max(np.abs(v_exact - v_formula)))
     allowance = tol * (1.0 + float(np.max(np.abs(v_exact))))
     allowance += math.sqrt(max(check.complementarity, 0.0)) / (1.0 - game.gamma)
     if drift > allowance:
-        raise RecoveryError(
-            f"recovered values disagree with the profile's values by {drift:.3e}"
+        raise SolverFailure(
+            f"recovered values disagree with the profile's values by {drift:.3e}",
+            check=drift,
         )
     return SolveResult(values=v_exact, profile=choice, iterations=iterations)
 

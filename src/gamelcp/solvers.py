@@ -39,7 +39,9 @@ SI_MAX_ROUNDS = 10**6
 
 
 class SolverFailure(RuntimeError):
-    """A solver exhausted its budget or hit a numeric defect."""
+    """A solve produced no verified result: a solver exhausted its budget or
+    hit a numeric defect, or ``lcp.recover`` refused an LCP solution.
+    ``context`` holds what the raiser adds (a trace, the failed check)."""
 
     def __init__(self, message, **context):
         super().__init__(message)

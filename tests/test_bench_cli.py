@@ -38,8 +38,14 @@ from gamelcp.game import (
     value_vector,
 )
 from gamelcp.hard_instances import A_MODES, build_hard_instance
-from gamelcp.lcp import lcp_json, to_lcp
-from gamelcp.solvers import strategy_iteration
+from gamelcp.lcp import lcp_json, recover, to_lcp
+from gamelcp.lcp_solvers import solve_pivoting, solve_potential_reduction
+from gamelcp.solvers import (
+    SolverFailure,
+    brute_force_solve,
+    strategy_iteration,
+    value_iteration,
+)
 
 WALL = BENCH_COLUMNS.index("wall_ms")
 
@@ -445,24 +451,71 @@ def test_is_optimal_floors_its_tol_at_the_reduced_cost_rounding():
     assert is_optimal(game, res.profile, 0.0)[0]
 
 
-def test_cli_solve_hands_its_tol_to_recover_and_the_final_check(tmp_path, capsys, monkeypatch):
+def test_cli_solve_hands_its_tol_to_recover(tmp_path, capsys, monkeypatch):
     path = tmp_path / "g.json"
     save_game(random_game(16, 0.9, 1), path)
-    tols = {}
+    tols = []
 
-    def spy(fn):
-        def recording(*args, tol, **kwargs):
-            tols.setdefault(fn.__name__, []).append(tol)
-            return fn(*args, tol=tol, **kwargs)
+    def recording(*args, tol, **kwargs):
+        tols.append(tol)
+        return recover(*args, tol=tol, **kwargs)
 
-        return recording
-
-    monkeypatch.setattr(cli, "recover", spy(cli.recover))
-    monkeypatch.setattr(cli, "is_optimal", spy(cli.is_optimal))
+    monkeypatch.setattr(cli, "recover", recording)
     argv = ["--tol", "1e-12", "solve", "--game", str(path), "--method", "ipm"]
     assert main(argv) == 0, capsys.readouterr().err
     assert "optimal=True" in capsys.readouterr().out.splitlines()[0]
-    assert tols == {"recover": [1e-12], "is_optimal": [1e-12]}
+    assert tols == [1e-12]
+
+
+def _contract_games():
+    for n in (3, 5, 8, 16, 32, 64):
+        for gamma in (0.5, 0.9, 0.999, 0.999999):
+            yield f"random-{n}-{gamma}", random_game(n, gamma, 3700 + n)
+    for n in (3, 8, 32):
+        for gamma in (0.5, 0.99):
+            for a_mode in A_MODES:
+                yield f"hard-{n}-{gamma}-{a_mode}", hard_instance(n, gamma, a_mode)
+
+
+def _solve_as_cli(game, method, tol):
+    """The library calls behind ``gamelcp --tol tol solve --method method``."""
+    if method == "vi":
+        return value_iteration(game, eps=tol)
+    if method == "si":
+        return strategy_iteration(game, tol=tol)
+    if method == "brute":
+        return brute_force_solve(game, tol=tol)
+    lcp = to_lcp(game)
+    if method == "ipm":
+        w, z, trace = solve_potential_reduction(lcp, epsilon=tol)
+        return recover(lcp, w, z, len(trace), tol=tol)
+    w, z, pivots = solve_pivoting(lcp)
+    return recover(lcp, w, z, pivots, tol=tol)
+
+
+@pytest.mark.parametrize("case", list(_contract_games()), ids=lambda c: c[0])
+def test_every_method_returns_only_a_profile_that_passes_is_optimal(case):
+    # solve prints optimal=True without checking again: each method passes
+    # its profile through is_optimal at its tol (vi at tol * (1 - gamma)),
+    # ipm and pivot through recover, or raises SolverFailure
+    _, game = case
+    floor = reduced_cost_rounding(game, float(abs(game.costs).max()) / (1.0 - game.gamma))
+    methods = ["vi", "si", "ipm", "pivot"] + (["brute"] if game.n <= 10 else [])
+    refused = []
+    for tol in (1e-9, 1e-12, floor):
+        for method in methods:
+            try:
+                res = _solve_as_cli(game, method, tol)
+            except SolverFailure:
+                refused.append((method, tol))
+                continue
+            assert is_optimal(game, res.profile, tol, values=res.values)[0], (method, tol)
+            assert np.array_equal(res.values, value_vector(game, res.profile))
+            if method == "vi":
+                vi_tol = tol * (1.0 - game.gamma)
+                assert is_optimal(game, res.profile, vi_tol, values=res.values)[0]
+    # near gamma = 1, recover may refuse a tight tol; elsewhere all return
+    assert not refused or game.gamma == 0.999999, refused
 
 
 def test_cli_solve_vi_near_gamma_one_exits_1(tmp_path, capsys):
@@ -555,7 +608,7 @@ def test_cli_builds_the_game_matrices_once_per_op(
 
 
 def test_is_optimal_on_given_values_is_the_same_rule():
-    # the CLI and recover hand is_optimal the values they hold; that must
+    # the solvers and recover hand is_optimal the values they hold; that must
     # give the verdict and violations of is_optimal's own solve
     tol = 1e-9
     rng = np.random.default_rng(12)
@@ -704,8 +757,8 @@ def test_cli_reduce_matches_library(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["random-costs-1e160", "hard-a-1e200"])
 def test_cli_certify_takes_costs_near_the_float_range(tmp_path, case):
-    # M does not depend on the costs, but certify's starts c_tau and S c_tau
-    # do: their products overflowed, and the NaN score won the pick
+    # M does not depend on the costs, but certify's start c_tau does: its
+    # products overflowed, and the NaN score won the pick
     path, unscaled = tmp_path / "g.json", tmp_path / "unscaled.json"
     if case == "random-costs-1e160":
         game = random_game(8, 0.9, 3)

@@ -33,16 +33,6 @@ def test_solve_matches_numpy_1d():
         assert np.allclose(x, expect, rtol=1e-11, atol=1e-11)
 
 
-def test_solve_matches_numpy_2d():
-    rng = np.random.default_rng(1)
-    for n, k in ((3, 1), (5, 4), (8, 8)):
-        a = _well_conditioned(rng, n)
-        b = rng.standard_normal((n, k))
-        x = kn.solve(a, b)
-        assert x.shape == (n, k)
-        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-11, atol=1e-11)
-
-
 def test_lu_requires_pivoting():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     b = np.array([2.0, 3.0])

@@ -9,17 +9,19 @@ import pytest
 import gamelcp.lcp as lcp_module
 from gamelcp._kernels import SingularMatrixError, _gamma, solve
 from gamelcp.bench import random_game
+from gamelcp.cli import main
 from gamelcp.conditioning import certify
-from gamelcp.game import GameValidationError, build_game, is_optimal, restrict
+from gamelcp.game import GameValidationError, build_game, is_optimal, restrict, save_game
 from gamelcp.lcp import (
     Lcp,
-    RecoveryError,
+    LcpCheck,
     lcp_json,
     recover,
     reduction,
     to_lcp,
     verify_solution,
 )
+from gamelcp.solvers import SolverFailure
 
 from conftest import sigma_tau, swap_actions
 
@@ -136,8 +138,43 @@ def test_recover_tolerates_tiny_noise(g3):
 
 
 def test_recover_rejects_garbage(g3):
-    with pytest.raises(RecoveryError, match="residuals too large"):
+    with pytest.raises(SolverFailure, match="residuals too large") as info:
         recover(to_lcp(g3), np.zeros(3), np.zeros(3), 0)
+    check = info.value.context["check"]
+    assert isinstance(check, LcpCheck) and not check.ok
+
+
+def _refuse_optimality(monkeypatch):
+    # the check flags action 5, the last state's second action
+    monkeypatch.setattr(lcp_module, "is_optimal", lambda *a, **k: (False, np.array([5])))
+    return "fails the optimality check", lambda check: check.tolist() == [5]
+
+
+def _refuse_drift(monkeypatch):
+    # the value formula's solve (one vector; to_lcp's solve is transposed)
+    # comes back 1 off
+    real = lcp_module.solve_discounted
+
+    def shifted(b, rhs, transpose=False):
+        return real(b, rhs, transpose) + (0.0 if transpose else 1.0)
+
+    monkeypatch.setattr(lcp_module, "solve_discounted", shifted)
+    return "values disagree", lambda check: check == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("refuse", [_refuse_optimality, _refuse_drift], ids=["optimality", "drift"])
+def test_recover_refusals_are_solver_failures(g3, tmp_path, capsys, monkeypatch, refuse):
+    lcp = to_lcp(g3)
+    message, holds = refuse(monkeypatch)
+    with pytest.raises(SolverFailure, match=message) as info:
+        recover(lcp, np.zeros(3), np.array([0.0, 0.0, 2.0]), 0)
+    assert holds(info.value.context["check"])
+    path = tmp_path / "g3.json"
+    save_game(g3, path)
+    for method in ("ipm", "pivot"):
+        assert main(["solve", "--game", str(path), "--method", method]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("solver failure: ") and message in err
 
 
 def test_verify_solution_reports(g3):
