@@ -1,9 +1,9 @@
 """The package's dense linear solves, through LAPACK via ``numpy.linalg``.
 
 Two gates, for two kinds of matrix.  The game's own systems B = I - gamma P
-(value vectors, the LCP reduction, solution recovery) are diagonally
-dominant, so their condition number has a closed-form bound:
-:func:`solve_discounted` checks it and makes one plain solve.  General
+(value vectors and the LCP reduction) are diagonally dominant, so their
+condition number has a closed-form bound: :func:`solve_discounted` checks
+it and makes one plain solve.  General
 matrices (Lemke's terminal basis, the minor scan's low minors) have no such
 bound, so :func:`solve` measures theirs from the inverse it forms.  The
 Newton systems of the interior-point method and of theta's equalization

@@ -138,8 +138,7 @@ def solve_potential_reduction(lcp, epsilon=1e-9):
     """Solve a P-matrix LCP; returns (w, z, trace) with w.z < epsilon."""
     if not epsilon > 0:  # NaN too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    m_mat = np.asarray(lcp.m, dtype=np.float64)
-    q = np.asarray(lcp.q, dtype=np.float64)
+    m_mat, q = lcp.m, lcp.q
     n = q.shape[0]
     rho = n + math.sqrt(n)
 
@@ -237,8 +236,7 @@ def solve_pivoting(lcp):
     M[B,B] z_B = -q_B, w = q + M z with the basic-z rows exactly zero, so
     complementarity holds exactly.
     """
-    m_mat = np.asarray(lcp.m, dtype=np.float64)
-    q = np.asarray(lcp.q, dtype=np.float64)
+    m_mat, q = lcp.m, lcp.q
     n = q.shape[0]
     if float(q.min()) >= 0.0:
         return q.copy(), np.zeros(n), 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -150,19 +151,7 @@ def _refuse_optimality(monkeypatch):
     return "fails the optimality check", lambda check: check.tolist() == [5]
 
 
-def _refuse_drift(monkeypatch):
-    # the value formula's solve (one vector; to_lcp's solve is transposed)
-    # comes back 1 off
-    real = lcp_module.solve_discounted
-
-    def shifted(b, rhs, transpose=False):
-        return real(b, rhs, transpose) + (0.0 if transpose else 1.0)
-
-    monkeypatch.setattr(lcp_module, "solve_discounted", shifted)
-    return "values disagree", lambda check: check == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("refuse", [_refuse_optimality, _refuse_drift], ids=["optimality", "drift"])
+@pytest.mark.parametrize("refuse", [_refuse_optimality], ids=["optimality"])
 def test_recover_refusals_are_solver_failures(g3, tmp_path, capsys, monkeypatch, refuse):
     lcp = to_lcp(g3)
     message, holds = refuse(monkeypatch)
@@ -244,6 +233,26 @@ def test_q_from_the_reduction_solve_matches_two_solves():
         red = lcp.reduction
         tol = 2 * _gamma(3 * n) * ((1 + g) / (1 - g)) ** 2 * np.abs(red.c_tau).max()
         assert np.abs(lcp.q - _two_solve_q(red)).max() <= tol
+
+
+def test_lcp_keeps_q_as_a_float64_vector():
+    lcp = Lcp(np.eye(2), [1.0, -2.0])
+    assert lcp.q.dtype == np.float64 and lcp.q.tolist() == [1.0, -2.0]
+    assert lcp.n == 2
+    assert json.loads(lcp_json(lcp)) == {"n": 2, "M": [[1.0, 0.0], [0.0, 1.0]], "q": [1.0, -2.0]}
+    # to_lcp's q is already one: kept, not copied
+    built = to_lcp(random_game(8, 0.9, 1))
+    assert Lcp(built.m, built.q).q is built.q
+
+
+@pytest.mark.parametrize(
+    "m, q",
+    [(np.eye(3), np.ones(2)), (np.eye(2), np.ones((2, 2))), (np.ones(2), np.ones(2))],
+    ids=["n_mismatch", "q_matrix", "m_vector"],
+)
+def test_lcp_refuses_m_and_q_of_different_sizes(m, q):
+    with pytest.raises(ValueError, match=re.escape(f"M has shape {m.shape} and q {q.shape}")):
+        Lcp(m, q)
 
 
 def test_certify_and_recover_need_the_lcp_from_to_lcp(g3):
