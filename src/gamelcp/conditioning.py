@@ -24,11 +24,13 @@ keeps (:func:`structural_certificate`), and estimates kappa and theta with
 :func:`estimate_kappa` and :func:`estimate_theta`: each scores its built-in
 start and the starts it is given, c_tau and the best direction of one
 gaussian sample, then climbs from the best of them by coordinate moves,
-scoring the moves it predicts to try next in one call (:func:`_climb`);
-theta's climb stops at step scale THETA_SCALE_FLOOR and a Newton
-equalization, :func:`_equalize`, finishes it.  It streams the sample a
-chunk at a time through both measures' scorers and keeps only each
-measure's best row, so its memory does not grow with the number of samples.
+scoring the moves it predicts to try next in one call (:func:`_climb`).
+Both climbs stop at step scale SCALE_FLOOR.  A Newton equalization,
+:func:`_equalize`, finishes theta's, and Dinkelbach steps on kappa's ratio
+of quadratic forms, one symmetric eigensolve each (:func:`_dinkelbach`),
+finish kappa's.  ``certify`` streams the sample a chunk at a time through
+both measures' scorers and keeps only each measure's best row, so its
+memory does not grow with the number of samples.
 Every function here reads M in Fortran order, as ``lcp.to_lcp`` builds
 it, and copies any other layout: products with a C-ordered copy of M take
 other BLAS kernels, which round apart in the last bits.
@@ -89,11 +91,15 @@ SAMPLE_CHUNK_ENTRIES = 1 << 14
 # make 7% fewer calls in 26% more CPU time, sweep_hard's 14% fewer in 2% less;
 # at 2, +4% and -2% CPU time.
 SPECULATE_AFTER = 3
-# theta's climb ends above this step scale and _equalize finishes it.  Against
-# the full climb, on certify_random's and sweep_hard's inputs at seeds 1-10, 19:
-# 2^-12 ran 2.2x faster, worst +6.7e-3 relative; 2^-15 1.8x, +6.7e-4; 2^-20 1.5x, +1e-5
-THETA_SCALE_FLOOR = 2.0**-15
-EQUALIZE_STEPS = 50  # Newton steps, and halvings of each
+# both climbs end above this step scale; _equalize finishes theta's and
+# _dinkelbach kappa's.  Theta's against its full climb, on certify_random's and
+# sweep_hard's inputs at seeds 1-10, 19: 2^-12 ran 2.2x faster, worst +6.7e-3
+# relative; 2^-15 1.8x, +6.7e-4; 2^-20 1.5x, +1e-5.  Kappa's floor then gave
+# sweep_hard/certify_random ops/s +32%/+11% at 2^-12 (worst kappa_est loss
+# 4.8e-3 relative on the random games at seeds 1-3, 19), +26%/+9% at 2^-15
+# (4.3e-4) and +20%/+4% at 2^-20 (1.3e-5), perfbench seed 19 on a 2-core VM
+SCALE_FLOOR = 2.0**-15
+FINISH_STEPS = 50  # steps of either finish, and halvings of each Newton step
 
 
 class KappaUndefined(ArithmeticError):
@@ -494,13 +500,14 @@ def _climb(m_mat, x0, batch_fn, better, floor=0.0):
     return best, x
 
 
-def _estimate(m_mat, starts, batch_fn, better, floor=0.0):
+def _estimate(m_mat, starts, batch_fn, better):
     """The first of ``starts`` that scores best under ``batch_fn``, after a
-    climb from it.  The starts are scored as one batch whose y rows are
-    ``m_mat @ s`` one at a time, as :func:`kappa_at` and :func:`theta_at`
-    form them, so each start scores as it does alone.  An infinite best,
-    which no climb can better, is returned as it is; the climb starts from
-    the same score and moves only to strictly better ones.
+    climb from it down to step scale SCALE_FLOOR.  The starts are scored as
+    one batch whose y rows are ``m_mat @ s`` one at a time, as
+    :func:`kappa_at` and :func:`theta_at` form them, so each start scores as
+    it does alone.  An infinite best, which no climb can better, is
+    returned as it is; the climb starts from the same score and moves only
+    to strictly better ones.
 
     A start with an entry past 2^256 (c_tau of costs near the float
     range), whose products would overflow, is scaled to a largest entry in
@@ -514,7 +521,7 @@ def _estimate(m_mat, starts, batch_fn, better, floor=0.0):
     k = int(np.argmax(sign * vals))
     if sign * vals[k] == np.inf:
         return x_rows[k]
-    return _climb(m_mat, x_rows[k], batch_fn, better, floor)[1]
+    return _climb(m_mat, x_rows[k], batch_fn, better, SCALE_FLOOR)[1]
 
 
 def _equalize(m_mat, x):
@@ -530,14 +537,14 @@ def _equalize(m_mat, x):
         x = x / math.sqrt(best_val)
         y = m_mat @ x
         res = x * y - 1.0
-        for _ in range(EQUALIZE_STEPS):
+        for _ in range(FINISH_STEPS):
             if res @ res <= 1e-24:  # equalized to about 1e-12
                 break
             try:
                 step = _newton(x, m_mat, y, -res)
             except SingularMatrixError:
                 break
-            for _ in range(EQUALIZE_STEPS):
+            for _ in range(FINISH_STEPS):
                 x_t = x + step
                 y_t = m_mat @ x_t
                 res_t = x_t * y_t - 1.0
@@ -554,32 +561,66 @@ def _equalize(m_mat, x):
     return best_val, best
 
 
+def _dinkelbach(m_mat, x):
+    """(kappa score, direction) of x after Dinkelbach steps on kappa's ratio
+    r = -neg/pos of the products p = x o (Mx).  Within p's sign pattern, with
+    D_P and D_N the 0/1 diagonals of p > 0 and p <= 0, r is the ratio of the
+    quadratic forms -x^T D_N M x and x^T D_P M x, so the top eigenvector u of
+    the symmetric part of H = -(D_N + r D_P) M has the largest ratio there
+    when its top eigenvalue is positive.  A step keeps u when it scores
+    strictly higher (u and -u score alike, bit for bit); the first step that
+    gains nothing, no positive product, a non-finite r, a failed eigensolve
+    or FINISH_STEPS steps end it."""
+    with np.errstate(all="ignore"):  # an overflowing r ends it; scores take inf
+        best_val = _score(_kappa_batch, m_mat, x)
+        for _ in range(FINISH_STEPS):
+            p = x * (m_mat @ x)
+            plus = p > 0.0
+            pos = p[plus].sum()
+            if not pos > 0.0:
+                break
+            r = -p[~plus].sum() / pos
+            if not np.isfinite(r):
+                break
+            h = -np.where(plus, r, 1.0)[:, None] * m_mat
+            try:
+                u = np.linalg.eigh(h + h.T)[1][:, -1]
+            except np.linalg.LinAlgError:
+                break
+            val = _score(_kappa_batch, m_mat, u)
+            if not val > best_val:
+                break
+            x, best_val = u, val
+    return best_val, x
+
+
 def estimate_kappa(m_mat, starts=()):
     """Lower estimate of kappa(M): the best of kappa_at over e_0 and the
-    directions ``starts``, then coordinate hill climbing from it.
+    directions ``starts``, then coordinate hill climbing from it down to step
+    scale SCALE_FLOOR, then :func:`_dinkelbach`.
 
     Returns (value, direction); the value is ``kappa_at``'s of the returned
-    direction, inf where that raises: a direction proved M is not P*
-    (impossible for game-derived matrices).
+    direction, never below that of the climb's end, and inf where that
+    raises: a direction proved M is not P* (impossible for game-derived
+    matrices).
     """
     m_mat = np.asfortranarray(m_mat, dtype=np.float64)
     e_0 = np.zeros(m_mat.shape[0])
     e_0[0] = 1.0
-    x = _estimate(m_mat, [e_0, *starts], _kappa_batch, "max")
-    return _score(_kappa_batch, m_mat, x), x
+    return _dinkelbach(m_mat, _estimate(m_mat, [e_0, *starts], _kappa_batch, "max"))
 
 
 def estimate_theta(m_mat, starts=()):
     """Upper estimate of theta(M): the best of theta_at over the uniform
     direction and the directions ``starts``, then hill climbing from it
-    down to step scale THETA_SCALE_FLOOR, then :func:`_equalize`.
+    down to step scale SCALE_FLOOR, then :func:`_equalize`.
 
     Returns (value, direction); the direction is unit 2-norm and the value
     is ``theta_at``'s of it, never above that of the climb's end.
     """
     m_mat = np.asfortranarray(m_mat, dtype=np.float64)
     uniform = np.full(m_mat.shape[0], 1.0 / math.sqrt(m_mat.shape[0]))
-    x = _estimate(m_mat, [uniform, *starts], _theta_batch, "min", THETA_SCALE_FLOOR)
+    x = _estimate(m_mat, [uniform, *starts], _theta_batch, "min")
     return _equalize(m_mat, x / np.linalg.norm(x))
 
 

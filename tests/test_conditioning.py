@@ -31,7 +31,7 @@ from gamelcp.conditioning import (
 from gamelcp._kernels import SingularMatrixError
 from gamelcp.cli import main
 from gamelcp.game import build_game, restrict, save_game
-from gamelcp.hard_instances import hard_cost
+from gamelcp.hard_instances import exact_conditioning, hard_cost
 from gamelcp.lcp import Lcp, reduction, to_lcp
 
 from conftest import hard_instance, sigma_tau
@@ -403,8 +403,8 @@ def test_windowed_climb_is_bit_identical_to_round_by_round(monkeypatch, case):
     max_window = max(1, cond.CLIMB_WINDOW_ENTRIES // (2 * n * n))
     rows = []
     for x0, batch_fn, better, _ in _climb_starts(monkeypatch, m_mat, witnesses):
-        # every climb both with and without theta's floor
-        for floor in (0.0, cond.THETA_SCALE_FLOOR):
+        # every climb both with and without the floor
+        for floor in (0.0, cond.SCALE_FLOOR):
             got_val, got_x = cond._climb(m_mat, x0, _counted(batch_fn, rows), better, floor)
             want_val, want_x = _round_by_round_climb(m_mat, x0, batch_fn, better, floor=floor)
             assert np.array_equal(got_x, want_x)
@@ -417,8 +417,9 @@ def test_windowed_climb_is_bit_identical_to_round_by_round(monkeypatch, case):
 
 def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
     # kappa_est is 0 here: the climb starts from e_0 on the kappa = 0
-    # plateau and no round moves x, so windows of 1, 2, 4, 8, 16 and then
-    # the entry cap's 28 rounds (n = 24) score all 100 rounds in 8 calls
+    # plateau and no round moves x, so windows of 1, 2, 4 and 8 rounds and
+    # then the one round left above the floor score its 16 rounds, at
+    # scales 1 down to 2^-15, in 6 calls
     game = random_game(24, 0.9, 1900)
     lcp = to_lcp(game)
     witnesses = _certify_witnesses(lcp)
@@ -426,13 +427,13 @@ def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
     starts = _climb_starts(monkeypatch, lcp.m, witnesses, samples=10_000, seed=0)
     x0, batch_fn, better, floor = starts[0]
     assert batch_fn is cond._kappa_batch and x0.tolist() == [1.0] + [0.0] * 23
-    assert floor == 0.0  # kappa's climb has no floor
+    assert floor == cond.SCALE_FLOOR
     rows = []
     got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better, floor)
-    want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better)
+    want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better, floor=floor)
     assert got_val == want_val == 0.0 and np.array_equal(got_x, want_x)
     # one call scores the start, then one per window of 48-move rounds
-    assert rows == [1] + [48 * w for w in (1, 2, 4, 8, 16, 28, 28, 13)]
+    assert rows == [1] + [48 * w for w in (1, 2, 4, 8, 1)]
 
 
 def test_window_stops_at_the_floor_before_a_later_hit():
@@ -447,7 +448,7 @@ def test_window_stops_at_the_floor_before_a_later_hit():
         return -np.abs(x_rows[:, 0] - target)
 
     m_mat = np.ones((1, 1))
-    for floor, window_rows in ((0.0, 32), (cond.THETA_SCALE_FLOOR, 2)):
+    for floor, window_rows in ((0.0, 32), (cond.SCALE_FLOOR, 2)):
         rows, path = [], []
         got_val, got_x = cond._climb(m_mat, [0.0], _counted(closeness, rows), "max", floor)
         want = _round_by_round_climb(m_mat, [0.0], closeness, "max", path, floor)
@@ -464,13 +465,13 @@ def test_hard_theta_climb_scores_its_chains_in_few_calls(monkeypatch):
     # flagged by the call before.  Scoring each predicted chain in one call,
     # and carrying the streak across round ends, with each closing scan also
     # opening the next round, takes the climb's 1,302 moves in 86 calls
-    # without a floor; at theta's floor it takes 248 moves in 20 calls, and
+    # without a floor; at the floor it takes 248 moves in 20 calls, and
     # one window of 4 rounds is cut to the 3 rounds above the floor
     game = hard_instance(64, 0.9, a_mode="kappa")
     lcp = to_lcp(game)
     starts = _climb_starts(monkeypatch, lcp.m, _certify_witnesses(lcp))
     x0, batch_fn, better, floor = starts[1]
-    assert batch_fn is cond._theta_batch and floor == cond.THETA_SCALE_FLOOR
+    assert batch_fn is cond._theta_batch and floor == cond.SCALE_FLOOR
     for floor, moves, calls in ((0.0, 1302, 86), (floor, 248, 20)):
         rows, path = [], []
         got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better, floor)
@@ -584,7 +585,7 @@ def test_speculative_climb_takes_every_chain_branch_bit_identically():
     seen = set()
     for m_mat, x0 in _chain_branch_cases():
         for batch_fn, better in ((cond._kappa_batch, "max"), (cond._theta_batch, "min")):
-            for floor in (0.0, cond.THETA_SCALE_FLOOR):
+            for floor in (0.0, cond.SCALE_FLOOR):
                 got_val, got_x, branches = _climb_branches(m_mat, x0, batch_fn, better, floor)
                 want_val, want_x = _round_by_round_climb(
                     m_mat, x0, batch_fn, better, floor=floor
@@ -747,9 +748,10 @@ def _estimate_kappa_apart(m_mat, starts=()):
             return np.inf, x
         if best_x is None or val > best_val:
             best_val, best_x = val, x.copy()
-    val, x = cond._climb(m_mat, best_x, cond._kappa_batch, "max")
+    val, x = cond._climb(m_mat, best_x, cond._kappa_batch, "max", cond.SCALE_FLOOR)
     if val > best_val:
         best_x = x
+    best_x = cond._dinkelbach(m_mat, best_x)[1]
     try:
         return kappa_at(m_mat, best_x), best_x
     except KappaUndefined:
@@ -765,7 +767,7 @@ def _estimate_theta_apart(m_mat, starts=()):
         val = theta_at(m_mat, x)
         if best_x is None or val < best_val:
             best_val, best_x = val, x.copy()
-    val, x = cond._climb(m_mat, best_x, cond._theta_batch, "min", cond.THETA_SCALE_FLOOR)
+    val, x = cond._climb(m_mat, best_x, cond._theta_batch, "min", cond.SCALE_FLOOR)
     if val < best_val:
         best_x = x
     return cond._equalize(m_mat, best_x / np.linalg.norm(best_x))
@@ -811,8 +813,8 @@ def test_estimator_driver_scores_witnesses_exactly(n, gamma, seed):
     assert report.theta_est == _estimate_theta_apart(lcp.m, theta_starts)[0]
 
 
-# theta's climb stops at THETA_SCALE_FLOOR and a Newton equalization
-# (``_equalize``) finishes it; kappa's climb has no floor.
+# Both climbs stop at SCALE_FLOOR.  A Newton equalization (``_equalize``)
+# finishes theta's, and Dinkelbach eigen-steps (``_dinkelbach``) kappa's.
 
 
 def _floor_corpus():
@@ -857,18 +859,46 @@ def test_equalize_never_scores_above_its_start():
             assert np.linalg.norm(got) == pytest.approx(1.0, rel=1e-15)
 
 
-def test_kappa_climbs_have_no_floor(monkeypatch):
+def test_both_climbs_stop_at_the_scale_floor(monkeypatch):
     for lcp in list(_floor_corpus())[::4]:
         witnesses = _certify_witnesses(lcp)
-        floors = {
-            batch_fn: floor for _, batch_fn, _, floor in _climb_starts(monkeypatch, lcp.m, witnesses)
-        }
-        assert floors == {cond._kappa_batch: 0.0, cond._theta_batch: cond.THETA_SCALE_FLOOR}
-        # the same value and direction as a kappa climb with no floor
+        floors = [
+            (batch_fn, floor) for _, batch_fn, _, floor in _climb_starts(monkeypatch, lcp.m, witnesses)
+        ]
+        assert floors == [
+            (cond._kappa_batch, cond.SCALE_FLOOR),
+            (cond._theta_batch, cond.SCALE_FLOOR),
+        ]
+        # the same value and direction as the climb and the finish apart
         kappa_starts = _starts(lcp.m, witnesses, 500, 5)[0]
         got_val, got_x = estimate_kappa(lcp.m, kappa_starts)
         want_val, want_x = _estimate_kappa_apart(lcp.m, kappa_starts)
         assert got_val == want_val and np.array_equal(got_x, want_x)
+
+
+def _climb_ends_kappa(m_mat, starts, floor):
+    """kappa_at of the climb's end down to ``floor``, with no finish, from
+    the first best of e_0 and ``starts``."""
+    e_0 = np.eye(m_mat.shape[0])[0]
+    starts = [e_0, *starts]
+    x0 = starts[int(np.argmax([kappa_at(m_mat, s) for s in starts]))]
+    _, x = cond._climb(m_mat, x0, cond._kappa_batch, "max", floor)
+    return kappa_at(m_mat, x)
+
+
+def test_kappa_finish_keeps_the_full_climb_on_every_game():
+    # the finish lifts kappa_est from 0 on 6 of the 24 games, where the
+    # climb never leaves the kappa = 0 plateau; elsewhere it stays at the
+    # climb's end, at most 4.2e-5 relative below the full climb's
+    raised = 0
+    for lcp in _floor_corpus():
+        kappa_starts = _starts(lcp.m, _certify_witnesses(lcp), 2000, 0)[0]
+        val, _ = estimate_kappa(lcp.m, kappa_starts)
+        full = _climb_ends_kappa(lcp.m, kappa_starts, 0.0)
+        assert val >= _climb_ends_kappa(lcp.m, kappa_starts, cond.SCALE_FLOOR)
+        assert val >= full * (1.0 - 1e-3)
+        raised += full == 0.0 < val
+    assert raised >= 5
 
 
 def _quiet_equalize(m_mat, x):
@@ -906,6 +936,59 @@ def test_equalize_stops_quietly_at_the_edges(monkeypatch):
     prods = got * (m_mat @ got)
     assert prods[0] == pytest.approx(prods[1], rel=1e-12)
     assert theta_at(m_mat, got) < theta_at(m_mat, [1.0, 0.0])
+
+
+def _quiet_dinkelbach(m_mat, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cond._dinkelbach(np.asfortranarray(m_mat, dtype=np.float64), np.array(x))[1]
+
+
+def test_dinkelbach_stops_quietly_at_the_edges(monkeypatch):
+    eighs = []
+    real_eigh = np.linalg.eigh
+
+    def counted_eigh(a):
+        eighs.append(a.shape[0])
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    # no positive product: -I and [[-1]] from e_0, and a zero direction
+    e_0 = np.eye(4)[0]
+    assert np.array_equal(_quiet_dinkelbach(-np.eye(4), e_0), e_0)
+    assert _quiet_dinkelbach([[-1.0]], [1.0]).tolist() == [1.0]
+    assert _quiet_dinkelbach(np.eye(2), [0.0, 0.0]).tolist() == [0.0, 0.0]
+    assert eighs == []
+    # [[2]]: r = 0, and the eigenvector +-1 scores the start's kappa 0
+    assert _quiet_dinkelbach([[2.0]], [1.0]).tolist() == [1.0]
+    # a subnormal entry: its product underflows to 0, and e_0 gains nothing
+    x = np.array([1.0, 1e-310])
+    assert np.array_equal(_quiet_dinkelbach(np.eye(2), x), x)
+    assert eighs == [1, 2]
+    # a subnormal positive part: r = 1 / 1e-320 overflows to inf
+    x = np.array([1e-160, 1.0])
+    assert np.array_equal(_quiet_dinkelbach(np.diag([1.0, -1.0]), x), x)
+    assert eighs == [1, 2]
+
+    def failing_eigh(a):
+        eighs.append(a.shape[0])
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    m_mat = hard_lcp(8, 0.9).m
+    assert np.array_equal(_quiet_dinkelbach(m_mat, np.eye(8)[0]), np.eye(8)[0])
+    assert eighs == [1, 2, 8]
+
+
+def test_dinkelbach_finds_the_hard_kappa_from_the_plateau():
+    # from e_0 the hard M's products are (1, 0, ..., 0): kappa 0, r = 0.  The
+    # first eigen-step leaves the plateau, and the finish ends at the exact
+    # kappa
+    for n, gamma in ((8, 0.5), (32, 0.9), (64, 0.99)):
+        m_mat = hard_lcp(n, gamma).m
+        val, x = cond._dinkelbach(m_mat, np.eye(n)[0])
+        assert val == kappa_at(m_mat, x)
+        assert val == pytest.approx(exact_conditioning(n, gamma).kappa, rel=1e-12)
 
 
 def _kappa_batch_by_where(x_rows, y_rows):

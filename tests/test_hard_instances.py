@@ -288,6 +288,24 @@ def test_certify_never_crosses_the_exact_measures(mode):
                 assert report.theta_est <= predicted_theta_ub(n, gamma)
 
 
+SWEEP_NS = (8, 12, 16, 24, 32, 48, 64)
+SWEEP_GAMMAS = (0.5, 0.8, 0.9, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("m, mode", list(enumerate(A_MODES)))
+def test_certify_finds_the_exact_kappa_at_every_sweep_cell(m, mode):
+    # perfbench's sweep_hard at workload seed 19: run_bench seeds mode m's
+    # cells 1900 + 35 m + idx.  Kappa's Dinkelbach finish reaches the exact
+    # kappa on every cell; the climb alone gave 0 against 5.5 on the
+    # theta-mode cell (48, 0.5)
+    cells = list(itertools.product(SWEEP_NS, SWEEP_GAMMAS))
+    for idx, (n, gamma) in enumerate(cells):
+        exact = exact_conditioning(n, gamma).kappa
+        lcp = to_lcp(hard_instance(n, gamma, a_mode=mode))
+        report = certify(lcp, seed=1900 + len(cells) * m + idx, samples=2000)
+        assert report.kappa_est == pytest.approx(exact, rel=1e-12, abs=0.0), (n, gamma)
+
+
 # -- the cost knob ------------------------------------------------------------
 
 
