@@ -77,7 +77,6 @@ MINORS_LIMIT = 20
 MINORS_TOL = 1e-12  # a minor above this times its row-max product is positive
 MINORS_CHUNK_ENTRIES = 1 << 21  # matrix entries per batched determinant call
 HILL_CLIMB_ROUNDS = 100
-CLIMB_WINDOW_ENTRIES = 1 << 15  # direction entries per climb call over hit-less rounds
 # direction entries per chunk of the gaussian sample that certify streams
 # (128 KB of directions).  certify_random's op_ms_p50 ran at 15.5-15.7 ref_ms
 # with chunks of 2^13 or 2^14 entries, 15.4-16.5 at 2^15, 16.5-16.7 at 2^16
@@ -375,80 +374,52 @@ def _climb(m_mat, x0, batch_fn, better, floor=0.0):
     would be below ``floor``.  A round reads its steps, +-scale max(1, |x_j|),
     from one table measured at its start.
 
-    Each ``batch_fn`` call scores one slice of the slot table, the moves that
-    a call per move would try next, with a prediction of which improve:
-    * at a round's start, none in a window of rounds from x at scales halved
-      once per round.  The window doubles after rounds without a move, is one
-      round after a move, and stops at the rounds left, the floor and the cap
-      of CLIMB_WINDOW_ENTRIES direction entries per call;
-    * after a move with none flagged, none in the rest of the round, nor in
-      the next round's moves 0..pos (its later moves are this call's rows)
-      when that round is left and fits the cap;
+    Each ``batch_fn`` call scores the moves left in the round, pos..2n-1,
+    with a prediction of which improve:
     * once SPECULATE_AFTER calls in a row, counted across round ends, took
       the first flagged move: exactly the flagged moves, the row of move m
       scored from its base, x after the flagged moves before m;
-    * otherwise, none in the rest of the round.
+    * otherwise, and always at a round's start, none.
     The rows before the first one off the prediction are applied as
-    predicted.  That row, if it improves, is taken: the rounds scored before
-    its own end (a window's each halve the scale), the table is measured
-    again at x, and the later moves of its round that improve on the same
-    base are flagged.  A flagged row that does not improve leaves x at its
-    base; with no such row, x goes to the last base and every round scored
-    ends.  A base's y is a cumulative sum of step times column, and its x
-    one of one-hot steps with -0.0 elsewhere, which keeps every other
-    entry's bits: the roundings of one move per call.  Every call writes its
-    rows into one workspace per climb: rows allocated per call made glibc
-    trim the heap and fault it in again on every call.
+    predicted.  That row, if it improves, is taken, and the later moves of
+    its round that improve on the same base are flagged.  A flagged row that
+    does not improve leaves x at its base; with no such row, x goes to the
+    last base and the round ends.  A base's y is a cumulative sum of step
+    times column, and its x one of one-hot steps with -0.0 elsewhere, which
+    keeps every other entry's bits: the roundings of one move per call.
+    Every call writes its rows into one workspace per climb: rows allocated
+    per call made glibc trim the heap and fault it in again on every call.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     y = m_mat @ x
     best = batch_fn(x[None, :], y[None, :])[0]
     n = x.shape[0]
-    # move p is +step (p even) or -step (p odd) on coordinate p // 2; slot
-    # r * n_moves + p is move p of the r-th round from now
+    # move p is +step (p even) or -step (p odd) on coordinate p // 2
     n_moves = 2 * n
-    max_window = max(1, CLIMB_WINDOW_ENTRIES // (n_moves * n))
-    max_rows = max_window * n_moves
-    slot_moves = np.tile(np.arange(n_moves), max_window)
-    slot_coords = slot_moves // 2
-    slot_cols = m_mat.T[slot_coords]  # the column of M that the slot's move scales
-    slot_halvings = np.repeat(0.5 ** np.arange(max_window), n_moves)
+    moves = np.arange(n_moves)
+    move_coords = moves // 2
+    move_cols = m_mat.T[move_coords]  # the column of M that the move scales
     move_signs = np.tile((1.0, -1.0), n)
-    row_starts = np.arange(max_rows) * n  # where row i of a call's x rows starts, flattened
-    workspace = np.empty((2, max_rows, n))  # each call's x rows and y rows
+    row_starts = moves * n  # where row i of a call's x rows starts, flattened
+    workspace = np.empty((2, n_moves, n))  # each call's x rows and y rows
     improves = np.greater if better == "max" else np.less
-
-    def measured(scale):  # a round's steps from x
-        return (scale * move_signs) * np.repeat(np.maximum(1.0, np.abs(x)), 2)
-
-    scale, window, rounds_left = 1.0, 1, HILL_CLIMB_ROUNDS
-    pos = 0  # the next move to try; 0 starts a window of rounds
-    guess = slot_moves[:0]  # the moves after pos flagged to improve, in order
+    scale, rounds_left = 1.0, HILL_CLIMB_ROUNDS
+    pos = 0  # the next move to try
+    guess = moves[:0]  # the moves after pos flagged to improve, in order
     streak = 0  # calls in a row that took the first flagged move
     while rounds_left and scale >= floor:
+        if pos == 0:  # the round's steps from x
+            table = (scale * move_signs) * np.repeat(np.maximum(1.0, np.abs(x)), 2)
         speculate = streak >= SPECULATE_AFTER and guess.size
-        if pos == 0:
-            table = measured(scale)
-            above = int(math.log2(scale / floor)) + 1 if floor else rounds_left
-            end = min(window, rounds_left, max_window, above) * n_moves
-        elif not guess.size and rounds_left >= 2 and max_window > 1:
-            end = n_moves + pos + 1  # the closing scan wraps into the next round
-        else:
-            end = n_moves
-        rows, n_rows = slice(pos, end), end - pos
-        row_moves = slot_moves[rows]
-        steps = table[row_moves]
-        if end > n_moves and pos:  # the next round's moves 0..pos
-            steps[n_moves - pos :] = measured(scale)[: pos + 1]
-        elif end > n_moves:  # a window's later rounds
-            steps *= slot_halvings[rows]
+        n_rows = n_moves - pos
+        row_moves, steps = moves[pos:], table[pos:]
         x_rows, y_rows = workspace[:, :n_rows]
-        np.multiply(steps[:, None], slot_cols[rows], out=y_rows)
+        np.multiply(steps[:, None], move_cols[pos:], out=y_rows)
         flagged = guess - pos if speculate else guess[:0]  # the rows predicted to improve
         if speculate:
             counts = np.diff(np.concatenate(((0,), flagged + 1, (n_rows,))))
             ones = np.full((flagged.size, n), -0.0)
-            ones[np.arange(flagged.size), slot_coords[guess]] = steps[flagged]
+            ones[np.arange(flagged.size), move_coords[guess]] = steps[flagged]
             bases_x = np.cumsum(np.concatenate((x[None, :], ones)), axis=0)
             bases_y = np.cumsum(np.concatenate((y[None, :], y_rows[flagged])), axis=0)
             x_rows[...] = bases_x.repeat(counts, axis=0)
@@ -456,7 +427,7 @@ def _climb(m_mat, x0, batch_fn, better, floor=0.0):
         else:
             x_rows[...] = x
             y_rows += y
-        x_rows.ravel()[row_starts[:n_rows] + slot_coords[rows]] += steps
+        x_rows.ravel()[row_starts[:n_rows] + move_coords[pos:]] += steps
         vals = batch_fn(x_rows, y_rows)
         if speculate:
             hits = improves(vals, np.concatenate(((best,), vals[flagged])).repeat(counts))
@@ -472,27 +443,19 @@ def _climb(m_mat, x0, batch_fn, better, floor=0.0):
             streak = k if k >= SPECULATE_AFTER else 0
         elif guess.size:  # a call with no move flagged leaves the streak
             streak = streak + 1 if took and row_moves[d] == guess[0] else 0
-        # the rounds that end before row d's round, or every round scored
-        passed = (pos + d) // n_moves if d < n_rows else -(-end // n_moves)
-        hitless = max(0, passed - (pos > 0))  # a round after a move halves nothing
-        rounds_left -= passed
-        scale *= 0.5**hitless
         if took:
-            if passed:
-                table = measured(scale)
-            window = 1
-            # the rows after d on its base, to the next flagged row or its round's end
-            e = flagged[k] + 1 if k < flagged.size else d + n_moves - row_moves[d]
+            # the rows after d on its base, to the next flagged row or the round's end
+            e = flagged[k] + 1 if k < flagged.size else n_rows
             guess = row_moves[d + 1 : e][hits[d + 1 : e]]
             # copies: the next call overwrites the workspace
             x, y, best = x_rows[d].copy(), y_rows[d].copy(), vals[d]
-            pos = int(row_moves[d]) + 1
+            pos += d + 1
         else:
             if k:  # the base of row d, or the last base
                 x, y, best = bases_x[k], bases_y[k], vals[flagged[k - 1]]
-            if hitless:
-                window *= 2
-            pos = pos + d + 1 if d < n_rows else 0
+            if pos == 0:  # a round without a move
+                scale *= 0.5
+            pos = pos + d + 1 if d < n_rows else n_moves
             guess = guess[:0]
         if pos == n_moves:  # the round is over
             rounds_left -= 1

@@ -356,8 +356,8 @@ def is_optimal(game, profile, tol=1e-9, values=None):
     ArithmeticError if a reduced cost or the level is not finite (an
     infinite t, from values near the float range, would pass any profile).
     """
-    if not tol >= 0:  # NaN too: every comparison with it is false
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not 0 <= tol < math.inf:  # NaN too: every comparison with it is false
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     if values is None:
         values = value_vector(game, profile)
     rc = reduced_costs(game, profile, values)

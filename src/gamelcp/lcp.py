@@ -153,8 +153,8 @@ class LcpCheck:
 
 def verify_solution(lcp, w, z, tol=1e-9):
     """Residual report for a candidate (w, z): feasibility, gap, positivity."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     w = np.asarray(w, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     feas = float(np.max(np.abs(w - lcp.q - lcp.m @ z)))

@@ -136,8 +136,8 @@ def _refuse_non_finite(trace, row, gap, potential):
 @np.errstate(all="ignore")  # _refuse_non_finite reports instead
 def solve_potential_reduction(lcp, epsilon=1e-9):
     """Solve a P-matrix LCP; returns (w, z, trace) with w.z < epsilon."""
-    if not epsilon > 0:  # NaN too
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # NaN too
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     m_mat, q = lcp.m, lcp.q
     n = q.shape[0]
     rho = n + math.sqrt(n)

@@ -116,8 +116,8 @@ def value_iteration(game, eps=1e-8):
     The check depends only on the profile, so a profile already checked is
     not solved again.
     """
-    if not eps > 0:  # NaN too: every comparison with it is false
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:  # NaN too: every comparison with it is false
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     rows = _SignedRows(game)
     tau = eps * (1.0 - game.gamma)
     checked = set()  # bytes of every profile checked
@@ -151,8 +151,8 @@ def strategy_iteration(game, initial_profile=None, tol=1e-9):
     profile raises (cannot happen for exact arithmetic; guards against
     tolerance misuse).
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     rows = _SignedRows(game)
     if initial_profile is None:
         initial_profile = np.zeros(game.n, dtype=np.int64)

@@ -909,6 +909,34 @@ def test_cli_bench_and_plot_round_trip(tmp_path, capsys):
     assert "<svg " in out_svg.read_text()
 
 
+def test_cli_plot_writes_beside_its_input_without_output(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["--output", str(csv_path), "bench", "--ns", "4,6", "--gammas", "0.5"]
+    assert main(argv + ["--samples", "200"]) == 0
+    rows = read_bench_csv(csv_path)
+    capsys.readouterr()
+    assert main(["plot", "--input", str(csv_path), "--quantity", "inv_theta"]) == 0
+    svg_path = tmp_path / "sweep.inv_theta.svg"
+    assert capsys.readouterr().out == f"wrote {svg_path}\n"
+    series = [("gamma=0.5", [4, 6], [1.0 / r.theta_est for r in rows])]
+    assert svg_path.read_text() == render_loglog_svg(
+        series, title="inv_theta vs n (log-log)", xlabel="n", ylabel="inv_theta"
+    )
+    # an input name without .csv keeps its whole name as the stem
+    bare = tmp_path / "rows"
+    bare.write_text(csv_path.read_text())
+    assert main(["plot", "--input", str(bare)]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'rows.kappa_est.svg'}\n"
+    assert "<svg " in (tmp_path / "rows.kappa_est.svg").read_text()
+
+
+def test_cli_bench_refuses_a_bad_sweep_list(tmp_path, capsys):
+    csv_path = tmp_path / "x.csv"
+    assert main(["--output", str(csv_path), "bench", "--ns", "8,x", "--gammas", "0.5"]) == 2
+    assert "error: bad sweep list: " in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_cli_bench_rejects_empty_sweep(tmp_path):
     rc = main(
         [

@@ -111,6 +111,24 @@ def test_smallest_eigenvalue_offdiag():
     assert np.linalg.norm(a @ vec - lam * vec) <= 1e-12
 
 
+def test_smallest_eigenvalue_refuses_a_failed_eigensolve(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(
+        ArithmeticError, match="^symmetric eigensolve failed: Eigenvalues did not converge$"
+    ):
+        smallest_eigenvalue_sym(np.eye(3))
+
+
+def test_smallest_eigenvalue_refuses_a_bad_eigenpair(monkeypatch):
+    # (0, e_0) is no eigenpair of 2 I
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.zeros(3), np.eye(3)))
+    with pytest.raises(ArithmeticError, match=r"^eigenpair residual 2\.000e\+00 exceeds"):
+        smallest_eigenvalue_sym(2.0 * np.eye(3))
+
+
 def test_smallest_eigenvalue_hard_family():
     # in eigenvalue mode c_tau is an exact eigenvector of the symmetrization
     lcp = hard_lcp(10, 0.5, a_mode="eigenvalue")
@@ -286,8 +304,8 @@ def test_estimate_theta_zero_move_is_not_a_direction():
 
 
 # The round-by-round climb, one call per round or per remaining scan: the
-# exact reference for ``_climb``, which scores runs of hit-less rounds in one
-# call and must return the same x and value bit for bit.
+# exact reference for ``_climb``, which predicts the moves that improve and
+# must return the same x and value bit for bit.
 
 
 def _round_by_round_climb(m_mat, x0, batch_fn, better, path=None, floor=0.0):
@@ -366,8 +384,7 @@ def _climb_identity_cases():
                 lcp = to_lcp(game)
                 suffix = "" if gamma == 0.9 else f"-{gamma}"
                 yield f"hard-{n}-{a_mode}{suffix}", lcp.m, _certify_witnesses(lcp)
-    # at n = 96 one round's moves fill the entry cap: a chain gets only the
-    # rows that the moves already taken in the round left free
+    # a hard cell above the sweep's sizes
     game = hard_instance(96, 0.9, a_mode="kappa")
     lcp = to_lcp(game)
     yield "hard-96-kappa", lcp.m, _certify_witnesses(lcp)
@@ -400,7 +417,6 @@ def _climb_identity_cases():
 def test_windowed_climb_is_bit_identical_to_round_by_round(monkeypatch, case):
     _, m_mat, witnesses = case
     n = m_mat.shape[0]
-    max_window = max(1, cond.CLIMB_WINDOW_ENTRIES // (2 * n * n))
     rows = []
     for x0, batch_fn, better, _ in _climb_starts(monkeypatch, m_mat, witnesses):
         # every climb both with and without the floor
@@ -410,16 +426,13 @@ def test_windowed_climb_is_bit_identical_to_round_by_round(monkeypatch, case):
             assert np.array_equal(got_x, want_x)
             assert np.array_equal(np.signbit(got_x), np.signbit(want_x))
             assert got_val == want_val
-    assert max(rows) <= max_window * 2 * n
-    if n == 64:  # the entry cap bites: windows stop at 4 rounds of 128 moves
-        assert max_window == 4 and max(rows) == 4 * 128
+    assert max(rows) <= 2 * n
 
 
 def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
     # kappa_est is 0 here: the climb starts from e_0 on the kappa = 0
-    # plateau and no round moves x, so windows of 1, 2, 4 and 8 rounds and
-    # then the one round left above the floor score its 16 rounds, at
-    # scales 1 down to 2^-15, in 6 calls
+    # plateau and no round moves x, so its 16 rounds, at scales 1 down to
+    # 2^-15, take one call each
     game = random_game(24, 0.9, 1900)
     lcp = to_lcp(game)
     witnesses = _certify_witnesses(lcp)
@@ -432,30 +445,28 @@ def test_kappa_plateau_climb_scores_its_rounds_in_few_calls(monkeypatch):
     got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better, floor)
     want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better, floor=floor)
     assert got_val == want_val == 0.0 and np.array_equal(got_x, want_x)
-    # one call scores the start, then one per window of 48-move rounds
-    assert rows == [1] + [48 * w for w in (1, 2, 4, 8, 1)]
+    # one call scores the start, then one per round of 48 moves
+    assert rows == [1] + [48] * 16
 
 
 def test_window_stops_at_the_floor_before_a_later_hit():
     # from x = 0 only a step below 3 * 2^-20 improves, so the round-by-round
-    # climb's first move is in round 19, at scale 2^-19.  Hit-less windows of
-    # 1, 2, 4 and 8 rounds reach round 15, whose window of 16 would find that
-    # hit in its fifth round; at the floor 2^-15 the window is cut to round
-    # 15 alone, and the climb ends where it started
+    # climb's first move is in round 19, at scale 2^-19.  At the floor 2^-15
+    # the climb scores its 16 hit-less rounds and ends where it started
     target = 1.5 * 2.0**-20
 
     def closeness(x_rows, y_rows):
         return -np.abs(x_rows[:, 0] - target)
 
     m_mat = np.ones((1, 1))
-    for floor, window_rows in ((0.0, 32), (cond.SCALE_FLOOR, 2)):
+    for floor in (0.0, cond.SCALE_FLOOR):
         rows, path = [], []
         got_val, got_x = cond._climb(m_mat, [0.0], _counted(closeness, rows), "max", floor)
         want = _round_by_round_climb(m_mat, [0.0], closeness, "max", path, floor)
         assert got_val == want[0] and np.array_equal(got_x, want[1])
-        assert rows[:6] == [1, 2, 4, 8, 16, window_rows]
+        assert rows[:17] == [1] + [2] * 16
     assert not path and got_x.tolist() == [0.0]
-    assert len(rows) == 6  # nothing is scored past the floor
+    assert len(rows) == 17  # nothing is scored past the floor
     _round_by_round_climb(m_mat, [0.0], closeness, "max", path)
     assert path[0][0].tolist() == [2.0**-19] and path[0][1] == 19
 
@@ -463,22 +474,20 @@ def test_window_stops_at_the_floor_before_a_later_hit():
 def test_hard_theta_climb_scores_its_chains_in_few_calls(monkeypatch):
     # on the n = 64 hard game nearly every move the theta climb takes was
     # flagged by the call before.  Scoring each predicted chain in one call,
-    # and carrying the streak across round ends, with each closing scan also
-    # opening the next round, takes the climb's 1,302 moves in 86 calls
-    # without a floor; at the floor it takes 248 moves in 20 calls, and
-    # one window of 4 rounds is cut to the 3 rounds above the floor
+    # and carrying the streak across round ends, takes the climb's 1,302
+    # moves in 128 calls without a floor; at the floor it takes 248 moves in
+    # 28 calls
     game = hard_instance(64, 0.9, a_mode="kappa")
     lcp = to_lcp(game)
     starts = _climb_starts(monkeypatch, lcp.m, _certify_witnesses(lcp))
     x0, batch_fn, better, floor = starts[1]
     assert batch_fn is cond._theta_batch and floor == cond.SCALE_FLOOR
-    for floor, moves, calls in ((0.0, 1302, 86), (floor, 248, 20)):
+    for floor, moves, calls in ((0.0, 1302, 128), (floor, 248, 28)):
         rows, path = [], []
         got_val, got_x = cond._climb(lcp.m, x0, _counted(batch_fn, rows), better, floor)
         want_val, want_x = _round_by_round_climb(lcp.m, x0, batch_fn, better, path, floor)
         assert got_val == want_val and np.array_equal(got_x, want_x)
-        assert len(path) == moves and len(rows) == calls and max(rows) <= 4 * 128
-    assert 3 * 128 in rows
+        assert len(path) == moves and len(rows) == calls and max(rows) <= 128
 
 
 def _scored_from(rows, i, base, coords):
@@ -502,11 +511,9 @@ def _climb_branches(m_mat, x0, batch_fn, better, floor=0.0):
     that was not flagged improves), "miss" (a flagged move does not
     improve; "miss-odd" when that leaves the climb at an odd move whose
     +step was not taken), or "last" (no row before the round's last: the
-    round ends at the call's last base).  Round ends: "carried" (a round's
-    first speculative call, too early in the round for the round's own
-    calls to have built the streak), "wrap-hit" (a closing scan whose rows
-    for the next round take its first move) and "wrap-skip" (a closing
-    scan after which the next round takes no move)."""
+    round ends at the call's last base), and "carried" (a round's first
+    speculative call, too early in the round for the round's own calls to
+    have built the streak)."""
     calls = []
 
     def scoring(x_rows, y_rows):
@@ -517,22 +524,14 @@ def _climb_branches(m_mat, x0, batch_fn, better, floor=0.0):
     path = []
     _round_by_round_climb(m_mat, x0, batch_fn, better, path, floor)
     xs = [np.asarray(x0, dtype=np.float64)] + [x_t for x_t, _ in path]
-    rounds = [-1] + [r for _, r in path]  # the round of each x
     n_moves = 2 * m_mat.shape[0]
     branches = set()
     t = 0  # the climb's x is xs[t]
     calls_in_round, speculated = 0, False
     for rows in calls[1:]:  # calls[0] scores the start
         n_rows = rows.shape[0]
-        if n_rows % n_moves == 0:  # a window of rounds opens one
+        if n_rows == n_moves:  # a call of 2n rows opens a round
             calls_in_round, speculated = 0, False
-        elif n_rows == n_moves + 1:  # a closing scan that wraps
-            then = rounds[t + 1] if t + 1 < len(xs) else rounds[t] + 2
-            if then == rounds[t] + 1:
-                branches.add("wrap-hit")
-                calls_in_round, speculated = 0, False
-            elif then > rounds[t] + 1:
-                branches.add("wrap-skip")
         else:  # the rest of a round: moves pos..n_moves - 1
             pos = n_moves - n_rows
             coords = (pos + np.arange(n_rows)) // 2
@@ -594,9 +593,7 @@ def test_speculative_climb_takes_every_chain_branch_bit_identically():
                 assert np.array_equal(got_x, want_x)
                 assert np.array_equal(np.signbit(got_x), np.signbit(want_x))
                 seen |= branches
-    assert seen == {
-        "first", "unpredicted", "miss", "miss-odd", "last", "carried", "wrap-hit", "wrap-skip"
-    }
+    assert seen == {"first", "unpredicted", "miss", "miss-odd", "last", "carried"}
 
 
 def _certify_cases():

@@ -41,7 +41,7 @@ from oracles import monotone_within_stages, stages
 
 def test_ipm_options_validation():
     lcp = Lcp(m=np.eye(4), q=np.ones(4))
-    for epsilon in (0.0, -1.0, float("nan")):
+    for epsilon in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             solve_potential_reduction(lcp, epsilon=epsilon)
 
@@ -518,6 +518,22 @@ def test_pivoting_ray_termination():
     lcp = Lcp(m=-np.eye(2), q=np.array([-1.0, -2.0]))
     with pytest.raises(SolverFailure, match="ray termination"):
         solve_pivoting(lcp)
+
+
+def test_pivoting_refuses_past_its_pivot_limit(g3, monkeypatch):
+    # g3 takes 2 pivots
+    monkeypatch.setattr(lcp_solvers, "MAX_PIVOTS", 1)
+    with pytest.raises(SolverFailure, match="^pivot limit 1 exceeded$"):
+        solve_pivoting(to_lcp(g3))
+
+
+def test_pivoting_refuses_a_singular_terminal_basis(g3, monkeypatch):
+    def singular(a, b):
+        raise SingularMatrixError("matrix is singular")
+
+    monkeypatch.setattr(lcp_solvers, "solve", singular)
+    with pytest.raises(SolverFailure, match="^terminal basis resolve failed: matrix is singular$"):
+        solve_pivoting(to_lcp(g3))
 
 
 def test_pivoting_exact_complementarity_random():

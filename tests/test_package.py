@@ -1,6 +1,8 @@
-"""The package's export lists name only what exists, and the README's
-library code and command lines run."""
+"""The package's export lists name only what exists, it imports nothing
+past numpy and the standard library, and the README's library code and
+command lines run."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -27,6 +29,25 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported))
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # README and pyproject.toml name numpy as the one dependency; a package
+    # installed beside it would let a stray import pass every other test
+    stray = []
+    for path in sorted((ROOT / "src" / "gamelcp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "numpy" and top not in sys.stdlib_module_names:
+                    stray.append(f"{path.name}:{node.lineno} {name}")
+    assert stray == []
 
 
 def test_readme_quick_tour_runs():

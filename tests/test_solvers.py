@@ -16,7 +16,8 @@ from gamelcp.game import (
     reduced_costs,
     value_vector,
 )
-from gamelcp.lcp import to_lcp, verify_solution
+from gamelcp.lcp import recover, to_lcp, verify_solution
+from gamelcp.lcp_solvers import solve_potential_reduction
 from gamelcp.solvers import (
     SolveResult,
     SolverFailure,
@@ -186,20 +187,51 @@ def test_strategy_iteration_improves_single_player_games():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda game, lcp: is_optimal(game, [0, 0, 0], math.nan),
-        lambda game, lcp: brute_force_solve(game, tol=math.nan),
-        lambda game, lcp: strategy_iteration(game, tol=math.nan),
-        lambda game, lcp: value_iteration(game, eps=math.nan),
-        lambda game, lcp: verify_solution(lcp, lcp.q, np.zeros(3), math.nan),
+        lambda game, lcp, bad: is_optimal(game, [0, 0, 0], bad),
+        lambda game, lcp, bad: brute_force_solve(game, tol=bad),
+        lambda game, lcp, bad: strategy_iteration(game, tol=bad),
+        lambda game, lcp, bad: value_iteration(game, eps=bad),
+        lambda game, lcp, bad: verify_solution(lcp, lcp.q, np.zeros(3), bad),
+        lambda game, lcp, bad: recover(lcp, lcp.q, np.zeros(3), 0, tol=bad),
+        lambda game, lcp, bad: solve_potential_reduction(lcp, epsilon=bad),
     ],
-    ids=["is_optimal", "brute", "si", "vi", "verify_solution"],
+    ids=["is_optimal", "brute", "si", "vi", "verify_solution", "recover", "ipm"],
 )
 def test_a_nan_tolerance_is_refused(g3, call):
     # every comparison with NaN is false, so an unchecked NaN tolerance
-    # passes every optimality test (si and brute) or none (vi, the LCP checks)
+    # passes every optimality test (si and brute) or none (vi, the LCP
+    # checks); an infinite one passes every test, and the IPM stops at its
+    # start
     game = g3
-    with pytest.raises(ValueError, match="got nan"):
-        call(game, to_lcp(game))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            call(game, to_lcp(game), bad)
+
+
+def _never_optimal(game, profile, tol=1e-9, values=None):
+    return False, np.arange(game.state_of_action.size)  # every action violates
+
+
+def test_strategy_iteration_refuses_a_cycle(monkeypatch):
+    # every state switches to its best action each round, so the second
+    # round's profile is the first's or the one after it: a revisit
+    monkeypatch.setattr(solvers, "is_optimal", _never_optimal)
+    with pytest.raises(SolverFailure, match=r"^strategy iteration revisited a profile \(cycle\)$"):
+        strategy_iteration(random_game(8, 0.9, 1))
+
+
+def test_strategy_iteration_refuses_past_its_round_limit(monkeypatch):
+    # SI leaves the all-slot-0 start of this game in its first round
+    monkeypatch.setattr(solvers, "SI_MAX_ROUNDS", 1)
+    with pytest.raises(SolverFailure, match="^strategy iteration exceeded 1 rounds$"):
+        strategy_iteration(random_game(8, 0.9, 1))
+
+
+def test_brute_force_refuses_when_no_profile_passes(monkeypatch):
+    monkeypatch.setattr(solvers, "is_optimal", _never_optimal)
+    message = "^no profile among 256 passed the optimality check at tol 1e-09 "
+    with pytest.raises(SolverFailure, match=message):
+        brute_force_solve(random_game(8, 0.9, 1))
 
 
 def test_a_nan_cost_leaves_no_optimal_profile():
